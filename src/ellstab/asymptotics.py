@@ -18,9 +18,9 @@ from enum import Enum
 from fractions import Fraction
 
 from . import charges as charges_mod
-from .curves import CurveConstraint, expand_u, solve_u
-from .errors import ConfigurationError, DomainError
-from .poly import RootInterval, eval_interval
+from .curves import CurveConstraint, constraint_poly, expand_u, solve_u
+from .errors import ComputationFault, ConfigurationError, DomainError
+from .poly import Poly2, RootInterval, count_roots, eval_interval, gcd, refine_root
 from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair
 from .series import LaurentSeries
 
@@ -271,6 +271,9 @@ def _charge_at_point(
     return charges_mod.full_charge(g, v, omega, bfield)
 
 
+SIGN_CHECKS = 128
+
+
 def cross_sign_at(
     g: BaseGeometry,
     m: ChernVector,
@@ -286,20 +289,17 @@ def cross_sign_at(
     At rational curve points the sign is computed exactly; at algebraic
     points the cross value is a univariate polynomial in u whose sign at
     the bracketed root is certified by interval refinement, with an exact
-    zero detected through a common factor with the curve polynomial.
+    zero detected through a common factor with the curve polynomial.  The
+    sign is checked at most ``SIGN_CHECKS`` times, each time on a bracket
+    four times narrower; if it is still open, the zero detection has missed
+    a zero and ``ComputationFault`` is raised.
     """
-    from .curves import constraint_poly
-    from .poly import RootInterval as RI
-    from .poly import _gcd, refine_root
-
     root = solve_u(c, vpar, precision)
     if root.exact:
         zm = _charge_at_point(g, m, kind, root.lo, vpar, d)
         zn = _charge_at_point(g, n, kind, root.lo, vpar, d)
         val = zm.re * zn.im - zm.im * zn.re
         return 0 if val == 0 else (1 if val > 0 else -1)
-
-    from .poly import Poly2
 
     usym = Poly2.u()
     zm = _charge_at_point(g, m, kind, usym, vpar, d)
@@ -308,21 +308,20 @@ def cross_sign_at(
     if cross.is_zero():
         return 0
     curve_poly = constraint_poly(c).eval_v(vpar)
-    common = _gcd(cross, curve_poly)
+    common = gcd(cross, curve_poly)
     if common.degree >= 1:
         sub = common.squarefree()
-        from .poly import count_roots
-
         if count_roots(sub, root.lo, root.hi) >= 1 or sub(root.lo) == 0:
             return 0
     iv = root
-    while True:
+    for _ in range(SIGN_CHECKS):
         lo, hi = eval_interval(cross, iv)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        iv = refine_root(curve_poly, RI(iv.lo, iv.hi), iv.width / 4)
+        iv = refine_root(curve_poly, iv, iv.width / 4)
+    raise ComputationFault(f"cross value sign still open after {SIGN_CHECKS} checks at v = {vpar}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .config import (
     Config,
     ConfigParseError,
     ConfigValidationError,
+    Defaults,
     format_vector,
     parse_config,
 )
@@ -329,9 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to the configuration file")
     parser.add_argument("--format", choices=["table", "records"], default="table")
-    parser.add_argument("--precision", type=int, default=64, help="precision in bits")
-    parser.add_argument("--order", type=int, default=8, help="series truncation order")
-    parser.add_argument("--seed", type=int, default=0)
+    # Run parameters default to None so that _resolve_defaults can tell an
+    # explicit flag from an omitted one.
+    parser.add_argument("--precision", type=int, default=None, help="precision in bits")
+    parser.add_argument("--order", type=int, default=None, help="series truncation order")
+    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--cases", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -414,19 +417,33 @@ _COMMANDS = {
 }
 
 
+_RUN_PARAMETERS = (
+    ("precision", "precision_bits"),
+    ("order", "order"),
+    ("cases", "cases"),
+    ("seed", "seed"),
+)
+
+
+def _resolve_defaults(args, cfg: Config | None) -> None:
+    """Give each run parameter without a flag its ``[defaults]`` value, which
+    is the built-in value when the section (or the whole config) omits it."""
+    defaults = cfg.defaults if cfg is not None else Defaults()
+    for flag, key in _RUN_PARAMETERS:
+        if getattr(args, flag) is None:
+            setattr(args, flag, getattr(defaults, key))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = _Output(args.format)
     try:
-        if args.command == "verify" and args.config is None:
-            return cmd_verify(args, None, out)
-        if args.config is None:
+        if args.config is None and args.command != "verify":
             print("error: --config is required for this command", file=sys.stderr)
             return USAGE_EXIT
-        cfg = _load_config(args.config)
-        if args.command == "verify":
-            return cmd_verify(args, cfg, out)
+        cfg = None if args.config is None else _load_config(args.config)
+        _resolve_defaults(args, cfg)
         return _COMMANDS[args.command](args, cfg, out)
     except ConfigParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

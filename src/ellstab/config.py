@@ -42,14 +42,13 @@ class ObjectSpec:
 
 @dataclass
 class Defaults:
+    """Run parameters of the ``[defaults]`` section; keys the section omits
+    keep the built-in values, and ``cases = None`` means each suite's own size."""
+
     precision_bits: int = 64
     order: int = 8
-    cases: int = 200
+    cases: int | None = None
     seed: int = 0
-
-    @property
-    def precision(self) -> Fraction:
-        return Fraction(1, 2**self.precision_bits)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .ring import BaseGeometry, ChernVector, DimensionError, pair
+from .ring import BaseGeometry, ChernVector, DimensionError, pair_h
 
 
 def phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
@@ -23,8 +23,8 @@ def phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
     if v.rank_lattice != g.rank:
         raise DimensionError("vector rank does not match geometry rank")
     h, hb, hh2 = g.h, g.hb_divisor, g.h * g.h * g.hb2
-    heta = pair(g, hb, v.eta)
-    hS = pair(g, hb, v.S)
+    heta = pair_h(g, v.eta)
+    hS = pair_h(g, v.S)
     n2 = v.x
     x2 = -v.n
     S2 = v.eta + hb.scale(v.x * h / 2)
@@ -39,8 +39,8 @@ def phi_hat(g: BaseGeometry, v: ChernVector) -> ChernVector:
     if v.rank_lattice != g.rank:
         raise DimensionError("vector rank does not match geometry rank")
     h, hb, hh2 = g.h, g.hb_divisor, g.h * g.h * g.hb2
-    heta = pair(g, hb, v.eta)
-    hS = pair(g, hb, v.S)
+    heta = pair_h(g, v.eta)
+    hS = pair_h(g, v.S)
     n2 = v.x
     x2 = -v.n
     S2 = v.eta - hb.scale(v.x * h / 2)

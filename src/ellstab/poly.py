@@ -135,7 +135,7 @@ class Poly1:
         return Poly1(quot), Poly1(rem[: len(div) - 1])
 
     def squarefree(self) -> "Poly1":
-        g = _gcd(self, self.derivative())
+        g = gcd(self, self.derivative())
         if g.degree <= 0:
             return self
         q, r = self.divmod(g)
@@ -144,7 +144,8 @@ class Poly1:
         return q
 
 
-def _gcd(a: Poly1, b: Poly1) -> Poly1:
+def gcd(a: Poly1, b: Poly1) -> Poly1:
+    """Monic greatest common divisor (the zero polynomial for two zeros)."""
     while not b.is_zero():
         _, r = a.divmod(b)
         a, b = b, r
@@ -214,21 +215,25 @@ def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
     chain = sturm_chain(p)
     lead = abs(p.c[-1])
     bound = Fraction(1) + max(abs(a) for a in p.c) / lead
-    stack = [(Fraction(0), bound)]
+    # Each pending interval (lo, hi] carries whether its ends are roots of p.
+    # A bracket is taken only when neither end is, so no bracket touches a
+    # root that is reported exactly, and no root is reported twice.
+    stack = [(Fraction(0), bound, p(0) == 0, False)]
     isolated: list[tuple[Fraction, Fraction]] = []
     while stack:
-        lo, hi = stack.pop()
-        k = count_roots(p, lo, hi, chain)
+        lo, hi, lo_root, hi_root = stack.pop()
+        k = count_roots(p, lo, hi, chain) - hi_root
         if k == 0:
             continue
-        if k == 1:
+        if k == 1 and not (lo_root or hi_root):
             isolated.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if p(mid) == 0:
+        mid_root = p(mid) == 0
+        if mid_root:
             isolated.append((mid, mid))
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        stack.append((lo, mid, lo_root, mid_root))
+        stack.append((mid, hi, mid_root, hi_root))
     out = []
     for lo, hi in isolated:
         if lo == hi:

@@ -20,9 +20,15 @@ Products are computed from the relations
     Theta^2 = h * Theta * pull(H),      Theta * f = pt,
     pull(A) * pull(B) = (A.B) * f,      Theta * pull(A) * pull(B) = (A.B) * pt,
 
-truncated above the point class.  All arithmetic is exact; coordinates are
-``fractions.Fraction`` values (polynomial coefficients are also accepted,
-which lets the same formulas run symbolically).
+truncated above the point class.  For a field B = t*Theta + pull(D) they give
+the closed forms used by ``twist``:
+
+    B^2 = Theta * pull(t^2 h * H + 2t * D)  +  (D.D) * f,
+    B^3 = (t^3 h^2 * H^2  +  3 t^2 h * (H.D)  +  3t * (D.D)) * pt.
+
+All arithmetic is exact; coordinates are ``fractions.Fraction`` values
+(polynomial coefficients are also accepted, which lets the same formulas run
+symbolically).
 """
 
 from __future__ import annotations
@@ -45,6 +51,42 @@ def _qtuple(xs) -> tuple:
     return tuple(_q(x) for x in xs)
 
 
+_ZERO = Fraction(0)
+
+
+def _sum_products(pairs):
+    """Sum of p * q over the pairs with no None factor, or None if there is none."""
+    total = None
+    for p, q in pairs:
+        if p is not None and q is not None:
+            total = p * q if total is None else total + p * q
+    return total
+
+
+def _or_zero(value):
+    return _ZERO if value is None else value
+
+
+def _row(coords, gram) -> tuple:
+    """The row vector coords * gram over coordinates given with zeros as None;
+    an entry is None when no nonzero product reaches it."""
+    return tuple(
+        _sum_products((c, row[j] or None) for c, row in zip(coords, gram)) for j in range(len(gram))
+    )
+
+
+def _plain(coords) -> bool:
+    """Whether every coordinate is a Fraction."""
+    return all(type(c) is Fraction for c in coords)
+
+
+def _nonzero(coords, plain: bool) -> tuple:
+    """Coordinates with exact zeros, of any scalar type, replaced by None."""
+    if plain:
+        return tuple(c or None for c in coords)
+    return tuple(None if c == 0 else c for c in coords)
+
+
 @dataclass(frozen=True)
 class DivisorB:
     """A class in the rational Picard lattice of the base surface."""
@@ -53,6 +95,13 @@ class DivisorB:
 
     def __init__(self, coords):
         object.__setattr__(self, "coords", _qtuple(coords))
+
+    @classmethod
+    def _raw(cls, coords: tuple) -> "DivisorB":
+        """Wrap coordinates that are already scalars, without coercion."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "coords", coords)
+        return d
 
     @classmethod
     def zero(cls, rank: int) -> "DivisorB":
@@ -118,7 +167,9 @@ class BaseGeometry:
     the base, ``hb`` holds the coordinates of the ample class H, ``h`` is
     the constant with K_base numerically equivalent to h*H, ``vprime`` an
     ampleness bound below which Theta + v*pull(H) need not be ample, and
-    ``m0`` a seed constant with m0 > vprime and h + 2*m0 > 0.
+    ``m0`` a seed constant with m0 > vprime and h + 2*m0 > 0.  The H data
+    derived from them (``hb2`` = H.H, ``hb_divisor`` and the row ``hb_row``
+    of hb * gram used by ``pair_h``) is computed once, at construction.
     """
 
     rank: int
@@ -128,6 +179,8 @@ class BaseGeometry:
     vprime: Fraction
     m0: Fraction
     hb2: Fraction = field(init=False, compare=False, repr=False)
+    hb_divisor: DivisorB = field(init=False, compare=False, repr=False)
+    hb_row: tuple = field(init=False, compare=False, repr=False)
 
     def __init__(self, rank, gram, hb, h, vprime=0, m0=1):
         rank = int(rank)
@@ -160,10 +213,9 @@ class BaseGeometry:
         object.__setattr__(self, "vprime", vprime)
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "hb2", hb2)
-
-    @property
-    def hb_divisor(self) -> DivisorB:
-        return DivisorB(self.hb)
+        object.__setattr__(self, "hb_divisor", DivisorB(hb))
+        # (hb * gram)_j, or None where every product hb_i * gram_ij is zero.
+        object.__setattr__(self, "hb_row", _row(_nonzero(hb, True), gram))
 
     def half_canonical_bfield(self) -> DivisorX:
         """The distinguished twist -(1/2) * pull(K_base) = -(h/2) * pull(H)."""
@@ -201,6 +253,18 @@ class ChernVector:
         object.__setattr__(self, "s", _q(s))
 
     @classmethod
+    def _raw(cls, n, x, S: DivisorB, eta: DivisorB, a, s) -> "ChernVector":
+        """Assemble components that are already scalars, without coercion."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "x", x)
+        object.__setattr__(v, "S", S)
+        object.__setattr__(v, "eta", eta)
+        object.__setattr__(v, "a", a)
+        object.__setattr__(v, "s", s)
+        return v
+
+    @classmethod
     def zero(cls, rank: int) -> "ChernVector":
         z = DivisorB.zero(rank)
         return cls(0, 0, z, z, 0, 0)
@@ -213,6 +277,10 @@ class ChernVector:
     @property
     def rank_lattice(self) -> int:
         return self.S.rank
+
+    def coordinates(self) -> tuple:
+        """The flat coordinate tuple (n, x, S..., eta..., a, s)."""
+        return (self.n, self.x, *self.S.coords, *self.eta.coords, self.a, self.s)
 
     def is_zero(self) -> bool:
         return (
@@ -276,7 +344,7 @@ class ChernVector:
         Equals s + (h/2) H.eta + (1/12) x h^2 H^2 as a pure function of the
         stored fields.
         """
-        heta = pair(g, g.hb_divisor, self.eta)
+        heta = pair_h(g, self.eta)
         return self.s + g.h * heta / 2 + self.x * g.h * g.h * g.hb2 * Fraction(1, 12)
 
 
@@ -284,49 +352,100 @@ def pair(g: BaseGeometry, d1: DivisorB, d2: DivisorB):
     """Intersection pairing of two base classes: d1^T * gram * d2."""
     if d1.rank != g.rank or d2.rank != g.rank:
         raise DimensionError("divisor rank does not match geometry rank")
-    total = Fraction(0)
-    for i in range(g.rank):
-        ci = d1.coords[i]
+    total = None
+    for ci, row in zip(d1.coords, g.gram):
         if ci == 0:
             continue
-        row = g.gram[i]
-        for j in range(g.rank):
-            cj = d2.coords[j]
-            if cj == 0 or row[j] == 0:
+        for gij, cj in zip(row, d2.coords):
+            if gij == 0 or cj == 0:
                 continue
-            total = total + ci * row[j] * cj
-    return total
+            total = ci * gij * cj if total is None else total + ci * gij * cj
+    return _or_zero(total)
+
+
+def pair_h(g: BaseGeometry, d: DivisorB):
+    """Pairing H.d with the ample class, through the stored row hb * gram."""
+    if d.rank != g.rank:
+        raise DimensionError("divisor rank does not match geometry rank")
+    return _or_zero(_sum_products(zip(g.hb_row, _nonzero(d.coords, _plain(d.coords)))))
+
+
+def _product_view(coords: tuple, nonzero: tuple, plain: bool, partner_plain: bool) -> tuple:
+    """Coordinates as they enter the products outside pairings.
+
+    A zero is skipped (None) only when it is a Fraction and the other
+    vector is all Fraction, so that every skipped product is a Fraction
+    zero.  A Fraction zero times a Poly2 is a Poly2 zero, which makes the
+    sum it enters a Poly2; that product is kept.
+    """
+    if not partner_plain:
+        return coords
+    if plain:
+        return nonzero
+    return tuple(None if type(c) is Fraction and not c else c for c in coords)
 
 
 def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
-    """Graded product of two classes, truncated above the point class."""
-    if v1.rank_lattice != g.rank or v2.rank_lattice != g.rank:
-        raise DimensionError("vector rank does not match geometry rank")
-    n1, x1, S1, e1, a1, s1 = v1.n, v1.x, v1.S, v1.eta, v1.a, v1.s
-    n2, x2, S2, e2, a2, s2 = v2.n, v2.x, v2.S, v2.eta, v2.a, v2.s
-    hbd = g.hb_divisor
+    """Graded product of two classes, truncated above the point class.
 
-    n = n1 * n2
-    x = n1 * x2 + n2 * x1
-    S = S2.scale(n1) + S1.scale(n2)
-    eta = (
-        e2.scale(n1)
-        + e1.scale(n2)
-        + hbd.scale(x1 * x2 * g.h)
-        + S2.scale(x1)
-        + S1.scale(x2)
+    Works on the coordinate tuples and skips every product with an
+    exact-zero factor.  Pairings skip zeros of any scalar type, as ``pair``
+    does; the other products skip as ``_product_view`` allows.  Each
+    component therefore has the value and the scalar type of the full
+    expansion.
+    """
+    r = g.rank
+    if v1.rank_lattice != r or v2.rank_lattice != r:
+        raise DimensionError("vector rank does not match geometry rank")
+    f1, f2 = v1.coordinates(), v2.coordinates()
+    plain1, plain2 = _plain(f1), _plain(f2)
+    z1, z2 = _nonzero(f1, plain1), _nonzero(f2, plain2)
+    p1 = _product_view(f1, z1, plain1, plain2)
+    p2 = _product_view(f2, z2, plain2, plain1)
+    n1, x1, S1, e1, a1, s1 = p1[0], p1[1], p1[2 : 2 + r], p1[2 + r : 2 + 2 * r], p1[-2], p1[-1]
+    n2, x2, S2, e2, a2, s2 = p2[0], p2[1], p2[2 : 2 + r], p2[2 + r : 2 + 2 * r], p2[-2], p2[-1]
+    zS1, ze1 = z1[2 : 2 + r], z1[2 + r : 2 + 2 * r]
+    zS2, ze2 = z2[2 : 2 + r], z2[2 + r : 2 + 2 * r]
+    h = g.h
+
+    xxh = x1 * x2 * h if x1 is not None and x2 is not None and h else None
+    n = _sum_products(((n1, n2),))
+    x = _sum_products(((n1, x2), (n2, x1)))
+    S = tuple(_or_zero(_sum_products(((n1, S2[i]), (n2, S1[i])))) for i in range(r))
+    eta = tuple(
+        _or_zero(
+            _sum_products(
+                ((n1, e2[i]), (n2, e1[i]), (xxh, g.hb[i] or None), (x1, S2[i]), (x2, S1[i]))
+            )
+        )
+        for i in range(r)
     )
-    a = n1 * a2 + n2 * a1 + pair(g, S1, S2)
-    s = (
-        n1 * s2
-        + n2 * s1
-        + g.h * (x1 * pair(g, hbd, e2) + x2 * pair(g, hbd, e1))
-        + x1 * a2
-        + x2 * a1
-        + pair(g, S1, e2)
-        + pair(g, S2, e1)
+    # Each pullback part meets the gram matrix once, for both of its
+    # pairings; pairings with H use the stored row hb * gram.
+    w1, w2 = _row(zS1, g.gram), _row(zS2, g.gram)
+    he1 = None if x2 is None else _sum_products(zip(g.hb_row, ze1))
+    he2 = None if x1 is None else _sum_products(zip(g.hb_row, ze2))
+    a = _sum_products(((n1, a2), (n2, a1), *zip(w1, zS2)))
+    s = _sum_products(
+        (
+            (n1, s2),
+            (n2, s1),
+            (x1, None if he2 is None else h * he2),
+            (x2, None if he1 is None else h * he1),
+            (x1, a2),
+            (x2, a1),
+            *zip(w1, ze2),
+            *zip(w2, ze1),
+        )
     )
-    return ChernVector(n, x, S, eta, a, s)
+    return ChernVector._raw(
+        _or_zero(n),
+        _or_zero(x),
+        DivisorB._raw(S),
+        DivisorB._raw(eta),
+        _or_zero(a),
+        _or_zero(s),
+    )
 
 
 def divisor_vector(g: BaseGeometry, d: DivisorX) -> ChernVector:
@@ -336,11 +455,20 @@ def divisor_vector(g: BaseGeometry, d: DivisorX) -> ChernVector:
 
 
 def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
-    """Twist by a field B: multiply by exp(-B) = 1 - B + B^2/2 - B^3/6."""
-    b = divisor_vector(g, B)
-    b2 = mul(g, b, b)
-    b3 = mul(g, b2, b)
-    expo = ChernVector.unit(g.rank) - b + b2.scale(Fraction(1, 2)) - b3.scale(Fraction(1, 6))
+    """Twist by a field B: multiply by exp(-B) = 1 - B + B^2/2 - B^3/6.
+
+    B^2 and B^3 enter through their closed forms (module docstring), so a
+    twist costs one product.
+    """
+    t, D = B.theta, B.base
+    dd = pair(g, D, D)
+    if t:
+        th = t * g.h
+        eta = DivisorB(tuple(th * t / 2 * hb + t * c for hb, c in zip(g.hb, D.coords)))
+        s = -t * (th * th * g.hb2 + 3 * th * pair_h(g, D) + 3 * dd) / 6
+    else:
+        eta, s = g.zero_divisor(), _ZERO
+    expo = ChernVector(1, -t, -D, eta, dd / 2, s)
     return mul(g, expo, v)
 
 

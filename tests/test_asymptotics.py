@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellstab import asymptotics
 from ellstab.asymptotics import (
     ChargeKind,
     Side,
@@ -16,7 +17,7 @@ from ellstab.asymptotics import (
     wall_scan,
 )
 from ellstab.curves import OneDimCurve, TiltCurve
-from ellstab.errors import ConfigurationError, DomainError
+from ellstab.errors import ComputationFault, ConfigurationError, DomainError
 from ellstab.fmt import phi
 from ellstab.ring import ChernVector
 from ellstab.suites import geometry_for, phase_table_cases, _rand_onedim_class
@@ -260,3 +261,17 @@ class TestWallScan:
         assert signs == {-1}
         assert res.walls == ()
         assert not res.degenerate
+
+
+class TestCrossSignCap:
+    def test_open_sign_raises_instead_of_hanging(self, monkeypatch):
+        """If interval refinement never settles the sign, as after a missed
+        exact zero, the bounded loop raises instead of running forever."""
+        g = geometry_for(-1)
+        c = OneDimCurve(-1, 1, 2)
+        m = cv(0, 0, d(1), d(1), 1, 0)
+        n = cv(0, 0, d(1), d(2), 5, -1)
+        assert cross_sign_at(g, m, n, c, ChargeKind.FULL, Fraction(3), d(0)) == 1
+        monkeypatch.setattr(asymptotics, "eval_interval", lambda p, iv: (Fraction(-1), Fraction(1)))
+        with pytest.raises(ComputationFault):
+            cross_sign_at(g, m, n, c, ChargeKind.FULL, Fraction(3), d(0))

@@ -214,3 +214,73 @@ class TestCli:
         _, out1 = run_cli(*args)
         _, out2 = run_cli(*args)
         assert out1 == out2
+
+
+DEFAULTS_SAMPLE = """
+[geometry]
+rank = 1
+gram = [[1]]
+hb = [1]
+h = -1
+
+[curve tilt1]
+kind = tilt
+a = 1
+b = 2
+
+[defaults]
+order = 2
+precision = 8
+cases = 3
+"""
+
+
+class TestConfigDefaults:
+    """Run parameters resolve as: explicit flag, then [defaults], then built-in."""
+
+    @pytest.fixture
+    def defaults_path(self, tmp_path):
+        p = tmp_path / "defaults.cfg"
+        p.write_text(DEFAULTS_SAMPLE)
+        return str(p)
+
+    @staticmethod
+    def _bracket_width(out):
+        lo, hi = out.strip().splitlines()[1].split("\t")[2].strip("[]").split(", ")
+        return Fraction(hi) - Fraction(lo)
+
+    def test_order_from_defaults(self, defaults_path):
+        code, out = run_cli("--config", defaults_path, "--format", "records", "curve", "expand",
+                            "--curve", "tilt1")
+        assert code == 0
+        assert out.strip().endswith("floor=-2")
+
+    def test_precision_from_defaults(self, defaults_path):
+        code, out = run_cli("--config", defaults_path, "--format", "records", "curve", "solve",
+                            "--curve", "tilt1", "--v", "3")
+        assert code == 0
+        assert Fraction(1, 2**9) < self._bracket_width(out) <= Fraction(1, 2**8)
+
+    def test_cases_from_defaults(self, defaults_path):
+        code, out = run_cli("--config", defaults_path, "--format", "records", "verify",
+                            "--suite", "swap")
+        assert code == 0
+        assert out.strip().splitlines()[1].split("\t")[1] == "3"
+
+    def test_flags_override_defaults(self, defaults_path):
+        _, out = run_cli("--config", defaults_path, "--format", "records", "--order", "5",
+                         "curve", "expand", "--curve", "tilt1")
+        assert out.strip().endswith("floor=-5")
+        _, out = run_cli("--config", defaults_path, "--format", "records", "--precision", "12",
+                         "curve", "solve", "--curve", "tilt1", "--v", "3")
+        assert Fraction(1, 2**13) < self._bracket_width(out) <= Fraction(1, 2**12)
+
+    def test_builtin_defaults_without_section(self, tmp_path):
+        p = tmp_path / "plain.cfg"
+        p.write_text(DEFAULTS_SAMPLE.split("[defaults]")[0])
+        _, out = run_cli("--config", str(p), "--format", "records", "curve", "expand",
+                         "--curve", "tilt1")
+        assert out.strip().endswith("floor=-8")
+        _, out = run_cli("--config", str(p), "--format", "records", "curve", "solve",
+                         "--curve", "tilt1", "--v", "3")
+        assert Fraction(1, 2**65) < self._bracket_width(out) <= Fraction(1, 2**64)

@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellstab.curves import TiltCurve, chow_identity_symbolic_remainder
 from ellstab.errors import ConfigurationError, DimensionError
+from ellstab.poly import Poly2
 from ellstab.ring import (
     BaseGeometry,
     ChernVector,
     DivisorB,
     DivisorX,
+    divisor_vector,
     mul,
     pair,
+    pair_h,
     twist,
 )
+from ellstab.suites import H_SET_INVOLUTION, _rand_divisor, _rand_q, _rand_vector, geometry_for
 
 from conftest import cv, d
 
@@ -193,6 +198,79 @@ class TestTwist:
                 assert tw.eta == v.eta + hb.scale(v.x * h / 2)
                 assert tw.a == v.a + h * pair(geo, hb, v.S) / 2 + hh2 * v.n / 8
                 assert tw.s == v.s + h * pair(geo, hb, v.eta) / 2 + hh2 * v.x / 8
+
+
+def _twist_reference(g, v, B):
+    """Twist with exp(-B) assembled from ring products instead of closed forms."""
+    b = divisor_vector(g, B)
+    b2 = mul(g, b, b)
+    b3 = mul(g, b2, b)
+    expo = ChernVector.unit(g.rank) - b + b2.scale(Fraction(1, 2)) - b3.scale(Fraction(1, 6))
+    return mul(g, expo, v)
+
+
+def test_twist_matches_product_reference():
+    rng = random.Random(23)
+    for rank2 in (False, True):
+        for h in H_SET_INVOLUTION:
+            g = geometry_for(h, rank2)
+            for i in range(40):
+                v = _rand_vector(rng, g.rank)
+                t = Fraction(0) if i % 2 == 0 else _rand_q(rng)
+                B = DivisorX(t, _rand_divisor(rng, g.rank))
+                out = twist(g, v, B)
+                assert out == _twist_reference(g, v, B)
+                assert twist(g, ChernVector.unit(g.rank), B) == _twist_reference(g, ChernVector.unit(g.rank), B)
+                assert all(type(c) is Fraction for c in out.coordinates())
+
+
+def test_products_of_sparse_vectors_keep_fraction_scalars():
+    rng = random.Random(29)
+    for rank2 in (False, True):
+        g = geometry_for(Fraction(1, 2), rank2)
+        for _ in range(50):
+            v1, v2 = _rand_vector(rng, g.rank), _rand_vector(rng, g.rank)
+            for i in range(4):
+                for j in range(4):
+                    out = mul(g, v1.degree_part(i), v2.degree_part(j))
+                    assert all(type(c) is Fraction for c in out.coordinates())
+            assert type(pair_h(g, v1.eta)) is Fraction
+            assert pair_h(g, v1.eta) == pair(g, g.hb_divisor, v1.eta)
+
+
+def _scalar(spec):
+    """A Fraction from a string, a Poly2 from a {(i, j): coefficient} dict."""
+    if isinstance(spec, dict):
+        return Poly2({k: Fraction(c) for k, c in spec.items()})
+    return Fraction(spec)
+
+
+class TestSymbolicProducts:
+    """Products at Poly2 scalars against the full expansion's values and
+    scalar types, with w = u*Theta + v*pull(H) on the rank-two lattice."""
+
+    EXPECTED = {
+        "w^2": ("0", {}, {}, {}, {(1, 1): "2", (2, 0): "1/2"}, {}, {(0, 2): "2"}, {}),
+        "w^3": ("0", {}, {}, {}, {}, {}, {}, {(1, 2): "6", (2, 1): "3", (3, 0): "1/2"}),
+        "w*Theta": ("0", {}, {}, {}, {(0, 1): "1", (1, 0): "1/2"}, {}, "0", {}),
+    }
+
+    def test_polarization_products(self, g2):
+        w = divisor_vector(g2, DivisorX(Poly2.u(), g2.hb_divisor.scale(Poly2.v())))
+        theta = divisor_vector(g2, DivisorX(1, g2.zero_divisor()))
+        w2 = mul(g2, w, w)
+        got = {"w^2": w2, "w^3": mul(g2, w2, w), "w*Theta": mul(g2, w, theta)}
+        for name, spec in self.EXPECTED.items():
+            want = [_scalar(c) for c in spec]
+            have = list(got[name].coordinates())
+            assert [type(c) for c in have] == [type(c) for c in want], name
+            assert have == want, name
+
+    def test_chow_remainders(self, g2):
+        for a, b in ((Fraction(1), Fraction(2)), (Fraction(3, 2), Fraction(1, 3))):
+            rems = chow_identity_symbolic_remainder(g2, TiltCurve(g2.h, a, b))
+            assert len(rems) == 8
+            assert all(isinstance(r, Poly2) and r.is_zero() for r in rems)
 
 
 class TestAccessors:
