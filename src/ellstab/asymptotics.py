@@ -21,7 +21,7 @@ from . import charges as charges_mod
 from .curves import CurveConstraint, constraint_poly, expand_u, solve_u
 from .errors import ComputationFault, ConfigurationError, DomainError
 from .poly import Poly2, RootInterval, count_roots, eval_interval, gcd, refine_root
-from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair
+from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair, pair_h
 from .series import LaurentSeries
 
 
@@ -108,11 +108,11 @@ def charge_series(
         raise ConfigurationError("curve and geometry disagree on h")
     u = expand_u(c, order)
     vv = LaurentSeries.monomial(1, 1)
-    h, hb, hb2 = g.h, g.hb_divisor, g.hb2
+    h, hb2 = g.h, g.hb2
 
     if kind is ChargeKind.REDUCED:
-        hS = pair(g, hb, v.S)
-        heta = pair(g, hb, v.eta)
+        hS = pair_h(g, v.S)
+        heta = pair_h(g, v.eta)
         hu = h * u
         re = (
             (hu * (hu + 2 * vv) + vv * vv) * Fraction(hb2 * v.x, 2)
@@ -130,8 +130,8 @@ def charge_series(
             raise DomainError("full-kind series requires a fiber-degree-trivial class")
         if d is None:
             d = g.zero_divisor()
-        hS = pair(g, hb, v.S)
-        heta = pair(g, hb, v.eta)
+        hS = pair_h(g, v.S)
+        heta = pair_h(g, v.eta)
         re = LaurentSeries.const(-(v.s - pair(g, d, v.eta))) + u * (h * u + 2 * vv) * Fraction(
             hS, 2
         )
@@ -208,11 +208,13 @@ def compare_phases(acm: AsymptoticCharge, acn: AsymptoticCharge) -> PhaseOrder:
     Decided by the sign of the leading cross coefficient.  A vanishing
     cross with a negatively oriented dot series means the germs are
     antipodal (phases one apart, where the cross is blind); those are
-    ordered by their phase limits.
+    ordered by their phase limits.  Identical germs are exactly equal only
+    when they are exact; identical truncated germs are equal through the
+    cross series' floor, like any other vanishing cross.
     """
     if acm.kind is not acn.kind:
         raise DomainError("cannot compare charges of different kinds")
-    if (acm.re, acm.im, acm.kind) == (acn.re, acn.im, acn.kind):
+    if acm == acn and acm.is_exact():
         return PhaseOrder.exact_equal()
     m_re, m_im = _with_zero_convention(acm)
     n_re, n_im = _with_zero_convention(acn)
@@ -244,7 +246,10 @@ def compare_vectors(
     d: DivisorB | None = None,
 ) -> PhaseOrder:
     """Compare two vectors along a curve, escalating the order once if the
-    cross series vanishes through the first truncation floor."""
+    cross series vanishes through the first truncation floor.  Identical
+    vectors are exactly equal at once, with no series work."""
+    if m == n:
+        return PhaseOrder.exact_equal()
     first = compare_phases(
         charge_series(g, m, c, kind, order, d), charge_series(g, n, c, kind, order, d)
     )
@@ -272,6 +277,49 @@ def _charge_at_point(
 
 
 SIGN_CHECKS = 128
+_SIGN_PRECISION = Fraction(1, 2**64)
+
+
+def _cross_poly(
+    g: BaseGeometry, m: ChernVector, n: ChernVector, kind: ChargeKind, d: DivisorB | None
+) -> Poly2:
+    """The exact cross value re(M) im(N) - im(M) re(N) as a polynomial in (u, v).
+
+    Built once through the pointwise charges at symbolic u and v, so the
+    reduced charge's dual-path guard checks a polynomial identity, which
+    implies its check at every point.
+    """
+    usym, vsym = Poly2.u(), Poly2.v()
+    zm = _charge_at_point(g, m, kind, usym, vsym, d)
+    zn = _charge_at_point(g, n, kind, usym, vsym, d)
+    return zm.re * zn.im - zm.im * zn.re
+
+
+def _cross_sign(cross: Poly2, c: CurveConstraint, vpar, precision: Fraction) -> int:
+    """Certified sign of the cross polynomial at the curve point over vpar."""
+    root = solve_u(c, vpar, precision)
+    if root.exact:
+        val = cross.eval(root.lo, vpar)
+        return 0 if val == 0 else (1 if val > 0 else -1)
+
+    at_v = cross.eval_v(vpar)
+    if at_v.is_zero():
+        return 0
+    curve_poly = constraint_poly(c).eval_v(vpar)
+    common = gcd(at_v, curve_poly)
+    if common.degree >= 1:
+        sub = common.squarefree()
+        if count_roots(sub, root.lo, root.hi) >= 1 or sub(root.lo) == 0:
+            return 0
+    iv = root
+    for _ in range(SIGN_CHECKS):
+        lo, hi = eval_interval(at_v, iv)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        iv = refine_root(curve_poly, iv, iv.width / 4)
+    raise ComputationFault(f"cross value sign still open after {SIGN_CHECKS} checks at v = {vpar}")
 
 
 def cross_sign_at(
@@ -282,46 +330,20 @@ def cross_sign_at(
     kind: ChargeKind,
     vpar,
     d: DivisorB | None = None,
-    precision: Fraction = Fraction(1, 2**64),
+    precision: Fraction = _SIGN_PRECISION,
 ) -> int:
     """Certified sign of the exact cross value at a finite curve point.
 
-    At rational curve points the sign is computed exactly; at algebraic
-    points the cross value is a univariate polynomial in u whose sign at
-    the bracketed root is certified by interval refinement, with an exact
-    zero detected through a common factor with the curve polynomial.  The
-    sign is checked at most ``SIGN_CHECKS`` times, each time on a bracket
-    four times narrower; if it is still open, the zero detection has missed
-    a zero and ``ComputationFault`` is raised.
+    The cross value is built as a polynomial in (u, v).  At rational curve
+    points its sign is computed exactly; at algebraic points it is a
+    univariate polynomial in u whose sign at the bracketed root is certified
+    by interval refinement, with an exact zero detected through a common
+    factor with the curve polynomial.  The sign is checked at most
+    ``SIGN_CHECKS`` times, each time on a bracket four times narrower; if it
+    is still open, the zero detection has missed a zero and
+    ``ComputationFault`` is raised.
     """
-    root = solve_u(c, vpar, precision)
-    if root.exact:
-        zm = _charge_at_point(g, m, kind, root.lo, vpar, d)
-        zn = _charge_at_point(g, n, kind, root.lo, vpar, d)
-        val = zm.re * zn.im - zm.im * zn.re
-        return 0 if val == 0 else (1 if val > 0 else -1)
-
-    usym = Poly2.u()
-    zm = _charge_at_point(g, m, kind, usym, vpar, d)
-    zn = _charge_at_point(g, n, kind, usym, vpar, d)
-    cross = (zm.re * zn.im - zm.im * zn.re).eval_v(vpar)
-    if cross.is_zero():
-        return 0
-    curve_poly = constraint_poly(c).eval_v(vpar)
-    common = gcd(cross, curve_poly)
-    if common.degree >= 1:
-        sub = common.squarefree()
-        if count_roots(sub, root.lo, root.hi) >= 1 or sub(root.lo) == 0:
-            return 0
-    iv = root
-    for _ in range(SIGN_CHECKS):
-        lo, hi = eval_interval(cross, iv)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        iv = refine_root(curve_poly, iv, iv.width / 4)
-    raise ComputationFault(f"cross value sign still open after {SIGN_CHECKS} checks at v = {vpar}")
+    return _cross_sign(_cross_poly(g, m, n, kind, d), c, vpar, precision)
 
 
 @dataclass(frozen=True)
@@ -343,18 +365,20 @@ def wall_scan(
 ) -> WallScanResult:
     """Sign-change brackets of the exact cross value over a finite v range.
 
-    The range is sampled on a uniform rational grid; adjacent samples with
-    certified opposite signs are bisected down to ``precision``.  A cross
-    value that vanishes at every sample is reported as degenerate with no
-    walls rather than as a wall everywhere.
+    The cross value is built once as a polynomial in (u, v); the range is
+    sampled on a uniform rational grid, and adjacent samples with certified
+    opposite signs (as ``cross_sign_at`` gives them) are bisected down to
+    ``precision``.  A cross value that vanishes at every sample is reported
+    as degenerate with no walls rather than as a wall everywhere.
     """
     lo, hi = Fraction(vrange[0]), Fraction(vrange[1])
     if not (0 < lo < hi):
         raise DomainError("wall scan requires 0 < vmin < vmax")
     if samples < 2:
         raise DomainError("wall scan needs at least two samples")
+    cross = _cross_poly(g, m, n, kind, d)
     grid = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
-    signs = [cross_sign_at(g, m, n, c, kind, vv, d) for vv in grid]
+    signs = [_cross_sign(cross, c, vv, _SIGN_PRECISION) for vv in grid]
     if all(sg == 0 for sg in signs):
         return WallScanResult((), True)
 
@@ -377,7 +401,7 @@ def wall_scan(
             a, b = grid[k], grid[k + 1]
             while b - a > precision:
                 mid = (a + b) / 2
-                sm = cross_sign_at(g, m, n, c, kind, mid, d)
+                sm = _cross_sign(cross, c, mid, _SIGN_PRECISION)
                 if sm == 0:
                     a = b = mid
                     break

@@ -22,6 +22,7 @@ from .ring import (
     divisor_vector,
     mul,
     pair,
+    pair_h,
     twist,
 )
 
@@ -59,8 +60,8 @@ def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
     _require_positive("u", u)
     _require_positive("vpar", vpar)
     h, hb, hb2 = g.h, g.hb_divisor, g.hb2
-    hS = pair(g, hb, v.S)
-    heta = pair(g, hb, v.eta)
+    hS = pair_h(g, v.S)
+    heta = pair_h(g, v.eta)
 
     re_closed = (h * u * (h * u + 2 * vpar) + vpar * vpar) * hb2 * v.x / 2 + u * (
         h * u + 2 * vpar
@@ -116,7 +117,7 @@ def onedim_transform_charge(
         raise DomainError("transform charge requires a one-dimensional class (n = x = 0, S = 0)")
     _require_positive("y", y)
     _require_positive("z", z)
-    heta = pair(g, g.hb_divisor, v1dim.eta)
+    heta = pair_h(g, v1dim.eta)
     re = v1dim.a + u * (g.h * u + 2 * vpar) * heta / 2
     im = u * (v1dim.s - pair(g, dbar, v1dim.eta))
     return ChargeValue(re, im)

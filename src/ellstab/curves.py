@@ -7,9 +7,10 @@ one u*Theta + v*pull(H) through
 
 the one-dimensional curve is h + z/y = (1/2) u (hu + 2v).  Both are handled
 through their cross-multiplied polynomial forms.  Root finding is Sturm
-counting plus dyadic bisection on exact rational signs; the expansion of
-u as a Laurent series in 1/v is obtained by reverting the polynomial term
-by term, each step cancelling the current leading residual.
+isolation plus dyadic bisection on the sign of the curve polynomial,
+evaluated exactly in integers; the expansion of u as a Laurent series in
+1/v is obtained by reverting the polynomial term by term, each step
+cancelling the current leading residual.
 """
 
 from __future__ import annotations
@@ -20,14 +21,8 @@ from functools import lru_cache
 
 from .errors import ComputationFault, ConfigurationError, CurveDomainError
 from .poly import Poly2, RootInterval, eval_interval, isolate_positive_roots, reduce_mod_u
-from .ring import BaseGeometry, ChernVector, DivisorX, divisor_vector, mul
+from .ring import BaseGeometry, ChernVector, DivisorX, _q, divisor_vector, mul
 from .series import LaurentSeries
-
-
-def _q(x):
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    return x
 
 
 @dataclass(frozen=True)

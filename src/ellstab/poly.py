@@ -1,22 +1,19 @@
 """Small exact polynomial toolkit.
 
-Univariate polynomials over the rationals with Sturm-chain root counting
-and bracketed dyadic bisection (no floating point anywhere), and bivariate
-polynomials in (u, v) used both numerically and as symbolic ring scalars.
+Univariate polynomials over the rationals with Sturm-chain root isolation
+and dyadic bisection by sign, evaluated in integer arithmetic (no floating
+point anywhere), and bivariate polynomials in (u, v) used both numerically
+and as symbolic ring scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ComputationFault, CurveDomainError
-
-
-def _q(x):
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    return x
+from .ring import _q
 
 
 class Poly1:
@@ -206,8 +203,9 @@ class RootInterval:
 def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
     """All positive real roots of p, each bracketed to the given width.
 
-    Uses a Sturm chain for counting and dyadic bisection for refinement, so
-    every returned interval is certified exactly.
+    Sturm counting isolates the roots; each isolating bracket is then
+    refined by dyadic bisection on the sign of p alone, so every returned
+    interval is certified exactly.
     """
     p = p.squarefree()
     if p.degree < 1:
@@ -234,43 +232,73 @@ def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
             isolated.append((mid, mid))
         stack.append((lo, mid, lo_root, mid_root))
         stack.append((mid, hi, mid_root, hi_root))
-    out = []
-    for lo, hi in isolated:
-        if lo == hi:
-            out.append(RootInterval(lo, hi))
-            continue
-        while hi - lo > precision:
-            mid = (lo + hi) / 2
-            if p(mid) == 0:
-                lo = hi = mid
-                break
-            if count_roots(p, lo, mid, chain) == 1:
-                hi = mid
-            else:
-                lo = mid
-        out.append(RootInterval(lo, hi))
+    out = [
+        RootInterval(lo, hi) if lo == hi else _bisect_by_sign(p, lo, hi, precision)
+        for lo, hi in isolated
+    ]
     out.sort(key=lambda r: r.lo)
     return out
 
 
 def refine_root(p: Poly1, bracket: RootInterval, precision: Fraction) -> RootInterval:
-    """Shrink an isolating bracket of a squarefree p to the given width."""
+    """Shrink an isolating bracket of a squarefree p to the given width.
+
+    A Sturm count first certifies that (lo, hi] holds exactly one root;
+    the bisection after it needs only signs of p.
+    """
     if bracket.exact:
         return bracket
     p = p.squarefree()
-    chain = sturm_chain(p)
     lo, hi = bracket.lo, bracket.hi
-    if count_roots(p, lo, hi, chain) != 1:
+    if count_roots(p, lo, hi, sturm_chain(p)) != 1:
         raise CurveDomainError("bracket does not isolate a single root")
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if p(mid) == 0:
-            return RootInterval(mid, mid)
-        if count_roots(p, lo, mid, chain) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return RootInterval(lo, hi)
+    return _bisect_by_sign(p, lo, hi, precision)
+
+
+def _bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInterval:
+    """Bisect (lo, hi], which holds exactly one root of the squarefree p,
+    until it is no wider than precision; a midpoint that is a root collapses it.
+
+    Works on q(t) = den * p(lo + (hi - lo) t), which has integer
+    coefficients, at dyadic points t = m / 2^j, where 2^(jd) q(t) is the
+    integer sum of q_i m^i 2^(j(d-i)).  The root lies left of a midpoint
+    exactly when p there has the sign opposite to p just above lo: the sign
+    of q(0), or minus the sign of q(1) when lo is itself a root (zero when
+    hi is a root too; the root is then hi).
+    """
+    width = hi - lo
+    shifted: list[Fraction] = []
+    for a in reversed(p.c):  # Horner: shifted <- shifted * (lo + width t) + a
+        nxt = [x * lo for x in shifted] + [Fraction(0)]
+        for i, x in enumerate(shifted):
+            nxt[i + 1] += x * width
+        nxt[0] += a
+        shifted = nxt
+    den = lcm(*(x.denominator for x in shifted))
+    q = [x.numerator * (den // x.denominator) for x in shifted]
+    d = len(q) - 1
+    ref = _sign(q[0]) if q[0] else -_sign(sum(q))
+
+    precision = Fraction(precision)
+    wide = width.numerator * precision.denominator
+    narrow = precision.numerator * width.denominator
+    m = j = 0  # the bracket is t in [m / 2^j, (m + 1) / 2^j]
+    while wide > narrow << j:
+        j += 1
+        mid = 2 * m + 1
+        value = q[d]
+        for i in range(d - 1, -1, -1):
+            value = value * mid + (q[i] << (j * (d - i)))
+        if value == 0:
+            root = lo + width * Fraction(mid, 1 << j)
+            return RootInterval(root, root)
+        m = 2 * m if _sign(value) == -ref else mid
+    step = width / (1 << j)
+    return RootInterval(lo + step * m, lo + step * (m + 1))
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
 
 def eval_interval(p: Poly1, iv: RootInterval) -> tuple[Fraction, Fraction]:

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-
-
-def _q(x):
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    return x
+from .ring import _q
 
 
 @dataclass(frozen=True)

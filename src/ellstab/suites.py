@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import curves, fmt, verify
 from .asymptotics import ChargeKind, Side, charge_series, compare_phases, phase_limit
 from .curves import OneDimCurve, TiltCurve, solve_u
-from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair, twist
+from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair, pair_h, twist
 
 SUITE_NAMES = (
     "involution",
@@ -179,7 +179,7 @@ def suite_im_identity(cases: int = 1000, seed: int = 3) -> SuiteReport:
         report.check(verify.im_identity_check(g0, e, c, u, vpar), f"case {i} e={e}")
         if i % 100 == 0:
             off = verify.im_identity_check(g0, e, c, u, vpar + 1)
-            generic = pair(g0, g0.hb_divisor, e.a2(g0)) != 0
+            generic = pair_h(g0, e.a2(g0)) != 0
             if generic:
                 report.check(not off, f"off-curve case {i} e={e}")
     for i, h in enumerate([Fraction(-1), Fraction(1, 2), Fraction(-2)]):
@@ -231,7 +231,7 @@ def _rand_onedim_class(rng: random.Random, g: BaseGeometry, y, z) -> ChernVector
         eta = DivisorB([Fraction(rng.randint(0, 5)) for _ in range(g.rank)])
         a = _rand_q(rng)
         s = _rand_q(rng)
-        den = (g.h * y + z) * pair(g, g.hb_divisor, eta) + y * a
+        den = (g.h * y + z) * pair_h(g, eta) + y * a
         if den > 0:
             return ChernVector(0, 0, zd, eta, a, s)
 
@@ -269,7 +269,7 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
         # those lie outside the heart and have no phase
         while True:
             v = ChernVector(0, 0, _rand_divisor(rng, 1), zd, _rand_q(rng), _rand_q(rng))
-            re0 = -v.s + ratio * pair(g, g.hb_divisor, v.S)
+            re0 = -v.s + ratio * pair_h(g, v.S)
             im0 = v.a - pair(g, d, v.S)
             if re0 != 0 or im0 != 0:
                 return v

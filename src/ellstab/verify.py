@@ -23,7 +23,17 @@ from .curves import OneDimCurve, TiltCurve, constraint_poly
 from .errors import DomainError
 from .fmt import fiber_swap_rule, phi
 from .poly import Poly2, reduce_mod_u
-from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, divisor_vector, mul, pair, twist
+from .ring import (
+    BaseGeometry,
+    ChernVector,
+    DivisorB,
+    DivisorX,
+    divisor_vector,
+    mul,
+    pair,
+    pair_h,
+    twist,
+)
 from .slopes import SlopeKind, slope
 
 
@@ -89,7 +99,7 @@ def positivity_check(g: BaseGeometry, v: ChernVector, d: int, wit: int) -> bool:
     elif d == 2:
         if v.n != 0 or v.x != 0:
             raise DomainError("d = 2 requires the pattern n = x = 0")
-        value = pair(g, g.hb_divisor, v.eta)
+        value = pair_h(g, v.eta)
     elif d == 1:
         if v.n != 0 or v.x != 0 or not v.S.is_zero() or not v.eta.is_zero():
             raise DomainError("d = 1 requires a fiber-class pattern (n = x = 0, S = eta = 0)")
@@ -179,7 +189,7 @@ def threshold_equiv_check(
     """
     if t.n != 0 or t.x != 0 or not t.S.is_zero():
         raise DomainError("t must be a one-dimensional class (n = x = 0, S = 0)")
-    heta = pair(g, g.hb_divisor, t.eta)
+    heta = pair_h(g, t.eta)
     if heta <= 0:
         raise DomainError("t requires H.eta > 0")
     if e.n <= 0:
@@ -225,7 +235,7 @@ def slope_correspondence_check(
     for v in (m, n):
         if v.n != 0 or v.x != 0 or not v.S.is_zero():
             raise DomainError("inputs must be one-dimensional classes")
-        den = (g.h * Fraction(y) + Fraction(z)) * pair(g, g.hb_divisor, v.eta) + Fraction(y) * v.a
+        den = (g.h * Fraction(y) + Fraction(z)) * pair_h(g, v.eta) + Fraction(y) * v.a
         if den <= 0:
             raise DomainError("inputs require a positive twisted degree")
         values.append(slope(g, kind, v))
@@ -264,7 +274,7 @@ def h0_independence_check(
     for v in (m, n):
         if v.n != 0 or v.x != 0 or not v.eta.is_zero():
             raise DomainError("inputs must have the flat numeric shape (n = x = 0, eta = 0)")
-        re0 = -v.s + ratio * pair(g, g.hb_divisor, v.S)
+        re0 = -v.s + ratio * pair_h(g, v.S)
         im0 = v.a - pair(g, d, v.S)
         preds.append((re0, im0))
     predicted = preds[0][0] * preds[1][1] - preds[0][1] * preds[1][0]

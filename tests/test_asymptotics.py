@@ -8,19 +8,22 @@ import pytest
 from ellstab import asymptotics
 from ellstab.asymptotics import (
     ChargeKind,
+    PhaseOrder,
     Side,
     charge_series,
     compare_phases,
     compare_vectors,
+    cross_series,
     cross_sign_at,
     phase_limit,
     wall_scan,
 )
-from ellstab.curves import OneDimCurve, TiltCurve
+from ellstab.curves import OneDimCurve, TiltCurve, solve_u
 from ellstab.errors import ComputationFault, ConfigurationError, DomainError
 from ellstab.fmt import phi
+from ellstab.poly import RootInterval
 from ellstab.ring import ChernVector
-from ellstab.suites import geometry_for, phase_table_cases, _rand_onedim_class
+from ellstab.suites import geometry_for, phase_table_cases, _rand_onedim_class, _rand_vector
 
 from conftest import cv, d
 
@@ -134,6 +137,28 @@ class TestComparePhases:
         c0 = OneDimCurve(0, 1, 1)
         ac = charge_series(g0, cv(0, 0, d(1), d(0), 1, 1), c0, ChargeKind.FULL, 8, d(0))
         assert compare_phases(ac, ac).kind == "exact_equal"
+
+    def test_identical_truncated_germs_equal_through_order(self):
+        """Identical truncated germs are equal only through the cross
+        series' floor; identical vectors are exactly equal at once."""
+        g = geometry_for(-1)
+        c = TiltCurve(-1, 1, 2)
+        m = cv(1, 2, d(1), d(0), 1, 1)
+        ac = charge_series(g, m, c, ChargeKind.REDUCED, 8)
+        assert not ac.is_exact()
+        floor = cross_series(ac, ac).trunc
+        assert compare_phases(ac, ac) == PhaseOrder.equal_through_order(floor)
+        assert compare_vectors(g, m, m, c, ChargeKind.REDUCED, 8) == PhaseOrder.exact_equal()
+
+    def test_identical_vectors_skip_series_work(self, monkeypatch):
+        def no_series(*args):
+            raise AssertionError("series built for identical vectors")
+
+        monkeypatch.setattr(asymptotics, "charge_series", no_series)
+        g = geometry_for(-1)
+        m = cv(1, 2, d(1), d(0), 1, 1)
+        verdict = compare_vectors(g, m, m.scale(1), TiltCurve(-1, 1, 2), ChargeKind.REDUCED, 8)
+        assert verdict.kind == "exact_equal"
 
     def test_extreme_limits_order(self, g0):
         c0 = OneDimCurve(0, 1, 1)
@@ -261,6 +286,93 @@ class TestWallScan:
         assert signs == {-1}
         assert res.walls == ()
         assert not res.degenerate
+
+
+def _pointwise_sign(g, m, n, c, kind, vpar, dd):
+    """Sign of the cross value from the charges at rational points alone: at
+    both ends of the 2^-64 curve bracket, which must agree."""
+    root = solve_u(c, vpar, Fraction(1, 2**64))
+    signs = set()
+    for u in (root.lo, root.hi):
+        zm = asymptotics._charge_at_point(g, m, kind, u, vpar, dd)
+        zn = asymptotics._charge_at_point(g, n, kind, u, vpar, dd)
+        val = zm.re * zn.im - zm.im * zn.re
+        signs.add((val > 0) - (val < 0))
+    assert len(signs) == 1, (vpar, signs)
+    return signs.pop()
+
+
+def _pointwise_walls(sign, vrange, precision, samples):
+    """Sign changes on the grid bisected with the given sign function, for
+    scans with no zero sample."""
+    lo, hi = Fraction(vrange[0]), Fraction(vrange[1])
+    grid = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
+    signs = [sign(v) for v in grid]
+    assert 0 not in signs
+    walls = []
+    for (a, b), sa, sb in zip(zip(grid, grid[1:]), signs, signs[1:]):
+        if sa == sb:
+            continue
+        while b - a > precision:
+            mid = (a + b) / 2
+            sm = sign(mid)
+            if sm == 0:
+                a = b = mid
+                break
+            a, b = (mid, b) if sm == sa else (a, mid)
+        walls.append(RootInterval(a, b))
+    return tuple(walls)
+
+
+class TestCrossPolynomial:
+    """Scans and signs through the cross polynomial equal evaluation of the
+    charges point by point."""
+
+    @pytest.mark.parametrize("h", [Fraction(0), Fraction(-1), Fraction(1, 2)])
+    @pytest.mark.parametrize("kind", [ChargeKind.REDUCED, ChargeKind.FULL])
+    def test_walls_and_signs_match_pointwise(self, h, kind):
+        rng = random.Random(f"{h}-{kind.value}")
+        g = geometry_for(h)
+        precision, samples, vrange = Fraction(1, 2**10), 6, (Fraction(3), Fraction(14))
+        walls = 0
+        for case in range(10):
+            # the first half are pairs whose pointwise signs differ across the range
+            for _ in range(200):
+                if kind is ChargeKind.REDUCED:
+                    a = rng.randint(1, 3)
+                    c, dd = TiltCurve(h, a, a + rng.randint(1, 2)), None
+                    m, n = _rand_vector(rng, 1), _rand_vector(rng, 1)
+                else:
+                    y, z = Fraction(rng.randint(1, 2)), Fraction(rng.randint(3, 5))
+                    c, dd = OneDimCurve(h, y, z), d(rng.randint(-2, 2))
+                    m, n = _rand_onedim_class(rng, g, y, z), _rand_onedim_class(rng, g, y, z)
+
+                def sign(vpar):
+                    return _pointwise_sign(g, m, n, c, kind, vpar, dd)
+
+                if case >= 5 or sign(vrange[0]) * sign(vrange[1]) < 0:
+                    break
+            res = wall_scan(g, m, n, c, kind, vrange, precision, dd, samples)
+            assert not res.degenerate
+            assert res.walls == _pointwise_walls(sign, vrange, precision, samples)
+            walls += len(res.walls)
+            points = [Fraction(rng.randint(12, 60), rng.randint(1, 4)) for _ in range(3)]
+            points += [v for w in res.walls for v in (w.lo, w.hi)]
+            for vpar in points:
+                assert cross_sign_at(g, m, n, c, kind, vpar, dd) == sign(vpar)
+        assert walls >= 5
+
+    def test_exact_zero_sign(self, g0):
+        # at h = 0 the curve point over v is u = 1/v and the cross value
+        # vanishes at v = 2, where the scan reports a collapsed wall
+        c0 = OneDimCurve(0, 1, 1)
+        m = cv(0, 0, d(1), d(1), 1, 0)
+        n = cv(0, 0, d(1), d(1), -4, 1)
+        signs = [cross_sign_at(g0, m, n, c0, ChargeKind.FULL, v, d(0)) for v in (1, 2, 3)]
+        assert signs == [-1, 0, 1]
+        assert signs == [_pointwise_sign(g0, m, n, c0, ChargeKind.FULL, v, d(0)) for v in (1, 2, 3)]
+        res = wall_scan(g0, m, n, c0, ChargeKind.FULL, (1, 3), Fraction(1, 2**10), d(0), 4)
+        assert res.walls == (RootInterval(Fraction(2), Fraction(2)),)
 
 
 class TestCrossSignCap:

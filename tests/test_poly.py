@@ -1,9 +1,23 @@
 """Certified isolation of positive real roots."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
-from ellstab.poly import Poly1, RootInterval, isolate_positive_roots
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellstab.errors import CurveDomainError
+from ellstab.poly import (
+    Poly1,
+    RootInterval,
+    count_roots,
+    isolate_positive_roots,
+    refine_root,
+    sturm_chain,
+)
 
 
 def _product(roots, squares=()):
@@ -55,3 +69,128 @@ def test_one_disjoint_bracket_per_positive_root():
                 _check_brackets(_product(chosen, squares), want, Fraction(1, 2**10))
                 cases += 1
     assert cases == 2 * (9 + 36 + 84)
+
+
+def _sturm_bisect(p, lo, hi, precision):
+    """Reference refinement: bisection by Sturm counts, as the root layer
+    did it before refining by sign alone."""
+    chain = sturm_chain(p)
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        if p(mid) == 0:
+            return RootInterval(mid, mid)
+        if count_roots(p, lo, mid, chain) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return RootInterval(lo, hi)
+
+
+# wider than any isolating bracket below, so the isolation is returned unrefined
+UNREFINED = Fraction(10**6)
+
+
+def _random_poly(rng):
+    """Products of small rational (often dyadic) roots, sometimes times an
+    irreducible quadratic, or dense random rational coefficients."""
+    if rng.random() < 0.6:
+        p = Poly1([1])
+        for _ in range(rng.randint(1, 4)):
+            p = p * Poly1([-Fraction(rng.randint(-4, 24), rng.choice([1, 2, 4, 8, 3])), 1])
+        if rng.random() < 0.5:
+            p = p * Poly1([-rng.choice([2, 3, 5]), 0, 1])
+        return p
+    while True:
+        p = Poly1([Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(rng.randint(2, 5))])
+        if p.degree >= 1:
+            return p
+
+
+def _rational_roots(p):
+    """Rational roots of p among small fractions, the only ones _random_poly builds."""
+    return [x for x in {Fraction(k, d) for k in range(-4, 25) for d in (1, 2, 3, 4, 8)} if p(x) == 0]
+
+
+def test_sign_refinement_matches_sturm_bisection():
+    """isolate_positive_roots and refine_root give the brackets of the
+    Sturm-count bisection bit for bit, also when a midpoint is a root and
+    when an end of the given bracket is a root."""
+    rng = random.Random(20)
+    # refining these hits a dyadic root at a midpoint
+    hits = [_product([Fraction(a, 8), Fraction(b, 8)], (2,)) for a, b in ((1, 27), (2, 13), (3, 9))]
+    collapsed = root_ends = 0
+    for p in hits + [_random_poly(rng) for _ in range(100)]:
+        sf = p.squarefree()
+        precision = Fraction(1, 2 ** rng.randint(20, 64))
+        isolated = isolate_positive_roots(p, UNREFINED)
+        want = [r if r.exact else _sturm_bisect(sf, r.lo, r.hi, precision) for r in isolated]
+        assert isolate_positive_roots(p, precision) == want
+        collapsed += sum(w.exact and not r.exact for r, w in zip(isolated, want))
+        for r, w in zip(isolated, want):
+            assert refine_root(p, r, precision) == w
+        # brackets (x, y] with a root at one end or both, holding one root
+        ends = sorted({r.hi for r in isolated} | {x for x in _rational_roots(sf) if x > 0})
+        for x, y in combinations(ends, 2):
+            if (sf(x) == 0 or sf(y) == 0) and count_roots(sf, x, y) == 1:
+                got = refine_root(p, RootInterval(x, y), precision)
+                assert got == _sturm_bisect(sf, x, y, precision)
+                root_ends += 1
+    with pytest.raises(CurveDomainError):
+        refine_root(_product([1, 2]), RootInterval(Fraction(1, 2), Fraction(3)), Fraction(1, 8))
+    assert collapsed >= 5 and root_ends >= 100, (collapsed, root_ends)
+
+
+def test_midpoint_root_collapses_refinement():
+    # (1/2, 2] isolates the root 5/4 of (x - 5/4)(x - 4); the second midpoint is 5/4
+    p = _product([Fraction(5, 4), 4])
+    assert refine_root(p, RootInterval(Fraction(1, 2), Fraction(2)), Fraction(1, 2**20)) == (
+        RootInterval(Fraction(5, 4), Fraction(5, 4))
+    )
+    # both ends are roots: the root of (1, 2] is its upper end
+    p = _product([1, 2])
+    got = refine_root(p, RootInterval(Fraction(1), Fraction(2)), Fraction(1, 8))
+    assert got == RootInterval(Fraction(15, 8), Fraction(2))
+
+
+_X = sympy.Symbol("x")
+
+
+def _rat(x: Fraction):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@st.composite
+def _polys(draw):
+    small = st.fractions(min_value=-3, max_value=12, max_denominator=8)
+    if draw(st.booleans()):
+        p = Poly1([1])
+        for r in draw(st.lists(small, min_size=1, max_size=4)):
+            p = p * Poly1([-r, 1])
+        k = draw(st.sampled_from([0, 2, 3, 7]))
+        return p * Poly1([-k, 0, 1]) if k else p
+    coeffs = draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6),
+                           min_size=2, max_size=5))
+    p = Poly1(coeffs)
+    return p if p.degree >= 1 else Poly1([coeffs[0] - 1, 1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=_polys(), bits=st.integers(min_value=1, max_value=128))
+def test_brackets_against_sympy(p, bits):
+    """One bracket per distinct positive real root, counted by sympy; each
+    inexact bracket holds exactly one root and each exact one is a root."""
+    precision = Fraction(1, 2**bits)
+    oracle = sympy.Poly([_rat(a) for a in reversed(p.c)], _X)
+    oracle = oracle.sqf_part()
+    positive = oracle.count_roots(0, None) - (oracle.eval(0) == 0)
+    got = isolate_positive_roots(p, precision)
+    assert len(got) == positive
+    for left, right in zip(got, got[1:]):
+        assert left.hi <= right.lo
+    for r in got:
+        assert r.width <= precision and r.lo >= 0
+        if r.exact:
+            assert oracle.eval(_rat(r.lo)) == 0
+        else:
+            assert oracle.count_roots(_rat(r.lo), _rat(r.hi)) == 1
+    assert [refine_root(p, r, precision) for r in isolate_positive_roots(p, UNREFINED)] == got
