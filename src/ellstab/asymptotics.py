@@ -21,7 +21,7 @@ from . import charges as charges_mod
 from .curves import CurveConstraint, constraint_poly, expand_u, solve_u
 from .errors import ComputationFault, ConfigurationError, DomainError
 from .poly import Poly2, RootInterval, count_roots, eval_interval, gcd, refine_root
-from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair, pair_h
+from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX
 from .series import LaurentSeries
 
 
@@ -103,42 +103,26 @@ def charge_series(
     order: int = 8,
     d: DivisorB | None = None,
 ) -> AsymptoticCharge:
-    """Charge of a vector along the curve as a pair of Laurent series in v."""
+    """Charge of a vector along the curve as a pair of Laurent series in v.
+
+    The charge's one closed form (``charges._reduced_parts``, or
+    ``charges._flat_full_parts`` with B = pull(d), d = 0 by default) is
+    evaluated at the germ point (u(v), v), with u(v) expanded through
+    ``order`` terms; the germs' truncation floors are those the series
+    arithmetic carries through that formula.  The full kind raises
+    ``DomainError`` unless the class is fiber-degree-trivial (n = x = 0).
+    """
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
-    u = expand_u(c, order)
-    vv = LaurentSeries.monomial(1, 1)
-    h, hb2 = g.h, g.hb2
-
+    u, vv = expand_u(c, order), LaurentSeries.monomial(1, 1)
     if kind is ChargeKind.REDUCED:
-        hS = pair_h(g, v.S)
-        heta = pair_h(g, v.eta)
-        hu = h * u
-        re = (
-            (hu * (hu + 2 * vv) + vv * vv) * Fraction(hb2 * v.x, 2)
-            + u * (hu + 2 * vv) * Fraction(hS, 2)
-        )
-        im = (
-            (hu + vv) * heta
-            + u * v.a
-            - u * (hu * hu + 3 * hu * vv + 3 * vv * vv) * Fraction(hb2 * v.n, 6)
-        )
-        return AsymptoticCharge(re, im, kind)
-
-    if kind is ChargeKind.FULL:
-        if v.n != 0 or v.x != 0:
-            raise DomainError("full-kind series requires a fiber-degree-trivial class")
-        if d is None:
-            d = g.zero_divisor()
-        hS = pair_h(g, v.S)
-        heta = pair_h(g, v.eta)
-        re = LaurentSeries.const(-(v.s - pair(g, d, v.eta))) + u * (h * u + 2 * vv) * Fraction(
-            hS, 2
-        )
-        im = h * u * heta + u * (v.a - pair(g, d, v.S)) + vv * heta
-        return AsymptoticCharge(re, im, kind)
-
-    raise DomainError(f"unknown charge kind {kind}")
+        re, im = charges_mod._reduced_parts(g, v, u, vv)
+    elif kind is ChargeKind.FULL:
+        dd = d if d is not None else g.zero_divisor()
+        re, im = charges_mod._flat_full_parts(g, v, u, vv, dd)
+    else:
+        raise DomainError(f"unknown charge kind {kind}")
+    return AsymptoticCharge(re, im, kind)
 
 
 def phase_limit(ac: AsymptoticCharge) -> PhaseLimit:

@@ -1,11 +1,15 @@
 """Central charges at exact parameter points.
 
-Three charges are provided: the reduced charge used with the tilt-limit
-curve, the full twisted charge used with the one-dimensional-limit curve,
-and a closed form for the full charge of the transform of a one-dimensional
-class.  The reduced charge evaluates both its textbook closed form and a
-generic ring-product path and insists they agree, which guards the
-transcription of every intersection number it uses.
+Each charge has one closed form, written once over any scalar with
+``+ - *``: ``_reduced_parts`` for the reduced charge used with the
+tilt-limit curve and ``_flat_full_parts`` for the full twisted charge of a
+fiber-degree-trivial class (n = x = 0) used with the one-dimensional-limit
+curve.  The same formulas are evaluated at ``Fraction`` points here, at
+``Poly2`` symbols for polynomial identities and at ``LaurentSeries`` germs
+in ``asymptotics.charge_series``.  ``full_charge`` itself goes through
+ring products for any class and B-field.  The reduced charge also
+evaluates that ring-product path and insists it agrees with the closed
+form, which guards the transcription of every intersection number used.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComputationFault, DomainError
+from .fmt import phi
 from .ring import (
     BaseGeometry,
     ChernVector,
@@ -50,6 +55,41 @@ def _require_positive(name: str, value) -> None:
         raise DomainError(f"{name} must be positive")
 
 
+def _reduced_parts(g: BaseGeometry, v: ChernVector, u, vpar) -> tuple:
+    """Closed form of the reduced charge as (re, im), over any scalar."""
+    hu = g.h * u
+    w = hu + 2 * vpar
+    re = (hu * w + vpar * vpar) * Fraction(g.hb2 * v.x, 2) + u * w * Fraction(pair_h(g, v.S), 2)
+    im = (
+        (hu + vpar) * pair_h(g, v.eta)
+        + u * v.a
+        - u * (hu * hu + 3 * hu * vpar + 3 * vpar * vpar) * Fraction(g.hb2 * v.n, 6)
+    )
+    return re, im
+
+
+def _flat_full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
+    """Closed form of the full charge with B = pull(d) as (re, im), over any
+    scalar, for a fiber-degree-trivial class (n = x = 0)."""
+    if v.n != 0 or v.x != 0:
+        raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
+    heta = pair_h(g, v.eta)
+    hu = g.h * u
+    re = -(v.s - pair(g, d, v.eta)) + u * (hu + 2 * vpar) * Fraction(pair_h(g, v.S), 2)
+    im = hu * heta + u * (v.a - pair(g, d, v.S)) + vpar * heta
+    return re, im
+
+
+def _ring_parts(g: BaseGeometry, v: ChernVector, omega: DivisorX) -> tuple:
+    """(w^2 ch1 / 2, w ch2 - w^3 ch0 / 6) at w = omega, through ring products."""
+    om = divisor_vector(g, omega)
+    om2 = mul(g, om, om)
+    om3 = mul(g, om2, om).s
+    re = mul(g, om2, v.degree_part(1)).s / 2
+    im = mul(g, om, v.degree_part(2)).s - om3 * v.n / 6
+    return re, im
+
+
 def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
     """Reduced charge (1/2) w^2 ch1 + i (w ch2 - (w^3/6) ch0) at
     w = u*Theta + vpar*pull(H).
@@ -59,40 +99,19 @@ def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
     """
     _require_positive("u", u)
     _require_positive("vpar", vpar)
-    h, hb, hb2 = g.h, g.hb_divisor, g.hb2
-    hS = pair_h(g, v.S)
-    heta = pair_h(g, v.eta)
-
-    re_closed = (h * u * (h * u + 2 * vpar) + vpar * vpar) * hb2 * v.x / 2 + u * (
-        h * u + 2 * vpar
-    ) * hS / 2
-    im_closed = (
-        (h * u + vpar) * heta
-        + u * v.a
-        - u * (h * h * u * u + 3 * h * u * vpar + 3 * vpar * vpar) * hb2 * v.n / 6
-    )
-
-    om = divisor_vector(g, DivisorX(u, hb.scale(vpar)))
-    om2 = mul(g, om, om)
-    om3 = mul(g, om2, om).s
-    re_ring = mul(g, om2, v.degree_part(1)).s / 2
-    im_ring = mul(g, om, v.degree_part(2)).s - om3 * v.n / 6
-
-    if re_closed != re_ring or im_closed != im_ring:
+    re, im = _reduced_parts(g, v, u, vpar)
+    ring_re, ring_im = _ring_parts(g, v, DivisorX(u, g.hb_divisor.scale(vpar)))
+    if re != ring_re or im != ring_im:
         raise ComputationFault("reduced charge closed form disagrees with ring evaluation")
-    return ChargeValue(re_closed, im_closed)
+    return ChargeValue(re, im)
 
 
 def full_charge(g: BaseGeometry, v: ChernVector, omega: DivisorX, B: DivisorX) -> ChargeValue:
     """Full twisted charge -ch3^B + (1/2) w^2 ch1^B + i (w ch2^B - (w^3/6) ch0^B)."""
     _require_positive("omega.theta", omega.theta)
     tw = twist(g, v, B)
-    om = divisor_vector(g, omega)
-    om2 = mul(g, om, om)
-    om3 = mul(g, om2, om).s
-    re = -tw.s + mul(g, om2, tw.degree_part(1)).s / 2
-    im = mul(g, om, tw.degree_part(2)).s - om3 * tw.n / 6
-    return ChargeValue(re, im)
+    re, im = _ring_parts(g, tw, omega)
+    return ChargeValue(-tw.s + re, im)
 
 
 def onedim_transform_charge(
@@ -117,10 +136,8 @@ def onedim_transform_charge(
         raise DomainError("transform charge requires a one-dimensional class (n = x = 0, S = 0)")
     _require_positive("y", y)
     _require_positive("z", z)
-    heta = pair_h(g, v1dim.eta)
-    re = v1dim.a + u * (g.h * u + 2 * vpar) * heta / 2
-    im = u * (v1dim.s - pair(g, dbar, v1dim.eta))
-    return ChargeValue(re, im)
+    d = dbar + g.hb_divisor.scale(g.h / 2)
+    return ChargeValue(*_flat_full_parts(g, phi(g, v1dim), u, vpar, d))
 
 
 def in_reduced_half_plane(c: ChargeValue) -> bool:

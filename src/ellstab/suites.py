@@ -9,6 +9,7 @@ series order can be diffed against the original run.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,18 +17,8 @@ from fractions import Fraction
 from . import curves, fmt, verify
 from .asymptotics import ChargeKind, Side, charge_series, compare_phases, phase_limit
 from .curves import OneDimCurve, TiltCurve, solve_u
-from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair, pair_h, twist
-
-SUITE_NAMES = (
-    "involution",
-    "swap",
-    "chow",
-    "im-identity",
-    "threshold",
-    "correspondence",
-    "h0",
-    "phases",
-)
+from .charges import _flat_full_parts
+from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair_h, twist
 
 
 @dataclass
@@ -266,12 +257,11 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
 
     def flat_class(ratio: Fraction, d: DivisorB) -> ChernVector:
         # reject classes whose charge vanishes identically for this (y, z, d);
-        # those lie outside the heart and have no phase
+        # those lie outside the heart and have no phase.  At h = 0 the charge
+        # at the curve point (u, v) = (z/y, 1) is zero exactly then.
         while True:
             v = ChernVector(0, 0, _rand_divisor(rng, 1), zd, _rand_q(rng), _rand_q(rng))
-            re0 = -v.s + ratio * pair_h(g, v.S)
-            im0 = v.a - pair(g, d, v.S)
-            if re0 != 0 or im0 != 0:
+            if any(_flat_full_parts(g, v, ratio, 1, d)):
                 return v
 
     for i in range(cases):
@@ -359,23 +349,15 @@ _RUNNERS = {
     "phases": suite_phases,
 }
 
-DEFAULT_CASES = {
-    "involution": 10000,
-    "swap": 10000,
-    "chow": 100,
-    "im-identity": 1000,
-    "threshold": 1000,
-    "correspondence": 1000,
-    "h0": 500,
-    "phases": 0,
-}
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, cases: int | None = None, seed: int = 0, order: int = 8) -> SuiteReport:
-    if name not in _RUNNERS:
-        raise KeyError(name)
+    """Run one suite by name; ``cases=None`` keeps the suite's own default
+    size, and ``order`` reaches exactly the suites that take a series order."""
     runner = _RUNNERS[name]
-    n = DEFAULT_CASES[name] if cases is None else cases
-    if name in ("threshold", "correspondence", "h0", "phases"):
-        return runner(n, seed, order)
-    return runner(n, seed)
+    kwargs = {"seed": seed, "order": order}
+    if cases is not None:
+        kwargs["cases"] = cases
+    params = inspect.signature(runner).parameters
+    return runner(**{k: val for k, val in kwargs.items() if k in params})

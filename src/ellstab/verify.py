@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .asymptotics import ChargeKind, charge_series, compare_phases, cross_series
-from .charges import full_charge, reduced_charge
+from .charges import _flat_full_parts, full_charge, reduced_charge
 from .curves import OneDimCurve, TiltCurve, constraint_poly
 from .errors import DomainError
 from .fmt import fiber_swap_rule, phi
@@ -30,7 +30,6 @@ from .ring import (
     DivisorX,
     divisor_vector,
     mul,
-    pair,
     pair_h,
     twist,
 )
@@ -109,6 +108,25 @@ def positivity_check(g: BaseGeometry, v: ChernVector, d: int, wit: int) -> bool:
     return value <= 0 if wit == 1 else value > 0
 
 
+def _im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -> tuple:
+    """The two sides of the imaginary-part identity, both scaled by
+    Theta.Obar^2: the left through the transform and the ring-checked
+    reduced charge, the right from the twisted degree-one pairing against
+    the fixed polarization Obar = a Theta + b pull(H)."""
+    lhs = -reduced_charge(g, phi(g, e), u, vpar).im
+
+    hb = g.hb_divisor
+    obar = divisor_vector(g, DivisorX(c.a, hb.scale(c.b)))
+    obar2 = mul(g, obar, obar)
+    theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
+    theta_obar2 = mul(g, theta, obar2).s
+    om = divisor_vector(g, DivisorX(u, hb.scale(vpar)))
+    om3_over6 = mul(g, mul(g, om, om), om).s * Fraction(1, 6)
+    tw = twist(g, e, g.half_canonical_bfield())
+    obar2_ch1b = mul(g, obar2, tw.degree_part(1)).s
+    return lhs * theta_obar2, om3_over6 * obar2_ch1b - u * e.a3(g) * theta_obar2
+
+
 def im_identity_check(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -> bool:
     """Exact identity for the imaginary part of the reduced charge of the
     shifted transform along the tilt curve.
@@ -121,21 +139,8 @@ def im_identity_check(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) ->
     """
     if g.h != c.h:
         raise DomainError("curve and geometry disagree on h")
-    lhs = -reduced_charge(g, phi(g, e), u, vpar).im
-
-    hb = g.hb_divisor
-    obar = divisor_vector(g, DivisorX(c.a, hb.scale(c.b)))
-    obar2 = mul(g, obar, obar)
-    theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
-    theta_obar2 = mul(g, theta, obar2).s
-
-    om = divisor_vector(g, DivisorX(u, hb.scale(vpar)))
-    om3_over6 = mul(g, mul(g, om, om), om).s / 6
-
-    tw = twist(g, e, g.half_canonical_bfield())
-    obar2_ch1b = mul(g, obar2, tw.degree_part(1)).s
-    rhs_scaled = om3_over6 * obar2_ch1b - u * e.a3(g) * theta_obar2
-    return lhs * theta_obar2 == rhs_scaled
+    lhs, rhs = _im_identity_sides(g, e, c, u, vpar)
+    return lhs == rhs
 
 
 def im_identity_symbolic_remainders(g: BaseGeometry, e: ChernVector, c: TiltCurve) -> list[Poly2]:
@@ -145,20 +150,8 @@ def im_identity_symbolic_remainders(g: BaseGeometry, e: ChernVector, c: TiltCurv
     multiple of the constraint polynomial; the returned remainders are zero
     exactly when the identity holds on the whole curve.
     """
-    u, v = Poly2.u(), Poly2.v()
-    lhs = -reduced_charge(g, phi(g, e), u, v).im
-
-    hb = g.hb_divisor
-    obar = divisor_vector(g, DivisorX(c.a, hb.scale(c.b)))
-    obar2 = mul(g, obar, obar)
-    theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
-    theta_obar2 = mul(g, theta, obar2).s
-    om = divisor_vector(g, DivisorX(u, hb.scale(v)))
-    om3_over6 = mul(g, mul(g, om, om), om).s * Fraction(1, 6)
-    tw = twist(g, e, g.half_canonical_bfield())
-    obar2_ch1b = mul(g, obar2, tw.degree_part(1)).s
-
-    diff = lhs * theta_obar2 - (om3_over6 * obar2_ch1b - u * e.a3(g) * theta_obar2)
+    lhs, rhs = _im_identity_sides(g, e, c, Poly2.u(), Poly2.v())
+    diff = lhs - rhs
     if not isinstance(diff, Poly2):
         diff = Poly2.const(diff)
     return [reduce_mod_u(diff, constraint_poly(c))]
@@ -268,15 +261,14 @@ def h0_independence_check(
     """
     if g.h != 0:
         raise DomainError("this check applies only to h = 0 geometries")
-    curve = OneDimCurve(0, y, z)
-    ratio = curve.q
+    ratio = OneDimCurve(0, y, z).q
     preds = []
     for v in (m, n):
         if v.n != 0 or v.x != 0 or not v.eta.is_zero():
             raise DomainError("inputs must have the flat numeric shape (n = x = 0, eta = 0)")
-        re0 = -v.s + ratio * pair_h(g, v.S)
-        im0 = v.a - pair(g, d, v.S)
-        preds.append((re0, im0))
+        # the charge at the curve point (u, v) = (z/y, 1) is the
+        # v-independent part with Im scaled by z/y > 0, which keeps the sign
+        preds.append(_flat_full_parts(g, v, ratio, 1, d))
     predicted = preds[0][0] * preds[1][1] - preds[0][1] * preds[1][0]
     predicted_sign = 0 if predicted == 0 else (1 if predicted > 0 else -1)
 

@@ -1,5 +1,6 @@
 """Series charges, phase limits, the comparator, and wall scanning."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,14 +19,50 @@ from ellstab.asymptotics import (
     phase_limit,
     wall_scan,
 )
-from ellstab.curves import OneDimCurve, TiltCurve, solve_u
+from ellstab.curves import OneDimCurve, TiltCurve, expand_u, solve_u
 from ellstab.errors import ComputationFault, ConfigurationError, DomainError
 from ellstab.fmt import phi
 from ellstab.poly import RootInterval
-from ellstab.ring import ChernVector
-from ellstab.suites import geometry_for, phase_table_cases, _rand_onedim_class, _rand_vector
+from ellstab.ring import ChernVector, pair, pair_h
+from ellstab.series import LaurentSeries
+from ellstab.suites import (
+    geometry_for,
+    phase_table_cases,
+    _rand_divisor,
+    _rand_onedim_class,
+    _rand_tilt,
+    _rand_vector,
+)
 
 from conftest import cv, d
+
+
+def _reference_charge_series(g, v, c, kind, order, d):
+    """The germ formulas as separately hand-written series expressions."""
+    u = expand_u(c, order)
+    vv = LaurentSeries.monomial(1, 1)
+    h, hb2 = g.h, g.hb2
+    if kind is ChargeKind.REDUCED:
+        hS = pair_h(g, v.S)
+        heta = pair_h(g, v.eta)
+        hu = h * u
+        re = (
+            (hu * (hu + 2 * vv) + vv * vv) * Fraction(hb2 * v.x, 2)
+            + u * (hu + 2 * vv) * Fraction(hS, 2)
+        )
+        im = (
+            (hu + vv) * heta
+            + u * v.a
+            - u * (hu * hu + 3 * hu * vv + 3 * vv * vv) * Fraction(hb2 * v.n, 6)
+        )
+        return re, im
+    if d is None:
+        d = g.zero_divisor()
+    hS = pair_h(g, v.S)
+    heta = pair_h(g, v.eta)
+    re = LaurentSeries.const(-(v.s - pair(g, d, v.eta))) + u * (h * u + 2 * vv) * Fraction(hS, 2)
+    im = h * u * heta + u * (v.a - pair(g, d, v.S)) + vv * heta
+    return re, im
 
 
 class TestChargeSeries:
@@ -83,6 +120,32 @@ class TestChargeSeries:
                 z = full_charge(g, v, om, DivisorX.pullback(dd))
                 assert ac.re.eval(vp) == z.re
                 assert ac.im.eval(vp) == z.im
+
+    def test_germs_match_reference_formulas(self):
+        """Terms, scalar types and truncation floors of both germ kinds
+        equal those of the separately written series expressions."""
+        rng = random.Random(17)
+        grid = itertools.product(
+            (Fraction(-1), Fraction(0), Fraction(1, 2)),
+            (False, True),
+            (1, 8, 16),
+            (ChargeKind.REDUCED, ChargeKind.FULL),
+            (False, True),
+            (True, False),
+        )
+        for h, rank2, order, kind, with_d, tilt in grid:
+            g = geometry_for(h, rank2)
+            c = _rand_tilt(rng, h) if tilt else OneDimCurve(h, 1, rng.randint(2, 9))
+            dd = _rand_divisor(rng, g.rank, -4, 4) if with_d else None
+            v = _rand_vector(rng, g.rank)
+            if kind is ChargeKind.FULL:
+                v = ChernVector(0, 0, v.S, v.eta, v.a, v.s)
+            ac = charge_series(g, v, c, kind, order, dd)
+            re, im = _reference_charge_series(g, v, c, kind, order, dd)
+            for got, want in ((ac.re, re), (ac.im, im)):
+                assert got.terms == want.terms
+                assert got.trunc == want.trunc
+                assert all(type(cf) is Fraction for _, cf in got.terms)
 
 
 class TestPhaseLimit:

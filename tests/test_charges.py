@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from ellstab.charges import (
+    _flat_full_parts,
+    _reduced_parts,
     full_charge,
     in_full_half_plane,
     in_reduced_half_plane,
@@ -15,8 +17,9 @@ from ellstab.charges import (
 from ellstab.curves import OneDimCurve, TiltCurve, solve_u
 from ellstab.errors import DomainError
 from ellstab.fmt import phi
+from ellstab.poly import Poly2
 from ellstab.ring import ChernVector, DivisorB, DivisorX, pair
-from ellstab.suites import geometry_for, _rand_vector
+from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
 from conftest import cv, d
 
@@ -42,8 +45,12 @@ class TestReducedCharge:
             reduced_charge(g1, ChernVector.unit(1), 0, 1)
 
     def test_dual_paths_on_random_vectors(self):
-        # the operation itself asserts agreement; drive it over a spread
+        # the operation itself asserts agreement; drive it over a spread.
+        # The closed forms taken at symbols (u, v) must give the pointwise
+        # reduced charge and, for flat classes, the ring-path full charge.
         rng = random.Random(12)
+        rng_d = random.Random(112)
+        usym, vsym = Poly2.u(), Poly2.v()
         for h in (Fraction(-1), Fraction(0), Fraction(1, 2)):
             for rank2 in (False, True):
                 g = geometry_for(h, rank2)
@@ -51,7 +58,16 @@ class TestReducedCharge:
                     v = _rand_vector(rng, g.rank)
                     u = Fraction(rng.randint(1, 7), rng.randint(1, 5))
                     vp = Fraction(rng.randint(1, 9), rng.randint(1, 5))
-                    reduced_charge(g, v, u, vp)
+                    out = reduced_charge(g, v, u, vp)
+                    re, im = _reduced_parts(g, v, usym, vsym)
+                    assert (re.eval(u, vp), im.eval(u, vp)) == (out.re, out.im)
+
+                    flat = ChernVector(0, 0, v.S, v.eta, v.a, v.s)
+                    dd = _rand_divisor(rng_d, g.rank, -4, 4)
+                    om = DivisorX(u, g.hb_divisor.scale(vp))
+                    full = full_charge(g, flat, om, DivisorX.pullback(dd))
+                    re, im = _flat_full_parts(g, flat, usym, vsym, dd)
+                    assert (re.eval(u, vp), im.eval(u, vp)) == (full.re, full.im)
 
 
 class TestFullCharge:

@@ -1,13 +1,16 @@
 """Configuration parsing, validation diagnostics, CLI dispatch."""
 
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ellstab
 from ellstab.cli import main
 from ellstab.config import (
     ConfigParseError,
@@ -201,10 +204,15 @@ class TestCli:
         assert code == 1
 
     def test_unknown_subcommand_usage_exit(self):
+        # the child interpreter must import the package under test, which
+        # pytest's own pythonpath setting does not pass on
+        src = str(Path(ellstab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ellstab.cli", "frobnicate"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 2
 

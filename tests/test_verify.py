@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellstab import suites
 from ellstab.curves import TiltCurve
 from ellstab.errors import DomainError
 from ellstab.fmt import fiber_swap_rule
@@ -243,3 +244,28 @@ class TestTransformMap:
             rep = onedim_transform_map(g0, v, d(0))
             back = fiber_swap_rule(g0, rep.image)
             assert back == -v
+
+
+class TestRunSuite:
+    def test_size_seed_and_order_routing(self, monkeypatch):
+        """A suite's own default size applies when no size is given, and the
+        series order reaches exactly the suites that declare one."""
+        seen = {}
+
+        def ordered(cases=3, seed=0, order=8):
+            seen["ordered"] = (cases, seed, order)
+            return suites.SuiteReport("ordered")
+
+        def plain(cases=5, seed=0):
+            seen["plain"] = (cases, seed)
+            return suites.SuiteReport("plain")
+
+        monkeypatch.setitem(suites._RUNNERS, "threshold", ordered)
+        monkeypatch.setitem(suites._RUNNERS, "swap", plain)
+        suites.run_suite("threshold", None, 4, 16)
+        suites.run_suite("swap", None, 4, 16)
+        assert seen == {"ordered": (3, 4, 16), "plain": (5, 4)}
+        suites.run_suite("threshold", 7, 1)
+        assert seen["ordered"] == (7, 1, 8)
+        with pytest.raises(KeyError):
+            suites.run_suite("nope")
