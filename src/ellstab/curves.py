@@ -10,7 +10,10 @@ through their cross-multiplied polynomial forms.  Root finding is Sturm
 isolation plus dyadic bisection on the sign of the curve polynomial,
 evaluated exactly in integers; the expansion of u as a Laurent series in
 1/v is obtained by reverting the polynomial term by term, each step
-cancelling the current leading residual.
+cancelling the current leading residual.  The reversion runs on a series
+truncated at the requested order from its first term, evaluates the curve
+polynomial by Horner's rule in u, and divides by the derivative's leading
+term, computed once.
 """
 
 from __future__ import annotations
@@ -114,10 +117,7 @@ def solve_u(c: CurveConstraint, vpar, precision) -> RootInterval:
         raise CurveDomainError("precision must be positive")
 
     if c.h == 0:
-        if isinstance(c, TiltCurve):
-            root = (c.b / c.a) / vpar
-        else:
-            root = c.q / vpar
+        root = c.leading_coefficient / vpar
         return RootInterval(root, root)
 
     p = constraint_poly(c).eval_v(vpar)
@@ -132,10 +132,24 @@ def solve_u(c: CurveConstraint, vpar, precision) -> RootInterval:
 def expand_u(c: CurveConstraint, order: int) -> LaurentSeries:
     """Laurent expansion of u(v) through exponent -order.
 
-    Obtained by term-by-term reversion of the constraint polynomial: each
-    step cancels the leading residual using the derivative's leading term.
-    Series that terminate (h = 0) are returned exact; otherwise the
-    truncation floor is -order.
+    At h = 0 the curve is u v = u1 (tilt: u1 = b/a; one-dimensional:
+    u1 = q), so the exact monomial u1/v is returned.  Otherwise u is reverted
+    term by term: each step cancels the leading residual of the curve
+    polynomial using the derivative's leading term, which is the single
+    monomial (alpha/2) v^2 (tilt) or v (one-dimensional) for every u ~ u1/v.
+    The working series carries the floor -order from its first term, so
+    only products that reach a kept coefficient are formed; the residual's
+    floor is 2 - order (tilt) or 1 - order (one-dimensional), exactly the
+    exponent a correction at v^-order needs.
+
+    An h != 0 series never terminates, so its floor is always -order.  On
+    the one-dimensional curve u = (sqrt(v^2 + 2hq) - v)/h with q > 0, and
+    the binomial series of sqrt(1 + 2hq/v^2) has a nonzero term at every
+    even exponent.  On the tilt curve
+    w = hu + v turns the equation into w^3 - (6h beta/alpha) w = v^3, and
+    were u a Laurent polynomial with lowest exponent m <= -1, the left side
+    minus v^3 would have its lowest term at v^(3m) and (6h beta/alpha) w its
+    lowest at v^m.
     """
     if order < 1:
         raise CurveDomainError("expansion order must be at least 1")
@@ -144,36 +158,39 @@ def expand_u(c: CurveConstraint, order: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def _expand_u_cached(c: CurveConstraint, order: int) -> LaurentSeries:
+    u0 = LaurentSeries.monomial(-1, c.leading_coefficient)
+    if c.h == 0:
+        return u0
     poly = constraint_poly(c)
     dpoly = Poly2.from_ucoefficients(
         [(k + 1) * poly.ucoefficient(k + 1) for k in range(poly.udegree())]
     )
-    u = LaurentSeries.monomial(-1, c.leading_coefficient)
-    while True:
-        residual = _eval_poly2_series(poly, u)
-        if residual.is_stored_zero() and residual.is_exact():
-            return u
-        lead = residual.leading()
+    deriv_lead = _eval_poly2_series(dpoly, u0).leading()
+    if deriv_lead is None:
+        raise ComputationFault("degenerate curve: derivative vanishes along the expansion")
+    u = u0.truncate(-order)
+    # Corrections sit at strictly falling exponents in [-order, -2], so the
+    # order-th step at the latest finds nothing left to cancel.
+    for _ in range(order):
+        lead = _eval_poly2_series(poly, u).leading()
         if lead is None:
-            raise ComputationFault("reversion stalled with an inexact zero residual")
-        deriv_lead = _eval_poly2_series(dpoly, u).leading()
-        if deriv_lead is None:
-            raise ComputationFault("degenerate curve: derivative vanishes along the expansion")
+            return u
         exp = lead[0] - deriv_lead[0]
         if exp < -order:
-            return u.truncate(-order)
+            return u
         u = u + LaurentSeries.monomial(exp, -lead[1] / deriv_lead[1])
+    raise ComputationFault("reversion did not reach the truncation floor")
 
 
 def _eval_poly2_series(p: Poly2, u: LaurentSeries) -> LaurentSeries:
-    """Evaluate a (u, v)-polynomial at u = series, v = the series variable."""
-    powers = {0: LaurentSeries.const(1)}
-    max_u = p.udegree()
-    for k in range(1, max_u + 1):
-        powers[k] = powers[k - 1] * u
-    total = LaurentSeries.zero()
+    """Evaluate a (u, v)-polynomial at u = series, v = the series variable,
+    by Horner's rule in u over the rows p_k(v) of p = sum_k p_k(v) u^k."""
+    rows: dict[int, dict[int, Fraction]] = {}
     for (i, j), coeff in p.terms.items():
-        total = total + powers[i] * LaurentSeries.monomial(j, coeff)
+        rows.setdefault(i, {})[j] = coeff
+    total = LaurentSeries.zero()
+    for k in range(p.udegree(), -1, -1):
+        total = total * u + LaurentSeries._normal(rows.get(k, {}), None)
     return total
 
 

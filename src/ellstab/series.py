@@ -7,6 +7,12 @@ stored (absent means zero), everything below is unknown.  ``trunc = None``
 marks an exact series (a Laurent polynomial with no unknown tail).
 Arithmetic propagates the floor conservatively so that a stored coefficient
 is never silently wrong.
+
+The public constructor accepts any scalars, repeated exponents and terms
+below the floor.  Arithmetic results are built by the private
+``LaurentSeries._normal`` instead: it takes an exponent -> ``Fraction`` dict
+whose entries already sit at or above the floor, drops zeros and sorts once.
+Products skip every pair that lands below the floor without computing it.
 """
 
 from __future__ import annotations
@@ -35,6 +41,15 @@ class LaurentSeries:
         )
         object.__setattr__(self, "terms", tuple(cleaned))
         object.__setattr__(self, "trunc", trunc)
+
+    @classmethod
+    def _normal(cls, coeffs: dict[int, Fraction], trunc: int | None) -> "LaurentSeries":
+        """Series from exponent -> Fraction entries at or above ``trunc``."""
+        terms = sorted(((e, c) for e, c in coeffs.items() if c), reverse=True)
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", tuple(terms))
+        object.__setattr__(out, "trunc", trunc)
+        return out
 
     @classmethod
     def zero(cls, trunc: int | None = None) -> "LaurentSeries":
@@ -87,12 +102,20 @@ class LaurentSeries:
             floor = self.trunc
         else:
             floor = max(self.trunc, other.trunc)
-        return LaurentSeries(self.terms + other.terms, floor)
+        if floor is None or self.trunc == floor:
+            out = dict(self.terms)
+        else:
+            out = {e: c for e, c in self.terms if e >= floor}
+        for e, c in other.terms:
+            if floor is not None and e < floor:
+                break
+            out[e] = out[e] + c if e in out else c
+        return LaurentSeries._normal(out, floor)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(tuple((e, -c) for e, c in self.terms), self.trunc)
+        return LaurentSeries._normal({e: -c for e, c in self.terms}, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -109,7 +132,7 @@ class LaurentSeries:
             other = _q(other)
             if other == 0:
                 return LaurentSeries.zero()
-            return LaurentSeries(tuple((e, c * other) for e, c in self.terms), self.trunc)
+            return LaurentSeries._normal({e: c * other for e, c in self.terms}, self.trunc)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         floor = _product_floor(self, other)
@@ -118,16 +141,16 @@ class LaurentSeries:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 if floor is not None and e < floor:
-                    continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentSeries(tuple(out.items()), floor)
+                    break  # terms are stored by descending exponent
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return LaurentSeries._normal(out, floor)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _q(other)
-            return LaurentSeries(tuple((e, c / other) for e, c in self.terms), self.trunc)
+            return LaurentSeries._normal({e: c / other for e, c in self.terms}, self.trunc)
         return NotImplemented
 
     def scale(self, c) -> "LaurentSeries":

@@ -15,8 +15,9 @@ from ellstab.curves import (
     expansion_residual,
     solve_u,
 )
-from ellstab.errors import ConfigurationError, CurveDomainError
-from ellstab.poly import Poly1
+from ellstab.errors import ComputationFault, ConfigurationError, CurveDomainError
+from ellstab.poly import Poly1, Poly2
+from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt
 
 
@@ -145,6 +146,102 @@ class TestExpandU:
         root = solve_u(c, vpar, Fraction(1, 2**128))
         approx = series.eval(vpar)
         assert abs(approx - root.midpoint) < Fraction(1, 10**30)
+
+
+def _reference_expand_u(c, order):
+    """The reversion as first written: an exact working series, the
+    derivative re-evaluated at every step and products through powers of u."""
+    poly = constraint_poly(c)
+    dpoly = Poly2.from_ucoefficients(
+        [(k + 1) * poly.ucoefficient(k + 1) for k in range(poly.udegree())]
+    )
+    u = LaurentSeries.monomial(-1, c.leading_coefficient)
+    while True:
+        residual = _reference_eval(poly, u)
+        if residual.is_stored_zero() and residual.is_exact():
+            return u
+        lead = residual.leading()
+        if lead is None:
+            raise ComputationFault("reversion stalled with an inexact zero residual")
+        deriv_lead = _reference_eval(dpoly, u).leading()
+        if deriv_lead is None:
+            raise ComputationFault("degenerate curve: derivative vanishes along the expansion")
+        exp = lead[0] - deriv_lead[0]
+        if exp < -order:
+            return u.truncate(-order)
+        u = u + LaurentSeries.monomial(exp, -lead[1] / deriv_lead[1])
+
+
+def _reference_eval(p, u):
+    powers = {0: LaurentSeries.const(1)}
+    max_u = p.udegree()
+    for k in range(1, max_u + 1):
+        powers[k] = powers[k - 1] * u
+    total = LaurentSeries.zero()
+    for (i, j), coeff in p.terms.items():
+        total = total + powers[i] * LaurentSeries.monomial(j, coeff)
+    return total
+
+
+REFERENCE_H = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3))
+
+
+def _rand_onedim(rng, h):
+    while True:
+        y = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        z = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        if h + z / y > 0:
+            return OneDimCurve(h, y, z)
+
+
+def _reference_curves(seed):
+    rng = random.Random(seed)
+    for h in REFERENCE_H:
+        yield _rand_tilt(rng, h)
+        yield _rand_onedim(rng, h)
+
+
+def _same_series(x, y):
+    return (
+        x.terms == y.terms
+        and x.trunc == y.trunc
+        and all(type(cx) is Fraction and type(cy) is Fraction for (_, cx), (_, cy) in zip(x.terms, y.terms))
+    )
+
+
+class TestExpandUReference:
+    """The floor-aware Horner reversion returns the first-written reversion's
+    series: the same terms, Fraction coefficients and floor."""
+
+    def test_expand_u_matches_reference(self):
+        for c in _reference_curves(11):
+            for order in range(1, 25):
+                assert _same_series(expand_u(c, order), _reference_expand_u(c, order)), (c, order)
+
+    def test_expansion_residual_matches_reference(self):
+        for c in _reference_curves(12):
+            for order in (1, 8, 16):
+                expected = _reference_eval(constraint_poly(c), _reference_expand_u(c, order))
+                got = expansion_residual(c, order)
+                assert got.terms == expected.terms and got.trunc == expected.trunc, (c, order)
+
+    def test_h0_expansion_is_exact_and_solves_the_curve(self):
+        for c in (TiltCurve(0, 3, Fraction(5, 2)), OneDimCurve(0, Fraction(2, 3), 7)):
+            for k in (1, 2, 8, 16):
+                series = expand_u(c, k)
+                assert series.is_exact()
+                assert series.terms == ((-1, c.leading_coefficient),)
+                for vpar in (Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(10**6)):
+                    root = solve_u(c, vpar, Fraction(1, 2**64))
+                    assert root.lo == root.hi == series.eval(vpar)
+
+    def test_nonzero_h_series_never_terminates(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            h = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+            order = rng.randint(1, 20)
+            for c in (_rand_tilt(rng, h), _rand_onedim(rng, h)):
+                assert expand_u(c, order).trunc == -order, (c, order)
 
 
 class TestChowIdentity:

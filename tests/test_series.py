@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellstab.errors import DomainError
-from ellstab.series import LaurentSeries
+from ellstab.series import LaurentSeries, _product_floor
 
 
 def s(*terms, trunc=None):
@@ -20,6 +20,57 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 def series_strategy():
     term = st.tuples(st.integers(min_value=-6, max_value=6), rationals)
     return st.builds(lambda ts: LaurentSeries(ts), st.lists(term, max_size=5))
+
+
+def truncated_series_strategy():
+    """Series with an optional floor, built through the public constructor
+    (so terms drawn below the floor are dropped)."""
+    term = st.tuples(st.integers(min_value=-6, max_value=6), rationals)
+    floor = st.none() | st.integers(min_value=-6, max_value=4)
+    return st.builds(LaurentSeries, st.lists(term, max_size=6), floor)
+
+
+nonzero_rationals = rationals.filter(lambda q: q != 0)
+
+
+def _max_floor(a, b):
+    floors = [f for f in (a.trunc, b.trunc) if f is not None]
+    return max(floors) if floors else None
+
+
+def _public_sum(a, b):
+    return LaurentSeries(a.terms + b.terms, _max_floor(a, b))
+
+
+def _public_product(a, b):
+    floor = _product_floor(a, b)
+    return LaurentSeries([(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms], floor)
+
+
+def assert_stored_form(x):
+    exps = [e for e, _ in x.terms]
+    assert all(e1 > e2 for e1, e2 in zip(exps, exps[1:]))
+    assert all(c != 0 for _, c in x.terms)
+    assert all(type(c) is Fraction for _, c in x.terms)
+    assert x.trunc is None or all(e >= x.trunc for e in exps)
+
+
+@settings(max_examples=300)
+@given(a=truncated_series_strategy(), b=truncated_series_strategy(), q=nonzero_rationals)
+def test_truncated_arithmetic_matches_public_constructor(a, b, q):
+    negated = LaurentSeries([(e, -c) for e, c in b.terms], b.trunc)
+    cases = [
+        (a * b, _public_product(a, b)),
+        (a + b, _public_sum(a, b)),
+        (a - b, _public_sum(a, negated)),
+        (-a, LaurentSeries([(e, -c) for e, c in a.terms], a.trunc)),
+        (a * q, LaurentSeries([(e, c * q) for e, c in a.terms], a.trunc)),
+        (q * a, LaurentSeries([(e, c * q) for e, c in a.terms], a.trunc)),
+        (a / q, LaurentSeries([(e, c / q) for e, c in a.terms], a.trunc)),
+    ]
+    for got, expected in cases:
+        assert got == expected
+        assert_stored_form(got)
 
 
 def test_terms_sorted_and_clean():
