@@ -35,7 +35,7 @@ from .ring import (
     twist,
 )
 from .series import LaurentSeries
-from .slopes import SlopeKind, SlopeTag, SlopeValue, is_fiber_numeric, slope
+from .slopes import SlopeKind, SlopeTag, SlopeValue, slope
 
 __all__ = [
     "AsymptoticCharge",
@@ -63,7 +63,6 @@ __all__ = [
     "expand_u",
     "fiber_swap_rule",
     "full_charge",
-    "is_fiber_numeric",
     "mul",
     "onedim_transform_charge",
     "pair",

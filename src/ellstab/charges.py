@@ -140,12 +140,6 @@ def onedim_transform_charge(
     return ChargeValue(*_flat_full_parts(g, phi(g, v1dim), u, vpar, d))
 
 
-def in_reduced_half_plane(c: ChargeValue) -> bool:
-    """Membership in the closed right-rotated half plane used with the
-    reduced charge: Re > 0, or Re = 0 with Im >= 0, or zero."""
-    return c.re > 0 or (c.re == 0 and c.im >= 0)
-
-
 def in_full_half_plane(c: ChargeValue) -> bool:
     """Membership in the closed upper half plane with the negative real
     axis, together with zero, used with the full charge."""

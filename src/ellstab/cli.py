@@ -17,10 +17,12 @@ from . import suites
 from .asymptotics import ChargeKind, compare_vectors, charge_series, phase_limit, wall_scan
 from .charges import full_charge, onedim_transform_charge, reduced_charge
 from .config import (
+    _RUN_PARAMETERS,
     Config,
     ConfigParseError,
     ConfigValidationError,
     Defaults,
+    _parse_vector,
     format_vector,
     parse_config,
 )
@@ -29,7 +31,7 @@ from .errors import EllstabError
 from .fmt import fiber_swap_rule, phi, phi_hat
 from .poly import RootInterval
 from .ring import DivisorB, DivisorX, twist
-from .slopes import SlopeKind, SlopeTag, slope
+from .slopes import SLOPE_PARAMETERS, SlopeKind, SlopeTag, slope
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -94,8 +96,6 @@ def _curve(cfg: Config, name: str):
 def _divisor_arg(cfg: Config, text: str | None) -> DivisorB:
     if text is None:
         return cfg.geometry.zero_divisor()
-    from .config import _parse_vector
-
     coords = _parse_vector(text, 0)
     if len(coords) != cfg.geometry.rank:
         raise EllstabError(f"divisor must have rank {cfg.geometry.rank}")
@@ -133,41 +133,15 @@ def cmd_twist(args, cfg: Config, out: _Output) -> int:
     return 0
 
 
-_SLOPE_BUILDERS = {
-    "MU_F": lambda cfg, args: SlopeKind.mu_f(),
-    "MU_THETA_M": lambda cfg, args: SlopeKind.mu_theta_m(),
-    "MU_STAR": lambda cfg, args: SlopeKind.mu_star(),
-    "MU_STAR_B": lambda cfg, args: SlopeKind.mu_star_b(),
-    "MU_OMEGA_B": lambda cfg, args: SlopeKind.mu_omega_b(
-        _omega_from(cfg, args), _bfield_from(cfg, args)
-    ),
-    "NU_OMEGA_B": lambda cfg, args: SlopeKind.nu_omega_b(
-        _omega_from(cfg, args), _bfield_from(cfg, args)
-    ),
-    "MU_BAR": lambda cfg, args: SlopeKind.mu_bar(
-        DivisorX(
-            _fraction_arg(_required(args.y, "--y")),
-            cfg.geometry.hb_divisor.scale(_fraction_arg(_required(args.z, "--z"))),
-        ),
-        _divisor_arg(cfg, args.dbar),
-    ),
-    "MU_PHB_PD": lambda cfg, args: SlopeKind.mu_phb_pd(_divisor_arg(cfg, args.d)),
-    "MU_THETA_MPHB_PD": lambda cfg, args: SlopeKind.mu_theta_mphb_pd(_divisor_arg(cfg, args.d)),
-    "MU_OMEGA_PD": lambda cfg, args: SlopeKind.mu_omega_pd(
-        _omega_from(cfg, args), _divisor_arg(cfg, args.d)
-    ),
-}
-
-
-def _required(value, flag: str):
+def _rational_flag(args, name: str) -> Fraction:
+    value = getattr(args, name)
     if value is None:
-        raise EllstabError(f"this slope kind requires {flag}")
-    return value
+        raise EllstabError(f"this slope kind requires --{name}")
+    return _fraction_arg(value)
 
 
 def _omega_from(cfg: Config, args) -> DivisorX:
-    u = _fraction_arg(_required(args.u, "--u"))
-    vpar = _fraction_arg(_required(args.v, "--v"))
+    u, vpar = _rational_flag(args, "u"), _rational_flag(args, "v")
     return DivisorX(u, cfg.geometry.hb_divisor.scale(vpar))
 
 
@@ -178,10 +152,23 @@ def _bfield_from(cfg: Config, args) -> DivisorX:
     return DivisorX(theta, _divisor_arg(cfg, args.b_base))
 
 
+# one builder per slope parameter, reading the flags that parameter needs
+_SLOPE_PARAMETER_BUILDERS = {
+    "omega": _omega_from,
+    "bfield": _bfield_from,
+    "omegabar": lambda cfg, args: DivisorX(
+        _rational_flag(args, "y"), cfg.geometry.hb_divisor.scale(_rational_flag(args, "z"))
+    ),
+    "dbar": lambda cfg, args: _divisor_arg(cfg, args.dbar),
+    "d": lambda cfg, args: _divisor_arg(cfg, args.d),
+}
+
+
 def cmd_slope(args, cfg: Config, out: _Output) -> int:
-    if args.kind not in _SLOPE_BUILDERS:
-        raise EllstabError(f"unknown slope kind {args.kind!r}")
-    kind = _SLOPE_BUILDERS[args.kind](cfg, args)
+    tag = SlopeTag(args.kind)
+    kind = SlopeKind(
+        tag, **{p: _SLOPE_PARAMETER_BUILDERS[p](cfg, args) for p in SLOPE_PARAMETERS[tag]}
+    )
     v = _object(cfg, args.object)
     value = slope(cfg.geometry, kind, v)
     out.emit(["object", "kind", "value"], [[args.object, args.kind, str(value)]])
@@ -191,19 +178,15 @@ def cmd_slope(args, cfg: Config, out: _Output) -> int:
 def cmd_charge(args, cfg: Config, out: _Output) -> int:
     v = _object(cfg, args.object)
     g = cfg.geometry
-    if args.kind == "reduced":
-        u = _fraction_arg(_required(args.u, "--u"))
-        vpar = _fraction_arg(_required(args.v, "--v"))
-        value = reduced_charge(g, v, u, vpar)
-    elif args.kind == "full":
-        omega = _omega_from(cfg, args)
-        value = full_charge(g, v, omega, _bfield_from(cfg, args))
+    if args.kind == "full":
+        value = full_charge(g, v, _omega_from(cfg, args), _bfield_from(cfg, args))
     else:
-        u = _fraction_arg(_required(args.u, "--u"))
-        vpar = _fraction_arg(_required(args.v, "--v"))
-        y = _fraction_arg(_required(args.y, "--y"))
-        z = _fraction_arg(_required(args.z, "--z"))
-        value = onedim_transform_charge(g, v, y, z, u, vpar, _divisor_arg(cfg, args.dbar))
+        u, vpar = _rational_flag(args, "u"), _rational_flag(args, "v")
+        if args.kind == "reduced":
+            value = reduced_charge(g, v, u, vpar)
+        else:
+            y, z = _rational_flag(args, "y"), _rational_flag(args, "z")
+            value = onedim_transform_charge(g, v, y, z, u, vpar, _divisor_arg(cfg, args.dbar))
     out.emit(
         ["object", "kind", "re", "im"],
         [[args.object, args.kind, str(value.re), str(value.im)]],
@@ -215,7 +198,7 @@ def cmd_curve(args, cfg: Config, out: _Output) -> int:
     c = _curve(cfg, args.curve)
     g = cfg.geometry
     if args.action == "solve":
-        vpar = _fraction_arg(_required(args.v, "--v"))
+        vpar = _rational_flag(args, "v")
         precision = Fraction(1, 2**args.precision)
         root = solve_u(c, vpar, precision)
         out.emit(["curve", "v", "u"], [[args.curve, str(vpar), _fmt_root(root)]])
@@ -224,8 +207,7 @@ def cmd_curve(args, cfg: Config, out: _Output) -> int:
         series = expand_u(c, args.order)
         out.emit(["curve", "series"], [[args.curve, _fmt_series(series)]])
         return 0
-    u = _fraction_arg(_required(args.u, "--u"))
-    vpar = _fraction_arg(_required(args.v, "--v"))
+    u, vpar = _rational_flag(args, "u"), _rational_flag(args, "v")
     if isinstance(c, TiltCurve):
         from .curves import chow_identity_check
 
@@ -239,15 +221,11 @@ def cmd_curve(args, cfg: Config, out: _Output) -> int:
     return 0 if ok else DOMAIN_EXIT
 
 
-def _kind_arg(text: str) -> ChargeKind:
-    return ChargeKind.REDUCED if text == "reduced" else ChargeKind.FULL
-
-
 def cmd_phase(args, cfg: Config, out: _Output) -> int:
     v = _object(cfg, args.object)
     c = _curve(cfg, args.curve)
     ac = charge_series(
-        cfg.geometry, v, c, _kind_arg(args.kind), args.order, _divisor_arg(cfg, args.d)
+        cfg.geometry, v, c, ChargeKind(args.kind), args.order, _divisor_arg(cfg, args.d)
     )
     limit = phase_limit(ac)
     out.emit(
@@ -267,14 +245,18 @@ def cmd_phase(args, cfg: Config, out: _Output) -> int:
     return 0
 
 
-def cmd_compare(args, cfg: Config, out: _Output) -> int:
-    names = [n.strip() for n in args.objects.split(",")]
+def _object_pair(cfg: Config, text: str):
+    names = [n.strip() for n in text.split(",")]
     if len(names) != 2:
         raise EllstabError("--objects takes exactly two comma-separated names")
-    m, n = (_object(cfg, name) for name in names)
+    return names, _object(cfg, names[0]), _object(cfg, names[1])
+
+
+def cmd_compare(args, cfg: Config, out: _Output) -> int:
+    names, m, n = _object_pair(cfg, args.objects)
     c = _curve(cfg, args.curve)
     verdict = compare_vectors(
-        cfg.geometry, m, n, c, _kind_arg(args.kind), args.order, _divisor_arg(cfg, args.d)
+        cfg.geometry, m, n, c, ChargeKind(args.kind), args.order, _divisor_arg(cfg, args.d)
     )
     row = [names[0], names[1], args.curve, verdict.kind,
            "" if verdict.floor is None else str(verdict.floor)]
@@ -283,17 +265,14 @@ def cmd_compare(args, cfg: Config, out: _Output) -> int:
 
 
 def cmd_wall_scan(args, cfg: Config, out: _Output) -> int:
-    names = [n.strip() for n in args.objects.split(",")]
-    if len(names) != 2:
-        raise EllstabError("--objects takes exactly two comma-separated names")
-    m, n = (_object(cfg, name) for name in names)
+    names, m, n = _object_pair(cfg, args.objects)
     c = _curve(cfg, args.curve)
     result = wall_scan(
         cfg.geometry,
         m,
         n,
         c,
-        _kind_arg(args.kind),
+        ChargeKind(args.kind),
         (_fraction_arg(args.vmin), _fraction_arg(args.vmax)),
         Fraction(1, 2**args.precision),
         _divisor_arg(cfg, args.d),
@@ -320,6 +299,10 @@ def cmd_verify(args, cfg: Config | None, out: _Output) -> int:
             rows.append([name, "counterexample", report.failures[0]])
     out.emit(["suite", "cases", "status"], rows)
     return 0 if all_passed else DOMAIN_EXIT
+
+
+# the parameter flags of ``slope`` and ``charge``
+_PARAMETER_FLAGS = ("--u", "--v", "--y", "--z", "--d", "--dbar", "--b-theta", "--b-base")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,26 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slope", help="evaluate a slope function")
     p.add_argument("--kind", required=True, choices=sorted(t.value for t in SlopeTag))
     p.add_argument("--object", required=True)
-    p.add_argument("--u", default=None)
-    p.add_argument("--v", default=None)
-    p.add_argument("--y", default=None)
-    p.add_argument("--z", default=None)
-    p.add_argument("--d", default=None)
-    p.add_argument("--dbar", default=None)
-    p.add_argument("--b-theta", default=None)
-    p.add_argument("--b-base", default=None)
+    for flag in _PARAMETER_FLAGS:
+        p.add_argument(flag, default=None)
 
     p = sub.add_parser("charge", help="evaluate a central charge")
     p.add_argument("--kind", required=True, choices=["reduced", "full", "onedim"])
     p.add_argument("--object", required=True)
-    p.add_argument("--u", default=None)
-    p.add_argument("--v", default=None)
-    p.add_argument("--y", default=None)
-    p.add_argument("--z", default=None)
-    p.add_argument("--d", default=None)
-    p.add_argument("--dbar", default=None)
-    p.add_argument("--b-theta", default=None)
-    p.add_argument("--b-base", default=None)
+    for flag in _PARAMETER_FLAGS:
+        p.add_argument(flag, default=None)
 
     p = sub.add_parser("curve", help="solve, expand or check a constraint curve")
     p.add_argument("action", choices=["solve", "expand", "check"])
@@ -415,14 +386,6 @@ _COMMANDS = {
     "wall-scan": cmd_wall_scan,
     "verify": cmd_verify,
 }
-
-
-_RUN_PARAMETERS = (
-    ("precision", "precision_bits"),
-    ("order", "order"),
-    ("cases", "cases"),
-    ("seed", "seed"),
-)
 
 
 def _resolve_defaults(args, cfg: Config | None) -> None:

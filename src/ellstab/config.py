@@ -2,9 +2,9 @@
 
 The format is deliberately small: ``[geometry]`` holds the lattice data,
 each ``[curve NAME]`` one constraint curve, each ``[object NAME]`` one
-Chern vector with optional class tag and effectivity flags, and
-``[defaults]`` the run parameters.  Rationals are written ``p/q`` or as
-integers, vectors as ``[r, r, ...]``, matrices as ``[[...], [...]]``.
+Chern vector under its only key ``vector``, and ``[defaults]`` the run
+parameters.  Rationals are written ``p/q`` or as integers, vectors as
+``[r, r, ...]``, matrices as ``[[...], [...]]``.
 Syntax problems raise ``ConfigParseError`` (exit code 2), semantic ones
 ``ConfigValidationError`` (exit code 1); both carry line and field
 information.
@@ -18,7 +18,6 @@ from fractions import Fraction
 from .curves import OneDimCurve, TiltCurve
 from .errors import ConfigurationError, EllstabError
 from .ring import BaseGeometry, ChernVector, DivisorB
-from .verify import ClassTag, NumericClass
 
 
 class ConfigParseError(EllstabError):
@@ -36,8 +35,6 @@ class ConfigValidationError(EllstabError):
 @dataclass
 class ObjectSpec:
     vector: ChernVector
-    numeric_class: NumericClass | None = None
-    curve: str | None = None
 
 
 @dataclass
@@ -49,6 +46,19 @@ class Defaults:
     order: int = 8
     cases: int | None = None
     seed: int = 0
+
+
+# ``[defaults]`` keys, which are also the CLI flag names, and their fields
+_RUN_PARAMETERS = (
+    ("precision", "precision_bits"),
+    ("order", "order"),
+    ("cases", "cases"),
+    ("seed", "seed"),
+)
+
+
+# each curve kind's class and its parameter keys, in constructor order
+_CURVE_KINDS = {"tilt": (TiltCurve, ("a", "b")), "onedim": (OneDimCurve, ("y", "z"))}
 
 
 @dataclass
@@ -66,26 +76,27 @@ def _parse_fraction(text: str, line: int) -> Fraction:
         raise ConfigParseError(line, f"expected a rational, got {text!r}")
 
 
-def _split_top_level(body: str, line: int) -> list[str]:
+def _parse_int(text: str, line: int) -> int:
+    return int(_parse_fraction(text, line))
+
+
+def _split_top_level(text: str, line: int, sep: str | None = None) -> list[str]:
+    """Split ``text`` at ``sep`` (whitespace when None, as in vector
+    literals) outside brackets, dropping empty parts."""
+    where = " in vector literal" if sep is None else ""
     parts, depth, current = [], 0, []
-    for ch in body:
-        if ch == "[":
-            depth += 1
-            current.append(ch)
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ConfigParseError(line, "unbalanced brackets")
-            current.append(ch)
-        elif ch == "," and depth == 0:
+    for ch in text:
+        depth += (ch == "[") - (ch == "]")
+        if depth < 0:
+            raise ConfigParseError(line, "unbalanced brackets" + where)
+        if depth == 0 and (ch.isspace() if sep is None else ch == sep):
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
     if depth != 0:
-        raise ConfigParseError(line, "unbalanced brackets")
-    if current or parts:
-        parts.append("".join(current))
+        raise ConfigParseError(line, "unbalanced brackets" + where)
+    parts.append("".join(current))
     return [p.strip() for p in parts if p.strip()]
 
 
@@ -93,24 +104,15 @@ def _parse_vector(text: str, line: int) -> list[Fraction]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ConfigParseError(line, f"expected a bracketed vector, got {text!r}")
-    return [_parse_fraction(p, line) for p in _split_top_level(text[1:-1], line)]
+    return [_parse_fraction(p, line) for p in _split_top_level(text[1:-1], line, ",")]
 
 
 def _parse_matrix(text: str, line: int) -> list[list[Fraction]]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ConfigParseError(line, f"expected a bracketed matrix, got {text!r}")
-    rows = _split_top_level(text[1:-1], line)
+    rows = _split_top_level(text[1:-1], line, ",")
     return [_parse_vector(row, line) for row in rows]
-
-
-def _parse_bool(text: str, line: int) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "1"):
-        return True
-    if t in ("false", "no", "0"):
-        return False
-    raise ConfigParseError(line, f"expected a boolean, got {text!r}")
 
 
 def _parse_sections(text: str):
@@ -149,6 +151,13 @@ def _take(entries: dict, key: str, path: str):
     return entries.pop(key)
 
 
+def _optional(entries: dict, key: str, parse, default):
+    if key not in entries:
+        return default
+    value, line = entries.pop(key)
+    return parse(value, line)
+
+
 def parse_config(text: str) -> Config:
     sections = _parse_sections(text)
     geometry = None
@@ -163,21 +172,15 @@ def parse_config(text: str) -> Config:
 
         if kind == "geometry":
             value, line = _take(entries, "rank", "geometry")
-            rank = int(_parse_fraction(value, line))
+            rank = _parse_int(value, line)
             value, line = _take(entries, "gram", "geometry")
             gram = _parse_matrix(value, line)
             value, line = _take(entries, "hb", "geometry")
             hb = _parse_vector(value, line)
             value, line = _take(entries, "h", "geometry")
             h = _parse_fraction(value, line)
-            vprime = Fraction(0)
-            if "vprime" in entries:
-                value, line = entries.pop("vprime")
-                vprime = _parse_fraction(value, line)
-            m0 = Fraction(1)
-            if "m0" in entries:
-                value, line = entries.pop("m0")
-                m0 = _parse_fraction(value, line)
+            vprime = _optional(entries, "vprime", _parse_fraction, Fraction(0))
+            m0 = _optional(entries, "m0", _parse_fraction, Fraction(1))
             _reject_extras(entries, "geometry")
             try:
                 geometry = BaseGeometry(rank, gram, hb, h, vprime, m0)
@@ -191,18 +194,13 @@ def parse_config(text: str) -> Config:
             name = parts[1]
             value, line = _take(entries, "kind", f"curve.{name}")
             ckind = value.lower()
-            if ckind == "tilt":
-                a_v, a_l = _take(entries, "a", f"curve.{name}")
-                b_v, b_l = _take(entries, "b", f"curve.{name}")
-                params = (_parse_fraction(a_v, a_l), _parse_fraction(b_v, b_l))
-            elif ckind == "onedim":
-                y_v, y_l = _take(entries, "y", f"curve.{name}")
-                z_v, z_l = _take(entries, "z", f"curve.{name}")
-                params = (_parse_fraction(y_v, y_l), _parse_fraction(z_v, z_l))
-            else:
+            if ckind not in _CURVE_KINDS:
                 raise ConfigValidationError(f"curve.{name}.kind", f"unknown curve kind {ckind!r}")
+            curve_class, keys = _CURVE_KINDS[ckind]
+            raw = [_take(entries, key, f"curve.{name}") for key in keys]
+            params = [_parse_fraction(v, line) for v, line in raw]
             _reject_extras(entries, f"curve.{name}")
-            curves[name] = (ckind, params)
+            curves[name] = (curve_class, params)
             continue
 
         if kind == "object":
@@ -214,18 +212,8 @@ def parse_config(text: str) -> Config:
             continue
 
         if kind == "defaults":
-            if "precision" in entries:
-                value, line = entries.pop("precision")
-                defaults.precision_bits = int(_parse_fraction(value, line))
-            if "order" in entries:
-                value, line = entries.pop("order")
-                defaults.order = int(_parse_fraction(value, line))
-            if "cases" in entries:
-                value, line = entries.pop("cases")
-                defaults.cases = int(_parse_fraction(value, line))
-            if "seed" in entries:
-                value, line = entries.pop("seed")
-                defaults.seed = int(_parse_fraction(value, line))
+            for key, attr in _RUN_PARAMETERS:
+                setattr(defaults, attr, _optional(entries, key, _parse_int, getattr(defaults, attr)))
             _reject_extras(entries, "defaults")
             continue
 
@@ -235,44 +223,16 @@ def parse_config(text: str) -> Config:
         raise ConfigValidationError("geometry", "missing [geometry] section")
 
     cfg = Config(geometry=geometry)
-    for name, (ckind, params) in curves.items():
+    for name, (curve_class, params) in curves.items():
         try:
-            if ckind == "tilt":
-                cfg.curves[name] = TiltCurve(geometry.h, *params)
-            else:
-                cfg.curves[name] = OneDimCurve(geometry.h, *params)
+            cfg.curves[name] = curve_class(geometry.h, *params)
         except ConfigurationError as exc:
             raise ConfigValidationError(f"curve.{name}", str(exc)) from exc
 
     for name, value, line, entries in objects_raw:
         vector = parse_vector_literal(value, geometry.rank, line)
-        tag = None
-        if "class" in entries:
-            tval, tline = entries.pop("class")
-            try:
-                tag = ClassTag(tval.strip())
-            except ValueError:
-                raise ConfigValidationError(f"object.{name}.class", f"unknown class {tval!r}")
-        eta_eff = s_eff = False
-        if "eta-effective" in entries:
-            bval, bline = entries.pop("eta-effective")
-            eta_eff = _parse_bool(bval, bline)
-        if "s-effective" in entries:
-            bval, bline = entries.pop("s-effective")
-            s_eff = _parse_bool(bval, bline)
-        curve_ref = None
-        if "curve" in entries:
-            cval, cline = entries.pop("curve")
-            curve_ref = cval.strip()
-            if curve_ref not in cfg.curves:
-                raise ConfigValidationError(
-                    f"object.{name}.curve", f"references undeclared curve {curve_ref!r}"
-                )
         _reject_extras(entries, f"object.{name}")
-        ncls = (
-            NumericClass(tag, eta_effective=eta_eff, s_effective=s_eff) if tag is not None else None
-        )
-        cfg.objects[name] = ObjectSpec(vector=vector, numeric_class=ncls, curve=curve_ref)
+        cfg.objects[name] = ObjectSpec(vector)
 
     cfg.defaults = defaults
     return cfg
@@ -285,7 +245,7 @@ def _reject_extras(entries: dict, path: str) -> None:
 
 def parse_vector_literal(text: str, rank: int, line: int = 0) -> ChernVector:
     """Parse ``n x [S...] [eta...] a s`` into a Chern vector."""
-    tokens = _tokenize_vector(text, line)
+    tokens = _split_top_level(text, line)
     if len(tokens) != 6:
         raise ConfigParseError(line, "vector literal needs six fields: n x [S] [eta] a s")
     n = _parse_fraction(tokens[0], line)
@@ -297,28 +257,6 @@ def parse_vector_literal(text: str, rank: int, line: int = 0) -> ChernVector:
     if s_div.rank != rank or eta_div.rank != rank:
         raise ConfigValidationError("vector", f"divisor parts must have rank {rank}")
     return ChernVector(n, x, s_div, eta_div, a, s)
-
-
-def _tokenize_vector(text: str, line: int) -> list[str]:
-    tokens, depth, current = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ConfigParseError(line, "unbalanced brackets in vector literal")
-        if ch.isspace() and depth == 0:
-            if current:
-                tokens.append("".join(current))
-                current = []
-            continue
-        current.append(ch)
-    if depth != 0:
-        raise ConfigParseError(line, "unbalanced brackets in vector literal")
-    if current:
-        tokens.append("".join(current))
-    return tokens
 
 
 def format_vector(v: ChernVector) -> str:

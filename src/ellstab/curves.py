@@ -194,11 +194,6 @@ def _eval_poly2_series(p: Poly2, u: LaurentSeries) -> LaurentSeries:
     return total
 
 
-def expansion_residual(c: CurveConstraint, order: int) -> LaurentSeries:
-    """Residual of the order-``order`` expansion inside the curve polynomial."""
-    return _eval_poly2_series(constraint_poly(c), expand_u(c, order))
-
-
 def _cycle_sides(g: BaseGeometry, c: TiltCurve, u, vpar) -> tuple[ChernVector, ChernVector]:
     """The two degree-two cycles whose equality is the compatibility of the
     fixed and moving polarizations, both built through ring products."""

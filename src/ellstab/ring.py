@@ -330,10 +330,6 @@ class ChernVector:
             return ChernVector(0, 0, z, z, 0, self.s)
         raise DomainError(f"no degree-{d} part on a threefold")
 
-    def a1(self, g: BaseGeometry) -> Fraction:
-        """Theta coefficient of the canonically twisted degree-one part."""
-        return self.x
-
     def a2(self, g: BaseGeometry) -> DivisorB:
         """Pullback part of the canonically twisted degree-one component."""
         return self.S + g.hb_divisor.scale(self.n * g.h / 2)

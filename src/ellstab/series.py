@@ -156,14 +156,6 @@ class LaurentSeries:
     def scale(self, c) -> "LaurentSeries":
         return self * _q(c)
 
-    def pow(self, k: int) -> "LaurentSeries":
-        if k < 0:
-            raise DomainError("negative powers of a series are not supported")
-        result = LaurentSeries.const(1)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def eval(self, v) -> Fraction:
         """Evaluate the stored terms at a rational point (tail ignored)."""
         v = _q(v)

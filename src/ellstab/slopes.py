@@ -40,7 +40,8 @@ class SlopeTag(Enum):
     MU_OMEGA_PD = "MU_OMEGA_PD"
 
 
-_REQUIRED = {
+# the parameters each kind takes, all of them required
+SLOPE_PARAMETERS = {
     SlopeTag.MU_OMEGA_B: ("omega", "bfield"),
     SlopeTag.NU_OMEGA_B: ("omega", "bfield"),
     SlopeTag.MU_F: (),
@@ -66,7 +67,7 @@ class SlopeKind:
     d: DivisorB | None = None
 
     def __post_init__(self):
-        required = _REQUIRED[self.tag]
+        required = SLOPE_PARAMETERS[self.tag]
         for name in ("omega", "bfield", "omegabar", "dbar", "d"):
             value = getattr(self, name)
             if name in required and value is None:
@@ -153,14 +154,6 @@ def _ratio(num, den) -> SlopeValue:
     return SlopeValue(Fraction(num) / Fraction(den))
 
 
-def _ch1_vec(g: BaseGeometry, v: ChernVector) -> ChernVector:
-    return v.degree_part(1)
-
-
-def _ch2_vec(g: BaseGeometry, v: ChernVector) -> ChernVector:
-    return v.degree_part(2)
-
-
 def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
     """Evaluate a slope kind on a Chern vector."""
     tag = kind.tag
@@ -168,20 +161,20 @@ def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
 
     if tag is SlopeTag.MU_F:
         fiber = ChernVector(0, 0, g.zero_divisor(), g.zero_divisor(), 1, 0)
-        num = mul(g, fiber, _ch1_vec(g, v)).s
+        num = mul(g, fiber, v.degree_part(1)).s
         return _ratio(num, v.n)
 
     if tag is SlopeTag.MU_THETA_M:
         m = compute_m(g)
         theta_phb = ChernVector(0, 0, g.zero_divisor(), hb, m, 0)
-        num = mul(g, theta_phb, _ch1_vec(g, v)).s
+        num = mul(g, theta_phb, v.degree_part(1)).s
         return _ratio(num, v.n)
 
     if tag is SlopeTag.MU_OMEGA_B:
         tw = twist(g, v, kind.bfield)
         om = divisor_vector(g, kind.omega)
         om2 = mul(g, om, om)
-        num = mul(g, om2, _ch1_vec(g, tw)).s
+        num = mul(g, om2, tw.degree_part(1)).s
         return _ratio(num, tw.n)
 
     if tag is SlopeTag.NU_OMEGA_B:
@@ -189,31 +182,31 @@ def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
         om = divisor_vector(g, kind.omega)
         om2 = mul(g, om, om)
         om3 = mul(g, om2, om).s
-        num = mul(g, om, _ch2_vec(g, tw)).s - om3 * tw.n / 6
-        den = mul(g, om2, _ch1_vec(g, tw)).s
+        num = mul(g, om, tw.degree_part(2)).s - om3 * tw.n / 6
+        den = mul(g, om2, tw.degree_part(1)).s
         return _ratio(num, den)
 
     if tag is SlopeTag.MU_STAR:
         phb = ChernVector(0, 0, hb, g.zero_divisor(), 0, 0)
-        den = mul(g, phb, _ch2_vec(g, v)).s
+        den = mul(g, phb, v.degree_part(2)).s
         return _ratio(v.s, den)
 
     if tag is SlopeTag.MU_STAR_B:
         tw = twist(g, v, g.half_canonical_bfield())
         phb = ChernVector(0, 0, hb, g.zero_divisor(), 0, 0)
-        den = mul(g, phb, _ch2_vec(g, tw)).s
+        den = mul(g, phb, tw.degree_part(2)).s
         return _ratio(tw.s, den)
 
     if tag is SlopeTag.MU_BAR:
         tw = twist(g, v, DivisorX.pullback(kind.dbar))
         obar = divisor_vector(g, kind.omegabar)
-        den = mul(g, obar, _ch2_vec(g, tw)).s
+        den = mul(g, obar, tw.degree_part(2)).s
         return _ratio(tw.s, den)
 
     if tag in (SlopeTag.MU_PHB_PD, SlopeTag.MU_THETA_MPHB_PD, SlopeTag.MU_OMEGA_PD):
         tw = twist(g, v, DivisorX.pullback(kind.d))
-        ch1 = _ch1_vec(g, tw)
-        ch2 = _ch2_vec(g, tw)
+        ch1 = tw.degree_part(1)
+        ch2 = tw.degree_part(2)
         if tag is SlopeTag.MU_OMEGA_PD:
             om = divisor_vector(g, kind.omega)
             om2 = mul(g, om, om)
@@ -233,14 +226,3 @@ def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
 
     raise DomainError(f"unhandled slope kind {tag}")
 
-
-def is_fiber_numeric(g: BaseGeometry, v: ChernVector) -> bool:
-    """Whether a one-dimensional numeric class is supported on fibers.
-
-    Requires the one-dimensional shape n = x = 0, S = 0; the class is a
-    fiber class exactly when eta vanishes.  For classes with eta asserted
-    effective this agrees with the canonical twisted slope being infinite.
-    """
-    if v.n != 0 or v.x != 0 or not v.S.is_zero():
-        raise DomainError("fiber test requires a one-dimensional class (n = x = 0, S = 0)")
-    return v.eta.is_zero()

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import curves, fmt, verify
 from .asymptotics import ChargeKind, Side, charge_series, compare_phases, phase_limit
 from .curves import OneDimCurve, TiltCurve, solve_u
-from .charges import _flat_full_parts
+from .charges import ChargeValue, _flat_full_parts, in_full_half_plane
 from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair_h, twist
 
 
@@ -256,13 +256,15 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
     zd = DivisorB.zero(1)
 
     def flat_class(ratio: Fraction, d: DivisorB) -> ChernVector:
-        # reject classes whose charge vanishes identically for this (y, z, d);
-        # those lie outside the heart and have no phase.  At h = 0 the charge
-        # at the curve point (u, v) = (z/y, 1) is zero exactly then.
+        # At h = 0 the charge Z at the curve point (u, v) = (z/y, 1) fixes the
+        # charge along the whole curve: Re is constant and Im scales by 1/v.
+        # Reject classes with Z = 0, which have no phase, and reflect the
+        # rest into the heart's half plane, since Z(-v) = -Z(v).
         while True:
             v = ChernVector(0, 0, _rand_divisor(rng, 1), zd, _rand_q(rng), _rand_q(rng))
-            if any(_flat_full_parts(g, v, ratio, 1, d)):
-                return v
+            z = ChargeValue(*_flat_full_parts(g, v, ratio, 1, d))
+            if not z.is_zero():
+                return v if in_full_half_plane(z) else -v
 
     for i in range(cases):
         y = Fraction(rng.randint(1, 5))

@@ -52,7 +52,8 @@ _HEART_TAGS = (ClassTag.BL_HEART, ClassTag.BP_HEART)
 
 @dataclass(frozen=True)
 class NumericClass:
-    """A category label carried as a user assertion, with effectivity flags.
+    """A category label carried as a user assertion, with the divisor of a
+    BP heart.
 
     Only the numeric necessary conditions attached to the tag are ever
     machine-checked; the tag itself is taken on trust.
@@ -60,8 +61,6 @@ class NumericClass:
 
     tag: ClassTag
     d: DivisorB | None = None
-    s_effective: bool = False
-    eta_effective: bool = False
 
 
 def heart_necessary(

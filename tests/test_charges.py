@@ -10,7 +10,6 @@ from ellstab.charges import (
     _reduced_parts,
     full_charge,
     in_full_half_plane,
-    in_reduced_half_plane,
     onedim_transform_charge,
     reduced_charge,
 )
@@ -22,6 +21,12 @@ from ellstab.ring import ChernVector, DivisorB, DivisorX, pair
 from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
 from conftest import cv, d
+
+
+def in_reduced_half_plane(c) -> bool:
+    """Membership in the closed right-rotated half plane used with the
+    reduced charge: Re > 0, or Re = 0 with Im >= 0, or zero."""
+    return c.re > 0 or (c.re == 0 and c.im >= 0)
 
 
 class TestReducedCharge:

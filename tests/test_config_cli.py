@@ -2,6 +2,8 @@
 
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -19,7 +21,8 @@ from ellstab.config import (
     parse_config,
     parse_vector_literal,
 )
-from ellstab.ring import ChernVector, DivisorB
+from ellstab.ring import ChernVector, DivisorB, DivisorX
+from ellstab.slopes import SlopeKind, SlopeTag, slope
 
 SAMPLE = """
 # sample configuration
@@ -43,16 +46,12 @@ z = 1
 
 [object point]
 vector = 0 0 [0] [0] 0 1
-class = FIBER_SHEAF
 
 [object theta]
 vector = 0 1 [0] [0] 0 0
 
 [object curvecl]
 vector = 0 0 [0] [1] 0 1
-class = ONE_DIM
-eta-effective = true
-curve = flat1
 
 [defaults]
 precision = 64
@@ -101,6 +100,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigValidationError) as err:
             parse_config(text)
         assert "object.o.curve" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "key, value", [("class", "ONE_DIM"), ("eta-effective", "true"), ("s-effective", "true")]
+    )
+    def test_object_annotation_keys_rejected(self, key, value):
+        text = (
+            "[geometry]\nrank = 1\ngram = [[1]]\nhb = [1]\nh = 0\n"
+            f"[object o]\nvector = 0 0 [0] [0] 0 1\n{key} = {value}\n"
+        )
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(text)
+        assert f"object.o.{key}" in str(err.value)
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(ConfigParseError) as err:
@@ -188,6 +199,25 @@ class TestCli:
                             "verify", "--suite", "involution")
         assert code == 0
         assert "pass" in out
+
+    def test_readme_examples(self, tmp_path):
+        """Every command under the README's "Command line" runs against the
+        README's example config."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Command line"):]
+        ini = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        sh = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(ini)
+        commands = [shlex.split(line)[1:] for line in sh.splitlines() if line.startswith("ellstab ")]
+        assert len(commands) >= 9
+        for argv in commands:
+            argv = [str(cfg) if arg == "demo.cfg" else arg for arg in argv]
+            try:
+                code, _ = run_cli(*argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 0, argv
 
     def test_unknown_object_is_domain_error(self, cfg_path):
         code, _ = run_cli("--config", cfg_path, "transform", "--object", "nope")
@@ -292,3 +322,61 @@ class TestConfigDefaults:
         _, out = run_cli("--config", str(p), "--format", "records", "curve", "solve",
                          "--curve", "tilt1", "--v", "3")
         assert Fraction(1, 2**65) < self._bracket_width(out) <= Fraction(1, 2**64)
+
+
+def _x(g, theta, c):
+    return DivisorX(theta, g.hb_divisor.scale(c))
+
+
+d2 = DivisorB([2])
+
+
+# per slope kind: its CLI flags and the same kind built through the library
+SLOPE_CASES = {
+    SlopeTag.MU_F: ([], lambda g: SlopeKind.mu_f()),
+    SlopeTag.MU_THETA_M: ([], lambda g: SlopeKind.mu_theta_m()),
+    SlopeTag.MU_STAR: ([], lambda g: SlopeKind.mu_star()),
+    SlopeTag.MU_STAR_B: ([], lambda g: SlopeKind.mu_star_b()),
+    SlopeTag.MU_OMEGA_B: (
+        ["--u", "1/2", "--v", "3", "--b-theta", "1/3", "--b-base", "[2]"],
+        lambda g: SlopeKind.mu_omega_b(_x(g, Fraction(1, 2), 3), DivisorX(Fraction(1, 3), d2)),
+    ),
+    SlopeTag.NU_OMEGA_B: (
+        ["--u", "1/2", "--v", "3", "--b-theta", "1/3", "--b-base", "[2]"],
+        lambda g: SlopeKind.nu_omega_b(_x(g, Fraction(1, 2), 3), DivisorX(Fraction(1, 3), d2)),
+    ),
+    SlopeTag.MU_BAR: (
+        ["--y", "2", "--z", "3", "--dbar", "[2]"],
+        lambda g: SlopeKind.mu_bar(_x(g, 2, 3), d2),
+    ),
+    SlopeTag.MU_PHB_PD: (["--d", "[2]"], lambda g: SlopeKind.mu_phb_pd(d2)),
+    SlopeTag.MU_THETA_MPHB_PD: (["--d", "[2]"], lambda g: SlopeKind.mu_theta_mphb_pd(d2)),
+    SlopeTag.MU_OMEGA_PD: (
+        ["--u", "1", "--v", "2", "--d", "[2]"],
+        lambda g: SlopeKind.mu_omega_pd(_x(g, 1, 2), d2),
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", list(SlopeTag), ids=lambda t: t.value)
+def test_slope_kinds_through_cli(tmp_path, capsys, tag):
+    """Each slope kind prints the library's value, and a kind whose
+    parameters need rational flags names the first one missing."""
+    text = SAMPLE + "\n[object generic]\nvector = 2 1 [1] [3] 1/2 5/3\n"
+    path = tmp_path / "generic.cfg"
+    path.write_text(text)
+    cfg = parse_config(text)
+    flags, build = SLOPE_CASES[tag]
+    base = ["--config", str(path), "--format", "records", "slope", "--kind", tag.value,
+            "--object", "generic"]
+    code, out = run_cli(*base, *flags)
+    assert code == 0
+    expected = slope(cfg.geometry, build(cfg.geometry), cfg.objects["generic"].vector)
+    assert out.strip().splitlines()[1].split("\t")[2] == str(expected)
+
+    required = [i for i in range(0, len(flags), 2) if flags[i] in ("--u", "--v", "--y", "--z")]
+    if required:
+        last = required[-1]
+        code, out = run_cli(*base, *flags[:last], *flags[last + 2:])
+        assert code == 1
+        assert f"requires {flags[last]}" in capsys.readouterr().err

@@ -10,15 +10,20 @@ from ellstab.curves import (
     TiltCurve,
     chow_identity_check,
     chow_identity_symbolic_remainder,
+    _eval_poly2_series,
     constraint_poly,
     expand_u,
-    expansion_residual,
     solve_u,
 )
 from ellstab.errors import ComputationFault, ConfigurationError, CurveDomainError
 from ellstab.poly import Poly1, Poly2
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt
+
+
+def expansion_residual(c, order: int) -> LaurentSeries:
+    """Residual of the order-``order`` expansion inside the curve polynomial."""
+    return _eval_poly2_series(constraint_poly(c), expand_u(c, order))
 
 
 class TestConstraintPoly:

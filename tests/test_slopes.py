@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from ellstab.errors import ConfigurationError, DomainError
+from ellstab.errors import ConfigurationError
 from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, compute_m, pair
-from ellstab.slopes import SlopeKind, SlopeValue, is_fiber_numeric, slope
+from ellstab.slopes import SlopeKind, SlopeValue, slope
 from ellstab.suites import geometry_for, _rand_vector
 
 from conftest import cv, d
@@ -58,23 +58,13 @@ class TestComputeM:
 
 
 class TestFiberNumeric:
-    def test_fiber(self, g1):
-        assert is_fiber_numeric(g1, cv(0, 0, d(0), d(0), 1, 0))
-
-    def test_not_fiber(self, g1):
-        assert not is_fiber_numeric(g1, cv(0, 0, d(0), d(1), 0, 1))
-
-    def test_precondition(self, g1):
-        with pytest.raises(DomainError):
-            is_fiber_numeric(g1, cv(1, 0, d(0), d(0), 0, 0))
-
     def test_agrees_with_infinite_slope(self):
         rng = random.Random(8)
         g = geometry_for(Fraction(-1))
         for _ in range(1000):
             eta = d(Fraction(rng.randint(0, 4)))
             v = cv(0, 0, d(0), eta, Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
-            fiberish = is_fiber_numeric(g, v)
+            fiberish = v.eta.is_zero()
             infinite = slope(g, SlopeKind.mu_star_b(), v).is_infinite
             assert fiberish == infinite
 

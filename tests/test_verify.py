@@ -219,6 +219,12 @@ class TestH0Independence:
         n = cv(0, 0, d(2), d(0), -1, 3)
         assert h0_independence_check(g0, m, n, 2, 3, d(1), vsamples=(2, 10, 100))
 
+    @pytest.mark.parametrize("seed", [45, 387])
+    def test_suite_draws_only_classes_with_a_phase(self, seed):
+        # these seeds drew a class whose charge lies in the open third
+        # quadrant, where compare_phases has no phase to compare
+        assert suites.suite_h0(10, seed=seed).passed
+
 
 class TestTransformMap:
     def test_good_source(self, g0):
