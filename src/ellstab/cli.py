@@ -133,11 +133,26 @@ def cmd_twist(args, cfg: Config, out: _Output) -> int:
     return 0
 
 
+def _command(args) -> str:
+    """The command as typed, with its action or kind."""
+    if args.command == "curve":
+        return f"curve {args.action}"
+    return f"{args.command} --kind {args.kind}"
+
+
 def _rational_flag(args, name: str) -> Fraction:
     value = getattr(args, name)
     if value is None:
-        raise EllstabError(f"this slope kind requires --{name}")
+        raise EllstabError(f"{_command(args)} requires --{name}")
     return _fraction_arg(value)
+
+
+def _reject_unused_flags(args, parameters) -> None:
+    """Fail on a parameter flag that none of ``parameters`` reads."""
+    taken = {flag for p in parameters for flag in _PARAMETER_FLAGS[p]}
+    for flag in _ALL_PARAMETER_FLAGS:
+        if flag not in taken and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise EllstabError(f"{_command(args)} does not take {flag}")
 
 
 def _omega_from(cfg: Config, args) -> DivisorX:
@@ -166,6 +181,7 @@ _SLOPE_PARAMETER_BUILDERS = {
 
 def cmd_slope(args, cfg: Config, out: _Output) -> int:
     tag = SlopeTag(args.kind)
+    _reject_unused_flags(args, SLOPE_PARAMETERS[tag])
     kind = SlopeKind(
         tag, **{p: _SLOPE_PARAMETER_BUILDERS[p](cfg, args) for p in SLOPE_PARAMETERS[tag]}
     )
@@ -176,6 +192,7 @@ def cmd_slope(args, cfg: Config, out: _Output) -> int:
 
 
 def cmd_charge(args, cfg: Config, out: _Output) -> int:
+    _reject_unused_flags(args, _CHARGE_PARAMETERS[args.kind])
     v = _object(cfg, args.object)
     g = cfg.geometry
     if args.kind == "full":
@@ -301,8 +318,13 @@ def cmd_verify(args, cfg: Config | None, out: _Output) -> int:
     return 0 if all_passed else DOMAIN_EXIT
 
 
-# the parameter flags of ``slope`` and ``charge``
-_PARAMETER_FLAGS = ("--u", "--v", "--y", "--z", "--d", "--dbar", "--b-theta", "--b-base")
+# the flags of each slope parameter; ``slope`` and ``charge`` take those of
+# the parameters their kind reads
+_PARAMETER_FLAGS = {"omega": ("--u", "--v"), "omegabar": ("--y", "--z"), "d": ("--d",),
+                    "dbar": ("--dbar",), "bfield": ("--b-theta", "--b-base")}
+_ALL_PARAMETER_FLAGS = sum(_PARAMETER_FLAGS.values(), ())
+_CHARGE_PARAMETERS = {"full": ("omega", "bfield"), "reduced": ("omega",),
+                      "onedim": ("omega", "omegabar", "dbar")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slope", help="evaluate a slope function")
     p.add_argument("--kind", required=True, choices=sorted(t.value for t in SlopeTag))
     p.add_argument("--object", required=True)
-    for flag in _PARAMETER_FLAGS:
+    for flag in _ALL_PARAMETER_FLAGS:
         p.add_argument(flag, default=None)
 
     p = sub.add_parser("charge", help="evaluate a central charge")
     p.add_argument("--kind", required=True, choices=["reduced", "full", "onedim"])
     p.add_argument("--object", required=True)
-    for flag in _PARAMETER_FLAGS:
+    for flag in _ALL_PARAMETER_FLAGS:
         p.add_argument(flag, default=None)
 
     p = sub.add_parser("curve", help="solve, expand or check a constraint curve")

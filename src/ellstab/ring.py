@@ -170,6 +170,7 @@ class BaseGeometry:
     ``m0`` a seed constant with m0 > vprime and h + 2*m0 > 0.  The H data
     derived from them (``hb2`` = H.H, ``hb_divisor`` and the row ``hb_row``
     of hb * gram used by ``pair_h``) is computed once, at construction.
+    ``matrices`` starts empty; ``fmt`` keeps each transform's matrix there.
     """
 
     rank: int
@@ -181,6 +182,7 @@ class BaseGeometry:
     hb2: Fraction = field(init=False, compare=False, repr=False)
     hb_divisor: DivisorB = field(init=False, compare=False, repr=False)
     hb_row: tuple = field(init=False, compare=False, repr=False)
+    matrices: dict = field(init=False, compare=False, repr=False)
 
     def __init__(self, rank, gram, hb, h, vprime=0, m0=1):
         rank = int(rank)
@@ -216,6 +218,7 @@ class BaseGeometry:
         object.__setattr__(self, "hb_divisor", DivisorB(hb))
         # (hb * gram)_j, or None where every product hb_i * gram_ij is zero.
         object.__setattr__(self, "hb_row", _row(_nonzero(hb, True), gram))
+        object.__setattr__(self, "matrices", {})
 
     def half_canonical_bfield(self) -> DivisorX:
         """The distinguished twist -(1/2) * pull(K_base) = -(h/2) * pull(H)."""

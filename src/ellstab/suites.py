@@ -13,6 +13,7 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import curves, fmt, verify
 from .asymptotics import ChargeKind, Side, charge_series, compare_phases, phase_limit
@@ -39,7 +40,12 @@ class SuiteReport:
 
 
 def geometry_for(h, rank2: bool = False) -> BaseGeometry:
-    h = Fraction(h)
+    """One shared geometry per (h, rank2), so its transform matrices are reused."""
+    return _geometry(Fraction(h), bool(rank2))
+
+
+@lru_cache(maxsize=None)
+def _geometry(h: Fraction, rank2: bool) -> BaseGeometry:
     m0 = 1 if h + 2 > 0 else -h
     if rank2:
         return BaseGeometry(2, [[2, 1], [1, 3]], [1, 0], h, 0, m0)

@@ -380,3 +380,51 @@ def test_slope_kinds_through_cli(tmp_path, capsys, tag):
         code, out = run_cli(*base, *flags[:last], *flags[last + 2:])
         assert code == 1
         assert f"requires {flags[last]}" in capsys.readouterr().err
+
+
+# a value each parameter flag accepts
+FLAG_VALUES = {"--u": "1/2", "--v": "3", "--y": "2", "--z": "3", "--d": "[2]", "--dbar": "[2]",
+               "--b-theta": "1/3", "--b-base": "[2]"}
+CHARGE_FLAGS = {
+    "full": ("--u", "--v", "--b-theta", "--b-base"),
+    "reduced": ("--u", "--v"),
+    "onedim": ("--u", "--v", "--y", "--z", "--dbar"),
+}
+
+
+class TestFlagErrors:
+    """A missing flag names the command; a flag the command ignores is an error."""
+
+    def test_curve_solve_without_v_names_the_command(self, cfg_path, capsys):
+        code, _ = run_cli("--config", cfg_path, "curve", "solve", "--curve", "tilt1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "curve solve requires --v" in err and "slope" not in err
+
+    def test_reduced_charge_without_u_names_the_command(self, cfg_path, capsys):
+        code, _ = run_cli("--config", cfg_path, "charge", "--kind", "reduced", "--object", "point",
+                          "--v", "3")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "charge --kind reduced requires --u" in err and "slope" not in err
+
+    @pytest.mark.parametrize("tag", list(SlopeTag), ids=lambda t: t.value)
+    def test_slope_rejects_each_flag_its_kind_does_not_take(self, cfg_path, capsys, tag):
+        flags, _ = SLOPE_CASES[tag]
+        taken = set(flags[::2])
+        base = ["--config", cfg_path, "slope", "--kind", tag.value, "--object", "curvecl", *flags]
+        for flag in FLAG_VALUES.keys() - taken:
+            code, _ = run_cli(*base, flag, FLAG_VALUES[flag])
+            assert code == 1
+            assert f"slope --kind {tag.value} does not take {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(CHARGE_FLAGS))
+    def test_charge_takes_exactly_the_flags_of_its_kind(self, cfg_path, capsys, kind):
+        taken = [arg for flag in CHARGE_FLAGS[kind] for arg in (flag, FLAG_VALUES[flag])]
+        base = ["--config", cfg_path, "charge", "--kind", kind, "--object", "curvecl"]
+        code, _ = run_cli(*base, *taken)
+        assert code == 0
+        for flag in FLAG_VALUES.keys() - set(CHARGE_FLAGS[kind]):
+            code, _ = run_cli(*base, *taken, flag, FLAG_VALUES[flag])
+            assert code == 1
+            assert f"charge --kind {kind} does not take {flag}" in capsys.readouterr().err

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from ellstab.errors import DomainError
+from ellstab import fmt
+from ellstab.errors import DimensionError, DomainError
 from ellstab.fmt import fiber_swap_rule, phi, phi_hat
-from ellstab.ring import ChernVector, DivisorX, twist
+from ellstab.poly import Poly2
+from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, twist
 from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
 from conftest import cv, d
@@ -99,3 +101,91 @@ class TestSwapRule:
                     lhs = fiber_swap_rule(g, twist(g, w, DivisorX.pullback(dbar)))
                     rhs = twist(g, phi(g, w), DivisorX.pullback(dd))
                     assert lhs == rhs
+
+
+def _matrix_geometries():
+    """Fresh geometries, so each test builds their matrices itself: ranks 1
+    and 2 at five values of h, and a rank-2 lattice whose hb is no basis
+    vector."""
+    out = [BaseGeometry(r, gram, hb, h, 0, 1 if h + 2 > 0 else -h)
+           for h in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1, 3))
+           for r, gram, hb in ((1, [[1]], [1]), (2, [[2, 1], [1, 3]], [1, 0]))]
+    out.append(BaseGeometry(2, [[2, 3], [3, -1]], [1, 2], Fraction(-3, 2), 0, 1))
+    return out
+
+
+def _vectors(rng, rank):
+    z = DivisorB.zero(rank)
+    yield ChernVector.zero(rank)
+    yield ChernVector(3, -2, DivisorB(range(1, rank + 1)), z, 5, 0)
+    eta = DivisorB([Fraction(-5, 12)] * rank)
+    yield ChernVector(Fraction(1, 7), 0, z, eta, Fraction(9, 4), Fraction(1, 9))
+    for _ in range(40):
+        yield _rand_vector(rng, rank)
+
+
+def _shape(v):
+    return [(type(c), c) for c in v.coordinates()]
+
+
+class TestMatrixPath:
+    def test_equals_closed_forms_in_value_and_type(self):
+        rng = random.Random(8)
+        for g in _matrix_geometries():
+            for v in _vectors(rng, g.rank):
+                assert _shape(phi(g, v)) == _shape(fmt._phi(g, v))
+                assert _shape(phi_hat(g, v)) == _shape(fmt._phi_hat(g, v))
+            assert fmt._phi in g.matrices and fmt._phi_hat in g.matrices
+
+    def test_matrices_compose_to_minus_identity(self):
+        for g in _matrix_geometries():
+            dim = 2 * g.rank + 4
+            phi(g, ChernVector.zero(g.rank))
+            phi_hat(g, ChernVector.zero(g.rank))
+            dense = {}
+            for closed in (fmt._phi, fmt._phi_hat):
+                rows, den = g.matrices[closed]
+                m = [[Fraction(0)] * dim for _ in range(dim)]
+                for i, row in enumerate(rows):
+                    for j, entry in row:
+                        m[i][j] = Fraction(entry, den)
+                dense[closed] = m
+            for first, second in ((fmt._phi, fmt._phi_hat), (fmt._phi_hat, fmt._phi)):
+                a, b = dense[second], dense[first]
+                product = [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)]
+                           for i in range(dim)]
+                assert product == [[-int(i == j) for j in range(dim)] for i in range(dim)]
+
+    def test_poly2_coordinates_take_the_closed_form(self):
+        for g in _matrix_geometries():
+            z = DivisorB.zero(g.rank)
+            v = ChernVector(Poly2.u(), 1, DivisorB([Poly2.v()] * g.rank), z, Fraction(1, 2), 0)
+            assert _shape(phi(g, v)) == _shape(fmt._phi(g, v))
+            assert _shape(phi_hat(g, v)) == _shape(fmt._phi_hat(g, v))
+            assert not g.matrices
+
+    def test_rank_mismatch_raises(self):
+        g = BaseGeometry(1, [[1]], [1], -1)
+        for v in (ChernVector.zero(2), ChernVector(Poly2.u(), 0, DivisorB([0, 0]), DivisorB([0, 0]), 0, 0)):
+            for transform in (phi, phi_hat):
+                with pytest.raises(DimensionError):
+                    transform(g, v)
+
+    def test_matrix_is_built_without_the_public_transforms(self, monkeypatch):
+        """A traced call count of phi and phi_hat sees only the caller's calls."""
+        calls = []
+        for name in ("phi", "phi_hat"):
+            original = getattr(fmt, name)
+            monkeypatch.setattr(fmt, name, lambda g, v, f=original, n=name: calls.append(n) or f(g, v))
+        g = BaseGeometry(2, [[2, 3], [3, -1]], [1, 2], Fraction(-3, 2), 0, 1)
+        v = _rand_vector(random.Random(9), 2)
+        fmt.phi_hat(g, fmt.phi(g, v))
+        assert calls == ["phi", "phi_hat"]
+        assert set(g.matrices) == {fmt._phi, fmt._phi_hat}
+
+
+def test_geometry_for_shares_one_object_per_geometry():
+    assert geometry_for(0) is geometry_for(Fraction(0))
+    assert geometry_for(Fraction(1, 2), True) is geometry_for(Fraction(1, 2), rank2=True)
+    assert geometry_for(0) is not geometry_for(1)
+    assert geometry_for(0) is not geometry_for(0, rank2=True)
