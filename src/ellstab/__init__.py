@@ -5,6 +5,7 @@ elliptically fibered threefolds with a section."""
 from .asymptotics import (
     AsymptoticCharge,
     ChargeKind,
+    OrderKind,
     PhaseLimit,
     PhaseOrder,
     Side,
@@ -47,6 +48,7 @@ __all__ = [
     "DivisorX",
     "LaurentSeries",
     "OneDimCurve",
+    "OrderKind",
     "PhaseLimit",
     "PhaseOrder",
     "Side",

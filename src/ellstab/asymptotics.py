@@ -9,6 +9,8 @@ sign equals the sign of sin(pi (phi_N - phi_M)) pointwise, so a positive
 lead means M eventually has the smaller phase.  A cross series with no
 stored coefficients is reported as equal-through-order unless the data is
 exact, in which case the germs are genuinely proportional as stored.
+At finite parameters the cross value is a polynomial in (u, v) whose sign
+at each curve point is exact, zero included, with no refinement cap.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from fractions import Fraction
 
 from . import charges as charges_mod
 from .curves import CurveConstraint, constraint_poly, expand_u, solve_u
-from .errors import ComputationFault, ConfigurationError, DomainError
-from .poly import Poly2, RootInterval, count_roots, eval_interval, gcd, refine_root
+from .errors import ConfigurationError, DomainError
+from .poly import Poly2, RootInterval, sign_at_root
 from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX
 from .series import LaurentSeries
 
@@ -55,44 +57,32 @@ class AsymptoticCharge:
         return self.re.is_exact() and self.im.is_exact()
 
 
+class OrderKind(Enum):
+    PREC = "prec"
+    SUCC = "succ"
+    EQUAL_THROUGH_ORDER = "equal_through_order"
+    EXACT_EQUAL = "exact_equal"
+
+
 @dataclass(frozen=True)
 class PhaseOrder:
-    """Outcome of an asymptotic phase comparison.
+    """Outcome of an asymptotic phase comparison; the floor records how
+    deep a vanishing cross series was trusted (equal_through_order only)."""
 
-    ``kind`` is one of prec, succ, equal_through_order, exact_equal; the
-    floor records how deep a vanishing cross series was trusted.
-    """
-
-    kind: str
+    kind: OrderKind
     floor: int | None = None
-
-    @classmethod
-    def prec(cls) -> "PhaseOrder":
-        return cls("prec")
-
-    @classmethod
-    def succ(cls) -> "PhaseOrder":
-        return cls("succ")
-
-    @classmethod
-    def equal_through_order(cls, floor: int) -> "PhaseOrder":
-        return cls("equal_through_order", floor)
-
-    @classmethod
-    def exact_equal(cls) -> "PhaseOrder":
-        return cls("exact_equal")
 
     @property
     def is_prec(self) -> bool:
-        return self.kind == "prec"
+        return self.kind is OrderKind.PREC
 
     @property
     def is_succ(self) -> bool:
-        return self.kind == "succ"
+        return self.kind is OrderKind.SUCC
 
     @property
     def is_equalish(self) -> bool:
-        return self.kind in ("equal_through_order", "exact_equal")
+        return self.kind in (OrderKind.EQUAL_THROUGH_ORDER, OrderKind.EXACT_EQUAL)
 
 
 def charge_series(
@@ -199,25 +189,25 @@ def compare_phases(acm: AsymptoticCharge, acn: AsymptoticCharge) -> PhaseOrder:
     if acm.kind is not acn.kind:
         raise DomainError("cannot compare charges of different kinds")
     if acm == acn and acm.is_exact():
-        return PhaseOrder.exact_equal()
+        return PhaseOrder(OrderKind.EXACT_EQUAL)
     m_re, m_im = _with_zero_convention(acm)
     n_re, n_im = _with_zero_convention(acn)
     x = m_re * n_im - m_im * n_re
     lead = x.leading()
     if lead is not None:
-        return PhaseOrder.prec() if lead[1] > 0 else PhaseOrder.succ()
+        return PhaseOrder(OrderKind.PREC if lead[1] > 0 else OrderKind.SUCC)
     dot = m_re * n_re + m_im * n_im
     dot_lead = dot.leading()
     if dot_lead is not None and dot_lead[1] < 0:
         lm = phase_limit(AsymptoticCharge(m_re, m_im, acm.kind))
         ln = phase_limit(AsymptoticCharge(n_re, n_im, acn.kind))
         if lm.limit < ln.limit:
-            return PhaseOrder.prec()
+            return PhaseOrder(OrderKind.PREC)
         if lm.limit > ln.limit:
-            return PhaseOrder.succ()
+            return PhaseOrder(OrderKind.SUCC)
     if x.is_exact():
-        return PhaseOrder.exact_equal()
-    return PhaseOrder.equal_through_order(x.trunc)
+        return PhaseOrder(OrderKind.EXACT_EQUAL)
+    return PhaseOrder(OrderKind.EQUAL_THROUGH_ORDER, x.trunc)
 
 
 def compare_vectors(
@@ -233,11 +223,11 @@ def compare_vectors(
     cross series vanishes through the first truncation floor.  Identical
     vectors are exactly equal at once, with no series work."""
     if m == n:
-        return PhaseOrder.exact_equal()
+        return PhaseOrder(OrderKind.EXACT_EQUAL)
     first = compare_phases(
         charge_series(g, m, c, kind, order, d), charge_series(g, n, c, kind, order, d)
     )
-    if first.kind != "equal_through_order":
+    if first.kind is not OrderKind.EQUAL_THROUGH_ORDER:
         return first
     doubled = 2 * order
     return compare_phases(
@@ -260,7 +250,6 @@ def _charge_at_point(
     return charges_mod.full_charge(g, v, omega, bfield)
 
 
-SIGN_CHECKS = 128
 _SIGN_PRECISION = Fraction(1, 2**64)
 
 
@@ -279,31 +268,10 @@ def _cross_poly(
     return zm.re * zn.im - zm.im * zn.re
 
 
-def _cross_sign(cross: Poly2, c: CurveConstraint, vpar, precision: Fraction) -> int:
-    """Certified sign of the cross polynomial at the curve point over vpar."""
-    root = solve_u(c, vpar, precision)
-    if root.exact:
-        val = cross.eval(root.lo, vpar)
-        return 0 if val == 0 else (1 if val > 0 else -1)
-
-    at_v = cross.eval_v(vpar)
-    if at_v.is_zero():
-        return 0
-    curve_poly = constraint_poly(c).eval_v(vpar)
-    common = gcd(at_v, curve_poly)
-    if common.degree >= 1:
-        sub = common.squarefree()
-        if count_roots(sub, root.lo, root.hi) >= 1 or sub(root.lo) == 0:
-            return 0
-    iv = root
-    for _ in range(SIGN_CHECKS):
-        lo, hi = eval_interval(at_v, iv)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        iv = refine_root(curve_poly, iv, iv.width / 4)
-    raise ComputationFault(f"cross value sign still open after {SIGN_CHECKS} checks at v = {vpar}")
+def _cross_sign(cross: Poly2, c: CurveConstraint, vpar) -> int:
+    """Exact sign of the cross polynomial at the curve point over vpar."""
+    root = solve_u(c, vpar, _SIGN_PRECISION)
+    return sign_at_root(cross.eval_v(vpar), constraint_poly(c).eval_v(vpar), root)
 
 
 def cross_sign_at(
@@ -314,20 +282,15 @@ def cross_sign_at(
     kind: ChargeKind,
     vpar,
     d: DivisorB | None = None,
-    precision: Fraction = _SIGN_PRECISION,
 ) -> int:
-    """Certified sign of the exact cross value at a finite curve point.
+    """Exact sign of the cross value at a finite curve point, zero included.
 
-    The cross value is built as a polynomial in (u, v).  At rational curve
-    points its sign is computed exactly; at algebraic points it is a
-    univariate polynomial in u whose sign at the bracketed root is certified
-    by interval refinement, with an exact zero detected through a common
-    factor with the curve polynomial.  The sign is checked at most
-    ``SIGN_CHECKS`` times, each time on a bracket four times narrower; if it
-    is still open, the zero detection has missed a zero and
-    ``ComputationFault`` is raised.
+    The cross value is built as a polynomial in (u, v).  At v = vpar it is
+    a polynomial q in u, and u is the root of the curve polynomial p that
+    ``solve_u`` brackets (to width 2^-64, or exactly at a rational root);
+    ``poly.sign_at_root(q, p, bracket)`` gives the sign of q there.
     """
-    return _cross_sign(_cross_poly(g, m, n, kind, d), c, vpar, precision)
+    return _cross_sign(_cross_poly(g, m, n, kind, d), c, vpar)
 
 
 @dataclass(frozen=True)
@@ -350,10 +313,12 @@ def wall_scan(
     """Sign-change brackets of the exact cross value over a finite v range.
 
     The cross value is built once as a polynomial in (u, v); the range is
-    sampled on a uniform rational grid, and adjacent samples with certified
+    sampled on a uniform rational grid, and adjacent samples with exact
     opposite signs (as ``cross_sign_at`` gives them) are bisected down to
-    ``precision``.  A cross value that vanishes at every sample is reported
-    as degenerate with no walls rather than as a wall everywhere.
+    ``precision``.  Zero samples between opposite signs are one wall, from
+    the first to the last of them.  A cross value that vanishes at every
+    sample is reported as degenerate with no walls rather than as a wall
+    everywhere.
     """
     lo, hi = Fraction(vrange[0]), Fraction(vrange[1])
     if not (0 < lo < hi):
@@ -362,37 +327,26 @@ def wall_scan(
         raise DomainError("wall scan needs at least two samples")
     cross = _cross_poly(g, m, n, kind, d)
     grid = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
-    signs = [_cross_sign(cross, c, vv, _SIGN_PRECISION) for vv in grid]
-    if all(sg == 0 for sg in signs):
+    signs = [_cross_sign(cross, c, vv) for vv in grid]
+    nonzero = [k for k, sg in enumerate(signs) if sg]
+    if not nonzero:
         return WallScanResult((), True)
 
     walls = []
-    k = 0
-    while k < samples:
-        s1, s2 = signs[k], signs[k + 1]
-        if s1 == 0:
-            k += 1
+    for i, j in zip(nonzero, nonzero[1:]):
+        s1 = signs[i]
+        if s1 * signs[j] > 0:
             continue
-        if s2 == 0:
-            j = k + 1
-            while j <= samples and signs[j] == 0:
-                j += 1
-            if j <= samples and signs[j] * s1 < 0:
-                walls.append(RootInterval(grid[k + 1], grid[j - 1]))
-            k = j
+        if j > i + 1:  # the zero samples between opposite signs
+            walls.append(RootInterval(grid[i + 1], grid[j - 1]))
             continue
-        if s1 * s2 < 0:
-            a, b = grid[k], grid[k + 1]
-            while b - a > precision:
-                mid = (a + b) / 2
-                sm = _cross_sign(cross, c, mid, _SIGN_PRECISION)
-                if sm == 0:
-                    a = b = mid
-                    break
-                if sm == s1:
-                    a = mid
-                else:
-                    b = mid
-            walls.append(RootInterval(a, b))
-        k += 1
+        a, b = grid[i], grid[j]
+        while b - a > precision:
+            mid = (a + b) / 2
+            sm = _cross_sign(cross, c, mid)
+            if sm == 0:
+                a = b = mid
+                break
+            a, b = (mid, b) if sm == s1 else (a, mid)
+        walls.append(RootInterval(a, b))
     return WallScanResult(tuple(walls), False)

@@ -147,12 +147,16 @@ def _rational_flag(args, name: str) -> Fraction:
     return _fraction_arg(value)
 
 
-def _reject_unused_flags(args, parameters) -> None:
-    """Fail on a parameter flag that none of ``parameters`` reads."""
-    taken = {flag for p in parameters for flag in _PARAMETER_FLAGS[p]}
-    for flag in _ALL_PARAMETER_FLAGS:
+def _reject_unused_flags(args, taken, offered=None) -> None:
+    """Fail on a flag of ``offered`` (every parameter flag by default) that
+    is set but not in ``taken``."""
+    for flag in _ALL_PARAMETER_FLAGS if offered is None else offered:
         if flag not in taken and getattr(args, flag[2:].replace("-", "_")) is not None:
             raise EllstabError(f"{_command(args)} does not take {flag}")
+
+
+def _flags_of(parameters) -> tuple[str, ...]:
+    return sum((_PARAMETER_FLAGS[p] for p in parameters), ())
 
 
 def _omega_from(cfg: Config, args) -> DivisorX:
@@ -181,7 +185,7 @@ _SLOPE_PARAMETER_BUILDERS = {
 
 def cmd_slope(args, cfg: Config, out: _Output) -> int:
     tag = SlopeTag(args.kind)
-    _reject_unused_flags(args, SLOPE_PARAMETERS[tag])
+    _reject_unused_flags(args, _flags_of(SLOPE_PARAMETERS[tag]))
     kind = SlopeKind(
         tag, **{p: _SLOPE_PARAMETER_BUILDERS[p](cfg, args) for p in SLOPE_PARAMETERS[tag]}
     )
@@ -192,7 +196,7 @@ def cmd_slope(args, cfg: Config, out: _Output) -> int:
 
 
 def cmd_charge(args, cfg: Config, out: _Output) -> int:
-    _reject_unused_flags(args, _CHARGE_PARAMETERS[args.kind])
+    _reject_unused_flags(args, _flags_of(_CHARGE_PARAMETERS[args.kind]))
     v = _object(cfg, args.object)
     g = cfg.geometry
     if args.kind == "full":
@@ -212,6 +216,7 @@ def cmd_charge(args, cfg: Config, out: _Output) -> int:
 
 
 def cmd_curve(args, cfg: Config, out: _Output) -> int:
+    _reject_unused_flags(args, _CURVE_FLAGS[args.action], ("--u", "--v"))
     c = _curve(cfg, args.curve)
     g = cfg.geometry
     if args.action == "solve":
@@ -275,7 +280,7 @@ def cmd_compare(args, cfg: Config, out: _Output) -> int:
     verdict = compare_vectors(
         cfg.geometry, m, n, c, ChargeKind(args.kind), args.order, _divisor_arg(cfg, args.d)
     )
-    row = [names[0], names[1], args.curve, verdict.kind,
+    row = [names[0], names[1], args.curve, verdict.kind.value,
            "" if verdict.floor is None else str(verdict.floor)]
     out.emit(["first", "second", "curve", "verdict", "floor"], [row])
     return 0
@@ -322,9 +327,16 @@ def cmd_verify(args, cfg: Config | None, out: _Output) -> int:
 # the parameters their kind reads
 _PARAMETER_FLAGS = {"omega": ("--u", "--v"), "omegabar": ("--y", "--z"), "d": ("--d",),
                     "dbar": ("--dbar",), "bfield": ("--b-theta", "--b-base")}
-_ALL_PARAMETER_FLAGS = sum(_PARAMETER_FLAGS.values(), ())
+_ALL_PARAMETER_FLAGS = _flags_of(_PARAMETER_FLAGS)
 _CHARGE_PARAMETERS = {"full": ("omega", "bfield"), "reduced": ("omega",),
                       "onedim": ("omega", "omegabar", "dbar")}
+_CURVE_FLAGS = {"solve": ("--v",), "expand": (), "check": ("--u", "--v")}
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["table", "records"], default="table")
     # Run parameters default to None so that _resolve_defaults can tell an
     # explicit flag from an omitted one.
-    parser.add_argument("--precision", type=int, default=None, help="precision in bits")
+    parser.add_argument("--precision", type=_positive_int, default=None, help="precision in bits")
     parser.add_argument("--order", type=int, default=None, help="series truncation order")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--cases", type=int, default=None)
+    parser.add_argument("--cases", type=_positive_int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="apply a transform to an object")

@@ -55,6 +55,8 @@ _RUN_PARAMETERS = (
     ("cases", "cases"),
     ("seed", "seed"),
 )
+# the run parameters that must be positive (the CLI flags check the same)
+_POSITIVE_RUN_PARAMETERS = ("precision", "cases")
 
 
 # each curve kind's class and its parameter keys, in constructor order
@@ -76,8 +78,12 @@ def _parse_fraction(text: str, line: int) -> Fraction:
         raise ConfigParseError(line, f"expected a rational, got {text!r}")
 
 
-def _parse_int(text: str, line: int) -> int:
-    return int(_parse_fraction(text, line))
+def _parse_int(text: str, line: int, path: str, positive: bool = False) -> int:
+    value = _parse_fraction(text, line)
+    if value.denominator != 1 or (positive and value <= 0):
+        want = "a positive integer" if positive else "an integer"
+        raise ConfigValidationError(path, f"expected {want}, got {value} (line {line})")
+    return int(value)
 
 
 def _split_top_level(text: str, line: int, sep: str | None = None) -> list[str]:
@@ -172,7 +178,7 @@ def parse_config(text: str) -> Config:
 
         if kind == "geometry":
             value, line = _take(entries, "rank", "geometry")
-            rank = _parse_int(value, line)
+            rank = _parse_int(value, line, "geometry.rank")
             value, line = _take(entries, "gram", "geometry")
             gram = _parse_matrix(value, line)
             value, line = _take(entries, "hb", "geometry")
@@ -213,7 +219,10 @@ def parse_config(text: str) -> Config:
 
         if kind == "defaults":
             for key, attr in _RUN_PARAMETERS:
-                setattr(defaults, attr, _optional(entries, key, _parse_int, getattr(defaults, attr)))
+                if key in entries:
+                    value, line = entries.pop(key)
+                    positive = key in _POSITIVE_RUN_PARAMETERS
+                    setattr(defaults, attr, _parse_int(value, line, f"defaults.{key}", positive))
             _reject_extras(entries, "defaults")
             continue
 

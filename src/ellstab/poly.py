@@ -151,8 +151,10 @@ def gcd(a: Poly1, b: Poly1) -> Poly1:
     return a / a.c[-1]
 
 
-def sturm_chain(p: Poly1) -> list[Poly1]:
-    chain = [p, p.derivative()]
+def sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[Poly1]:
+    """p, then ``second`` (p' by default), then each negated remainder of
+    the last two: the signed remainder sequence, nonzero terms only."""
+    chain = [p, p.derivative() if second is None else second]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         _, r = chain[-2].divmod(chain[-1])
         if r.is_zero():
@@ -175,6 +177,18 @@ def count_roots(p: Poly1, lo: Fraction, hi: Fraction, chain=None) -> int:
     if chain is None:
         chain = sturm_chain(p.squarefree())
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+
+
+def sign_at_root(q: Poly1, p: Poly1, bracket: RootInterval) -> int:
+    """Exact sign of q at the one root of p in a bracket: lo itself when the
+    bracket is exact, else the one root inside ends that are not roots of p.
+    Sturm-Tarski: across (lo, hi) the sign variations of the signed
+    remainders of p and p' q (mod p) drop by the sum of sign q(x) over the
+    distinct roots x of p there."""
+    if bracket.exact:
+        return _sign(q(bracket.lo))
+    chain = sturm_chain(p, (p.derivative() * q.divmod(p)[1]).divmod(p)[1])
+    return _sign_variations(chain, bracket.lo) - _sign_variations(chain, bracket.hi)
 
 
 @dataclass(frozen=True)

@@ -285,7 +285,7 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
             charge_series(g, m, curve, ChargeKind.FULL, order, d),
             charge_series(g, n, curve, ChargeKind.FULL, order, d),
         )
-        report.verdicts.append(f"{i}:{verdict.kind}")
+        report.verdicts.append(f"{i}:{verdict.kind.value}")
     return report
 
 

@@ -9,6 +9,7 @@ import pytest
 from ellstab import asymptotics
 from ellstab.asymptotics import (
     ChargeKind,
+    OrderKind,
     PhaseOrder,
     Side,
     charge_series,
@@ -20,7 +21,7 @@ from ellstab.asymptotics import (
     wall_scan,
 )
 from ellstab.curves import OneDimCurve, TiltCurve, expand_u, solve_u
-from ellstab.errors import ComputationFault, ConfigurationError, DomainError
+from ellstab.errors import ConfigurationError, DomainError
 from ellstab.fmt import phi
 from ellstab.poly import RootInterval
 from ellstab.ring import ChernVector, pair, pair_h
@@ -199,7 +200,7 @@ class TestComparePhases:
     def test_self_compare_exact_equal(self, g0):
         c0 = OneDimCurve(0, 1, 1)
         ac = charge_series(g0, cv(0, 0, d(1), d(0), 1, 1), c0, ChargeKind.FULL, 8, d(0))
-        assert compare_phases(ac, ac).kind == "exact_equal"
+        assert compare_phases(ac, ac).kind is OrderKind.EXACT_EQUAL
 
     def test_identical_truncated_germs_equal_through_order(self):
         """Identical truncated germs are equal only through the cross
@@ -210,8 +211,8 @@ class TestComparePhases:
         ac = charge_series(g, m, c, ChargeKind.REDUCED, 8)
         assert not ac.is_exact()
         floor = cross_series(ac, ac).trunc
-        assert compare_phases(ac, ac) == PhaseOrder.equal_through_order(floor)
-        assert compare_vectors(g, m, m, c, ChargeKind.REDUCED, 8) == PhaseOrder.exact_equal()
+        assert compare_phases(ac, ac) == PhaseOrder(OrderKind.EQUAL_THROUGH_ORDER, floor)
+        assert compare_vectors(g, m, m, c, ChargeKind.REDUCED, 8) == PhaseOrder(OrderKind.EXACT_EQUAL)
 
     def test_identical_vectors_skip_series_work(self, monkeypatch):
         def no_series(*args):
@@ -221,7 +222,7 @@ class TestComparePhases:
         g = geometry_for(-1)
         m = cv(1, 2, d(1), d(0), 1, 1)
         verdict = compare_vectors(g, m, m.scale(1), TiltCurve(-1, 1, 2), ChargeKind.REDUCED, 8)
-        assert verdict.kind == "exact_equal"
+        assert verdict.kind is OrderKind.EXACT_EQUAL
 
     def test_extreme_limits_order(self, g0):
         c0 = OneDimCurve(0, 1, 1)
@@ -235,7 +236,7 @@ class TestComparePhases:
         m = cv(0, 0, d(1), d(0), 1, 1)
         acm = charge_series(g0, m, c0, ChargeKind.FULL, 8, d(0))
         acn = charge_series(g0, m.scale(2), c0, ChargeKind.FULL, 8, d(0))
-        assert compare_phases(acm, acn).kind == "exact_equal"
+        assert compare_phases(acm, acn).kind is OrderKind.EXACT_EQUAL
 
     def test_proportional_truncated_series_equal_through_order(self):
         g = geometry_for(-1)
@@ -244,7 +245,7 @@ class TestComparePhases:
         acm = charge_series(g, m, c, ChargeKind.REDUCED, 8)
         acn = charge_series(g, m.scale(3), c, ChargeKind.REDUCED, 8)
         verdict = compare_phases(acm, acn)
-        assert verdict.kind == "equal_through_order"
+        assert verdict.kind is OrderKind.EQUAL_THROUGH_ORDER
 
     def test_reduced_zero_charge_takes_half_phase(self, g1):
         c = TiltCurve(-1, 1, 2)
@@ -438,15 +439,23 @@ class TestCrossPolynomial:
         assert res.walls == (RootInterval(Fraction(2), Fraction(2)),)
 
 
-class TestCrossSignCap:
-    def test_open_sign_raises_instead_of_hanging(self, monkeypatch):
-        """If interval refinement never settles the sign, as after a missed
-        exact zero, the bounded loop raises instead of running forever."""
+class TestCrossSignExact:
+    def test_sign_at_an_algebraic_point(self):
+        """The Sturm-Tarski query gives the sign the point charges give at
+        both ends of the curve bracket."""
         g = geometry_for(-1)
         c = OneDimCurve(-1, 1, 2)
         m = cv(0, 0, d(1), d(1), 1, 0)
         n = cv(0, 0, d(1), d(2), 5, -1)
+        assert not solve_u(c, Fraction(3), Fraction(1, 2**64)).exact
         assert cross_sign_at(g, m, n, c, ChargeKind.FULL, Fraction(3), d(0)) == 1
-        monkeypatch.setattr(asymptotics, "eval_interval", lambda p, iv: (Fraction(-1), Fraction(1)))
-        with pytest.raises(ComputationFault):
-            cross_sign_at(g, m, n, c, ChargeKind.FULL, Fraction(3), d(0))
+        assert _pointwise_sign(g, m, n, c, ChargeKind.FULL, Fraction(3), d(0)) == 1
+
+    @pytest.mark.parametrize("h", [Fraction(-1), Fraction(1, 2)])
+    def test_proportional_pair_is_zero_at_algebraic_points(self, h):
+        g = geometry_for(h)
+        c = TiltCurve(h, 1, 2)
+        m = cv(1, Fraction(1, 2), d(2), d(-1), 3, Fraction(1, 3))
+        for vpar in (Fraction(3), Fraction(7, 2), Fraction(40)):
+            assert not solve_u(c, vpar, Fraction(1, 2**64)).exact
+            assert cross_sign_at(g, m, m.scale(-3), c, ChargeKind.REDUCED, vpar) == 0

@@ -392,6 +392,9 @@ CHARGE_FLAGS = {
 }
 
 
+CURVE_FLAGS = {"solve": ("--v",), "expand": (), "check": ("--u", "--v")}
+
+
 class TestFlagErrors:
     """A missing flag names the command; a flag the command ignores is an error."""
 
@@ -428,3 +431,58 @@ class TestFlagErrors:
             code, _ = run_cli(*base, *taken, flag, FLAG_VALUES[flag])
             assert code == 1
             assert f"charge --kind {kind} does not take {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", sorted(CURVE_FLAGS))
+    def test_curve_takes_exactly_the_flags_of_its_action(self, cfg_path, capsys, action):
+        values = {"--u": "1/2", "--v": "4"}  # on tilt1 at h = 0, where u v = 2
+        taken = [arg for flag in CURVE_FLAGS[action] for arg in (flag, values[flag])]
+        base = ["--config", cfg_path, "curve", action, "--curve", "tilt1"]
+        code, _ = run_cli(*base, *taken)
+        assert code == 0
+        for flag in values.keys() - set(CURVE_FLAGS[action]):
+            code, _ = run_cli(*base, *taken, flag, values[flag])
+            assert code == 1
+            assert f"curve {action} does not take {flag}" in capsys.readouterr().err
+
+
+class TestRunParameters:
+    """precision and cases are positive, and integer keys are integral: a bad
+    flag is a usage error, a bad config key a validation error naming it."""
+
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    @pytest.mark.parametrize("command", [
+        ["curve", "solve", "--curve", "tilt1", "--v", "3"],
+        ["wall-scan", "--objects", "point,curvecl", "--curve", "flat1", "--kind", "full",
+         "--vmin", "1", "--vmax", "10"],
+    ])
+    def test_nonpositive_precision_flag(self, cfg_path, capsys, value, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", cfg_path, "--precision", value, *command)
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_cases_flag(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--cases", value, "verify", "--suite", "swap")
+        assert exc.value.code == 2
+        assert "--cases" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("defaults", "precision", "-3"),
+        ("defaults", "precision", "0"),
+        ("defaults", "cases", "0"),
+        ("defaults", "order", "17/2"),
+        ("defaults", "seed", "1/3"),
+        ("geometry", "rank", "3/2"),
+    ])
+    def test_bad_integer_key(self, tmp_path, capsys, section, key, value):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", SAMPLE)
+        with pytest.raises(ConfigValidationError) as exc:
+            parse_config(text)
+        assert exc.value.path == f"{section}.{key}"
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        code, _ = run_cli("--config", str(p), "transform", "--object", "point")
+        assert code == 1
+        assert f"{section}.{key}" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from ellstab.poly import (
     count_roots,
     isolate_positive_roots,
     refine_root,
+    sign_at_root,
     sturm_chain,
 )
 
@@ -194,3 +195,69 @@ def test_brackets_against_sympy(p, bits):
         else:
             assert oracle.count_roots(_rat(r.lo), _rat(r.hi)) == 1
     assert [refine_root(p, r, precision) for r in isolate_positive_roots(p, UNREFINED)] == got
+
+
+def _sympy_sign_at_root(q: Poly1, p: Poly1, bracket: RootInterval) -> int:
+    """Sign of q at the root of p in the bracket, by sympy: zero when
+    gcd(p, q) has a root in the bracket, else read off a 100-digit value."""
+    oracle_p = sympy.Poly([_rat(a) for a in reversed(p.c)] or [0], _X)
+    oracle_q = sympy.Poly([_rat(a) for a in reversed(q.c)] or [0], _X)
+    lo, hi = _rat(bracket.lo), _rat(bracket.hi)
+    common = sympy.gcd(oracle_p, oracle_q)
+    if common.degree() >= 1 and common.count_roots(lo, hi) >= 1:
+        return 0
+    (root,) = [r for r in oracle_p.sqf_part().real_roots() if lo <= r <= hi]
+    value = oracle_q.as_expr().subs(_X, root).evalf(100)
+    return 1 if value > 0 else -1
+
+
+def _brackets(p: Poly1, rng: random.Random) -> list[RootInterval]:
+    return isolate_positive_roots(p, Fraction(1, 2 ** rng.choice([1, 8, 64])))
+
+
+class TestSignAtRoot:
+    """The Sturm-Tarski sign query against sympy."""
+
+    def test_random_polynomials(self):
+        rng = random.Random(31)
+        checked = 0
+        while checked < 120:
+            p = Poly1([rng.randint(-9, 9) for _ in range(rng.randint(3, 5))])
+            if p.degree < 2:
+                continue
+            if rng.random() < 0.2:
+                p = p * p  # not squarefree: signs at distinct roots are still exact
+            for bracket in _brackets(p, rng):
+                q = Poly1([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                           for _ in range(rng.randint(1, 5))])
+                assert sign_at_root(q, p, bracket) == _sympy_sign_at_root(q, p, bracket)
+                checked += 1
+
+    def test_common_factor_zero_and_constant(self):
+        rng = random.Random(32)
+        for _ in range(20):
+            factor = Poly1([-rng.randint(1, 30), 0, 1])  # x^2 - k
+            other = Poly1([rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 3)])
+            p = factor * Poly1([-rng.randint(1, 9), 1])
+            q = factor * other
+            const = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+            for bracket in _brackets(p, rng):
+                want_zero = factor(bracket.lo) * factor(bracket.hi) < 0 or factor(bracket.lo) == 0
+                assert sign_at_root(q, p, bracket) == _sympy_sign_at_root(q, p, bracket)
+                if want_zero:
+                    assert sign_at_root(q, p, bracket) == 0
+                assert sign_at_root(Poly1([]), p, bracket) == 0
+                assert sign_at_root(Poly1([const]), p, bracket) == (1 if const > 0 else -1)
+
+    def test_root_of_q_just_outside_the_bracket(self):
+        """q vanishes 2^-90 beyond either end, so q is tiny at the root of p
+        and an interval enclosure over the bracket straddles zero."""
+        p = Poly1([-2, 0, 1])
+        (bracket,) = isolate_positive_roots(p, Fraction(1, 2**64))
+        tiny = Fraction(1, 2**90)
+        above = Poly1([-(bracket.hi + tiny), 1])  # negative at sqrt 2
+        below = Poly1([bracket.lo - tiny, -1])  # negative at sqrt 2 as well
+        for q in (above, below, -above, -below, above * below):
+            assert sign_at_root(q, p, bracket) == _sympy_sign_at_root(q, p, bracket)
+        assert sign_at_root(above, p, bracket) == -1
+        assert sign_at_root(-below, p, bracket) == 1
