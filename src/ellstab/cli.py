@@ -26,7 +26,7 @@ from .config import (
     format_vector,
     parse_config,
 )
-from .curves import TiltCurve, constraint_poly, expand_u, solve_u
+from .curves import TiltCurve, chow_identity_check, constraint_poly, expand_u, solve_u
 from .errors import EllstabError
 from .fmt import fiber_swap_rule, phi, phi_hat
 from .poly import RootInterval
@@ -231,8 +231,6 @@ def cmd_curve(args, cfg: Config, out: _Output) -> int:
         return 0
     u, vpar = _rational_flag(args, "u"), _rational_flag(args, "v")
     if isinstance(c, TiltCurve):
-        from .curves import chow_identity_check
-
         ok = chow_identity_check(g, c, u, vpar)
     else:
         ok = constraint_poly(c).eval(u, vpar) == 0

@@ -191,7 +191,7 @@ def parse_config(text: str) -> Config:
             try:
                 geometry = BaseGeometry(rank, gram, hb, h, vprime, m0)
             except ConfigurationError as exc:
-                raise ConfigValidationError(str(exc).split(":")[0], str(exc)) from exc
+                raise ConfigValidationError(*str(exc).split(": ", 1)) from exc
             continue
 
         if kind == "curve":

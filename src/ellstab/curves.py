@@ -8,12 +8,14 @@ one u*Theta + v*pull(H) through
 the one-dimensional curve is h + z/y = (1/2) u (hu + 2v).  Both are handled
 through their cross-multiplied polynomial forms.  Root finding is Sturm
 isolation plus dyadic bisection on the sign of the curve polynomial,
-evaluated exactly in integers; the expansion of u as a Laurent series in
-1/v is obtained by reverting the polynomial term by term, each step
-cancelling the current leading residual.  The reversion runs on a series
-truncated at the requested order from its first term, evaluates the curve
-polynomial by Horner's rule in u, and divides by the derivative's leading
-term, computed once.
+evaluated exactly in integers; the curve point over v is the smallest
+positive root, by proof.  The cycle identity behind the tilt curve is
+decided exactly, at algebraic points by one Sturm-Tarski query.  The
+expansion of u as a Laurent series in 1/v is obtained by reverting the
+polynomial term by term, each step cancelling the current leading residual.
+The reversion runs on a series truncated at the requested order from its
+first term, evaluates the curve polynomial by Horner's rule in u, and
+divides by the derivative's leading term, computed once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ComputationFault, ConfigurationError, CurveDomainError
-from .poly import Poly2, RootInterval, eval_interval, isolate_positive_roots, reduce_mod_u
+from .poly import (
+    Poly2,
+    RootInterval,
+    count_roots,
+    isolate_positive_roots,
+    reduce_mod_u,
+    sign_at_root,
+)
 from .ring import BaseGeometry, ChernVector, DivisorX, _q, divisor_vector, mul
 from .series import LaurentSeries
 
@@ -102,12 +111,17 @@ def constraint_poly(c: CurveConstraint) -> Poly2:
 
 
 def solve_u(c: CurveConstraint, vpar, precision) -> RootInterval:
-    """The admissible positive root u of the curve at a fixed v.
+    """The curve's admissible root u at a fixed v: its smallest positive root.
 
     Exact rational roots are returned with a collapsed interval; otherwise
     the root is bracketed by a certified sign-change interval no wider than
-    ``precision``.  Among several positive roots the one with u*vpar
-    closest to the curve's first expansion coefficient is chosen.
+    ``precision``.  For h != 0, w = hu + v turns the tilt curve into
+    w^3 - (6h beta/alpha) w = v^3, and u > 0 is w < v (h < 0) or w > v
+    (h > 0).  For h < 0 the left side is increasing and exceeds v^3 at
+    w = v; for h > 0 it is convex on w > 0 and below v^3 at w = v.  Either
+    way the tilt curve has exactly one positive root.  The one-dimensional
+    curve's admissible root, 2q/(v + sqrt(v^2 + 2hq)), is its smaller
+    positive root (for h < 0 the other is 2q/(v - sqrt(v^2 + 2hq))).
     """
     vpar = _q(vpar)
     precision = _q(precision)
@@ -120,13 +134,10 @@ def solve_u(c: CurveConstraint, vpar, precision) -> RootInterval:
         root = c.leading_coefficient / vpar
         return RootInterval(root, root)
 
-    p = constraint_poly(c).eval_v(vpar)
-    roots = isolate_positive_roots(p, precision)
+    roots = isolate_positive_roots(constraint_poly(c).eval_v(vpar), precision)
     if not roots:
         raise CurveDomainError(f"no positive root on the curve at vpar = {vpar}")
-    u1 = c.leading_coefficient
-    best = min(roots, key=lambda r: abs(r.midpoint * vpar - u1))
-    return best
+    return roots[0]
 
 
 def expand_u(c: CurveConstraint, order: int) -> LaurentSeries:
@@ -229,24 +240,24 @@ def _symbolic_difference_parts(g: BaseGeometry, c: TiltCurve) -> list[Poly2]:
     return parts
 
 
-def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar, tol=None) -> bool:
+def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
     """Whether the degree-two cycle identity behind the curve holds at (u, vpar).
 
-    For rational u the two cycles are compared exactly, so the result is
-    True precisely on zeros of the constraint polynomial.  For a bracketed
-    algebraic u every component of the difference is enclosed by interval
-    arithmetic and compared against ``tol`` (default 10^-30).
+    Decided exactly.  For rational u the two cycles are compared directly,
+    so the result is True precisely on zeros of the constraint polynomial p.
+    A bracketed algebraic u must isolate one root of p at vpar, with neither
+    end a root, or ``CurveDomainError`` is raised; one Sturm-Tarski query
+    then decides whether the sum of squares of the difference components,
+    each reduced mod p, vanishes at that root.
     """
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
     if isinstance(u, RootInterval) and not u.exact:
-        if tol is None:
-            tol = Fraction(1, 10**30)
-        for part in _symbolic_difference_parts(g, c):
-            lo, hi = eval_interval(part.eval_v(_q(vpar)), u)
-            if lo < -tol or hi > tol:
-                return False
-        return True
+        p = constraint_poly(c).eval_v(vpar)
+        if p(u.lo) == 0 or p(u.hi) == 0 or count_roots(p, u.lo, u.hi) != 1:
+            raise CurveDomainError("bracket does not isolate a single root of the curve")
+        reduced = [part.eval_v(vpar).divmod(p)[1] for part in _symbolic_difference_parts(g, c)]
+        return sign_at_root(sum(r * r for r in reduced), p, u) == 0
     if isinstance(u, RootInterval):
         u = u.lo
     lhs, rhs = _cycle_sides(g, c, _q(u), _q(vpar))

@@ -315,16 +315,6 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def eval_interval(p: Poly1, iv: RootInterval) -> tuple[Fraction, Fraction]:
-    """Interval extension of p over [lo, hi] by Horner with interval steps."""
-    alo = ahi = Fraction(0)
-    for a in reversed(p.c):
-        c1, c2, c3, c4 = alo * iv.lo, alo * iv.hi, ahi * iv.lo, ahi * iv.hi
-        alo = min(c1, c2, c3, c4) + a
-        ahi = max(c1, c2, c3, c4) + a
-    return alo, ahi
-
-
 class Poly2:
     """Bivariate polynomial in (u, v), sparse dict over Fraction.
 

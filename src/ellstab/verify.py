@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from . import asymptotics
 from .asymptotics import ChargeKind, charge_series, compare_phases, cross_series
-from .charges import _flat_full_parts, full_charge, reduced_charge
+from .charges import _flat_full_parts, reduced_charge
 from .curves import OneDimCurve, TiltCurve, constraint_poly
 from .errors import DomainError
 from .fmt import fiber_swap_rule, phi
@@ -242,47 +243,34 @@ def slope_correspondence_check(
     return strict_ok and nonstrict_ok
 
 
+_H0_SAMPLES = (2, 10, 100, 10**4)
+
+
 def h0_independence_check(
-    g: BaseGeometry,
-    m: ChernVector,
-    n: ChernVector,
-    y,
-    z,
-    d: DivisorB,
-    vsamples=(2, 10, 100, 10**4),
+    g: BaseGeometry, m: ChernVector, n: ChernVector, y, z, d: DivisorB
 ) -> bool:
     """For h = 0 the comparison of charges of the flat numeric shape is the
     same at every curve point, with sign given by the constant parts.
 
-    The exact cross value at each sampled point must carry one fixed sign
-    (or vanish identically), and that sign must agree with the one
-    predicted by the v-independent charge components.
+    The exact cross value at each sampled curve point, read on the wall-scan
+    path (one cross polynomial through ``full_charge``, then ``_cross_sign``),
+    must carry one fixed sign (or vanish identically), and that sign must
+    agree with the one predicted by the v-independent charge components.
     """
     if g.h != 0:
         raise DomainError("this check applies only to h = 0 geometries")
-    ratio = OneDimCurve(0, y, z).q
+    curve = OneDimCurve(0, y, z)
     preds = []
     for v in (m, n):
         if v.n != 0 or v.x != 0 or not v.eta.is_zero():
             raise DomainError("inputs must have the flat numeric shape (n = x = 0, eta = 0)")
         # the charge at the curve point (u, v) = (z/y, 1) is the
         # v-independent part with Im scaled by z/y > 0, which keeps the sign
-        preds.append(_flat_full_parts(g, v, ratio, 1, d))
+        preds.append(_flat_full_parts(g, v, curve.q, 1, d))
     predicted = preds[0][0] * preds[1][1] - preds[0][1] * preds[1][0]
-    predicted_sign = 0 if predicted == 0 else (1 if predicted > 0 else -1)
-
-    for vpar in vsamples:
-        vpar = Fraction(vpar)
-        u = ratio / vpar
-        omega = DivisorX(u, g.hb_divisor.scale(vpar))
-        bfield = DivisorX.pullback(d)
-        zm = full_charge(g, m, omega, bfield)
-        zn = full_charge(g, n, omega, bfield)
-        val = zm.re * zn.im - zm.im * zn.re
-        sign = 0 if val == 0 else (1 if val > 0 else -1)
-        if sign != predicted_sign:
-            return False
-    return True
+    predicted_sign = (predicted > 0) - (predicted < 0)
+    cross = asymptotics._cross_poly(g, m, n, ChargeKind.FULL, d)
+    return all(asymptotics._cross_sign(cross, curve, v) == predicted_sign for v in _H0_SAMPLES)
 
 
 @dataclass(frozen=True)

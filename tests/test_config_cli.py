@@ -92,6 +92,25 @@ class TestConfigParsing:
             parse_config(text)
         assert "geometry.gram" in str(err.value)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("rank", "0", "must be positive"),
+        ("m0", "-1", "requires h + 2*m0 > 0"),
+        ("hb", "[0]", "self-intersection must be positive"),
+    ])
+    def test_geometry_error_names_path_once(self, tmp_path, capsys, key, value, message):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", SAMPLE)
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(text)
+        assert err.value.path == f"geometry.{key}"
+        assert str(err.value) == f"geometry.{key}: {message}"
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        code, _ = run_cli("--config", str(p), "transform", "--object", "point")
+        assert code == 1
+        stderr = capsys.readouterr().err
+        assert f"geometry.{key}: {message}" in stderr
+        assert stderr.count(f"geometry.{key}") == 1
+
     def test_undeclared_curve_reference(self):
         text = (
             "[geometry]\nrank = 1\ngram = [[1]]\nhb = [1]\nh = 0\n"

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellstab.curves import (
     OneDimCurve,
@@ -16,7 +18,7 @@ from ellstab.curves import (
     solve_u,
 )
 from ellstab.errors import ComputationFault, ConfigurationError, CurveDomainError
-from ellstab.poly import Poly1, Poly2
+from ellstab.poly import Poly1, Poly2, RootInterval, isolate_positive_roots
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt
 
@@ -75,13 +77,18 @@ class TestSolveU:
         assert p(root.lo) * p(root.hi) < 0
 
     def test_onedim_closed_form_agreement(self):
-        # u = (-v + sqrt(v^2 + 2hq)) / h: check (h u + v)^2 = v^2 + 2 h q
-        c = OneDimCurve(Fraction(1, 2), 1, 1)
+        # u = (-v + sqrt(v^2 + 2hq)) / h: check (h u + v)^2 = v^2 + 2 h q.
+        # For h < 0 the curve has two positive roots here; only the admissible
+        # one has h u + v = sqrt(v^2 + 2hq) > 0.
         vpar = Fraction(5)
-        root = solve_u(c, vpar, Fraction(1, 2**40))
-        target = vpar * vpar + 2 * c.h * c.q
-        vals = sorted(((c.h * e + vpar) ** 2 for e in (root.lo, root.hi)))
-        assert vals[0] <= target <= vals[1]
+        for c, count in ((OneDimCurve(Fraction(1, 2), 1, 1), 1), (OneDimCurve(-1, 1, 2), 2)):
+            roots = isolate_positive_roots(constraint_poly(c).eval_v(vpar), Fraction(1, 2**40))
+            assert len(roots) == count
+            root = solve_u(c, vpar, Fraction(1, 2**40))
+            target = vpar * vpar + 2 * c.h * c.q
+            vals = sorted(((c.h * e + vpar) ** 2 for e in (root.lo, root.hi)))
+            assert vals[0] <= target <= vals[1]
+            assert all(c.h * e + vpar > 0 for e in (root.lo, root.hi))
 
     def test_onedim_negative_h_no_root(self):
         c = OneDimCurve(-1, 1, 2)  # q = 1; discriminant v^2 - 2 < 0 at v = 1
@@ -102,6 +109,20 @@ class TestSolveU:
                 else:
                     assert root.width <= precision
                     assert p(root.lo) * p(root.hi) < 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        h=st.sampled_from([Fraction(n, d) for n, d in ((-2, 1), (-1, 1), (-1, 2), (1, 3), (1, 2), (2, 1))]),
+        a=st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8),
+        b=st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8),
+        vpar=st.fractions(min_value=Fraction(1, 9), max_value=200, max_denominator=9),
+    )
+    def test_tilt_curve_has_one_positive_root(self, h, a, b, vpar):
+        # the proof in solve_u: w = hu + v gives w^3 - (6h beta/alpha) w = v^3,
+        # which has exactly one solution on the side of v that u > 0 selects
+        assume(h * a + 2 * b > 0 and h * a + b != 0)
+        p = constraint_poly(TiltCurve(h, a, b)).eval_v(vpar)
+        assert len(isolate_positive_roots(p, Fraction(1, 2**16))) == 1
 
     def test_branch_tracks_leading_coefficient(self):
         c = TiltCurve(-1, 1, 2)
@@ -278,4 +299,32 @@ class TestChowIdentity:
         g = geometry_for(-1)
         c = TiltCurve(-1, 1, 2)
         root = solve_u(c, 9, Fraction(1, 2**128))
-        assert chow_identity_check(g, c, root, 9, tol=Fraction(1, 10**30))
+        assert chow_identity_check(g, c, root, 9)
+
+    @pytest.mark.parametrize("rank2", [False, True])
+    @pytest.mark.parametrize("h", [Fraction(-1), Fraction(1, 2)], ids=["h=-1", "h=1/2"])
+    def test_algebraic_point_wide_bracket(self, h, rank2):
+        # the identity is decided exactly, so a coarse isolating bracket suffices
+        g = geometry_for(h, rank2)
+        rng = random.Random(7)
+        for _ in range(5):
+            c = _rand_tilt(rng, h)
+            vpar = Fraction(rng.randint(2, 30))
+            root = solve_u(c, vpar, Fraction(1, 2**8))
+            assert not root.exact
+            assert chow_identity_check(g, c, root, vpar)
+
+    @pytest.mark.parametrize("rank2", [False, True])
+    def test_bracket_must_isolate_a_root(self, rank2):
+        # the v = 9 bracket holds no root of the v = 10 polynomial, so an
+        # exact query without the isolation check would vacuously report a
+        # vanishing difference at a point that is not on the curve
+        g = geometry_for(-1, rank2)
+        c = TiltCurve(-1, 1, 2)
+        root = solve_u(c, 9, Fraction(1, 2**64))
+        with pytest.raises(CurveDomainError):
+            chow_identity_check(g, c, root, 10)
+        # a bracket whose end is itself a root is refused as well
+        bracket = RootInterval(Fraction(1, 2), Fraction(1))
+        with pytest.raises(CurveDomainError):
+            chow_identity_check(geometry_for(0, rank2), TiltCurve(0, 1, 2), bracket, 4)

@@ -217,7 +217,7 @@ class TestH0Independence:
     def test_custom_samples(self, g0):
         m = cv(0, 0, d(1), d(0), 1, -2)
         n = cv(0, 0, d(2), d(0), -1, 3)
-        assert h0_independence_check(g0, m, n, 2, 3, d(1), vsamples=(2, 10, 100))
+        assert h0_independence_check(g0, m, n, 2, 3, d(1))
 
     @pytest.mark.parametrize("seed", [45, 387])
     def test_suite_draws_only_classes_with_a_phase(self, seed):
@@ -275,3 +275,9 @@ class TestRunSuite:
         assert seen["ordered"] == (7, 1, 8)
         with pytest.raises(KeyError):
             suites.run_suite("nope")
+
+    @pytest.mark.parametrize("cases", [0, -4])
+    def test_rejects_fewer_than_one_case(self, cases):
+        # a run of zero checks must not report a pass
+        with pytest.raises(DomainError):
+            suites.run_suite("swap", cases, 1, 8)
