@@ -27,7 +27,7 @@ from .config import (
     parse_config,
 )
 from .curves import TiltCurve, chow_identity_check, constraint_poly, expand_u, solve_u
-from .errors import EllstabError
+from .errors import CurveDomainError, EllstabError
 from .fmt import fiber_swap_rule, phi, phi_hat
 from .poly import RootInterval
 from .ring import DivisorB, DivisorX, twist
@@ -230,6 +230,8 @@ def cmd_curve(args, cfg: Config, out: _Output) -> int:
         out.emit(["curve", "series"], [[args.curve, _fmt_series(series)]])
         return 0
     u, vpar = _rational_flag(args, "u"), _rational_flag(args, "v")
+    if u <= 0 or vpar <= 0:
+        raise CurveDomainError("curve check requires u > 0 and v > 0")
     if isinstance(c, TiltCurve):
         ok = chow_identity_check(g, c, u, vpar)
     else:

@@ -3,7 +3,7 @@
 The tilt curve ties a fixed polarization a*Theta + b*pull(H) to the moving
 one u*Theta + v*pull(H) through
 
-    a(ha+2b) / (ha+b)^2 = (hu+v) / ((1/6) u (h^2 u^2 + 3huv + 3v^2)),
+    alpha / beta = a(ha+2b) / (ha+b)^2 = (hu+v) / ((1/6) u (h^2 u^2 + 3huv + 3v^2)),
 
 the one-dimensional curve is h + z/y = (1/2) u (hu + 2v).  Both are handled
 through their cross-multiplied polynomial forms.  Root finding is Sturm
@@ -15,7 +15,7 @@ expansion of u as a Laurent series in 1/v is obtained by reverting the
 polynomial term by term, each step cancelling the current leading residual.
 The reversion runs on a series truncated at the requested order from its
 first term, evaluates the curve polynomial by Horner's rule in u, and
-divides by the derivative's leading term, computed once.
+divides by the derivative's leading term, a closed form in the curve data.
 """
 
 from __future__ import annotations
@@ -59,9 +59,17 @@ class TiltCurve:
         object.__setattr__(self, "b", b)
 
     @property
+    def alpha(self) -> Fraction:
+        return self.a * (self.h * self.a + 2 * self.b)
+
+    @property
+    def beta(self) -> Fraction:
+        return (self.h * self.a + self.b) ** 2
+
+    @property
     def leading_coefficient(self) -> Fraction:
-        """First expansion coefficient u1 = 2 (ha+b)^2 / (a (ha+2b))."""
-        return 2 * (self.h * self.a + self.b) ** 2 / (self.a * (self.h * self.a + 2 * self.b))
+        """First expansion coefficient u1 = 2 beta / alpha."""
+        return 2 * self.beta / self.alpha
 
 
 @dataclass(frozen=True)
@@ -102,10 +110,8 @@ def constraint_poly(c: CurveConstraint) -> Poly2:
     u, v = Poly2.u(), Poly2.v()
     h = c.h
     if isinstance(c, TiltCurve):
-        alpha = c.a * (h * c.a + 2 * c.b)
-        beta = (h * c.a + c.b) ** 2
         cubic = h * h * u * u * u + 3 * h * (u * u * v) + 3 * (u * v * v)
-        return cubic * Fraction(alpha, 6) - (h * u + v) * beta
+        return cubic * Fraction(c.alpha, 6) - (h * u + v) * c.beta
     q = c.q
     return (h * (u * u) + 2 * (u * v)) * Fraction(1, 2) - Poly2.const(q)
 
@@ -146,8 +152,8 @@ def expand_u(c: CurveConstraint, order: int) -> LaurentSeries:
     At h = 0 the curve is u v = u1 (tilt: u1 = b/a; one-dimensional:
     u1 = q), so the exact monomial u1/v is returned.  Otherwise u is reverted
     term by term: each step cancels the leading residual of the curve
-    polynomial using the derivative's leading term, which is the single
-    monomial (alpha/2) v^2 (tilt) or v (one-dimensional) for every u ~ u1/v.
+    polynomial using the derivative's leading term, which for every u ~ u1/v
+    is the closed form (alpha/2) v^2 (tilt; alpha > 0) or v (one-dimensional).
     The working series carries the floor -order from its first term, so
     only products that reach a kept coefficient are formed; the residual's
     floor is 2 - order (tilt) or 1 - order (one-dimensional), exactly the
@@ -173,12 +179,7 @@ def _expand_u_cached(c: CurveConstraint, order: int) -> LaurentSeries:
     if c.h == 0:
         return u0
     poly = constraint_poly(c)
-    dpoly = Poly2.from_ucoefficients(
-        [(k + 1) * poly.ucoefficient(k + 1) for k in range(poly.udegree())]
-    )
-    deriv_lead = _eval_poly2_series(dpoly, u0).leading()
-    if deriv_lead is None:
-        raise ComputationFault("degenerate curve: derivative vanishes along the expansion")
+    deriv_lead = (2, c.alpha / 2) if isinstance(c, TiltCurve) else (1, Fraction(1))
     u = u0.truncate(-order)
     # Corrections sit at strictly falling exponents in [-order, -2], so the
     # order-th step at the latest finds nothing left to cancel.

@@ -1,9 +1,10 @@
 """Small exact polynomial toolkit.
 
-Univariate polynomials over the rationals with Sturm-chain root isolation
-and dyadic bisection by sign, evaluated in integer arithmetic (no floating
-point anywhere), and bivariate polynomials in (u, v) used both numerically
-and as symbolic ring scalars.
+Univariate polynomials over the rationals, with root isolation on one
+signed remainder sequence per polynomial (its last term, gcd(p, p') up to a
+constant, gives the squarefree part) and dyadic bisection by sign in integer
+arithmetic, no floating point anywhere; and bivariate polynomials in (u, v),
+used both numerically and as symbolic ring scalars.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class Poly1:
     @classmethod
     def const(cls, value) -> "Poly1":
         return cls([value])
-
-    @classmethod
-    def x(cls) -> "Poly1":
-        return cls([0, 1])
 
     @property
     def degree(self) -> int:
@@ -99,11 +96,6 @@ class Poly1:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly1([a / other for a in self.c])
-        return NotImplemented
-
     def __call__(self, x):
         acc = Fraction(0)
         for a in reversed(self.c):
@@ -131,25 +123,6 @@ class Poly1:
                     rem[k + j] -= coeff * b
         return Poly1(quot), Poly1(rem[: len(div) - 1])
 
-    def squarefree(self) -> "Poly1":
-        g = gcd(self, self.derivative())
-        if g.degree <= 0:
-            return self
-        q, r = self.divmod(g)
-        if not r.is_zero():
-            raise ComputationFault("inexact polynomial gcd division")
-        return q
-
-
-def gcd(a: Poly1, b: Poly1) -> Poly1:
-    """Monic greatest common divisor (the zero polynomial for two zeros)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a / a.c[-1]
-
 
 def sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[Poly1]:
     """p, then ``second`` (p' by default), then each negated remainder of
@@ -161,6 +134,17 @@ def sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[Poly1]:
             break
         chain.append(-r)
     return [q for q in chain if not q.is_zero()]
+
+
+def _squarefree_chain(p: Poly1) -> list[Poly1]:
+    """The Sturm chain of p's squarefree part, that part first ([] for p = 0)."""
+    chain = sturm_chain(p)
+    if chain and chain[-1].degree > 0:  # p / gcd(p, p'), up to a constant
+        q, r = p.divmod(chain[-1])
+        if not r.is_zero():
+            raise ComputationFault("inexact polynomial gcd division")
+        chain = sturm_chain(q)
+    return chain
 
 
 def _sign_variations(chain, x) -> int:
@@ -175,7 +159,7 @@ def _sign_variations(chain, x) -> int:
 def count_roots(p: Poly1, lo: Fraction, hi: Fraction, chain=None) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi]."""
     if chain is None:
-        chain = sturm_chain(p.squarefree())
+        chain = _squarefree_chain(p)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
@@ -203,10 +187,6 @@ class RootInterval:
         return self.lo == self.hi
 
     @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
@@ -217,14 +197,14 @@ class RootInterval:
 def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
     """All positive real roots of p, each bracketed to the given width.
 
-    Sturm counting isolates the roots; each isolating bracket is then
-    refined by dyadic bisection on the sign of p alone, so every returned
-    interval is certified exactly.
+    Sturm counting on p's squarefree part isolates the roots; each
+    isolating bracket is then refined by dyadic bisection on the sign of that
+    part alone, so every returned interval is certified exactly.
     """
-    p = p.squarefree()
-    if p.degree < 1:
+    chain = _squarefree_chain(p)
+    if not chain or chain[0].degree < 1:
         return []
-    chain = sturm_chain(p)
+    p = chain[0]
     lead = abs(p.c[-1])
     bound = Fraction(1) + max(abs(a) for a in p.c) / lead
     # Each pending interval (lo, hi] carries whether its ends are roots of p.
@@ -255,18 +235,18 @@ def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
 
 
 def refine_root(p: Poly1, bracket: RootInterval, precision: Fraction) -> RootInterval:
-    """Shrink an isolating bracket of a squarefree p to the given width.
+    """Shrink an isolating bracket of a root of p to the given width.
 
-    A Sturm count first certifies that (lo, hi] holds exactly one root;
-    the bisection after it needs only signs of p.
+    A Sturm count on p's squarefree part first certifies that (lo, hi] holds
+    exactly one root; the bisection after it needs only signs of that part.
     """
     if bracket.exact:
         return bracket
-    p = p.squarefree()
+    chain = _squarefree_chain(p)
     lo, hi = bracket.lo, bracket.hi
-    if count_roots(p, lo, hi, sturm_chain(p)) != 1:
+    if count_roots(p, lo, hi, chain) != 1:
         raise CurveDomainError("bracket does not isolate a single root")
-    return _bisect_by_sign(p, lo, hi, precision)
+    return _bisect_by_sign(chain[0], lo, hi, precision)
 
 
 def _bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInterval:

@@ -64,17 +64,14 @@ class NumericClass:
     d: DivisorB | None = None
 
 
-def heart_necessary(
-    g: BaseGeometry, v: ChernVector, cls: NumericClass, d: DivisorB | None = None
-) -> bool:
-    """Necessary inequality for membership of an asserted heart class."""
+def heart_necessary(g: BaseGeometry, v: ChernVector, cls: NumericClass) -> bool:
+    """Necessary inequality for membership of an asserted heart class; a BP
+    heart's divisor is ``cls.d``, zero when unset."""
     if cls.tag not in _HEART_TAGS:
         raise DomainError(f"{cls.tag.value} is not a heart tag")
     if cls.tag is ClassTag.BL_HEART:
         return v.x >= 0
-    dd = cls.d if cls.d is not None else d
-    if dd is None:
-        dd = g.zero_divisor()
+    dd = cls.d if cls.d is not None else g.zero_divisor()
     if v.n != 0 or v.x != 0:
         return False
     tw = twist(g, v, DivisorX.pullback(dd))
@@ -193,7 +190,7 @@ def threshold_equiv_check(
     mu_e = slope(g, SlopeKind.mu_omega_b(obar, g.half_canonical_bfield()), e)
     if mu_t.is_infinite or mu_e.is_infinite:
         raise DomainError("slopes must be finite under the stated preconditions")
-    threshold = 2 * mu_e.finite / (c.a * (c.h * c.a + 2 * c.b) * g.hb2)
+    threshold = 2 * mu_e.finite / (c.alpha * g.hb2)
 
     g_series = charge_series(g, phi(g, t), c, ChargeKind.REDUCED, order)
     f_vec = -phi(g, e)

@@ -72,7 +72,7 @@ def test_criterion_05_curve_expansion():
         c = _rand_tilt(rng, h)
         u1 = c.leading_coefficient
         root = solve_u(c, Fraction(10**6), Fraction(1, 2**64))
-        rel = abs(root.midpoint * 10**6 - u1) / u1
+        rel = abs((root.lo + root.hi) / 2 * 10**6 - u1) / u1
         ok &= rel <= Fraction(1, 10**5)
         detail.append(f"h={h} rel={float(rel):.2e}")
     _report(5, "curve expansion", ok, "; ".join(detail))

@@ -184,7 +184,7 @@ class TestHeartNecessaryConditions:
         ]
         for vp in (Fraction(100), Fraction(1000)):
             root = solve_u(c, vp, Fraction(1, 2**40))
-            u = root.midpoint  # interior points suffice for an open condition
+            u = (root.lo + root.hi) / 2  # interior points suffice for an open condition
             for v in generators:
                 out = reduced_charge(g, v, u, vp)
                 assert in_reduced_half_plane(out)

@@ -196,6 +196,18 @@ class TestCli:
                           "--u", "1/2", "--v", "5")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "curve, u, v",
+        [("flat1", "-1", "-1"), ("tilt1", "-2", "-1"), ("flat1", "0", "1"), ("tilt1", "0", "4"),
+         ("flat1", "1", "0"), ("tilt1", "1/2", "0")],
+    )
+    def test_curve_check_outside_quarter_plane(self, cfg_path, capsys, curve, u, v):
+        # (-1, -1) and (-2, -1) are zeros of the curve polynomials, outside u, v > 0
+        code, out = run_cli("--config", cfg_path, "curve", "check", "--curve", curve,
+                            "--u", u, "--v", v)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: curve check requires u > 0 and v > 0\n"
+
     def test_phase_and_compare(self, cfg_path):
         code, out = run_cli("--config", cfg_path, "--format", "records", "phase",
                             "--object", "point", "--curve", "flat1", "--kind", "full")
@@ -237,6 +249,17 @@ class TestCli:
             except SystemExit as exc:
                 code = exc.code
             assert code == 0, argv
+
+    def test_readme_library_example(self):
+        """The Python block under the README's "Library use" runs and prints
+        the phase limit it shows."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Library use"):]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            exec(code, {})
+        assert buf.getvalue() == "PhaseLimit(limit=Fraction(0, 1), side=<Side.MINUS: 'minus'>)\n"
 
     def test_unknown_object_is_domain_error(self, cfg_path):
         code, _ = run_cli("--config", cfg_path, "transform", "--object", "nope")

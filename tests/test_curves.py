@@ -90,6 +90,12 @@ class TestSolveU:
             assert vals[0] <= target <= vals[1]
             assert all(c.h * e + vpar > 0 for e in (root.lo, root.hi))
 
+    def test_onedim_double_root(self):
+        # v^2 + 2hq = 0 at v = 1: the curve polynomial -(u - 1)^2 / 2 is not squarefree
+        c = OneDimCurve(-1, 2, 3)
+        assert constraint_poly(c).eval_v(1) == Poly1([-1, 2, -1]) * Fraction(1, 2)
+        assert solve_u(c, 1, Fraction(1, 2**64)) == RootInterval(Fraction(1), Fraction(1))
+
     def test_onedim_negative_h_no_root(self):
         c = OneDimCurve(-1, 1, 2)  # q = 1; discriminant v^2 - 2 < 0 at v = 1
         with pytest.raises(CurveDomainError):
@@ -129,7 +135,7 @@ class TestSolveU:
         u1 = c.leading_coefficient
         for vpar, rel in ((Fraction(1000), Fraction(1, 100)), (Fraction(10**6), Fraction(1, 10**5))):
             root = solve_u(c, vpar, Fraction(1, 2**64))
-            assert abs(root.midpoint * vpar - u1) <= rel * u1
+            assert abs((root.lo + root.hi) / 2 * vpar - u1) <= rel * u1
 
 
 class TestExpandU:
@@ -141,6 +147,27 @@ class TestExpandU:
     def test_tilt_leading_coefficient(self):
         series = expand_u(TiltCurve(-1, 1, 2), 8)
         assert series.coefficient(-1) == Fraction(2, 3)
+
+    def test_tilt_alpha_beta_closed_forms(self):
+        rng = random.Random(105)
+        for h in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(-2)):
+            for _ in range(10):
+                c = _rand_tilt(rng, h)
+                assert c.alpha == c.a * (h * c.a + 2 * c.b) > 0
+                assert c.beta == (h * c.a + c.b) ** 2
+                assert c.leading_coefficient == 2 * (h * c.a + c.b) ** 2 / (c.a * (h * c.a + 2 * c.b))
+
+    def test_derivative_lead_closed_form(self):
+        # the reversion divides by (alpha/2) v^2 (tilt) or v (one-dimensional):
+        # the leading term of dP/du at u = u1/v
+        for c in _reference_curves(14):
+            poly = constraint_poly(c)
+            dpoly = Poly2.from_ucoefficients(
+                [(k + 1) * poly.ucoefficient(k + 1) for k in range(poly.udegree())]
+            )
+            u0 = LaurentSeries.monomial(-1, c.leading_coefficient)
+            want = (2, c.alpha / 2) if isinstance(c, TiltCurve) else (1, 1)
+            assert _reference_eval(dpoly, u0).leading() == want, c
 
     def test_onedim_example(self):
         series = expand_u(OneDimCurve(-1, 1, 2), 8)
@@ -171,7 +198,7 @@ class TestExpandU:
         vpar = Fraction(10**6)
         root = solve_u(c, vpar, Fraction(1, 2**128))
         approx = series.eval(vpar)
-        assert abs(approx - root.midpoint) < Fraction(1, 10**30)
+        assert abs(approx - (root.lo + root.hi) / 2) < Fraction(1, 10**30)
 
 
 def _reference_expand_u(c, order):

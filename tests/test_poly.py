@@ -21,6 +21,19 @@ from ellstab.poly import (
 )
 
 
+_X = sympy.Symbol("x")
+
+
+def _rat(x: Fraction):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _sqf_part(p: Poly1) -> Poly1:
+    """The squarefree part of p, by sympy."""
+    oracle = sympy.Poly([_rat(a) for a in reversed(p.c)], _X).sqf_part()
+    return Poly1([Fraction(int(a.p), int(a.q)) for a in reversed(oracle.all_coeffs())])
+
+
 def _product(roots, squares=()):
     """The monic polynomial with the given rational roots, times x^2 - k for each k."""
     p = Poly1([1])
@@ -114,14 +127,19 @@ def _rational_roots(p):
 
 def test_sign_refinement_matches_sturm_bisection():
     """isolate_positive_roots and refine_root give the brackets of the
-    Sturm-count bisection bit for bit, also when a midpoint is a root and
-    when an end of the given bracket is a root."""
+    Sturm-count bisection on the squarefree part bit for bit, also when a
+    midpoint is a root, when an end of the given bracket is a root and when
+    p has repeated roots."""
     rng = random.Random(20)
     # refining these hits a dyadic root at a midpoint
     hits = [_product([Fraction(a, 8), Fraction(b, 8)], (2,)) for a, b in ((1, 27), (2, 13), (3, 9))]
+    # repeated positive roots: 1/8 is hit by a midpoint, 1 ends a bracket (1, y]
+    # around sqrt 2, and squares of random polynomials
+    repeated = [_product([Fraction(1, 8), Fraction(1, 8), Fraction(1, 2)]), _product([1, 1, 3], (2,))]
+    repeated += [q * q for q in (_random_poly(random.Random(21 + k)) for k in range(12))]
     collapsed = root_ends = 0
-    for p in hits + [_random_poly(rng) for _ in range(100)]:
-        sf = p.squarefree()
+    for p in hits + [_random_poly(rng) for _ in range(100)] + repeated:
+        sf = _sqf_part(p)
         precision = Fraction(1, 2 ** rng.randint(20, 64))
         isolated = isolate_positive_roots(p, UNREFINED)
         want = [r if r.exact else _sturm_bisect(sf, r.lo, r.hi, precision) for r in isolated]
@@ -139,6 +157,10 @@ def test_sign_refinement_matches_sturm_bisection():
     with pytest.raises(CurveDomainError):
         refine_root(_product([1, 2]), RootInterval(Fraction(1, 2), Fraction(3)), Fraction(1, 8))
     assert collapsed >= 5 and root_ends >= 100, (collapsed, root_ends)
+    assert all(_sqf_part(p).degree < p.degree for p in repeated)
+    assert isolate_positive_roots(repeated[0], Fraction(1, 2**30))[0] == (
+        RootInterval(Fraction(1, 8), Fraction(1, 8))
+    )
 
 
 def test_midpoint_root_collapses_refinement():
@@ -151,13 +173,6 @@ def test_midpoint_root_collapses_refinement():
     p = _product([1, 2])
     got = refine_root(p, RootInterval(Fraction(1), Fraction(2)), Fraction(1, 8))
     assert got == RootInterval(Fraction(15, 8), Fraction(2))
-
-
-_X = sympy.Symbol("x")
-
-
-def _rat(x: Fraction):
-    return sympy.Rational(x.numerator, x.denominator)
 
 
 @st.composite
