@@ -11,11 +11,10 @@ isolation plus dyadic bisection on the sign of the curve polynomial,
 evaluated exactly in integers; the curve point over v is the smallest
 positive root, by proof.  The cycle identity behind the tilt curve is
 decided exactly, at algebraic points by one Sturm-Tarski query.  The
-expansion of u as a Laurent series in 1/v is obtained by reverting the
-polynomial term by term, each step cancelling the current leading residual.
-The reversion runs on a series truncated at the requested order from its
-first term, evaluates the curve polynomial by Horner's rule in u, and
-divides by the derivative's leading term, a closed form in the curve data.
+expansion of u as a Laurent series in 1/v is written down coefficient by
+coefficient: with w = hu + v both curves become w = v y(h u1 / v^2) for a
+power series y solving y^2 = 1 + 2x or y^3 = 1 + 3xy, whose coefficients
+Lagrange inversion gives as products of integers.
 """
 
 from __future__ import annotations
@@ -23,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
-from .errors import ComputationFault, ConfigurationError, CurveDomainError
+from .errors import ConfigurationError, CurveDomainError
 from .poly import (
     Poly2,
     RootInterval,
@@ -150,23 +150,24 @@ def expand_u(c: CurveConstraint, order: int) -> LaurentSeries:
     """Laurent expansion of u(v) through exponent -order.
 
     At h = 0 the curve is u v = u1 (tilt: u1 = b/a; one-dimensional:
-    u1 = q), so the exact monomial u1/v is returned.  Otherwise u is reverted
-    term by term: each step cancels the leading residual of the curve
-    polynomial using the derivative's leading term, which for every u ~ u1/v
-    is the closed form (alpha/2) v^2 (tilt; alpha > 0) or v (one-dimensional).
-    The working series carries the floor -order from its first term, so
-    only products that reach a kept coefficient are formed; the residual's
-    floor is 2 - order (tilt) or 1 - order (one-dimensional), exactly the
-    exponent a correction at v^-order needs.
+    u1 = q), so the exact monomial u1/v is returned.  Otherwise every
+    coefficient is written down in closed form (Lagrange-Buermann
+    inversion), with no reversion.  Both curves have w = hu + v = v y(x) at
+    x = h u1 / v^2, where y is the power series with y(0) = 1 and
+
+        y^2 = 1 + 2x        (one-dimensional: w^2 = v^2 + 2hq),
+        y^3 = 1 + 3xy       (tilt: w^3 - (6h beta/alpha) w = v^3),
+
+    so [x^k] y is 2^k C(1/2, k) = prod_{i<k} (1 - 2i) / k! and
+    3^k C((k+1)/3, k) / (k+1) = prod_{i<k} (k + 1 - 3i) / (k+1)! respectively,
+    and u = (w - v)/h has the coefficient [x^k] y * u1^k h^(k-1) at
+    v^(1-2k).  At k = 1 that is u1 (2 beta/alpha on the tilt curve).
 
     An h != 0 series never terminates, so its floor is always -order.  On
-    the one-dimensional curve u = (sqrt(v^2 + 2hq) - v)/h with q > 0, and
-    the binomial series of sqrt(1 + 2hq/v^2) has a nonzero term at every
-    even exponent.  On the tilt curve
-    w = hu + v turns the equation into w^3 - (6h beta/alpha) w = v^3, and
-    were u a Laurent polynomial with lowest exponent m <= -1, the left side
-    minus v^3 would have its lowest term at v^(3m) and (6h beta/alpha) w its
-    lowest at v^m.
+    the one-dimensional curve the product prod_{i<k} (1 - 2i) never
+    vanishes.  On the tilt curve, were u a Laurent polynomial with lowest
+    exponent m <= -1, w^3 - v^3 would have its lowest term at v^(3m) and
+    (6h beta/alpha) w its lowest at v^m.
     """
     if order < 1:
         raise CurveDomainError("expansion order must be at least 1")
@@ -175,35 +176,17 @@ def expand_u(c: CurveConstraint, order: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def _expand_u_cached(c: CurveConstraint, order: int) -> LaurentSeries:
-    u0 = LaurentSeries.monomial(-1, c.leading_coefficient)
+    u1 = c.leading_coefficient
     if c.h == 0:
-        return u0
-    poly = constraint_poly(c)
-    deriv_lead = (2, c.alpha / 2) if isinstance(c, TiltCurve) else (1, Fraction(1))
-    u = u0.truncate(-order)
-    # Corrections sit at strictly falling exponents in [-order, -2], so the
-    # order-th step at the latest finds nothing left to cancel.
-    for _ in range(order):
-        lead = _eval_poly2_series(poly, u).leading()
-        if lead is None:
-            return u
-        exp = lead[0] - deriv_lead[0]
-        if exp < -order:
-            return u
-        u = u + LaurentSeries.monomial(exp, -lead[1] / deriv_lead[1])
-    raise ComputationFault("reversion did not reach the truncation floor")
-
-
-def _eval_poly2_series(p: Poly2, u: LaurentSeries) -> LaurentSeries:
-    """Evaluate a (u, v)-polynomial at u = series, v = the series variable,
-    by Horner's rule in u over the rows p_k(v) of p = sum_k p_k(v) u^k."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (i, j), coeff in p.terms.items():
-        rows.setdefault(i, {})[j] = coeff
-    total = LaurentSeries.zero()
-    for k in range(p.udegree(), -1, -1):
-        total = total * u + LaurentSeries._normal(rows.get(k, {}), None)
-    return total
+        return LaurentSeries.monomial(-1, u1)
+    p = 3 if isinstance(c, TiltCurve) else 2
+    terms, power, step = [], u1, u1 * c.h  # power = u1^k h^(k-1)
+    for k in range(1, (order + 1) // 2 + 1):
+        m = (p - 2) * k + 1
+        coeff = Fraction(prod(m - p * i for i in range(k)), factorial(k) * m)
+        terms.append((1 - 2 * k, coeff * power))
+        power *= step
+    return LaurentSeries(terms, -order)
 
 
 def _cycle_sides(g: BaseGeometry, c: TiltCurve, u, vpar) -> tuple[ChernVector, ChernVector]:

@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DomainError
-from .ring import BaseGeometry, ChernVector, DimensionError, DivisorB, _plain, pair_h
+from .ring import BaseGeometry, ChernVector, DimensionError, DivisorB, pair_h
+from .ring import _over_common_denominator, _plain
 
 
 def phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
@@ -80,8 +81,7 @@ def _apply(g: BaseGeometry, v: ChernVector, closed) -> ChernVector:
         rows = [[(j, int(col[i] * den)) for j, col in enumerate(cols) if col[i]] for i in range(dim)]
         g.matrices[closed] = (rows, den)
     rows, den = g.matrices[closed]
-    common = lcm(*(c.denominator for c in coords))
-    nums = [c.numerator * (common // c.denominator) for c in coords]
+    nums, common = _over_common_denominator(coords)
     den *= common
     return _from_flat(g.rank, [Fraction(sum(a * nums[j] for j, a in row), den) for row in rows])
 

@@ -186,10 +186,6 @@ class RootInterval:
     def exact(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def __contains__(self, x) -> bool:
         return self.lo <= x <= self.hi
 

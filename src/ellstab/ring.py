@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import ConfigurationError, DimensionError, DomainError
 
@@ -78,6 +79,12 @@ def _row(coords, gram) -> tuple:
 def _plain(coords) -> bool:
     """Whether every coordinate is a Fraction."""
     return all(type(c) is Fraction for c in coords)
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
 
 
 def _nonzero(coords, plain: bool) -> tuple:

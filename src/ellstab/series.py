@@ -8,25 +8,39 @@ marks an exact series (a Laurent polynomial with no unknown tail).
 Arithmetic propagates the floor conservatively so that a stored coefficient
 is never silently wrong.
 
+The coefficients are held fraction-free: integer numerators by descending
+exponent over one positive denominator, content-reduced so that the
+denominator and the numerators have no common factor.  That form is
+canonical, so equality and hashing compare it directly.  ``+``, ``-``, ``*``
+and scalar ``*``/``/`` work on integers alone and end with one gcd over the
+result (the fraction-free idea of Bareiss, 1968) rather than normalising a
+``Fraction`` per coefficient.  ``terms``, the (exponent, ``Fraction``) pairs,
+is built from that form on first use and cached; ``leading()`` and
+``coefficient()`` also return ``Fraction``s.
+
 The public constructor accepts any scalars, repeated exponents and terms
 below the floor.  Arithmetic results are built by the private
-``LaurentSeries._normal`` instead: it takes an exponent -> ``Fraction`` dict
-whose entries already sit at or above the floor, drops zeros and sorts once.
-Products skip every pair that lands below the floor without computing it.
+``LaurentSeries._ints`` instead: it takes an exponent -> numerator dict
+whose entries already sit at or above the floor, with a positive
+denominator, drops zeros, sorts once and reduces.  Products skip every pair
+that lands below the floor without computing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import DomainError
-from .ring import _q
+from .ring import _over_common_denominator, _q
 
 
 @dataclass(frozen=True)
 class LaurentSeries:
-    terms: tuple[tuple[int, Fraction], ...]
+    _nums: tuple[tuple[int, int], ...]
+    _den: int
     trunc: int | None = None
 
     def __init__(self, terms, trunc: int | None = None):
@@ -35,50 +49,56 @@ class LaurentSeries:
             c = _q(c)
             if c != 0:
                 merged[e] = merged.get(e, Fraction(0)) + c
-        cleaned = sorted(
-            ((e, c) for e, c in merged.items() if c != 0 and (trunc is None or e >= trunc)),
-            reverse=True,
-        )
-        object.__setattr__(self, "terms", tuple(cleaned))
-        object.__setattr__(self, "trunc", trunc)
+        exps = [e for e in merged if trunc is None or e >= trunc]
+        nums, den = _over_common_denominator([merged[e] for e in exps])
+        _store(self, dict(zip(exps, nums)), den, trunc)
 
     @classmethod
-    def _normal(cls, coeffs: dict[int, Fraction], trunc: int | None) -> "LaurentSeries":
-        """Series from exponent -> Fraction entries at or above ``trunc``."""
-        terms = sorted(((e, c) for e, c in coeffs.items() if c), reverse=True)
+    def _ints(cls, nums: dict[int, int], den: int, trunc: int | None) -> "LaurentSeries":
+        """Series sum nums[e]/den v^e from entries at or above ``trunc``; den > 0."""
         out = object.__new__(cls)
-        object.__setattr__(out, "terms", tuple(terms))
-        object.__setattr__(out, "trunc", trunc)
+        _store(out, nums, den, trunc)
         return out
+
+    @cached_property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((e, Fraction(n, self._den)) for e, n in self._nums)
+
+    def __repr__(self) -> str:
+        return f"LaurentSeries(terms={self.terms!r}, trunc={self.trunc!r})"
 
     @classmethod
     def zero(cls, trunc: int | None = None) -> "LaurentSeries":
-        return cls((), trunc)
+        return cls._ints({}, 1, trunc)
 
     @classmethod
     def const(cls, c) -> "LaurentSeries":
-        return cls(((0, c),))
+        return cls.monomial(0, c)
 
     @classmethod
     def monomial(cls, exponent: int, coeff=1) -> "LaurentSeries":
-        return cls(((exponent, coeff),))
+        c = Fraction(coeff)
+        return cls._ints({exponent: c.numerator}, c.denominator, None)
 
     def is_stored_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_exact(self) -> bool:
         return self.trunc is None
 
     def leading(self) -> tuple[int, Fraction] | None:
-        return self.terms[0] if self.terms else None
+        if not self._nums:
+            return None
+        e, n = self._nums[0]
+        return e, Fraction(n, self._den)
 
     def degree(self) -> int | None:
-        return self.terms[0][0] if self.terms else None
+        return self._nums[0][0] if self._nums else None
 
     def coefficient(self, exponent: int) -> Fraction:
-        for e, c in self.terms:
+        for e, n in self._nums:
             if e == exponent:
-                return c
+                return Fraction(n, self._den)
             if e < exponent:
                 break
         if self.trunc is not None and exponent < self.trunc:
@@ -89,9 +109,10 @@ class LaurentSeries:
         if floor is None:
             return self
         new_floor = floor if self.trunc is None else max(floor, self.trunc)
-        return LaurentSeries(self.terms, new_floor)
+        kept = {e: n for e, n in self._nums if e >= new_floor}
+        return LaurentSeries._ints(kept, self._den, new_floor)
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
             other = LaurentSeries.const(other)
         if not isinstance(other, LaurentSeries):
@@ -102,55 +123,53 @@ class LaurentSeries:
             floor = self.trunc
         else:
             floor = max(self.trunc, other.trunc)
-        if floor is None or self.trunc == floor:
-            out = dict(self.terms)
-        else:
-            out = {e: c for e, c in self.terms if e >= floor}
-        for e, c in other.terms:
+        den = lcm(self._den, other._den)
+        f1, f2 = den // self._den, sign * (den // other._den)
+        out = {e: n * f1 for e, n in self._nums if floor is None or e >= floor}
+        for e, n in other._nums:
             if floor is not None and e < floor:
                 break
-            out[e] = out[e] + c if e in out else c
-        return LaurentSeries._normal(out, floor)
+            n *= f2
+            out[e] = out[e] + n if e in out else n
+        return LaurentSeries._ints(out, den, floor)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LaurentSeries._normal({e: -c for e, c in self.terms}, self.trunc)
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentSeries.const(other)
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
+
+    def __neg__(self):
+        return LaurentSeries._ints({e: -n for e, n in self._nums}, self._den, self.trunc)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _q(other)
             if other == 0:
                 return LaurentSeries.zero()
-            return LaurentSeries._normal({e: c * other for e, c in self.terms}, self.trunc)
+            p, den = other.numerator, self._den * other.denominator
+            return LaurentSeries._ints({e: n * p for e, n in self._nums}, den, self.trunc)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         floor = _product_floor(self, other)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        out: dict[int, int] = {}
+        for e1, n1 in self._nums:
+            for e2, n2 in other._nums:
                 e = e1 + e2
                 if floor is not None and e < floor:
                     break  # terms are stored by descending exponent
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return LaurentSeries._normal(out, floor)
+                out[e] = out[e] + n1 * n2 if e in out else n1 * n2
+        return LaurentSeries._ints(out, self._den * other._den, floor)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _q(other)
-            return LaurentSeries._normal({e: c / other for e, c in self.terms}, self.trunc)
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def scale(self, c) -> "LaurentSeries":
@@ -162,14 +181,27 @@ class LaurentSeries:
         return sum((c * v**e for e, c in self.terms), Fraction(0))
 
 
+def _store(s: LaurentSeries, nums: dict[int, int], den: int, trunc: int | None) -> None:
+    """Set the canonical form of sum nums[e]/den v^e on s: nonzero
+    numerators by descending exponent, content-reduced against den > 0."""
+    pairs = sorted(((e, n) for e, n in nums.items() if n), reverse=True)
+    g = gcd(den, *(n for _, n in pairs))
+    if g != 1:
+        pairs = [(e, n // g) for e, n in pairs]
+        den //= g
+    object.__setattr__(s, "_nums", tuple(pairs))
+    object.__setattr__(s, "_den", den)
+    object.__setattr__(s, "trunc", trunc)
+
+
 def _product_floor(f: LaurentSeries, g: LaurentSeries) -> int | None:
     candidates = []
     if f.trunc is not None:
-        if g.terms:
+        if g._nums:
             candidates.append(f.trunc + g.degree())
         if g.trunc is not None:
             candidates.append(f.trunc + g.trunc - 1)
-    if g.trunc is not None and f.terms:
+    if g.trunc is not None and f._nums:
         candidates.append(g.trunc + f.degree())
     if not candidates:
         return None

@@ -19,7 +19,7 @@ from . import curves, fmt, verify
 from .asymptotics import ChargeKind, Side, charge_series, compare_phases, phase_limit
 from .curves import OneDimCurve, TiltCurve, solve_u
 from .charges import ChargeValue, _flat_full_parts, in_full_half_plane
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair_h, twist
 
 
@@ -106,11 +106,14 @@ def suite_swap(cases: int = 10000, seed: int = 1) -> SuiteReport:
 
 
 def _rand_tilt(rng: random.Random, h) -> TiltCurve:
+    """A tilt curve at h with random a, b > 0, redrawn until the curve is valid."""
     while True:
         a = Fraction(rng.randint(1, 8), rng.randint(1, 4))
         b = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        if h * a + 2 * b > 0 and h * a + b != 0:
+        try:
             return TiltCurve(h, a, b)
+        except ConfigurationError:
+            pass
 
 
 def suite_chow(cases: int = 100, seed: int = 2) -> SuiteReport:

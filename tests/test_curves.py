@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from ellstab.curves import (
     TiltCurve,
     chow_identity_check,
     chow_identity_symbolic_remainder,
-    _eval_poly2_series,
     constraint_poly,
     expand_u,
     solve_u,
@@ -21,6 +21,18 @@ from ellstab.errors import ComputationFault, ConfigurationError, CurveDomainErro
 from ellstab.poly import Poly1, Poly2, RootInterval, isolate_positive_roots
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt
+
+
+def _eval_poly2_series(p: Poly2, u: LaurentSeries) -> LaurentSeries:
+    """Evaluate a (u, v)-polynomial at u = series, v = the series variable,
+    by Horner's rule in u over the rows p_k(v) of p = sum_k p_k(v) u^k."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (i, j), coeff in p.terms.items():
+        rows.setdefault(i, {})[j] = coeff
+    total = LaurentSeries.zero()
+    for k in range(p.udegree(), -1, -1):
+        total = total * u + LaurentSeries(rows.get(k, {}).items())
+    return total
 
 
 def expansion_residual(c, order: int) -> LaurentSeries:
@@ -71,7 +83,7 @@ class TestSolveU:
     def test_tilt_cubic_bracket(self):
         c = TiltCurve(-1, 1, 2)
         root = solve_u(c, 2, Fraction(1, 2**64))
-        assert root.width <= Fraction(1, 2**64)
+        assert root.hi - root.lo <= Fraction(1, 2**64)
         assert 0 < root.lo and root.hi < 1
         p = constraint_poly(c).eval_v(2)
         assert p(root.lo) * p(root.hi) < 0
@@ -113,7 +125,7 @@ class TestSolveU:
                 if root.exact:
                     assert p(root.lo) == 0
                 else:
-                    assert root.width <= precision
+                    assert root.hi - root.lo <= precision
                     assert p(root.lo) * p(root.hi) < 0
 
     @settings(max_examples=200, deadline=None)
@@ -158,8 +170,8 @@ class TestExpandU:
                 assert c.leading_coefficient == 2 * (h * c.a + c.b) ** 2 / (c.a * (h * c.a + 2 * c.b))
 
     def test_derivative_lead_closed_form(self):
-        # the reversion divides by (alpha/2) v^2 (tilt) or v (one-dimensional):
-        # the leading term of dP/du at u = u1/v
+        # the leading term of dP/du at u = u1/v, which a reversion divides
+        # by: (alpha/2) v^2 (tilt) or v (one-dimensional)
         for c in _reference_curves(14):
             poly = constraint_poly(c)
             dpoly = Poly2.from_ucoefficients(
@@ -263,7 +275,7 @@ def _same_series(x, y):
 
 
 class TestExpandUReference:
-    """The floor-aware Horner reversion returns the first-written reversion's
+    """The closed-form coefficients give the first-written reversion's
     series: the same terms, Fraction coefficients and floor."""
 
     def test_expand_u_matches_reference(self):
@@ -295,6 +307,66 @@ class TestExpandUReference:
             order = rng.randint(1, 20)
             for c in (_rand_tilt(rng, h), _rand_onedim(rng, h)):
                 assert expand_u(c, order).trunc == -order, (c, order)
+
+
+def _sym(x: Fraction):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _oracle_curves(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        h = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        yield _rand_tilt(rng, h), rng.randint(1, 16)
+        yield _rand_onedim(rng, h), rng.randint(1, 16)
+
+
+class TestExpandUOracle:
+    """The closed-form coefficients of u(v) against sympy, which never runs
+    outside the tests."""
+
+    def test_against_sympy(self):
+        v, t = sympy.symbols("v t", positive=True)
+        for c, order in _oracle_curves(15, 6):
+            series = expand_u(c, order)
+            assert series.trunc == -order
+            h = _sym(c.h)
+            if isinstance(c, OneDimCurve):
+                # u = (sqrt(v^2 + 2hq) - v)/h, expanded in t = 1/v
+                u_t = (sympy.sqrt(1 + 2 * h * _sym(c.q) * t**2) - 1) / (h * t)
+                expected = sympy.series(u_t, t, 0, order + 1).removeO()
+                for k in range(1, order + 1):
+                    want = expected.coeff(t, k)
+                    assert _sym(series.coefficient(-k)) == want, (c, order, k)
+                continue
+            # w = hu + v solves w^3 - (6h beta/alpha) w = v^3: the residual
+            # has no term above the floor that a v^(-order) error reaches
+            u = sum(_sym(coeff) * v**e for e, coeff in series.terms)
+            w = h * u + v
+            residual = sympy.expand(w**3 - 6 * h * _sym(c.beta / c.alpha) * w - v**3)
+            shift = 6 * order + 6
+            poly = sympy.Poly(sympy.expand(residual * v**shift), v)
+            kept = [m[0] - shift for m, coeff in poly.terms() if coeff != 0]
+            assert all(e < 2 - order for e in kept), (c, order)
+            assert kept, (c, order)
+
+
+def _filtered_tilt(rng, h):
+    """The generator as first written, with TiltCurve's rules inline."""
+    while True:
+        a = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        b = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        if h * a + 2 * b > 0 and h * a + b != 0:
+            return TiltCurve(h, a, b)
+
+
+def test_rand_tilt_draws_as_the_inline_filter():
+    for seed in range(5):
+        for h in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1, 3)):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                assert _rand_tilt(rng, h) == _filtered_tilt(ref, h)
+                assert rng.getstate() == ref.getstate()
 
 
 class TestChowIdentity:

@@ -58,7 +58,7 @@ def _check_brackets(p, want, precision):
     got = isolate_positive_roots(p, precision)
     assert len(got) == len(want), got
     for bracket in got:
-        assert bracket.width <= precision
+        assert bracket.hi - bracket.lo <= precision
         assert sum(_contains(bracket, r) for r in want) == 1, bracket
     for left, right in zip(got, got[1:]):
         assert left.hi < right.lo or (left.hi == right.lo and p(left.hi) != 0), (left, right)
@@ -204,7 +204,7 @@ def test_brackets_against_sympy(p, bits):
     for left, right in zip(got, got[1:]):
         assert left.hi <= right.lo
     for r in got:
-        assert r.width <= precision and r.lo >= 0
+        assert r.hi - r.lo <= precision and r.lo >= 0
         if r.exact:
             assert oracle.eval(_rat(r.lo)) == 0
         else:

@@ -1,6 +1,7 @@
 """Laurent series arithmetic and truncation-floor bookkeeping."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,41 @@ def test_truncated_arithmetic_matches_public_constructor(a, b, q):
     for got, expected in cases:
         assert got == expected
         assert_stored_form(got)
+
+
+def assert_canonical(x):
+    """The stored integer form: nonzero numerators by descending exponent
+    over a positive denominator sharing no factor with all of them."""
+    assert x._den > 0
+    assert gcd(x._den, *(n for _, n in x._nums)) == 1
+    assert all(type(n) is int and n != 0 for _, n in x._nums)
+    assert x.terms == tuple((e, Fraction(n, x._den)) for e, n in x._nums)
+    assert_stored_form(x)
+    assert x.leading() == (x.terms[0] if x.terms else None)
+    for e, c in x.terms:
+        assert x.coefficient(e) == c and type(x.coefficient(e)) is Fraction
+
+
+@settings(max_examples=300)
+@given(a=truncated_series_strategy(), b=truncated_series_strategy(), q=nonzero_rationals, k=st.integers(1, 36))
+def test_stored_form_is_canonical(a, b, q, k):
+    for x in (a, b, a * b, a + b, a - b, -a, a * q, a / q, a.truncate(-1), a * b - b * a):
+        assert_canonical(x)
+        # equal terms and floor give an equal series with an equal hash,
+        # however the same rationals were written
+        same = LaurentSeries(x.terms, x.trunc)
+        scaled = LaurentSeries._ints({e: n * k for e, n in x._nums}, x._den * k, x.trunc)
+        for y in (same, scaled):
+            assert y == x and hash(y) == hash(x)
+            assert y.terms == x.terms and y.trunc == x.trunc
+    assert (a == b) == (a.terms == b.terms and a.trunc == b.trunc)
+
+
+def test_cancellation_reduces_the_denominator():
+    x = s((1, Fraction(1, 6)), (0, Fraction(1, 2))) - s((1, Fraction(1, 6)))
+    assert (x._nums, x._den) == (((0, 1),), 2)
+    zero = x - s((0, Fraction(1, 2)))
+    assert zero.is_stored_zero() and zero._den == 1 and zero == LaurentSeries.zero()
 
 
 def test_terms_sorted_and_clean():
