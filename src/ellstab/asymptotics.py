@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import charges as charges_mod
-from .curves import CurveConstraint, constraint_poly, expand_u, solve_u
+from .curves import CurveConstraint, admissible_bracket, expand_u
 from .errors import ConfigurationError, DomainError
 from .poly import Poly2, RootInterval, sign_at_root
 from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX
@@ -250,9 +250,6 @@ def _charge_at_point(
     return charges_mod.full_charge(g, v, omega, bfield)
 
 
-_SIGN_PRECISION = Fraction(1, 2**64)
-
-
 def _cross_poly(
     g: BaseGeometry, m: ChernVector, n: ChernVector, kind: ChargeKind, d: DivisorB | None
 ) -> Poly2:
@@ -270,8 +267,8 @@ def _cross_poly(
 
 def _cross_sign(cross: Poly2, c: CurveConstraint, vpar) -> int:
     """Exact sign of the cross polynomial at the curve point over vpar."""
-    root = solve_u(c, vpar, _SIGN_PRECISION)
-    return sign_at_root(cross.eval_v(vpar), constraint_poly(c).eval_v(vpar), root)
+    p, bracket = admissible_bracket(c, vpar)
+    return sign_at_root(cross.eval_v(vpar), p, bracket)
 
 
 def cross_sign_at(
@@ -287,8 +284,9 @@ def cross_sign_at(
 
     The cross value is built as a polynomial in (u, v).  At v = vpar it is
     a polynomial q in u, and u is the root of the curve polynomial p that
-    ``solve_u`` brackets (to width 2^-64, or exactly at a rational root);
-    ``poly.sign_at_root(q, p, bracket)`` gives the sign of q there.
+    ``curves.admissible_bracket`` isolates in closed form (or gives exactly,
+    at a rational root); ``poly.sign_at_root(q, p, bracket)`` gives the
+    sign of q there, with no refinement of the bracket.
     """
     return _cross_sign(_cross_poly(g, m, n, kind, d), c, vpar)
 

@@ -6,14 +6,16 @@ one u*Theta + v*pull(H) through
     alpha / beta = a(ha+2b) / (ha+b)^2 = (hu+v) / ((1/6) u (h^2 u^2 + 3huv + 3v^2)),
 
 the one-dimensional curve is h + z/y = (1/2) u (hu + 2v).  Both are handled
-through their cross-multiplied polynomial forms.  Root finding is Sturm
-isolation plus dyadic bisection on the sign of the curve polynomial,
-evaluated exactly in integers; the curve point over v is the smallest
-positive root, by proof.  The cycle identity behind the tilt curve is
-decided exactly, at algebraic points by one Sturm-Tarski query.  The
-expansion of u as a Laurent series in 1/v is written down coefficient by
-coefficient: with w = hu + v both curves become w = v y(h u1 / v^2) for a
-power series y solving y^2 = 1 + 2x or y^3 = 1 + 3xy, whose coefficients
+through their cross-multiplied polynomial forms.  The curve point over v
+is the smallest positive root, by proof, and a bracket isolating it is
+written down in closed form (the Cauchy bound, or 2q/v on the
+one-dimensional curve with h < 0); solving is dyadic bisection of that
+bracket on the sign of the curve polynomial, evaluated exactly in
+integers, with no Sturm isolation.  The cycle identity behind the tilt
+curve is decided exactly, at algebraic points by one Sturm-Tarski query.
+The expansion of u as a Laurent series in 1/v is written down coefficient
+by coefficient: with w = hu + v both curves become w = v y(h u1 / v^2) for
+a power series y solving y^2 = 1 + 2x or y^3 = 1 + 3xy, whose coefficients
 Lagrange inversion gives as products of integers.
 """
 
@@ -26,10 +28,12 @@ from math import factorial, prod
 
 from .errors import ConfigurationError, CurveDomainError
 from .poly import (
+    Poly1,
     Poly2,
     RootInterval,
+    _bisect_by_sign,
+    _root_bound,
     count_roots,
-    isolate_positive_roots,
     reduce_mod_u,
     sign_at_root,
 )
@@ -116,34 +120,58 @@ def constraint_poly(c: CurveConstraint) -> Poly2:
     return (h * (u * u) + 2 * (u * v)) * Fraction(1, 2) - Poly2.const(q)
 
 
+def admissible_bracket(c: CurveConstraint, vpar) -> tuple[Poly1, RootInterval]:
+    """The curve polynomial p = P(., vpar) and a bracket of its admissible
+    root u, the smallest positive root: an interval (lo, hi] holding that
+    root and no other root of p, with neither end a root, or the exact root
+    as a collapsed interval.  Written down, with no root isolation.
+
+    At h = 0 the root is u1/vpar.  Otherwise p(0) < 0 (-beta vpar on the
+    tilt curve, -q on the one-dimensional one).  For h != 0, w = hu + v
+    turns the tilt curve into w^3 - (6h beta/alpha) w = v^3, and u > 0 is
+    w < v (h < 0) or w > v (h > 0).  For h < 0 the left side is increasing
+    and exceeds v^3 at w = v; for h > 0 it is convex on w > 0 and below v^3
+    at w = v.  Either way the tilt curve has exactly one positive root, and
+    it is simple (the left side crosses v^3 there from below, increasing or
+    convex), so (0, B] isolates it for the Cauchy bound B.  So it does the
+    one-dimensional curve's for h > 0, where the product of the two roots,
+    -2q/h, is negative.  For h < 0 both one-dimensional roots,
+    2q/(v + sqrt(v^2 + 2hq)) (the admissible one) and
+    2q/(v - sqrt(v^2 + 2hq)), are positive, and p(2q/v) = (q/v^2)(v^2 + 2hq)
+    is positive (so (0, 2q/v] isolates the admissible root), zero (a double
+    root at 2q/v) or negative (no real root).
+    """
+    vpar = _q(vpar)
+    if vpar <= 0:
+        raise CurveDomainError("curve solving requires vpar > 0")
+    p = constraint_poly(c).eval_v(vpar)
+    if c.h == 0:
+        root = c.leading_coefficient / vpar
+        return p, RootInterval(root, root)
+    if isinstance(c, TiltCurve) or c.h > 0:
+        return p, RootInterval(Fraction(0), _root_bound(p))
+    disc = vpar * vpar + 2 * c.h * c.q
+    if disc < 0:
+        raise CurveDomainError(f"no positive root on the curve at vpar = {vpar}")
+    hi = 2 * c.q / vpar
+    return p, RootInterval(Fraction(0) if disc else hi, hi)
+
+
 def solve_u(c: CurveConstraint, vpar, precision) -> RootInterval:
     """The curve's admissible root u at a fixed v: its smallest positive root.
 
-    Exact rational roots are returned with a collapsed interval; otherwise
-    the root is bracketed by a certified sign-change interval no wider than
-    ``precision``.  For h != 0, w = hu + v turns the tilt curve into
-    w^3 - (6h beta/alpha) w = v^3, and u > 0 is w < v (h < 0) or w > v
-    (h > 0).  For h < 0 the left side is increasing and exceeds v^3 at
-    w = v; for h > 0 it is convex on w > 0 and below v^3 at w = v.  Either
-    way the tilt curve has exactly one positive root.  The one-dimensional
-    curve's admissible root, 2q/(v + sqrt(v^2 + 2hq)), is its smaller
-    positive root (for h < 0 the other is 2q/(v - sqrt(v^2 + 2hq))).
+    The bracket of ``admissible_bracket`` is bisected by the sign of the
+    curve polynomial to a certified sign-change interval no wider than
+    ``precision``; exact rational roots, and midpoints that are roots, are
+    returned as collapsed intervals.
     """
-    vpar = _q(vpar)
+    p, bracket = admissible_bracket(c, vpar)
     precision = _q(precision)
-    if vpar <= 0:
-        raise CurveDomainError("curve solving requires vpar > 0")
     if precision <= 0:
         raise CurveDomainError("precision must be positive")
-
-    if c.h == 0:
-        root = c.leading_coefficient / vpar
-        return RootInterval(root, root)
-
-    roots = isolate_positive_roots(constraint_poly(c).eval_v(vpar), precision)
-    if not roots:
-        raise CurveDomainError(f"no positive root on the curve at vpar = {vpar}")
-    return roots[0]
+    if bracket.exact:
+        return bracket
+    return _bisect_by_sign(p, bracket.lo, bracket.hi, precision)
 
 
 def expand_u(c: CurveConstraint, order: int) -> LaurentSeries:

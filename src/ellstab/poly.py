@@ -2,16 +2,19 @@
 
 Univariate polynomials over the rationals, with root isolation on one
 signed remainder sequence per polynomial (its last term, gcd(p, p') up to a
-constant, gives the squarefree part) and dyadic bisection by sign in integer
-arithmetic, no floating point anywhere; and bivariate polynomials in (u, v),
-used both numerically and as symbolic ring scalars.
+constant, gives the squarefree part) and dyadic bisection by sign, no
+floating point anywhere; and bivariate polynomials in (u, v), used both
+numerically and as symbolic ring scalars.  The remainder sequence is kept
+in integers, each member up to a positive factor, so root counts and
+Sturm-Tarski signs read integer values at each rational point, as the
+bisection does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ComputationFault, CurveDomainError
 from .ring import _q
@@ -124,23 +127,58 @@ class Poly1:
         return Poly1(quot), Poly1(rem[: len(div) - 1])
 
 
-def sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[Poly1]:
+def sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[tuple[int, ...]]:
     """p, then ``second`` (p' by default), then each negated remainder of
-    the last two: the signed remainder sequence, nonzero terms only."""
-    chain = [p, p.derivative() if second is None else second]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
+    the last two: the signed remainder sequence, nonzero terms only, each
+    up to a positive factor, as primitive integer coefficients (ascending).
+
+    The remainders are pseudo-remainders: eliminating a top coefficient c
+    against the divisor's lead l multiplies the dividend by |l| / gcd(l, c)
+    first, so no step divides, and the content goes after each step.
+    """
+    chain = [_primitive(p.c), _primitive((p.derivative() if second is None else second).c)]
+    while len(chain[-1]) > 1:
+        r = _negated_remainder(chain[-2], chain[-1])
+        if not r:
             break
-        chain.append(-r)
-    return [q for q in chain if not q.is_zero()]
+        chain.append(r)
+    return [q for q in chain if q]
 
 
-def _squarefree_chain(p: Poly1) -> list[Poly1]:
+def _primitive(coeffs) -> tuple[int, ...]:
+    """Rational coefficients times the positive rational that makes them
+    coprime integers (() for the zero polynomial)."""
+    den = lcm(*(x.denominator for x in coeffs))
+    nums = [x.numerator * (den // x.denominator) for x in coeffs]
+    content = gcd(*nums)
+    return tuple(n // content for n in nums)
+
+
+def _negated_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """-(a mod b) up to a positive factor, primitive; b has degree >= 1."""
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    for top in range(len(r) - 1, db - 1, -1):
+        c = r.pop()
+        if c == 0:
+            continue
+        g = gcd(lead, c)
+        m, c = abs(lead) // g, (c if lead > 0 else -c) // g  # m * old top = c * lead
+        shift = top - db
+        r = [m * x for x in r]
+        for j in range(db):
+            r[shift + j] -= c * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    content = gcd(*r)
+    return tuple(-x // content for x in r)
+
+
+def _squarefree_chain(p: Poly1) -> list[tuple[int, ...]]:
     """The Sturm chain of p's squarefree part, that part first ([] for p = 0)."""
     chain = sturm_chain(p)
-    if chain and chain[-1].degree > 0:  # p / gcd(p, p'), up to a constant
-        q, r = p.divmod(chain[-1])
+    if chain and len(chain[-1]) > 1:  # p / gcd(p, p'), up to a constant
+        q, r = p.divmod(Poly1(chain[-1]))
         if not r.is_zero():
             raise ComputationFault("inexact polynomial gcd division")
         chain = sturm_chain(q)
@@ -148,12 +186,21 @@ def _squarefree_chain(p: Poly1) -> list[Poly1]:
 
 
 def _sign_variations(chain, x) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+    """Sign changes along the chain at x = n/d: each member of degree k is
+    read as the integer sum of c_i n^i d^(k-i), which has the sign of its
+    value at x because d > 0."""
+    n, d = x.numerator, x.denominator
+    last = count = 0
+    for c in chain:
+        value, scale = c[-1], d
+        for i in range(len(c) - 2, -1, -1):
+            value = value * n + c[i] * scale
+            scale *= d
+        if value:
+            sign = 1 if value > 0 else -1
+            count += sign == -last
+            last = sign
+    return count
 
 
 def count_roots(p: Poly1, lo: Fraction, hi: Fraction, chain=None) -> int:
@@ -198,15 +245,13 @@ def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
     part alone, so every returned interval is certified exactly.
     """
     chain = _squarefree_chain(p)
-    if not chain or chain[0].degree < 1:
+    if not chain or len(chain[0]) < 2:
         return []
-    p = chain[0]
-    lead = abs(p.c[-1])
-    bound = Fraction(1) + max(abs(a) for a in p.c) / lead
+    p = Poly1(chain[0])
     # Each pending interval (lo, hi] carries whether its ends are roots of p.
     # A bracket is taken only when neither end is, so no bracket touches a
     # root that is reported exactly, and no root is reported twice.
-    stack = [(Fraction(0), bound, p(0) == 0, False)]
+    stack = [(Fraction(0), _root_bound(p), p(0) == 0, False)]
     isolated: list[tuple[Fraction, Fraction]] = []
     while stack:
         lo, hi, lo_root, hi_root = stack.pop()
@@ -230,6 +275,11 @@ def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
     return out
 
 
+def _root_bound(p: Poly1) -> Fraction:
+    """Cauchy's bound 1 + max |p_i| / |lead|, above every |root| of p."""
+    return Fraction(1) + max(abs(a) for a in p.c) / abs(p.c[-1])
+
+
 def refine_root(p: Poly1, bracket: RootInterval, precision: Fraction) -> RootInterval:
     """Shrink an isolating bracket of a root of p to the given width.
 
@@ -242,7 +292,7 @@ def refine_root(p: Poly1, bracket: RootInterval, precision: Fraction) -> RootInt
     lo, hi = bracket.lo, bracket.hi
     if count_roots(p, lo, hi, chain) != 1:
         raise CurveDomainError("bracket does not isolate a single root")
-    return _bisect_by_sign(chain[0], lo, hi, precision)
+    return _bisect_by_sign(Poly1(chain[0]), lo, hi, precision)
 
 
 def _bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInterval:

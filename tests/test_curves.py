@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ellstab.curves import (
     OneDimCurve,
     TiltCurve,
+    admissible_bracket,
     chow_identity_check,
     chow_identity_symbolic_remainder,
     constraint_poly,
@@ -18,7 +19,7 @@ from ellstab.curves import (
     solve_u,
 )
 from ellstab.errors import ComputationFault, ConfigurationError, CurveDomainError
-from ellstab.poly import Poly1, Poly2, RootInterval, isolate_positive_roots
+from ellstab.poly import Poly1, Poly2, RootInterval, count_roots, isolate_positive_roots
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt
 
@@ -148,6 +149,96 @@ class TestSolveU:
         for vpar, rel in ((Fraction(1000), Fraction(1, 100)), (Fraction(10**6), Fraction(1, 10**5))):
             root = solve_u(c, vpar, Fraction(1, 2**64))
             assert abs((root.lo + root.hi) / 2 * vpar - u1) <= rel * u1
+
+
+def _reference_solve_u(c, vpar, precision):
+    """solve_u as first written: isolate every positive root of the curve
+    polynomial to the given width and keep the smallest."""
+    vpar = Fraction(vpar)
+    if c.h == 0:
+        root = c.leading_coefficient / vpar
+        return RootInterval(root, root)
+    roots = isolate_positive_roots(constraint_poly(c).eval_v(vpar), precision)
+    if not roots:
+        raise CurveDomainError(f"no positive root on the curve at vpar = {vpar}")
+    return roots[0]
+
+
+def _certified(p, root, precision):
+    """A collapsed bracket at a root, or a sign change no wider than precision."""
+    if root.exact:
+        return p(root.lo) == 0
+    return root.hi - root.lo <= precision and p(root.lo) * p(root.hi) < 0
+
+
+class TestSolveUReference:
+    """The closed-form bracket plus one bisection against the isolation of
+    every positive root: identical brackets wherever the isolation's first
+    bracket is the Cauchy bound's, and a certified bracket of the same root
+    on the one-dimensional curve with h < 0."""
+
+    def test_random_cases(self):
+        rng = random.Random(41)
+        same = moved = no_root = 0
+        for i in range(1200):
+            h = Fraction(rng.choice((-1, 0, 1, 1, -1)) * rng.randint(1, 9), rng.randint(1, 4))
+            c = _rand_tilt(rng, h) if i % 2 else _rand_onedim(rng, h)
+            vpar = Fraction(rng.randint(1, 400), rng.randint(1, 9))
+            precision = Fraction(1, 2 ** rng.choice((1, 8, 32, 64, 128)))
+            p = constraint_poly(c).eval_v(vpar)
+            if isinstance(c, OneDimCurve) and h < 0 and vpar * vpar + 2 * h * c.q < 0:
+                for solve in (solve_u, _reference_solve_u):
+                    with pytest.raises(CurveDomainError):
+                        solve(c, vpar, precision)
+                no_root += 1
+                continue
+            got, want = solve_u(c, vpar, precision), _reference_solve_u(c, vpar, precision)
+            if isinstance(c, TiltCurve) or h >= 0:
+                assert got == want, (c, vpar, precision)
+                same += 1
+                continue
+            assert max(got.lo, want.lo) <= min(got.hi, want.hi), (c, vpar, got, want)
+            assert _certified(p, got, precision), (c, vpar, got)
+            moved += 1
+        assert same >= 800 and moved >= 150 and no_root >= 10, (same, moved, no_root)
+
+    def test_bracket_isolates_the_admissible_root(self):
+        rng = random.Random(42)
+        for i in range(400):
+            h = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+            c = _rand_tilt(rng, h) if i % 2 else _rand_onedim(rng, h)
+            vpar = Fraction(rng.randint(1, 400), rng.randint(1, 9))
+            if isinstance(c, OneDimCurve) and vpar * vpar + 2 * h * c.q < 0:
+                continue
+            p, bracket = admissible_bracket(c, vpar)
+            assert p == constraint_poly(c).eval_v(vpar)
+            smallest = _reference_solve_u(c, vpar, Fraction(1, 2**64))
+            if bracket.exact:
+                assert smallest == bracket
+                continue
+            assert p(bracket.lo) != 0 and p(bracket.hi) != 0
+            assert count_roots(p, bracket.lo, bracket.hi) == 1
+            assert bracket.lo <= smallest.lo and smallest.hi <= bracket.hi
+
+    def test_onedim_discriminant_zero_and_just_above(self):
+        # q = 1 at (h, y, z) = (-2, 1, 3): v^2 + 2hq = v^2 - 4, a double root at v = 2
+        c = OneDimCurve(-2, 1, 3)
+        assert solve_u(c, 2, Fraction(1, 2**64)) == RootInterval(Fraction(1), Fraction(1))
+        assert admissible_bracket(c, 2)[1] == RootInterval(Fraction(1), Fraction(1))
+        with pytest.raises(CurveDomainError):
+            solve_u(c, 2 - Fraction(1, 2**60), Fraction(1, 2**64))
+        for k in (1, 8, 30, 60, 100):
+            vpar = 2 + Fraction(1, 2**k)
+            p, bracket = admissible_bracket(c, vpar)
+            assert bracket.lo == 0 and bracket.hi == 2 / vpar
+            # two positive roots about 2^(1 - k/2) apart; only the smaller lies in the bracket
+            assert len(isolate_positive_roots(p, Fraction(1, 2**200))) == 2
+            assert count_roots(p, bracket.lo, bracket.hi) == 1 and p(bracket.hi) > 0
+            for bits in (16, 64, 128):
+                got = solve_u(c, vpar, Fraction(1, 2**bits))
+                want = _reference_solve_u(c, vpar, Fraction(1, 2**bits))
+                assert max(got.lo, want.lo) <= min(got.hi, want.hi), (k, bits)
+                assert _certified(p, got, Fraction(1, 2**bits))
 
 
 class TestExpandU:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 import sympy
@@ -276,3 +277,104 @@ class TestSignAtRoot:
             assert sign_at_root(q, p, bracket) == _sympy_sign_at_root(q, p, bracket)
         assert sign_at_root(above, p, bracket) == -1
         assert sign_at_root(-below, p, bracket) == 1
+
+
+def _reference_sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[Poly1]:
+    """The signed remainder sequence on Fraction polynomials, by exact
+    division, as the root layer first computed it."""
+    chain = [p, p.derivative() if second is None else second]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        _, r = chain[-2].divmod(chain[-1])
+        if r.is_zero():
+            break
+        chain.append(-r)
+    return [q for q in chain if not q.is_zero()]
+
+
+def _reference_variations(chain, x) -> int:
+    signs = [1 if q(x) > 0 else -1 for q in chain if q(x) != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _reference_squarefree_chain(p: Poly1) -> list[Poly1]:
+    chain = _reference_sturm_chain(p)
+    if chain and chain[-1].degree > 0:
+        chain = _reference_sturm_chain(p.divmod(chain[-1])[0])
+    return chain
+
+
+def _reference_sign_at_root(q: Poly1, p: Poly1, bracket: RootInterval) -> int:
+    if bracket.exact:
+        value = q(bracket.lo)
+        return (value > 0) - (value < 0)
+    chain = _reference_sturm_chain(p, (p.derivative() * q.divmod(p)[1]).divmod(p)[1])
+    return _reference_variations(chain, bracket.lo) - _reference_variations(chain, bracket.hi)
+
+
+def _chain_cases(rng):
+    """Random polynomials, their squares (repeated roots) and their
+    negations (negative leading coefficients), scaled by random rationals,
+    and products with roots in eighths, which isolation hits at midpoints."""
+    for k in range(150):
+        p = _random_poly(rng)
+        p = p * Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+        yield p
+        if k % 3 == 0:
+            yield -(p * p)
+        if k % 3 == 1:
+            yield _product([Fraction(rng.randint(1, 40), 8) for _ in range(2)], (2,))
+
+
+class TestIntegerSturmChain:
+    """The integer chain against the Fraction chain it replaced."""
+
+    def test_members_are_positive_multiples(self):
+        rng = random.Random(51)
+        for p in _chain_cases(rng):
+            seconds = [None, _random_poly(rng), -p.derivative(), Poly1([]), p * Poly1([1, 1])]
+            for second in seconds:
+                got, want = sturm_chain(p, second), _reference_sturm_chain(p, second)
+                assert len(got) == len(want), (p, second)
+                for g, w in zip(got, want):
+                    assert all(type(a) is int for a in g) and gcd(*g) == 1
+                    ratio = w.c[-1] / g[-1]
+                    assert ratio > 0 and Poly1(g) * ratio == w, (p, second)
+
+    def test_count_roots_matches_reference(self):
+        rng = random.Random(52)
+        checked = dyadic_ends = 0
+        for p in _chain_cases(rng):
+            ends = sorted({Fraction(rng.randint(-40, 200), 2 ** rng.randint(0, 5)) for _ in range(6)})
+            ends += [x for x in _rational_roots(p)]  # roots, often dyadic, as ends
+            for r in isolate_positive_roots(p, Fraction(1, 2 ** rng.choice([1, 8]))):
+                ends += [r.lo, r.hi, (r.lo + r.hi) / 2]
+            ends = sorted(set(ends))
+            dyadic_ends += sum(p(x) == 0 and x.denominator > 1 for x in ends)
+            ref = _reference_squarefree_chain(p)
+            variations = {x: _reference_variations(ref, x) for x in ends}
+            for lo, hi in combinations(ends, 2):
+                assert count_roots(p, lo, hi) == variations[lo] - variations[hi], (p, lo, hi)
+                checked += 1
+        assert checked >= 5000 and dyadic_ends >= 20, (checked, dyadic_ends)
+
+    def test_sign_at_root_matches_reference(self):
+        rng = random.Random(53)
+        checked = multiples = exact = 0
+        for p in _chain_cases(rng):
+            brackets = isolate_positive_roots(p, Fraction(1, 2 ** rng.choice([1, 8, 64])))
+            for r in _rational_roots(p):  # a dyadic root: collapsed, or a bisection's middle
+                brackets += [RootInterval(r, r), RootInterval(r - Fraction(1, 64), r + Fraction(1, 64))]
+            for bracket in brackets:
+                if not bracket.exact and (p(bracket.lo) == 0 or p(bracket.hi) == 0
+                                          or count_roots(p, bracket.lo, bracket.hi) != 1):
+                    continue
+                qs = [_random_poly(rng) * Fraction(rng.choice((-1, 1)), rng.randint(1, 9)),
+                      p * _random_poly(rng),  # q = 0 mod p
+                      Poly1([rng.randint(-5, 5)]), -p.derivative()]
+                for q in qs:
+                    got = sign_at_root(q, p, bracket)
+                    assert got == _reference_sign_at_root(q, p, bracket), (q, p, bracket)
+                    checked += 1
+                multiples += sign_at_root(qs[1], p, bracket) == 0
+                exact += bracket.exact
+        assert checked >= 1000 and multiples >= 250 and exact >= 20, (checked, multiples, exact)
