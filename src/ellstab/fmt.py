@@ -10,18 +10,19 @@ trivial (h = 0) each transform degenerates to swapping the two rows of the
 matrix notation and negating the second row.
 
 Both maps are linear in the flat coordinates (n, x, S, eta, a, s): a vector of
-``Fraction``s goes through an integer matrix derived from the closed form and
-built once per geometry, any other scalar (``Poly2``) through the closed form.
+``Fraction``s goes through an integer matrix built once per geometry and read
+off one evaluation of the closed form at ``Poly2`` monomials, any other scalar
+(``Poly2``) through the closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import DomainError
-from .ring import BaseGeometry, ChernVector, DimensionError, DivisorB, pair_h
-from .ring import _over_common_denominator, _plain
+from .poly import Poly2, monomial_coefficients
+from .ring import BaseGeometry, ChernVector, DimensionError, pair_h
+from .ring import _from_flat, _over_common_denominator, _plain
 
 
 def phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
@@ -60,11 +61,6 @@ def _phi_hat(g: BaseGeometry, v: ChernVector) -> ChernVector:
     return ChernVector(n2, x2, S2, eta2, a2, s2)
 
 
-def _from_flat(r: int, c) -> ChernVector:
-    S, eta = DivisorB._raw(tuple(c[2 : 2 + r])), DivisorB._raw(tuple(c[2 + r : 2 + 2 * r]))
-    return ChernVector._raw(c[0], c[1], S, eta, c[-2], c[-1])
-
-
 def _apply(g: BaseGeometry, v: ChernVector, closed) -> ChernVector:
     """The closed form at v; at Fraction scalars through its matrix, kept on g
     as sparse integer rows of (column, entry) over one denominator."""
@@ -74,16 +70,24 @@ def _apply(g: BaseGeometry, v: ChernVector, closed) -> ChernVector:
     if not _plain(coords):
         return closed(g, v)
     if closed not in g.matrices:
-        dim = 2 * g.rank + 4
-        basis = ([Fraction(int(i == j)) for i in range(dim)] for j in range(dim))
-        cols = [closed(g, _from_flat(g.rank, e)).coordinates() for e in basis]
-        den = lcm(*(c.denominator for col in cols for c in col))
-        rows = [[(j, int(col[i] * den)) for j, col in enumerate(cols) if col[i]] for i in range(dim)]
-        g.matrices[closed] = (rows, den)
+        g.matrices[closed] = _matrix(g, closed)
     rows, den = g.matrices[closed]
     nums, common = _over_common_denominator(coords)
     den *= common
     return _from_flat(g.rank, [Fraction(sum(a * nums[j] for j, a in row), den) for row in rows])
+
+
+def _matrix(g: BaseGeometry, closed) -> tuple[list, int]:
+    """The matrix of a closed form, read off one evaluation at monomial
+    scalars: coordinate j is u^(j+1), so the u^(j+1) coefficient of output
+    k is M[k][j]."""
+    dim = 2 * g.rank + 4
+    out = closed(g, _from_flat(g.rank, [Poly2({(j + 1, 0): 1}) for j in range(dim)]))
+    entries, den = monomial_coefficients(out.coordinates())
+    rows = [[] for _ in range(dim)]
+    for k, (j, _), c in entries:
+        rows[k].append((j - 1, c))
+    return rows, den
 
 
 def fiber_swap_rule(g: BaseGeometry, tw: ChernVector) -> ChernVector:

@@ -469,6 +469,17 @@ class Poly2:
         return cls(terms)
 
 
+def monomial_coefficients(values) -> tuple[list, int]:
+    """The coefficients of values, each a Poly2 or an exact zero, as entries
+    (k, (i, j), c) over one positive denominator den: c / den is the
+    u^i v^j coefficient of value k.  A (bi)linear closed form evaluated at
+    distinct monomials gives its integer matrix or structure constants."""
+    terms = [x.terms if isinstance(x, Poly2) else {} for x in values]
+    den = lcm(*(c.denominator for t in terms for c in t.values()))
+    return [(k, key, c.numerator * (den // c.denominator))
+            for k, t in enumerate(terms) for key, c in t.items()], den
+
+
 def reduce_mod_u(dividend: Poly2, divisor: Poly2) -> Poly2:
     """Remainder of dividend modulo divisor, eliminating the variable u.
 

@@ -28,7 +28,10 @@ the closed forms used by ``twist``:
 
 All arithmetic is exact; coordinates are ``fractions.Fraction`` values
 (polynomial coefficients are also accepted, which lets the same formulas run
-symbolically).
+symbolically).  ``_mul`` is the one product formula, over any scalar; at
+``Fraction`` scalars ``mul`` applies its integer structure constants, read
+off one evaluation of ``_mul`` at ``Poly2`` monomials and kept on the
+geometry.
 """
 
 from __future__ import annotations
@@ -124,17 +127,17 @@ class DivisorB:
     def __add__(self, other: "DivisorB") -> "DivisorB":
         if len(self.coords) != len(other.coords):
             raise DimensionError("divisor rank mismatch")
-        return DivisorB(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return DivisorB._raw(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "DivisorB") -> "DivisorB":
         return self + (-other)
 
     def __neg__(self) -> "DivisorB":
-        return DivisorB(tuple(-a for a in self.coords))
+        return DivisorB._raw(tuple(-a for a in self.coords))
 
     def scale(self, c) -> "DivisorB":
         c = _q(c)
-        return DivisorB(tuple(c * a for a in self.coords))
+        return DivisorB._raw(tuple(c * a for a in self.coords))
 
     def __rmul__(self, c) -> "DivisorB":
         return self.scale(c)
@@ -177,7 +180,9 @@ class BaseGeometry:
     ``m0`` a seed constant with m0 > vprime and h + 2*m0 > 0.  The H data
     derived from them (``hb2`` = H.H, ``hb_divisor`` and the row ``hb_row``
     of hb * gram used by ``pair_h``) is computed once, at construction.
-    ``matrices`` starts empty; ``fmt`` keeps each transform's matrix there.
+    ``matrices`` starts empty; it keeps the integer tables of the linear
+    closed forms, keyed by the closed form: ``fmt``'s transform matrices and
+    the product's structure constants (keyed by ``_mul``).
     """
 
     rank: int
@@ -303,7 +308,7 @@ class ChernVector:
         )
 
     def __add__(self, other: "ChernVector") -> "ChernVector":
-        return ChernVector(
+        return ChernVector._raw(
             self.n + other.n,
             self.x + other.x,
             self.S + other.S,
@@ -316,11 +321,11 @@ class ChernVector:
         return self + (-other)
 
     def __neg__(self) -> "ChernVector":
-        return ChernVector(-self.n, -self.x, -self.S, -self.eta, -self.a, -self.s)
+        return ChernVector._raw(-self.n, -self.x, -self.S, -self.eta, -self.a, -self.s)
 
     def scale(self, c) -> "ChernVector":
         c = _q(c)
-        return ChernVector(
+        return ChernVector._raw(
             c * self.n, c * self.x, self.S.scale(c), self.eta.scale(c), c * self.a, c * self.s
         )
 
@@ -352,6 +357,13 @@ class ChernVector:
         """
         heta = pair_h(g, self.eta)
         return self.s + g.h * heta / 2 + self.x * g.h * g.h * g.hb2 * Fraction(1, 12)
+
+
+def _from_flat(r: int, c) -> ChernVector:
+    """A vector from flat coordinates (n, x, S..., eta..., a, s) that are
+    already scalars, without coercion."""
+    S, eta = DivisorB._raw(tuple(c[2 : 2 + r])), DivisorB._raw(tuple(c[2 + r : 2 + 2 * r]))
+    return ChernVector._raw(c[0], c[1], S, eta, c[-2], c[-1])
 
 
 def pair(g: BaseGeometry, d1: DivisorB, d2: DivisorB):
@@ -393,6 +405,52 @@ def _product_view(coords: tuple, nonzero: tuple, plain: bool, partner_plain: boo
 
 def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     """Graded product of two classes, truncated above the point class.
+
+    At Fraction scalars through the integer structure constants of
+    ``_mul``, kept on g; at any other scalar through ``_mul`` itself.
+    """
+    r = g.rank
+    if v1.rank_lattice != r or v2.rank_lattice != r:
+        raise DimensionError("vector rank does not match geometry rank")
+    f1, f2 = v1.coordinates(), v2.coordinates()
+    if not (_plain(f1) and _plain(f2)):
+        return _mul(g, v1, v2)
+    if _mul not in g.matrices:
+        g.matrices[_mul] = _mul_table(g)
+    table, den = g.matrices[_mul]
+    nums1, den1 = _over_common_denominator(f1)
+    nums2, den2 = _over_common_denominator(f2)
+    right = [(j, b) for j, b in enumerate(nums2) if b]
+    totals = [0] * len(f1)
+    for a, row in zip(nums1, table):
+        if a:
+            for j, b in right:
+                ab = a * b
+                for k, c in row[j]:
+                    totals[k] += ab * c
+    den *= den1 * den2
+    return _from_flat(r, [Fraction(t, den) if t else _ZERO for t in totals])
+
+
+def _mul_table(g: BaseGeometry) -> tuple[list, int]:
+    """The structure constants of ``_mul``, read off one product at monomial
+    scalars: coordinate i of the first factor is u^(i+1), coordinate j of
+    the second v^(j+1), so the u^(i+1) v^(j+1) coefficient of output k is
+    c_kij.  ``table[i][j]`` lists the (k, c_kij * den) with c_kij nonzero."""
+    from .poly import Poly2, monomial_coefficients
+
+    dim = 2 * g.rank + 4
+    left = _from_flat(g.rank, [Poly2({(i + 1, 0): 1}) for i in range(dim)])
+    right = _from_flat(g.rank, [Poly2({(0, j + 1): 1}) for j in range(dim)])
+    entries, den = monomial_coefficients(_mul(g, left, right).coordinates())
+    table = [[[] for _ in range(dim)] for _ in range(dim)]
+    for k, (i, j), c in entries:
+        table[i - 1][j - 1].append((k, c))
+    return table, den
+
+
+def _mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
+    """The product formula, over any scalar.
 
     Works on the coordinate tuples and skips every product with an
     exact-zero factor.  Pairings skip zeros of any scalar type, as ``pair``

@@ -41,7 +41,8 @@ class SuiteReport:
 
 
 def geometry_for(h, rank2: bool = False) -> BaseGeometry:
-    """One shared geometry per (h, rank2), so its transform matrices are reused."""
+    """One shared geometry per (h, rank2), so its transform matrices and product
+    table are reused."""
     return _geometry(Fraction(h), bool(rank2))
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ellstab.ring import BaseGeometry, ChernVector, DivisorB
+from ellstab.suites import _rand_vector
 
 
 @pytest.fixture
@@ -29,3 +30,30 @@ def cv(n, x, s_div, eta_div, a, s):
 
 def d(*coords):
     return DivisorB(coords)
+
+
+def fresh_geometries():
+    """Fresh geometries, so each test builds their tables itself: ranks 1
+    and 2 at five values of h, and a rank-2 lattice whose hb is no basis
+    vector."""
+    out = [BaseGeometry(r, gram, hb, h, 0, 1 if h + 2 > 0 else -h)
+           for h in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1, 3))
+           for r, gram, hb in ((1, [[1]], [1]), (2, [[2, 1], [1, 3]], [1, 0]))]
+    out.append(BaseGeometry(2, [[2, 3], [3, -1]], [1, 2], Fraction(-3, 2), 0, 1))
+    return out
+
+
+def sample_vectors(rng, rank):
+    """The zero vector, two sparse vectors, then 40 random ones."""
+    z = DivisorB.zero(rank)
+    yield ChernVector.zero(rank)
+    yield ChernVector(3, -2, DivisorB(range(1, rank + 1)), z, 5, 0)
+    eta = DivisorB([Fraction(-5, 12)] * rank)
+    yield ChernVector(Fraction(1, 7), 0, z, eta, Fraction(9, 4), Fraction(1, 9))
+    for _ in range(40):
+        yield _rand_vector(rng, rank)
+
+
+def shape(v):
+    """A vector's coordinates with their scalar types."""
+    return [(type(c), c) for c in v.coordinates()]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,10 +10,10 @@ from ellstab import fmt
 from ellstab.errors import DimensionError, DomainError
 from ellstab.fmt import fiber_swap_rule, phi, phi_hat
 from ellstab.poly import Poly2
-from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, twist
+from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, _from_flat, twist
 from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
-from conftest import cv, d
+from conftest import cv, d, fresh_geometries, sample_vectors, shape
 
 
 H_SET = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2)]
@@ -103,42 +104,38 @@ class TestSwapRule:
                     assert lhs == rhs
 
 
-def _matrix_geometries():
-    """Fresh geometries, so each test builds their matrices itself: ranks 1
-    and 2 at five values of h, and a rank-2 lattice whose hb is no basis
-    vector."""
-    out = [BaseGeometry(r, gram, hb, h, 0, 1 if h + 2 > 0 else -h)
-           for h in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1, 3))
-           for r, gram, hb in ((1, [[1]], [1]), (2, [[2, 1], [1, 3]], [1, 0]))]
-    out.append(BaseGeometry(2, [[2, 3], [3, -1]], [1, 2], Fraction(-3, 2), 0, 1))
-    return out
-
-
-def _vectors(rng, rank):
-    z = DivisorB.zero(rank)
-    yield ChernVector.zero(rank)
-    yield ChernVector(3, -2, DivisorB(range(1, rank + 1)), z, 5, 0)
-    eta = DivisorB([Fraction(-5, 12)] * rank)
-    yield ChernVector(Fraction(1, 7), 0, z, eta, Fraction(9, 4), Fraction(1, 9))
-    for _ in range(40):
-        yield _rand_vector(rng, rank)
-
-
-def _shape(v):
-    return [(type(c), c) for c in v.coordinates()]
+def _reference_matrix(g, closed):
+    """The basis-vector build that the Poly2 read-off replaced: the closed form
+    at each of the 2r + 4 basis vectors gives one column."""
+    dim = 2 * g.rank + 4
+    basis = ([Fraction(int(i == j)) for i in range(dim)] for j in range(dim))
+    cols = [closed(g, _from_flat(g.rank, e)).coordinates() for e in basis]
+    den = lcm(*(c.denominator for col in cols for c in col))
+    rows = [[(j, int(col[i] * den)) for j, col in enumerate(cols) if col[i]] for i in range(dim)]
+    return rows, den
 
 
 class TestMatrixPath:
+    def test_read_off_equals_the_basis_vector_build(self):
+        for g in fresh_geometries():
+            phi(g, ChernVector.zero(g.rank))
+            phi_hat(g, ChernVector.zero(g.rank))
+            for closed in (fmt._phi, fmt._phi_hat):
+                rows, den = g.matrices[closed]
+                ref_rows, ref_den = _reference_matrix(g, closed)
+                assert den == ref_den
+                assert [set(row) for row in rows] == [set(row) for row in ref_rows]
+
     def test_equals_closed_forms_in_value_and_type(self):
         rng = random.Random(8)
-        for g in _matrix_geometries():
-            for v in _vectors(rng, g.rank):
-                assert _shape(phi(g, v)) == _shape(fmt._phi(g, v))
-                assert _shape(phi_hat(g, v)) == _shape(fmt._phi_hat(g, v))
+        for g in fresh_geometries():
+            for v in sample_vectors(rng, g.rank):
+                assert shape(phi(g, v)) == shape(fmt._phi(g, v))
+                assert shape(phi_hat(g, v)) == shape(fmt._phi_hat(g, v))
             assert fmt._phi in g.matrices and fmt._phi_hat in g.matrices
 
     def test_matrices_compose_to_minus_identity(self):
-        for g in _matrix_geometries():
+        for g in fresh_geometries():
             dim = 2 * g.rank + 4
             phi(g, ChernVector.zero(g.rank))
             phi_hat(g, ChernVector.zero(g.rank))
@@ -157,11 +154,11 @@ class TestMatrixPath:
                 assert product == [[-int(i == j) for j in range(dim)] for i in range(dim)]
 
     def test_poly2_coordinates_take_the_closed_form(self):
-        for g in _matrix_geometries():
+        for g in fresh_geometries():
             z = DivisorB.zero(g.rank)
             v = ChernVector(Poly2.u(), 1, DivisorB([Poly2.v()] * g.rank), z, Fraction(1, 2), 0)
-            assert _shape(phi(g, v)) == _shape(fmt._phi(g, v))
-            assert _shape(phi_hat(g, v)) == _shape(fmt._phi_hat(g, v))
+            assert shape(phi(g, v)) == shape(fmt._phi(g, v))
+            assert shape(phi_hat(g, v)) == shape(fmt._phi_hat(g, v))
             assert not g.matrices
 
     def test_rank_mismatch_raises(self):

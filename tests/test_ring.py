@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellstab import fmt, ring
 from ellstab.curves import TiltCurve, chow_identity_symbolic_remainder
 from ellstab.errors import ConfigurationError, DimensionError
 from ellstab.poly import Poly2
@@ -15,15 +16,17 @@ from ellstab.ring import (
     ChernVector,
     DivisorB,
     DivisorX,
+    compute_m,
     divisor_vector,
     mul,
     pair,
     pair_h,
     twist,
 )
+from ellstab.series import LaurentSeries
 from ellstab.suites import H_SET_INVOLUTION, _rand_divisor, _rand_q, _rand_vector, geometry_for
 
-from conftest import cv, d
+from conftest import cv, d, fresh_geometries, sample_vectors, shape
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
@@ -120,6 +123,124 @@ class TestMul:
                     part = mul(g, v1.degree_part(i), v2.degree_part(j))
                     graded = graded + part
         assert prod == graded
+
+
+def _basis(g, i):
+    dim = 2 * g.rank + 4
+    return ring._from_flat(g.rank, [Fraction(int(k == i)) for k in range(dim)])
+
+
+def _built_table(g):
+    mul(g, ChernVector.zero(g.rank), ChernVector.zero(g.rank))
+    return g.matrices[ring._mul]
+
+
+def _series_vector(rank):
+    s = LaurentSeries([(1, Fraction(2, 3)), (-1, 5)], -4)
+    return ChernVector(s, 1, DivisorB([s] * rank), DivisorB([0] * rank), LaurentSeries.zero(), 2)
+
+
+class TestMulTable:
+    """``mul`` at Fraction scalars through the structure constants kept on
+    each fresh geometry, against the product formula ``ring._mul``."""
+
+    def test_equals_product_formula_in_value_and_type(self):
+        rng = random.Random(31)
+        for g in fresh_geometries():
+            vs = list(sample_vectors(rng, g.rank))
+            vs += [v.degree_part(i) for v in vs[3:13] for i in range(4)]
+            for v1, v2 in zip(vs, vs[1:] + vs[:1]):
+                assert shape(mul(g, v1, v2)) == shape(ring._mul(g, v1, v2))
+                assert shape(mul(g, v1, v1)) == shape(ring._mul(g, v1, v1))
+            assert ring._mul in g.matrices
+
+    def test_entries_are_products_of_basis_vectors(self):
+        for g in fresh_geometries():
+            table, den = _built_table(g)
+            dim = 2 * g.rank + 4
+            for i in range(dim):
+                for j in range(dim):
+                    entries = table[i][j]
+                    assert len({k for k, _ in entries}) == len(entries)
+                    assert all(c for _, c in entries)
+                    dense = [Fraction(0)] * dim
+                    for k, c in entries:
+                        dense[k] = Fraction(c, den)
+                    assert dense == list(ring._mul(g, _basis(g, i), _basis(g, j)).coordinates())
+
+    def test_symmetric(self):
+        for g in fresh_geometries():
+            table, _ = _built_table(g)
+            dim = 2 * g.rank + 4
+            for i in range(dim):
+                for j in range(dim):
+                    assert sorted(table[i][j]) == sorted(table[j][i])
+
+    def test_other_scalars_take_the_product_formula(self):
+        rng = random.Random(32)
+        for g in fresh_geometries():
+            z = DivisorB.zero(g.rank)
+            p = ChernVector(Poly2.u(), 1, DivisorB([Poly2.v()] * g.rank), z, Fraction(1, 2), 0)
+            f = _rand_vector(rng, g.rank)
+            s = _series_vector(g.rank)
+            for v1, v2 in ((f, p), (p, f), (p, p), (s, f), (f, s), (s, s)):
+                assert shape(mul(g, v1, v2)) == shape(ring._mul(g, v1, v2))
+            assert not g.matrices
+
+    def test_table_is_built_without_the_public_product(self, monkeypatch):
+        """A traced call count of mul sees only the caller's calls."""
+        calls = []
+        original = ring.mul
+        monkeypatch.setattr(ring, "mul", lambda g, v1, v2: calls.append("mul") or original(g, v1, v2))
+        g = BaseGeometry(2, [[2, 3], [3, -1]], [1, 2], Fraction(-3, 2), 0, 1)
+        rng = random.Random(33)
+        ring.mul(g, _rand_vector(rng, 2), _rand_vector(rng, 2))
+        assert calls == ["mul"]
+        assert set(g.matrices) == {ring._mul}
+
+
+def test_tables_leave_geometry_identity_unchanged():
+    """The lru_caches keyed on geometries (compute_m) keep hitting once a
+    geometry holds its product table and transform matrices."""
+    for g in fresh_geometries():
+        v = _rand_vector(random.Random(34), g.rank)
+        mul(g, v, v)
+        fmt.phi(g, v)
+        fmt.phi_hat(g, v)
+        assert set(g.matrices) == {ring._mul, fmt._phi, fmt._phi_hat}
+        fresh = BaseGeometry(g.rank, g.gram, g.hb, g.h, g.vprime, g.m0)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        compute_m(g)
+        hits = compute_m.cache_info().hits
+        assert compute_m(fresh) == compute_m(g)
+        assert compute_m.cache_info().hits == hits + 2
+
+
+def _coerced(rank, c):
+    """A vector through the coercing constructors, from flat coordinates."""
+    return ChernVector(c[0], c[1], DivisorB(c[2 : 2 + rank]), DivisorB(c[2 + rank : 2 + 2 * rank]), c[-2], c[-1])
+
+
+def test_vector_arithmetic_matches_the_coercing_constructors():
+    for rank in (1, 2):
+        dim = 2 * rank + 4
+        for cs in (
+            [Fraction(k, 3) for k in range(dim)],
+            [Poly2({(k % 3, 1): Fraction(k + 1, 2)}) for k in range(dim)],
+            [LaurentSeries([(k, Fraction(1, k + 5)), (-2, k)], -3) for k in range(dim)],
+        ):
+            v, w = ring._from_flat(rank, cs), ring._from_flat(rank, cs[::-1])
+            assert shape(v + w) == shape(_coerced(rank, [a + b for a, b in zip(cs, cs[::-1])]))
+            assert shape(-v) == shape(_coerced(rank, [-a for a in cs]))
+            assert shape(v - w) == shape(v + (-w))
+            for c in (3, Fraction(-5, 7), cs[1]):
+                want = _coerced(rank, [ring._q(c) * a for a in cs])
+                assert shape(v.scale(c)) == shape(want) == shape(c * v)
+                assert [(type(a), a) for a in v.S.scale(c).coords] == [(type(a), a) for a in want.S.coords]
+        with pytest.raises(DimensionError):
+            v.S + DivisorB.zero(rank + 1)
+        with pytest.raises(DimensionError):
+            v + ChernVector.zero(rank + 1)
 
 
 def test_mul_laws_bulk():
