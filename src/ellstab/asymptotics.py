@@ -323,6 +323,8 @@ def wall_scan(
         raise DomainError("wall scan requires 0 < vmin < vmax")
     if samples < 2:
         raise DomainError("wall scan needs at least two samples")
+    if precision <= 0:
+        raise DomainError("wall scan precision must be positive")
     cross = _cross_poly(g, m, n, kind, d)
     grid = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
     signs = [_cross_sign(cross, c, vv) for vv in grid]

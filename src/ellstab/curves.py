@@ -6,11 +6,14 @@ one u*Theta + v*pull(H) through
     alpha / beta = a(ha+2b) / (ha+b)^2 = (hu+v) / ((1/6) u (h^2 u^2 + 3huv + 3v^2)),
 
 the one-dimensional curve is h + z/y = (1/2) u (hu + 2v).  Both are handled
-through their cross-multiplied polynomial forms.  The curve point over v
-is the smallest positive root, by proof, and a bracket isolating it is
-written down in closed form (the Cauchy bound, or 2q/v on the
-one-dimensional curve with h < 0); solving is dyadic bisection of that
-bracket on the sign of the curve polynomial, evaluated exactly in
+through their cross-multiplied polynomial forms, written once as
+u-coefficients over a generic scalar v (``_ucoefficients``): at a rational
+v they are the curve polynomial in u, at v = Poly1([0, 1]) the symbolic
+``constraint_poly``.  The curve point over v is the smallest positive
+root, by proof, and a bracket isolating it is written down in closed form
+(the Cauchy bound, or 2q/v on the one-dimensional curve with h < 0);
+solving refines that bracket on the dyadic grid by quadratic interval
+refinement on the sign of the curve polynomial, evaluated exactly in
 integers, with no Sturm isolation.  The cycle identity behind the tilt
 curve is decided exactly, at algebraic points by one Sturm-Tarski query.
 The expansion of u as a Laurent series in 1/v is written down coefficient
@@ -21,7 +24,7 @@ Lagrange inversion gives as products of integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -32,6 +35,7 @@ from .poly import (
     Poly2,
     RootInterval,
     _bisect_by_sign,
+    _positive,
     _root_bound,
     count_roots,
     reduce_mod_u,
@@ -44,11 +48,14 @@ from .series import LaurentSeries
 @dataclass(frozen=True)
 class TiltCurve:
     """Curve for comparing slope data at a*Theta + b*pull(H) with the
-    moving polarization; requires a, b > 0, ha + 2b > 0 and ha + b != 0."""
+    moving polarization; requires a, b > 0, ha + 2b > 0 and ha + b != 0.
+    alpha = a(ha + 2b) and beta = (ha + b)^2 are computed at construction."""
 
     h: Fraction
     a: Fraction
     b: Fraction
+    alpha: Fraction = field(init=False, compare=False, repr=False)
+    beta: Fraction = field(init=False, compare=False, repr=False)
 
     def __init__(self, h, a, b):
         h, a, b = _q(h), _q(a), _q(b)
@@ -61,14 +68,8 @@ class TiltCurve:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def alpha(self) -> Fraction:
-        return self.a * (self.h * self.a + 2 * self.b)
-
-    @property
-    def beta(self) -> Fraction:
-        return (self.h * self.a + self.b) ** 2
+        object.__setattr__(self, "alpha", a * (h * a + 2 * b))
+        object.__setattr__(self, "beta", (h * a + b) ** 2)
 
     @property
     def leading_coefficient(self) -> Fraction:
@@ -107,17 +108,21 @@ class OneDimCurve:
 CurveConstraint = TiltCurve | OneDimCurve
 
 
+def _ucoefficients(c: CurveConstraint, v) -> list:
+    """The u-coefficients (ascending) of the cross-multiplied curve equation
+    P(u, v), over any scalar v with +, - and *: the one place it is written."""
+    h = c.h
+    if isinstance(c, TiltCurve):
+        alpha, beta = c.alpha, c.beta
+        return [v * -beta, v * v * (alpha / 2) - beta * h, v * (alpha * h / 2), alpha * h * h / 6]
+    return [-c.q, v, h / 2]
+
+
 @lru_cache(maxsize=None)
 def constraint_poly(c: CurveConstraint) -> Poly2:
     """Cross-multiplied curve equation as a polynomial P(u, v); the curve is
     its zero set in the positive quadrant."""
-    u, v = Poly2.u(), Poly2.v()
-    h = c.h
-    if isinstance(c, TiltCurve):
-        cubic = h * h * u * u * u + 3 * h * (u * u * v) + 3 * (u * v * v)
-        return cubic * Fraction(c.alpha, 6) - (h * u + v) * c.beta
-    q = c.q
-    return (h * (u * u) + 2 * (u * v)) * Fraction(1, 2) - Poly2.const(q)
+    return Poly2.from_ucoefficients(_ucoefficients(c, Poly1([0, 1])))
 
 
 def admissible_bracket(c: CurveConstraint, vpar) -> tuple[Poly1, RootInterval]:
@@ -144,7 +149,7 @@ def admissible_bracket(c: CurveConstraint, vpar) -> tuple[Poly1, RootInterval]:
     vpar = _q(vpar)
     if vpar <= 0:
         raise CurveDomainError("curve solving requires vpar > 0")
-    p = constraint_poly(c).eval_v(vpar)
+    p = Poly1(_ucoefficients(c, vpar))
     if c.h == 0:
         root = c.leading_coefficient / vpar
         return p, RootInterval(root, root)
@@ -160,15 +165,15 @@ def admissible_bracket(c: CurveConstraint, vpar) -> tuple[Poly1, RootInterval]:
 def solve_u(c: CurveConstraint, vpar, precision) -> RootInterval:
     """The curve's admissible root u at a fixed v: its smallest positive root.
 
-    The bracket of ``admissible_bracket`` is bisected by the sign of the
-    curve polynomial to a certified sign-change interval no wider than
-    ``precision``; exact rational roots, and midpoints that are roots, are
-    returned as collapsed intervals.
+    The bracket of ``admissible_bracket`` is refined on the sign of the
+    curve polynomial (``poly._bisect_by_sign``: quadratic interval
+    refinement on the bisection's dyadic grid, a few exact integer
+    evaluations) to a certified sign-change interval no wider than
+    ``precision``, the same interval bisection gives; exact rational roots,
+    and grid points that are roots, are returned as collapsed intervals.
     """
     p, bracket = admissible_bracket(c, vpar)
-    precision = _q(precision)
-    if precision <= 0:
-        raise CurveDomainError("precision must be positive")
+    precision = _positive(precision)
     if bracket.exact:
         return bracket
     return _bisect_by_sign(p, bracket.lo, bracket.hi, precision)
@@ -217,26 +222,32 @@ def _expand_u_cached(c: CurveConstraint, order: int) -> LaurentSeries:
     return LaurentSeries(terms, -order)
 
 
-def _cycle_sides(g: BaseGeometry, c: TiltCurve, u, vpar) -> tuple[ChernVector, ChernVector]:
-    """The two degree-two cycles whose equality is the compatibility of the
-    fixed and moving polarizations, both built through ring products."""
+@lru_cache(maxsize=None)
+def _fixed_cycles(g: BaseGeometry, c: TiltCurve) -> tuple[ChernVector, ChernVector, Fraction]:
+    """The ring products of the fixed polarization obar = obar1 + obar2
+    alone: obar1 (obar1 + 2 obar2), theta, and the degree of theta obar^2."""
     hb = g.hb_divisor
     obar1 = divisor_vector(g, DivisorX(c.a, g.zero_divisor()))
     obar2 = divisor_vector(g, DivisorX(0, hb.scale(c.b)))
     obar = obar1 + obar2
-    om = divisor_vector(g, DivisorX(u, hb.scale(vpar)))
     theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
-
     left_cycle = mul(g, obar1, obar1 + obar2.scale(2))
+    return left_cycle, theta, mul(g, theta, mul(g, obar, obar)).s
+
+
+def _cycle_sides(g: BaseGeometry, c: TiltCurve, u, vpar) -> tuple[ChernVector, ChernVector]:
+    """The two degree-two cycles whose equality is the compatibility of the
+    fixed and moving polarizations, both built through ring products."""
+    left_cycle, theta, theta_obar2 = _fixed_cycles(g, c)
+    om = divisor_vector(g, DivisorX(u, g.hb_divisor.scale(vpar)))
     om3_over6 = mul(g, mul(g, om, om), om).s / 6
     lhs = left_cycle.scale(om3_over6)
-
-    theta_obar2 = mul(g, theta, mul(g, obar, obar)).s
     rhs = mul(g, om, theta).scale(theta_obar2)
     return lhs, rhs
 
 
-def _symbolic_difference_parts(g: BaseGeometry, c: TiltCurve) -> list[Poly2]:
+@lru_cache(maxsize=None)
+def _symbolic_difference_parts(g: BaseGeometry, c: TiltCurve) -> tuple[Poly2, ...]:
     """All components of the symbolic cycle difference, as (u, v) polynomials."""
     lhs, rhs = _cycle_sides(g, c, Poly2.u(), Poly2.v())
     diff = lhs - rhs
@@ -249,7 +260,7 @@ def _symbolic_difference_parts(g: BaseGeometry, c: TiltCurve) -> list[Poly2]:
             parts.append(value)
         elif value != 0:
             parts.append(Poly2.const(value))
-    return parts
+    return tuple(parts)
 
 
 def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
@@ -265,7 +276,7 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
     if isinstance(u, RootInterval) and not u.exact:
-        p = constraint_poly(c).eval_v(vpar)
+        p = Poly1(_ucoefficients(c, _q(vpar)))
         if p(u.lo) == 0 or p(u.hi) == 0 or count_roots(p, u.lo, u.hi) != 1:
             raise CurveDomainError("bracket does not isolate a single root of the curve")
         reduced = [part.eval_v(vpar).divmod(p)[1] for part in _symbolic_difference_parts(g, c)]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .poly import Poly2, monomial_coefficients
 from .ring import BaseGeometry, ChernVector, DimensionError, pair_h
-from .ring import _from_flat, _over_common_denominator, _plain
+from .ring import _ZERO, _from_flat, _over_common_denominator, _plain
 
 
 def phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
@@ -74,7 +74,8 @@ def _apply(g: BaseGeometry, v: ChernVector, closed) -> ChernVector:
     rows, den = g.matrices[closed]
     nums, common = _over_common_denominator(coords)
     den *= common
-    return _from_flat(g.rank, [Fraction(sum(a * nums[j] for j, a in row), den) for row in rows])
+    totals = [sum(a * nums[j] for j, a in row) for row in rows]
+    return _from_flat(g.rank, [Fraction(t, den) if t else _ZERO for t in totals])
 
 
 def _matrix(g: BaseGeometry, closed) -> tuple[list, int]:

@@ -2,19 +2,21 @@
 
 Univariate polynomials over the rationals, with root isolation on one
 signed remainder sequence per polynomial (its last term, gcd(p, p') up to a
-constant, gives the squarefree part) and dyadic bisection by sign, no
-floating point anywhere; and bivariate polynomials in (u, v), used both
-numerically and as symbolic ring scalars.  The remainder sequence is kept
-in integers, each member up to a positive factor, so root counts and
-Sturm-Tarski signs read integer values at each rational point, as the
-bisection does.
+constant, gives the squarefree part) and refinement by sign on the dyadic
+grid of bisection (quadratic interval refinement: secant guesses checked
+by exact signs, with the bisection's output), no floating point anywhere;
+and bivariate polynomials in (u, v), used both numerically and as symbolic
+ring scalars.  The remainder sequence is kept in integers, each member up
+to a positive factor, so root counts and Sturm-Tarski signs read integer
+values at each rational point, as the refinement does on an integer
+Taylor shift of the polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import ComputationFault, CurveDomainError
 from .ring import _q
@@ -241,9 +243,10 @@ def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
     """All positive real roots of p, each bracketed to the given width.
 
     Sturm counting on p's squarefree part isolates the roots; each
-    isolating bracket is then refined by dyadic bisection on the sign of that
-    part alone, so every returned interval is certified exactly.
+    isolating bracket is then refined on the dyadic grid by the sign of
+    that part alone, so every returned interval is certified exactly.
     """
+    precision = _positive(precision)
     chain = _squarefree_chain(p)
     if not chain or len(chain[0]) < 2:
         return []
@@ -275,6 +278,14 @@ def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
     return out
 
 
+def _positive(precision) -> Fraction:
+    """The precision as a Fraction; a width <= 0 is never reached, so refused."""
+    precision = _q(precision)
+    if precision <= 0:
+        raise CurveDomainError("precision must be positive")
+    return precision
+
+
 def _root_bound(p: Poly1) -> Fraction:
     """Cauchy's bound 1 + max |p_i| / |lead|, above every |root| of p."""
     return Fraction(1) + max(abs(a) for a in p.c) / abs(p.c[-1])
@@ -284,8 +295,9 @@ def refine_root(p: Poly1, bracket: RootInterval, precision: Fraction) -> RootInt
     """Shrink an isolating bracket of a root of p to the given width.
 
     A Sturm count on p's squarefree part first certifies that (lo, hi] holds
-    exactly one root; the bisection after it needs only signs of that part.
+    exactly one root; the refinement after it needs only signs of that part.
     """
+    precision = _positive(precision)
     if bracket.exact:
         return bracket
     chain = _squarefree_chain(p)
@@ -296,45 +308,95 @@ def refine_root(p: Poly1, bracket: RootInterval, precision: Fraction) -> RootInt
 
 
 def _bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInterval:
-    """Bisect (lo, hi], which holds exactly one root of the squarefree p,
-    until it is no wider than precision; a midpoint that is a root collapses it.
+    """Refine (lo, hi], which holds exactly one root of the squarefree p,
+    to the dyadic cell of width (hi - lo) / 2^J no wider than precision, by
+    quadratic interval refinement (Abbott, 2006) on the bisection's grid;
+    a grid point that is a root collapses it.
 
-    Works on q(t) = den * p(lo + (hi - lo) t), which has integer
-    coefficients, at dyadic points t = m / 2^j, where 2^(jd) q(t) is the
-    integer sum of q_i m^i 2^(j(d-i)).  The root lies left of a midpoint
-    exactly when p there has the sign opposite to p just above lo: the sign
-    of q(0), or minus the sign of q(1) when lo is itself a root (zero when
-    hi is a root too; the root is then hi).
+    Works on q(t), a positive multiple of p(lo + (hi - lo) t) with integer
+    coefficients (``_shifted``), at dyadic points t = m / 2^j, where
+    2^(jd) q(t) is the integer sum of q_i m^i 2^(j(d-i)).  A root at lo is
+    divided out of q (a factor t, positive on the cell), so the current cell
+    always has ends of opposite exact signs and the root strictly inside.
+    Each step splits the cell into N = 2^k sub-cells and takes the one the
+    secant through the end values points at (an integer floor division), if
+    its ends have opposite signs; k then doubles.  Otherwise the cell is
+    bisected and k halves, down to 2.  The level never passes J.
+
+    The output is bisection's, which is unique: [hi - step, hi] for
+    step = (hi - lo) / 2^J if hi is the root; else the root itself if it is
+    a grid point of level at most J, and otherwise the level-J cell holding
+    it.  The root stays strictly inside the cell, and no grid point of
+    level at most J lies strictly inside a level-J cell, so a root on the
+    grid is met by an evaluation before the level reaches J.
     """
     width = hi - lo
-    shifted: list[Fraction] = []
-    for a in reversed(p.c):  # Horner: shifted <- shifted * (lo + width t) + a
-        nxt = [x * lo for x in shifted] + [Fraction(0)]
-        for i, x in enumerate(shifted):
-            nxt[i + 1] += x * width
-        nxt[0] += a
-        shifted = nxt
-    den = lcm(*(x.denominator for x in shifted))
-    q = [x.numerator * (den // x.denominator) for x in shifted]
-    d = len(q) - 1
-    ref = _sign(q[0]) if q[0] else -_sign(sum(q))
-
-    precision = Fraction(precision)
     wide = width.numerator * precision.denominator
     narrow = precision.numerator * width.denominator
-    m = j = 0  # the bracket is t in [m / 2^j, (m + 1) / 2^j]
-    while wide > narrow << j:
-        j += 1
-        mid = 2 * m + 1
-        value = q[d]
+    top = max(0, wide.bit_length() - narrow.bit_length())  # J: the least with wide <= narrow << J
+    if narrow << top < wide:
+        top += 1
+    if top == 0:
+        return RootInterval(lo, hi)
+    step = width / (1 << top)
+    q = _shifted(p, lo, width)
+    if sum(q) == 0:  # hi is the root: no sign change inside, bisection keeps right
+        return RootInterval(hi - step, hi)
+    while q[0] == 0:  # lo is a root: q / t has q's signs on the cell
+        q = q[1:]
+    d = len(q) - 1
+
+    def value(m: int, j: int) -> int:
+        acc = q[d]
         for i in range(d - 1, -1, -1):
-            value = value * mid + (q[i] << (j * (d - i)))
-        if value == 0:
-            root = lo + width * Fraction(mid, 1 << j)
-            return RootInterval(root, root)
-        m = 2 * m if _sign(value) == -ref else mid
-    step = width / (1 << j)
+            acc = acc * m + (q[i] << (j * (d - i)))
+        return acc
+
+    m = j = 0  # the cell is t in [m / 2^j, (m + 1) / 2^j]
+    a, b, k = q[0], sum(q), 2  # q at the cell's ends, times 2^(jd)
+    while j < top:
+        k = min(k, top - j)
+        if k > 1:
+            n = 1 << k
+            i = n * a // (a - b)
+            left = a << (k * d) if i == 0 else value(m * n + i, j + k)
+            right = b << (k * d) if i == n - 1 else value(m * n + i + 1, j + k)
+            if left == 0 or right == 0:
+                return _point(lo, width, m * n + i + (left != 0), j + k)
+            if (left > 0) != (right > 0):
+                m, j, a, b, k = m * n + i, j + k, left, right, 2 * k
+                continue
+            k = max(2, k // 2)
+        mid = value(2 * m + 1, j + 1)
+        if mid == 0:
+            return _point(lo, width, 2 * m + 1, j + 1)
+        if (mid > 0) == (a > 0):
+            m, a, b = 2 * m + 1, mid, b << d
+        else:
+            m, a, b = 2 * m, a << d, mid
+        j += 1
     return RootInterval(lo + step * m, lo + step * (m + 1))
+
+
+def _point(lo: Fraction, width: Fraction, m: int, j: int) -> RootInterval:
+    root = lo + width * Fraction(m, 1 << j)
+    return RootInterval(root, root)
+
+
+def _shifted(p: Poly1, lo: Fraction, width: Fraction) -> list[int]:
+    """Primitive integer coefficients (ascending) of a positive multiple of
+    p(lo + width t): with lo = A/D and width = W/D over one denominator and
+    p's coefficients cleared to integers P_i, the t^k coefficient of
+    D^n p(lo + width t) is W^k sum_(i>=k) C(i, k) P_i A^(i-k) D^(n-i)."""
+    den = lcm(lo.denominator, width.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    w = width.numerator * (den // width.denominator)
+    c = _primitive(p.c)
+    n = len(c) - 1
+    q = [w**k * sum(comb(i, k) * c[i] * a ** (i - k) * den ** (n - i) for i in range(k, n + 1))
+         for k in range(n + 1)]
+    content = gcd(*q)
+    return [x // content for x in q]
 
 
 def _sign(x) -> int:
@@ -460,10 +522,11 @@ class Poly2:
         return Poly1(coeffs)
 
     @classmethod
-    def from_ucoefficients(cls, coeffs: list[Poly1]) -> "Poly2":
+    def from_ucoefficients(cls, coeffs: list) -> "Poly2":
+        """The polynomial sum_i coeffs[i] u^i, each a Poly1 in v or a constant."""
         terms: dict = {}
         for i, p in enumerate(coeffs):
-            for j, a in enumerate(p.c):
+            for j, a in enumerate(p.c if isinstance(p, Poly1) else Poly1.const(p).c):
                 if a != 0:
                     terms[(i, j)] = a
         return cls(terms)

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -57,3 +59,19 @@ def sample_vectors(rng, rank):
 def shape(v):
     """A vector's coordinates with their scalar types."""
     return [(type(c), c) for c in v.coordinates()]
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block after the given seconds, so a call
+    that never returns fails its test instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -35,7 +35,7 @@ from ellstab.suites import (
     _rand_vector,
 )
 
-from conftest import cv, d
+from conftest import cv, d, deadline
 
 
 def _reference_charge_series(g, v, c, kind, order, d):
@@ -339,6 +339,17 @@ class TestWallScan:
         w = res.walls[0]
         # crossing sits at v = sqrt(3)
         assert w.lo * w.lo <= 3 <= w.hi * w.hi
+
+    def test_non_positive_precision_raises(self, g1):
+        """Used to bisect a wall forever: no bracket gets narrower than 0."""
+        m = cv(0, Fraction(-2, 3), d(-8), d(2), -4, Fraction(2, 3))
+        n = cv(Fraction(5, 6), 2, d(Fraction(-4, 3)), d(-2), Fraction(1, 2), Fraction(-5, 6))
+        c = TiltCurve(-1, 1, 2)
+        assert len(wall_scan(g1, m, n, c, ChargeKind.REDUCED, (Fraction(1, 2), 5)).walls) == 2
+        with deadline(20):
+            for precision in (Fraction(0), Fraction(-1, 2**16)):
+                with pytest.raises(DomainError, match="precision must be positive"):
+                    wall_scan(g1, m, n, c, ChargeKind.REDUCED, (Fraction(1, 2), 5), precision)
 
     def test_no_crossing(self, g0):
         c0 = OneDimCurve(0, 1, 1)

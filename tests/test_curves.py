@@ -8,9 +8,14 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ellstab import curves
 from ellstab.curves import (
     OneDimCurve,
     TiltCurve,
+    _cycle_sides,
+    _fixed_cycles,
+    _symbolic_difference_parts,
+    _ucoefficients,
     admissible_bracket,
     chow_identity_check,
     chow_identity_symbolic_remainder,
@@ -20,6 +25,7 @@ from ellstab.curves import (
 )
 from ellstab.errors import ComputationFault, ConfigurationError, CurveDomainError
 from ellstab.poly import Poly1, Poly2, RootInterval, count_roots, isolate_positive_roots
+from ellstab.ring import DivisorX, divisor_vector, mul
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt
 
@@ -518,3 +524,111 @@ class TestChowIdentity:
         bracket = RootInterval(Fraction(1, 2), Fraction(1))
         with pytest.raises(CurveDomainError):
             chow_identity_check(geometry_for(0, rank2), TiltCurve(0, 1, 2), bracket, 4)
+
+
+def _reference_constraint_poly(c) -> Poly2:
+    """The curve polynomial as first written, in Poly2 arithmetic."""
+    u, v = Poly2.u(), Poly2.v()
+    h = c.h
+    if isinstance(c, TiltCurve):
+        cubic = h * h * u * u * u + 3 * h * (u * u * v) + 3 * (u * v * v)
+        return cubic * Fraction(c.alpha, 6) - (h * u + v) * c.beta
+    return (h * (u * u) + 2 * (u * v)) * Fraction(1, 2) - Poly2.const(c.q)
+
+
+CURVE_POLY_H = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2))
+
+
+class TestCurvePolynomial:
+    """The u-coefficients over a generic v give the first-written Poly2 and
+    its restrictions to rational v, term for term."""
+
+    def _curves(self):
+        rng = random.Random(70)
+        for h in CURVE_POLY_H:
+            for _ in range(8):
+                yield _rand_tilt(rng, h)
+                yield _rand_onedim(rng, h)
+
+    def test_constraint_poly_matches_reference(self):
+        for c in self._curves():
+            got, want = constraint_poly(c), _reference_constraint_poly(c)
+            assert got.terms == want.terms, c
+            assert all(type(a) is Fraction for a in got.terms.values())
+
+    def test_coefficients_at_rational_v_match_reference(self):
+        rng = random.Random(71)
+        for c in self._curves():
+            for vpar in (Fraction(1), Fraction(rng.randint(1, 400), rng.randint(1, 9)), Fraction(1, 7)):
+                got, want = Poly1(_ucoefficients(c, vpar)), _reference_constraint_poly(c).eval_v(vpar)
+                assert got.c == want.c, (c, vpar)
+                assert all(type(a) is Fraction for a in got.c)
+                if isinstance(c, TiltCurve) or vpar * vpar + 2 * c.h * c.q >= 0:
+                    assert admissible_bracket(c, vpar)[0].c == want.c
+
+    def test_cold_solve_u_builds_no_poly2(self, monkeypatch):
+        built = []
+        init = Poly2.__init__
+
+        def counting_init(self, terms=None):
+            built.append(terms)
+            init(self, terms)
+
+        monkeypatch.setattr(Poly2, "__init__", counting_init)
+        rng = random.Random(72)
+        for h in CURVE_POLY_H:
+            for c in (_rand_tilt(rng, h), _rand_onedim(rng, h)):
+                for cache in (constraint_poly, curves._expand_u_cached, _fixed_cycles,
+                              _symbolic_difference_parts):
+                    cache.cache_clear()
+                solve_u(c, Fraction(rng.randint(700, 900), 7), Fraction(1, 2**128))
+        assert built == []
+        constraint_poly(TiltCurve(-1, 1, 2))  # the counter does see Poly2 construction
+        assert built
+
+
+def _reference_cycle_sides(g, c, u, vpar):
+    """The two cycles as first built, every product at each call."""
+    hb = g.hb_divisor
+    obar1 = divisor_vector(g, DivisorX(c.a, g.zero_divisor()))
+    obar2 = divisor_vector(g, DivisorX(0, hb.scale(c.b)))
+    obar = obar1 + obar2
+    om = divisor_vector(g, DivisorX(u, hb.scale(vpar)))
+    theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
+    left_cycle = mul(g, obar1, obar1 + obar2.scale(2))
+    om3_over6 = mul(g, mul(g, om, om), om).s / 6
+    lhs = left_cycle.scale(om3_over6)
+    theta_obar2 = mul(g, theta, mul(g, obar, obar)).s
+    rhs = mul(g, om, theta).scale(theta_obar2)
+    return lhs, rhs
+
+
+class TestChowFixedParts:
+    """The curve-only products are built once per (geometry, curve), with
+    the cycles, their scalar types and the chow verdicts unchanged."""
+
+    def test_cycle_sides_match_reference(self):
+        rng = random.Random(73)
+        for h in CURVE_POLY_H:
+            for rank2 in (False, True):
+                g = geometry_for(h, rank2)
+                c = _rand_tilt(rng, h)
+                points = [(Poly2.u(), Poly2.v())]
+                points += [(Fraction(rng.randint(1, 30), rng.randint(1, 8)), Fraction(rng.randint(1, 30)))
+                           for _ in range(3)]
+                for u, vpar in points:
+                    for got, want in zip(_cycle_sides(g, c, u, vpar), _reference_cycle_sides(g, c, u, vpar)):
+                        assert [(type(x), x) for x in got.coordinates()] == (
+                            [(type(x), x) for x in want.coordinates()])
+
+    def test_built_once_per_geometry_and_curve(self):
+        g, c = geometry_for(Fraction(-1)), TiltCurve(-1, 1, 2)
+        _fixed_cycles.cache_clear()
+        _symbolic_difference_parts.cache_clear()
+        for vpar in (9, 10, 11):
+            assert chow_identity_check(g, c, solve_u(c, vpar, Fraction(1, 2**64)), vpar)
+            assert not chow_identity_check(g, c, Fraction(1, 3), vpar)
+        chow_identity_symbolic_remainder(g, c)
+        assert _fixed_cycles.cache_info().misses == 1
+        assert _symbolic_difference_parts.cache_info().misses == 1
+        assert isinstance(_symbolic_difference_parts(g, c), tuple)

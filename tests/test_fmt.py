@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from ellstab import fmt
+from ellstab import fmt, ring
 from ellstab.errors import DimensionError, DomainError
 from ellstab.fmt import fiber_swap_rule, phi, phi_hat
 from ellstab.poly import Poly2
@@ -133,6 +133,17 @@ class TestMatrixPath:
                 assert shape(phi(g, v)) == shape(fmt._phi(g, v))
                 assert shape(phi_hat(g, v)) == shape(fmt._phi_hat(g, v))
             assert fmt._phi in g.matrices and fmt._phi_hat in g.matrices
+
+    def test_zero_rows_are_the_shared_zero(self):
+        rng = random.Random(9)
+        zeros = 0
+        for g in fresh_geometries():
+            for v in sample_vectors(rng, g.rank):
+                for out in (phi(g, v), phi_hat(g, v)):
+                    for x in out.coordinates():
+                        assert x != 0 or x is ring._ZERO
+                        zeros += x == 0
+        assert zeros >= 100, zeros
 
     def test_matrices_compose_to_minus_identity(self):
         for g in fresh_geometries():

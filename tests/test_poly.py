@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -14,12 +14,15 @@ from ellstab.errors import CurveDomainError
 from ellstab.poly import (
     Poly1,
     RootInterval,
+    _bisect_by_sign,
     count_roots,
     isolate_positive_roots,
     refine_root,
     sign_at_root,
     sturm_chain,
 )
+
+from conftest import deadline
 
 
 _X = sympy.Symbol("x")
@@ -378,3 +381,113 @@ class TestIntegerSturmChain:
                 multiples += sign_at_root(qs[1], p, bracket) == 0
                 exact += bracket.exact
         assert checked >= 1000 and multiples >= 250 and exact >= 20, (checked, multiples, exact)
+
+
+def _reference_bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInterval:
+    """_bisect_by_sign as first written: one bit per exact evaluation, on
+    den * p(lo + (hi - lo) t) shifted by Horner's rule over Fraction."""
+    width = hi - lo
+    shifted: list[Fraction] = []
+    for a in reversed(p.c):  # Horner: shifted <- shifted * (lo + width t) + a
+        nxt = [x * lo for x in shifted] + [Fraction(0)]
+        for i, x in enumerate(shifted):
+            nxt[i + 1] += x * width
+        nxt[0] += a
+        shifted = nxt
+    den = lcm(*(x.denominator for x in shifted))
+    q = [x.numerator * (den // x.denominator) for x in shifted]
+    d = len(q) - 1
+    sign = lambda x: (x > 0) - (x < 0)
+    ref = sign(q[0]) if q[0] else -sign(sum(q))
+
+    precision = Fraction(precision)
+    wide = width.numerator * precision.denominator
+    narrow = precision.numerator * width.denominator
+    m = j = 0  # the bracket is t in [m / 2^j, (m + 1) / 2^j]
+    while wide > narrow << j:
+        j += 1
+        mid = 2 * m + 1
+        value = q[d]
+        for i in range(d - 1, -1, -1):
+            value = value * mid + (q[i] << (j * (d - i)))
+        if value == 0:
+            root = lo + width * Fraction(mid, 1 << j)
+            return RootInterval(root, root)
+        m = 2 * m if sign(value) == -ref else mid
+    step = width / (1 << j)
+    return RootInterval(lo + step * m, lo + step * (m + 1))
+
+
+def _refinement_brackets(p: Poly1, rng: random.Random):
+    """Brackets (lo, hi] of p's squarefree part sf holding one root: the
+    isolation's, ones with a root at either end or both, and random ones,
+    which often hold a dyadic root inside."""
+    sf = _sqf_part(p)
+    ends = {r.hi for r in isolate_positive_roots(p, UNREFINED)}
+    ends |= {x for x in _rational_roots(sf) if x > 0}
+    ends |= {Fraction(rng.randint(-8, 200), rng.choice([1, 2, 3, 4, 8, 16])) for _ in range(6)}
+    for lo, hi in combinations(sorted(ends), 2):
+        if count_roots(sf, lo, hi) == 1:
+            yield sf, lo, hi
+
+
+class TestQuadraticRefinement:
+    """_bisect_by_sign refines by QIR on the bisection's dyadic grid; its
+    brackets are the one-bit bisection's, bit for bit."""
+
+    def test_matches_reference_on_random_brackets(self):
+        rng = random.Random(60)
+        checked = collapsed = lo_roots = hi_roots = 0
+        for k in range(60):
+            p = _random_poly(rng) * Fraction(rng.choice((-1, 1)), rng.randint(1, 9))
+            for sf, lo, hi in _refinement_brackets(p, rng):
+                width = hi - lo
+                for precision in (Fraction(1, 2 ** rng.randint(1, 128)), Fraction(1, 2**200),
+                                  width, 2 * width, width / 3, Fraction(1, 3**rng.randint(1, 40))):
+                    for f in (sf, -sf):  # either leading sign
+                        got = _bisect_by_sign(f, lo, hi, precision)
+                        assert got == _reference_bisect_by_sign(f, lo, hi, precision), (f, lo, hi)
+                        assert all(type(x) is Fraction for x in (got.lo, got.hi))
+                        checked += 1
+                        collapsed += got.exact
+                lo_roots += sf(lo) == 0
+                hi_roots += sf(hi) == 0
+        assert checked >= 5000 and collapsed >= 30, (checked, collapsed)
+        assert lo_roots >= 50 and hi_roots >= 50, (lo_roots, hi_roots)
+
+    def test_dyadic_root_below_at_and_above_the_target_level(self):
+        """A root at grid level L of (0, 4] collapses exactly when L <= J."""
+        for level in (1, 2, 5, 17, 60, 130):
+            root = 4 - Fraction(4, 2**level)  # 4 (2^level - 1) / 2^level, an odd numerator
+            for f in (_product([root], (17,)), -_product([root, 5])):
+                for top in (level - 1, level, level + 1, 200):
+                    precision = Fraction(4, 2**top)
+                    got = _bisect_by_sign(f, Fraction(0), Fraction(4), precision)
+                    assert got == _reference_bisect_by_sign(f, Fraction(0), Fraction(4), precision)
+                    assert got.exact == (top >= level), (level, top, got)
+                    assert root in got
+
+    def test_root_at_an_end(self):
+        p = _product([1, 2], (3,))
+        # hi is the root: the rightmost level-J cell
+        assert _bisect_by_sign(p, Fraction(1, 2), Fraction(1), Fraction(1, 16)) == (
+            RootInterval(Fraction(15, 16), Fraction(1)))
+        # lo is the root, as refine_root receives it after its Sturm count
+        for precision in (Fraction(1, 2), Fraction(1, 2**64), Fraction(1, 2**200)):
+            want = _reference_bisect_by_sign(_sqf_part(p), Fraction(1), Fraction(7, 4), precision)
+            assert refine_root(p, RootInterval(Fraction(1), Fraction(7, 4)), precision) == want
+            assert want.lo ** 2 < 3 < want.hi ** 2
+        # precision no finer than the width: the bracket itself
+        assert _bisect_by_sign(p, Fraction(1, 2), Fraction(3, 2), 1) == (
+            RootInterval(Fraction(1, 2), Fraction(3, 2)))
+
+
+def test_non_positive_precision_raises():
+    """Used to loop forever: the refinement never reached a width <= 0."""
+    p = Poly1([-2, 0, 1])
+    with deadline(20):
+        for precision in (Fraction(0), Fraction(-1), 0):
+            with pytest.raises(CurveDomainError, match="precision must be positive"):
+                isolate_positive_roots(p, precision)
+            with pytest.raises(CurveDomainError, match="precision must be positive"):
+                refine_root(p, RootInterval(Fraction(1), Fraction(2)), precision)
