@@ -2,7 +2,10 @@
 asymptotic phase order, and finite-parameter wall scanning.
 
 A charge germ is the pair of truncated Laurent series obtained by pushing
-the exact expansion of u(v) through the charge's closed form.  Two germs
+the exact expansion of u(v) through the charge's closed form: the
+class-independent germs of that form are built once per (curve, order,
+kind) and kept in a module-level cache, and each class is then one integer
+linear combination of them with its class coefficients.  Two germs
 are ordered by the sign of the leading coefficient of the cross series
 re(M) im(N) - im(M) re(N): for phases ranged in a common half plane this
 sign equals the sign of sin(pi (phi_N - phi_M)) pointwise, so a positive
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from . import charges as charges_mod
 from .curves import CurveConstraint, admissible_bracket, expand_u
@@ -95,24 +99,38 @@ def charge_series(
 ) -> AsymptoticCharge:
     """Charge of a vector along the curve as a pair of Laurent series in v.
 
-    The charge's one closed form (``charges._reduced_parts``, or
-    ``charges._flat_full_parts`` with B = pull(d), d = 0 by default) is
-    evaluated at the germ point (u(v), v), with u(v) expanded through
-    ``order`` terms; the germs' truncation floors are those the series
-    arithmetic carries through that formula.  The full kind raises
+    The charge's closed form is a combination of class-independent germs
+    (``charges._reduced_germs``, or ``charges._flat_full_germs`` for the full
+    charge with B = pull(d), d = 0 by default) with class coefficients.  The
+    germs are evaluated once per (curve, order, kind) at the germ point
+    (u(v), v), with u(v) expanded through ``order`` terms, and each class
+    then combines them in one integer pass; germs and truncation floors are
+    those the chained series arithmetic gives.  The full kind raises
     ``DomainError`` unless the class is fiber-degree-trivial (n = x = 0).
     """
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
+    germs = _charge_germs(c, order, kind)
+    if kind is ChargeKind.REDUCED:
+        parts = charges_mod._reduced_coefficients(g, v)
+    else:
+        parts = charges_mod._flat_full_coefficients(g, v, d if d is not None else g.zero_divisor())
+    re, im = (
+        LaurentSeries._combination(const, zip(coeffs, part_germs))
+        for (const, coeffs), part_germs in zip(parts, germs)
+    )
+    return AsymptoticCharge(re, im, kind)
+
+
+@lru_cache(maxsize=None)
+def _charge_germs(c: CurveConstraint, order: int, kind: ChargeKind) -> tuple:
+    """The class-independent germs of a charge kind at (u(v), v) on the curve."""
     u, vv = expand_u(c, order), LaurentSeries.monomial(1, 1)
     if kind is ChargeKind.REDUCED:
-        re, im = charges_mod._reduced_parts(g, v, u, vv)
-    elif kind is ChargeKind.FULL:
-        dd = d if d is not None else g.zero_divisor()
-        re, im = charges_mod._flat_full_parts(g, v, u, vv, dd)
-    else:
-        raise DomainError(f"unknown charge kind {kind}")
-    return AsymptoticCharge(re, im, kind)
+        return charges_mod._reduced_germs(c.h, u, vv)
+    if kind is ChargeKind.FULL:
+        return charges_mod._flat_full_germs(c.h, u, vv)
+    raise DomainError(f"unknown charge kind {kind}")
 
 
 def phase_limit(ac: AsymptoticCharge) -> PhaseLimit:

@@ -1,15 +1,20 @@
 """Central charges at exact parameter points.
 
 Each charge has one closed form, written once over any scalar with
-``+ - *``: ``_reduced_parts`` for the reduced charge used with the
-tilt-limit curve and ``_flat_full_parts`` for the full twisted charge of a
-fiber-degree-trivial class (n = x = 0) used with the one-dimensional-limit
-curve.  The same formulas are evaluated at ``Fraction`` points here, at
-``Poly2`` symbols for polynomial identities and at ``LaurentSeries`` germs
-in ``asymptotics.charge_series``.  ``full_charge`` itself goes through
-ring products for any class and B-field.  The reduced charge also
-evaluates that ring-product path and insists it agrees with the closed
-form, which guards the transcription of every intersection number used.
+``+ - *`` and split in two: class-independent germs of (h, u, vpar)
+(``_reduced_germs`` for the reduced charge used with the tilt-limit curve,
+``_flat_full_germs`` for the full twisted charge of a fiber-degree-trivial
+class (n = x = 0) used with the one-dimensional-limit curve) and the class
+coefficients on them (``_reduced_coefficients``, ``_flat_full_coefficients``),
+so that re and im are each a constant plus a sum of coefficient times germ.
+``_reduced_parts`` and ``_flat_full_parts`` form that combination at
+``Fraction`` points here and at ``Poly2`` symbols for polynomial
+identities; ``asymptotics.charge_series`` builds the germs once per curve
+and order as ``LaurentSeries`` and combines each class in one integer pass.
+``full_charge`` itself goes through ring products for any class and
+B-field.  The reduced charge also evaluates that ring-product path and
+insists it agrees with the closed form, which guards the transcription of
+every intersection number used.
 """
 
 from __future__ import annotations
@@ -55,29 +60,67 @@ def _require_positive(name: str, value) -> None:
         raise DomainError(f"{name} must be positive")
 
 
+def _reduced_germs(h, u, vpar) -> tuple:
+    """The class-independent germs of the reduced charge's (re, im), over
+    any scalar: (hu w + vpar^2, u w) and (hu + vpar, u,
+    u (h^2 u^2 + 3 hu vpar + 3 vpar^2)), with w = hu + 2 vpar."""
+    hu = h * u
+    w = hu + 2 * vpar
+    return (
+        (hu * w + vpar * vpar, u * w),
+        (hu + vpar, u, u * (hu * hu + 3 * hu * vpar + 3 * vpar * vpar)),
+    )
+
+
+def _reduced_coefficients(g: BaseGeometry, v: ChernVector) -> tuple:
+    """The reduced charge's (re, im), each as (constant, coefficients on
+    its ``_reduced_germs``)."""
+    return (
+        (0, (Fraction(g.hb2 * v.x, 2), Fraction(pair_h(g, v.S), 2))),
+        (0, (pair_h(g, v.eta), v.a, -Fraction(g.hb2 * v.n, 6))),
+    )
+
+
+def _flat_full_germs(h, u, vpar) -> tuple:
+    """The class-independent germs of the flat full charge's (re, im), over
+    any scalar: (u (hu + 2 vpar),) and (hu, u, vpar)."""
+    hu = h * u
+    return (u * (hu + 2 * vpar),), (hu, u, vpar)
+
+
+def _flat_full_coefficients(g: BaseGeometry, v: ChernVector, d: DivisorB) -> tuple:
+    """The full charge's (re, im) with B = pull(d), each as (constant,
+    coefficients on its ``_flat_full_germs``), for a fiber-degree-trivial
+    class (n = x = 0)."""
+    if v.n != 0 or v.x != 0:
+        raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
+    heta = pair_h(g, v.eta)
+    return (
+        (-(v.s - pair(g, d, v.eta)), (Fraction(pair_h(g, v.S), 2),)),
+        (0, (heta, v.a - pair(g, d, v.S), heta)),
+    )
+
+
+def _combine(parts: tuple, germs: tuple) -> tuple:
+    """(re, im), each its constant plus the sum of germ * coefficient, over
+    any scalar."""
+    out = []
+    for (const, coeffs), part_germs in zip(parts, germs):
+        terms = [x * c for x, c in zip(part_germs, coeffs)]
+        total = sum(terms[1:], terms[0])
+        out.append(total + const if const else total)
+    return tuple(out)
+
+
 def _reduced_parts(g: BaseGeometry, v: ChernVector, u, vpar) -> tuple:
     """Closed form of the reduced charge as (re, im), over any scalar."""
-    hu = g.h * u
-    w = hu + 2 * vpar
-    re = (hu * w + vpar * vpar) * Fraction(g.hb2 * v.x, 2) + u * w * Fraction(pair_h(g, v.S), 2)
-    im = (
-        (hu + vpar) * pair_h(g, v.eta)
-        + u * v.a
-        - u * (hu * hu + 3 * hu * vpar + 3 * vpar * vpar) * Fraction(g.hb2 * v.n, 6)
-    )
-    return re, im
+    return _combine(_reduced_coefficients(g, v), _reduced_germs(g.h, u, vpar))
 
 
 def _flat_full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
     """Closed form of the full charge with B = pull(d) as (re, im), over any
     scalar, for a fiber-degree-trivial class (n = x = 0)."""
-    if v.n != 0 or v.x != 0:
-        raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
-    heta = pair_h(g, v.eta)
-    hu = g.h * u
-    re = -(v.s - pair(g, d, v.eta)) + u * (hu + 2 * vpar) * Fraction(pair_h(g, v.S), 2)
-    im = hu * heta + u * (v.a - pair(g, d, v.S)) + vpar * heta
-    return re, im
+    return _combine(_flat_full_coefficients(g, v, d), _flat_full_germs(g.h, u, vpar))
 
 
 def _ring_parts(g: BaseGeometry, v: ChernVector, omega: DivisorX) -> tuple:

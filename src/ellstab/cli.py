@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Run parameters default to None so that _resolve_defaults can tell an
     # explicit flag from an omitted one.
     parser.add_argument("--precision", type=_positive_int, default=None, help="precision in bits")
-    parser.add_argument("--order", type=int, default=None, help="series truncation order")
+    parser.add_argument("--order", type=_positive_int, default=None, help="series truncation order")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--cases", type=_positive_int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)

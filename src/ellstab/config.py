@@ -56,7 +56,7 @@ _RUN_PARAMETERS = (
     ("seed", "seed"),
 )
 # the run parameters that must be positive (the CLI flags check the same)
-_POSITIVE_RUN_PARAMETERS = ("precision", "cases")
+_POSITIVE_RUN_PARAMETERS = ("precision", "order", "cases")
 
 
 # each curve kind's class and its parameter keys, in constructor order

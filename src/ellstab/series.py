@@ -23,7 +23,9 @@ below the floor.  Arithmetic results are built by the private
 ``LaurentSeries._ints`` instead: it takes an exponent -> numerator dict
 whose entries already sit at or above the floor, with a positive
 denominator, drops zeros, sorts once and reduces.  Products skip every pair
-that lands below the floor without computing it.
+that lands below the floor without computing it.  ``_combination`` forms a
+constant plus a linear combination of series (a charge germ from its
+class-independent germs) the same way, in one pass over one denominator.
 """
 
 from __future__ import annotations
@@ -59,6 +61,30 @@ class LaurentSeries:
         out = object.__new__(cls)
         _store(out, nums, den, trunc)
         return out
+
+    @classmethod
+    def _combination(cls, const, pairs) -> "LaurentSeries":
+        """const + sum of c * s over the (c, s) pairs, in one integer pass.
+
+        Equal to the chained ``const + c1 * s1 + ...``: a zero c adds an
+        exact zero, the floor is the largest among the s with nonzero c
+        (``None`` if all are exact), and every entry below it is dropped,
+        the constant at exponent 0 included.
+        """
+        pairs = [(c, s) for c, s in pairs if c != 0]
+        floors = [s.trunc for _, s in pairs if s.trunc is not None]
+        floor = max(floors) if floors else None
+        den = lcm(const.denominator, *(c.denominator * s._den for c, s in pairs))
+        out: dict[int, int] = {}
+        for c, s in pairs:
+            f = c.numerator * (den // (c.denominator * s._den))
+            for e, n in s._nums:
+                if floor is not None and e < floor:
+                    break  # terms are stored by descending exponent
+                out[e] = out[e] + n * f if e in out else n * f
+        if const != 0 and (floor is None or floor <= 0):
+            out[0] = out.get(0, 0) + const.numerator * (den // const.denominator)
+        return cls._ints(out, den, floor)
 
     @cached_property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:

@@ -8,6 +8,7 @@ import pytest
 
 from ellstab import asymptotics
 from ellstab.asymptotics import (
+    AsymptoticCharge,
     ChargeKind,
     OrderKind,
     PhaseOrder,
@@ -21,7 +22,7 @@ from ellstab.asymptotics import (
     wall_scan,
 )
 from ellstab.curves import OneDimCurve, TiltCurve, expand_u, solve_u
-from ellstab.errors import ConfigurationError, DomainError
+from ellstab.errors import ConfigurationError, CurveDomainError, DomainError
 from ellstab.fmt import phi
 from ellstab.poly import RootInterval
 from ellstab.ring import ChernVector, pair, pair_h
@@ -64,6 +65,26 @@ def _reference_charge_series(g, v, c, kind, order, d):
     re = LaurentSeries.const(-(v.s - pair(g, d, v.eta))) + u * (h * u + 2 * vv) * Fraction(hS, 2)
     im = h * u * heta + u * (v.a - pair(g, d, v.S)) + vv * heta
     return re, im
+
+
+GERM_H = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2))
+ZEROABLE = ("x", "n", "S", "eta", "a")
+
+
+def _with_zero(v, field):
+    """v with one coordinate set to zero (None keeps v)."""
+    if field is None:
+        return v
+    coords = {"n": v.n, "x": v.x, "S": v.S, "eta": v.eta, "a": v.a, "s": v.s}
+    coords[field] = coords[field].scale(0) if field in ("S", "eta") else Fraction(0)
+    return ChernVector(**coords)
+
+
+def _reference_verdict(g, m, n, c, kind, order):
+    """compare_phases on the reference germs of m and n at one order."""
+    acm, acn = (AsymptoticCharge(*_reference_charge_series(g, x, c, kind, order, None), kind)
+                for x in (m, n))
+    return compare_phases(acm, acn)
 
 
 class TestChargeSeries:
@@ -124,29 +145,100 @@ class TestChargeSeries:
 
     def test_germs_match_reference_formulas(self):
         """Terms, scalar types and truncation floors of both germ kinds
-        equal those of the separately written series expressions."""
+        equal those of the separately written series expressions, on the
+        first call and on repeated calls that reuse the cached germs, for
+        classes with a zero coordinate too."""
         rng = random.Random(17)
         grid = itertools.product(
-            (Fraction(-1), Fraction(0), Fraction(1, 2)),
+            GERM_H,
             (False, True),
-            (1, 8, 16),
+            (1, 2, 8, 9, 16),
             (ChargeKind.REDUCED, ChargeKind.FULL),
             (False, True),
             (True, False),
         )
         for h, rank2, order, kind, with_d, tilt in grid:
             g = geometry_for(h, rank2)
-            c = _rand_tilt(rng, h) if tilt else OneDimCurve(h, 1, rng.randint(2, 9))
+            c = _rand_tilt(rng, h) if tilt else OneDimCurve(h, 1, rng.randint(3, 9))
             dd = _rand_divisor(rng, g.rank, -4, 4) if with_d else None
-            v = _rand_vector(rng, g.rank)
-            if kind is ChargeKind.FULL:
-                v = ChernVector(0, 0, v.S, v.eta, v.a, v.s)
-            ac = charge_series(g, v, c, kind, order, dd)
-            re, im = _reference_charge_series(g, v, c, kind, order, dd)
-            for got, want in ((ac.re, re), (ac.im, im)):
-                assert got.terms == want.terms
-                assert got.trunc == want.trunc
-                assert all(type(cf) is Fraction for _, cf in got.terms)
+            for zeroed in (None,) + ZEROABLE:
+                v = _with_zero(_rand_vector(rng, g.rank), zeroed)
+                if kind is ChargeKind.FULL:
+                    v = ChernVector(0, 0, v.S, v.eta, v.a, v.s)
+                re, im = _reference_charge_series(g, v, c, kind, order, dd)
+                for _ in range(2):
+                    ac = charge_series(g, v, c, kind, order, dd)
+                    for got, want in ((ac.re, re), (ac.im, im)):
+                        assert got.terms == want.terms
+                        assert got.trunc == want.trunc
+                        assert all(type(cf) is Fraction for _, cf in got.terms)
+
+    def test_verdicts_match_reference_through_escalation(self):
+        """compare_vectors gives the verdict and floor of the reference germs,
+        escalating to twice the order exactly when they vanish through it."""
+        rng = random.Random(19)
+        escalated = 0
+        for h, kind, order in itertools.product(GERM_H, ChargeKind, (1, 8)):
+            g = geometry_for(h)
+            c = _rand_tilt(rng, h) if kind is ChargeKind.REDUCED else OneDimCurve(h, 1, 4)
+            for k in range(12):
+                m = _with_zero(_rand_vector(rng, g.rank), ZEROABLE[k % len(ZEROABLE)])
+                if kind is ChargeKind.FULL:
+                    m = ChernVector(0, 0, m.S, m.eta, m.a, m.s)
+                n = m.scale(rng.randint(2, 3)) if k % 3 == 0 else _rand_vector(rng, g.rank)
+                if kind is ChargeKind.FULL:
+                    n = ChernVector(0, 0, n.S, n.eta, n.a, n.s)
+                first = _reference_verdict(g, m, n, c, kind, order)
+                want = first
+                if first.kind is OrderKind.EQUAL_THROUGH_ORDER:
+                    escalated += 1
+                    want = _reference_verdict(g, m, n, c, kind, 2 * order)
+                assert compare_vectors(g, m, n, c, kind, order) == want
+        assert escalated >= 10
+
+    def test_second_call_makes_no_series_product(self, monkeypatch):
+        """The class-independent germs are built once per (curve, order,
+        kind); a later class on them makes no series x series product."""
+        products = []
+        mul = LaurentSeries.__mul__
+
+        def counting_mul(self, other):
+            if isinstance(other, LaurentSeries):
+                products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
+        rng = random.Random(20)
+        g = geometry_for(-1)
+        for c, kind in ((TiltCurve(-1, 1, 2), ChargeKind.REDUCED),
+                        (OneDimCurve(-1, 1, 3), ChargeKind.FULL)):
+            asymptotics._charge_germs.cache_clear()
+            m, n = _rand_onedim_class(rng, g, 1, 3), _rand_onedim_class(rng, g, 1, 3)
+            charge_series(g, m, c, kind, 8)
+            assert products  # the counter does see the germ build
+            products.clear()
+            charge_series(g, n, c, kind, 8)
+            charge_series(g, m, c, kind, 8)
+            assert products == []
+
+    def test_germ_cache_is_a_module_level_lru_cache(self):
+        """Cache emptying that walks the package's module-level callables with
+        ``cache_clear`` (as perfbench's ``fresh_unit`` does) finds the germ
+        cache."""
+        caches = [f for f in vars(asymptotics).values() if callable(getattr(f, "cache_clear", None))]
+        assert asymptotics._charge_germs in caches
+        charge_series(geometry_for(-1), ChernVector.unit(1), TiltCurve(-1, 1, 2), ChargeKind.REDUCED, 8)
+        assert asymptotics._charge_germs.cache_info().currsize >= 1
+        asymptotics._charge_germs.cache_clear()
+        assert asymptotics._charge_germs.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_nonpositive_order_raises_before_caching(self, order):
+        asymptotics._charge_germs.cache_clear()
+        with pytest.raises(CurveDomainError):
+            charge_series(geometry_for(-1), ChernVector.unit(1), TiltCurve(-1, 1, 2),
+                          ChargeKind.REDUCED, order)
+        assert asymptotics._charge_germs.cache_info().currsize == 0
 
 
 class TestPhaseLimit:

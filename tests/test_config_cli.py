@@ -488,7 +488,7 @@ class TestFlagErrors:
 
 
 class TestRunParameters:
-    """precision and cases are positive, and integer keys are integral: a bad
+    """precision, order and cases are positive, and integer keys are integral: a bad
     flag is a usage error, a bad config key a validation error naming it."""
 
     @pytest.mark.parametrize("value", ["-3", "0"])
@@ -510,10 +510,24 @@ class TestRunParameters:
         assert exc.value.code == 2
         assert "--cases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["curve", "expand", "--curve", "flat1"],
+        ["phase", "--object", "point", "--curve", "flat1", "--kind", "full"],
+        ["verify", "--suite", "involution"],
+    ])
+    def test_nonpositive_order_flag(self, cfg_path, capsys, value, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", cfg_path, "--order", value, *command)
+        assert exc.value.code == 2
+        assert "--order" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key, value", [
         ("defaults", "precision", "-3"),
         ("defaults", "precision", "0"),
         ("defaults", "cases", "0"),
+        ("defaults", "order", "-1"),
+        ("defaults", "order", "0"),
         ("defaults", "order", "17/2"),
         ("defaults", "seed", "1/3"),
         ("geometry", "rank", "3/2"),

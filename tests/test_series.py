@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellstab.errors import DomainError
@@ -100,6 +100,32 @@ def test_stored_form_is_canonical(a, b, q, k):
             assert y == x and hash(y) == hash(x)
             assert y.terms == x.terms and y.trunc == x.trunc
     assert (a == b) == (a.terms == b.terms and a.trunc == b.trunc)
+
+
+coefficients = st.just(Fraction(0)) | st.integers(-3, 3) | rationals
+
+
+def _chained(const, pairs):
+    out = LaurentSeries.const(const)
+    for c, x in pairs:
+        out = out + c * x
+    return out
+
+
+@settings(max_examples=300)
+@given(const=st.just(Fraction(0)) | rationals,
+       pairs=st.lists(st.tuples(coefficients, truncated_series_strategy()), max_size=5))
+@example(const=Fraction(0), pairs=[])
+@example(const=Fraction(3), pairs=[(Fraction(0), s((1, 2), trunc=-2)), (0, s((2, 1)))])
+@example(const=Fraction(5, 2), pairs=[(Fraction(1, 3), s((4, 1), (2, 3), trunc=2))])
+@example(const=Fraction(-1), pairs=[(2, s((3, 1), trunc=1)), (Fraction(-2), s((3, 1), trunc=-4))])
+def test_combination_matches_chained_arithmetic(const, pairs):
+    """One integer pass equals ``const + c1 * s1 + ...`` in stored form and
+    floor: zero coefficients add exact zeros, and entries below the floor,
+    the constant included, are dropped."""
+    got, want = LaurentSeries._combination(const, pairs), _chained(const, pairs)
+    assert (got._nums, got._den, got.trunc) == (want._nums, want._den, want.trunc)
+    assert_canonical(got)
 
 
 def test_cancellation_reduces_the_denominator():
