@@ -6,10 +6,11 @@ constant, gives the squarefree part) and refinement by sign on the dyadic
 grid of bisection (quadratic interval refinement: secant guesses checked
 by exact signs, with the bisection's output), no floating point anywhere;
 and bivariate polynomials in (u, v), used both numerically and as symbolic
-ring scalars.  The remainder sequence is kept in integers, each member up
-to a positive factor, so root counts and Sturm-Tarski signs read integer
-values at each rational point, as the refinement does on an integer
-Taylor shift of the polynomial.
+ring scalars, held as integer numerators over one denominator.  The
+remainder sequence is kept in integers, each member up to a positive
+factor, so root counts and Sturm-Tarski signs read integer values at each
+rational point, as the refinement does on an integer Taylor shift of the
+polynomial.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .errors import ComputationFault, CurveDomainError
-from .ring import _q
+from .ring import _over_common_denominator, _q
 
 
 class Poly1:
@@ -48,11 +49,12 @@ class Poly1:
         if isinstance(other, Poly1):
             return self.c == other.c
         if isinstance(other, (int, Fraction)):
-            return self == Poly1.const(other)
+            return len(self.c) <= 1 and (self.c[0] if self.c else 0) == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.c)
+        """A constant hashes as its value, so that == implies equal hashes."""
+        return hash(self.c[0] if self.c else 0) if len(self.c) <= 1 else hash(self.c)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -404,22 +406,44 @@ def _sign(x) -> int:
 
 
 class Poly2:
-    """Bivariate polynomial in (u, v), sparse dict over Fraction.
+    """Bivariate polynomial in (u, v) with rational coefficients.
+
+    Held fraction-free, as ``LaurentSeries`` is: integer numerators by
+    monomial (i, j), for u^i v^j, over one positive denominator,
+    content-reduced so that the denominator and the numerators have no
+    common factor.  That form is canonical, so ``==`` compares it directly;
+    the zero polynomial is ({}, 1).  ``+``, ``-``, ``*`` and scalar
+    ``*``/``/`` work on integers and end with one gcd; ``eval_v`` and
+    ``ucoefficient`` sum integers and divide once per coefficient.
+    ``terms``, the {(i, j): Fraction} view, is built on first use and
+    cached.  ``__init__`` builds a polynomial from such a view; arithmetic
+    results are built by the private ``Poly2._ints``.
 
     Also usable as a generic scalar inside the cohomology arithmetic, which
     turns ring computations into symbolic identities in (u, v).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_nums", "_den", "_terms")
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for key, val in terms.items():
-                val = _q(val)
-                if val != 0:
-                    clean[key] = val
-        self.terms = clean
+        values = {key: _q(val) for key, val in terms.items()} if terms else {}
+        nums, den = _over_common_denominator(values.values())
+        _store(self, dict(zip(values, nums)), den)
+
+    @classmethod
+    def _ints(cls, nums: dict, den: int) -> "Poly2":
+        """The polynomial sum of nums[(i, j)] / den u^i v^j; den > 0."""
+        out = object.__new__(cls)
+        _store(out, nums, den)
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients, as {(i, j): Fraction}."""
+        if self._terms is None:
+            den = self._den
+            self._terms = {key: Fraction(n, den) for key, n in self._nums.items()}
+        return self._terms
 
     @classmethod
     def const(cls, value) -> "Poly2":
@@ -434,60 +458,74 @@ class Poly2:
         return cls({(0, 1): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly2):
-            return self.terms == other.terms
+            return self._den == other._den and self._nums == other._nums
         if isinstance(other, (int, Fraction)):
-            return self == Poly2.const(other)
+            if not self._nums:
+                return other == 0
+            return (len(self._nums) == 1 and self._nums.get((0, 0)) == other.numerator
+                    and self._den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        """A constant hashes as its value, so that == implies equal hashes."""
+        nums = self._nums
+        if not nums:
+            return hash(0)
+        if len(nums) == 1 and (0, 0) in nums:
+            return hash(Fraction(nums[(0, 0)], self._den))
+        return hash((frozenset(nums.items()), self._den))
+
+    def _add(self, other, sign: int):
+        if isinstance(other, Poly2):
+            nums, oden = other._nums, other._den
+        elif isinstance(other, (int, Fraction)):
+            nums, oden = {(0, 0): other.numerator}, other.denominator
+        else:
+            return NotImplemented
+        den = lcm(self._den, oden)
+        f1, f2 = den // self._den, sign * (den // oden)
+        out = {key: n * f1 for key, n in self._nums.items()}
+        for key, n in nums.items():
+            out[key] = out[key] + n * f2 if key in out else n * f2
+        return Poly2._ints(out, den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.const(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return Poly2(out)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly2({k: -v for k, v in self.terms.items()})
+        return Poly2._ints({key: -n for key, n in self._nums.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.const(other)
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Poly2):
+            out: dict = {}
+            for (i1, j1), a in self._nums.items():
+                for (i2, j2), b in other._nums.items():
+                    key = (i1 + i2, j1 + j2)
+                    out[key] = out[key] + a * b if key in out else a * b
+            return Poly2._ints(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            return Poly2({k: v * other for k, v in self.terms.items()})
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        out: dict = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return Poly2(out)
+            p = other.numerator
+            return Poly2._ints({key: n * p for key, n in self._nums.items()},
+                               self._den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly2({k: v / other for k, v in self.terms.items()})
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def scale(self, c) -> "Poly2":
@@ -496,30 +534,30 @@ class Poly2:
     def eval(self, u, v):
         u, v = _q(u), _q(v)
         total = Fraction(0)
-        for (i, j), a in self.terms.items():
-            total += a * u**i * v**j
-        return total
+        for (i, j), n in self._nums.items():
+            total += n * u**i * v**j
+        return total / self._den
 
     def eval_v(self, v) -> Poly1:
         """Substitute a rational v, leaving a univariate polynomial in u."""
         v = _q(v)
-        deg = max((i for (i, _) in self.terms), default=-1)
-        coeffs = [Fraction(0)] * (deg + 1)
-        for (i, j), a in self.terms.items():
-            coeffs[i] += a * v**j
-        return Poly1(coeffs)
+        top = max((j for _, j in self._nums), default=0)
+        p, q = v.numerator, v.denominator
+        powers = [p**j * q ** (top - j) for j in range(top + 1)]  # v^j times q^top
+        coeffs = [0] * (self.udegree() + 1)
+        for (i, j), n in self._nums.items():
+            coeffs[i] += n * powers[j]
+        den = self._den * q**top
+        return Poly1([Fraction(c, den) for c in coeffs])
 
     def udegree(self) -> int:
-        return max((i for (i, _) in self.terms), default=-1)
+        return max((i for (i, _) in self._nums), default=-1)
 
     def ucoefficient(self, k: int) -> Poly1:
         """Coefficient of u^k as a polynomial in v (ascending)."""
-        deg = max((j for (i, j) in self.terms if i == k), default=-1)
-        coeffs = [Fraction(0)] * (deg + 1)
-        for (i, j), a in self.terms.items():
-            if i == k:
-                coeffs[j] += a
-        return Poly1(coeffs)
+        row = {j: n for (i, j), n in self._nums.items() if i == k}
+        den = self._den
+        return Poly1([Fraction(row.get(j, 0), den) for j in range(max(row, default=-1) + 1)])
 
     @classmethod
     def from_ucoefficients(cls, coeffs: list) -> "Poly2":
@@ -532,15 +570,25 @@ class Poly2:
         return cls(terms)
 
 
+def _store(p: Poly2, nums: dict, den: int) -> None:
+    """Set the canonical form of sum nums[key]/den on p: nonzero numerators,
+    content-reduced against den > 0."""
+    nums = {key: n for key, n in nums.items() if n}
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {key: n // g for key, n in nums.items()}
+        den //= g
+    p._nums, p._den, p._terms = nums, den, None
+
+
 def monomial_coefficients(values) -> tuple[list, int]:
     """The coefficients of values, each a Poly2 or an exact zero, as entries
     (k, (i, j), c) over one positive denominator den: c / den is the
     u^i v^j coefficient of value k.  A (bi)linear closed form evaluated at
     distinct monomials gives its integer matrix or structure constants."""
-    terms = [x.terms if isinstance(x, Poly2) else {} for x in values]
-    den = lcm(*(c.denominator for t in terms for c in t.values()))
-    return [(k, key, c.numerator * (den // c.denominator))
-            for k, t in enumerate(terms) for key, c in t.items()], den
+    polys = [(k, x) for k, x in enumerate(values) if isinstance(x, Poly2)]
+    den = lcm(*(x._den for _, x in polys))
+    return [(k, key, n * (den // x._den)) for k, x in polys for key, n in x._nums.items()], den
 
 
 def reduce_mod_u(dividend: Poly2, divisor: Poly2) -> Poly2:

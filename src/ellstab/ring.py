@@ -29,9 +29,10 @@ the closed forms used by ``twist``:
 All arithmetic is exact; coordinates are ``fractions.Fraction`` values
 (polynomial coefficients are also accepted, which lets the same formulas run
 symbolically).  ``_mul`` is the one product formula, over any scalar; at
-``Fraction`` scalars ``mul`` applies its integer structure constants, read
-off one evaluation of ``_mul`` at ``Poly2`` monomials and kept on the
-geometry.
+``Fraction`` and ``Poly2`` scalars ``mul`` applies its integer structure
+constants, read off one evaluation of ``_mul`` at ``Poly2`` monomials and
+kept on the geometry.  A symbolic product gives each coordinate the scalar
+type ``_mul`` gives it, read off one ``_mul`` per pattern of factors.
 """
 
 from __future__ import annotations
@@ -182,7 +183,9 @@ class BaseGeometry:
     of hb * gram used by ``pair_h``) is computed once, at construction.
     ``matrices`` starts empty; it keeps the integer tables of the linear
     closed forms, keyed by the closed form: ``fmt``'s transform matrices and
-    the product's structure constants (keyed by ``_mul``).
+    the product's structure constants (keyed by ``_mul``).  ``product_types``
+    keeps, per pattern of Fraction and Poly2 factors, which outputs of the
+    product are Poly2.
     """
 
     rank: int
@@ -195,6 +198,7 @@ class BaseGeometry:
     hb_divisor: DivisorB = field(init=False, compare=False, repr=False)
     hb_row: tuple = field(init=False, compare=False, repr=False)
     matrices: dict = field(init=False, compare=False, repr=False)
+    product_types: dict = field(init=False, compare=False, repr=False)
 
     def __init__(self, rank, gram, hb, h, vprime=0, m0=1):
         rank = int(rank)
@@ -231,6 +235,7 @@ class BaseGeometry:
         # (hb * gram)_j, or None where every product hb_i * gram_ij is zero.
         object.__setattr__(self, "hb_row", _row(_nonzero(hb, True), gram))
         object.__setattr__(self, "matrices", {})
+        object.__setattr__(self, "product_types", {})
 
     def half_canonical_bfield(self) -> DivisorX:
         """The distinguished twist -(1/2) * pull(K_base) = -(h/2) * pull(H)."""
@@ -406,18 +411,20 @@ def _product_view(coords: tuple, nonzero: tuple, plain: bool, partner_plain: boo
 def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     """Graded product of two classes, truncated above the point class.
 
-    At Fraction scalars through the integer structure constants of
-    ``_mul``, kept on g; at any other scalar through ``_mul`` itself.
+    At Fraction and Poly2 scalars through the integer structure constants
+    of ``_mul``, kept on g; at any other scalar through ``_mul`` itself.
     """
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
     f1, f2 = v1.coordinates(), v2.coordinates()
     if not (_plain(f1) and _plain(f2)):
+        from .poly import Poly2
+
+        if all(type(c) is Fraction or type(c) is Poly2 for c in f1 + f2):
+            return _from_flat(r, _symbolic_product(g, f1, f2, Poly2))
         return _mul(g, v1, v2)
-    if _mul not in g.matrices:
-        g.matrices[_mul] = _mul_table(g)
-    table, den = g.matrices[_mul]
+    table, den = _structure_constants(g)
     nums1, den1 = _over_common_denominator(f1)
     nums2, den2 = _over_common_denominator(f2)
     right = [(j, b) for j, b in enumerate(nums2) if b]
@@ -430,6 +437,86 @@ def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
                     totals[k] += ab * c
     den *= den1 * den2
     return _from_flat(r, [Fraction(t, den) if t else _ZERO for t in totals])
+
+
+def _structure_constants(g: BaseGeometry) -> tuple[list, int]:
+    """``_mul``'s structure constants on g, built on first use."""
+    if _mul not in g.matrices:
+        g.matrices[_mul] = _mul_table(g)
+    return g.matrices[_mul]
+
+
+def _symbolic_product(g: BaseGeometry, f1: tuple, f2: tuple, Poly2) -> list:
+    """The coordinates of the product of two vectors with Fraction and Poly2
+    coordinates, through the structure constants.
+
+    Each factor's coordinates become integer monomial dicts over one
+    denominator; each pair of nonzero coordinates is multiplied once and
+    added to every output its c_kij reaches.  Each output takes the scalar
+    type ``_mul`` gives it, which depends only on the input pattern
+    (``_product_types``).  The Poly2 class is passed in, since ``poly``
+    imports this module.
+    """
+    table, den = _structure_constants(g)
+    mono1, den1, key1 = _monomials(f1, Poly2)
+    mono2, den2, key2 = _monomials(f2, Poly2)
+    pattern = key1 + key2
+    types = g.product_types.get(pattern)
+    if types is None:
+        types = g.product_types[pattern] = _product_types(g, pattern, Poly2)
+    right = [(j, b) for j, b in enumerate(mono2) if b]
+    totals: list[dict] = [{} for _ in f1]
+    for a, row in zip(mono1, table):
+        if not a:
+            continue
+        for j, b in right:
+            entries = row[j]
+            if not entries:
+                continue
+            prod: dict = {}
+            for (i1, j1), x in a:
+                for (i2, j2), y in b:
+                    key = (i1 + i2, j1 + j2)
+                    prod[key] = prod[key] + x * y if key in prod else x * y
+            for k, c in entries:
+                total = totals[k]
+                for key, x in prod.items():
+                    total[key] = total[key] + c * x if key in total else c * x
+    den *= den1 * den2
+    return [
+        Poly2._ints(t, den) if symbolic else (Fraction(t[(0, 0)], den) if t.get((0, 0)) else _ZERO)
+        for t, symbolic in zip(totals, types)
+    ]
+
+
+def _monomials(coords: tuple, Poly2) -> tuple[list, int, tuple]:
+    """Fraction and Poly2 coordinates as (monomial, integer) pairs over their
+    least common denominator (None for a zero), and their pattern: per
+    coordinate 0 for a Fraction zero, 1 for another Fraction, 2 for a Poly2
+    zero, 3 for another Poly2."""
+    den = lcm(*(c._den if type(c) is Poly2 else c.denominator for c in coords))
+    out, pattern = [], []
+    for c in coords:
+        if type(c) is Poly2:
+            f = den // c._den
+            out.append([(key, n * f) for key, n in c._nums.items()] or None)
+            pattern.append(3 if c._nums else 2)
+        else:
+            out.append([((0, 0), c.numerator * (den // c.denominator))] if c else None)
+            pattern.append(1 if c else 0)
+    return out, den, tuple(pattern)
+
+
+def _product_types(g: BaseGeometry, pattern: tuple, Poly2) -> tuple[bool, ...]:
+    """Whether each output of ``_mul`` is a Poly2, for factors of the given
+    pattern.  ``_mul`` chooses what to skip by scalar type and zero test
+    alone, and a sum or product with a Poly2 is a Poly2, so one product at
+    representatives of the pattern gives every output's type."""
+    reps = (_ZERO, Fraction(1), Poly2._ints({}, 1), Poly2._ints({(0, 0): 1}, 1))
+    dim = len(pattern) // 2
+    v1 = _from_flat(g.rank, [reps[c] for c in pattern[:dim]])
+    v2 = _from_flat(g.rank, [reps[c] for c in pattern[dim:]])
+    return tuple(type(c) is Poly2 for c in _mul(g, v1, v2).coordinates())
 
 
 def _mul_table(g: BaseGeometry) -> tuple[list, int]:

@@ -1,0 +1,299 @@
+"""The fraction-free ``Poly2`` against the dict-over-Fraction class it
+replaced and against sympy, plus == and hash on constants."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellstab.errors import ComputationFault
+from ellstab.poly import Poly1, Poly2, reduce_mod_u
+from ellstab.ring import _q
+
+
+class _ReferencePoly2:
+    """Bivariate polynomial in (u, v), sparse dict over Fraction: ``poly.Poly2``
+    as first written, kept as the reference for the fraction-free form.
+
+    Also usable as a generic scalar inside the cohomology arithmetic, which
+    turns ring computations into symbolic identities in (u, v).
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        clean = {}
+        if terms:
+            for key, val in terms.items():
+                val = _q(val)
+                if val != 0:
+                    clean[key] = val
+        self.terms = clean
+
+    @classmethod
+    def const(cls, value) -> "_ReferencePoly2":
+        return cls({(0, 0): value})
+
+    @classmethod
+    def u(cls) -> "_ReferencePoly2":
+        return cls({(1, 0): 1})
+
+    @classmethod
+    def v(cls) -> "_ReferencePoly2":
+        return cls({(0, 1): 1})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _ReferencePoly2):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self == _ReferencePoly2.const(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _ReferencePoly2.const(other)
+        if not isinstance(other, _ReferencePoly2):
+            return NotImplemented
+        out = dict(self.terms)
+        for key, val in other.terms.items():
+            out[key] = out.get(key, Fraction(0)) + val
+        return _ReferencePoly2(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _ReferencePoly2({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _ReferencePoly2.const(other)
+        if not isinstance(other, _ReferencePoly2):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _ReferencePoly2({k: v * other for k, v in self.terms.items()})
+        if not isinstance(other, _ReferencePoly2):
+            return NotImplemented
+        out: dict = {}
+        for (i1, j1), a in self.terms.items():
+            for (i2, j2), b in other.terms.items():
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, Fraction(0)) + a * b
+        return _ReferencePoly2(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _ReferencePoly2({k: v / other for k, v in self.terms.items()})
+        return NotImplemented
+
+    def scale(self, c) -> "_ReferencePoly2":
+        return self * _q(c)
+
+    def eval(self, u, v):
+        u, v = _q(u), _q(v)
+        total = Fraction(0)
+        for (i, j), a in self.terms.items():
+            total += a * u**i * v**j
+        return total
+
+    def eval_v(self, v) -> Poly1:
+        """Substitute a rational v, leaving a univariate polynomial in u."""
+        v = _q(v)
+        deg = max((i for (i, _) in self.terms), default=-1)
+        coeffs = [Fraction(0)] * (deg + 1)
+        for (i, j), a in self.terms.items():
+            coeffs[i] += a * v**j
+        return Poly1(coeffs)
+
+    def udegree(self) -> int:
+        return max((i for (i, _) in self.terms), default=-1)
+
+    def ucoefficient(self, k: int) -> Poly1:
+        """Coefficient of u^k as a polynomial in v (ascending)."""
+        deg = max((j for (i, j) in self.terms if i == k), default=-1)
+        coeffs = [Fraction(0)] * (deg + 1)
+        for (i, j), a in self.terms.items():
+            if i == k:
+                coeffs[j] += a
+        return Poly1(coeffs)
+
+    @classmethod
+    def from_ucoefficients(cls, coeffs: list) -> "_ReferencePoly2":
+        """The polynomial sum_i coeffs[i] u^i, each a Poly1 in v or a constant."""
+        terms: dict = {}
+        for i, p in enumerate(coeffs):
+            for j, a in enumerate(p.c if isinstance(p, Poly1) else Poly1.const(p).c):
+                if a != 0:
+                    terms[(i, j)] = a
+        return cls(terms)
+
+
+def _reference_reduce_mod_u(dividend: _ReferencePoly2, divisor: _ReferencePoly2) -> _ReferencePoly2:
+    """Remainder of dividend modulo divisor, eliminating the variable u.
+
+    Works in v-coefficient polynomials and requires every elimination step
+    to divide exactly; raises if it cannot (which never happens for the
+    identities this package reduces).
+    """
+    d0 = divisor.udegree()
+    if d0 < 0:
+        raise ZeroDivisionError("reduction modulo the zero polynomial")
+    lead = divisor.ucoefficient(d0)
+    rem = dividend
+    while True:
+        d = rem.udegree()
+        if d < d0 or rem.is_zero():
+            return rem
+        cd = rem.ucoefficient(d)
+        q, r = cd.divmod(lead)
+        if not r.is_zero():
+            raise ComputationFault("non-exact coefficient division during reduction")
+        shift = _ReferencePoly2.from_ucoefficients([Poly1([])] * (d - d0) + [q])
+        rem = rem - shift * divisor
+
+
+@pytest.mark.parametrize(
+    "poly, value",
+    [
+        (Poly2.const(Fraction(1, 2)), Fraction(1, 2)),
+        (Poly2(), 0),
+        (Poly1.const(3), 3),
+        (Poly1([]), 0),
+        (Poly2.const(-4), Fraction(-4)),
+        (Poly1.const(Fraction(-2, 3)), Fraction(-2, 3)),
+    ],
+    ids=["poly2_half", "poly2_zero", "poly1_three", "poly1_zero", "poly2_minus_four", "poly1_minus_two_thirds"],
+)
+def test_equal_constants_hash_equal(poly, value):
+    """== implies equal hashes, so a set holds a constant polynomial and its
+    value once."""
+    assert poly == value and value == poly
+    assert hash(poly) == hash(value)
+    assert len({poly, value}) == 1
+
+
+def test_constants_compare_without_building_a_polynomial(monkeypatch):
+    built = []
+    init = Poly2.__init__
+    monkeypatch.setattr(Poly2, "__init__", lambda self, terms=None: built.append(terms) or init(self, terms))
+    p, zero, half = Poly2.u() * Fraction(1, 2), Poly2(), Poly2.const(Fraction(1, 2))
+    built.clear()
+    assert zero == 0 and zero == Fraction(0) and not p == 0 and p != Fraction(1, 2)
+    assert half == Fraction(1, 2) and half != Fraction(1, 3) and half != 0 and half != 1
+    assert built == []
+
+
+_MONOMIALS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+_TERMS = st.dictionaries(_MONOMIALS, _COEFFS | st.just(Fraction(0)), max_size=5)
+_SCALARS = st.integers(-6, 6) | _COEFFS
+
+
+def _assert_canonical(p: Poly2) -> None:
+    """Coprime integer numerators, none zero, over a positive denominator;
+    the zero polynomial is ({}, 1); every coefficient a Fraction."""
+    assert p._den > 0
+    assert gcd(p._den, *p._nums.values()) == 1
+    assert all(type(n) is int and n for n in p._nums.values())
+    assert p._nums or p._den == 1
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+def _same(p: Poly2, ref: _ReferencePoly2) -> None:
+    _assert_canonical(p)
+    assert p.terms == ref.terms
+    assert p == Poly2(ref.terms) and hash(p) == hash(Poly2(ref.terms))
+
+
+def _same_poly1(p: Poly1, ref: Poly1) -> None:
+    assert p.c == ref.c
+    assert all(type(c) is Fraction for c in p.c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_TERMS, b=_TERMS, c=_SCALARS, u=_COEFFS, v=_COEFFS)
+def test_matches_reference(a, b, c, u, v):
+    p, q = Poly2(a), Poly2(b)
+    rp, rq = _ReferencePoly2(a), _ReferencePoly2(b)
+    _same(p, rp)
+    for got, want in (
+        (p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq), (-p, -rp),
+        (p + c, rp + c), (c + p, c + rp), (p - c, rp - c), (c - p, c - rp),
+        (p * c, rp * c), (c * p, c * rp), (p.scale(c), rp.scale(c)),
+    ):
+        _same(got, want)
+    if c:
+        _same(p / c, rp / c)
+    assert p.eval(u, v) == rp.eval(u, v) and type(p.eval(u, v)) is Fraction
+    _same_poly1(p.eval_v(v), rp.eval_v(v))
+    assert p.udegree() == rp.udegree()
+    for k in range(5):
+        _same_poly1(p.ucoefficient(k), rp.ucoefficient(k))
+    coeffs = [p.ucoefficient(k) for k in range(4)] + [c]
+    _same(Poly2.from_ucoefficients(coeffs), _ReferencePoly2.from_ucoefficients(coeffs))
+    assert (p == q) == (rp == rq)
+
+
+def _divisor(terms, lead, degree):
+    """A divisor of the given u-degree with a constant leading u-coefficient."""
+    terms = {key: c for key, c in terms.items() if key[0] < degree}
+    terms[(degree, 0)] = lead
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_TERMS, b=_TERMS, lead=_COEFFS.filter(bool), degree=st.integers(1, 2), free=_TERMS)
+def test_reduce_mod_u_matches_reference(a, b, lead, degree, free):
+    """Constant-lead divisors always divide exactly; a free divisor either
+    reduces like the reference or raises like it."""
+    p = Poly2(a)
+    rp = _ReferencePoly2(a)
+    d = _divisor(b, lead, degree)
+    _same(reduce_mod_u(p, Poly2(d)), _reference_reduce_mod_u(rp, _ReferencePoly2(d)))
+    if not Poly2(free).is_zero():
+        try:
+            want = _reference_reduce_mod_u(rp, _ReferencePoly2(free))
+        except ComputationFault:
+            with pytest.raises(ComputationFault):
+                reduce_mod_u(p, Poly2(free))
+        else:
+            _same(reduce_mod_u(p, Poly2(free)), want)
+
+
+_U, _V = sympy.symbols("u v")
+
+
+def _sympy(p: Poly2):
+    return sympy.Poly.from_dict({k: sympy.Rational(c.numerator, c.denominator)
+                                 for k, c in p.terms.items()} or {(0, 0): 0}, _U, _V)
+
+
+def _from_sympy(expr) -> dict:
+    poly = sympy.Poly(expr, _U, _V)
+    return {k: Fraction(int(c.p), int(c.q)) for k, c in poly.as_dict().items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_TERMS, b=_TERMS, lead=_COEFFS.filter(bool), degree=st.integers(1, 2))
+def test_products_and_reduction_against_sympy(a, b, lead, degree):
+    p, q = Poly2(a), Poly2(b)
+    assert (p * q).terms == _from_sympy((_sympy(p) * _sympy(q)).as_expr())
+    d = Poly2(_divisor(b, lead, degree))
+    want = sympy.rem(_sympy(p).as_expr(), _sympy(d).as_expr(), _U)
+    assert reduce_mod_u(p, d).terms == _from_sympy(want)

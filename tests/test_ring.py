@@ -135,14 +135,34 @@ def _built_table(g):
     return g.matrices[ring._mul]
 
 
+def _mixed_scalar(rng):
+    r = rng.random()
+    if r < 0.2:
+        return Fraction(0)
+    if r < 0.45:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if r < 0.55:
+        return Poly2()
+    if r < 0.65:
+        return Poly2.const(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    return Poly2({(rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(rng.randint(1, 3))})
+
+
+def _mixed_vector(rng, rank):
+    """A vector of random Fraction and Poly2 coordinates, zeros of both
+    types included."""
+    return ring._from_flat(rank, [_mixed_scalar(rng) for _ in range(2 * rank + 4)])
+
+
 def _series_vector(rank):
     s = LaurentSeries([(1, Fraction(2, 3)), (-1, 5)], -4)
     return ChernVector(s, 1, DivisorB([s] * rank), DivisorB([0] * rank), LaurentSeries.zero(), 2)
 
 
 class TestMulTable:
-    """``mul`` at Fraction scalars through the structure constants kept on
-    each fresh geometry, against the product formula ``ring._mul``."""
+    """``mul`` at Fraction and Poly2 scalars through the structure constants
+    kept on each fresh geometry, against the product formula ``ring._mul``."""
 
     def test_equals_product_formula_in_value_and_type(self):
         rng = random.Random(31)
@@ -183,9 +203,24 @@ class TestMulTable:
             p = ChernVector(Poly2.u(), 1, DivisorB([Poly2.v()] * g.rank), z, Fraction(1, 2), 0)
             f = _rand_vector(rng, g.rank)
             s = _series_vector(g.rank)
-            for v1, v2 in ((f, p), (p, f), (p, p), (s, f), (f, s), (s, s)):
+            # LaurentSeries factors take _mul and build no table; Poly2
+            # factors equal it through the structure constants.
+            for v1, v2 in ((s, f), (f, s), (s, s)):
                 assert shape(mul(g, v1, v2)) == shape(ring._mul(g, v1, v2))
             assert not g.matrices
+            for v1, v2 in ((f, p), (p, f), (p, p)):
+                assert shape(mul(g, v1, v2)) == shape(ring._mul(g, v1, v2))
+
+    def test_poly2_factors_equal_the_product_formula(self):
+        """Random mixed patterns: Fraction and Poly2 coordinates, zeros of
+        both types, against ``_mul`` in value and per-coordinate type."""
+        rng = random.Random(35)
+        for g in fresh_geometries():
+            for _ in range(60):
+                v1, v2 = _mixed_vector(rng, g.rank), _mixed_vector(rng, g.rank)
+                assert shape(mul(g, v1, v2)) == shape(ring._mul(g, v1, v2))
+                assert shape(mul(g, v1, v1)) == shape(ring._mul(g, v1, v1))
+            assert g.product_types
 
     def test_table_is_built_without_the_public_product(self, monkeypatch):
         """A traced call count of mul sees only the caller's calls."""
@@ -205,6 +240,7 @@ def test_tables_leave_geometry_identity_unchanged():
     for g in fresh_geometries():
         v = _rand_vector(random.Random(34), g.rank)
         mul(g, v, v)
+        mul(g, v, _mixed_vector(random.Random(36), g.rank))
         fmt.phi(g, v)
         fmt.phi_hat(g, v)
         assert set(g.matrices) == {ring._mul, fmt._phi, fmt._phi_hat}
