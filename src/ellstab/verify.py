@@ -1,17 +1,18 @@
 """Theorem-level numeric identity and correspondence checks.
 
 Everything here restates a proved relation at the level where it is
-literally computable from Chern data: an exact imaginary-part identity
-along the tilt curve, the threshold biconditional comparing a
-one-dimensional class against a positive-rank class, the slope-to-phase
-correspondence for transforms of one-dimensional classes, and the parameter
-independence of comparisons when h = 0.  Membership of an object in a
-category is always a caller assertion; only the numeric consequences are
-checked.
+literally computable from Chern data: sign constraints attached to
+asserted transform behaviour, an exact imaginary-part identity along the
+tilt curve, the threshold biconditional comparing a one-dimensional class
+against a positive-rank class, the slope-to-phase correspondence for
+transforms of one-dimensional classes, and the parameter independence of
+comparisons when h = 0.  Membership of an object in a category is always a
+caller assertion; only the numeric consequences are checked.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics
@@ -19,7 +20,7 @@ from .asymptotics import ChargeKind, charge_series, compare_phases, cross_series
 from .charges import _flat_full_parts, reduced_charge
 from .curves import OneDimCurve, TiltCurve, constraint_poly
 from .errors import DomainError
-from .fmt import phi
+from .fmt import fiber_swap_rule, phi
 from .poly import Poly2, reduce_mod_u
 from .ring import (
     BaseGeometry,
@@ -32,6 +33,32 @@ from .ring import (
     twist,
 )
 from .slopes import SlopeKind, slope
+
+
+def positivity_check(g: BaseGeometry, v: ChernVector, d: int, wit: int) -> bool:
+    """Sign consistency of an asserted transform index for a class whose
+    support drops dimension by one along the fibration.
+
+    The tested quantity is x*H^2 for d = 3, H.eta for d = 2 and s for
+    d = 1; index one requires it nonpositive, index zero strictly positive.
+    """
+    if wit not in (0, 1):
+        raise DomainError("wit must be 0 or 1")
+    if d == 3:
+        if v.n == 0:
+            raise DomainError("d = 3 requires a positive-rank pattern (n != 0)")
+        value = v.x * g.hb2
+    elif d == 2:
+        if v.n != 0 or v.x != 0:
+            raise DomainError("d = 2 requires the pattern n = x = 0")
+        value = pair_h(g, v.eta)
+    elif d == 1:
+        if v.n != 0 or v.x != 0 or not v.S.is_zero() or not v.eta.is_zero():
+            raise DomainError("d = 1 requires a fiber-class pattern (n = x = 0, S = eta = 0)")
+        value = v.s
+    else:
+        raise DomainError("d must be 1, 2 or 3")
+    return value <= 0 if wit == 1 else value > 0
 
 
 def _im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -> tuple:
@@ -197,3 +224,42 @@ def h0_independence_check(
     predicted_sign = (predicted > 0) - (predicted < 0)
     cross = asymptotics._cross_poly(g, m, n, ChargeKind.FULL, d)
     return all(asymptotics._cross_sign(cross, curve, v) == predicted_sign for v in _H0_SAMPLES)
+
+
+@dataclass(frozen=True)
+class TransformMapReport:
+    image: ChernVector
+    source_eta_nonzero: bool
+    source_a_nonneg: bool
+    source_s_positive: bool
+    image_s_nonzero: bool
+    image_a_positive: bool
+    image_s3_nonpositive: bool
+
+    @property
+    def all_hold(self) -> bool:
+        return (
+            self.source_eta_nonzero
+            and self.source_a_nonneg
+            and self.source_s_positive
+            and self.image_s_nonzero
+            and self.image_a_positive
+            and self.image_s3_nonpositive
+        )
+
+
+def onedim_transform_map(g: BaseGeometry, e_tw: ChernVector, dbar: DivisorB) -> TransformMapReport:
+    """Swap-rule image of a twisted one-dimensional class together with the
+    side conditions of the stable-class correspondence."""
+    if e_tw.n != 0 or e_tw.x != 0 or not e_tw.S.is_zero():
+        raise DomainError("source must have the shape n = x = 0, S = 0")
+    image = fiber_swap_rule(g, e_tw)
+    return TransformMapReport(
+        image=image,
+        source_eta_nonzero=not e_tw.eta.is_zero(),
+        source_a_nonneg=e_tw.a >= 0,
+        source_s_positive=e_tw.s > 0,
+        image_s_nonzero=not image.S.is_zero(),
+        image_a_positive=image.a > 0,
+        image_s3_nonpositive=image.s <= 0,
+    )

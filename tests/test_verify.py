@@ -1,5 +1,5 @@
-"""Theorem-level checks: identities, threshold and correspondence
-biconditionals, h = 0 independence."""
+"""Theorem-level checks: positivity, identities, threshold and
+correspondence biconditionals, h = 0 independence, transform map."""
 
 import random
 from fractions import Fraction
@@ -9,17 +9,48 @@ import pytest
 from ellstab import suites
 from ellstab.curves import TiltCurve
 from ellstab.errors import DomainError
+from ellstab.fmt import fiber_swap_rule
 from ellstab.ring import ChernVector
 from ellstab.suites import geometry_for, _rand_tilt, _rand_vector
 from ellstab.verify import (
     h0_independence_check,
     im_identity_check,
     im_identity_symbolic_remainders,
+    onedim_transform_map,
+    positivity_check,
     slope_correspondence_check,
     threshold_equiv_check,
 )
 
 from conftest import cv, d
+
+
+class TestPositivity:
+    def test_examples(self, g0):
+        assert positivity_check(g0, cv(1, -1, d(0), d(0), 0, 0), 3, 1)
+        assert positivity_check(g0, cv(0, 0, d(1), d(1), 0, 0), 2, 0)
+        assert not positivity_check(g0, cv(0, 0, d(0), d(0), 1, 0), 1, 0)
+
+    def test_wit_zero_strict(self, g0):
+        assert not positivity_check(g0, cv(1, 0, d(0), d(0), 0, 0), 3, 0)
+        assert positivity_check(g0, cv(1, 0, d(0), d(0), 0, 0), 3, 1)
+
+    def test_dimension_pattern_enforced(self, g0):
+        with pytest.raises(DomainError):
+            positivity_check(g0, cv(0, 0, d(0), d(0), 0, 1), 3, 1)
+        with pytest.raises(DomainError):
+            positivity_check(g0, cv(1, 0, d(0), d(0), 0, 1), 2, 1)
+        with pytest.raises(DomainError):
+            positivity_check(g0, cv(0, 0, d(0), d(1), 0, 1), 1, 1)
+
+    def test_monotone_under_sums(self, g0):
+        rng = random.Random(20)
+        for _ in range(100):
+            s1, s2 = (Fraction(rng.randint(1, 6)) for _ in range(2))
+            v1 = cv(0, 0, d(0), d(0), Fraction(rng.randint(-3, 3)), s1)
+            v2 = cv(0, 0, d(0), d(0), Fraction(rng.randint(-3, 3)), s2)
+            assert positivity_check(g0, v1, 1, 0) and positivity_check(g0, v2, 1, 0)
+            assert positivity_check(g0, v1 + v2, 1, 0)
 
 
 class TestImIdentity:
@@ -159,6 +190,32 @@ class TestH0Independence:
         # these seeds drew a class whose charge lies in the open third
         # quadrant, where compare_phases has no phase to compare
         assert suites.suite_h0(10, seed=seed).passed
+
+
+class TestTransformMap:
+    def test_good_source(self, g0):
+        rep = onedim_transform_map(g0, cv(0, 0, d(0), d(1), 1, 2), d(0))
+        assert rep.image == cv(0, 0, d(1), d(0), 2, -1)
+        assert rep.all_hold
+
+    def test_fiber_source_excluded(self, g0):
+        rep = onedim_transform_map(g0, cv(0, 0, d(0), d(0), 0, 1), d(0))
+        assert not rep.image_s_nonzero
+        assert not rep.all_hold
+
+    def test_zero_fiber_part_ok(self, g0):
+        rep = onedim_transform_map(g0, cv(0, 0, d(0), d(1), 0, 1), d(0))
+        assert rep.image_a_positive
+        assert rep.all_hold
+
+    def test_composition_negates(self, g0):
+        rng = random.Random(25)
+        for _ in range(50):
+            v = cv(0, 0, d(0), d(Fraction(rng.randint(-4, 4))), Fraction(rng.randint(-4, 4)),
+                   Fraction(rng.randint(-4, 4)))
+            rep = onedim_transform_map(g0, v, d(0))
+            back = fiber_swap_rule(g0, rep.image)
+            assert back == -v
 
 
 class TestRunSuite:
