@@ -12,8 +12,8 @@ sign equals the sign of sin(pi (phi_N - phi_M)) pointwise, so a positive
 lead means M eventually has the smaller phase.  A cross series with no
 stored coefficients is reported as equal-through-order unless the data is
 exact, in which case the germs are genuinely proportional as stored.
-At finite parameters the cross value is a polynomial in (u, v) whose sign
-at each curve point is exact, zero included, with no refinement cap.
+At finite parameters the cross value is a polynomial in (u, v), from the
+same closed forms, whose sign at each curve point is exact, zero included.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import charges as charges_mod
 from .curves import CurveConstraint, admissible_bracket, expand_u
 from .errors import ConfigurationError, DomainError
 from .poly import Poly2, RootInterval, sign_at_root
-from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX
+from .ring import BaseGeometry, ChernVector, DivisorB
 from .series import LaurentSeries
 
 
@@ -253,34 +253,22 @@ def compare_vectors(
     )
 
 
-def _charge_at_point(
-    g: BaseGeometry,
-    v: ChernVector,
-    kind: ChargeKind,
-    u,
-    vpar,
-    d: DivisorB | None,
-):
-    if kind is ChargeKind.REDUCED:
-        return charges_mod.reduced_charge(g, v, u, vpar)
-    omega = DivisorX(u, g.hb_divisor.scale(vpar))
-    bfield = DivisorX.pullback(d if d is not None else g.zero_divisor())
-    return charges_mod.full_charge(g, v, omega, bfield)
-
-
 def _cross_poly(
     g: BaseGeometry, m: ChernVector, n: ChernVector, kind: ChargeKind, d: DivisorB | None
 ) -> Poly2:
     """The exact cross value re(M) im(N) - im(M) re(N) as a polynomial in (u, v).
 
-    Built once through the pointwise charges at symbolic u and v, so the
-    reduced charge's dual-path guard checks a polynomial identity, which
-    implies its check at every point.
-    """
+    Both charges are closed forms at symbolic (u, v): the reduced one, or the
+    full one with B = pull(d), d = 0 by default, for any class.  Their ring
+    guard is proved once per geometry (``charges.prove_closed_form``)."""
+    charges_mod.prove_closed_form(g)
     usym, vsym = Poly2.u(), Poly2.v()
-    zm = _charge_at_point(g, m, kind, usym, vsym, d)
-    zn = _charge_at_point(g, n, kind, usym, vsym, d)
-    return zm.re * zn.im - zm.im * zn.re
+    if kind is ChargeKind.REDUCED:
+        zm, zn = (charges_mod._reduced_parts(g, v, usym, vsym) for v in (m, n))
+    else:
+        dd = d if d is not None else g.zero_divisor()
+        zm, zn = (charges_mod._full_parts(g, v, usym, vsym, dd) for v in (m, n))
+    return zm[0] * zn[1] - zm[1] * zn[0]
 
 
 def _cross_sign(cross: Poly2, c: CurveConstraint, vpar) -> int:
@@ -300,11 +288,12 @@ def cross_sign_at(
 ) -> int:
     """Exact sign of the cross value at a finite curve point, zero included.
 
-    The cross value is built as a polynomial in (u, v).  At v = vpar it is
-    a polynomial q in u, and u is the root of the curve polynomial p that
-    ``curves.admissible_bracket`` isolates in closed form (or gives exactly,
-    at a rational root); ``poly.sign_at_root(q, p, bracket)`` gives the
-    sign of q there, with no refinement of the bracket.
+    The cross value is a polynomial in (u, v) from the charge closed forms
+    (``_cross_poly``).  At v = vpar it is a polynomial q in u, and u is the
+    root of the curve polynomial p that ``curves.admissible_bracket``
+    isolates in closed form (or gives exactly, at a rational root);
+    ``poly.sign_at_root(q, p, bracket)`` gives the sign of q there, with no
+    refinement of the bracket.
     """
     return _cross_sign(_cross_poly(g, m, n, kind, d), c, vpar)
 

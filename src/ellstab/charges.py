@@ -10,11 +10,12 @@ so that re and im are each a constant plus a sum of coefficient times germ.
 ``_reduced_parts`` and ``_flat_full_parts`` form that combination at
 ``Fraction`` points here and at ``Poly2`` symbols for polynomial
 identities; ``asymptotics.charge_series`` builds the germs once per curve
-and order as ``LaurentSeries`` and combines each class in one integer pass.
-``full_charge`` itself goes through ring products for any class and
-B-field.  The reduced charge also evaluates that ring-product path and
-insists it agrees with the closed form, which guards the transcription of
-every intersection number used.
+and order as ``LaurentSeries`` and combines each class in one integer pass;
+``_full_parts`` is the full charge with B = pull(d) for any class.
+``full_charge`` goes through ring products for any class and B-field.  The
+reduced charge also evaluates that path and insists it agrees with the
+closed form, which guards the transcription of every intersection number
+used; ``prove_closed_form`` does so once per geometry at symbolic (u, vpar).
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from fractions import Fraction
 
 from .errors import ComputationFault, DomainError
 from .fmt import phi
+from .poly import Poly2
 from .ring import (
     BaseGeometry,
     ChernVector,
     DivisorB,
     DivisorX,
+    _from_flat,
     divisor_vector,
     mul,
     pair,
@@ -123,6 +126,14 @@ def _flat_full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> t
     return _combine(_flat_full_coefficients(g, v, d), _flat_full_germs(g.h, u, vpar))
 
 
+def _full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
+    """The full charge with B = pull(d) as (re, im), over any scalar, for any
+    class: -ch3^B plus the reduced closed form of v twisted by B."""
+    tw = twist(g, v, DivisorX.pullback(d))
+    re, im = _reduced_parts(g, tw, u, vpar)
+    return re - tw.s, im
+
+
 def _ring_parts(g: BaseGeometry, v: ChernVector, omega: DivisorX) -> tuple:
     """(w^2 ch1 / 2, w ch2 - w^3 ch0 / 6) at w = omega, through ring products."""
     om = divisor_vector(g, omega)
@@ -147,6 +158,19 @@ def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
     if re != ring_re or im != ring_im:
         raise ComputationFault("reduced charge closed form disagrees with ring evaluation")
     return ChargeValue(re, im)
+
+
+def prove_closed_form(g: BaseGeometry) -> None:
+    """Run ``reduced_charge`` at symbolic (u, vpar) on the 2r + 4 basis
+    classes, once per geometry (marked in ``g.matrices``).  Both of its paths
+    are linear in the class, so this proves them equal for every class at
+    every point, or raises ``ComputationFault``."""
+    if prove_closed_form not in g.matrices:
+        dim = 2 * g.rank + 4
+        for k in range(dim):
+            basis = _from_flat(g.rank, [Fraction(int(i == k)) for i in range(dim)])
+            reduced_charge(g, basis, Poly2.u(), Poly2.v())
+        g.matrices[prove_closed_form] = True
 
 
 def full_charge(g: BaseGeometry, v: ChernVector, omega: DivisorX, B: DivisorX) -> ChargeValue:

@@ -244,6 +244,7 @@ def cmd_curve(args, cfg: Config, out: _Output) -> int:
 
 
 def cmd_phase(args, cfg: Config, out: _Output) -> int:
+    _reject_unused_flags(args, _CHARGE_KIND_FLAGS[args.kind], ("--d",))
     v = _object(cfg, args.object)
     c = _curve(cfg, args.curve)
     ac = charge_series(
@@ -275,6 +276,7 @@ def _object_pair(cfg: Config, text: str):
 
 
 def cmd_compare(args, cfg: Config, out: _Output) -> int:
+    _reject_unused_flags(args, _CHARGE_KIND_FLAGS[args.kind], ("--d",))
     names, m, n = _object_pair(cfg, args.objects)
     c = _curve(cfg, args.curve)
     verdict = compare_vectors(
@@ -287,6 +289,7 @@ def cmd_compare(args, cfg: Config, out: _Output) -> int:
 
 
 def cmd_wall_scan(args, cfg: Config, out: _Output) -> int:
+    _reject_unused_flags(args, _CHARGE_KIND_FLAGS[args.kind], ("--d",))
     names, m, n = _object_pair(cfg, args.objects)
     c = _curve(cfg, args.curve)
     result = wall_scan(
@@ -330,6 +333,9 @@ _PARAMETER_FLAGS = {"omega": ("--u", "--v"), "omegabar": ("--y", "--z"), "d": ("
 _ALL_PARAMETER_FLAGS = _flags_of(_PARAMETER_FLAGS)
 _CHARGE_PARAMETERS = {"full": ("omega", "bfield"), "reduced": ("omega",),
                       "onedim": ("omega", "omegabar", "dbar")}
+# the reduced charge has no B-field, so phase, compare and wall-scan take
+# --d only with the full kind
+_CHARGE_KIND_FLAGS = {"reduced": (), "full": ("--d",)}
 _CURVE_FLAGS = {"solve": ("--v",), "expand": (), "check": ("--u", "--v")}
 
 

@@ -183,7 +183,8 @@ class BaseGeometry:
     of hb * gram used by ``pair_h``) is computed once, at construction.
     ``matrices`` starts empty; it keeps the integer tables of the linear
     closed forms, keyed by the closed form: ``fmt``'s transform matrices and
-    the product's structure constants (keyed by ``_mul``).  ``product_types``
+    the product's structure constants (keyed by ``_mul``), and the mark of
+    ``charges.prove_closed_form`` once it has run on g.  ``product_types``
     keeps, per pattern of Fraction and Poly2 factors, which outputs of the
     product are Poly2.
     """

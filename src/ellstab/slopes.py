@@ -14,6 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
 
+from .charges import _ring_parts
 from .errors import ConfigurationError, DomainError
 from .ring import (
     BaseGeometry,
@@ -178,13 +179,8 @@ def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
         return _ratio(num, tw.n)
 
     if tag is SlopeTag.NU_OMEGA_B:
-        tw = twist(g, v, kind.bfield)
-        om = divisor_vector(g, kind.omega)
-        om2 = mul(g, om, om)
-        om3 = mul(g, om2, om).s
-        num = mul(g, om, tw.degree_part(2)).s - om3 * tw.n / 6
-        den = mul(g, om2, tw.degree_part(1)).s
-        return _ratio(num, den)
+        re, im = _ring_parts(g, twist(g, v, kind.bfield), kind.omega)
+        return _ratio(im, 2 * re)
 
     if tag is SlopeTag.MU_STAR:
         phb = ChernVector(0, 0, hb, g.zero_divisor(), 0, 0)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import asymptotics
 from .asymptotics import ChargeKind, charge_series, compare_phases, cross_series
-from .charges import _flat_full_parts, reduced_charge
+from .charges import reduced_charge
 from .curves import OneDimCurve, TiltCurve, constraint_poly
 from .errors import DomainError
 from .fmt import fiber_swap_rule, phi
@@ -110,12 +110,6 @@ def im_identity_symbolic_remainders(g: BaseGeometry, e: ChernVector, c: TiltCurv
     return [reduce_mod_u(diff, constraint_poly(c))]
 
 
-def _controlled_cross_lead(x) -> Fraction:
-    """Coefficient of the cross series at the order the threshold statement
-    controls, which is the largest order the cross can carry."""
-    return x.coefficient(1)
-
-
 def threshold_equiv_check(
     g: BaseGeometry,
     t: ChernVector,
@@ -157,8 +151,8 @@ def threshold_equiv_check(
         return verdict.is_prec
     if mu_t.finite > threshold:
         return verdict.is_succ
-    x = cross_series(g_series, f_series)
-    return _controlled_cross_lead(x) == 0
+    # v^1 is the order the statement controls, the largest the cross can carry
+    return cross_series(g_series, f_series).coefficient(1) == 0
 
 
 def slope_correspondence_check(
@@ -206,23 +200,19 @@ def h0_independence_check(
     same at every curve point, with sign given by the constant parts.
 
     The exact cross value at each sampled curve point, read on the wall-scan
-    path (one cross polynomial through ``full_charge``, then ``_cross_sign``),
-    must carry one fixed sign (or vanish identically), and that sign must
-    agree with the one predicted by the v-independent charge components.
+    path (one cross polynomial, then ``_cross_sign``), must carry one fixed
+    sign (or vanish identically): the one it has at the curve point
+    (u, v) = (z/y, 1), where the charges are their v-independent parts with
+    Im scaled by z/y > 0, which keeps the sign.
     """
     if g.h != 0:
         raise DomainError("this check applies only to h = 0 geometries")
     curve = OneDimCurve(0, y, z)
-    preds = []
-    for v in (m, n):
-        if v.n != 0 or v.x != 0 or not v.eta.is_zero():
-            raise DomainError("inputs must have the flat numeric shape (n = x = 0, eta = 0)")
-        # the charge at the curve point (u, v) = (z/y, 1) is the
-        # v-independent part with Im scaled by z/y > 0, which keeps the sign
-        preds.append(_flat_full_parts(g, v, curve.q, 1, d))
-    predicted = preds[0][0] * preds[1][1] - preds[0][1] * preds[1][0]
-    predicted_sign = (predicted > 0) - (predicted < 0)
+    if any(v.n != 0 or v.x != 0 or not v.eta.is_zero() for v in (m, n)):
+        raise DomainError("inputs must have the flat numeric shape (n = x = 0, eta = 0)")
     cross = asymptotics._cross_poly(g, m, n, ChargeKind.FULL, d)
+    predicted = cross.eval(curve.q, 1)
+    predicted_sign = (predicted > 0) - (predicted < 0)
     return all(asymptotics._cross_sign(cross, curve, v) == predicted_sign for v in _H0_SAMPLES)
 
 

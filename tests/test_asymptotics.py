@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellstab import asymptotics
+from ellstab import asymptotics, charges, ring
 from ellstab.asymptotics import (
     AsymptoticCharge,
     ChargeKind,
@@ -21,11 +21,12 @@ from ellstab.asymptotics import (
     phase_limit,
     wall_scan,
 )
+from ellstab.charges import full_charge, reduced_charge
 from ellstab.curves import OneDimCurve, TiltCurve, expand_u, solve_u
-from ellstab.errors import ConfigurationError, CurveDomainError, DomainError
+from ellstab.errors import ComputationFault, ConfigurationError, CurveDomainError, DomainError
 from ellstab.fmt import phi
-from ellstab.poly import RootInterval
-from ellstab.ring import ChernVector, pair, pair_h
+from ellstab.poly import Poly2, RootInterval
+from ellstab.ring import BaseGeometry, ChernVector, DivisorX, pair, pair_h
 from ellstab.series import LaurentSeries
 from ellstab.suites import (
     geometry_for,
@@ -461,8 +462,12 @@ def _pointwise_sign(g, m, n, c, kind, vpar, dd):
     root = solve_u(c, vpar, Fraction(1, 2**64))
     signs = set()
     for u in (root.lo, root.hi):
-        zm = asymptotics._charge_at_point(g, m, kind, u, vpar, dd)
-        zn = asymptotics._charge_at_point(g, n, kind, u, vpar, dd)
+        if kind is ChargeKind.REDUCED:
+            zm, zn = (reduced_charge(g, v, u, vpar) for v in (m, n))
+        else:
+            omega = DivisorX(u, g.hb_divisor.scale(vpar))
+            bfield = DivisorX.pullback(dd if dd is not None else g.zero_divisor())
+            zm, zn = (full_charge(g, v, omega, bfield) for v in (m, n))
         val = zm.re * zn.im - zm.im * zn.re
         signs.add((val > 0) - (val < 0))
     assert len(signs) == 1, (vpar, signs)
@@ -528,6 +533,78 @@ class TestCrossPolynomial:
             for vpar in points:
                 assert cross_sign_at(g, m, n, c, kind, vpar, dd) == sign(vpar)
         assert walls >= 5
+
+    @pytest.mark.parametrize("h", [Fraction(-1), Fraction(0), Fraction(1, 2)])
+    def test_full_kind_on_classes_of_nonzero_fiber_degree(self, h):
+        """The full kind for classes with n != 0 or x != 0, which have no
+        flat closed form: the cross polynomial equals the one the ring path
+        gives at symbols, and scans and signs equal the pointwise ring path."""
+        rng = random.Random(f"nonflat-{h}")
+        g = geometry_for(h)
+        usym, vsym = Poly2.u(), Poly2.v()
+        omega = DivisorX(usym, g.hb_divisor.scale(vsym))
+        precision, samples, vrange = Fraction(1, 2**10), 6, (Fraction(3), Fraction(14))
+        walls = 0
+        for case in range(8):
+            for _ in range(200):
+                y, z = Fraction(rng.randint(1, 2)), Fraction(rng.randint(3, 5))
+                c, dd = OneDimCurve(h, y, z), d(rng.randint(-2, 2))
+                m, n = _rand_vector(rng, 1), _rand_vector(rng, 1)
+                assert (m.n, m.x) != (0, 0) and (n.n, n.x) != (0, 0)
+
+                def sign(vpar):
+                    return _pointwise_sign(g, m, n, c, ChargeKind.FULL, vpar, dd)
+
+                if case >= 4 or sign(vrange[0]) * sign(vrange[1]) < 0:
+                    break
+            zm, zn = (full_charge(g, v, omega, DivisorX.pullback(dd)) for v in (m, n))
+            ring_cross = zm.re * zn.im - zm.im * zn.re
+            assert asymptotics._cross_poly(g, m, n, ChargeKind.FULL, dd) == ring_cross
+            res = wall_scan(g, m, n, c, ChargeKind.FULL, vrange, precision, dd, samples)
+            assert res.walls == _pointwise_walls(sign, vrange, precision, samples)
+            walls += len(res.walls)
+            for vpar in [Fraction(rng.randint(12, 60), rng.randint(1, 4)) for _ in range(3)]:
+                assert cross_sign_at(g, m, n, c, ChargeKind.FULL, vpar, dd) == sign(vpar)
+        assert walls >= 4
+
+    def test_guard_is_proved_once_per_geometry(self, monkeypatch):
+        """The first cross polynomial on a geometry runs the ring path on
+        the 2r + 4 basis classes; later ones make no ring product at
+        symbolic scalars."""
+        ring_parts, products = [], []
+        original_parts, original_product = charges._ring_parts, ring._symbolic_product
+        monkeypatch.setattr(charges, "_ring_parts",
+                            lambda *a: ring_parts.append(1) or original_parts(*a))
+        monkeypatch.setattr(ring, "_symbolic_product",
+                            lambda *a: products.append(1) or original_product(*a))
+        rng = random.Random(41)
+        for rank, gram, hb in ((1, [[1]], [1]), (2, [[2, 3], [3, -1]], [1, 2])):
+            g = BaseGeometry(rank, gram, hb, Fraction(-1, 2), 0, 1)
+            m, n, dd = _rand_vector(rng, rank), _rand_vector(rng, rank), _rand_divisor(rng, rank)
+            asymptotics._cross_poly(g, m, n, ChargeKind.REDUCED, None)
+            assert len(ring_parts) == 2 * rank + 4
+            ring_parts.clear()
+            products.clear()
+            for kind in (ChargeKind.REDUCED, ChargeKind.FULL):
+                asymptotics._cross_poly(g, n, m, kind, dd)
+                asymptotics._cross_poly(g, m, m.scale(2), kind, None)
+            assert ring_parts == [] and products == []
+
+    def test_guard_catches_a_perturbed_closed_form(self, monkeypatch):
+        """A wrong class coefficient in the reduced closed form makes the
+        first cross polynomial on a fresh geometry raise, for either kind."""
+        original = charges._reduced_coefficients
+
+        def perturbed(g, v):
+            (re_const, (re_x, re_S)), im = original(g, v)
+            return (re_const, (re_x + v.x, re_S)), im
+
+        monkeypatch.setattr(charges, "_reduced_coefficients", perturbed)
+        m, n = cv(1, 0, d(1), d(0), 0, 0), cv(0, 0, d(0), d(1), 1, 0)
+        for kind in (ChargeKind.REDUCED, ChargeKind.FULL):
+            g = BaseGeometry(1, [[1]], [1], -1)
+            with pytest.raises(ComputationFault):
+                asymptotics._cross_poly(g, m, n, kind, d(0))
 
     def test_exact_zero_sign(self, g0):
         # at h = 0 the curve point over v is u = 1/v and the cross value

@@ -487,6 +487,24 @@ class TestFlagErrors:
             assert f"curve {action} does not take {flag}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", [
+        ["phase", "--object", "point"],
+        ["compare", "--objects", "point,curvecl"],
+        ["wall-scan", "--objects", "point,curvecl", "--vmin", "1", "--vmax", "10"],
+    ], ids=lambda c: c[0])
+    def test_germ_commands_take_d_only_with_the_full_kind(self, cfg_path, capsys, command):
+        """The reduced charge has no B-field, so --d with --kind reduced is
+        an error rather than silently ignored."""
+        base = ["--config", cfg_path, *command]
+        code, _ = run_cli(*base, "--curve", "flat1", "--kind", "full", "--d", "[2]")
+        assert code == 0
+        code, out = run_cli(*base, "--curve", "tilt1", "--kind", "reduced", "--d", "[5]")
+        assert code == 1 and out == ""
+        assert f"{command[0]} --kind reduced does not take --d" in capsys.readouterr().err
+        code, _ = run_cli(*base, "--curve", "tilt1", "--kind", "reduced")
+        assert code == 0
+
+
 class TestRunParameters:
     """precision, order and cases are positive, and integer keys are integral: a bad
     flag is a usage error, a bad config key a validation error naming it."""

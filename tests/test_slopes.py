@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from ellstab.charges import _reduced_parts
 from ellstab.errors import ConfigurationError
-from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, compute_m, pair
+from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, compute_m, pair, twist
 from ellstab.slopes import SlopeKind, SlopeValue, slope
 from ellstab.suites import geometry_for, _rand_vector
 
@@ -143,6 +144,23 @@ class TestDecompositions:
             omv = divisor_vector(g, om)
             om2b = mul(g, mul(g, omv, omv), divisor_vector(g, bfield)).s
             assert lhs == rhs - om2b
+
+    def test_nu_omega_b_is_the_reduced_charge_ratio_of_the_twisted_class(self):
+        """nu = Im / (2 Re) of the reduced charge of the B-twisted class, its
+        closed form taken at omega = u Theta + v pull(H); +inf where Re = 0."""
+        rng = random.Random(14)
+        for h in (Fraction(-1), Fraction(1, 2)):
+            g = geometry_for(h, rank2=True)
+            for _ in range(60):
+                v = _rand_vector(rng, 2)
+                if rng.random() < 0.2:
+                    v = ChernVector(v.n, 0, DivisorB.zero(2), v.eta, v.a, v.s)
+                u, vp = Fraction(rng.randint(1, 5), 2), Fraction(rng.randint(1, 5))
+                bfield = DivisorX(Fraction(rng.randint(-3, 3), 2),
+                                  DivisorB([Fraction(rng.randint(-3, 3)) for _ in range(2)]))
+                re, im = _reduced_parts(g, twist(g, v, bfield), u, vp)
+                nu = slope(g, SlopeKind.nu_omega_b(DivisorX(u, g.hb_divisor.scale(vp)), bfield), v)
+                assert nu == (SlopeValue.infinity() if re == 0 else SlopeValue(im / (2 * re)))
 
     def test_kind_parameter_validation(self):
         with pytest.raises(ConfigurationError):
