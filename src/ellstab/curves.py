@@ -251,16 +251,7 @@ def _symbolic_difference_parts(g: BaseGeometry, c: TiltCurve) -> tuple[Poly2, ..
     """All components of the symbolic cycle difference, as (u, v) polynomials."""
     lhs, rhs = _cycle_sides(g, c, Poly2.u(), Poly2.v())
     diff = lhs - rhs
-    scalars = [diff.n, diff.x, diff.a, diff.s]
-    scalars.extend(diff.S.coords)
-    scalars.extend(diff.eta.coords)
-    parts = []
-    for value in scalars:
-        if isinstance(value, Poly2):
-            parts.append(value)
-        elif value != 0:
-            parts.append(Poly2.const(value))
-    return tuple(parts)
+    return (diff.n, diff.x, diff.a, diff.s, *diff.S.coords, *diff.eta.coords)
 
 
 def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:

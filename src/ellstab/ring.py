@@ -31,8 +31,8 @@ All arithmetic is exact; coordinates are ``fractions.Fraction`` values
 symbolically).  ``_mul`` is the one product formula, over any scalar; at
 ``Fraction`` and ``Poly2`` scalars ``mul`` applies its integer structure
 constants, read off one evaluation of ``_mul`` at ``Poly2`` monomials and
-kept on the geometry.  A symbolic product gives each coordinate the scalar
-type ``_mul`` gives it, read off one ``_mul`` per pattern of factors.
+kept on the geometry.  A product of ``Fraction`` factors is ``Fraction``;
+one with any ``Poly2`` factor is a ``Poly2`` in every coordinate.
 """
 
 from __future__ import annotations
@@ -184,9 +184,7 @@ class BaseGeometry:
     ``matrices`` starts empty; it keeps the integer tables of the linear
     closed forms, keyed by the closed form: ``fmt``'s transform matrices and
     the product's structure constants (keyed by ``_mul``), and the mark of
-    ``charges.prove_closed_form`` once it has run on g.  ``product_types``
-    keeps, per pattern of Fraction and Poly2 factors, which outputs of the
-    product are Poly2.
+    ``charges.prove_closed_form`` once it has run on g.
     """
 
     rank: int
@@ -199,7 +197,6 @@ class BaseGeometry:
     hb_divisor: DivisorB = field(init=False, compare=False, repr=False)
     hb_row: tuple = field(init=False, compare=False, repr=False)
     matrices: dict = field(init=False, compare=False, repr=False)
-    product_types: dict = field(init=False, compare=False, repr=False)
 
     def __init__(self, rank, gram, hb, h, vprime=0, m0=1):
         rank = int(rank)
@@ -236,7 +233,6 @@ class BaseGeometry:
         # (hb * gram)_j, or None where every product hb_i * gram_ij is zero.
         object.__setattr__(self, "hb_row", _row(_nonzero(hb, True), gram))
         object.__setattr__(self, "matrices", {})
-        object.__setattr__(self, "product_types", {})
 
     def half_canonical_bfield(self) -> DivisorX:
         """The distinguished twist -(1/2) * pull(K_base) = -(h/2) * pull(H)."""
@@ -394,26 +390,13 @@ def pair_h(g: BaseGeometry, d: DivisorB):
     return _or_zero(_sum_products(zip(g.hb_row, _nonzero(d.coords, _plain(d.coords)))))
 
 
-def _product_view(coords: tuple, nonzero: tuple, plain: bool, partner_plain: bool) -> tuple:
-    """Coordinates as they enter the products outside pairings.
-
-    A zero is skipped (None) only when it is a Fraction and the other
-    vector is all Fraction, so that every skipped product is a Fraction
-    zero.  A Fraction zero times a Poly2 is a Poly2 zero, which makes the
-    sum it enters a Poly2; that product is kept.
-    """
-    if not partner_plain:
-        return coords
-    if plain:
-        return nonzero
-    return tuple(None if type(c) is Fraction and not c else c for c in coords)
-
-
 def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     """Graded product of two classes, truncated above the point class.
 
     At Fraction and Poly2 scalars through the integer structure constants
     of ``_mul``, kept on g; at any other scalar through ``_mul`` itself.
+    Fraction factors give Fraction coordinates; with a Poly2 among the
+    factors every coordinate is a Poly2.
     """
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
@@ -449,22 +432,16 @@ def _structure_constants(g: BaseGeometry) -> tuple[list, int]:
 
 def _symbolic_product(g: BaseGeometry, f1: tuple, f2: tuple, Poly2) -> list:
     """The coordinates of the product of two vectors with Fraction and Poly2
-    coordinates, through the structure constants.
+    coordinates, through the structure constants, each as a Poly2.
 
     Each factor's coordinates become integer monomial dicts over one
     denominator; each pair of nonzero coordinates is multiplied once and
-    added to every output its c_kij reaches.  Each output takes the scalar
-    type ``_mul`` gives it, which depends only on the input pattern
-    (``_product_types``).  The Poly2 class is passed in, since ``poly``
-    imports this module.
+    added to every output its c_kij reaches.  The Poly2 class is passed
+    in, since ``poly`` imports this module.
     """
     table, den = _structure_constants(g)
-    mono1, den1, key1 = _monomials(f1, Poly2)
-    mono2, den2, key2 = _monomials(f2, Poly2)
-    pattern = key1 + key2
-    types = g.product_types.get(pattern)
-    if types is None:
-        types = g.product_types[pattern] = _product_types(g, pattern, Poly2)
+    mono1, den1 = _monomials(f1, Poly2)
+    mono2, den2 = _monomials(f2, Poly2)
     right = [(j, b) for j, b in enumerate(mono2) if b]
     totals: list[dict] = [{} for _ in f1]
     for a, row in zip(mono1, table):
@@ -484,40 +461,21 @@ def _symbolic_product(g: BaseGeometry, f1: tuple, f2: tuple, Poly2) -> list:
                 for key, x in prod.items():
                     total[key] = total[key] + c * x if key in total else c * x
     den *= den1 * den2
-    return [
-        Poly2._ints(t, den) if symbolic else (Fraction(t[(0, 0)], den) if t.get((0, 0)) else _ZERO)
-        for t, symbolic in zip(totals, types)
-    ]
+    return [Poly2._ints(t, den) for t in totals]
 
 
-def _monomials(coords: tuple, Poly2) -> tuple[list, int, tuple]:
+def _monomials(coords: tuple, Poly2) -> tuple[list, int]:
     """Fraction and Poly2 coordinates as (monomial, integer) pairs over their
-    least common denominator (None for a zero), and their pattern: per
-    coordinate 0 for a Fraction zero, 1 for another Fraction, 2 for a Poly2
-    zero, 3 for another Poly2."""
+    least common denominator, None for a zero."""
     den = lcm(*(c._den if type(c) is Poly2 else c.denominator for c in coords))
-    out, pattern = [], []
+    out = []
     for c in coords:
         if type(c) is Poly2:
             f = den // c._den
             out.append([(key, n * f) for key, n in c._nums.items()] or None)
-            pattern.append(3 if c._nums else 2)
         else:
             out.append([((0, 0), c.numerator * (den // c.denominator))] if c else None)
-            pattern.append(1 if c else 0)
-    return out, den, tuple(pattern)
-
-
-def _product_types(g: BaseGeometry, pattern: tuple, Poly2) -> tuple[bool, ...]:
-    """Whether each output of ``_mul`` is a Poly2, for factors of the given
-    pattern.  ``_mul`` chooses what to skip by scalar type and zero test
-    alone, and a sum or product with a Poly2 is a Poly2, so one product at
-    representatives of the pattern gives every output's type."""
-    reps = (_ZERO, Fraction(1), Poly2._ints({}, 1), Poly2._ints({(0, 0): 1}, 1))
-    dim = len(pattern) // 2
-    v1 = _from_flat(g.rank, [reps[c] for c in pattern[:dim]])
-    v2 = _from_flat(g.rank, [reps[c] for c in pattern[dim:]])
-    return tuple(type(c) is Poly2 for c in _mul(g, v1, v2).coordinates())
+    return out, den
 
 
 def _mul_table(g: BaseGeometry) -> tuple[list, int]:
@@ -541,23 +499,16 @@ def _mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     """The product formula, over any scalar.
 
     Works on the coordinate tuples and skips every product with an
-    exact-zero factor.  Pairings skip zeros of any scalar type, as ``pair``
-    does; the other products skip as ``_product_view`` allows.  Each
-    component therefore has the value and the scalar type of the full
-    expansion.
+    exact-zero factor of any scalar type, as ``pair`` does; a component no
+    nonzero product reaches is the Fraction zero.
     """
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
     f1, f2 = v1.coordinates(), v2.coordinates()
-    plain1, plain2 = _plain(f1), _plain(f2)
-    z1, z2 = _nonzero(f1, plain1), _nonzero(f2, plain2)
-    p1 = _product_view(f1, z1, plain1, plain2)
-    p2 = _product_view(f2, z2, plain2, plain1)
-    n1, x1, S1, e1, a1, s1 = p1[0], p1[1], p1[2 : 2 + r], p1[2 + r : 2 + 2 * r], p1[-2], p1[-1]
-    n2, x2, S2, e2, a2, s2 = p2[0], p2[1], p2[2 : 2 + r], p2[2 + r : 2 + 2 * r], p2[-2], p2[-1]
-    zS1, ze1 = z1[2 : 2 + r], z1[2 + r : 2 + 2 * r]
-    zS2, ze2 = z2[2 : 2 + r], z2[2 + r : 2 + 2 * r]
+    z1, z2 = _nonzero(f1, _plain(f1)), _nonzero(f2, _plain(f2))
+    n1, x1, S1, e1, a1, s1 = z1[0], z1[1], z1[2 : 2 + r], z1[2 + r : 2 + 2 * r], z1[-2], z1[-1]
+    n2, x2, S2, e2, a2, s2 = z2[0], z2[1], z2[2 : 2 + r], z2[2 + r : 2 + 2 * r], z2[-2], z2[-1]
     h = g.h
 
     xxh = x1 * x2 * h if x1 is not None and x2 is not None and h else None
@@ -574,10 +525,10 @@ def _mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     )
     # Each pullback part meets the gram matrix once, for both of its
     # pairings; pairings with H use the stored row hb * gram.
-    w1, w2 = _row(zS1, g.gram), _row(zS2, g.gram)
-    he1 = None if x2 is None else _sum_products(zip(g.hb_row, ze1))
-    he2 = None if x1 is None else _sum_products(zip(g.hb_row, ze2))
-    a = _sum_products(((n1, a2), (n2, a1), *zip(w1, zS2)))
+    w1, w2 = _row(S1, g.gram), _row(S2, g.gram)
+    he1 = None if x2 is None else _sum_products(zip(g.hb_row, e1))
+    he2 = None if x1 is None else _sum_products(zip(g.hb_row, e2))
+    a = _sum_products(((n1, a2), (n2, a1), *zip(w1, S2)))
     s = _sum_products(
         (
             (n1, s2),
@@ -586,8 +537,8 @@ def _mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
             (x2, None if he1 is None else h * he1),
             (x1, a2),
             (x2, a1),
-            *zip(w1, ze2),
-            *zip(w2, ze1),
+            *zip(w1, e2),
+            *zip(w2, e1),
         )
     )
     return ChernVector._raw(

@@ -104,10 +104,7 @@ def im_identity_symbolic_remainders(g: BaseGeometry, e: ChernVector, c: TiltCurv
     exactly when the identity holds on the whole curve.
     """
     lhs, rhs = _im_identity_sides(g, e, c, Poly2.u(), Poly2.v())
-    diff = lhs - rhs
-    if not isinstance(diff, Poly2):
-        diff = Poly2.const(diff)
-    return [reduce_mod_u(diff, constraint_poly(c))]
+    return [reduce_mod_u(lhs - rhs, constraint_poly(c))]
 
 
 def threshold_equiv_check(

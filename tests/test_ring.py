@@ -155,6 +155,21 @@ def _mixed_vector(rng, rank):
     return ring._from_flat(rank, [_mixed_scalar(rng) for _ in range(2 * rank + 4)])
 
 
+def _terms(c):
+    """A Fraction or Poly2 scalar as its {monomial: Fraction} map."""
+    if isinstance(c, Poly2):
+        return c.terms
+    return {(0, 0): c} if c else {}
+
+
+def _assert_typed_by_rule(out, v1, v2, reference):
+    """Every coordinate is a Poly2 when a factor has a Poly2 coordinate and
+    a Fraction otherwise, with the reference's values."""
+    symbolic = any(type(c) is Poly2 for c in v1.coordinates() + v2.coordinates())
+    assert all(type(c) is (Poly2 if symbolic else Fraction) for c in out.coordinates())
+    assert [_terms(c) for c in out.coordinates()] == [_terms(c) for c in reference.coordinates()]
+
+
 def _series_vector(rank):
     s = LaurentSeries([(1, Fraction(2, 3)), (-1, 5)], -4)
     return ChernVector(s, 1, DivisorB([s] * rank), DivisorB([0] * rank), LaurentSeries.zero(), 2)
@@ -204,23 +219,59 @@ class TestMulTable:
             f = _rand_vector(rng, g.rank)
             s = _series_vector(g.rank)
             # LaurentSeries factors take _mul and build no table; Poly2
-            # factors equal it through the structure constants.
+            # factors equal it in value through the structure constants,
+            # with a Poly2 in every coordinate.
             for v1, v2 in ((s, f), (f, s), (s, s)):
                 assert shape(mul(g, v1, v2)) == shape(ring._mul(g, v1, v2))
             assert not g.matrices
             for v1, v2 in ((f, p), (p, f), (p, p)):
-                assert shape(mul(g, v1, v2)) == shape(ring._mul(g, v1, v2))
+                _assert_typed_by_rule(mul(g, v1, v2), v1, v2, ring._mul(g, v1, v2))
 
     def test_poly2_factors_equal_the_product_formula(self):
         """Random mixed patterns: Fraction and Poly2 coordinates, zeros of
-        both types, against ``_mul`` in value and per-coordinate type."""
+        both types, against ``_mul`` in value; every coordinate is a Poly2
+        once a factor has one, and a Fraction pair still gives Fractions."""
         rng = random.Random(35)
         for g in fresh_geometries():
+            f = _rand_vector(rng, g.rank)
+            pairs = [(f, f.degree_part(1))]
             for _ in range(60):
-                v1, v2 = _mixed_vector(rng, g.rank), _mixed_vector(rng, g.rank)
-                assert shape(mul(g, v1, v2)) == shape(ring._mul(g, v1, v2))
-                assert shape(mul(g, v1, v1)) == shape(ring._mul(g, v1, v1))
-            assert g.product_types
+                pairs.append((_mixed_vector(rng, g.rank), _mixed_vector(rng, g.rank)))
+            for v1, v2 in pairs:
+                _assert_typed_by_rule(mul(g, v1, v2), v1, v2, ring._mul(g, v1, v2))
+                _assert_typed_by_rule(mul(g, v1, v1), v1, v1, ring._mul(g, v1, v1))
+
+    def test_symbolic_products_run_the_product_formula_once(self, monkeypatch):
+        """On a fresh geometry the product formula runs once, for the table;
+        no pattern of Fraction and Poly2 zeros runs it again."""
+        calls = []
+        original = ring._mul
+        monkeypatch.setattr(ring, "_mul", lambda g, v1, v2: calls.append(1) or original(g, v1, v2))
+        rng = random.Random(37)
+        for g in fresh_geometries():
+            calls.clear()
+            for _ in range(40):
+                mul(g, _mixed_vector(rng, g.rank), _mixed_vector(rng, g.rank))
+            assert len(calls) == 1
+
+    def test_poly2_constants_give_the_fraction_product(self):
+        """Replacing coordinates by Poly2 constants of the same value, zeros
+        included, keeps the product == and hash-equal to the Fraction one."""
+        rng = random.Random(38)
+        geoms = fresh_geometries()
+        for k in range(300):
+            g = geoms[k % len(geoms)]
+            v, w = _rand_vector(rng, g.rank), _rand_vector(rng, g.rank)
+            if k % 3 == 0:
+                v = v.degree_part(k % 4) + v.degree_part((k + 1) % 4)
+            flat = list(v.coordinates())
+            for i in rng.sample(range(len(flat)), rng.randint(1, len(flat))):
+                flat[i] = Poly2.const(flat[i])
+            mixed = ring._from_flat(g.rank, flat)
+            for got, want in ((mul(g, mixed, w), mul(g, v, w)), (mul(g, w, mixed), mul(g, w, v)),
+                              (mul(g, mixed, mixed), mul(g, v, v))):
+                assert got == want
+                assert hash(got) == hash(want)
 
     def test_table_is_built_without_the_public_product(self, monkeypatch):
         """A traced call count of mul sees only the caller's calls."""
@@ -403,8 +454,9 @@ def _scalar(spec):
 
 
 class TestSymbolicProducts:
-    """Products at Poly2 scalars against the full expansion's values and
-    scalar types, with w = u*Theta + v*pull(H) on the rank-two lattice."""
+    """Products at Poly2 scalars against the full expansion's values, with
+    w = u*Theta + v*pull(H) on the rank-two lattice; every coordinate is a
+    Poly2."""
 
     EXPECTED = {
         "w^2": ("0", {}, {}, {}, {(1, 1): "2", (2, 0): "1/2"}, {}, {(0, 2): "2"}, {}),
@@ -420,7 +472,7 @@ class TestSymbolicProducts:
         for name, spec in self.EXPECTED.items():
             want = [_scalar(c) for c in spec]
             have = list(got[name].coordinates())
-            assert [type(c) for c in have] == [type(c) for c in want], name
+            assert all(type(c) is Poly2 for c in have), name
             assert have == want, name
 
     def test_chow_remainders(self, g2):
