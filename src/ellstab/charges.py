@@ -14,8 +14,9 @@ and order as ``LaurentSeries`` and combines each class in one integer pass;
 ``_full_parts`` is the full charge with B = pull(d) for any class.
 ``full_charge`` goes through ring products for any class and B-field.  The
 reduced charge also evaluates that path and insists it agrees with the
-closed form, which guards the transcription of every intersection number
-used; ``prove_closed_form`` does so once per geometry at symbolic (u, vpar).
+closed form (``_checked_reduced_parts``), which guards the transcription of
+every intersection number used; ``prove_closed_form`` does so once per
+geometry at symbolic (u, vpar), against the product formula ``_mul``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .ring import (
     DivisorB,
     DivisorX,
     _from_flat,
-    divisor_vector,
+    divisor_powers,
     mul,
     pair,
     pair_h,
@@ -134,14 +135,28 @@ def _full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
     return re - tw.s, im
 
 
-def _ring_parts(g: BaseGeometry, v: ChernVector, omega: DivisorX) -> tuple:
-    """(w^2 ch1 / 2, w ch2 - w^3 ch0 / 6) at w = omega, through ring products."""
-    om = divisor_vector(g, omega)
-    om2 = mul(g, om, om)
-    om3 = mul(g, om2, om).s
+def _ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:
+    """(w^2 ch1 / 2, w ch2 - w^3 ch0 / 6) through ring products, from the
+    ``ring.divisor_powers`` (w, w^2, w^3) of the polarization w.  The
+    products take ``mul``'s two paths: the structure constants when w and v
+    are all Fraction, ``_mul`` itself at any other scalar."""
+    om, om2, om3 = powers
     re = mul(g, om2, v.degree_part(1)).s / 2
     im = mul(g, om, v.degree_part(2)).s - om3 * v.n / 6
     return re, im
+
+
+def _checked_reduced_parts(g: BaseGeometry, v: ChernVector, u, vpar, powers: tuple) -> tuple:
+    """The reduced closed form at (u, vpar), after checking it against the
+    ring products at the powers of w = u*Theta + vpar*pull(H); a mismatch
+    raises, since it can only be a coding fault.  Rational u and vpar must
+    be positive."""
+    _require_positive("u", u)
+    _require_positive("vpar", vpar)
+    parts = _reduced_parts(g, v, u, vpar)
+    if parts != _ring_parts(g, v, powers):
+        raise ComputationFault("reduced charge closed form disagrees with ring evaluation")
+    return parts
 
 
 def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
@@ -149,27 +164,28 @@ def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
     w = u*Theta + vpar*pull(H).
 
     Computed through the closed form in (u, vpar) and independently through
-    ring products; a mismatch raises, since it can only be a coding fault.
+    ring products (``mul``: the structure constants at Fraction points,
+    ``_mul`` at any other scalar); a mismatch raises ``ComputationFault``.
     """
-    _require_positive("u", u)
-    _require_positive("vpar", vpar)
-    re, im = _reduced_parts(g, v, u, vpar)
-    ring_re, ring_im = _ring_parts(g, v, DivisorX(u, g.hb_divisor.scale(vpar)))
-    if re != ring_re or im != ring_im:
-        raise ComputationFault("reduced charge closed form disagrees with ring evaluation")
-    return ChargeValue(re, im)
+    powers = divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
+    return ChargeValue(*_checked_reduced_parts(g, v, u, vpar, powers))
 
 
 def prove_closed_form(g: BaseGeometry) -> None:
-    """Run ``reduced_charge`` at symbolic (u, vpar) on the 2r + 4 basis
-    classes, once per geometry (marked in ``g.matrices``).  Both of its paths
-    are linear in the class, so this proves them equal for every class at
-    every point, or raises ``ComputationFault``."""
+    """Check the reduced closed form against ring products at symbolic
+    (u, vpar) on the 2r + 4 basis classes, once per geometry (marked in
+    ``g.matrices``).  Both paths are linear in the class, so this proves
+    them equal for every class at every point, or raises
+    ``ComputationFault``.  At ``Poly2`` scalars the products run ``_mul``
+    itself; ``reduced_charge`` at Fraction points checks the structure
+    constants."""
     if prove_closed_form not in g.matrices:
+        usym, vsym = Poly2.u(), Poly2.v()
+        powers = divisor_powers(g, DivisorX(usym, g.hb_divisor.scale(vsym)))
         dim = 2 * g.rank + 4
         for k in range(dim):
             basis = _from_flat(g.rank, [Fraction(int(i == k)) for i in range(dim)])
-            reduced_charge(g, basis, Poly2.u(), Poly2.v())
+            _checked_reduced_parts(g, basis, usym, vsym, powers)
         g.matrices[prove_closed_form] = True
 
 
@@ -177,18 +193,12 @@ def full_charge(g: BaseGeometry, v: ChernVector, omega: DivisorX, B: DivisorX) -
     """Full twisted charge -ch3^B + (1/2) w^2 ch1^B + i (w ch2^B - (w^3/6) ch0^B)."""
     _require_positive("omega.theta", omega.theta)
     tw = twist(g, v, B)
-    re, im = _ring_parts(g, tw, omega)
+    re, im = _ring_parts(g, tw, divisor_powers(g, omega))
     return ChargeValue(-tw.s + re, im)
 
 
 def onedim_transform_charge(
-    g: BaseGeometry,
-    v1dim: ChernVector,
-    y,
-    z,
-    u,
-    vpar,
-    dbar: DivisorB,
+    g: BaseGeometry, v1dim: ChernVector, u, vpar, dbar: DivisorB
 ) -> ChargeValue:
     """Full charge of the transform of a one-dimensional class, closed form.
 
@@ -201,8 +211,6 @@ def onedim_transform_charge(
     """
     if v1dim.n != 0 or v1dim.x != 0 or not v1dim.S.is_zero():
         raise DomainError("transform charge requires a one-dimensional class (n = x = 0, S = 0)")
-    _require_positive("y", y)
-    _require_positive("z", z)
     d = dbar + g.hb_divisor.scale(g.h / 2)
     return ChargeValue(*_flat_full_parts(g, phi(g, v1dim), u, vpar, d))
 

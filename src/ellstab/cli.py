@@ -206,8 +206,7 @@ def cmd_charge(args, cfg: Config, out: _Output) -> int:
         if args.kind == "reduced":
             value = reduced_charge(g, v, u, vpar)
         else:
-            y, z = _rational_flag(args, "y"), _rational_flag(args, "z")
-            value = onedim_transform_charge(g, v, y, z, u, vpar, _divisor_arg(cfg, args.dbar))
+            value = onedim_transform_charge(g, v, u, vpar, _divisor_arg(cfg, args.dbar))
     out.emit(
         ["object", "kind", "re", "im"],
         [[args.object, args.kind, str(value.re), str(value.im)]],
@@ -332,7 +331,7 @@ _PARAMETER_FLAGS = {"omega": ("--u", "--v"), "omegabar": ("--y", "--z"), "d": ("
                     "dbar": ("--dbar",), "bfield": ("--b-theta", "--b-base")}
 _ALL_PARAMETER_FLAGS = _flags_of(_PARAMETER_FLAGS)
 _CHARGE_PARAMETERS = {"full": ("omega", "bfield"), "reduced": ("omega",),
-                      "onedim": ("omega", "omegabar", "dbar")}
+                      "onedim": ("omega", "dbar")}
 # the reduced charge has no B-field, so phase, compare and wall-scan take
 # --d only with the full kind
 _CHARGE_KIND_FLAGS = {"reduced": (), "full": ("--d",)}

@@ -41,7 +41,7 @@ from .poly import (
     reduce_mod_u,
     sign_at_root,
 )
-from .ring import BaseGeometry, ChernVector, DivisorX, _q, divisor_vector, mul
+from .ring import BaseGeometry, ChernVector, DivisorX, _q, divisor_powers, divisor_vector, mul
 from .series import LaurentSeries
 
 
@@ -239,9 +239,8 @@ def _cycle_sides(g: BaseGeometry, c: TiltCurve, u, vpar) -> tuple[ChernVector, C
     """The two degree-two cycles whose equality is the compatibility of the
     fixed and moving polarizations, both built through ring products."""
     left_cycle, theta, theta_obar2 = _fixed_cycles(g, c)
-    om = divisor_vector(g, DivisorX(u, g.hb_divisor.scale(vpar)))
-    om3_over6 = mul(g, mul(g, om, om), om).s / 6
-    lhs = left_cycle.scale(om3_over6)
+    om, _, om3 = divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
+    lhs = left_cycle.scale(om3 / 6)
     rhs = mul(g, om, theta).scale(theta_obar2)
     return lhs, rhs
 

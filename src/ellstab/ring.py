@@ -28,11 +28,11 @@ the closed forms used by ``twist``:
 
 All arithmetic is exact; coordinates are ``fractions.Fraction`` values
 (polynomial coefficients are also accepted, which lets the same formulas run
-symbolically).  ``_mul`` is the one product formula, over any scalar; at
-``Fraction`` and ``Poly2`` scalars ``mul`` applies its integer structure
-constants, read off one evaluation of ``_mul`` at ``Poly2`` monomials and
-kept on the geometry.  A product of ``Fraction`` factors is ``Fraction``;
-one with any ``Poly2`` factor is a ``Poly2`` in every coordinate.
+symbolically).  ``_mul`` is the one product formula, over any scalar, and
+``mul`` takes one of two paths: when both factors are all ``Fraction`` it
+applies ``_mul``'s integer structure constants, read off one evaluation of
+``_mul`` at ``Poly2`` monomials and kept on the geometry; at every other
+scalar, ``Poly2`` symbols included, it runs ``_mul`` itself.
 """
 
 from __future__ import annotations
@@ -393,20 +393,15 @@ def pair_h(g: BaseGeometry, d: DivisorB):
 def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     """Graded product of two classes, truncated above the point class.
 
-    At Fraction and Poly2 scalars through the integer structure constants
-    of ``_mul``, kept on g; at any other scalar through ``_mul`` itself.
-    Fraction factors give Fraction coordinates; with a Poly2 among the
-    factors every coordinate is a Poly2.
+    Two paths: when every coordinate of both factors is a Fraction, through
+    the integer structure constants of ``_mul``, kept on g; at any other
+    scalar through ``_mul`` itself, with its per-coordinate scalar types.
     """
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
     f1, f2 = v1.coordinates(), v2.coordinates()
     if not (_plain(f1) and _plain(f2)):
-        from .poly import Poly2
-
-        if all(type(c) is Fraction or type(c) is Poly2 for c in f1 + f2):
-            return _from_flat(r, _symbolic_product(g, f1, f2, Poly2))
         return _mul(g, v1, v2)
     table, den = _structure_constants(g)
     nums1, den1 = _over_common_denominator(f1)
@@ -428,54 +423,6 @@ def _structure_constants(g: BaseGeometry) -> tuple[list, int]:
     if _mul not in g.matrices:
         g.matrices[_mul] = _mul_table(g)
     return g.matrices[_mul]
-
-
-def _symbolic_product(g: BaseGeometry, f1: tuple, f2: tuple, Poly2) -> list:
-    """The coordinates of the product of two vectors with Fraction and Poly2
-    coordinates, through the structure constants, each as a Poly2.
-
-    Each factor's coordinates become integer monomial dicts over one
-    denominator; each pair of nonzero coordinates is multiplied once and
-    added to every output its c_kij reaches.  The Poly2 class is passed
-    in, since ``poly`` imports this module.
-    """
-    table, den = _structure_constants(g)
-    mono1, den1 = _monomials(f1, Poly2)
-    mono2, den2 = _monomials(f2, Poly2)
-    right = [(j, b) for j, b in enumerate(mono2) if b]
-    totals: list[dict] = [{} for _ in f1]
-    for a, row in zip(mono1, table):
-        if not a:
-            continue
-        for j, b in right:
-            entries = row[j]
-            if not entries:
-                continue
-            prod: dict = {}
-            for (i1, j1), x in a:
-                for (i2, j2), y in b:
-                    key = (i1 + i2, j1 + j2)
-                    prod[key] = prod[key] + x * y if key in prod else x * y
-            for k, c in entries:
-                total = totals[k]
-                for key, x in prod.items():
-                    total[key] = total[key] + c * x if key in total else c * x
-    den *= den1 * den2
-    return [Poly2._ints(t, den) for t in totals]
-
-
-def _monomials(coords: tuple, Poly2) -> tuple[list, int]:
-    """Fraction and Poly2 coordinates as (monomial, integer) pairs over their
-    least common denominator, None for a zero."""
-    den = lcm(*(c._den if type(c) is Poly2 else c.denominator for c in coords))
-    out = []
-    for c in coords:
-        if type(c) is Poly2:
-            f = den // c._den
-            out.append([(key, n * f) for key, n in c._nums.items()] or None)
-        else:
-            out.append([((0, 0), c.numerator * (den // c.denominator))] if c else None)
-    return out, den
 
 
 def _mul_table(g: BaseGeometry) -> tuple[list, int]:
@@ -555,6 +502,14 @@ def divisor_vector(g: BaseGeometry, d: DivisorX) -> ChernVector:
     """Embed a divisor class as a degree-one cohomology vector."""
     z = DivisorB.zero(g.rank)
     return ChernVector(0, d.theta, d.base, z, 0, 0)
+
+
+def divisor_powers(g: BaseGeometry, d: DivisorX) -> tuple:
+    """A divisor class as a vector, its square, and the degree of its cube:
+    the powers a charge at the polarization d reads, built once."""
+    dv = divisor_vector(g, d)
+    d2 = mul(g, dv, dv)
+    return dv, d2, mul(g, d2, dv).s
 
 
 def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:

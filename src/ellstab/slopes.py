@@ -22,6 +22,7 @@ from .ring import (
     DivisorB,
     DivisorX,
     compute_m,
+    divisor_powers,
     divisor_vector,
     mul,
     twist,
@@ -179,7 +180,7 @@ def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
         return _ratio(num, tw.n)
 
     if tag is SlopeTag.NU_OMEGA_B:
-        re, im = _ring_parts(g, twist(g, v, kind.bfield), kind.omega)
+        re, im = _ring_parts(g, twist(g, v, kind.bfield), divisor_powers(g, kind.omega))
         return _ratio(im, 2 * re)
 
     if tag is SlopeTag.MU_STAR:

@@ -330,7 +330,7 @@ def phase_table_cases():
     return tilt_cases, onedim_cases
 
 
-def suite_phases(cases: int = 0, seed: int = 0, order: int = 8) -> SuiteReport:
+def suite_phases(order: int = 8) -> SuiteReport:
     """Frozen phase-limit table for both charge kinds."""
     report = SuiteReport("phases")
     tilt_cases, onedim_cases = phase_table_cases()

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import asymptotics
 from .asymptotics import ChargeKind, charge_series, compare_phases, cross_series
-from .charges import reduced_charge
+from .charges import _checked_reduced_parts
 from .curves import OneDimCurve, TiltCurve, constraint_poly
 from .errors import DomainError
 from .fmt import fiber_swap_rule, phi
@@ -27,11 +27,13 @@ from .ring import (
     ChernVector,
     DivisorB,
     DivisorX,
+    divisor_powers,
     divisor_vector,
     mul,
     pair_h,
     twist,
 )
+from .series import LaurentSeries
 from .slopes import SlopeKind, slope
 
 
@@ -66,15 +68,15 @@ def _im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -
     Theta.Obar^2: the left through the transform and the ring-checked
     reduced charge, the right from the twisted degree-one pairing against
     the fixed polarization Obar = a Theta + b pull(H)."""
-    lhs = -reduced_charge(g, phi(g, e), u, vpar).im
-
     hb = g.hb_divisor
+    powers = divisor_powers(g, DivisorX(u, hb.scale(vpar)))
+    lhs = -_checked_reduced_parts(g, phi(g, e), u, vpar, powers)[1]
+
     obar = divisor_vector(g, DivisorX(c.a, hb.scale(c.b)))
     obar2 = mul(g, obar, obar)
     theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
     theta_obar2 = mul(g, theta, obar2).s
-    om = divisor_vector(g, DivisorX(u, hb.scale(vpar)))
-    om3_over6 = mul(g, mul(g, om, om), om).s * Fraction(1, 6)
+    om3_over6 = powers[2] * Fraction(1, 6)
     tw = twist(g, e, g.half_canonical_bfield())
     obar2_ch1b = mul(g, obar2, tw.degree_part(1)).s
     return lhs * theta_obar2, om3_over6 * obar2_ch1b - u * e.a3(g) * theta_obar2
@@ -187,30 +189,27 @@ def slope_correspondence_check(
     return strict_ok and nonstrict_ok
 
 
-_H0_SAMPLES = (2, 10, 100, 10**4)
-
-
 def h0_independence_check(
     g: BaseGeometry, m: ChernVector, n: ChernVector, y, z, d: DivisorB
 ) -> bool:
     """For h = 0 the comparison of charges of the flat numeric shape is the
     same at every curve point, with sign given by the constant parts.
 
-    The exact cross value at each sampled curve point, read on the wall-scan
-    path (one cross polynomial, then ``_cross_sign``), must carry one fixed
-    sign (or vanish identically): the one it has at the curve point
-    (u, v) = (z/y, 1), where the charges are their v-independent parts with
-    Im scaled by z/y > 0, which keeps the sign.
+    Decided exactly, over all v > 0.  The curve is u = q/v, and the cross
+    polynomial X of the two full charges (``asymptotics._cross_poly``) must
+    satisfy v X(q/v, v) = X(q, 1) as a Laurent polynomial in v: the cross
+    value along the curve is then X(q, 1)/v, of one fixed sign (or zero
+    identically), the sign at (u, v) = (q, 1), where the charges are their
+    v-independent parts with Im scaled by q > 0.
     """
     if g.h != 0:
         raise DomainError("this check applies only to h = 0 geometries")
-    curve = OneDimCurve(0, y, z)
+    q = OneDimCurve(0, y, z).q
     if any(v.n != 0 or v.x != 0 or not v.eta.is_zero() for v in (m, n)):
         raise DomainError("inputs must have the flat numeric shape (n = x = 0, eta = 0)")
     cross = asymptotics._cross_poly(g, m, n, ChargeKind.FULL, d)
-    predicted = cross.eval(curve.q, 1)
-    predicted_sign = (predicted > 0) - (predicted < 0)
-    return all(asymptotics._cross_sign(cross, curve, v) == predicted_sign for v in _H0_SAMPLES)
+    along = LaurentSeries([(j - i + 1, c * q**i) for (i, j), c in cross.terms.items()])
+    return along == LaurentSeries.const(cross.eval(q, 1))
 
 
 @dataclass(frozen=True)

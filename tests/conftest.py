@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellstab import ring
 from ellstab.ring import BaseGeometry, ChernVector, DivisorB
 from ellstab.suites import _rand_vector
 
@@ -59,6 +60,23 @@ def sample_vectors(rng, rank):
 def shape(v):
     """A vector's coordinates with their scalar types."""
     return [(type(c), c) for c in v.coordinates()]
+
+
+def count_symbolic_products(monkeypatch):
+    """Record each call of ``ring._mul`` with a factor that is not all
+    Fraction, and return the list of records.  A structure-constant table
+    is read off one such call, so build g's table (``ring._structure_constants``)
+    before counting on g."""
+    calls = []
+    original = ring._mul
+
+    def counted(g, v1, v2):
+        if not all(type(c) is Fraction for c in v1.coordinates() + v2.coordinates()):
+            calls.append(1)
+        return original(g, v1, v2)
+
+    monkeypatch.setattr(ring, "_mul", counted)
+    return calls
 
 
 @contextmanager

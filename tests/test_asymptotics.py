@@ -37,7 +37,7 @@ from ellstab.suites import (
     _rand_vector,
 )
 
-from conftest import cv, d, deadline
+from conftest import count_symbolic_products, cv, d, deadline
 
 
 def _reference_charge_series(g, v, c, kind, order, d):
@@ -571,15 +571,15 @@ class TestCrossPolynomial:
         """The first cross polynomial on a geometry runs the ring path on
         the 2r + 4 basis classes; later ones make no ring product at
         symbolic scalars."""
-        ring_parts, products = [], []
-        original_parts, original_product = charges._ring_parts, ring._symbolic_product
+        ring_parts = []
+        original_parts = charges._ring_parts
         monkeypatch.setattr(charges, "_ring_parts",
                             lambda *a: ring_parts.append(1) or original_parts(*a))
-        monkeypatch.setattr(ring, "_symbolic_product",
-                            lambda *a: products.append(1) or original_product(*a))
+        products = count_symbolic_products(monkeypatch)
         rng = random.Random(41)
         for rank, gram, hb in ((1, [[1]], [1]), (2, [[2, 3], [3, -1]], [1, 2])):
             g = BaseGeometry(rank, gram, hb, Fraction(-1, 2), 0, 1)
+            ring._structure_constants(g)
             m, n, dd = _rand_vector(rng, rank), _rand_vector(rng, rank), _rand_divisor(rng, rank)
             asymptotics._cross_poly(g, m, n, ChargeKind.REDUCED, None)
             assert len(ring_parts) == 2 * rank + 4

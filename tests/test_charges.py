@@ -5,22 +5,24 @@ from fractions import Fraction
 
 import pytest
 
+from ellstab import ring
 from ellstab.charges import (
     _flat_full_parts,
     _reduced_parts,
     full_charge,
     in_full_half_plane,
     onedim_transform_charge,
+    prove_closed_form,
     reduced_charge,
 )
 from ellstab.curves import OneDimCurve, TiltCurve, solve_u
 from ellstab.errors import DomainError
 from ellstab.fmt import phi
 from ellstab.poly import Poly2
-from ellstab.ring import ChernVector, DivisorB, DivisorX, pair
+from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair
 from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
-from conftest import cv, d
+from conftest import count_symbolic_products, cv, d
 
 
 def in_reduced_half_plane(c) -> bool:
@@ -75,6 +77,22 @@ class TestReducedCharge:
                     assert (re.eval(u, vp), im.eval(u, vp)) == (full.re, full.im)
 
 
+class TestProveClosedForm:
+    def test_builds_each_polarization_power_once(self, monkeypatch):
+        """On a fresh geometry the proof makes 2 + 2(2r + 4) products at
+        Poly2 scalars (w^2 and w^3 once, then two per basis class), and a
+        second call makes none."""
+        calls = count_symbolic_products(monkeypatch)
+        for rank, gram, hb, want in ((1, [[1]], [1], 14), (2, [[2, 3], [3, -1]], [1, 2], 18)):
+            g = BaseGeometry(rank, gram, hb, Fraction(-1, 2), 0, 1)
+            ring._structure_constants(g)
+            calls.clear()
+            prove_closed_form(g)
+            assert len(calls) == want
+            prove_closed_form(g)
+            assert len(calls) == want
+
+
 class TestFullCharge:
     def test_skyscraper(self, g1):
         sky = cv(0, 0, d(0), d(0), 0, 1)
@@ -113,22 +131,22 @@ class TestFullCharge:
 class TestOnedimTransformCharge:
     def test_curve_point_example(self, g0):
         v = cv(0, 0, d(0), d(1), 0, 1)
-        out = onedim_transform_charge(g0, v, 1, 1, Fraction(1, 2), 2, d(0))
+        out = onedim_transform_charge(g0, v, Fraction(1, 2), 2, d(0))
         assert (out.re, out.im) == (1, Fraction(1, 2))
 
     def test_pure_fiber_class(self, g1):
         v = cv(0, 0, d(0), d(0), 1, 0)
-        out = onedim_transform_charge(g1, v, 2, 3, Fraction(1, 7), 11, d(5))
+        out = onedim_transform_charge(g1, v, Fraction(1, 7), 11, d(5))
         assert (out.re, out.im) == (1, 0)
 
     def test_zero(self, g1):
         v = cv(0, 0, d(0), d(0), 0, 0)
-        out = onedim_transform_charge(g1, v, 1, 1, 1, 1, d(0))
+        out = onedim_transform_charge(g1, v, 1, 1, d(0))
         assert out.is_zero()
 
     def test_shape_enforced(self, g1):
         with pytest.raises(DomainError):
-            onedim_transform_charge(g1, ChernVector.unit(1), 1, 1, 1, 1, d(0))
+            onedim_transform_charge(g1, ChernVector.unit(1), 1, 1, d(0))
 
     def test_factored_form_on_curve(self):
         rng = random.Random(14)
@@ -146,7 +164,7 @@ class TestOnedimTransformCharge:
                 eta = d(Fraction(rng.randint(-4, 4)))
                 v = cv(0, 0, d(0), eta, Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
                 dbar = d(Fraction(rng.randint(-3, 3)))
-                out = onedim_transform_charge(g, v, y, z, u, vp, dbar)
+                out = onedim_transform_charge(g, v, u, vp, dbar)
                 heta = pair(g, g.hb_divisor, eta)
                 num = pair(g, dbar, eta)
                 assert out.re == ((h * y + z) * heta + y * v.a) / y
@@ -165,7 +183,7 @@ class TestOnedimTransformCharge:
                 dd = dbar + g.hb_divisor.scale(h / 2)
                 om = DivisorX(u, g.hb_divisor.scale(vp))
                 via_transform = full_charge(g, phi(g, v), om, DivisorX.pullback(dd))
-                closed = onedim_transform_charge(g, v, 1, 1, u, vp, dbar)
+                closed = onedim_transform_charge(g, v, u, vp, dbar)
                 assert (via_transform.re, via_transform.im) == (closed.re, closed.im)
 
 

@@ -430,7 +430,7 @@ FLAG_VALUES = {"--u": "1/2", "--v": "3", "--y": "2", "--z": "3", "--d": "[2]", "
 CHARGE_FLAGS = {
     "full": ("--u", "--v", "--b-theta", "--b-base"),
     "reduced": ("--u", "--v"),
-    "onedim": ("--u", "--v", "--y", "--z", "--dbar"),
+    "onedim": ("--u", "--v", "--dbar"),
 }
 
 
@@ -462,6 +462,14 @@ class TestFlagErrors:
             code, _ = run_cli(*base, flag, FLAG_VALUES[flag])
             assert code == 1
             assert f"slope --kind {tag.value} does not take {flag}" in capsys.readouterr().err
+
+    def test_onedim_charge_rejects_the_curve_flags(self, cfg_path, capsys):
+        # the one-dimensional transform charge reads no (y, z): it is the
+        # same at (1, 3) and (5, 7)
+        code, _ = run_cli("--config", cfg_path, "charge", "--kind", "onedim", "--object", "curvecl",
+                          "--u", "1/2", "--v", "4", "--y", "1", "--z", "3")
+        assert code == 1
+        assert "charge --kind onedim does not take --y" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", sorted(CHARGE_FLAGS))
     def test_charge_takes_exactly_the_flags_of_its_kind(self, cfg_path, capsys, kind):

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from ellstab import suites
+from ellstab import asymptotics, ring, suites
 from ellstab.curves import TiltCurve
 from ellstab.errors import DomainError
 from ellstab.fmt import fiber_swap_rule
-from ellstab.ring import ChernVector
+from ellstab.poly import Poly2
+from ellstab.ring import BaseGeometry, ChernVector
 from ellstab.suites import geometry_for, _rand_tilt, _rand_vector
 from ellstab.verify import (
     h0_independence_check,
@@ -22,7 +23,7 @@ from ellstab.verify import (
     threshold_equiv_check,
 )
 
-from conftest import cv, d
+from conftest import count_symbolic_products, cv, d
 
 
 class TestPositivity:
@@ -81,6 +82,22 @@ class TestImIdentity:
             if i % 3 == 1:
                 e = ChernVector(e.n, -abs(e.x) - 1, e.S, e.eta, e.a, e.s)
             assert im_identity_check(g, e, c, u, vpar)
+
+    def test_symbolic_case_reuses_the_polarization_powers(self, monkeypatch):
+        """One symbolic case makes 4 products at Poly2 scalars: w^2 and w^3
+        once, shared by the ring-checked charge and the right side, then
+        w^2 ch1 and w ch2 of the transform."""
+        calls = count_symbolic_products(monkeypatch)
+        rng = random.Random(23)
+        for h in (Fraction(-1), Fraction(1, 2)):
+            g = BaseGeometry(1, [[1]], [1], h, 0, 1)
+            ring._structure_constants(g)
+            c = _rand_tilt(rng, h)
+            for _ in range(3):
+                calls.clear()
+                rems = im_identity_symbolic_remainders(g, _rand_vector(rng, 1), c)
+                assert all(r.is_zero() for r in rems)
+                assert len(calls) == 4
 
     def test_symbolic_all_h(self):
         rng = random.Random(22)
@@ -184,6 +201,15 @@ class TestH0Independence:
         m = cv(0, 0, d(1), d(0), 1, -2)
         n = cv(0, 0, d(2), d(0), -1, 3)
         assert h0_independence_check(g0, m, n, 2, 3, d(1))
+
+    def test_decided_over_all_v(self, g0, monkeypatch):
+        """A cross polynomial whose sign along the curve flips between v = 3
+        and v = 5 fails the check, though it has the predicted sign at
+        v = 2, 10, 100 and 10^4."""
+        flips = Poly2({(1, 2): 1, (1, 1): -8, (1, 0): 15})  # u (v - 3)(v - 5)
+        monkeypatch.setattr(asymptotics, "_cross_poly", lambda *args: flips)
+        m = cv(0, 0, d(1), d(0), 1, 0)
+        assert not h0_independence_check(g0, m, m, 1, 1, d(0))
 
     @pytest.mark.parametrize("seed", [45, 387])
     def test_suite_draws_only_classes_with_a_phase(self, seed):
