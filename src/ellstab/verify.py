@@ -1,26 +1,25 @@
-"""Theorem-level numeric identity and correspondence checks.
+"""Theorem-level numeric identity and correspondence checks, each run by a
+suite in ``suites``.
 
 Everything here restates a proved relation at the level where it is
-literally computable from Chern data: sign constraints attached to
-asserted transform behaviour, an exact imaginary-part identity along the
-tilt curve, the threshold biconditional comparing a one-dimensional class
-against a positive-rank class, the slope-to-phase correspondence for
-transforms of one-dimensional classes, and the parameter independence of
-comparisons when h = 0.  Membership of an object in a category is always a
-caller assertion; only the numeric consequences are checked.
+literally computable from Chern data: an exact imaginary-part identity
+along the tilt curve, the threshold biconditional comparing a
+one-dimensional class against a positive-rank class, the slope-to-phase
+correspondence for transforms of one-dimensional classes, and the
+parameter independence of comparisons when h = 0, decided on the exact
+charge germs.  Membership of an object in a category is always a caller
+assertion; only the numeric consequences are checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import asymptotics
 from .asymptotics import ChargeKind, charge_series, compare_phases, cross_series
 from .charges import _checked_reduced_parts
 from .curves import OneDimCurve, TiltCurve, constraint_poly
 from .errors import DomainError
-from .fmt import fiber_swap_rule, phi
+from .fmt import phi
 from .poly import Poly2, reduce_mod_u
 from .ring import (
     BaseGeometry,
@@ -33,34 +32,7 @@ from .ring import (
     pair_h,
     twist,
 )
-from .series import LaurentSeries
 from .slopes import SlopeKind, slope
-
-
-def positivity_check(g: BaseGeometry, v: ChernVector, d: int, wit: int) -> bool:
-    """Sign consistency of an asserted transform index for a class whose
-    support drops dimension by one along the fibration.
-
-    The tested quantity is x*H^2 for d = 3, H.eta for d = 2 and s for
-    d = 1; index one requires it nonpositive, index zero strictly positive.
-    """
-    if wit not in (0, 1):
-        raise DomainError("wit must be 0 or 1")
-    if d == 3:
-        if v.n == 0:
-            raise DomainError("d = 3 requires a positive-rank pattern (n != 0)")
-        value = v.x * g.hb2
-    elif d == 2:
-        if v.n != 0 or v.x != 0:
-            raise DomainError("d = 2 requires the pattern n = x = 0")
-        value = pair_h(g, v.eta)
-    elif d == 1:
-        if v.n != 0 or v.x != 0 or not v.S.is_zero() or not v.eta.is_zero():
-            raise DomainError("d = 1 requires a fiber-class pattern (n = x = 0, S = eta = 0)")
-        value = v.s
-    else:
-        raise DomainError("d must be 1, 2 or 3")
-    return value <= 0 if wit == 1 else value > 0
 
 
 def _im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -> tuple:
@@ -195,57 +167,20 @@ def h0_independence_check(
     """For h = 0 the comparison of charges of the flat numeric shape is the
     same at every curve point, with sign given by the constant parts.
 
-    Decided exactly, over all v > 0.  The curve is u = q/v, and the cross
-    polynomial X of the two full charges (``asymptotics._cross_poly``) must
-    satisfy v X(q/v, v) = X(q, 1) as a Laurent polynomial in v: the cross
-    value along the curve is then X(q, 1)/v, of one fixed sign (or zero
-    identically), the sign at (u, v) = (q, 1), where the charges are their
-    v-independent parts with Im scaled by q > 0.
+    Decided exactly, over all v > 0.  The curve is u = q/v, which
+    ``expand_u`` gives as the exact monomial, so the full-kind germs of
+    ``charge_series`` are the charges themselves and their cross
+    re(M) im(N) - im(M) re(N) is the exact cross value X(q/v, v) along the
+    curve.  It must have no term but v^-1: the cross value is then
+    X(q, 1)/v, of one fixed sign (or zero identically), the sign at
+    (u, v) = (q, 1), where the charges are their v-independent parts with
+    Im scaled by q > 0.  A zero class has zero germs, so it passes.
     """
     if g.h != 0:
         raise DomainError("this check applies only to h = 0 geometries")
-    q = OneDimCurve(0, y, z).q
+    curve = OneDimCurve(0, y, z)
     if any(v.n != 0 or v.x != 0 or not v.eta.is_zero() for v in (m, n)):
         raise DomainError("inputs must have the flat numeric shape (n = x = 0, eta = 0)")
-    cross = asymptotics._cross_poly(g, m, n, ChargeKind.FULL, d)
-    along = LaurentSeries([(j - i + 1, c * q**i) for (i, j), c in cross.terms.items()])
-    return along == LaurentSeries.const(cross.eval(q, 1))
-
-
-@dataclass(frozen=True)
-class TransformMapReport:
-    image: ChernVector
-    source_eta_nonzero: bool
-    source_a_nonneg: bool
-    source_s_positive: bool
-    image_s_nonzero: bool
-    image_a_positive: bool
-    image_s3_nonpositive: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.source_eta_nonzero
-            and self.source_a_nonneg
-            and self.source_s_positive
-            and self.image_s_nonzero
-            and self.image_a_positive
-            and self.image_s3_nonpositive
-        )
-
-
-def onedim_transform_map(g: BaseGeometry, e_tw: ChernVector, dbar: DivisorB) -> TransformMapReport:
-    """Swap-rule image of a twisted one-dimensional class together with the
-    side conditions of the stable-class correspondence."""
-    if e_tw.n != 0 or e_tw.x != 0 or not e_tw.S.is_zero():
-        raise DomainError("source must have the shape n = x = 0, S = 0")
-    image = fiber_swap_rule(g, e_tw)
-    return TransformMapReport(
-        image=image,
-        source_eta_nonzero=not e_tw.eta.is_zero(),
-        source_a_nonneg=e_tw.a >= 0,
-        source_s_positive=e_tw.s > 0,
-        image_s_nonzero=not image.S.is_zero(),
-        image_a_positive=image.a > 0,
-        image_s3_nonpositive=image.s <= 0,
-    )
+    zm, zn = (charge_series(g, v, curve, ChargeKind.FULL, d=d) for v in (m, n))
+    cross = zm.re * zn.im - zm.im * zn.re
+    return all(e == -1 for e, _ in cross.terms)

@@ -89,6 +89,13 @@ class TestSwapRule:
         with pytest.raises(DomainError):
             fiber_swap_rule(g1, cv(0, 1, d(0), d(0), 0, 0))
 
+    def test_composition_negates(self, g0):
+        rng = random.Random(25)
+        for _ in range(50):
+            v = cv(0, 0, d(0), d(Fraction(rng.randint(-4, 4))), Fraction(rng.randint(-4, 4)),
+                   Fraction(rng.randint(-4, 4)))
+            assert fiber_swap_rule(g0, fiber_swap_rule(g0, v)) == -v
+
     def test_agrees_with_transform_then_twist(self):
         rng = random.Random(6)
         for h in H_SET:

@@ -1,57 +1,32 @@
-"""Theorem-level checks: positivity, identities, threshold and
-correspondence biconditionals, h = 0 independence, transform map."""
+"""Theorem-level checks: the imaginary-part identity, threshold and
+correspondence biconditionals, h = 0 independence, suite routing, and a
+guard that every public check has a suite that runs it."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ellstab import asymptotics, ring, suites
-from ellstab.curves import TiltCurve
+from ellstab import asymptotics, charges, ring, suites, verify
+from ellstab.asymptotics import AsymptoticCharge, ChargeKind
+from ellstab.curves import OneDimCurve, TiltCurve
 from ellstab.errors import DomainError
-from ellstab.fmt import fiber_swap_rule
-from ellstab.poly import Poly2
 from ellstab.ring import BaseGeometry, ChernVector
+from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt, _rand_vector
 from ellstab.verify import (
     h0_independence_check,
     im_identity_check,
     im_identity_symbolic_remainders,
-    onedim_transform_map,
-    positivity_check,
     slope_correspondence_check,
     threshold_equiv_check,
 )
 
 from conftest import count_symbolic_products, cv, d
 
-
-class TestPositivity:
-    def test_examples(self, g0):
-        assert positivity_check(g0, cv(1, -1, d(0), d(0), 0, 0), 3, 1)
-        assert positivity_check(g0, cv(0, 0, d(1), d(1), 0, 0), 2, 0)
-        assert not positivity_check(g0, cv(0, 0, d(0), d(0), 1, 0), 1, 0)
-
-    def test_wit_zero_strict(self, g0):
-        assert not positivity_check(g0, cv(1, 0, d(0), d(0), 0, 0), 3, 0)
-        assert positivity_check(g0, cv(1, 0, d(0), d(0), 0, 0), 3, 1)
-
-    def test_dimension_pattern_enforced(self, g0):
-        with pytest.raises(DomainError):
-            positivity_check(g0, cv(0, 0, d(0), d(0), 0, 1), 3, 1)
-        with pytest.raises(DomainError):
-            positivity_check(g0, cv(1, 0, d(0), d(0), 0, 1), 2, 1)
-        with pytest.raises(DomainError):
-            positivity_check(g0, cv(0, 0, d(0), d(1), 0, 1), 1, 1)
-
-    def test_monotone_under_sums(self, g0):
-        rng = random.Random(20)
-        for _ in range(100):
-            s1, s2 = (Fraction(rng.randint(1, 6)) for _ in range(2))
-            v1 = cv(0, 0, d(0), d(0), Fraction(rng.randint(-3, 3)), s1)
-            v2 = cv(0, 0, d(0), d(0), Fraction(rng.randint(-3, 3)), s2)
-            assert positivity_check(g0, v1, 1, 0) and positivity_check(g0, v2, 1, 0)
-            assert positivity_check(g0, v1 + v2, 1, 0)
+SRC = Path(__file__).resolve().parent.parent / "src" / "ellstab"
 
 
 class TestImIdentity:
@@ -203,45 +178,39 @@ class TestH0Independence:
         assert h0_independence_check(g0, m, n, 2, 3, d(1))
 
     def test_decided_over_all_v(self, g0, monkeypatch):
-        """A cross polynomial whose sign along the curve flips between v = 3
-        and v = 5 fails the check, though it has the predicted sign at
-        v = 2, 10, 100 and 10^4."""
-        flips = Poly2({(1, 2): 1, (1, 1): -8, (1, 0): 15})  # u (v - 3)(v - 5)
-        monkeypatch.setattr(asymptotics, "_cross_poly", lambda *args: flips)
+        """Germs whose cross along the curve u = q/v is X(q/v, v) for
+        X = u (v - 3)(v - 5), whose sign flips between v = 3 and v = 5, fail
+        the check, though X has the predicted sign at v = 2, 10, 100 and 10^4."""
+        q = OneDimCurve(0, 1, 1).q
+        flips = LaurentSeries([(1, q), (0, -8 * q), (-1, 15 * q)])
+        one, zero = LaurentSeries.const(1), LaurentSeries.zero()
+        germs = iter([AsymptoticCharge(one, zero, ChargeKind.FULL),
+                      AsymptoticCharge(zero, flips, ChargeKind.FULL)])
+        monkeypatch.setattr(verify, "charge_series", lambda *args, **kwargs: next(germs))
         m = cv(0, 0, d(1), d(0), 1, 0)
         assert not h0_independence_check(g0, m, m, 1, 1, d(0))
+
+    def test_zero_charges(self, g0):
+        m, zero = cv(0, 0, d(1), d(0), 1, 0), ChernVector.zero(1)
+        for pair in ((zero, m), (m, zero), (zero, zero)):
+            assert h0_independence_check(g0, *pair, 2, 3, d(1))
+
+    def test_never_reaches_the_symbolic_layer(self, g0, monkeypatch):
+        def symbolic(*args):
+            raise AssertionError("the h = 0 check reached the symbolic layer")
+
+        monkeypatch.setattr(asymptotics, "_cross_poly", symbolic)
+        monkeypatch.setattr(charges, "prove_closed_form", symbolic)
+        m = cv(0, 0, d(1), d(0), 1, 0)
+        n = cv(0, 0, d(1), d(0), 2, 0)
+        assert h0_independence_check(g0, m, n, 1, 1, d(0))
+        assert suites.suite_h0(10, seed=45).passed
 
     @pytest.mark.parametrize("seed", [45, 387])
     def test_suite_draws_only_classes_with_a_phase(self, seed):
         # these seeds drew a class whose charge lies in the open third
         # quadrant, where compare_phases has no phase to compare
         assert suites.suite_h0(10, seed=seed).passed
-
-
-class TestTransformMap:
-    def test_good_source(self, g0):
-        rep = onedim_transform_map(g0, cv(0, 0, d(0), d(1), 1, 2), d(0))
-        assert rep.image == cv(0, 0, d(1), d(0), 2, -1)
-        assert rep.all_hold
-
-    def test_fiber_source_excluded(self, g0):
-        rep = onedim_transform_map(g0, cv(0, 0, d(0), d(0), 0, 1), d(0))
-        assert not rep.image_s_nonzero
-        assert not rep.all_hold
-
-    def test_zero_fiber_part_ok(self, g0):
-        rep = onedim_transform_map(g0, cv(0, 0, d(0), d(1), 0, 1), d(0))
-        assert rep.image_a_positive
-        assert rep.all_hold
-
-    def test_composition_negates(self, g0):
-        rng = random.Random(25)
-        for _ in range(50):
-            v = cv(0, 0, d(0), d(Fraction(rng.randint(-4, 4))), Fraction(rng.randint(-4, 4)),
-                   Fraction(rng.randint(-4, 4)))
-            rep = onedim_transform_map(g0, v, d(0))
-            back = fiber_swap_rule(g0, rep.image)
-            assert back == -v
 
 
 class TestRunSuite:
@@ -273,3 +242,25 @@ class TestRunSuite:
         # a run of zero checks must not report a pass
         with pytest.raises(DomainError):
             suites.run_suite("swap", cases, 1, 8)
+
+
+def _verify_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if isinstance(owner, ast.Name) and owner.id == "verify":
+                yield node.func.attr
+
+
+def test_every_check_has_a_suite_caller():
+    """Every public function of verify is called, as verify.<name>, from
+    suites: a check that no suite runs is code that nothing runs."""
+    checks = ast.parse((SRC / "verify.py").read_text())
+    public = {
+        node.name
+        for node in checks.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert public
+    called = set(_verify_calls(ast.parse((SRC / "suites.py").read_text())))
+    assert sorted(public - called) == []
