@@ -223,22 +223,24 @@ def _expand_u_cached(c: CurveConstraint, order: int) -> LaurentSeries:
 
 
 @lru_cache(maxsize=None)
-def _fixed_cycles(g: BaseGeometry, c: TiltCurve) -> tuple[ChernVector, ChernVector, Fraction]:
+def _fixed_cycles(g: BaseGeometry, c: TiltCurve) -> tuple[ChernVector, ChernVector, ChernVector, Fraction]:
     """The ring products of the fixed polarization obar = obar1 + obar2
-    alone: obar1 (obar1 + 2 obar2), theta, and the degree of theta obar^2."""
+    alone: obar1 (obar1 + 2 obar2), theta, obar^2 and the degree of
+    theta obar^2."""
     hb = g.hb_divisor
     obar1 = divisor_vector(g, DivisorX(c.a, g.zero_divisor()))
     obar2 = divisor_vector(g, DivisorX(0, hb.scale(c.b)))
     obar = obar1 + obar2
     theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
     left_cycle = mul(g, obar1, obar1 + obar2.scale(2))
-    return left_cycle, theta, mul(g, theta, mul(g, obar, obar)).s
+    obar_sq = mul(g, obar, obar)
+    return left_cycle, theta, obar_sq, mul(g, theta, obar_sq).s
 
 
 def _cycle_sides(g: BaseGeometry, c: TiltCurve, u, vpar) -> tuple[ChernVector, ChernVector]:
     """The two degree-two cycles whose equality is the compatibility of the
     fixed and moving polarizations, both built through ring products."""
-    left_cycle, theta, theta_obar2 = _fixed_cycles(g, c)
+    left_cycle, theta, _, theta_obar2 = _fixed_cycles(g, c)
     om, _, om3 = divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
     lhs = left_cycle.scale(om3 / 6)
     rhs = mul(g, om, theta).scale(theta_obar2)

@@ -9,10 +9,11 @@ cohomology is plain negation.  When the base is numerically canonically
 trivial (h = 0) each transform degenerates to swapping the two rows of the
 matrix notation and negating the second row.
 
-Both maps are linear in the flat coordinates (n, x, S, eta, a, s): a vector of
-``Fraction``s goes through an integer matrix built once per geometry and read
-off one evaluation of the closed form at ``Poly2`` monomials, any other scalar
-(``Poly2``) through the closed form.
+Both maps are linear in the flat coordinates (n, x, S, eta, a, s): a
+fraction-free vector (all ``Fraction``) goes through an integer matrix built
+once per geometry and read off one evaluation of the closed form at
+``Poly2`` monomials, applied to its numerators with one gcd for the result;
+any other scalar (``Poly2``) goes through the closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .poly import Poly2, monomial_coefficients
 from .ring import BaseGeometry, ChernVector, DimensionError, pair_h
-from .ring import _ZERO, _from_flat, _over_common_denominator, _plain
+from .ring import _from_flat
 
 
 def phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
@@ -62,20 +63,18 @@ def _phi_hat(g: BaseGeometry, v: ChernVector) -> ChernVector:
 
 
 def _apply(g: BaseGeometry, v: ChernVector, closed) -> ChernVector:
-    """The closed form at v; at Fraction scalars through its matrix, kept on g
-    as sparse integer rows of (column, entry) over one denominator."""
+    """The closed form at v; on a fraction-free vector through its matrix,
+    kept on g as sparse integer rows of (column, entry) over one
+    denominator, applied to the numerators."""
     if v.rank_lattice != g.rank:
         raise DimensionError("vector rank does not match geometry rank")
-    coords = v.coordinates()
-    if not _plain(coords):
+    nums = v._nums
+    if nums is None:
         return closed(g, v)
     if closed not in g.matrices:
         g.matrices[closed] = _matrix(g, closed)
     rows, den = g.matrices[closed]
-    nums, common = _over_common_denominator(coords)
-    den *= common
-    totals = [sum(a * nums[j] for j, a in row) for row in rows]
-    return _from_flat(g.rank, [Fraction(t, den) if t else _ZERO for t in totals])
+    return ChernVector._ints([sum(a * nums[j] for j, a in row) for row in rows], den * v._den)
 
 
 def _matrix(g: BaseGeometry, closed) -> tuple[list, int]:

@@ -28,11 +28,14 @@ the closed forms used by ``twist``:
 
 All arithmetic is exact; coordinates are ``fractions.Fraction`` values
 (polynomial coefficients are also accepted, which lets the same formulas run
-symbolically).  ``_mul`` is the one product formula, over any scalar, and
-``mul`` takes one of two paths: when both factors are all ``Fraction`` it
-applies ``_mul``'s integer structure constants, read off one evaluation of
-``_mul`` at ``Poly2`` monomials and kept on the geometry; at every other
-scalar, ``Poly2`` symbols included, it runs ``_mul`` itself.
+symbolically).  A vector of ``Fraction``s is held fraction-free, as
+``Poly2`` is: integer numerators of its flat coordinates over one positive
+denominator (``ChernVector``).  ``_mul`` is the one product formula, over
+any scalar, and ``mul`` takes one of two paths: on two fraction-free
+vectors it applies ``_mul``'s integer structure constants, read off one
+evaluation of ``_mul`` at ``Poly2`` monomials and kept on the geometry, to
+the numerators, with one gcd for the result; at every other scalar,
+``Poly2`` symbols included, it runs ``_mul`` itself.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ConfigurationError, DimensionError, DomainError
 
@@ -183,7 +186,8 @@ class BaseGeometry:
     of hb * gram used by ``pair_h``) is computed once, at construction.
     ``matrices`` starts empty; it keeps the integer tables of the linear
     closed forms, keyed by the closed form: ``fmt``'s transform matrices and
-    the product's structure constants (keyed by ``_mul``), and the mark of
+    the product's structure constants (keyed by ``_mul``), which act on the
+    integer numerators of fraction-free vectors, and the mark of
     ``charges.prove_closed_form`` once it has run on g.
     """
 
@@ -242,6 +246,21 @@ class BaseGeometry:
         return DivisorB.zero(self.rank)
 
 
+class _Lazy:
+    """A storage attribute of ``ChernVector``, built with the rest of its
+    form on first read.  A non-data descriptor: the built form sits in the
+    instance ``__dict__`` and shadows it from then on."""
+
+    def __init__(self, name: str, build):
+        self.name, self.build = name, build
+
+    def __get__(self, v, owner=None):
+        if v is None:
+            return self
+        self.build(v)
+        return v.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class ChernVector:
     """A cohomology class in the six-component splitting.
@@ -250,6 +269,19 @@ class ChernVector:
     ``S`` (pullback part of degree one), ``eta`` (Theta*pullback part of
     degree two), ``a`` (fiber coefficient of degree two), ``s`` (point
     coefficient).  Addition is componentwise, matching direct sums.
+
+    A vector of ``Fraction``s is also held fraction-free: ``_nums``, the
+    integer numerators of its flat coordinates (n, x, S..., eta..., a, s),
+    over ``_den`` > 0, content-reduced, so the form is canonical (zero is
+    all zeros over 1).  ``mul`` and ``fmt.phi``/``phi_hat`` work on it;
+    ``-``, ``scale`` by a rational and ``degree_part`` do when the vector
+    holds it, ``+`` and ``==`` when either vector does.  Each result is
+    built by ``ChernVector._ints`` with one gcd.  Each form is built at most
+    once, on first read: the integer form from the fields of a vector made
+    by the constructor, all six fields (same types and values, so ``hash``
+    and ``repr`` are unchanged) from the integer form.  A vector of other
+    scalars (``Poly2``, ``LaurentSeries``) keeps its fields; ``_nums`` is
+    None.
     """
 
     n: Fraction
@@ -282,6 +314,47 @@ class ChernVector:
         return v
 
     @classmethod
+    def _ints(cls, nums, den: int) -> "ChernVector":
+        """The vector of flat coordinates nums[i] / den, for integers nums
+        and den > 0, content-reduced."""
+        c = gcd(den, *nums)
+        if c != 1:
+            nums = [t // c for t in nums]
+            den //= c
+        v = object.__new__(cls)
+        v.__dict__.update(_nums=tuple(nums), _den=den)
+        return v
+
+    def _build_ints(self) -> None:
+        """Hold the integer form, or None for a vector of other scalars."""
+        coords = self.coordinates()
+        nums, den = _over_common_denominator(coords) if _plain(coords) else (None, None)
+        self.__dict__.update(_nums=None if nums is None else tuple(nums), _den=den)
+
+    def _build_fields(self) -> None:
+        """Hold the six fields of a vector made from its integer form."""
+        nums, den, r = self._nums, self._den, len(self._nums) // 2 - 2
+        q = [Fraction(t, den) if t else _ZERO for t in nums]
+        self.__dict__.update(
+            n=q[0],
+            x=q[1],
+            S=DivisorB._raw(tuple(q[2 : 2 + r])),
+            eta=DivisorB._raw(tuple(q[2 + r : 2 + 2 * r])),
+            a=q[-2],
+            s=q[-1],
+        )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        both = self._both_ints(other)
+        if both is not None:
+            return self._den == other._den and both[0] == both[1]
+        return (self.n, self.x, self.S, self.eta, self.a, self.s) == (
+            other.n, other.x, other.S, other.eta, other.a, other.s
+        )
+
+    @classmethod
     def zero(cls, rank: int) -> "ChernVector":
         z = DivisorB.zero(rank)
         return cls(0, 0, z, z, 0, 0)
@@ -293,7 +366,8 @@ class ChernVector:
 
     @property
     def rank_lattice(self) -> int:
-        return self.S.rank
+        nums = self.__dict__.get("_nums")
+        return self.S.rank if nums is None else len(nums) // 2 - 2
 
     def coordinates(self) -> tuple:
         """The flat coordinate tuple (n, x, S..., eta..., a, s)."""
@@ -309,7 +383,24 @@ class ChernVector:
             and self.s == 0
         )
 
+    def _both_ints(self, other: "ChernVector"):
+        """The numerators of both vectors, when either holds them already and
+        both are fraction-free, else None: ``+`` and ``==`` on two vectors
+        that hold only fields work on the fields, building no integer form."""
+        if "_nums" in self.__dict__ or "_nums" in other.__dict__:
+            nums, other_nums = self._nums, other._nums
+            if nums is not None and other_nums is not None:
+                return nums, other_nums
+        return None
+
     def __add__(self, other: "ChernVector") -> "ChernVector":
+        both = self._both_ints(other)
+        if both is not None:
+            nums, other_nums = both
+            if len(nums) != len(other_nums):
+                raise DimensionError("divisor rank mismatch")
+            d1, d2 = self._den, other._den
+            return ChernVector._ints([a * d2 + b * d1 for a, b in zip(nums, other_nums)], d1 * d2)
         return ChernVector._raw(
             self.n + other.n,
             self.x + other.x,
@@ -323,10 +414,17 @@ class ChernVector:
         return self + (-other)
 
     def __neg__(self) -> "ChernVector":
+        nums = self.__dict__.get("_nums")
+        if nums is not None:
+            return ChernVector._ints([-t for t in nums], self._den)
         return ChernVector._raw(-self.n, -self.x, -self.S, -self.eta, -self.a, -self.s)
 
     def scale(self, c) -> "ChernVector":
         c = _q(c)
+        nums = self.__dict__.get("_nums")
+        if nums is not None and type(c) is Fraction:
+            p = c.numerator
+            return ChernVector._ints([p * t for t in nums], self._den * c.denominator)
         return ChernVector._raw(
             c * self.n, c * self.x, self.S.scale(c), self.eta.scale(c), c * self.a, c * self.s
         )
@@ -336,6 +434,13 @@ class ChernVector:
 
     def degree_part(self, d: int) -> "ChernVector":
         """The homogeneous piece of cohomological degree 2*d."""
+        if d not in (0, 1, 2, 3):
+            raise DomainError(f"no degree-{d} part on a threefold")
+        nums = self.__dict__.get("_nums")
+        if nums is not None:
+            r = len(nums) // 2 - 2
+            degrees = (0, 1) + (1,) * r + (2,) * r + (2, 3)  # halved, per flat coordinate
+            return ChernVector._ints([t if k == d else 0 for t, k in zip(nums, degrees)], self._den)
         z = DivisorB.zero(self.rank_lattice)
         if d == 0:
             return ChernVector(self.n, 0, z, z, 0, 0)
@@ -343,9 +448,7 @@ class ChernVector:
             return ChernVector(0, self.x, self.S, z, 0, 0)
         if d == 2:
             return ChernVector(0, 0, z, self.eta, self.a, 0)
-        if d == 3:
-            return ChernVector(0, 0, z, z, 0, self.s)
-        raise DomainError(f"no degree-{d} part on a threefold")
+        return ChernVector(0, 0, z, z, 0, self.s)
 
     def a2(self, g: BaseGeometry) -> DivisorB:
         """Pullback part of the canonically twisted degree-one component."""
@@ -359,6 +462,16 @@ class ChernVector:
         """
         heta = pair_h(g, self.eta)
         return self.s + g.h * heta / 2 + self.x * g.h * g.h * g.hb2 * Fraction(1, 12)
+
+
+# The two storage forms of a ChernVector (its docstring), each built on first
+# read of any of its attributes; installed after the dataclass is made, so
+# that it does not take them for field defaults.
+for _name in ("n", "x", "S", "eta", "a", "s"):
+    setattr(ChernVector, _name, _Lazy(_name, ChernVector._build_fields))
+for _name in ("_nums", "_den"):
+    setattr(ChernVector, _name, _Lazy(_name, ChernVector._build_ints))
+del _name
 
 
 def _from_flat(r: int, c) -> ChernVector:
@@ -393,29 +506,27 @@ def pair_h(g: BaseGeometry, d: DivisorB):
 def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     """Graded product of two classes, truncated above the point class.
 
-    Two paths: when every coordinate of both factors is a Fraction, through
-    the integer structure constants of ``_mul``, kept on g; at any other
-    scalar through ``_mul`` itself, with its per-coordinate scalar types.
+    Two paths: on two fraction-free vectors (all coordinates Fraction),
+    through the integer structure constants of ``_mul``, kept on g, applied
+    to the numerators; at any other scalar through ``_mul`` itself, with its
+    per-coordinate scalar types.
     """
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
-    f1, f2 = v1.coordinates(), v2.coordinates()
-    if not (_plain(f1) and _plain(f2)):
+    nums1, nums2 = v1._nums, v2._nums
+    if nums1 is None or nums2 is None:
         return _mul(g, v1, v2)
     table, den = _structure_constants(g)
-    nums1, den1 = _over_common_denominator(f1)
-    nums2, den2 = _over_common_denominator(f2)
     right = [(j, b) for j, b in enumerate(nums2) if b]
-    totals = [0] * len(f1)
+    totals = [0] * len(nums1)
     for a, row in zip(nums1, table):
         if a:
             for j, b in right:
                 ab = a * b
                 for k, c in row[j]:
                     totals[k] += ab * c
-    den *= den1 * den2
-    return _from_flat(r, [Fraction(t, den) if t else _ZERO for t in totals])
+    return ChernVector._ints(totals, den * v1._den * v2._den)
 
 
 def _structure_constants(g: BaseGeometry) -> tuple[list, int]:

@@ -14,10 +14,11 @@ assertion; only the numeric consequences are checked.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .asymptotics import ChargeKind, charge_series, compare_phases, cross_series
 from .charges import _checked_reduced_parts
-from .curves import OneDimCurve, TiltCurve, constraint_poly
+from .curves import OneDimCurve, TiltCurve, _fixed_cycles, constraint_poly
 from .errors import DomainError
 from .fmt import phi
 from .poly import Poly2, reduce_mod_u
@@ -27,7 +28,6 @@ from .ring import (
     DivisorB,
     DivisorX,
     divisor_powers,
-    divisor_vector,
     mul,
     pair_h,
     twist,
@@ -39,19 +39,24 @@ def _im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -
     """The two sides of the imaginary-part identity, both scaled by
     Theta.Obar^2: the left through the transform and the ring-checked
     reduced charge, the right from the twisted degree-one pairing against
-    the fixed polarization Obar = a Theta + b pull(H)."""
-    hb = g.hb_divisor
-    powers = divisor_powers(g, DivisorX(u, hb.scale(vpar)))
+    the fixed polarization Obar = a Theta + b pull(H).  The products of the
+    point alone (the powers of w, Obar^2 and Theta.Obar^2) are built once
+    per point and curve."""
+    powers = _polarization_powers(g, u, vpar)
     lhs = -_checked_reduced_parts(g, phi(g, e), u, vpar, powers)[1]
 
-    obar = divisor_vector(g, DivisorX(c.a, hb.scale(c.b)))
-    obar2 = mul(g, obar, obar)
-    theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
-    theta_obar2 = mul(g, theta, obar2).s
+    _, _, obar2, theta_obar2 = _fixed_cycles(g, c)
     om3_over6 = powers[2] * Fraction(1, 6)
     tw = twist(g, e, g.half_canonical_bfield())
     obar2_ch1b = mul(g, obar2, tw.degree_part(1)).s
     return lhs * theta_obar2, om3_over6 * obar2_ch1b - u * e.a3(g) * theta_obar2
+
+
+@lru_cache(maxsize=None, typed=True)
+def _polarization_powers(g: BaseGeometry, u, vpar) -> tuple:
+    """``ring.divisor_powers`` of w = u Theta + vpar pull(H); typed, so that
+    a constant ``Poly2`` point keeps its scalar type."""
+    return divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
 
 
 def im_identity_check(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -> bool:

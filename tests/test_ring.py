@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -488,3 +489,199 @@ class TestAccessors:
         g = g2
         assert (v1 + v2).a2(g) == v1.a2(g) + v2.a2(g)
         assert (v1 + v2).a3(g) == v1.a3(g) + v2.a3(g)
+
+
+# -- fraction-free vectors --------------------------------------------------
+
+FRESH = fresh_geometries()
+scalars = st.one_of(st.just(Fraction(0)), rationals)
+
+
+def _reference_mul(g, v1, v2):
+    """``mul`` at Fraction scalars as it was on Fraction fields: each factor
+    put over its lcm at every call, one normalised Fraction per output."""
+    table, den = ring._structure_constants(g)
+    nums1, den1 = ring._over_common_denominator(v1.coordinates())
+    nums2, den2 = ring._over_common_denominator(v2.coordinates())
+    right = [(j, b) for j, b in enumerate(nums2) if b]
+    totals = [0] * len(nums1)
+    for a, row in zip(nums1, table):
+        if a:
+            for j, b in right:
+                for k, c in row[j]:
+                    totals[k] += a * b * c
+    den *= den1 * den2
+    return ring._from_flat(g.rank, [Fraction(t, den) if t else Fraction(0) for t in totals])
+
+
+def _reference_apply(g, v, closed):
+    """``fmt._apply`` at Fraction scalars as it was on Fraction fields."""
+    if closed not in g.matrices:
+        g.matrices[closed] = fmt._matrix(g, closed)
+    rows, den = g.matrices[closed]
+    nums, common = ring._over_common_denominator(v.coordinates())
+    den *= common
+    totals = [sum(a * nums[j] for j, a in row) for row in rows]
+    return ring._from_flat(g.rank, [Fraction(t, den) if t else Fraction(0) for t in totals])
+
+
+def _reference_neg(v):
+    return ChernVector._raw(-v.n, -v.x, -v.S, -v.eta, -v.a, -v.s)
+
+
+def _reference_add(v, w):
+    return ChernVector._raw(v.n + w.n, v.x + w.x, v.S + w.S, v.eta + w.eta, v.a + w.a, v.s + w.s)
+
+
+def _reference_scale(v, c):
+    c = ring._q(c)
+    return ChernVector._raw(c * v.n, c * v.x, v.S.scale(c), v.eta.scale(c), c * v.a, c * v.s)
+
+
+def _reference_degree_part(v, d):
+    z = DivisorB.zero(v.rank_lattice)
+    if d == 0:
+        return ChernVector(v.n, 0, z, z, 0, 0)
+    if d == 1:
+        return ChernVector(0, v.x, v.S, z, 0, 0)
+    if d == 2:
+        return ChernVector(0, 0, z, v.eta, v.a, 0)
+    return ChernVector(0, 0, z, z, 0, v.s)
+
+
+def _storage_forms(rank, flat):
+    """The same class held three ways: fields only (the public
+    constructor), both forms, and the integer form only."""
+    fields, both = _coerced(rank, flat), _coerced(rank, flat)
+    both._nums
+    return fields, both, ChernVector._ints(*ring._over_common_denominator(flat))
+
+
+def _assert_canonical(v):
+    nums, den = v.__dict__["_nums"], v.__dict__["_den"]
+    assert type(den) is int and den > 0 and all(type(t) is int for t in nums)
+    assert gcd(den, *nums) == 1
+    if not any(nums):
+        assert den == 1
+    assert [Fraction(t, den) for t in nums] == list(v.coordinates())
+
+
+def _assert_matches(got, want):
+    """Equal values and per-coordinate types, S and eta as DivisorB, and the
+    canonical integer form wherever the result holds one."""
+    assert shape(got) == shape(want)
+    assert type(got.S) is DivisorB and type(got.eta) is DivisorB
+    if "_nums" in got.__dict__:
+        _assert_canonical(got)
+
+
+@st.composite
+def geometry_and_flats(draw):
+    g = draw(st.sampled_from(FRESH))
+    dim = 2 * g.rank + 4
+    flats = [draw(st.lists(scalars, min_size=dim, max_size=dim)) for _ in range(2)]
+    return g, flats, draw(scalars), draw(st.integers(0, 3))
+
+
+class TestFractionFree:
+    """The integer paths of the rational producers against their Fraction
+    field versions, from every storage form of the inputs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=geometry_and_flats())
+    def test_producers_match_the_fraction_field_references(self, case):
+        g, (f1, f2), c, d = case
+        v1, v2 = _coerced(g.rank, f1), _coerced(g.rank, f2)
+        for a in _storage_forms(g.rank, f1):
+            _assert_matches(fmt.phi(g, a), _reference_apply(g, v1, fmt._phi))
+            _assert_matches(fmt.phi_hat(g, a), _reference_apply(g, v1, fmt._phi_hat))
+            _assert_matches(-a, _reference_neg(v1))
+            _assert_matches(a.degree_part(d), _reference_degree_part(v1, d))
+            for k in (c, 3, 0):
+                _assert_matches(a.scale(k), _reference_scale(v1, k))
+            for b in _storage_forms(g.rank, f2):
+                _assert_matches(mul(g, a, b), _reference_mul(g, v1, v2))
+                _assert_matches(a + b, _reference_add(v1, v2))
+                _assert_matches(a - b, _reference_add(v1, _reference_neg(v2)))
+                assert (a == b) == (f1 == f2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=geometry_and_flats())
+    def test_integer_inputs_give_integer_results(self, case):
+        g, (f1, f2), c, d = case
+        a, b = ChernVector._ints(*ring._over_common_denominator(f1)), _storage_forms(g.rank, f2)[0]
+        for out in (mul(g, a, b), fmt.phi(g, a), fmt.phi_hat(g, a), -a, a + b, a - b,
+                    a.scale(c), a.degree_part(d)):
+            assert set(out.__dict__) == {"_nums", "_den"}
+            _assert_canonical(out)
+
+
+class TestStorageForms:
+    """The public contract is the same whichever form a vector holds."""
+
+    def test_eq_hash_repr_agree_across_forms(self):
+        rng = random.Random(41)
+        for g in fresh_geometries():
+            unit = ChernVector.unit(g.rank)
+            for v in sample_vectors(rng, g.rank):
+                public = _coerced(g.rank, list(v.coordinates()))
+                poly = ring._from_flat(g.rank, [Poly2.const(c) for c in v.coordinates()])
+                for produced in (-fmt.phi(g, fmt.phi_hat(g, v)), mul(g, unit, v)):
+                    assert set(produced.__dict__) == {"_nums", "_den"}
+                    assert produced == public and public == produced
+                    assert produced == poly and poly == produced
+                    assert produced != public + unit and public + unit != produced
+                    assert hash(produced) == hash(public) == hash(poly)
+                    assert repr(produced) == repr(public) and str(produced) == str(public)
+                    assert shape(produced) == shape(public)
+
+    def test_add_across_ranks_raises(self):
+        rng = random.Random(42)
+        one = _storage_forms(1, list(_rand_vector(rng, 1).coordinates()))
+        two = _storage_forms(2, list(_rand_vector(rng, 2).coordinates()))
+        symbolic = _series_vector(2)
+        for a in one:
+            for b in (*two, symbolic):
+                with pytest.raises(DimensionError):
+                    a + b
+                with pytest.raises(DimensionError):
+                    b + a
+                assert a != b
+
+    def test_constructor_coerces_int_and_str(self):
+        v = ChernVector(1, "1/2", DivisorB([2, "-3"]), DivisorB(["-3/4", 0]), 0, "5")
+        assert shape(v) == shape(ring._from_flat(2, [Fraction(x) for x in
+                                                     (1, "1/2", 2, -3, "-3/4", 0, 0, 5)]))
+        assert v == ChernVector._ints([4, 2, 8, -12, -3, 0, 0, 20], 4)
+
+
+def test_rational_hot_path_builds_no_fraction(monkeypatch):
+    """Once a vector holds its integer form, transforms, negation, products,
+    degree parts and == construct no Fraction in ring or fmt."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return Fraction(*args, **kwargs)
+
+    rng = random.Random(43)
+    for g in fresh_geometries():
+        vs = [_rand_vector(rng, g.rank) for _ in range(6)]
+        fmt.phi(g, vs[0])
+        fmt.phi_hat(g, vs[0])
+        mul(g, vs[0], vs[0])  # the tables, built once per geometry
+        for v in vs:
+            v._nums
+        monkeypatch.setattr(ring, "Fraction", counting)
+        monkeypatch.setattr(fmt, "Fraction", counting)
+        for v, w in zip(vs, vs[1:]):
+            assert fmt.phi_hat(g, fmt.phi(g, v)) == -v
+            assert fmt.phi(g, fmt.phi_hat(g, v)) == -v
+            p = mul(g, v.degree_part(1), w)
+            p = mul(g, p.degree_part(2), mul(g, v, w.degree_part(0)))
+            assert mul(g, p, v) == mul(g, v, p)
+        assert built == []
+        fmt.phi(g, vs[0]).coordinates()  # reading fields builds Fractions, counted
+        assert built
+        monkeypatch.undo()
+        built.clear()

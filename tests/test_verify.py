@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ellstab import asymptotics, charges, ring, suites, verify
+from ellstab import asymptotics, charges, curves, ring, suites, verify
 from ellstab.asymptotics import AsymptoticCharge, ChargeKind
 from ellstab.curves import OneDimCurve, TiltCurve
 from ellstab.errors import DomainError
@@ -59,20 +59,43 @@ class TestImIdentity:
             assert im_identity_check(g, e, c, u, vpar)
 
     def test_symbolic_case_reuses_the_polarization_powers(self, monkeypatch):
-        """One symbolic case makes 4 products at Poly2 scalars: w^2 and w^3
-        once, shared by the ring-checked charge and the right side, then
-        w^2 ch1 and w ch2 of the transform."""
+        """The first symbolic case on a geometry makes 4 products at Poly2
+        scalars: w^2 and w^3, shared by the ring-checked charge and the
+        right side, then w^2 ch1 and w ch2 of the transform.  Later cases
+        reuse w's powers and make only the last 2."""
         calls = count_symbolic_products(monkeypatch)
+        verify._polarization_powers.cache_clear()
         rng = random.Random(23)
         for h in (Fraction(-1), Fraction(1, 2)):
             g = BaseGeometry(1, [[1]], [1], h, 0, 1)
             ring._structure_constants(g)
             c = _rand_tilt(rng, h)
+            counts = []
             for _ in range(3):
                 calls.clear()
                 rems = im_identity_symbolic_remainders(g, _rand_vector(rng, 1), c)
                 assert all(r.is_zero() for r in rems)
-                assert len(calls) == 4
+                counts.append(len(calls))
+            assert counts == [4, 2, 2]
+
+    def test_suite_builds_the_point_products_once(self, monkeypatch):
+        """Obar^2 and Theta.Obar^2 are built once per curve and the powers
+        of w once per point, so suite_im_identity(50, 7) makes at most 368
+        ring products (528 when every case rebuilt those four)."""
+        calls = []
+        original = ring.mul
+
+        def counted(g, v1, v2):
+            calls.append(1)
+            return original(g, v1, v2)
+
+        for module in (ring, verify, charges, curves):
+            monkeypatch.setattr(module, "mul", counted)
+        verify._polarization_powers.cache_clear()
+        curves._fixed_cycles.cache_clear()
+        report = suites.suite_im_identity(50, 7)
+        assert report.passed and report.cases == 66
+        assert len(calls) <= 368
 
     def test_symbolic_all_h(self):
         rng = random.Random(22)
