@@ -93,12 +93,18 @@ def _curve(cfg: Config, name: str):
     return cfg.curves[name]
 
 
-def _divisor_arg(cfg: Config, text: str | None) -> DivisorB:
+def _divisor_arg(cfg: Config, args, flag: str) -> DivisorB:
+    """The divisor given by ``flag``, or zero when it is not set; a malformed
+    value is a domain error naming the flag, not a config parse error."""
+    text = getattr(args, flag[2:].replace("-", "_"))
     if text is None:
         return cfg.geometry.zero_divisor()
-    coords = _parse_vector(text, 0)
+    try:
+        coords = _parse_vector(text, 0)
+    except ConfigParseError:
+        raise EllstabError(f"{flag}: expected a bracketed vector of rationals, got {text!r}")
     if len(coords) != cfg.geometry.rank:
-        raise EllstabError(f"divisor must have rank {cfg.geometry.rank}")
+        raise EllstabError(f"{flag}: divisor must have rank {cfg.geometry.rank}")
     return DivisorB(coords)
 
 
@@ -124,7 +130,7 @@ def cmd_transform(args, cfg: Config, out: _Output) -> int:
 
 def cmd_twist(args, cfg: Config, out: _Output) -> int:
     v = _object(cfg, args.object)
-    base = _divisor_arg(cfg, args.base)
+    base = _divisor_arg(cfg, args, "--base")
     bfield = DivisorX(_fraction_arg(args.theta), base)
     image = twist(cfg.geometry, v, bfield)
     out.emit(["object", "theta", "base", "image"], [
@@ -168,7 +174,7 @@ def _bfield_from(cfg: Config, args) -> DivisorX:
     if args.b_theta is None and args.b_base is None:
         return DivisorX(0, cfg.geometry.zero_divisor())
     theta = _fraction_arg(args.b_theta) if args.b_theta else Fraction(0)
-    return DivisorX(theta, _divisor_arg(cfg, args.b_base))
+    return DivisorX(theta, _divisor_arg(cfg, args, "--b-base"))
 
 
 # one builder per slope parameter, reading the flags that parameter needs
@@ -178,8 +184,8 @@ _SLOPE_PARAMETER_BUILDERS = {
     "omegabar": lambda cfg, args: DivisorX(
         _rational_flag(args, "y"), cfg.geometry.hb_divisor.scale(_rational_flag(args, "z"))
     ),
-    "dbar": lambda cfg, args: _divisor_arg(cfg, args.dbar),
-    "d": lambda cfg, args: _divisor_arg(cfg, args.d),
+    "dbar": lambda cfg, args: _divisor_arg(cfg, args, "--dbar"),
+    "d": lambda cfg, args: _divisor_arg(cfg, args, "--d"),
 }
 
 
@@ -206,7 +212,7 @@ def cmd_charge(args, cfg: Config, out: _Output) -> int:
         if args.kind == "reduced":
             value = reduced_charge(g, v, u, vpar)
         else:
-            value = onedim_transform_charge(g, v, u, vpar, _divisor_arg(cfg, args.dbar))
+            value = onedim_transform_charge(g, v, u, vpar, _divisor_arg(cfg, args, "--dbar"))
     out.emit(
         ["object", "kind", "re", "im"],
         [[args.object, args.kind, str(value.re), str(value.im)]],
@@ -247,7 +253,7 @@ def cmd_phase(args, cfg: Config, out: _Output) -> int:
     v = _object(cfg, args.object)
     c = _curve(cfg, args.curve)
     ac = charge_series(
-        cfg.geometry, v, c, ChargeKind(args.kind), args.order, _divisor_arg(cfg, args.d)
+        cfg.geometry, v, c, ChargeKind(args.kind), args.order, _divisor_arg(cfg, args, "--d")
     )
     limit = phase_limit(ac)
     out.emit(
@@ -279,7 +285,7 @@ def cmd_compare(args, cfg: Config, out: _Output) -> int:
     names, m, n = _object_pair(cfg, args.objects)
     c = _curve(cfg, args.curve)
     verdict = compare_vectors(
-        cfg.geometry, m, n, c, ChargeKind(args.kind), args.order, _divisor_arg(cfg, args.d)
+        cfg.geometry, m, n, c, ChargeKind(args.kind), args.order, _divisor_arg(cfg, args, "--d")
     )
     row = [names[0], names[1], args.curve, verdict.kind.value,
            "" if verdict.floor is None else str(verdict.floor)]
@@ -299,7 +305,7 @@ def cmd_wall_scan(args, cfg: Config, out: _Output) -> int:
         ChargeKind(args.kind),
         (_fraction_arg(args.vmin), _fraction_arg(args.vmax)),
         Fraction(1, 2**args.precision),
-        _divisor_arg(cfg, args.d),
+        _divisor_arg(cfg, args, "--d"),
         args.samples,
     )
     rows = [[names[0], names[1], "degenerate", "", ""]] if result.degenerate else []

@@ -152,8 +152,7 @@ def sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[tuple[int, ...]]:
 def _primitive(coeffs) -> tuple[int, ...]:
     """Rational coefficients times the positive rational that makes them
     coprime integers (() for the zero polynomial)."""
-    den = lcm(*(x.denominator for x in coeffs))
-    nums = [x.numerator * (den // x.denominator) for x in coeffs]
+    nums, _ = _over_common_denominator(coeffs)
     content = gcd(*nums)
     return tuple(n // content for n in nums)
 

@@ -28,9 +28,12 @@ the closed forms used by ``twist``:
 
 All arithmetic is exact; coordinates are ``fractions.Fraction`` values
 (polynomial coefficients are also accepted, which lets the same formulas run
-symbolically).  A vector of ``Fraction``s is held fraction-free, as
-``Poly2`` is: integer numerators of its flat coordinates over one positive
-denominator (``ChernVector``).  ``_mul`` is the one product formula, over
+symbolically).  One storage rule holds for vectors (``ChernVector``): a
+vector of ``Fraction``s is held fraction-free from construction, as
+``Poly2`` is, as integer numerators of its flat coordinates over one
+positive denominator; a vector of any other scalar holds only its fields.
+Each vector operation keeps one integer path and one path over the flat
+coordinates.  ``_mul`` is the one product formula, over
 any scalar, and ``mul`` takes one of two paths: on two fraction-free
 vectors it applies ``_mul``'s integer structure constants, read off one
 evaluation of ``_mul`` at ``Poly2`` monomials and kept on the geometry, to
@@ -246,18 +249,18 @@ class BaseGeometry:
         return DivisorB.zero(self.rank)
 
 
-class _Lazy:
-    """A storage attribute of ``ChernVector``, built with the rest of its
-    form on first read.  A non-data descriptor: the built form sits in the
-    instance ``__dict__`` and shadows it from then on."""
+class _Field:
+    """A field of ``ChernVector``.  A non-data descriptor: on first read of
+    any field of a vector made from its integer form it builds all six,
+    which sit in the instance ``__dict__`` and shadow it from then on."""
 
-    def __init__(self, name: str, build):
-        self.name, self.build = name, build
+    def __init__(self, name: str):
+        self.name = name
 
     def __get__(self, v, owner=None):
         if v is None:
             return self
-        self.build(v)
+        v._build_fields()
         return v.__dict__[self.name]
 
 
@@ -270,18 +273,18 @@ class ChernVector:
     degree two), ``a`` (fiber coefficient of degree two), ``s`` (point
     coefficient).  Addition is componentwise, matching direct sums.
 
-    A vector of ``Fraction``s is also held fraction-free: ``_nums``, the
-    integer numerators of its flat coordinates (n, x, S..., eta..., a, s),
-    over ``_den`` > 0, content-reduced, so the form is canonical (zero is
-    all zeros over 1).  ``mul`` and ``fmt.phi``/``phi_hat`` work on it;
-    ``-``, ``scale`` by a rational and ``degree_part`` do when the vector
-    holds it, ``+`` and ``==`` when either vector does.  Each result is
-    built by ``ChernVector._ints`` with one gcd.  Each form is built at most
-    once, on first read: the integer form from the fields of a vector made
-    by the constructor, all six fields (same types and values, so ``hash``
-    and ``repr`` are unchanged) from the integer form.  A vector of other
-    scalars (``Poly2``, ``LaurentSeries``) keeps its fields; ``_nums`` is
-    None.
+    One storage rule: a vector whose coordinates are all ``Fraction`` holds,
+    from construction, its integer form ``_nums``: the numerators of its
+    flat coordinates (n, x, S..., eta..., a, s) over ``_den`` > 0,
+    content-reduced, so canonical (zero is all zeros over 1).  A vector of
+    any other scalar (``Poly2``, ``LaurentSeries``) holds only its fields,
+    and ``_nums`` is None.  ``==``, ``+``, ``-``, ``scale`` and
+    ``degree_part`` take the integers when every operand is rational (one
+    gcd, through ``_ints``) and otherwise one expression over
+    ``coordinates()``; ``mul`` and ``fmt.phi``/``phi_hat`` take the
+    integers too, and otherwise their formulas.  A vector made by ``_ints``
+    builds its six fields on first read, with the constructor's types and
+    values, so ``hash`` and ``repr`` are unchanged.
     """
 
     n: Fraction
@@ -294,24 +297,23 @@ class ChernVector:
     def __init__(self, n, x, S: DivisorB, eta: DivisorB, a, s):
         if S.rank != eta.rank:
             raise DimensionError("components S and eta have different ranks")
-        object.__setattr__(self, "n", _q(n))
-        object.__setattr__(self, "x", _q(x))
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "a", _q(a))
-        object.__setattr__(self, "s", _q(s))
+        self._hold(_q(n), _q(x), S, eta, _q(a), _q(s))
 
     @classmethod
     def _raw(cls, n, x, S: DivisorB, eta: DivisorB, a, s) -> "ChernVector":
         """Assemble components that are already scalars, without coercion."""
         v = object.__new__(cls)
-        object.__setattr__(v, "n", n)
-        object.__setattr__(v, "x", x)
-        object.__setattr__(v, "S", S)
-        object.__setattr__(v, "eta", eta)
-        object.__setattr__(v, "a", a)
-        object.__setattr__(v, "s", s)
+        v._hold(n, x, S, eta, a, s)
         return v
+
+    def _hold(self, n, x, S: DivisorB, eta: DivisorB, a, s) -> None:
+        """Store the six fields, and the integer form when every coordinate
+        is a Fraction."""
+        coords = (n, x, *S.coords, *eta.coords, a, s)
+        nums, den = _over_common_denominator(coords) if _plain(coords) else (None, None)
+        self.__dict__.update(
+            n=n, x=x, S=S, eta=eta, a=a, s=s, _nums=None if nums is None else tuple(nums), _den=den
+        )
 
     @classmethod
     def _ints(cls, nums, den: int) -> "ChernVector":
@@ -324,12 +326,6 @@ class ChernVector:
         v = object.__new__(cls)
         v.__dict__.update(_nums=tuple(nums), _den=den)
         return v
-
-    def _build_ints(self) -> None:
-        """Hold the integer form, or None for a vector of other scalars."""
-        coords = self.coordinates()
-        nums, den = _over_common_denominator(coords) if _plain(coords) else (None, None)
-        self.__dict__.update(_nums=None if nums is None else tuple(nums), _den=den)
 
     def _build_fields(self) -> None:
         """Hold the six fields of a vector made from its integer form."""
@@ -347,12 +343,9 @@ class ChernVector:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        both = self._both_ints(other)
-        if both is not None:
-            return self._den == other._den and both[0] == both[1]
-        return (self.n, self.x, self.S, self.eta, self.a, self.s) == (
-            other.n, other.x, other.S, other.eta, other.a, other.s
-        )
+        if self._nums is None or other._nums is None:
+            return self.coordinates() == other.coordinates()
+        return self._den == other._den and self._nums == other._nums
 
     @classmethod
     def zero(cls, rank: int) -> "ChernVector":
@@ -366,68 +359,38 @@ class ChernVector:
 
     @property
     def rank_lattice(self) -> int:
-        nums = self.__dict__.get("_nums")
+        nums = self._nums
         return self.S.rank if nums is None else len(nums) // 2 - 2
 
     def coordinates(self) -> tuple:
         """The flat coordinate tuple (n, x, S..., eta..., a, s)."""
         return (self.n, self.x, *self.S.coords, *self.eta.coords, self.a, self.s)
 
-    def is_zero(self) -> bool:
-        return (
-            self.n == 0
-            and self.x == 0
-            and self.S.is_zero()
-            and self.eta.is_zero()
-            and self.a == 0
-            and self.s == 0
-        )
-
-    def _both_ints(self, other: "ChernVector"):
-        """The numerators of both vectors, when either holds them already and
-        both are fraction-free, else None: ``+`` and ``==`` on two vectors
-        that hold only fields work on the fields, building no integer form."""
-        if "_nums" in self.__dict__ or "_nums" in other.__dict__:
-            nums, other_nums = self._nums, other._nums
-            if nums is not None and other_nums is not None:
-                return nums, other_nums
-        return None
-
     def __add__(self, other: "ChernVector") -> "ChernVector":
-        both = self._both_ints(other)
-        if both is not None:
-            nums, other_nums = both
-            if len(nums) != len(other_nums):
-                raise DimensionError("divisor rank mismatch")
-            d1, d2 = self._den, other._den
-            return ChernVector._ints([a * d2 + b * d1 for a, b in zip(nums, other_nums)], d1 * d2)
-        return ChernVector._raw(
-            self.n + other.n,
-            self.x + other.x,
-            self.S + other.S,
-            self.eta + other.eta,
-            self.a + other.a,
-            self.s + other.s,
-        )
+        r = self.rank_lattice
+        if other.rank_lattice != r:
+            raise DimensionError("divisor rank mismatch")
+        nums, other_nums = self._nums, other._nums
+        if nums is None or other_nums is None:
+            return _from_flat(r, [a + b for a, b in zip(self.coordinates(), other.coordinates())])
+        d1, d2 = self._den, other._den
+        return ChernVector._ints([a * d2 + b * d1 for a, b in zip(nums, other_nums)], d1 * d2)
 
     def __sub__(self, other: "ChernVector") -> "ChernVector":
         return self + (-other)
 
     def __neg__(self) -> "ChernVector":
-        nums = self.__dict__.get("_nums")
-        if nums is not None:
-            return ChernVector._ints([-t for t in nums], self._den)
-        return ChernVector._raw(-self.n, -self.x, -self.S, -self.eta, -self.a, -self.s)
+        nums = self._nums
+        if nums is None:
+            return _from_flat(self.rank_lattice, [-c for c in self.coordinates()])
+        return ChernVector._ints([-t for t in nums], self._den)
 
     def scale(self, c) -> "ChernVector":
         c = _q(c)
-        nums = self.__dict__.get("_nums")
-        if nums is not None and type(c) is Fraction:
-            p = c.numerator
-            return ChernVector._ints([p * t for t in nums], self._den * c.denominator)
-        return ChernVector._raw(
-            c * self.n, c * self.x, self.S.scale(c), self.eta.scale(c), c * self.a, c * self.s
-        )
+        nums = self._nums
+        if nums is None or type(c) is not Fraction:
+            return _from_flat(self.rank_lattice, [c * t for t in self.coordinates()])
+        return ChernVector._ints([c.numerator * t for t in nums], self._den * c.denominator)
 
     def __rmul__(self, c) -> "ChernVector":
         return self.scale(c)
@@ -436,19 +399,12 @@ class ChernVector:
         """The homogeneous piece of cohomological degree 2*d."""
         if d not in (0, 1, 2, 3):
             raise DomainError(f"no degree-{d} part on a threefold")
-        nums = self.__dict__.get("_nums")
-        if nums is not None:
-            r = len(nums) // 2 - 2
-            degrees = (0, 1) + (1,) * r + (2,) * r + (2, 3)  # halved, per flat coordinate
-            return ChernVector._ints([t if k == d else 0 for t, k in zip(nums, degrees)], self._den)
-        z = DivisorB.zero(self.rank_lattice)
-        if d == 0:
-            return ChernVector(self.n, 0, z, z, 0, 0)
-        if d == 1:
-            return ChernVector(0, self.x, self.S, z, 0, 0)
-        if d == 2:
-            return ChernVector(0, 0, z, self.eta, self.a, 0)
-        return ChernVector(0, 0, z, z, 0, self.s)
+        r = self.rank_lattice
+        keep = [k == d for k in (0, 1) + (1,) * r + (2,) * r + (2, 3)]  # halved degrees
+        nums = self._nums
+        if nums is None:
+            return _from_flat(r, [c if k else _ZERO for c, k in zip(self.coordinates(), keep)])
+        return ChernVector._ints([t if k else 0 for t, k in zip(nums, keep)], self._den)
 
     def a2(self, g: BaseGeometry) -> DivisorB:
         """Pullback part of the canonically twisted degree-one component."""
@@ -464,13 +420,10 @@ class ChernVector:
         return self.s + g.h * heta / 2 + self.x * g.h * g.h * g.hb2 * Fraction(1, 12)
 
 
-# The two storage forms of a ChernVector (its docstring), each built on first
-# read of any of its attributes; installed after the dataclass is made, so
-# that it does not take them for field defaults.
+# Installed after the dataclass is made, so that it does not take them for
+# field defaults.
 for _name in ("n", "x", "S", "eta", "a", "s"):
-    setattr(ChernVector, _name, _Lazy(_name, ChernVector._build_fields))
-for _name in ("_nums", "_den"):
-    setattr(ChernVector, _name, _Lazy(_name, ChernVector._build_ints))
+    setattr(ChernVector, _name, _Field(_name))
 del _name
 
 

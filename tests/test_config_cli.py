@@ -495,6 +495,22 @@ class TestFlagErrors:
             assert f"curve {action} does not take {flag}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, command", [
+        ("--d", ["phase", "--object", "point", "--curve", "flat1", "--kind", "full"]),
+        ("--d", ["slope", "--kind", "MU_PHB_PD", "--object", "curvecl"]),
+        ("--dbar", ["charge", "--kind", "onedim", "--object", "curvecl", "--u", "1/2", "--v", "4"]),
+        ("--base", ["twist", "--object", "point"]),
+        ("--b-base", ["charge", "--kind", "full", "--object", "curvecl", "--u", "1/2", "--v", "4"]),
+    ], ids=lambda c: c if isinstance(c, str) else c[0])
+    @pytest.mark.parametrize("value", ["[1", "[x]", "[1,2]"])
+    def test_malformed_divisor_flag_names_the_flag(self, cfg_path, capsys, flag, command, value):
+        """A divisor flag is command-line input, not config: a malformed or
+        wrong-rank value is a domain error (exit 1) naming the flag."""
+        code, out = run_cli("--config", cfg_path, *command, flag, value)
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and "parse error" not in err
+
     @pytest.mark.parametrize("command", [
         ["phase", "--object", "point"],
         ["compare", "--objects", "point,curvecl"],

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellstab import fmt, ring
+from ellstab.config import format_vector, parse_vector_literal
 from ellstab.curves import TiltCurve, chow_identity_symbolic_remainder
 from ellstab.errors import ConfigurationError, DimensionError
 from ellstab.poly import Poly2
@@ -311,6 +312,10 @@ def test_vector_arithmetic_matches_the_coercing_constructors():
                 want = _coerced(rank, [ring._q(c) * a for a in cs])
                 assert shape(v.scale(c)) == shape(want) == shape(c * v)
                 assert [(type(a), a) for a in v.S.scale(c).coords] == [(type(a), a) for a in want.S.coords]
+            for k in range(4):
+                assert shape(v.degree_part(k)) == shape(_reference_degree_part(v, k))
+            assert v == _coerced(rank, cs) and _coerced(rank, cs) == v
+            assert v != w and not v == w
         with pytest.raises(DimensionError):
             v.S + DivisorB.zero(rank + 1)
         with pytest.raises(DimensionError):
@@ -550,11 +555,11 @@ def _reference_degree_part(v, d):
 
 
 def _storage_forms(rank, flat):
-    """The same class held three ways: fields only (the public
-    constructor), both forms, and the integer form only."""
-    fields, both = _coerced(rank, flat), _coerced(rank, flat)
-    both._nums
-    return fields, both, ChernVector._ints(*ring._over_common_denominator(flat))
+    """The same class held both ways a vector of Fractions can be: fields
+    with the integer form (the public constructor), and the integer form
+    alone, fields built on first read (``ChernVector._ints``, as results
+    are)."""
+    return _coerced(rank, flat), ChernVector._ints(*ring._over_common_denominator(flat))
 
 
 def _assert_canonical(v):
@@ -568,11 +573,10 @@ def _assert_canonical(v):
 
 def _assert_matches(got, want):
     """Equal values and per-coordinate types, S and eta as DivisorB, and the
-    canonical integer form wherever the result holds one."""
+    canonical integer form, which every rational result holds."""
     assert shape(got) == shape(want)
     assert type(got.S) is DivisorB and type(got.eta) is DivisorB
-    if "_nums" in got.__dict__:
-        _assert_canonical(got)
+    _assert_canonical(got)
 
 
 @st.composite
@@ -648,6 +652,26 @@ class TestStorageForms:
                     b + a
                 assert a != b
 
+    def test_every_rational_vector_holds_its_integer_form(self):
+        """Each constructor stores the integer form of a vector of Fractions
+        as it makes the vector; a vector of other scalars holds none."""
+        rng = random.Random(44)
+        for g in fresh_geometries():
+            r = g.rank
+            flat = list(_rand_vector(rng, r).coordinates())
+            made = (
+                _coerced(r, flat),
+                ChernVector.zero(r),
+                ChernVector.unit(r),
+                ring._from_flat(r, flat),
+                parse_vector_literal(format_vector(_coerced(r, flat)), r),
+            )
+            for v in made:
+                assert {"_nums", "_den"} <= set(v.__dict__)
+                _assert_canonical(v)
+            for v in (ring._from_flat(r, [Poly2.const(c) for c in flat]), _series_vector(r)):
+                assert v._nums is None
+
     def test_constructor_coerces_int_and_str(self):
         v = ChernVector(1, "1/2", DivisorB([2, "-3"]), DivisorB(["-3/4", 0]), 0, "5")
         assert shape(v) == shape(ring._from_flat(2, [Fraction(x) for x in
@@ -656,8 +680,9 @@ class TestStorageForms:
 
 
 def test_rational_hot_path_builds_no_fraction(monkeypatch):
-    """Once a vector holds its integer form, transforms, negation, products,
-    degree parts and == construct no Fraction in ring or fmt."""
+    """On vectors of Fractions, made by the constructor or produced,
+    transforms, negation, products, degree parts and == construct no
+    Fraction in ring or fmt."""
     built = []
 
     def counting(*args, **kwargs):
@@ -670,8 +695,6 @@ def test_rational_hot_path_builds_no_fraction(monkeypatch):
         fmt.phi(g, vs[0])
         fmt.phi_hat(g, vs[0])
         mul(g, vs[0], vs[0])  # the tables, built once per geometry
-        for v in vs:
-            v._nums
         monkeypatch.setattr(ring, "Fraction", counting)
         monkeypatch.setattr(fmt, "Fraction", counting)
         for v, w in zip(vs, vs[1:]):
