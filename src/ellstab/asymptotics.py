@@ -25,9 +25,9 @@ from functools import lru_cache
 
 from . import charges as charges_mod
 from .curves import CurveConstraint, admissible_bracket, expand_u
-from .errors import ConfigurationError, DomainError
-from .poly import Poly2, RootInterval, sign_at_root
-from .ring import BaseGeometry, ChernVector, DivisorB
+from .errors import ConfigurationError, DimensionError, DomainError
+from .poly import Poly2, RootInterval, monomial_coefficients, sign_at_root
+from .ring import BaseGeometry, ChernVector, DivisorB, _from_flat, _over_common_denominator
 from .series import LaurentSeries
 
 
@@ -97,29 +97,63 @@ def charge_series(
     order: int = 8,
     d: DivisorB | None = None,
 ) -> AsymptoticCharge:
-    """Charge of a vector along the curve as a pair of Laurent series in v.
+    """Charge of a vector of Fractions along the curve as a pair of Laurent
+    series in v.
 
     The charge's closed form is a combination of class-independent germs
     (``charges._reduced_germs``, or ``charges._flat_full_germs`` for the full
     charge with B = pull(d), d = 0 by default) with class coefficients.  The
     germs are evaluated once per (curve, order, kind) at the germ point
-    (u(v), v), with u(v) expanded through ``order`` terms, and each class
-    then combines them in one integer pass; germs and truncation floors are
-    those the chained series arithmetic gives.  The full kind raises
-    ``DomainError`` unless the class is fiber-degree-trivial (n = x = 0).
+    (u(v), v), with u(v) expanded through ``order`` terms, the coefficients
+    are ``_coefficient_rows`` applied to the numerators of the class and d,
+    and each class combines the germs in one integer pass; germs and
+    truncation floors are those the chained series arithmetic gives.  The
+    full kind raises ``DomainError`` unless the class is fiber-degree-trivial
+    (n = x = 0).
     """
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
     germs = _charge_germs(c, order, kind)
-    if kind is ChargeKind.REDUCED:
-        parts = charges_mod._reduced_coefficients(g, v)
-    else:
-        parts = charges_mod._flat_full_coefficients(g, v, d if d is not None else g.zero_divisor())
+    nums, den, full = v._nums, v._den, kind is ChargeKind.FULL
+    if full and (nums[0] or nums[1]):
+        raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
+    ds = (d if d is not None else g.zero_divisor()).coords if full else ()
+    if v.rank_lattice != g.rank or len(ds) != (g.rank if full else 0):
+        raise DimensionError("divisor rank does not match geometry rank")
+    rows, row_den = _coefficient_rows(g, kind)
+    dnums, dden = _over_common_denominator(ds)
+    coeffs = [sum(e * nums[i] * (dden if j < 0 else dnums[j]) for i, j, e in row) for row in rows]
+    den *= row_den * dden
+    split = 1 + len(germs[0])
     re, im = (
-        LaurentSeries._combination(const, zip(coeffs, part_germs))
-        for (const, coeffs), part_germs in zip(parts, germs)
+        LaurentSeries._combination(part[0], zip(part[1:], part_germs), den)
+        for part, part_germs in zip((coeffs[:split], coeffs[split:]), germs)
     )
     return AsymptoticCharge(re, im, kind)
+
+
+def _coefficient_rows(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int]:
+    """A kind's class coefficients (re constant and coefficients, then im's)
+    as integer rows over one denominator, kept in ``g.matrices``: row k
+    lists the (i, j, c) of its terms c v_i d_j, with j = -1 for a term in v
+    alone.  Read off one evaluation at ``Poly2`` monomials: class coordinate
+    i is u^(i+1) (n = x = 0 for the full kind), d_j is v^(j+1)."""
+    full = kind is ChargeKind.FULL
+    coefficients = charges_mod._flat_full_coefficients if full else charges_mod._reduced_coefficients
+    if coefficients not in g.matrices:
+        r = g.rank
+        flat, d = [Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * r + 4)], ()
+        if full:
+            flat[:2] = Fraction(0), Fraction(0)
+            d = (DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r))),)
+        parts = coefficients(g, _from_flat(r, flat), *d)
+        values = [x for const, coeffs in parts for x in (const, *coeffs)]
+        entries, den = monomial_coefficients(values)
+        rows = [[] for _ in values]
+        for k, (i, j), c in entries:
+            rows[k].append((i - 1, j - 1, c))
+        g.matrices[coefficients] = rows, den
+    return g.matrices[coefficients]
 
 
 @lru_cache(maxsize=None)

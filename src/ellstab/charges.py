@@ -10,7 +10,9 @@ so that re and im are each a constant plus a sum of coefficient times germ.
 ``_reduced_parts`` and ``_flat_full_parts`` form that combination at
 ``Fraction`` points here and at ``Poly2`` symbols for polynomial
 identities; ``asymptotics.charge_series`` builds the germs once per curve
-and order as ``LaurentSeries`` and combines each class in one integer pass;
+and order as ``LaurentSeries``, reads the coefficients off once per geometry
+as integer rows (at ``Poly2`` monomials), and combines each class in one
+integer pass;
 ``_full_parts`` is the full charge with B = pull(d) for any class.
 ``full_charge`` goes through ring products for any class and B-field.  The
 reduced charge also evaluates that path and insists it agrees with the
@@ -33,8 +35,8 @@ from .ring import (
     DivisorB,
     DivisorX,
     _from_flat,
+    degree,
     divisor_powers,
-    mul,
     pair,
     pair_h,
     twist,
@@ -80,8 +82,8 @@ def _reduced_coefficients(g: BaseGeometry, v: ChernVector) -> tuple:
     """The reduced charge's (re, im), each as (constant, coefficients on
     its ``_reduced_germs``)."""
     return (
-        (0, (Fraction(g.hb2 * v.x, 2), Fraction(pair_h(g, v.S), 2))),
-        (0, (pair_h(g, v.eta), v.a, -Fraction(g.hb2 * v.n, 6))),
+        (0, (g.hb2 * v.x / 2, pair_h(g, v.S) / 2)),
+        (0, (pair_h(g, v.eta), v.a, -(g.hb2 * v.n) / 6)),
     )
 
 
@@ -100,7 +102,7 @@ def _flat_full_coefficients(g: BaseGeometry, v: ChernVector, d: DivisorB) -> tup
         raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
     heta = pair_h(g, v.eta)
     return (
-        (-(v.s - pair(g, d, v.eta)), (Fraction(pair_h(g, v.S), 2),)),
+        (-(v.s - pair(g, d, v.eta)), (pair_h(g, v.S) / 2,)),
         (0, (heta, v.a - pair(g, d, v.S), heta)),
     )
 
@@ -138,12 +140,10 @@ def _full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
 def _ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:
     """(w^2 ch1 / 2, w ch2 - w^3 ch0 / 6) through ring products, from the
     ``ring.divisor_powers`` (w, w^2, w^3) of the polarization w.  The
-    products take ``mul``'s two paths: the structure constants when w and v
-    are all Fraction, ``_mul`` itself at any other scalar."""
+    pairings take ``ring.degree``'s two paths: the structure constants when
+    w and v are all Fraction, ``_mul`` itself at any other scalar."""
     om, om2, om3 = powers
-    re = mul(g, om2, v.degree_part(1)).s / 2
-    im = mul(g, om, v.degree_part(2)).s - om3 * v.n / 6
-    return re, im
+    return degree(g, om2, v) / 2, degree(g, om, v) - om3 * v.n / 6
 
 
 def _checked_reduced_parts(g: BaseGeometry, v: ChernVector, u, vpar, powers: tuple) -> tuple:
@@ -164,8 +164,9 @@ def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
     w = u*Theta + vpar*pull(H).
 
     Computed through the closed form in (u, vpar) and independently through
-    ring products (``mul``: the structure constants at Fraction points,
-    ``_mul`` at any other scalar); a mismatch raises ``ComputationFault``.
+    ring products (``ring.degree``: the structure constants at Fraction
+    points, ``_mul`` at any other scalar); a mismatch raises
+    ``ComputationFault``.
     """
     powers = divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
     return ChargeValue(*_checked_reduced_parts(g, v, u, vpar, powers))

@@ -108,11 +108,11 @@ def _divisor_arg(cfg: Config, args, flag: str) -> DivisorB:
     return DivisorB(coords)
 
 
-def _fraction_arg(text: str) -> Fraction:
+def _fraction_arg(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise EllstabError(f"expected a rational, got {text!r}")
+        raise EllstabError(f"{flag}: expected a rational, got {text!r}")
 
 
 def cmd_transform(args, cfg: Config, out: _Output) -> int:
@@ -131,7 +131,7 @@ def cmd_transform(args, cfg: Config, out: _Output) -> int:
 def cmd_twist(args, cfg: Config, out: _Output) -> int:
     v = _object(cfg, args.object)
     base = _divisor_arg(cfg, args, "--base")
-    bfield = DivisorX(_fraction_arg(args.theta), base)
+    bfield = DivisorX(_fraction_arg(args.theta, "--theta"), base)
     image = twist(cfg.geometry, v, bfield)
     out.emit(["object", "theta", "base", "image"], [
         [args.object, str(bfield.theta), args.base or "0", format_vector(image)]
@@ -150,7 +150,7 @@ def _rational_flag(args, name: str) -> Fraction:
     value = getattr(args, name)
     if value is None:
         raise EllstabError(f"{_command(args)} requires --{name}")
-    return _fraction_arg(value)
+    return _fraction_arg(value, f"--{name}")
 
 
 def _reject_unused_flags(args, taken, offered=None) -> None:
@@ -173,7 +173,7 @@ def _omega_from(cfg: Config, args) -> DivisorX:
 def _bfield_from(cfg: Config, args) -> DivisorX:
     if args.b_theta is None and args.b_base is None:
         return DivisorX(0, cfg.geometry.zero_divisor())
-    theta = _fraction_arg(args.b_theta) if args.b_theta else Fraction(0)
+    theta = _fraction_arg(args.b_theta, "--b-theta") if args.b_theta else Fraction(0)
     return DivisorX(theta, _divisor_arg(cfg, args, "--b-base"))
 
 
@@ -303,7 +303,7 @@ def cmd_wall_scan(args, cfg: Config, out: _Output) -> int:
         n,
         c,
         ChargeKind(args.kind),
-        (_fraction_arg(args.vmin), _fraction_arg(args.vmax)),
+        (_fraction_arg(args.vmin, "--vmin"), _fraction_arg(args.vmax, "--vmax")),
         Fraction(1, 2**args.precision),
         _divisor_arg(cfg, args, "--d"),
         args.samples,

@@ -41,7 +41,7 @@ from .poly import (
     reduce_mod_u,
     sign_at_root,
 )
-from .ring import BaseGeometry, ChernVector, DivisorX, _q, divisor_powers, divisor_vector, mul
+from .ring import BaseGeometry, ChernVector, DivisorX, _q, degree, divisor_powers, divisor_vector, mul
 from .series import LaurentSeries
 
 
@@ -234,7 +234,7 @@ def _fixed_cycles(g: BaseGeometry, c: TiltCurve) -> tuple[ChernVector, ChernVect
     theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
     left_cycle = mul(g, obar1, obar1 + obar2.scale(2))
     obar_sq = mul(g, obar, obar)
-    return left_cycle, theta, obar_sq, mul(g, theta, obar_sq).s
+    return left_cycle, theta, obar_sq, degree(g, theta, obar_sq)
 
 
 def _cycle_sides(g: BaseGeometry, c: TiltCurve, u, vpar) -> tuple[ChernVector, ChernVector]:

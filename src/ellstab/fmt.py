@@ -82,7 +82,7 @@ def _matrix(g: BaseGeometry, closed) -> tuple[list, int]:
     scalars: coordinate j is u^(j+1), so the u^(j+1) coefficient of output
     k is M[k][j]."""
     dim = 2 * g.rank + 4
-    out = closed(g, _from_flat(g.rank, [Poly2({(j + 1, 0): 1}) for j in range(dim)]))
+    out = closed(g, _from_flat(g.rank, [Poly2._ints({(j + 1, 0): 1}, 1) for j in range(dim)]))
     entries, den = monomial_coefficients(out.coordinates())
     rows = [[] for _ in range(dim)]
     for k, (j, _), c in entries:
@@ -95,10 +95,16 @@ def fiber_swap_rule(g: BaseGeometry, tw: ChernVector) -> ChernVector:
 
     Input is a suitably twisted vector of an object with n = x = 0; the
     output is the matching twist of its transform: rows are swapped and the
-    new second row negated, i.e. (S, eta, a, s) -> (eta, -S, s, -a).
+    new second row negated, i.e. (S, eta, a, s) -> (eta, -S, s, -a).  A
+    signed permutation, so a fraction-free vector goes through its
+    numerators over the same denominator.
     """
-    if tw.rank_lattice != g.rank:
+    r, nums = g.rank, tw._nums
+    if tw.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
-    if tw.n != 0 or tw.x != 0:
+    if (tw.n != 0 or tw.x != 0) if nums is None else (nums[0] or nums[1]):
         raise DomainError("swap rule requires a fiber-degree-trivial class (n = x = 0)")
-    return ChernVector(0, 0, tw.eta, -tw.S, tw.s, -tw.a)
+    if nums is None:
+        return ChernVector(0, 0, tw.eta, -tw.S, tw.s, -tw.a)
+    S, eta = nums[2 : 2 + r], nums[2 + r : 2 + 2 * r]
+    return ChernVector._ints([0, 0, *eta, *(-t for t in S), nums[-1], -nums[-2]], tw._den)

@@ -33,12 +33,15 @@ vector of ``Fraction``s is held fraction-free from construction, as
 ``Poly2`` is, as integer numerators of its flat coordinates over one
 positive denominator; a vector of any other scalar holds only its fields.
 Each vector operation keeps one integer path and one path over the flat
-coordinates.  ``_mul`` is the one product formula, over
+coordinates, and a vector made from its integer form builds each field on
+its first read.  ``_mul`` is the one product formula, over
 any scalar, and ``mul`` takes one of two paths: on two fraction-free
 vectors it applies ``_mul``'s integer structure constants, read off one
 evaluation of ``_mul`` at ``Poly2`` monomials and kept on the geometry, to
 the numerators, with one gcd for the result; at every other scalar,
-``Poly2`` symbols included, it runs ``_mul`` itself.
+``Poly2`` symbols included, it runs ``_mul`` itself.  ``degree``, the
+point coefficient of a product that every slope and charge reads, takes
+the same two paths, with only the constants that reach the point class.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ def _sum_products(pairs):
         if p is not None and q is not None:
             total = p * q if total is None else total + p * q
     return total
+
+
+def _fraction(t: int, den: int) -> Fraction:
+    """t / den, with the shared zero for t = 0."""
+    return Fraction(t, den) if t else _ZERO
 
 
 def _or_zero(value):
@@ -188,8 +196,10 @@ class BaseGeometry:
     derived from them (``hb2`` = H.H, ``hb_divisor`` and the row ``hb_row``
     of hb * gram used by ``pair_h``) is computed once, at construction.
     ``matrices`` starts empty; it keeps the integer tables of the linear
-    closed forms, keyed by the closed form: ``fmt``'s transform matrices and
-    the product's structure constants (keyed by ``_mul``), which act on the
+    closed forms, keyed by the closed form: ``fmt``'s transform matrices,
+    the product's structure constants (keyed by ``_mul``) and their
+    point-class slice (keyed by ``degree``), and the charges' class
+    coefficient rows (keyed by the coefficient function), which act on the
     integer numerators of fraction-free vectors, and the mark of
     ``charges.prove_closed_form`` once it has run on g.
     """
@@ -251,17 +261,24 @@ class BaseGeometry:
 
 class _Field:
     """A field of ``ChernVector``.  A non-data descriptor: on first read of
-    any field of a vector made from its integer form it builds all six,
-    which sit in the instance ``__dict__`` and shadow it from then on."""
+    a field of a vector made from its integer form it builds that field
+    alone, which sits in the instance ``__dict__`` and shadows it from then
+    on."""
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, name: str, position: int):
+        self.name, self.position = name, position  # flat index, or block of S/eta
 
     def __get__(self, v, owner=None):
         if v is None:
             return self
-        v._build_fields()
-        return v.__dict__[self.name]
+        nums, den, i = v._nums, v._den, self.position
+        if self.name in ("S", "eta"):
+            r = len(nums) // 2 - 2
+            value = DivisorB._raw(tuple(_fraction(t, den) for t in nums[2 + i * r : 2 + (i + 1) * r]))
+        else:
+            value = _fraction(nums[i], den)
+        v.__dict__[self.name] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -281,10 +298,11 @@ class ChernVector:
     and ``_nums`` is None.  ``==``, ``+``, ``-``, ``scale`` and
     ``degree_part`` take the integers when every operand is rational (one
     gcd, through ``_ints``) and otherwise one expression over
-    ``coordinates()``; ``mul`` and ``fmt.phi``/``phi_hat`` take the
-    integers too, and otherwise their formulas.  A vector made by ``_ints``
-    builds its six fields on first read, with the constructor's types and
-    values, so ``hash`` and ``repr`` are unchanged.
+    ``coordinates()``; ``mul``, ``degree``, ``fmt.phi``/``phi_hat`` and
+    ``fmt.fiber_swap_rule`` take the integers too, and otherwise their
+    formulas.  A vector made by ``_ints`` builds each field on its first
+    read, that field alone, with the constructor's type and value, so
+    ``hash`` and ``repr`` are unchanged.
     """
 
     n: Fraction
@@ -326,19 +344,6 @@ class ChernVector:
         v = object.__new__(cls)
         v.__dict__.update(_nums=tuple(nums), _den=den)
         return v
-
-    def _build_fields(self) -> None:
-        """Hold the six fields of a vector made from its integer form."""
-        nums, den, r = self._nums, self._den, len(self._nums) // 2 - 2
-        q = [Fraction(t, den) if t else _ZERO for t in nums]
-        self.__dict__.update(
-            n=q[0],
-            x=q[1],
-            S=DivisorB._raw(tuple(q[2 : 2 + r])),
-            eta=DivisorB._raw(tuple(q[2 + r : 2 + 2 * r])),
-            a=q[-2],
-            s=q[-1],
-        )
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -422,9 +427,9 @@ class ChernVector:
 
 # Installed after the dataclass is made, so that it does not take them for
 # field defaults.
-for _name in ("n", "x", "S", "eta", "a", "s"):
-    setattr(ChernVector, _name, _Field(_name))
-del _name
+for _name, _position in (("n", 0), ("x", 1), ("S", 0), ("eta", 1), ("a", -2), ("s", -1)):
+    setattr(ChernVector, _name, _Field(_name, _position))
+del _name, _position
 
 
 def _from_flat(r: int, c) -> ChernVector:
@@ -482,6 +487,27 @@ def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     return ChernVector._ints(totals, den * v1._den * v2._den)
 
 
+def degree(g: BaseGeometry, v1: ChernVector, v2: ChernVector):
+    """The point coefficient of v1 * v2, ``mul(g, v1, v2).s`` in value and
+    type.  On two fraction-free vectors one integer pass over the
+    structure constants that reach the point class, kept on g; at any
+    other scalar through ``_mul``."""
+    r = g.rank
+    if v1.rank_lattice != r or v2.rank_lattice != r:
+        raise DimensionError("vector rank does not match geometry rank")
+    nums1, nums2 = v1._nums, v2._nums
+    if nums1 is None or nums2 is None:
+        return _mul(g, v1, v2).s
+    if degree not in g.matrices:
+        table, den = _structure_constants(g)
+        last = len(table) - 1
+        rows = [[(j, c) for j, out in enumerate(row) for k, c in out if k == last] for row in table]
+        g.matrices[degree] = rows, den
+    rows, den = g.matrices[degree]
+    total = sum(a * sum(c * nums2[j] for j, c in row) for a, row in zip(nums1, rows) if a)
+    return _fraction(total, den * v1._den * v2._den)
+
+
 def _structure_constants(g: BaseGeometry) -> tuple[list, int]:
     """``_mul``'s structure constants on g, built on first use."""
     if _mul not in g.matrices:
@@ -497,8 +523,8 @@ def _mul_table(g: BaseGeometry) -> tuple[list, int]:
     from .poly import Poly2, monomial_coefficients
 
     dim = 2 * g.rank + 4
-    left = _from_flat(g.rank, [Poly2({(i + 1, 0): 1}) for i in range(dim)])
-    right = _from_flat(g.rank, [Poly2({(0, j + 1): 1}) for j in range(dim)])
+    left = _from_flat(g.rank, [Poly2._ints({(i + 1, 0): 1}, 1) for i in range(dim)])
+    right = _from_flat(g.rank, [Poly2._ints({(0, j + 1): 1}, 1) for j in range(dim)])
     entries, den = monomial_coefficients(_mul(g, left, right).coordinates())
     table = [[[] for _ in range(dim)] for _ in range(dim)]
     for k, (i, j), c in entries:
@@ -573,7 +599,7 @@ def divisor_powers(g: BaseGeometry, d: DivisorX) -> tuple:
     the powers a charge at the polarization d reads, built once."""
     dv = divisor_vector(g, d)
     d2 = mul(g, dv, dv)
-    return dv, d2, mul(g, d2, dv).s
+    return dv, d2, degree(g, d2, dv)
 
 
 def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
@@ -586,11 +612,11 @@ def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
     dd = pair(g, D, D)
     if t:
         th = t * g.h
-        eta = DivisorB(tuple(th * t / 2 * hb + t * c for hb, c in zip(g.hb, D.coords)))
+        eta = [th * t / 2 * hb + t * c for hb, c in zip(g.hb, D.coords)]
         s = -t * (th * th * g.hb2 + 3 * th * pair_h(g, D) + 3 * dd) / 6
     else:
-        eta, s = g.zero_divisor(), _ZERO
-    expo = ChernVector(1, -t, -D, eta, dd / 2, s)
+        eta, s = g.zero_divisor().coords, _ZERO
+    expo = _from_flat(g.rank, [Fraction(1), -t, *(-c for c in D.coords), *eta, dd / 2, s])
     return mul(g, expo, v)
 
 

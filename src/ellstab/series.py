@@ -63,28 +63,29 @@ class LaurentSeries:
         return out
 
     @classmethod
-    def _combination(cls, const, pairs) -> "LaurentSeries":
-        """const + sum of c * s over the (c, s) pairs, in one integer pass.
+    def _combination(cls, const: int, pairs, den: int) -> "LaurentSeries":
+        """(const + sum of c * s over the (c, s) pairs) / den, for integers
+        const and c and den > 0, in one integer pass.
 
-        Equal to the chained ``const + c1 * s1 + ...``: a zero c adds an
-        exact zero, the floor is the largest among the s with nonzero c
+        Equal to the chained ``(const + c1 * s1 + ...) / den``: a zero c adds
+        an exact zero, the floor is the largest among the s with nonzero c
         (``None`` if all are exact), and every entry below it is dropped,
         the constant at exponent 0 included.
         """
-        pairs = [(c, s) for c, s in pairs if c != 0]
+        pairs = [(c, s) for c, s in pairs if c]
         floors = [s.trunc for _, s in pairs if s.trunc is not None]
         floor = max(floors) if floors else None
-        den = lcm(const.denominator, *(c.denominator * s._den for c, s in pairs))
+        common = lcm(*(s._den for _, s in pairs))
         out: dict[int, int] = {}
         for c, s in pairs:
-            f = c.numerator * (den // (c.denominator * s._den))
+            f = c * (common // s._den)
             for e, n in s._nums:
                 if floor is not None and e < floor:
                     break  # terms are stored by descending exponent
                 out[e] = out[e] + n * f if e in out else n * f
-        if const != 0 and (floor is None or floor <= 0):
-            out[0] = out.get(0, 0) + const.numerator * (den // const.denominator)
-        return cls._ints(out, den, floor)
+        if const and (floor is None or floor <= 0):
+            out[0] = out.get(0, 0) + const * common
+        return cls._ints(out, den * common, floor)
 
     @cached_property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:

@@ -2,7 +2,11 @@
 
 Every kind is a quotient of two linear functionals of the Chern vector,
 with numerators and denominators computed through the cohomology product so
-that no intersection number is transcribed twice.  The value +infinity is
+that no intersection number is transcribed twice: each is one coordinate of
+the vector (ch0 or ch3) or one ``ring.degree`` pairing with a fixed
+homogeneous class (Theta, H, omega, omega^2, f, Theta*H, ...), which meets
+only the vector's part of the complementary degree, so a kind pairs the
+vector at most twice.  The value +infinity is
 returned exactly when the kind's denominator vanishes; it compares strictly
 greater than every finite value and equal to itself.
 """
@@ -22,6 +26,7 @@ from .ring import (
     DivisorB,
     DivisorX,
     compute_m,
+    degree,
     divisor_powers,
     divisor_vector,
     mul,
@@ -163,21 +168,16 @@ def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
 
     if tag is SlopeTag.MU_F:
         fiber = ChernVector(0, 0, g.zero_divisor(), g.zero_divisor(), 1, 0)
-        num = mul(g, fiber, v.degree_part(1)).s
-        return _ratio(num, v.n)
+        return _ratio(degree(g, fiber, v), v.n)
 
     if tag is SlopeTag.MU_THETA_M:
-        m = compute_m(g)
-        theta_phb = ChernVector(0, 0, g.zero_divisor(), hb, m, 0)
-        num = mul(g, theta_phb, v.degree_part(1)).s
-        return _ratio(num, v.n)
+        theta_phb = ChernVector(0, 0, g.zero_divisor(), hb, compute_m(g), 0)
+        return _ratio(degree(g, theta_phb, v), v.n)
 
     if tag is SlopeTag.MU_OMEGA_B:
         tw = twist(g, v, kind.bfield)
         om = divisor_vector(g, kind.omega)
-        om2 = mul(g, om, om)
-        num = mul(g, om2, tw.degree_part(1)).s
-        return _ratio(num, tw.n)
+        return _ratio(degree(g, mul(g, om, om), tw), tw.n)
 
     if tag is SlopeTag.NU_OMEGA_B:
         re, im = _ring_parts(g, twist(g, v, kind.bfield), divisor_powers(g, kind.omega))
@@ -185,41 +185,29 @@ def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
 
     if tag is SlopeTag.MU_STAR:
         phb = ChernVector(0, 0, hb, g.zero_divisor(), 0, 0)
-        den = mul(g, phb, v.degree_part(2)).s
-        return _ratio(v.s, den)
+        return _ratio(v.s, degree(g, phb, v))
 
     if tag is SlopeTag.MU_STAR_B:
         tw = twist(g, v, g.half_canonical_bfield())
         phb = ChernVector(0, 0, hb, g.zero_divisor(), 0, 0)
-        den = mul(g, phb, tw.degree_part(2)).s
-        return _ratio(tw.s, den)
+        return _ratio(tw.s, degree(g, phb, tw))
 
     if tag is SlopeTag.MU_BAR:
         tw = twist(g, v, DivisorX.pullback(kind.dbar))
-        obar = divisor_vector(g, kind.omegabar)
-        den = mul(g, obar, tw.degree_part(2)).s
-        return _ratio(tw.s, den)
+        return _ratio(tw.s, degree(g, divisor_vector(g, kind.omegabar), tw))
 
     if tag in (SlopeTag.MU_PHB_PD, SlopeTag.MU_THETA_MPHB_PD, SlopeTag.MU_OMEGA_PD):
         tw = twist(g, v, DivisorX.pullback(kind.d))
-        ch1 = tw.degree_part(1)
-        ch2 = tw.degree_part(2)
         if tag is SlopeTag.MU_OMEGA_PD:
             om = divisor_vector(g, kind.omega)
-            om2 = mul(g, om, om)
-            num = mul(g, om, ch2).s
-            den = mul(g, om2, ch1).s
-            return _ratio(num, den)
+            return _ratio(degree(g, om, tw), degree(g, mul(g, om, om), tw))
         theta_phb = ChernVector(0, 0, g.zero_divisor(), hb, 0, 0)
-        den = mul(g, theta_phb, ch1).s
+        den = degree(g, theta_phb, tw)
         if tag is SlopeTag.MU_PHB_PD:
             phb = ChernVector(0, 0, hb, g.zero_divisor(), 0, 0)
-            num = mul(g, phb, ch2).s
-        else:
-            m = compute_m(g)
-            theta_m = ChernVector(0, 1, hb.scale(m), g.zero_divisor(), 0, 0)
-            num = mul(g, theta_m, ch2).s
-        return _ratio(num, den)
+            return _ratio(degree(g, phb, tw), den)
+        theta_m = ChernVector(0, 1, hb.scale(compute_m(g)), g.zero_divisor(), 0, 0)
+        return _ratio(degree(g, theta_m, tw), den)
 
     raise DomainError(f"unhandled slope kind {tag}")
 

@@ -27,8 +27,8 @@ from .ring import (
     ChernVector,
     DivisorB,
     DivisorX,
+    degree,
     divisor_powers,
-    mul,
     pair_h,
     twist,
 )
@@ -48,7 +48,7 @@ def _im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -
     _, _, obar2, theta_obar2 = _fixed_cycles(g, c)
     om3_over6 = powers[2] * Fraction(1, 6)
     tw = twist(g, e, g.half_canonical_bfield())
-    obar2_ch1b = mul(g, obar2, tw.degree_part(1)).s
+    obar2_ch1b = degree(g, obar2, tw)
     return lhs * theta_obar2, om3_over6 * obar2_ch1b - u * e.a3(g) * theta_obar2
 
 

@@ -37,7 +37,7 @@ from ellstab.suites import (
     _rand_vector,
 )
 
-from conftest import count_symbolic_products, cv, d, deadline
+from conftest import count_symbolic_products, cv, d, deadline, fresh_geometries
 
 
 def _reference_charge_series(g, v, c, kind, order, d):
@@ -173,6 +173,28 @@ class TestChargeSeries:
                         assert got.terms == want.terms
                         assert got.trunc == want.trunc
                         assert all(type(cf) is Fraction for _, cf in got.terms)
+
+    def test_rational_class_reads_no_field(self, monkeypatch):
+        """The class and d enter as integers: on vectors made from their
+        integer form, neither kind builds a ChernVector field, on a fresh
+        geometry or once its coefficient rows are kept."""
+        reads = []
+        original = ring._Field.__get__
+        monkeypatch.setattr(ring._Field, "__get__",
+                            lambda self, v, owner=None: reads.append(self.name) or original(self, v, owner))
+        rng = random.Random(18)
+        for g in fresh_geometries():
+            tilt, onedim = _rand_tilt(rng, g.h), OneDimCurve(g.h, 1, rng.randint(3, 9))
+            for _ in range(3):
+                v = _rand_vector(rng, g.rank)
+                flat = ChernVector._ints([0, 0, *v._nums[2:]], v._den)
+                for w in (phi(g, v), ChernVector._ints(v._nums, v._den)):
+                    charge_series(g, w, tilt, ChargeKind.REDUCED, 8)
+                charge_series(g, flat, onedim, ChargeKind.FULL, 8, _rand_divisor(rng, g.rank))
+                charge_series(g, flat, onedim, ChargeKind.FULL, 8)
+        assert reads == []
+        phi(g, v).s  # reading a field goes through the counted descriptor
+        assert reads == ["s"]
 
     def test_verdicts_match_reference_through_escalation(self):
         """compare_vectors gives the verdict and floor of the reference germs,

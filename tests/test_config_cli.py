@@ -511,6 +511,25 @@ class TestFlagErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: ") and "parse error" not in err
 
+    @pytest.mark.parametrize("flag, command", [
+        ("--theta", ["twist", "--object", "point"]),
+        ("--u", ["charge", "--kind", "reduced", "--object", "curvecl", "--v", "4"]),
+        ("--v", ["charge", "--kind", "reduced", "--object", "curvecl", "--u", "1/2"]),
+        ("--y", ["slope", "--kind", "MU_BAR", "--object", "curvecl", "--z", "3", "--dbar", "[1]"]),
+        ("--z", ["slope", "--kind", "MU_BAR", "--object", "curvecl", "--y", "2", "--dbar", "[1]"]),
+        ("--b-theta", ["charge", "--kind", "full", "--object", "curvecl", "--u", "1/2", "--v", "4"]),
+        ("--vmin", ["wall-scan", "--objects", "point,curvecl", "--curve", "tilt1", "--kind",
+                    "reduced", "--vmax", "10"]),
+        ("--vmax", ["wall-scan", "--objects", "point,curvecl", "--curve", "tilt1", "--kind",
+                    "reduced", "--vmin", "1"]),
+    ], ids=lambda c: c if isinstance(c, str) else c[0])
+    def test_malformed_rational_flag_names_the_flag(self, cfg_path, capsys, flag, command):
+        """With two rational flags on one command, the message says which
+        one is wrong; the exit code stays 1."""
+        code, out = run_cli("--config", cfg_path, *command, flag, "x")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {flag}: expected a rational, got 'x'\n"
+
     @pytest.mark.parametrize("command", [
         ["phase", "--object", "point"],
         ["compare", "--objects", "point,curvecl"],

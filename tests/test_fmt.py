@@ -96,6 +96,27 @@ class TestSwapRule:
                    Fraction(rng.randint(-4, 4)))
             assert fiber_swap_rule(g0, fiber_swap_rule(g0, v)) == -v
 
+    def test_integer_path_matches_the_field_path(self):
+        """On vectors of Fractions, constructor-made or produced, the
+        permuted numerators give the constructor-made field result in
+        value, scalar types, hash and repr; other scalars keep the fields."""
+        rng = random.Random(26)
+        for g in fresh_geometries():
+            for _ in range(20):
+                w = _rand_vector(rng, g.rank)
+                flat = ChernVector(0, 0, w.S, w.eta, w.a, w.s)
+                for v in (flat, twist(g, flat, DivisorX.pullback(_rand_divisor(rng, g.rank))),
+                          ChernVector.zero(g.rank)):
+                    want = ChernVector(0, 0, v.eta, -v.S, v.s, -v.a)
+                    got = fiber_swap_rule(g, v)
+                    assert set(got.__dict__) == {"_nums", "_den"}
+                    assert shape(got) == shape(want)
+                    assert hash(got) == hash(want) and repr(got) == repr(want)
+                poly = _from_flat(g.rank, [Poly2.const(c) for c in flat.coordinates()])
+                assert fiber_swap_rule(g, poly) == fiber_swap_rule(g, flat)
+                with pytest.raises(DomainError):
+                    fiber_swap_rule(g, _from_flat(g.rank, [Poly2.u()] + list(flat.coordinates())[1:]))
+
     def test_agrees_with_transform_then_twist(self):
         rng = random.Random(6)
         for h in H_SET:

@@ -273,6 +273,65 @@ class TestMulTable:
         assert set(g.matrices) == {ring._mul}
 
 
+class TestDegree:
+    """``degree`` is ``mul(...).s`` in value and type, from the point-class
+    slice of the structure constants on two Fraction factors and through
+    ``_mul`` otherwise."""
+
+    @staticmethod
+    def _assert_is_point_coefficient(g, v1, v2):
+        got, want = ring.degree(g, v1, v2), mul(g, v1, v2).s
+        assert got == want and type(got) is type(want)
+
+    def test_fraction_factors_on_fresh_geometries(self):
+        rng = random.Random(39)
+        for g in fresh_geometries():
+            vs = list(sample_vectors(rng, g.rank))
+            vs += [v.degree_part(i) for v in vs[3:13] for i in range(4)]
+            vs += [fmt.phi(g, v) for v in vs[:6]]
+            for v1, v2 in zip(vs, vs[1:] + vs[:1]):
+                self._assert_is_point_coefficient(g, v1, v2)
+                self._assert_is_point_coefficient(g, v1, v1)
+            zero = ChernVector.zero(g.rank)
+            assert ring.degree(g, zero, vs[5]) is ring._ZERO
+            assert set(g.matrices) >= {ring._mul, ring.degree}
+
+    def test_other_scalars(self):
+        rng = random.Random(40)
+        for g in fresh_geometries():
+            f, s = _rand_vector(rng, g.rank), _series_vector(g.rank)
+            pairs = [(s, f), (f, s), (s, s), (s, ChernVector.zero(g.rank))]
+            pairs += [(_mixed_vector(rng, g.rank), _mixed_vector(rng, g.rank)) for _ in range(30)]
+            pairs += [(_mixed_vector(rng, g.rank), f) for _ in range(10)]
+            for v1, v2 in pairs:
+                self._assert_is_point_coefficient(g, v1, v2)
+                self._assert_is_point_coefficient(g, v2, v1)
+
+    def test_rank_mismatch(self, g1, g2):
+        rng = random.Random(41)
+        for g, other in ((g1, _rand_vector(rng, 2)), (g2, _rand_vector(rng, 1))):
+            for v1, v2 in ((other, ChernVector.unit(g.rank)), (ChernVector.unit(g.rank), other),
+                           (_series_vector(other.rank_lattice), ChernVector.unit(g.rank))):
+                with pytest.raises(DimensionError):
+                    ring.degree(g, v1, v2)
+
+
+def test_fields_are_built_one_at_a_time():
+    """Reading one field of a vector made from its integer form builds that
+    field alone, and the vector keeps the constructor's hash and repr."""
+    rng = random.Random(45)
+    for g in fresh_geometries():
+        flat = list(_rand_vector(rng, g.rank).coordinates())
+        public = _coerced(g.rank, flat)
+        for name in ("n", "x", "S", "eta", "a", "s"):
+            v = ChernVector._ints(*ring._over_common_denominator(flat))
+            value = getattr(v, name)
+            assert set(v.__dict__) == {"_nums", "_den", name}
+            assert value == getattr(public, name) and type(value) is type(getattr(public, name))
+            assert hash(v) == hash(public) and repr(v) == repr(public)
+            assert shape(v) == shape(public)
+
+
 def test_tables_leave_geometry_identity_unchanged():
     """The lru_caches keyed on geometries (compute_m) keep hitting once a
     geometry holds its product table and transform matrices."""

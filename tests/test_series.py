@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellstab.errors import DomainError
+from ellstab.ring import _over_common_denominator
 from ellstab.series import LaurentSeries, _product_floor
 
 
@@ -121,9 +122,12 @@ def _chained(const, pairs):
 @example(const=Fraction(-1), pairs=[(2, s((3, 1), trunc=1)), (Fraction(-2), s((3, 1), trunc=-4))])
 def test_combination_matches_chained_arithmetic(const, pairs):
     """One integer pass equals ``const + c1 * s1 + ...`` in stored form and
-    floor: zero coefficients add exact zeros, and entries below the floor,
-    the constant included, are dropped."""
-    got, want = LaurentSeries._combination(const, pairs), _chained(const, pairs)
+    floor, with the rationals passed as integers over one denominator: zero
+    coefficients add exact zeros, and entries below the floor, the constant
+    included, are dropped."""
+    nums, den = _over_common_denominator([Fraction(const)] + [Fraction(c) for c, _ in pairs])
+    got = LaurentSeries._combination(nums[0], zip(nums[1:], (x for _, x in pairs)), den)
+    want = _chained(const, pairs)
     assert (got._nums, got._den, got.trunc) == (want._nums, want._den, want.trunc)
     assert_canonical(got)
 

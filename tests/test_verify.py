@@ -81,16 +81,18 @@ class TestImIdentity:
     def test_suite_builds_the_point_products_once(self, monkeypatch):
         """Obar^2 and Theta.Obar^2 are built once per curve and the powers
         of w once per point, so suite_im_identity(50, 7) makes at most 368
-        ring products (528 when every case rebuilt those four)."""
+        ring products, ``mul`` and ``degree`` pairings together (528 when
+        every case rebuilt those four)."""
         calls = []
-        original = ring.mul
 
-        def counted(g, v1, v2):
-            calls.append(1)
-            return original(g, v1, v2)
+        def counted(original):
+            return lambda g, v1, v2: calls.append(1) or original(g, v1, v2)
 
-        for module in (ring, verify, charges, curves):
-            monkeypatch.setattr(module, "mul", counted)
+        for name in ("mul", "degree"):
+            product = counted(getattr(ring, name))
+            for module in (ring, verify, charges, curves):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, product)
         verify._polarization_powers.cache_clear()
         curves._fixed_cycles.cache_clear()
         report = suites.suite_im_identity(50, 7)
