@@ -113,8 +113,10 @@ def charge_series(
     """
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
-    germs = _charge_germs(c, order, kind)
     nums, den, full = v._nums, v._den, kind is ChargeKind.FULL
+    if nums is None:
+        raise DomainError("a charge germ needs a rational class (every coordinate a Fraction)")
+    germs = _charge_germs(c, order, kind)
     if full and (nums[0] or nums[1]):
         raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
     ds = (d if d is not None else g.zero_divisor()).coords if full else ()

@@ -35,7 +35,9 @@ from .poly import (
     Poly2,
     RootInterval,
     _bisect_by_sign,
+    _negated_remainder,
     _positive,
+    _primitive,
     _root_bound,
     count_roots,
     reduce_mod_u,
@@ -263,7 +265,9 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
     A bracketed algebraic u must isolate one root of p at vpar, with neither
     end a root, or ``CurveDomainError`` is raised; one Sturm-Tarski query
     then decides whether the sum of squares of the difference components,
-    each reduced mod p, vanishes at that root.
+    each reduced mod p, vanishes at that root.  The remainders are integer
+    pseudo-remainders, each a nonzero multiple of the exact one: a sum of
+    squares vanishes at a real root exactly when every term does.
     """
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
@@ -271,7 +275,9 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
         p = Poly1(_ucoefficients(c, _q(vpar)))
         if p(u.lo) == 0 or p(u.hi) == 0 or count_roots(p, u.lo, u.hi) != 1:
             raise CurveDomainError("bracket does not isolate a single root of the curve")
-        reduced = [part.eval_v(vpar).divmod(p)[1] for part in _symbolic_difference_parts(g, c)]
+        P = _primitive(p)
+        reduced = [Poly1._ints(_negated_remainder(_primitive(part.eval_v(vpar)), P), 1)
+                   for part in _symbolic_difference_parts(g, c)]
         return sign_at_root(sum(r * r for r in reduced), p, u) == 0
     if isinstance(u, RootInterval):
         u = u.lo

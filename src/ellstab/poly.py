@@ -1,16 +1,18 @@
 """Small exact polynomial toolkit.
 
-Univariate polynomials over the rationals, with root isolation on one
-signed remainder sequence per polynomial (its last term, gcd(p, p') up to a
-constant, gives the squarefree part) and refinement by sign on the dyadic
-grid of bisection (quadratic interval refinement: secant guesses checked
-by exact signs, with the bisection's output), no floating point anywhere;
-and bivariate polynomials in (u, v), used both numerically and as symbolic
-ring scalars, held as integer numerators over one denominator.  The
-remainder sequence is kept in integers, each member up to a positive
-factor, so root counts and Sturm-Tarski signs read integer values at each
-rational point, as the refinement does on an integer Taylor shift of the
-polynomial.
+Univariate polynomials (``Poly1``) and bivariate polynomials in (u, v)
+(``Poly2``, used both numerically and as symbolic ring scalars) over the
+rationals, under one storage rule: integer numerators over one positive
+denominator, content-reduced, so the form is canonical.  Their arithmetic
+works on integers; ``Fraction`` coefficients are built only when read.
+Root isolation runs on one signed remainder sequence per polynomial (its
+last term, gcd(p, p') up to a constant, gives the squarefree part), and
+refinement by sign on the dyadic grid of bisection (quadratic interval
+refinement: secant guesses checked by exact signs, with the bisection's
+output), no floating point anywhere.  Remainder sequences are integer
+pseudo-remainders, each member up to a positive factor, so root counts and
+Sturm-Tarski signs read integer values at each rational point, as the
+refinement does on an integer Taylor shift of the polynomial.
 """
 
 from __future__ import annotations
@@ -22,17 +24,36 @@ from math import comb, gcd, lcm
 from .errors import ComputationFault, CurveDomainError
 from .ring import _over_common_denominator, _q
 
+_RATIONAL = (int, Fraction)
+
 
 class Poly1:
-    """Univariate polynomial, dense ascending coefficients over Fraction."""
+    """Univariate polynomial over the rationals, held as ``Poly2`` is:
+    integer numerators by ascending power, trailing zeros trimmed, over one
+    positive denominator, content-reduced, so ``==`` compares the form
+    directly; zero is ((), 1).  The arithmetic, evaluation and ``divmod``
+    work on integers; ``c``, the ``Fraction`` coefficients, is built on
+    first read.  ``__init__`` takes ints, Fractions and numeric strings;
+    results are built by the private ``Poly1._ints``."""
 
-    __slots__ = ("c",)
+    __slots__ = ("_nums", "_den", "_c")
 
     def __init__(self, coeffs):
-        c = [_q(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = tuple(c)
+        _store1(self, *_over_common_denominator([_exact(x) for x in coeffs]))
+
+    @classmethod
+    def _ints(cls, nums, den: int) -> "Poly1":
+        """The polynomial sum of nums[i] / den x^i; den > 0."""
+        out = object.__new__(cls)
+        _store1(out, nums, den)
+        return out
+
+    @property
+    def c(self) -> tuple:
+        """The coefficients, ascending, as Fractions."""
+        if self._c is None:
+            self._c = tuple(Fraction(n, self._den) for n in self._nums)
+        return self._c
 
     @classmethod
     def const(cls, value) -> "Poly1":
@@ -40,95 +61,134 @@ class Poly1:
 
     @property
     def degree(self) -> int:
-        return len(self.c) - 1  # -1 for the zero polynomial
+        return len(self._nums) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self._nums
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly1):
-            return self.c == other.c
-        if isinstance(other, (int, Fraction)):
-            return len(self.c) <= 1 and (self.c[0] if self.c else 0) == other
+            return self._nums == other._nums and self._den == other._den
+        if isinstance(other, _RATIONAL):
+            return self._nums == ((other.numerator,) if other else ()) and self._den == other.denominator
         return NotImplemented
 
     def __hash__(self):
         """A constant hashes as its value, so that == implies equal hashes."""
-        return hash(self.c[0] if self.c else 0) if len(self.c) <= 1 else hash(self.c)
+        return hash(self.c[0] if self.c else 0) if len(self._nums) <= 1 else hash((self._nums, self._den))
+
+    def _add(self, other, sign: int):
+        if isinstance(other, Poly1):
+            nums, oden = other._nums, other._den
+        elif isinstance(other, _RATIONAL):
+            nums, oden = (other.numerator,), other.denominator
+        else:
+            return NotImplemented
+        den = lcm(self._den, oden)
+        f1, f2 = den // self._den, sign * (den // oden)
+        out = [n * f1 for n in self._nums] + [0] * (len(nums) - len(self._nums))
+        for i, n in enumerate(nums):
+            out[i] += n * f2
+        return Poly1._ints(out, den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly1.const(other)
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        n = max(len(self.c), len(other.c))
-        return Poly1(
-            [
-                (self.c[i] if i < len(self.c) else 0) + (other.c[i] if i < len(other.c) else 0)
-                for i in range(n)
-            ]
-        )
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly1([-a for a in self.c])
+        return Poly1._ints([-n for n in self._nums], self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly1.const(other)
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly1([a * other for a in self.c])
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly1([])
-        out = [Fraction(0)] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.c):
-                if b == 0:
-                    continue
-                out[i + j] += a * b
-        return Poly1(out)
+        if isinstance(other, Poly1):
+            return Poly1._ints(_convolve(self._nums, other._nums), self._den * other._den)
+        if isinstance(other, _RATIONAL):
+            p = other.numerator
+            return Poly1._ints([n * p for n in self._nums], self._den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __call__(self, x):
-        acc = Fraction(0)
-        for a in reversed(self.c):
-            acc = acc * x + a
-        return acc
+        """The value at a rational x = n/d: d^k p(x) summed in integers, one Fraction."""
+        nums = self._nums
+        if not nums:
+            return Fraction(0)
+        d = x.denominator
+        return Fraction(_horner(nums, x.numerator, d), self._den * d ** (len(nums) - 1))
 
     def derivative(self) -> "Poly1":
-        return Poly1([i * a for i, a in enumerate(self.c)][1:])
+        return Poly1._ints([i * n for i, n in enumerate(self._nums)][1:], self._den)
 
     def divmod(self, other: "Poly1") -> tuple["Poly1", "Poly1"]:
+        """Quotient and remainder: pseudo-division lead^k a = q b + r in
+        integers (k = deg a - deg b + 1), then one division by lead^k
+        through the denominator."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
-        div = other.c
-        qdeg = len(rem) - len(div)
-        if qdeg < 0:
-            return Poly1([]), Poly1(rem)
-        quot = [Fraction(0)] * (qdeg + 1)
-        lead = div[-1]
-        for k in range(qdeg, -1, -1):
-            coeff = rem[k + len(div) - 1] / lead
-            quot[k] = coeff
-            if coeff != 0:
-                for j, b in enumerate(div):
-                    rem[k + j] -= coeff * b
-        return Poly1(quot), Poly1(rem[: len(div) - 1])
+        a, b = self._nums, other._nums
+        n = len(b) - 1
+        if len(a) <= n:
+            return Poly1._ints((), 1), self
+        lead, rem, quot = b[-1], list(a), [0] * (len(a) - n)
+        for k in range(len(a) - 1 - n, -1, -1):
+            c = rem.pop()
+            quot = [x * lead for x in quot]
+            quot[k] = c
+            rem = [x * lead for x in rem]
+            for j in range(n):
+                rem[k + j] -= c * b[j]
+        scale = self._den * lead ** len(quot)
+        if scale < 0:
+            scale, quot, rem = -scale, [-x for x in quot], [-x for x in rem]
+        return Poly1._ints([x * other._den for x in quot], scale), Poly1._ints(rem, scale)
+
+
+def _exact(x) -> Fraction:
+    """An exact polynomial coefficient as a Fraction: an int, a Fraction or a
+    numeric string; anything else (a float above all) is refused."""
+    if isinstance(x, _RATIONAL) or isinstance(x, str):
+        return _q(x)
+    raise TypeError(f"exact polynomial coefficients are int, Fraction or str, not {type(x).__name__}")
+
+
+def _store1(p: Poly1, nums, den: int) -> None:
+    """Set the canonical form of sum nums[i]/den x^i on p: trailing zeros
+    trimmed, content-reduced against den > 0."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    p._nums, p._den, p._c = tuple(nums), den, None
+
+
+def _convolve(a, b) -> list[int]:
+    """The product of two integer coefficient rows (ascending)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _horner(c, n: int, d: int) -> int:
+    """d^k c(n/d) for a nonzero integer row c of degree k: the integer sum
+    of c_i n^i d^(k-i)."""
+    value, scale = c[-1], d
+    for i in range(len(c) - 2, -1, -1):
+        value = value * n + c[i] * scale
+        scale *= d
+    return value
 
 
 def sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[tuple[int, ...]]:
@@ -140,7 +200,7 @@ def sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[tuple[int, ...]]:
     against the divisor's lead l multiplies the dividend by |l| / gcd(l, c)
     first, so no step divides, and the content goes after each step.
     """
-    chain = [_primitive(p.c), _primitive((p.derivative() if second is None else second).c)]
+    chain = [_primitive(p), _primitive(p.derivative() if second is None else second)]
     while len(chain[-1]) > 1:
         r = _negated_remainder(chain[-2], chain[-1])
         if not r:
@@ -149,12 +209,11 @@ def sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[tuple[int, ...]]:
     return [q for q in chain if q]
 
 
-def _primitive(coeffs) -> tuple[int, ...]:
-    """Rational coefficients times the positive rational that makes them
-    coprime integers (() for the zero polynomial)."""
-    nums, _ = _over_common_denominator(coeffs)
-    content = gcd(*nums)
-    return tuple(n // content for n in nums)
+def _primitive(p: Poly1) -> tuple[int, ...]:
+    """p times the positive rational that makes its coefficients coprime
+    integers (() for the zero polynomial)."""
+    content = gcd(*p._nums)
+    return p._nums if content == 1 else tuple(n // content for n in p._nums)
 
 
 def _negated_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -181,7 +240,7 @@ def _squarefree_chain(p: Poly1) -> list[tuple[int, ...]]:
     """The Sturm chain of p's squarefree part, that part first ([] for p = 0)."""
     chain = sturm_chain(p)
     if chain and len(chain[-1]) > 1:  # p / gcd(p, p'), up to a constant
-        q, r = p.divmod(Poly1(chain[-1]))
+        q, r = p.divmod(Poly1._ints(chain[-1], 1))
         if not r.is_zero():
             raise ComputationFault("inexact polynomial gcd division")
         chain = sturm_chain(q)
@@ -195,10 +254,7 @@ def _sign_variations(chain, x) -> int:
     n, d = x.numerator, x.denominator
     last = count = 0
     for c in chain:
-        value, scale = c[-1], d
-        for i in range(len(c) - 2, -1, -1):
-            value = value * n + c[i] * scale
-            scale *= d
+        value = _horner(c, n, d)
         if value:
             sign = 1 if value > 0 else -1
             count += sign == -last
@@ -218,10 +274,24 @@ def sign_at_root(q: Poly1, p: Poly1, bracket: RootInterval) -> int:
     bracket is exact, else the one root inside ends that are not roots of p.
     Sturm-Tarski: across (lo, hi) the sign variations of the signed
     remainders of p and p' q (mod p) drop by the sum of sign q(x) over the
-    distinct roots x of p there."""
+    distinct roots x of p there.
+
+    The chain is taken in integers, each member up to a positive factor,
+    which changes no sign: with P and Q the primitive rows of p and q,
+    -NR(Q, P) is a positive multiple of q mod p (NR the negated
+    pseudo-remainder of ``_negated_remainder``), so NR(P' NR(Q, P), P) is
+    one of p' q mod p; q = 0 mod p gives 0.
+    """
     if bracket.exact:
         return _sign(q(bracket.lo))
-    chain = sturm_chain(p, (p.derivative() * q.divmod(p)[1]).divmod(p)[1])
+    P = _primitive(p)
+    if not P:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = _negated_remainder(_primitive(q), P)
+    if not r:
+        return 0
+    dP = [i * n for i, n in enumerate(P)][1:]
+    chain = sturm_chain(p, Poly1._ints(_negated_remainder(_convolve(dP, r), P), 1))
     return _sign_variations(chain, bracket.lo) - _sign_variations(chain, bracket.hi)
 
 
@@ -251,7 +321,7 @@ def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
     chain = _squarefree_chain(p)
     if not chain or len(chain[0]) < 2:
         return []
-    p = Poly1(chain[0])
+    p = Poly1._ints(chain[0], 1)
     # Each pending interval (lo, hi] carries whether its ends are roots of p.
     # A bracket is taken only when neither end is, so no bracket touches a
     # root that is reported exactly, and no root is reported twice.
@@ -289,7 +359,8 @@ def _positive(precision) -> Fraction:
 
 def _root_bound(p: Poly1) -> Fraction:
     """Cauchy's bound 1 + max |p_i| / |lead|, above every |root| of p."""
-    return Fraction(1) + max(abs(a) for a in p.c) / abs(p.c[-1])
+    lead = abs(p._nums[-1])
+    return Fraction(lead + max(abs(n) for n in p._nums), lead)
 
 
 def refine_root(p: Poly1, bracket: RootInterval, precision: Fraction) -> RootInterval:
@@ -305,7 +376,7 @@ def refine_root(p: Poly1, bracket: RootInterval, precision: Fraction) -> RootInt
     lo, hi = bracket.lo, bracket.hi
     if count_roots(p, lo, hi, chain) != 1:
         raise CurveDomainError("bracket does not isolate a single root")
-    return _bisect_by_sign(Poly1(chain[0]), lo, hi, precision)
+    return _bisect_by_sign(Poly1._ints(chain[0], 1), lo, hi, precision)
 
 
 def _bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInterval:
@@ -392,7 +463,7 @@ def _shifted(p: Poly1, lo: Fraction, width: Fraction) -> list[int]:
     den = lcm(lo.denominator, width.denominator)
     a = lo.numerator * (den // lo.denominator)
     w = width.numerator * (den // width.denominator)
-    c = _primitive(p.c)
+    c = _primitive(p)
     n = len(c) - 1
     q = [w**k * sum(comb(i, k) * c[i] * a ** (i - k) * den ** (n - i) for i in range(k, n + 1))
          for k in range(n + 1)]
@@ -413,7 +484,7 @@ class Poly2:
     common factor.  That form is canonical, so ``==`` compares it directly;
     the zero polynomial is ({}, 1).  ``+``, ``-``, ``*`` and scalar
     ``*``/``/`` work on integers and end with one gcd; ``eval_v`` and
-    ``ucoefficient`` sum integers and divide once per coefficient.
+    ``ucoefficient`` hand integer rows to ``Poly1._ints``.
     ``terms``, the {(i, j): Fraction} view, is built on first use and
     cached.  ``__init__`` builds a polynomial from such a view; arithmetic
     results are built by the private ``Poly2._ints``.
@@ -425,7 +496,7 @@ class Poly2:
     __slots__ = ("_nums", "_den", "_terms")
 
     def __init__(self, terms: dict | None = None):
-        values = {key: _q(val) for key, val in terms.items()} if terms else {}
+        values = {key: _exact(val) for key, val in terms.items()} if terms else {}
         nums, den = _over_common_denominator(values.values())
         _store(self, dict(zip(values, nums)), den)
 
@@ -462,7 +533,7 @@ class Poly2:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly2):
             return self._den == other._den and self._nums == other._nums
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             if not self._nums:
                 return other == 0
             return (len(self._nums) == 1 and self._nums.get((0, 0)) == other.numerator
@@ -481,7 +552,7 @@ class Poly2:
     def _add(self, other, sign: int):
         if isinstance(other, Poly2):
             nums, oden = other._nums, other._den
-        elif isinstance(other, (int, Fraction)):
+        elif isinstance(other, _RATIONAL):
             nums, oden = {(0, 0): other.numerator}, other.denominator
         else:
             return NotImplemented
@@ -514,7 +585,7 @@ class Poly2:
                     key = (i1 + i2, j1 + j2)
                     out[key] = out[key] + a * b if key in out else a * b
             return Poly2._ints(out, self._den * other._den)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             p = other.numerator
             return Poly2._ints({key: n * p for key, n in self._nums.items()},
                                self._den * other.denominator)
@@ -523,7 +594,7 @@ class Poly2:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             return self * (1 / Fraction(other))
         return NotImplemented
 
@@ -546,8 +617,7 @@ class Poly2:
         coeffs = [0] * (self.udegree() + 1)
         for (i, j), n in self._nums.items():
             coeffs[i] += n * powers[j]
-        den = self._den * q**top
-        return Poly1([Fraction(c, den) for c in coeffs])
+        return Poly1._ints(coeffs, self._den * q**top)
 
     def udegree(self) -> int:
         return max((i for (i, _) in self._nums), default=-1)
@@ -555,18 +625,15 @@ class Poly2:
     def ucoefficient(self, k: int) -> Poly1:
         """Coefficient of u^k as a polynomial in v (ascending)."""
         row = {j: n for (i, j), n in self._nums.items() if i == k}
-        den = self._den
-        return Poly1([Fraction(row.get(j, 0), den) for j in range(max(row, default=-1) + 1)])
+        return Poly1._ints([row.get(j, 0) for j in range(max(row, default=-1) + 1)], self._den)
 
     @classmethod
     def from_ucoefficients(cls, coeffs: list) -> "Poly2":
         """The polynomial sum_i coeffs[i] u^i, each a Poly1 in v or a constant."""
-        terms: dict = {}
-        for i, p in enumerate(coeffs):
-            for j, a in enumerate(p.c if isinstance(p, Poly1) else Poly1.const(p).c):
-                if a != 0:
-                    terms[(i, j)] = a
-        return cls(terms)
+        rows = [p if isinstance(p, Poly1) else Poly1.const(p) for p in coeffs]
+        den = lcm(*(p._den for p in rows))
+        return cls._ints({(i, j): n * (den // p._den) for i, p in enumerate(rows)
+                          for j, n in enumerate(p._nums)}, den)
 
 
 def _store(p: Poly2, nums: dict, den: int) -> None:
@@ -610,5 +677,5 @@ def reduce_mod_u(dividend: Poly2, divisor: Poly2) -> Poly2:
         q, r = cd.divmod(lead)
         if not r.is_zero():
             raise ComputationFault("non-exact coefficient division during reduction")
-        shift = Poly2.from_ucoefficients([Poly1([])] * (d - d0) + [q])
+        shift = Poly2._ints({(d - d0, j): n for j, n in enumerate(q._nums)}, q._den)
         rem = rem - shift * divisor

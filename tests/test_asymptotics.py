@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellstab import asymptotics, charges, ring
+from ellstab import asymptotics, charges, poly, ring
 from ellstab.asymptotics import (
     AsymptoticCharge,
     ChargeKind,
@@ -22,11 +22,11 @@ from ellstab.asymptotics import (
     wall_scan,
 )
 from ellstab.charges import full_charge, reduced_charge
-from ellstab.curves import OneDimCurve, TiltCurve, expand_u, solve_u
+from ellstab.curves import OneDimCurve, TiltCurve, admissible_bracket, expand_u, solve_u
 from ellstab.errors import ComputationFault, ConfigurationError, CurveDomainError, DomainError
 from ellstab.fmt import phi
 from ellstab.poly import Poly2, RootInterval
-from ellstab.ring import BaseGeometry, ChernVector, DivisorX, pair, pair_h
+from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair, pair_h
 from ellstab.series import LaurentSeries
 from ellstab.suites import (
     geometry_for,
@@ -112,6 +112,15 @@ class TestChargeSeries:
         c = OneDimCurve(0, 1, 1)
         with pytest.raises(DomainError):
             charge_series(g0, ChernVector.unit(1), c, ChargeKind.FULL, 8)
+
+    def test_non_rational_class_is_refused(self):
+        """A germ combines the class's integer numerators; a class with a
+        Poly2 (or series) coordinate has none and is refused by name."""
+        g, c = geometry_for(-1), TiltCurve(-1, 1, 2)
+        v = ChernVector(Poly2.const(1), 0, DivisorB([0]), DivisorB([1]), 0, 1)
+        for kind in ChargeKind:
+            with pytest.raises(DomainError, match="rational class"):
+                charge_series(g, v, c, kind, 8)
 
     def test_curve_geometry_mismatch(self, g1):
         c = TiltCurve(0, 1, 2)
@@ -661,3 +670,35 @@ class TestCrossSignExact:
         for vpar in (Fraction(3), Fraction(7, 2), Fraction(40)):
             assert not solve_u(c, vpar, Fraction(1, 2**64)).exact
             assert cross_sign_at(g, m, m.scale(-3), c, ChargeKind.REDUCED, vpar) == 0
+
+
+def test_cross_sign_builds_no_fraction_but_the_bracket_end(monkeypatch):
+    """A cross sign at a curve point with an inexact bracket runs in
+    integers: the cross polynomial at v, the curve polynomial's Cauchy
+    bound and the Sturm-Tarski chain.  The one Fraction built in poly or
+    asymptotics is that bound, the upper end of the bracket that
+    ``admissible_bracket`` hands out."""
+    rng = random.Random(81)
+    cases = []
+    for h in (Fraction(-1), Fraction(1, 2), Fraction(-2)):
+        g = geometry_for(h)
+        for _ in range(3):
+            c = _rand_tilt(rng, h)
+            cross = asymptotics._cross_poly(g, _rand_vector(rng, 1), _rand_vector(rng, 1),
+                                            ChargeKind.REDUCED, None)
+            for vpar in (Fraction(rng.randint(2, 40)), Fraction(rng.randint(5, 90), 8)):
+                bracket = admissible_bracket(c, vpar)[1]
+                assert not bracket.exact
+                cases.append((cross, c, vpar, bracket.hi, asymptotics._cross_sign(cross, c, vpar)))
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(Fraction(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(poly, "Fraction", counting)
+    monkeypatch.setattr(asymptotics, "Fraction", counting)
+    for cross, c, vpar, hi, sign in cases:
+        built.clear()
+        assert asymptotics._cross_sign(cross, c, vpar) == sign
+        assert built == [hi]

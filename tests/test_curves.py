@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellstab import curves
+from ellstab import curves, poly
 from ellstab.curves import (
     OneDimCurve,
     TiltCurve,
@@ -28,6 +28,8 @@ from ellstab.poly import Poly1, Poly2, RootInterval, count_roots, isolate_positi
 from ellstab.ring import DivisorX, divisor_vector, mul
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt
+
+from test_poly import _reference_add, _reference_divmod, _reference_mul, _reference_sign_at_root
 
 
 def _eval_poly2_series(p: Poly2, u: LaurentSeries) -> LaurentSeries:
@@ -526,6 +528,53 @@ class TestChowIdentity:
             chow_identity_check(geometry_for(0, rank2), TiltCurve(0, 1, 2), bracket, 4)
 
 
+def _reference_algebraic_chow(parts, c, u: RootInterval, vpar) -> bool:
+    """The algebraic verdict as first computed: each part at v reduced mod
+    the curve polynomial by long division over Fraction, and the sum of
+    squares signed at the root by the Fraction Sturm-Tarski chain."""
+    p = Poly1(_ucoefficients(c, vpar))
+    total = ()
+    for part in parts:
+        r = _reference_divmod(part.eval_v(vpar).c, p.c)[1]
+        total = _reference_add(total, _reference_mul(r, r))
+    return _reference_sign_at_root(Poly1(total), p, u) == 0
+
+
+class TestAlgebraicChowPath:
+    """The pseudo-remainder path of chow_identity_check gives the exact
+    remainder path's verdicts, on the real cycle differences and on
+    substituted parts that vanish at the curve point or do not."""
+
+    def _points(self, rng, c):
+        for _ in range(2):
+            vpar = Fraction(rng.randint(2, 60), rng.choice([1, 1, 2, 3]))
+            root = solve_u(c, vpar, Fraction(1, 2 ** rng.choice([2, 8, 64])))
+            if not root.exact:
+                yield root, vpar
+
+    def test_verdicts_match_reference(self, monkeypatch):
+        rng = random.Random(74)
+        verdicts = []
+        for h in (Fraction(-1), Fraction(1, 2), Fraction(-2), Fraction(1, 3)):
+            for rank2 in (False, True):
+                g = geometry_for(h, rank2)
+                c = _rand_tilt(rng, h)
+                cp = constraint_poly(c)
+                rand = [Poly2({(rng.randint(0, 3), rng.randint(0, 2)):
+                               Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)})
+                        for _ in range(3)]
+                substitutes = [list(_symbolic_difference_parts(g, c)), [cp * rand[0], cp * rand[1]],
+                               [cp * rand[0], rand[1] + cp], [rand[2]], [Poly2(), cp * cp * rand[1]]]
+                for u, vpar in self._points(rng, c):
+                    for parts in substitutes:
+                        monkeypatch.setattr(curves, "_symbolic_difference_parts", lambda g, c: parts)
+                        got = chow_identity_check(g, c, u, vpar)
+                        assert got == _reference_algebraic_chow(parts, c, u, vpar), (c, vpar, parts)
+                        verdicts.append(got)
+                    monkeypatch.undo()
+        assert verdicts.count(True) >= 40 and verdicts.count(False) >= 10, verdicts
+
+
 def _reference_constraint_poly(c) -> Poly2:
     """The curve polynomial as first written, in Poly2 arithmetic."""
     u, v = Poly2.u(), Poly2.v()
@@ -567,14 +616,16 @@ class TestCurvePolynomial:
                     assert admissible_bracket(c, vpar)[0].c == want.c
 
     def test_cold_solve_u_builds_no_poly2(self, monkeypatch):
+        """Counted at ``poly._store``, which every Poly2 constructor
+        (``__init__`` and ``_ints``) goes through."""
         built = []
-        init = Poly2.__init__
+        store = poly._store
 
-        def counting_init(self, terms=None):
-            built.append(terms)
-            init(self, terms)
+        def counting_store(p, nums, den):
+            built.append(nums)
+            store(p, nums, den)
 
-        monkeypatch.setattr(Poly2, "__init__", counting_init)
+        monkeypatch.setattr(poly, "_store", counting_store)
         rng = random.Random(72)
         for h in CURVE_POLY_H:
             for c in (_rand_tilt(rng, h), _rand_onedim(rng, h)):

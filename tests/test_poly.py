@@ -1,6 +1,7 @@
 """Certified isolation of positive real roots."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -10,9 +11,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellstab import poly
 from ellstab.errors import CurveDomainError
 from ellstab.poly import (
     Poly1,
+    Poly2,
     RootInterval,
     _bisect_by_sign,
     count_roots,
@@ -267,6 +270,8 @@ class TestSignAtRoot:
                     assert sign_at_root(q, p, bracket) == 0
                 assert sign_at_root(Poly1([]), p, bracket) == 0
                 assert sign_at_root(Poly1([const]), p, bracket) == (1 if const > 0 else -1)
+        with pytest.raises(ZeroDivisionError):  # no root to sign at: p = 0
+            sign_at_root(Poly1([1]), Poly1([]), RootInterval(Fraction(1), Fraction(2)))
 
     def test_root_of_q_just_outside_the_bracket(self):
         """q vanishes 2^-90 beyond either end, so q is tiny at the root of p
@@ -282,35 +287,92 @@ class TestSignAtRoot:
         assert sign_at_root(-below, p, bracket) == 1
 
 
-def _reference_sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[Poly1]:
-    """The signed remainder sequence on Fraction polynomials, by exact
-    division, as the root layer first computed it."""
-    chain = [p, p.derivative() if second is None else second]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
+def _trim(c) -> tuple:
+    """Fraction coefficients, ascending, with trailing zeros removed."""
+    c = [Fraction(x) for x in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _reference_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _reference_mul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _reference_value(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _reference_derivative(a) -> tuple:
+    return _trim([i * c for i, c in enumerate(a)][1:])
+
+
+def _reference_divmod(a, b) -> tuple[tuple, tuple]:
+    """Long division of Fraction coefficient rows (ascending), as
+    ``Poly1.divmod`` first computed it: quotient and remainder rows."""
+    rem, div = list(a), b
+    qdeg = len(rem) - len(div)
+    if qdeg < 0:
+        return (), _trim(rem)
+    quot = [Fraction(0)] * (qdeg + 1)
+    lead = div[-1]
+    for k in range(qdeg, -1, -1):
+        coeff = rem[k + len(div) - 1] / lead
+        quot[k] = coeff
+        if coeff != 0:
+            for j, x in enumerate(div):
+                rem[k + j] -= coeff * x
+    return _trim(quot), _trim(rem[: len(div) - 1])
+
+
+def _reference_sturm_chain(p: Poly1, second: Poly1 | None = None) -> list[tuple]:
+    """The signed remainder sequence on Fraction rows, by exact division,
+    as the root layer first computed it."""
+    chain = [p.c, _reference_derivative(p.c) if second is None else second.c]
+    while chain[-1] and len(chain[-1]) > 1:
+        r = _reference_divmod(chain[-2], chain[-1])[1]
+        if not r:
             break
-        chain.append(-r)
-    return [q for q in chain if not q.is_zero()]
+        chain.append(tuple(-x for x in r))
+    return [q for q in chain if q]
 
 
 def _reference_variations(chain, x) -> int:
-    signs = [1 if q(x) > 0 else -1 for q in chain if q(x) != 0]
+    values = [_reference_value(q, x) for q in chain]
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _reference_squarefree_chain(p: Poly1) -> list[Poly1]:
+def _reference_squarefree_chain(p: Poly1) -> list[tuple]:
     chain = _reference_sturm_chain(p)
-    if chain and chain[-1].degree > 0:
-        chain = _reference_sturm_chain(p.divmod(chain[-1])[0])
+    if chain and len(chain[-1]) > 1:
+        chain = _reference_sturm_chain(Poly1(_reference_divmod(p.c, chain[-1])[0]))
     return chain
 
 
 def _reference_sign_at_root(q: Poly1, p: Poly1, bracket: RootInterval) -> int:
+    """sign_at_root as first written: the chain of p and p' (q mod p) mod p,
+    every remainder by long division over Fraction."""
     if bracket.exact:
-        value = q(bracket.lo)
+        value = _reference_value(q.c, bracket.lo)
         return (value > 0) - (value < 0)
-    chain = _reference_sturm_chain(p, (p.derivative() * q.divmod(p)[1]).divmod(p)[1])
+    q_mod_p = _reference_divmod(q.c, p.c)[1]
+    second = _reference_divmod(_reference_mul(_reference_derivative(p.c), q_mod_p), p.c)[1]
+    chain = _reference_sturm_chain(p, Poly1(second))
     return _reference_variations(chain, bracket.lo) - _reference_variations(chain, bracket.hi)
 
 
@@ -340,8 +402,8 @@ class TestIntegerSturmChain:
                 assert len(got) == len(want), (p, second)
                 for g, w in zip(got, want):
                     assert all(type(a) is int for a in g) and gcd(*g) == 1
-                    ratio = w.c[-1] / g[-1]
-                    assert ratio > 0 and Poly1(g) * ratio == w, (p, second)
+                    ratio = w[-1] / g[-1]
+                    assert ratio > 0 and tuple(a * ratio for a in g) == w, (p, second)
 
     def test_count_roots_matches_reference(self):
         rng = random.Random(52)
@@ -491,3 +553,174 @@ def test_non_positive_precision_raises():
                 isolate_positive_roots(p, precision)
             with pytest.raises(CurveDomainError, match="precision must be positive"):
                 refine_root(p, RootInterval(Fraction(1), Fraction(2)), precision)
+
+
+_FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_ROWS = st.lists(_FRACTIONS | st.integers(-9, 9), max_size=6)
+
+
+def _assert_canonical(p: Poly1) -> None:
+    """Integer numerators, no trailing zero, coprime with a positive
+    denominator; the zero polynomial is ((), 1); ``c`` all Fractions."""
+    assert type(p._den) is int and p._den > 0
+    assert type(p._nums) is tuple and all(type(n) is int for n in p._nums)
+    assert not p._nums or p._nums[-1] != 0
+    assert gcd(p._den, *p._nums) == 1
+    assert all(type(c) is Fraction for c in p.c)
+
+
+def _oracle_row(poly) -> tuple:
+    return _trim(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+
+class TestPoly1Storage:
+    """Poly1 on integer numerators over one denominator, against Fraction
+    rows computed as the class first computed them, and sympy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_ROWS, b=_ROWS, s=_FRACTIONS | st.integers(-6, 6), x=_FRACTIONS)
+    def test_operations_match_fraction_rows(self, a, b, s, x):
+        p, q = Poly1(a), Poly1(b)
+        ra, rb, rs = _trim(a), _trim(b), _trim([s])
+        negb = tuple(-c for c in rb)
+        for got, want in (
+            (p, ra), (p + q, _reference_add(ra, rb)), (p - q, _reference_add(ra, negb)),
+            (-q, negb), (p * q, _reference_mul(ra, rb)), (p * s, _reference_mul(ra, rs)),
+            (s * p, _reference_mul(ra, rs)), (p + s, _reference_add(ra, rs)),
+            (s - q, _reference_add(rs, negb)), (p.derivative(), _reference_derivative(ra)),
+        ):
+            _assert_canonical(got)
+            assert got.c == want
+            assert got == Poly1(want) and hash(got) == hash(Poly1(want))
+        value = p(x)
+        assert value == _reference_value(ra, x) and type(value) is Fraction
+        assert p.degree == len(ra) - 1 and p.is_zero() == (not ra)
+        if rb:
+            quot, rem = p.divmod(q)
+            _assert_canonical(quot)
+            _assert_canonical(rem)
+            assert (quot.c, rem.c) == _reference_divmod(ra, rb)
+            oracle = sympy.div(sympy.Poly([_rat(c) for c in reversed(ra)] or [0], _X),
+                               sympy.Poly([_rat(c) for c in reversed(rb)], _X))
+            assert (quot.c, rem.c) == tuple(_oracle_row(r) for r in oracle)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                p.divmod(q)
+
+    def test_ints_content_reduces(self):
+        p = Poly1._ints([6, -4, 0, 0], 10)
+        assert (p._nums, p._den) == ((3, -2), 5)
+        assert p == Poly1([Fraction(3, 5), Fraction(-2, 5)])
+        zero = Poly1._ints([0, 0], 7)
+        assert (zero._nums, zero._den) == ((), 1) and zero == Poly1([]) == 0
+        assert (Poly1._ints([4], 6)._nums, Poly1._ints([4], 6)._den) == ((2,), 3)
+        assert Poly1([0, "1/2", 0]).c == (Fraction(0), Fraction(1, 2))
+
+    def test_equal_polynomials_hash_equal(self):
+        routes = [Poly1([1, 2]) * 2, Poly1([2, 4]), Poly1._ints([6, 12], 3), Poly1([4, 8]) - Poly1([2, 4])]
+        assert len({(p._nums, p._den) for p in routes}) == 1
+        assert len({hash(p) for p in routes}) == 1 and len(set(routes)) == 1
+        for const, value in ((Poly1._ints([3], 2), Fraction(3, 2)), (Poly1([-5]), -5),
+                             (Poly1([0, 0]), 0), (Poly1([1, 1]) - Poly1([0, 1]), 1)):
+            assert const == value and value == const and hash(const) == hash(value)
+            assert len({const, value}) == 1
+        assert Poly1([1, 2]) != Poly1([1, 3]) and Poly1([1, 2]) != 1 and Poly1([2]) != Fraction(1, 2)
+
+    def test_c_is_built_once(self):
+        p = Poly1._ints([1, 2], 3)
+        assert p.c == (Fraction(1, 3), Fraction(2, 3)) and p.c is p.c
+        assert Poly1([]).c == ()
+
+
+class TestExactCoefficients:
+    """Poly1 and Poly2 take ints, Fractions and numeric strings only."""
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError, match="float"):
+            Poly1([0.5, 1])
+        with pytest.raises(TypeError, match="float"):
+            Poly1.const(2.0)
+        with pytest.raises(TypeError, match="float"):
+            isolate_positive_roots(Poly1([-0.5, 1]), Fraction(1, 8))
+        with pytest.raises(TypeError, match="float"):
+            Poly2({(0, 0): 0.5})
+        with pytest.raises(TypeError, match="float"):
+            Poly2({(1, 0): 1, (0, 1): 1.0})
+
+    def test_other_types_are_refused(self):
+        for bad in (Decimal("0.5"), 1j, None, Poly2.u()):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                Poly1([1, bad])
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                Poly2({(0, 0): bad})
+
+    def test_exact_coefficients_are_taken(self):
+        assert Poly1([1, "1/2", Fraction(3, 4), True]).c == (
+            Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+        assert Poly2({(0, 0): "2/3", (1, 1): 2}).terms == {(0, 0): Fraction(2, 3), (1, 1): Fraction(2)}
+
+
+@st.composite
+def _sign_cases(draw):
+    """(q, p): p = shared * own, products of x - r and x^2 - k; q free, a
+    multiple of the shared factor, a multiple of p (q = 0 mod p), a
+    constant or zero."""
+    root = st.fractions(min_value=-3, max_value=12, max_denominator=8)
+
+    def factor(rs, k):
+        p = Poly1([1])
+        for r in rs:
+            p = p * Poly1([-r, 1])
+        return p * Poly1([-k, 0, 1]) if k else p
+
+    shared = factor(draw(st.lists(root, max_size=2)), draw(st.sampled_from([0, 2, 3])))
+    own = factor(draw(st.lists(root, min_size=1, max_size=2)), draw(st.sampled_from([0, 5, 7])))
+    p = shared * own * (draw(_FRACTIONS) or 1)
+    other = Poly1(draw(_ROWS))
+    kind = draw(st.sampled_from(["free", "shared", "multiple", "constant", "zero"]))
+    q = {"free": other, "shared": shared * other, "multiple": p * other,
+         "constant": Poly1([draw(_FRACTIONS)]), "zero": Poly1([])}[kind]
+    return q, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_sign_cases(), bits=st.sampled_from([1, 8, 64]))
+def test_sign_at_root_against_both_references(case, bits):
+    """The integer Sturm-Tarski sign against the Fraction chain and sympy,
+    on isolating and exact brackets, and for linear q vanishing 2^-90
+    beyond either end of a bracket."""
+    q, p = case
+    brackets = isolate_positive_roots(p, Fraction(1, 2**bits))
+    brackets += [RootInterval(r, r) for r in _rational_roots(p) if r > 0]
+    tiny = Fraction(1, 2**90)
+    for bracket in brackets:
+        qs = [q]
+        if not bracket.exact:
+            qs += [Poly1([-(bracket.hi + tiny), 1]), Poly1([bracket.lo - tiny, -1]) * q]
+        for f in qs:
+            got = sign_at_root(f, p, bracket)
+            assert got == _reference_sign_at_root(f, p, bracket) == _sympy_sign_at_root(f, p, bracket)
+
+
+def test_sign_at_root_builds_no_fraction(monkeypatch):
+    """On non-exact brackets the Sturm-Tarski sign runs in integers: it
+    constructs no Fraction in poly."""
+    rng = random.Random(80)
+    cases = []
+    for _ in range(40):
+        p = _random_poly(rng)
+        for bracket in isolate_positive_roots(p, Fraction(1, 2 ** rng.choice([1, 8, 64]))):
+            if not bracket.exact:
+                cases += [(q, p, bracket) for q in (_random_poly(rng) * Fraction(1, 3), p * p, Poly1([2]))]
+    want = [_reference_sign_at_root(q, p, bracket) for q, p, bracket in cases]
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "Fraction", counting)
+    assert [sign_at_root(q, p, bracket) for q, p, bracket in cases] == want
+    assert len(cases) >= 60 and built == []
+    Poly1._ints([1, 2], 3).c  # reading coefficients builds Fractions, counted
+    assert built

@@ -13,6 +13,8 @@ from ellstab.errors import ComputationFault
 from ellstab.poly import Poly1, Poly2, reduce_mod_u
 from ellstab.ring import _q
 
+from test_poly import _reference_divmod
+
 
 class _ReferencePoly2:
     """Bivariate polynomial in (u, v), sparse dict over Fraction: ``poly.Poly2``
@@ -161,10 +163,10 @@ def _reference_reduce_mod_u(dividend: _ReferencePoly2, divisor: _ReferencePoly2)
         if d < d0 or rem.is_zero():
             return rem
         cd = rem.ucoefficient(d)
-        q, r = cd.divmod(lead)
-        if not r.is_zero():
+        q, r = _reference_divmod(cd.c, lead.c)
+        if r:
             raise ComputationFault("non-exact coefficient division during reduction")
-        shift = _ReferencePoly2.from_ucoefficients([Poly1([])] * (d - d0) + [q])
+        shift = _ReferencePoly2.from_ucoefficients([Poly1([])] * (d - d0) + [Poly1(q)])
         rem = rem - shift * divisor
 
 
