@@ -2,9 +2,7 @@
 
 Univariate polynomials (``Poly1``) and bivariate polynomials in (u, v)
 (``Poly2``, used both numerically and as symbolic ring scalars) over the
-rationals, under one storage rule: integer numerators over one positive
-denominator, content-reduced, so the form is canonical.  Their arithmetic
-works on integers; ``Fraction`` coefficients are built only when read.
+rationals, held under the storage rule of ``ring._IntegerForm``.
 Root isolation runs on one signed remainder sequence per polynomial (its
 last term, gcd(p, p') up to a constant, gives the squarefree part), and
 refinement by sign on the dyadic grid of bisection (quadratic interval
@@ -22,31 +20,31 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .errors import ComputationFault, CurveDomainError
-from .ring import _over_common_denominator, _q
-
-_RATIONAL = (int, Fraction)
+from .ring import _RATIONAL, _IntegerForm, _over_common_denominator, _q
 
 
-class Poly1:
-    """Univariate polynomial over the rationals, held as ``Poly2`` is:
-    integer numerators by ascending power, trailing zeros trimmed, over one
-    positive denominator, content-reduced, so ``==`` compares the form
-    directly; zero is ((), 1).  The arithmetic, evaluation and ``divmod``
-    work on integers; ``c``, the ``Fraction`` coefficients, is built on
-    first read.  ``__init__`` takes ints, Fractions and numeric strings;
-    results are built by the private ``Poly1._ints``."""
+class Poly1(_IntegerForm):
+    """Univariate polynomial over the rationals: its numerators by ascending
+    power, trailing zeros trimmed (zero is ((), 1)).  Evaluation and
+    ``divmod`` work on integers; ``c``, the ``Fraction`` coefficients, is
+    built on first read.  ``__init__`` takes ints, Fractions and numeric
+    strings."""
 
     __slots__ = ("_nums", "_den", "_c")
 
     def __init__(self, coeffs):
-        _store1(self, *_over_common_denominator([_exact(x) for x in coeffs]))
+        self._store(*_over_common_denominator([_exact(x) for x in coeffs]))
 
-    @classmethod
-    def _ints(cls, nums, den: int) -> "Poly1":
-        """The polynomial sum of nums[i] / den x^i; den > 0."""
-        out = object.__new__(cls)
-        _store1(out, nums, den)
-        return out
+    def _store(self, nums, den: int) -> None:
+        """Hold sum nums[i]/den x^i: trailing zeros trimmed, content-reduced."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        self._nums, self._den, self._c = tuple(nums), den, None
 
     @property
     def c(self) -> tuple:
@@ -66,16 +64,8 @@ class Poly1:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly1):
-            return self._nums == other._nums and self._den == other._den
-        if isinstance(other, _RATIONAL):
-            return self._nums == ((other.numerator,) if other else ()) and self._den == other.denominator
-        return NotImplemented
-
-    def __hash__(self):
-        """A constant hashes as its value, so that == implies equal hashes."""
-        return hash(self.c[0] if self.c else 0) if len(self._nums) <= 1 else hash((self._nums, self._den))
+    def _constant(self):
+        return self._nums[0] if self._nums else 0
 
     def _add(self, other, sign: int):
         if isinstance(other, Poly1):
@@ -91,19 +81,8 @@ class Poly1:
             out[i] += n * f2
         return Poly1._ints(out, den)
 
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly1._ints([-n for n in self._nums], self._den)
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Poly1):
@@ -156,19 +135,6 @@ def _exact(x) -> Fraction:
     if isinstance(x, _RATIONAL) or isinstance(x, str):
         return _q(x)
     raise TypeError(f"exact polynomial coefficients are int, Fraction or str, not {type(x).__name__}")
-
-
-def _store1(p: Poly1, nums, den: int) -> None:
-    """Set the canonical form of sum nums[i]/den x^i on p: trailing zeros
-    trimmed, content-reduced against den > 0."""
-    nums = list(nums)
-    while nums and not nums[-1]:
-        nums.pop()
-    g = gcd(den, *nums)
-    if g != 1:
-        nums = [n // g for n in nums]
-        den //= g
-    p._nums, p._den, p._c = tuple(nums), den, None
 
 
 def _convolve(a, b) -> list[int]:
@@ -475,19 +441,12 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-class Poly2:
-    """Bivariate polynomial in (u, v) with rational coefficients.
-
-    Held fraction-free, as ``LaurentSeries`` is: integer numerators by
-    monomial (i, j), for u^i v^j, over one positive denominator,
-    content-reduced so that the denominator and the numerators have no
-    common factor.  That form is canonical, so ``==`` compares it directly;
-    the zero polynomial is ({}, 1).  ``+``, ``-``, ``*`` and scalar
-    ``*``/``/`` work on integers and end with one gcd; ``eval_v`` and
-    ``ucoefficient`` hand integer rows to ``Poly1._ints``.
+class Poly2(_IntegerForm):
+    """Bivariate polynomial in (u, v) with rational coefficients: its
+    numerators by monomial (i, j), for u^i v^j (zero is ({}, 1)).
+    ``eval_v`` and ``ucoefficient`` hand integer rows to ``Poly1._ints``;
     ``terms``, the {(i, j): Fraction} view, is built on first use and
-    cached.  ``__init__`` builds a polynomial from such a view; arithmetic
-    results are built by the private ``Poly2._ints``.
+    cached.  ``__init__`` builds a polynomial from such a view.
 
     Also usable as a generic scalar inside the cohomology arithmetic, which
     turns ring computations into symbolic identities in (u, v).
@@ -498,14 +457,16 @@ class Poly2:
     def __init__(self, terms: dict | None = None):
         values = {key: _exact(val) for key, val in terms.items()} if terms else {}
         nums, den = _over_common_denominator(values.values())
-        _store(self, dict(zip(values, nums)), den)
+        self._store(dict(zip(values, nums)), den)
 
-    @classmethod
-    def _ints(cls, nums: dict, den: int) -> "Poly2":
-        """The polynomial sum of nums[(i, j)] / den u^i v^j; den > 0."""
-        out = object.__new__(cls)
-        _store(out, nums, den)
-        return out
+    def _store(self, nums: dict, den: int) -> None:
+        """Hold sum nums[key]/den: nonzero numerators, content-reduced."""
+        nums = {key: n for key, n in nums.items() if n}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {key: n // g for key, n in nums.items()}
+            den //= g
+        self._nums, self._den, self._terms = nums, den, None
 
     @property
     def terms(self) -> dict:
@@ -530,24 +491,8 @@ class Poly2:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly2):
-            return self._den == other._den and self._nums == other._nums
-        if isinstance(other, _RATIONAL):
-            if not self._nums:
-                return other == 0
-            return (len(self._nums) == 1 and self._nums.get((0, 0)) == other.numerator
-                    and self._den == other.denominator)
-        return NotImplemented
-
-    def __hash__(self):
-        """A constant hashes as its value, so that == implies equal hashes."""
-        nums = self._nums
-        if not nums:
-            return hash(0)
-        if len(nums) == 1 and (0, 0) in nums:
-            return hash(Fraction(nums[(0, 0)], self._den))
-        return hash((frozenset(nums.items()), self._den))
+    def _constant(self):
+        return self._nums.get((0, 0)) if self._nums else 0
 
     def _add(self, other, sign: int):
         if isinstance(other, Poly2):
@@ -563,19 +508,8 @@ class Poly2:
             out[key] = out[key] + n * f2 if key in out else n * f2
         return Poly2._ints(out, den)
 
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly2._ints({key: -n for key, n in self._nums.items()}, self._den)
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Poly2):
@@ -592,14 +526,6 @@ class Poly2:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _RATIONAL):
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
-    def scale(self, c) -> "Poly2":
-        return self * _q(c)
 
     def eval(self, u, v):
         u, v = _q(u), _q(v)
@@ -634,17 +560,6 @@ class Poly2:
         den = lcm(*(p._den for p in rows))
         return cls._ints({(i, j): n * (den // p._den) for i, p in enumerate(rows)
                           for j, n in enumerate(p._nums)}, den)
-
-
-def _store(p: Poly2, nums: dict, den: int) -> None:
-    """Set the canonical form of sum nums[key]/den on p: nonzero numerators,
-    content-reduced against den > 0."""
-    nums = {key: n for key, n in nums.items() if n}
-    g = gcd(den, *nums.values())
-    if g != 1:
-        nums = {key: n // g for key, n in nums.items()}
-        den //= g
-    p._nums, p._den, p._terms = nums, den, None
 
 
 def monomial_coefficients(values) -> tuple[list, int]:

@@ -42,6 +42,8 @@ the numerators, with one gcd for the result; at every other scalar,
 ``Poly2`` symbols included, it runs ``_mul`` itself.  ``degree``, the
 point coefficient of a product that every slope and charge reads, takes
 the same two paths, with only the constants that reach the point class.
+``_IntegerForm`` states that storage rule, with the operators it implies,
+once for the exact scalars ``Poly1``, ``Poly2`` and ``LaurentSeries``.
 """
 
 from __future__ import annotations
@@ -103,6 +105,73 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
     den = lcm(*(c.denominator for c in values))
     return [c.numerator * (den // c.denominator) for c in values], den
+
+
+_RATIONAL = (int, Fraction)
+
+
+class _IntegerForm:
+    """The storage rule of the exact scalars ``Poly1``, ``Poly2`` and
+    ``LaurentSeries``: integer numerators ``_nums`` by key (a power, a
+    monomial, an exponent) over one positive denominator ``_den``, zeros
+    dropped and content-reduced, so that the form is canonical and ``==``
+    compares it directly.  Arithmetic works on integers and ends with one
+    gcd over the result (the fraction-free idea of Bareiss, 1968);
+    ``Fraction`` coefficients are built only when read.
+
+    Each type lays out ``_nums`` in its own ``_store``, one pass that drops
+    zeros and divides out the content, and supplies ``_add(other, sign)``,
+    ``__mul__`` and ``__neg__``.  Here are the private constructor
+    ``_ints``, ``+``, ``-``, ``/`` and ``scale`` by a rational, and ``==``
+    and ``hash`` under which a constant is its value: a form with at most
+    one numerator is read by ``_constant()``, the numerator of a constant
+    or None.  ``LaurentSeries``, a frozen dataclass, has field equality
+    instead: a series carries a floor, so none equals a number.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _ints(cls, *form):
+        """The value of an integer form, such as (nums, den) with den > 0."""
+        out = object.__new__(cls)
+        out._store(*form)
+        return out
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        if isinstance(other, _RATIONAL):
+            return self * (1 / Fraction(other))
+        return NotImplemented
+
+    def scale(self, c):
+        return self * _q(c)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, self.__class__):
+            return self._den == other._den and self._nums == other._nums
+        if isinstance(other, _RATIONAL):
+            return (self._den == other.denominator and len(self._nums) <= 1
+                    and self._constant() == other.numerator)
+        return NotImplemented
+
+    def __hash__(self):
+        """A constant hashes as its value, so that == implies equal hashes."""
+        nums = self._nums
+        n = self._constant() if len(nums) <= 1 else None
+        if n is not None:
+            return hash(Fraction(n, self._den))
+        return hash((frozenset(nums.items()) if isinstance(nums, dict) else nums, self._den))
 
 
 def _nonzero(coords, plain: bool) -> tuple:

@@ -8,24 +8,19 @@ marks an exact series (a Laurent polynomial with no unknown tail).
 Arithmetic propagates the floor conservatively so that a stored coefficient
 is never silently wrong.
 
-The coefficients are held fraction-free: integer numerators by descending
-exponent over one positive denominator, content-reduced so that the
-denominator and the numerators have no common factor.  That form is
-canonical, so equality and hashing compare it directly.  ``+``, ``-``, ``*``
-and scalar ``*``/``/`` work on integers alone and end with one gcd over the
-result (the fraction-free idea of Bareiss, 1968) rather than normalising a
-``Fraction`` per coefficient.  ``terms``, the (exponent, ``Fraction``) pairs,
-is built from that form on first use and cached; ``leading()`` and
-``coefficient()`` also return ``Fraction``s.
+The coefficients are held under the storage rule of ``ring._IntegerForm``,
+as (exponent, numerator) pairs by descending exponent; equality and
+hashing are the dataclass's, over that form and the floor.  ``terms``, the
+(exponent, ``Fraction``) pairs, is built on first use and cached;
+``leading()`` and ``coefficient()`` also return ``Fraction``s.
 
 The public constructor accepts any scalars, repeated exponents and terms
-below the floor.  Arithmetic results are built by the private
-``LaurentSeries._ints`` instead: it takes an exponent -> numerator dict
-whose entries already sit at or above the floor, with a positive
-denominator, drops zeros, sorts once and reduces.  Products skip every pair
-that lands below the floor without computing it.  ``_combination`` forms a
-constant plus a linear combination of series (a charge germ from its
-class-independent germs) the same way, in one pass over one denominator.
+below the floor; the kernel's ``_ints`` takes an exponent -> numerator
+dict whose entries already sit at or above the floor.  Products
+skip every pair that lands below the floor without computing it.
+``_combination`` forms a constant plus a linear combination of series (a
+charge germ from its class-independent germs, or a sum) in one pass over
+one denominator.
 """
 
 from __future__ import annotations
@@ -36,11 +31,11 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import DomainError
-from .ring import _over_common_denominator, _q
+from .ring import _RATIONAL, _IntegerForm, _over_common_denominator, _q
 
 
 @dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(_IntegerForm):
     _nums: tuple[tuple[int, int], ...]
     _den: int
     trunc: int | None = None
@@ -53,14 +48,19 @@ class LaurentSeries:
                 merged[e] = merged.get(e, Fraction(0)) + c
         exps = [e for e in merged if trunc is None or e >= trunc]
         nums, den = _over_common_denominator([merged[e] for e in exps])
-        _store(self, dict(zip(exps, nums)), den, trunc)
+        self._store(dict(zip(exps, nums)), den, trunc)
 
-    @classmethod
-    def _ints(cls, nums: dict[int, int], den: int, trunc: int | None) -> "LaurentSeries":
-        """Series sum nums[e]/den v^e from entries at or above ``trunc``; den > 0."""
-        out = object.__new__(cls)
-        _store(out, nums, den, trunc)
-        return out
+    def _store(self, nums: dict[int, int], den: int, trunc: int | None) -> None:
+        """Hold sum nums[e]/den v^e, from entries at or above ``trunc``:
+        nonzero numerators by descending exponent, content-reduced."""
+        pairs = sorted(((e, n) for e, n in nums.items() if n), reverse=True)
+        g = gcd(den, *(n for _, n in pairs))
+        if g != 1:
+            pairs = [(e, n // g) for e, n in pairs]
+            den //= g
+        object.__setattr__(self, "_nums", tuple(pairs))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "trunc", trunc)
 
     @classmethod
     def _combination(cls, const: int, pairs, den: int) -> "LaurentSeries":
@@ -140,42 +140,22 @@ class LaurentSeries:
         return LaurentSeries._ints(kept, self._den, new_floor)
 
     def _add(self, other, sign: int):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             other = LaurentSeries.const(other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        if self.trunc is None:
-            floor = other.trunc
-        elif other.trunc is None:
-            floor = self.trunc
-        else:
-            floor = max(self.trunc, other.trunc)
-        den = lcm(self._den, other._den)
-        f1, f2 = den // self._den, sign * (den // other._den)
-        out = {e: n * f1 for e, n in self._nums if floor is None or e >= floor}
-        for e, n in other._nums:
-            if floor is not None and e < floor:
-                break
-            n *= f2
-            out[e] = out[e] + n if e in out else n
-        return LaurentSeries._ints(out, den, floor)
+        return LaurentSeries._combination(0, ((1, self), (sign, other)), 1)
 
-    def __add__(self, other):
+    def __add__(self, other):  # its own function object: perfbench traces it as series.add
         return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self._add(other, -1)
-
     def __neg__(self):
         return LaurentSeries._ints({e: -n for e, n in self._nums}, self._den, self.trunc)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             if other == 0:
                 return LaurentSeries.zero()
             p, den = other.numerator, self._den * other.denominator
@@ -194,31 +174,10 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
-    def scale(self, c) -> "LaurentSeries":
-        return self * _q(c)
-
     def eval(self, v) -> Fraction:
         """Evaluate the stored terms at a rational point (tail ignored)."""
         v = _q(v)
         return sum((c * v**e for e, c in self.terms), Fraction(0))
-
-
-def _store(s: LaurentSeries, nums: dict[int, int], den: int, trunc: int | None) -> None:
-    """Set the canonical form of sum nums[e]/den v^e on s: nonzero
-    numerators by descending exponent, content-reduced against den > 0."""
-    pairs = sorted(((e, n) for e, n in nums.items() if n), reverse=True)
-    g = gcd(den, *(n for _, n in pairs))
-    if g != 1:
-        pairs = [(e, n // g) for e, n in pairs]
-        den //= g
-    object.__setattr__(s, "_nums", tuple(pairs))
-    object.__setattr__(s, "_den", den)
-    object.__setattr__(s, "trunc", trunc)
 
 
 def _product_floor(f: LaurentSeries, g: LaurentSeries) -> int | None:

@@ -675,8 +675,9 @@ class TestCrossSignExact:
 def test_cross_sign_builds_no_fraction_but_the_bracket_end(monkeypatch):
     """A cross sign at a curve point with an inexact bracket runs in
     integers: the cross polynomial at v, the curve polynomial's Cauchy
-    bound and the Sturm-Tarski chain.  The one Fraction built in poly or
-    asymptotics is that bound, the upper end of the bracket that
+    bound and the Sturm-Tarski chain.  The one Fraction built in poly,
+    asymptotics or ring (whose ``_IntegerForm`` holds the polynomial
+    arithmetic) is that bound, the upper end of the bracket that
     ``admissible_bracket`` hands out."""
     rng = random.Random(81)
     cases = []
@@ -698,6 +699,7 @@ def test_cross_sign_builds_no_fraction_but_the_bracket_end(monkeypatch):
 
     monkeypatch.setattr(poly, "Fraction", counting)
     monkeypatch.setattr(asymptotics, "Fraction", counting)
+    monkeypatch.setattr(ring, "Fraction", counting)
     for cross, c, vpar, hi, sign in cases:
         built.clear()
         assert asymptotics._cross_sign(cross, c, vpar) == sign

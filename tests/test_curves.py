@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellstab import curves, poly
+from ellstab import curves
 from ellstab.curves import (
     OneDimCurve,
     TiltCurve,
@@ -616,16 +616,16 @@ class TestCurvePolynomial:
                     assert admissible_bracket(c, vpar)[0].c == want.c
 
     def test_cold_solve_u_builds_no_poly2(self, monkeypatch):
-        """Counted at ``poly._store``, which every Poly2 constructor
+        """Counted at ``Poly2._store``, which every Poly2 constructor
         (``__init__`` and ``_ints``) goes through."""
         built = []
-        store = poly._store
+        store = Poly2._store
 
         def counting_store(p, nums, den):
             built.append(nums)
             store(p, nums, den)
 
-        monkeypatch.setattr(poly, "_store", counting_store)
+        monkeypatch.setattr(Poly2, "_store", counting_store)
         rng = random.Random(72)
         for h in CURVE_POLY_H:
             for c in (_rand_tilt(rng, h), _rand_onedim(rng, h)):

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellstab import poly
+from ellstab import poly, ring
 from ellstab.errors import CurveDomainError
 from ellstab.poly import (
     Poly1,
@@ -588,6 +588,9 @@ class TestPoly1Storage:
             (-q, negb), (p * q, _reference_mul(ra, rb)), (p * s, _reference_mul(ra, rs)),
             (s * p, _reference_mul(ra, rs)), (p + s, _reference_add(ra, rs)),
             (s - q, _reference_add(rs, negb)), (p.derivative(), _reference_derivative(ra)),
+            (s + p, _reference_add(rs, ra)), (p - s, _reference_add(ra, _trim([-s]))),
+            (p.scale(s), _reference_mul(ra, rs)),
+            *([(p / x, _reference_mul(ra, _trim([1 / x])))] if x else []),
         ):
             _assert_canonical(got)
             assert got.c == want
@@ -704,7 +707,8 @@ def test_sign_at_root_against_both_references(case, bits):
 
 def test_sign_at_root_builds_no_fraction(monkeypatch):
     """On non-exact brackets the Sturm-Tarski sign runs in integers: it
-    constructs no Fraction in poly."""
+    constructs no Fraction in poly or in ring, whose ``_IntegerForm``
+    holds Poly1's arithmetic."""
     rng = random.Random(80)
     cases = []
     for _ in range(40):
@@ -720,6 +724,7 @@ def test_sign_at_root_builds_no_fraction(monkeypatch):
         return Fraction(*args, **kwargs)
 
     monkeypatch.setattr(poly, "Fraction", counting)
+    monkeypatch.setattr(ring, "Fraction", counting)
     assert [sign_at_root(q, p, bracket) for q, p, bracket in cases] == want
     assert len(cases) >= 60 and built == []
     Poly1._ints([1, 2], 3).c  # reading coefficients builds Fractions, counted

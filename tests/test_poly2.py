@@ -179,8 +179,13 @@ def _reference_reduce_mod_u(dividend: _ReferencePoly2, divisor: _ReferencePoly2)
         (Poly1([]), 0),
         (Poly2.const(-4), Fraction(-4)),
         (Poly1.const(Fraction(-2, 3)), Fraction(-2, 3)),
+        (Poly2.u() * 3 - Poly2.u() * 3, 0),
+        (Poly1([1, 2]).scale(0), 0),
+        ((Poly2.v() + Fraction(5, 4)) - Poly2.v(), Fraction(5, 4)),
+        (Poly1([Fraction(7, 2), 4]) - Poly1([0, 4]), Fraction(7, 2)),
     ],
-    ids=["poly2_half", "poly2_zero", "poly1_three", "poly1_zero", "poly2_minus_four", "poly1_minus_two_thirds"],
+    ids=["poly2_half", "poly2_zero", "poly1_three", "poly1_zero", "poly2_minus_four", "poly1_minus_two_thirds",
+         "poly2_cancelled_zero", "poly1_scaled_zero", "poly2_cancelled_constant", "poly1_cancelled_constant"],
 )
 def test_equal_constants_hash_equal(poly, value):
     """== implies equal hashes, so a set holds a constant polynomial and its

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ellstab import ring
 from ellstab.errors import DomainError
 from ellstab.ring import _over_common_denominator
 from ellstab.series import LaurentSeries, _product_floor
@@ -61,14 +62,20 @@ def assert_stored_form(x):
 @given(a=truncated_series_strategy(), b=truncated_series_strategy(), q=nonzero_rationals)
 def test_truncated_arithmetic_matches_public_constructor(a, b, q):
     negated = LaurentSeries([(e, -c) for e, c in b.terms], b.trunc)
+    negated_a = LaurentSeries([(e, -c) for e, c in a.terms], a.trunc)
     cases = [
         (a * b, _public_product(a, b)),
         (a + b, _public_sum(a, b)),
         (a - b, _public_sum(a, negated)),
-        (-a, LaurentSeries([(e, -c) for e, c in a.terms], a.trunc)),
+        (-a, negated_a),
         (a * q, LaurentSeries([(e, c * q) for e, c in a.terms], a.trunc)),
         (q * a, LaurentSeries([(e, c * q) for e, c in a.terms], a.trunc)),
         (a / q, LaurentSeries([(e, c / q) for e, c in a.terms], a.trunc)),
+        (a.scale(q), LaurentSeries([(e, c * q) for e, c in a.terms], a.trunc)),
+        (a + q, _public_sum(a, LaurentSeries.const(q))),
+        (q + a, _public_sum(a, LaurentSeries.const(q))),
+        (a - q, _public_sum(a, LaurentSeries.const(-q))),
+        (q - a, _public_sum(negated_a, LaurentSeries.const(q))),
     ]
     for got, expected in cases:
         assert got == expected
@@ -168,6 +175,11 @@ def test_mul_by_zero_scalar_is_exact_zero():
     x = s((0, 1), trunc=-4)
     z = x * Fraction(0)
     assert z.is_stored_zero() and z.is_exact()
+    # no series equals a number, zero included: a zero germ with a floor is
+    # a coordinate that a product keeps, not an exact zero it may drop
+    floored = LaurentSeries.zero(-2)
+    assert floored != 0 and LaurentSeries.zero() != 0 and z != Fraction(0)
+    assert ring._nonzero((floored,), False) == (floored,)
 
 
 def test_zero_times_truncated_is_exact_zero():

@@ -30,8 +30,27 @@ def _builds_poly1_from_fractions(tree):
                 yield node.lineno
 
 
-def _sites(rule):
-    files = sorted(SRC.glob("*.py"))
+_KERNEL_METHODS = {"__sub__", "__rsub__", "__truediv__", "scale", "_ints"}
+_KERNEL_STORES = {"_store", "_store1"}
+
+
+def _copies_the_integer_form_kernel(tree):
+    """Line numbers of a class method that ``ring._IntegerForm`` owns, and
+    of a module-level function named as a type's own ``_store``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in _KERNEL_STORES:
+            yield node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in _KERNEL_METHODS:
+                    yield item.lineno
+                if isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id in _KERNEL_METHODS for t in item.targets):
+                    yield item.lineno
+
+
+def _sites(rule, names=None):
+    files = sorted(path for path in SRC.glob("*.py") if names is None or path.name in names)
     assert files
     return [(path.name, line) for path in files for line in rule(ast.parse(path.read_text()))]
 
@@ -60,3 +79,24 @@ def test_the_poly1_rule_sees_lists_and_generators():
                      "d = Poly1._ints(nums, den)\n"
                      "e = Poly1([n * x for n in nums])\n")
     assert list(_builds_poly1_from_fractions(tree)) == [1, 2, 3]
+
+
+def test_the_exact_scalars_share_one_integer_form_kernel():
+    """``Poly1``, ``Poly2`` and ``LaurentSeries`` take ``_ints``, ``-``,
+    ``/`` and ``scale`` from ``ring._IntegerForm`` and store through their
+    own ``_store`` methods, not through copies."""
+    assert _sites(_copies_the_integer_form_kernel, {"poly.py", "series.py"}) == []
+
+
+def test_the_kernel_rule_sees_methods_aliases_and_module_stores():
+    tree = ast.parse("class P:\n"
+                     "    def __sub__(self, o): pass\n"
+                     "    def _store(self, nums, den): pass\n"
+                     "    __rsub__ = __sub__\n"
+                     "    def _add(self, o, sign): pass\n"
+                     "    @classmethod\n"
+                     "    def _ints(cls, *form): pass\n"
+                     "def _store1(p, nums, den): pass\n"
+                     "def scale(x): pass\n"
+                     "def _store(p, nums, den): pass\n")
+    assert list(_copies_the_integer_form_kernel(tree)) == [2, 4, 7, 8, 10]
