@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from . import charges as charges_mod
 from .curves import CurveConstraint, admissible_bracket, expand_u
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import ComputationFault, ConfigurationError, DimensionError, DomainError
 from .poly import Poly2, RootInterval, monomial_coefficients, sign_at_root
 from .ring import BaseGeometry, ChernVector, DivisorB, _from_flat, _over_common_denominator
 from .series import LaurentSeries
@@ -100,9 +100,9 @@ def charge_series(
     """Charge of a vector of Fractions along the curve as a pair of Laurent
     series in v.
 
-    The charge's closed form is a combination of class-independent germs
-    (``charges._reduced_germs``, or ``charges._flat_full_germs`` for the full
-    charge with B = pull(d), d = 0 by default) with class coefficients.  The
+    The charge is ``charges._reduced_germs`` combined with class
+    coefficients: the reduced form's, or for the full charge with
+    B = pull(d), d = 0 by default, ``charges._full_coefficients``.  The
     germs are evaluated once per (curve, order, kind) at the germ point
     (u(v), v), with u(v) expanded through ``order`` terms, the coefficients
     are ``_coefficient_rows`` applied to the numerators of the class and d,
@@ -111,21 +111,12 @@ def charge_series(
     full kind raises ``DomainError`` unless the class is fiber-degree-trivial
     (n = x = 0).
     """
-    if g.h != c.h:
-        raise ConfigurationError("curve and geometry disagree on h")
-    nums, den, full = v._nums, v._den, kind is ChargeKind.FULL
-    if nums is None:
-        raise DomainError("a charge germ needs a rational class (every coordinate a Fraction)")
+    nums, ds = _checked_class(g, v, c, kind, d)
     germs = _charge_germs(c, order, kind)
-    if full and (nums[0] or nums[1]):
-        raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
-    ds = (d if d is not None else g.zero_divisor()).coords if full else ()
-    if v.rank_lattice != g.rank or len(ds) != (g.rank if full else 0):
-        raise DimensionError("divisor rank does not match geometry rank")
     rows, row_den = _coefficient_rows(g, kind)
     dnums, dden = _over_common_denominator(ds)
     coeffs = [sum(e * nums[i] * (dden if j < 0 else dnums[j]) for i, j, e in row) for row in rows]
-    den *= row_den * dden
+    den = v._den * row_den * dden
     split = 1 + len(germs[0])
     re, im = (
         LaurentSeries._combination(part[0], zip(part[1:], part_germs), den)
@@ -134,14 +125,32 @@ def charge_series(
     return AsymptoticCharge(re, im, kind)
 
 
+def _checked_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: ChargeKind, d) -> tuple:
+    """``charge_series``'s checks, with no germ built; the class numerators
+    and the coordinates of d (none for the reduced kind)."""
+    if g.h != c.h:
+        raise ConfigurationError("curve and geometry disagree on h")
+    nums, full = v._nums, kind is ChargeKind.FULL
+    if nums is None:
+        raise DomainError("a charge germ needs a rational class (every coordinate a Fraction)")
+    if full and (nums[0] or nums[1]):
+        raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
+    ds = (d if d is not None else g.zero_divisor()).coords if full else ()
+    if v.rank_lattice != g.rank or len(ds) != (g.rank if full else 0):
+        raise DimensionError("divisor rank does not match geometry rank")
+    return nums, ds
+
+
 def _coefficient_rows(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int]:
     """A kind's class coefficients (re constant and coefficients, then im's)
     as integer rows over one denominator, kept in ``g.matrices``: row k
     lists the (i, j, c) of its terms c v_i d_j, with j = -1 for a term in v
     alone.  Read off one evaluation at ``Poly2`` monomials: class coordinate
-    i is u^(i+1) (n = x = 0 for the full kind), d_j is v^(j+1)."""
+    i is u^(i+1) (n = x = 0 for the full kind, so pull(d)^2, which meets
+    only n and x, drops out), d_j is v^(j+1).  The full kind's rows on the x
+    and n germs must be empty (else ``ComputationFault``) and are left out."""
     full = kind is ChargeKind.FULL
-    coefficients = charges_mod._flat_full_coefficients if full else charges_mod._reduced_coefficients
+    coefficients = charges_mod._full_coefficients if full else charges_mod._reduced_coefficients
     if coefficients not in g.matrices:
         r = g.rank
         flat, d = [Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * r + 4)], ()
@@ -154,6 +163,8 @@ def _coefficient_rows(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int]:
         rows = [[] for _ in values]
         for k, (i, j), c in entries:
             rows[k].append((i - 1, j - 1, c))
+        if full and any((rows.pop(6), rows.pop(1))):  # the x and n germs' coefficients
+            raise ComputationFault("full charge of a class with n = x = 0 reaches an x or n germ")
         g.matrices[coefficients] = rows, den
     return g.matrices[coefficients]
 
@@ -162,11 +173,9 @@ def _coefficient_rows(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int]:
 def _charge_germs(c: CurveConstraint, order: int, kind: ChargeKind) -> tuple:
     """The class-independent germs of a charge kind at (u(v), v) on the curve."""
     u, vv = expand_u(c, order), LaurentSeries.monomial(1, 1)
-    if kind is ChargeKind.REDUCED:
-        return charges_mod._reduced_germs(c.h, u, vv)
-    if kind is ChargeKind.FULL:
-        return charges_mod._flat_full_germs(c.h, u, vv)
-    raise DomainError(f"unknown charge kind {kind}")
+    if not isinstance(kind, ChargeKind):
+        raise DomainError(f"unknown charge kind {kind}")
+    return charges_mod._reduced_germs(c.h, u, vv, kind is ChargeKind.FULL)
 
 
 def phase_limit(ac: AsymptoticCharge) -> PhaseLimit:
@@ -275,8 +284,9 @@ def compare_vectors(
 ) -> PhaseOrder:
     """Compare two vectors along a curve, escalating the order once if the
     cross series vanishes through the first truncation floor.  Identical
-    vectors are exactly equal at once, with no series work."""
+    vectors that pass ``charge_series``'s checks are exactly equal at once."""
     if m == n:
+        _checked_class(g, m, c, kind, d)
         return PhaseOrder(OrderKind.EXACT_EQUAL)
     first = compare_phases(
         charge_series(g, m, c, kind, order, d), charge_series(g, n, c, kind, order, d)

@@ -1,19 +1,15 @@
 """Central charges at exact parameter points.
 
-Each charge has one closed form, written once over any scalar with
-``+ - *`` and split in two: class-independent germs of (h, u, vpar)
-(``_reduced_germs`` for the reduced charge used with the tilt-limit curve,
-``_flat_full_germs`` for the full twisted charge of a fiber-degree-trivial
-class (n = x = 0) used with the one-dimensional-limit curve) and the class
-coefficients on them (``_reduced_coefficients``, ``_flat_full_coefficients``),
-so that re and im are each a constant plus a sum of coefficient times germ.
-``_reduced_parts`` and ``_flat_full_parts`` form that combination at
-``Fraction`` points here and at ``Poly2`` symbols for polynomial
-identities; ``asymptotics.charge_series`` builds the germs once per curve
-and order as ``LaurentSeries``, reads the coefficients off once per geometry
-as integer rows (at ``Poly2`` monomials), and combines each class in one
-integer pass;
-``_full_parts`` is the full charge with B = pull(d) for any class.
+The reduced charge has one closed form, written once over any scalar with
+``+ - *`` as class-independent germs of (h, u, vpar) (``_reduced_germs``)
+times class coefficients (``_reduced_coefficients``), so that re and im are
+each a constant plus a sum of coefficient times germ.  The full charge with
+B = pull(d) is -ch3^B plus that form on the class twisted in the ring
+(``_full_coefficients``).  ``_reduced_parts`` and ``_full_parts`` form the
+combination at ``Fraction`` points and at ``Poly2`` symbols;
+``asymptotics.charge_series`` builds the germs once per curve and order as
+``LaurentSeries``, reads the coefficients off once per geometry as integer
+rows (at ``Poly2`` monomials), and combines each class in one integer pass.
 ``full_charge`` goes through ring products for any class and B-field.  The
 reduced charge also evaluates that path and insists it agrees with the
 closed form (``_checked_reduced_parts``), which guards the transcription of
@@ -37,7 +33,6 @@ from .ring import (
     _from_flat,
     degree,
     divisor_powers,
-    pair,
     pair_h,
     twist,
 )
@@ -66,12 +61,16 @@ def _require_positive(name: str, value) -> None:
         raise DomainError(f"{name} must be positive")
 
 
-def _reduced_germs(h, u, vpar) -> tuple:
+def _reduced_germs(h, u, vpar, flat: bool = False) -> tuple:
     """The class-independent germs of the reduced charge's (re, im), over
     any scalar: (hu w + vpar^2, u w) and (hu + vpar, u,
-    u (h^2 u^2 + 3 hu vpar + 3 vpar^2)), with w = hu + 2 vpar."""
+    u (h^2 u^2 + 3 hu vpar + 3 vpar^2)), with w = hu + 2 vpar.  ``flat``
+    leaves out the first of re and the last of im, whose coefficients carry
+    x and n, for a class with n = x = 0."""
     hu = h * u
     w = hu + 2 * vpar
+    if flat:
+        return (u * w,), (hu + vpar, u)
     return (
         (hu * w + vpar * vpar, u * w),
         (hu + vpar, u, u * (hu * hu + 3 * hu * vpar + 3 * vpar * vpar)),
@@ -87,24 +86,12 @@ def _reduced_coefficients(g: BaseGeometry, v: ChernVector) -> tuple:
     )
 
 
-def _flat_full_germs(h, u, vpar) -> tuple:
-    """The class-independent germs of the flat full charge's (re, im), over
-    any scalar: (u (hu + 2 vpar),) and (hu, u, vpar)."""
-    hu = h * u
-    return (u * (hu + 2 * vpar),), (hu, u, vpar)
-
-
-def _flat_full_coefficients(g: BaseGeometry, v: ChernVector, d: DivisorB) -> tuple:
-    """The full charge's (re, im) with B = pull(d), each as (constant,
-    coefficients on its ``_flat_full_germs``), for a fiber-degree-trivial
-    class (n = x = 0)."""
-    if v.n != 0 or v.x != 0:
-        raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
-    heta = pair_h(g, v.eta)
-    return (
-        (-(v.s - pair(g, d, v.eta)), (pair_h(g, v.S) / 2,)),
-        (0, (heta, v.a - pair(g, d, v.S), heta)),
-    )
+def _full_coefficients(g: BaseGeometry, v: ChernVector, d: DivisorB) -> tuple:
+    """The full charge's (re, im) with B = pull(d) on ``_reduced_germs``:
+    -ch3^B plus the reduced coefficients of v twisted by B, for any class."""
+    tw = twist(g, v, DivisorX.pullback(d))
+    (const, re), im = _reduced_coefficients(g, tw)
+    return (const - tw.s, re), im
 
 
 def _combine(parts: tuple, germs: tuple) -> tuple:
@@ -123,18 +110,10 @@ def _reduced_parts(g: BaseGeometry, v: ChernVector, u, vpar) -> tuple:
     return _combine(_reduced_coefficients(g, v), _reduced_germs(g.h, u, vpar))
 
 
-def _flat_full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
-    """Closed form of the full charge with B = pull(d) as (re, im), over any
-    scalar, for a fiber-degree-trivial class (n = x = 0)."""
-    return _combine(_flat_full_coefficients(g, v, d), _flat_full_germs(g.h, u, vpar))
-
-
 def _full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
     """The full charge with B = pull(d) as (re, im), over any scalar, for any
-    class: -ch3^B plus the reduced closed form of v twisted by B."""
-    tw = twist(g, v, DivisorX.pullback(d))
-    re, im = _reduced_parts(g, tw, u, vpar)
-    return re - tw.s, im
+    class."""
+    return _combine(_full_coefficients(g, v, d), _reduced_germs(g.h, u, vpar))
 
 
 def _ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:
@@ -213,7 +192,7 @@ def onedim_transform_charge(
     if v1dim.n != 0 or v1dim.x != 0 or not v1dim.S.is_zero():
         raise DomainError("transform charge requires a one-dimensional class (n = x = 0, S = 0)")
     d = dbar + g.hb_divisor.scale(g.h / 2)
-    return ChargeValue(*_flat_full_parts(g, phi(g, v1dim), u, vpar, d))
+    return ChargeValue(*_full_parts(g, phi(g, v1dim), u, vpar, d))
 
 
 def in_full_half_plane(c: ChargeValue) -> bool:

@@ -527,12 +527,8 @@ class Poly2(_IntegerForm):
 
     __rmul__ = __mul__
 
-    def eval(self, u, v):
-        u, v = _q(u), _q(v)
-        total = Fraction(0)
-        for (i, j), n in self._nums.items():
-            total += n * u**i * v**j
-        return total / self._den
+    def eval(self, u, v) -> Fraction:
+        return self.eval_v(v)(_q(u))
 
     def eval_v(self, v) -> Poly1:
         """Substitute a rational v, leaving a univariate polynomial in u."""

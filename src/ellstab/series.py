@@ -10,9 +10,9 @@ is never silently wrong.
 
 The coefficients are held under the storage rule of ``ring._IntegerForm``,
 as (exponent, numerator) pairs by descending exponent; equality and
-hashing are the dataclass's, over that form and the floor.  ``terms``, the
-(exponent, ``Fraction``) pairs, is built on first use and cached;
-``leading()`` and ``coefficient()`` also return ``Fraction``s.
+hashing are over that form and the floor, the same in every process.
+``terms``, the (exponent, ``Fraction``) pairs, is built on first use and
+cached; ``leading()`` and ``coefficient()`` also return ``Fraction``s.
 
 The public constructor accepts any scalars, repeated exponents and terms
 below the floor; the kernel's ``_ints`` takes an exponent -> numerator
@@ -86,6 +86,9 @@ class LaurentSeries(_IntegerForm):
         if const and (floor is None or floor <= 0):
             out[0] = out.get(0, 0) + const * common
         return cls._ints(out, den * common, floor)
+
+    def __hash__(self) -> int:  # not hash(None): an address, per process, before Python 3.12
+        return hash((self._nums, self._den, self.trunc or 0))
 
     @cached_property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:

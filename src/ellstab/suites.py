@@ -18,7 +18,7 @@ from functools import lru_cache
 from . import curves, fmt, verify
 from .asymptotics import ChargeKind, Side, charge_series, compare_phases, phase_limit
 from .curves import OneDimCurve, TiltCurve, solve_u
-from .charges import ChargeValue, _flat_full_parts, in_full_half_plane
+from .charges import ChargeValue, in_full_half_plane
 from .errors import ConfigurationError, DomainError
 from .ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair_h, twist
 
@@ -266,14 +266,15 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
     g = geometry_for(0)
     zd = DivisorB.zero(1)
 
-    def flat_class(ratio: Fraction, d: DivisorB) -> ChernVector:
-        # At h = 0 the charge Z at the curve point (u, v) = (z/y, 1) fixes the
-        # charge along the whole curve: Re is constant and Im scales by 1/v.
-        # Reject classes with Z = 0, which have no phase, and reflect the
-        # rest into the heart's half plane, since Z(-v) = -Z(v).
+    def flat_class(curve: OneDimCurve, d: DivisorB) -> ChernVector:
+        # At h = 0 the germ is exact, and Z at the curve point over v = 1
+        # fixes the charge along the whole curve: Re is constant and Im
+        # scales by 1/v.  Reject classes with Z = 0, which have no phase, and
+        # reflect the rest into the heart's half plane, since Z(-v) = -Z(v).
         while True:
             v = ChernVector(0, 0, _rand_divisor(rng, 1), zd, _rand_q(rng), _rand_q(rng))
-            z = ChargeValue(*_flat_full_parts(g, v, ratio, 1, d))
+            germ = charge_series(g, v, curve, ChargeKind.FULL, d=d)
+            z = ChargeValue(germ.re.eval(1), germ.im.eval(1))
             if not z.is_zero():
                 return v if in_full_half_plane(z) else -v
 
@@ -281,11 +282,11 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
         y = Fraction(rng.randint(1, 5))
         z = Fraction(rng.randint(1, 5))
         d = _rand_divisor(rng, 1, -4, 4)
-        m = flat_class(z / y, d)
-        n = flat_class(z / y, d) if i % 9 else m
+        curve = OneDimCurve(0, y, z)
+        m = flat_class(curve, d)
+        n = flat_class(curve, d) if i % 9 else m
         ok = verify.h0_independence_check(g, m, n, y, z, d)
         report.check(ok, f"case {i} m={m} n={n} y={y} z={z} d={d}")
-        curve = OneDimCurve(0, y, z)
         verdict = compare_phases(
             charge_series(g, m, curve, ChargeKind.FULL, order, d),
             charge_series(g, n, curve, ChargeKind.FULL, order, d),

@@ -181,11 +181,11 @@ def h0_independence_check(
     (u, v) = (q, 1), where the charges are their v-independent parts with
     Im scaled by q > 0.  A zero class has zero germs, so it passes.
 
-    This checks the shape of the flat closed form, not its values.  With
-    eta = 0, Re is constant along the curve and Im is u times a constant,
-    so the cross is a multiple of 1/v whatever the coefficients are, and
-    the same holds at every h.  A wrong coefficient (a - d.S written
-    a + d.S) passes here; the correspondence suite is what catches it.
+    This checks the shape of the full charge, not its values (those are the
+    reduced closed form's on the ring twist, which ``prove_closed_form``
+    guards).  With eta = 0, Re is constant along the curve and Im is u times
+    a constant, so the cross is a multiple of 1/v whatever the coefficients
+    are, and the same holds at every h.
     """
     if g.h != 0:
         raise DomainError("this check applies only to h = 0 geometries")

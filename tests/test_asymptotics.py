@@ -23,7 +23,13 @@ from ellstab.asymptotics import (
 )
 from ellstab.charges import full_charge, reduced_charge
 from ellstab.curves import OneDimCurve, TiltCurve, admissible_bracket, expand_u, solve_u
-from ellstab.errors import ComputationFault, ConfigurationError, CurveDomainError, DomainError
+from ellstab.errors import (
+    ComputationFault,
+    ConfigurationError,
+    CurveDomainError,
+    DimensionError,
+    DomainError,
+)
 from ellstab.fmt import phi
 from ellstab.poly import Poly2, RootInterval
 from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair, pair_h
@@ -38,6 +44,24 @@ from ellstab.suites import (
 )
 
 from conftest import count_symbolic_products, cv, d, deadline, fresh_geometries
+
+
+def _reference_flat_full_germs(h, u, vpar):
+    """Germs of the full charge of a class with n = x = 0, twisted by hand
+    rather than in the ring: (u (hu + 2 vpar),) and (hu, u, vpar)."""
+    hu = h * u
+    return (u * (hu + 2 * vpar),), (hu, u, vpar)
+
+
+def _reference_flat_full_coefficients(g, v, d):
+    """The hand-twisted coefficients on ``_reference_flat_full_germs``, with
+    B = pull(d): re = -(s - d.eta) + (H.S / 2) germ, im = H.eta (hu + vpar)
+    + (a - d.S) u."""
+    heta = pair_h(g, v.eta)
+    return (
+        (-(v.s - pair(g, d, v.eta)), (pair_h(g, v.S) / 2,)),
+        (0, (heta, v.a - pair(g, d, v.S), heta)),
+    )
 
 
 def _reference_charge_series(g, v, c, kind, order, d):
@@ -61,11 +85,7 @@ def _reference_charge_series(g, v, c, kind, order, d):
         return re, im
     if d is None:
         d = g.zero_divisor()
-    hS = pair_h(g, v.S)
-    heta = pair_h(g, v.eta)
-    re = LaurentSeries.const(-(v.s - pair(g, d, v.eta))) + u * (h * u + 2 * vv) * Fraction(hS, 2)
-    im = h * u * heta + u * (v.a - pair(g, d, v.S)) + vv * heta
-    return re, im
+    return charges._combine(_reference_flat_full_coefficients(g, v, d), _reference_flat_full_germs(h, u, vv))
 
 
 GERM_H = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2))
@@ -155,14 +175,15 @@ class TestChargeSeries:
 
     def test_germs_match_reference_formulas(self):
         """Terms, scalar types and truncation floors of both germ kinds
-        equal those of the separately written series expressions, on the
-        first call and on repeated calls that reuse the cached germs, for
-        classes with a zero coordinate too."""
+        equal those of the separately written series expressions (for the
+        full kind, the hand-twisted flat form), on the first call and on
+        repeated calls that reuse the cached germs, for classes with a zero
+        coordinate too."""
         rng = random.Random(17)
         grid = itertools.product(
             GERM_H,
             (False, True),
-            (1, 2, 8, 9, 16),
+            (1, 2, 3, 8, 9, 16),
             (ChargeKind.REDUCED, ChargeKind.FULL),
             (False, True),
             (True, False),
@@ -182,6 +203,36 @@ class TestChargeSeries:
                         assert got.terms == want.terms
                         assert got.trunc == want.trunc
                         assert all(type(cf) is Fraction for _, cf in got.terms)
+
+    def test_full_rows_leave_out_the_x_and_n_germs(self, monkeypatch):
+        """At n = x = 0 the full coefficients on the two germs that carry x
+        and n vanish, so the full kind keeps three of the five rows; a full
+        closed form with a term on either of them raises."""
+        for g in fresh_geometries():
+            r = g.rank
+            flat = [Fraction(0), Fraction(0)] + [Poly2._ints({(i + 3, 0): 1}, 1) for i in range(2 * r + 2)]
+            dsym = DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r)))
+            (_, (re_x, _)), (_, (_, _, im_n)) = charges._full_coefficients(g, ring._from_flat(r, flat), dsym)
+            assert re_x == 0 and im_n == 0
+            rows, _ = asymptotics._coefficient_rows(g, ChargeKind.FULL)
+            assert len(rows) == 5
+        original = charges._full_coefficients
+
+        def carrying_n(g, v, d):
+            re, (im_const, (im_eta, im_a, im_n)) = original(g, v, d)
+            return re, (im_const, (im_eta, im_a, im_n + v.s))
+
+        def carrying_x(g, v, d):
+            (re_const, (re_x, re_S)), im = original(g, v, d)
+            return (re_const, (re_x + v.a, re_S)), im
+
+        for patched in (carrying_n, carrying_x):
+            monkeypatch.setattr(charges, "_full_coefficients", patched)
+            g = fresh_geometries()[0]
+            with pytest.raises(ComputationFault):
+                asymptotics._coefficient_rows(g, ChargeKind.FULL)
+            with pytest.raises(ComputationFault):
+                charge_series(g, ChernVector(0, 0, d(1), d(2), 3, 4), OneDimCurve(g.h, 1, 3), ChargeKind.FULL)
 
     def test_rational_class_reads_no_field(self, monkeypatch):
         """The class and d enter as integers: on vectors made from their
@@ -347,6 +398,27 @@ class TestComparePhases:
         m = cv(1, 2, d(1), d(0), 1, 1)
         verdict = compare_vectors(g, m, m.scale(1), TiltCurve(-1, 1, 2), ChargeKind.REDUCED, 8)
         assert verdict.kind is OrderKind.EXACT_EQUAL
+
+    def test_identical_vectors_are_checked_as_charge_series_checks_them(self, monkeypatch):
+        """The identical-vector shortcut still refuses what charge_series
+        refuses: a full-kind class with n or x nonzero, a curve of another
+        h, a divisor of another rank; it builds no germ."""
+        g, flat1 = geometry_for(-1), OneDimCurve(-1, 1, 2)
+        n = cv(Fraction(5, 6), 2, d(Fraction(-4, 3)), d(-2), Fraction(1, 2), Fraction(-5, 6))
+        with pytest.raises(DomainError, match="fiber-degree-trivial"):
+            compare_vectors(g, n, n, flat1, ChargeKind.FULL, 8)
+        with pytest.raises(ConfigurationError):
+            compare_vectors(g, n, n, TiltCurve(0, 1, 2), ChargeKind.REDUCED, 8)
+        flat = cv(0, 0, d(1), d(2), 3, 4)
+        with pytest.raises(DimensionError):
+            compare_vectors(g, flat, flat, flat1, ChargeKind.FULL, 8, d(1, 2))
+
+        def no_germs(*args):
+            raise AssertionError("germs built for identical vectors")
+
+        monkeypatch.setattr(asymptotics, "_charge_germs", no_germs)
+        for kind in ChargeKind:
+            assert compare_vectors(g, flat, flat, flat1, kind, 8).kind is OrderKind.EXACT_EQUAL
 
     def test_extreme_limits_order(self, g0):
         c0 = OneDimCurve(0, 1, 1)

@@ -7,7 +7,7 @@ import pytest
 
 from ellstab import ring
 from ellstab.charges import (
-    _flat_full_parts,
+    _full_parts,
     _reduced_parts,
     full_charge,
     in_full_half_plane,
@@ -73,7 +73,7 @@ class TestReducedCharge:
                     dd = _rand_divisor(rng_d, g.rank, -4, 4)
                     om = DivisorX(u, g.hb_divisor.scale(vp))
                     full = full_charge(g, flat, om, DivisorX.pullback(dd))
-                    re, im = _flat_full_parts(g, flat, usym, vsym, dd)
+                    re, im = _full_parts(g, flat, usym, vsym, dd)
                     assert (re.eval(u, vp), im.eval(u, vp)) == (full.re, full.im)
 
 

@@ -1,0 +1,114 @@
+"""Guard reach: a wrong closed form or table entry must make a named suite
+fail, or raise ``ComputationFault``, at a small size.
+
+Each mutation below perturbs one transcribed quantity.  The table names
+the suites that catch it at ``SIZE`` cases, seed 0: a suite catches a
+mutation when it reports a failure or raises ``ComputationFault``.  Every
+run starts from fresh geometries, with every package ``lru_cache`` (the
+shared suite geometries and the germ cache among them) emptied, so no
+table or germ built by the unmutated code is reused; the caches are emptied
+again afterwards, so no later test sees a table built by a mutant.
+
+The full charge has no entry of its own: its coefficients are the reduced
+closed form's on the class twisted in the ring, so the reduced mutations
+reach it.
+"""
+
+import pytest
+
+from ellstab import asymptotics, charges, curves, fmt, poly, ring, series, slopes, suites, verify
+from ellstab.errors import ComputationFault
+from ellstab.ring import ChernVector
+
+SIZE = 5
+MODULES = (ring, poly, series, fmt, slopes, charges, curves, asymptotics, verify, suites)
+SUITES = ("involution", "swap", "chow", "im-identity", "threshold", "correspondence", "h0")
+
+
+def _empty_caches():
+    for module in MODULES:
+        for f in list(vars(module).values()):
+            if callable(getattr(f, "cache_clear", None)):
+                f.cache_clear()
+
+
+@pytest.fixture
+def fresh_package():
+    _empty_caches()
+    yield
+    _empty_caches()
+
+
+def _coefficient(original):
+    """The reduced charge's coefficient on u w, H.S/2, written H.S."""
+
+    def mutant(g, v):
+        (re_const, (re_x, re_S)), im = original(g, v)
+        return (re_const, (re_x, 2 * re_S)), im
+
+    return mutant
+
+
+def _germ(original):
+    """The reduced charge's im germ hu + vpar, written hu + 2 vpar."""
+
+    def mutant(h, u, vpar, flat=False):
+        re, (first, *rest) = original(h, u, vpar, flat)
+        return re, (first + vpar, *rest)
+
+    return mutant
+
+
+def _transform_entry(original):
+    """The forward transform's (a, s) entry, 1 written 2."""
+
+    def mutant(g, v):
+        out = original(g, v)
+        return ChernVector(out.n, out.x, out.S, out.eta, out.a + v.s, out.s)
+
+    return mutant
+
+
+def _structure_constant(original):
+    """c_kij of the product at h = -1, rank 1 with i = j = x and k = eta
+    (x1 x2 h H), off by one."""
+
+    def mutant(g):
+        table, den = original(g)
+        if g.h == -1 and g.rank == 1:
+            table = [[list(cell) for cell in row] for row in table]
+            k, c = table[1][1][0]
+            table[1][1][0] = (k, c + den)
+        return table, den
+
+    return mutant
+
+
+# mutation: (module, attribute, mutant maker, suites that catch it at SIZE)
+REACH = {
+    "reduced coefficient": (charges, "_reduced_coefficients", _coefficient, ("im-identity", "threshold")),
+    "reduced germ": (charges, "_reduced_germs", _germ, ("im-identity", "threshold")),
+    "transform entry": (fmt, "_phi", _transform_entry, ("involution", "swap", "im-identity")),
+    "structure constant": (ring, "_mul_table", _structure_constant, ("chow", "im-identity", "threshold")),
+}
+
+
+def _catches(name: str) -> bool:
+    _empty_caches()
+    try:
+        return bool(suites.run_suite(name, SIZE, 0).failures)
+    except ComputationFault:
+        return True
+
+
+def test_the_unmutated_suites_pass(fresh_package):
+    for name in SUITES:
+        assert not _catches(name), name
+
+
+@pytest.mark.parametrize("mutation", list(REACH))
+def test_each_mutation_is_caught_by_its_suites(mutation, monkeypatch, fresh_package):
+    module, attribute, make, catching = REACH[mutation]
+    monkeypatch.setattr(module, attribute, make(getattr(module, attribute)))
+    for name in catching:
+        assert _catches(name), f"{name} misses the {mutation} mutation"

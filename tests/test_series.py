@@ -1,12 +1,17 @@
 """Laurent series arithmetic and truncation-floor bookkeeping."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ellstab
 from ellstab import ring
 from ellstab.errors import DomainError
 from ellstab.ring import _over_common_denominator
@@ -222,3 +227,25 @@ def test_stored_coefficients_survive_truncated_multiplication():
     assert part.trunc is not None
     for e, coeff in part.terms:
         assert full.coefficient(e) == coeff
+
+
+def test_hash_is_the_same_in_every_process():
+    """Exact and truncated series hash alike in two interpreters with one
+    hash seed: the hash of an exact series does not include hash(None),
+    which is an address before Python 3.12.  Equal series hash equal."""
+    assert LaurentSeries.const(1) == s((0, 2)) * Fraction(1, 2)
+    assert hash(LaurentSeries.const(1)) == hash(s((0, 2)) * Fraction(1, 2))
+    assert hash(s((1, 3), trunc=-2)) == hash(s((1, 3), (-5, 1), trunc=-2))
+    code = (
+        "from ellstab.series import LaurentSeries as L\n"
+        "print(hash(L.const(1)), hash(L.zero()), hash(L([(2, 1), (-1, 3)])),"
+        " hash(L([(2, 1)], -4)), hash(L.zero(-2)))"
+    )
+    src = str(Path(ellstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": "0"}
+    outs = {
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+        for _ in range(2)
+    }
+    assert len(outs) == 1
