@@ -14,7 +14,7 @@ rows (at ``Poly2`` monomials), and combines each class in one integer pass.
 reduced charge also evaluates that path and insists it agrees with the
 closed form (``_checked_reduced_parts``), which guards the transcription of
 every intersection number used; ``prove_closed_form`` does so once per
-geometry at symbolic (u, vpar), against the product formula ``_mul``.
+geometry at symbolic (u, vpar), against the ring's structure constants.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def _full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
 def _ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:
     """(w^2 ch1 / 2, w ch2 - w^3 ch0 / 6) through ring products, from the
     ``ring.divisor_powers`` (w, w^2, w^3) of the polarization w.  The
-    pairings take ``ring.degree``'s two paths: the structure constants when
-    w and v are all Fraction, ``_mul`` itself at any other scalar."""
+    pairings are ``ring.degree``, the ring's structure constants at any
+    scalar."""
     om, om2, om3 = powers
     return degree(g, om2, v) / 2, degree(g, om, v) - om3 * v.n / 6
 
@@ -143,8 +143,8 @@ def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
     w = u*Theta + vpar*pull(H).
 
     Computed through the closed form in (u, vpar) and independently through
-    ring products (``ring.degree``: the structure constants at Fraction
-    points, ``_mul`` at any other scalar); a mismatch raises
+    ring products (``ring.degree``, from the structure constants that the
+    ring writes from its relations); a mismatch raises
     ``ComputationFault``.
     """
     powers = divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
@@ -156,9 +156,9 @@ def prove_closed_form(g: BaseGeometry) -> None:
     (u, vpar) on the 2r + 4 basis classes, once per geometry (marked in
     ``g.matrices``).  Both paths are linear in the class, so this proves
     them equal for every class at every point, or raises
-    ``ComputationFault``.  At ``Poly2`` scalars the products run ``_mul``
-    itself; ``reduced_charge`` at Fraction points checks the structure
-    constants."""
+    ``ComputationFault``: the ring's structure constants, which its products
+    apply at ``Poly2`` scalars as at Fraction points, against the closed
+    form."""
     if prove_closed_form not in g.matrices:
         usym, vsym = Poly2.u(), Poly2.v()
         powers = divisor_powers(g, DivisorX(usym, g.hb_divisor.scale(vsym)))

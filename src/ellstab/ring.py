@@ -20,8 +20,9 @@ Products are computed from the relations
     Theta^2 = h * Theta * pull(H),      Theta * f = pt,
     pull(A) * pull(B) = (A.B) * f,      Theta * pull(A) * pull(B) = (A.B) * pt,
 
-truncated above the point class.  For a field B = t*Theta + pull(D) they give
-the closed forms used by ``twist``:
+truncated above the point class; with the unit they give every product of
+basis classes, Theta * Theta pull(A) = h (H.A) * pt among them.  For a
+field B = t*Theta + pull(D) they give the closed forms used by ``twist``:
 
     B^2 = Theta * pull(t^2 h * H + 2t * D)  +  (D.D) * f,
     B^3 = (t^3 h^2 * H^2  +  3 t^2 h * (H.D)  +  3t * (D.D)) * pt.
@@ -34,14 +35,13 @@ vector of ``Fraction``s is held fraction-free from construction, as
 positive denominator; a vector of any other scalar holds only its fields.
 Each vector operation keeps one integer path and one path over the flat
 coordinates, and a vector made from its integer form builds each field on
-its first read.  ``_mul`` is the one product formula, over
-any scalar, and ``mul`` takes one of two paths: on two fraction-free
-vectors it applies ``_mul``'s integer structure constants, read off one
-evaluation of ``_mul`` at ``Poly2`` monomials and kept on the geometry, to
-the numerators, with one gcd for the result; at every other scalar,
-``Poly2`` symbols included, it runs ``_mul`` itself.  ``degree``, the
-point coefficient of a product that every slope and charge reads, takes
-the same two paths, with only the constants that reach the point class.
+its first read.  The product has one rule: the relations, written once
+as integer structure constants over one denominator
+(``_structure_constants``) and kept on the geometry, which ``mul``
+applies at every scalar, to the integer numerators of a fraction-free
+factor and to the coordinates of any other.  ``degree``, the point
+coefficient of a product that every slope and charge reads, applies the
+constants that reach the point class in the same way.
 ``_IntegerForm`` states that storage rule, with the operators it implies,
 once for the exact scalars ``Poly1``, ``Poly2`` and ``LaurentSeries``.
 """
@@ -57,9 +57,14 @@ from .errors import ConfigurationError, DimensionError, DomainError
 
 
 def _q(x):
-    """Coerce ints and strings to Fraction, pass other scalars through."""
+    """Coerce ints and strings to Fraction, pass other exact scalars through
+    and refuse a float, which would carry rounding into exact arithmetic."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, (int, str)):
         return Fraction(x)
+    if isinstance(x, float):
+        raise TypeError(f"exact scalars are int, Fraction or str, not float ({x!r})")
     return x
 
 
@@ -86,14 +91,6 @@ def _fraction(t: int, den: int) -> Fraction:
 
 def _or_zero(value):
     return _ZERO if value is None else value
-
-
-def _row(coords, gram) -> tuple:
-    """The row vector coords * gram over coordinates given with zeros as None;
-    an entry is None when no nonzero product reaches it."""
-    return tuple(
-        _sum_products((c, row[j] or None) for c, row in zip(coords, gram)) for j in range(len(gram))
-    )
 
 
 def _plain(coords) -> bool:
@@ -266,8 +263,8 @@ class BaseGeometry:
     of hb * gram used by ``pair_h``) is computed once, at construction.
     ``matrices`` starts empty; it keeps the integer tables of the linear
     closed forms, keyed by the closed form: ``fmt``'s transform matrices,
-    the product's structure constants (keyed by ``_mul``) and their
-    point-class slice (keyed by ``degree``), and the charges' class
+    the product's structure constants (keyed by ``_structure_constants``)
+    and their point-class slice (keyed by ``degree``), and the charges' class
     coefficient rows (keyed by the coefficient function), which act on the
     integer numerators of fraction-free vectors, and the mark of
     ``charges.prove_closed_form`` once it has run on g.
@@ -285,7 +282,9 @@ class BaseGeometry:
     matrices: dict = field(init=False, compare=False, repr=False)
 
     def __init__(self, rank, gram, hb, h, vprime=0, m0=1):
-        rank = int(rank)
+        if Fraction(rank).denominator != 1:
+            raise ConfigurationError(f"geometry.rank: must be a whole number, not {rank!r}")
+        rank = int(Fraction(rank))
         gram = tuple(_qtuple(row) for row in gram)
         hb = _qtuple(hb)
         h = _q(h)
@@ -317,7 +316,8 @@ class BaseGeometry:
         object.__setattr__(self, "hb2", hb2)
         object.__setattr__(self, "hb_divisor", DivisorB(hb))
         # (hb * gram)_j, or None where every product hb_i * gram_ij is zero.
-        object.__setattr__(self, "hb_row", _row(_nonzero(hb, True), gram))
+        hb_row = (_sum_products((c or None, row[j] or None) for c, row in zip(hb, gram)) for j in range(rank))
+        object.__setattr__(self, "hb_row", tuple(hb_row))
         object.__setattr__(self, "matrices", {})
 
     def half_canonical_bfield(self) -> DivisorX:
@@ -533,128 +533,107 @@ def pair_h(g: BaseGeometry, d: DivisorB):
 def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     """Graded product of two classes, truncated above the point class.
 
-    Two paths: on two fraction-free vectors (all coordinates Fraction),
-    through the integer structure constants of ``_mul``, kept on g, applied
-    to the numerators; at any other scalar through ``_mul`` itself, with its
-    per-coordinate scalar types.
+    The structure constants of g applied to the factors by ``_contract``,
+    at every scalar; two fraction-free factors give the integer form of the
+    result, with one gcd.  A coordinate that no product reaches is the
+    Fraction zero: at h = 0, where Theta * Theta pull(A) has no point
+    coefficient, that can be the point coefficient even when x1 and eta2
+    are ``Poly2``s or series (a formula that multiplied by h = 0 would keep
+    their zero there).  Products are summed term by term, so a coordinate
+    of truncated series takes the floor of every term with a nonzero
+    constant, also where the rational factor's terms cancel.
     """
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
-    nums1, nums2 = v1._nums, v2._nums
-    if nums1 is None or nums2 is None:
-        return _mul(g, v1, v2)
-    table, den = _structure_constants(g)
-    right = [(j, b) for j, b in enumerate(nums2) if b]
-    totals = [0] * len(nums1)
-    for a, row in zip(nums1, table):
-        if a:
-            for j, b in right:
-                ab = a * b
-                for k, c in row[j]:
-                    totals[k] += ab * c
-    return ChernVector._ints(totals, den * v1._den * v2._den)
+    totals, den = _contract(*_structure_constants(g), v1, v2)
+    if v1._nums is None or v2._nums is None:
+        return _from_flat(r, [_divided(t, den) for t in totals])
+    return ChernVector._ints(totals, den)
 
 
 def degree(g: BaseGeometry, v1: ChernVector, v2: ChernVector):
     """The point coefficient of v1 * v2, ``mul(g, v1, v2).s`` in value and
-    type.  On two fraction-free vectors one integer pass over the
-    structure constants that reach the point class, kept on g; at any
-    other scalar through ``_mul``."""
+    type: ``_contract`` with the structure constants that reach the point
+    class, kept on g."""
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
-    nums1, nums2 = v1._nums, v2._nums
-    if nums1 is None or nums2 is None:
-        return _mul(g, v1, v2).s
     if degree not in g.matrices:
         table, den = _structure_constants(g)
         last = len(table) - 1
-        rows = [[(j, c) for j, out in enumerate(row) for k, c in out if k == last] for row in table]
-        g.matrices[degree] = rows, den
-    rows, den = g.matrices[degree]
-    total = sum(a * sum(c * nums2[j] for j, c in row) for a, row in zip(nums1, rows) if a)
-    return _fraction(total, den * v1._den * v2._den)
+        g.matrices[degree] = [[e for e in row if e[1] == last] for row in table], den
+    totals, den = _contract(*g.matrices[degree], v1, v2)
+    return _divided(totals[-1], den)
+
+
+def _contract(table: list, den: int, v1: ChernVector, v2: ChernVector) -> tuple[list, int]:
+    """The sums of a_i b_j c over the entries (j, k, c) of ``table[i]``, by
+    output k, over den times the factors' denominators.  A fraction-free
+    factor gives its integer numerators over its denominator, any other its
+    coordinates over 1; a product with an exact-zero factor, of any scalar
+    type, is skipped, so an output that none reaches is the integer 0."""
+    (left, d1), (right, d2) = _factor(v1), _factor(v2)
+    totals = [0] * len(table)
+    for a, row in zip(left, table):
+        if a:
+            for j, k, c in row:
+                b = right[j]
+                if b:
+                    totals[k] += a * c * b
+    return totals, den * d1 * d2
+
+
+def _factor(v: ChernVector) -> tuple:
+    """A factor of ``_contract``: the integer numerators and denominator of a
+    fraction-free vector, else the coordinates, exact zeros written 0, over 1."""
+    if v._nums is None:
+        return [0 if c == 0 else c for c in v.coordinates()], 1
+    return v._nums, v._den
+
+
+def _divided(total, den: int):
+    """A ``_contract`` total over den: a Fraction for an integer total, the
+    shared zero for 0, and any other scalar divided by den."""
+    if type(total) is int:
+        return _fraction(total, den)
+    return total if den == 1 else total / den
 
 
 def _structure_constants(g: BaseGeometry) -> tuple[list, int]:
-    """``_mul``'s structure constants on g, built on first use."""
-    if _mul not in g.matrices:
-        g.matrices[_mul] = _mul_table(g)
-    return g.matrices[_mul]
+    """The structure constants of the product on g, from the relations in
+    the module docstring, built on first use and kept on g.  Basis class i
+    times basis class j is the sum of c_kij / den times basis class k, over
+    one positive denominator den; ``table[i]`` lists the (j, k, c_kij) with
+    c_kij nonzero, by j and then k."""
+    if _structure_constants in g.matrices:
+        return g.matrices[_structure_constants]
+    r, h = g.rank, g.h
+    dim = 2 * r + 4
+    x, S, eta, a, s = 1, range(2, 2 + r), range(2 + r, 2 + 2 * r), dim - 2, dim - 1
+    entries: dict = {}
 
+    def meet(i, j, k, c):
+        """Class i times class j, and j times i, is c times class k."""
+        if c:
+            entries[i, j, k] = entries[j, i, k] = Fraction(c)
 
-def _mul_table(g: BaseGeometry) -> tuple[list, int]:
-    """The structure constants of ``_mul``, read off one product at monomial
-    scalars: coordinate i of the first factor is u^(i+1), coordinate j of
-    the second v^(j+1), so the u^(i+1) v^(j+1) coefficient of output k is
-    c_kij.  ``table[i][j]`` lists the (k, c_kij * den) with c_kij nonzero."""
-    from .poly import Poly2, monomial_coefficients
-
-    dim = 2 * g.rank + 4
-    left = _from_flat(g.rank, [Poly2._ints({(i + 1, 0): 1}, 1) for i in range(dim)])
-    right = _from_flat(g.rank, [Poly2._ints({(0, j + 1): 1}, 1) for j in range(dim)])
-    entries, den = monomial_coefficients(_mul(g, left, right).coordinates())
-    table = [[[] for _ in range(dim)] for _ in range(dim)]
-    for k, (i, j), c in entries:
-        table[i - 1][j - 1].append((k, c))
+    for k in range(dim):
+        meet(0, k, k, 1)  # the unit
+    meet(x, a, s, 1)  # Theta * f = pt
+    for p in range(r):
+        meet(x, x, eta[p], h * g.hb[p])  # Theta^2 = h Theta pull(H)
+        meet(x, S[p], eta[p], 1)  # Theta * pull(A) = Theta pull(A)
+        meet(x, eta[p], s, h * (g.hb_row[p] or 0))  # Theta * Theta pull(A) = h (H.A) pt
+        for q in range(r):
+            meet(S[p], S[q], a, g.gram[p][q])  # pull(A) * pull(B) = (A.B) f
+            meet(S[p], eta[q], s, g.gram[p][q])  # pull(A) * Theta pull(B) = (A.B) pt
+    den = lcm(*(c.denominator for c in entries.values()))
+    table = [[] for _ in range(dim)]
+    for (i, j, k), c in sorted(entries.items()):
+        table[i].append((j, k, c.numerator * (den // c.denominator)))
+    g.matrices[_structure_constants] = table, den
     return table, den
-
-
-def _mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
-    """The product formula, over any scalar.
-
-    Works on the coordinate tuples and skips every product with an
-    exact-zero factor of any scalar type, as ``pair`` does; a component no
-    nonzero product reaches is the Fraction zero.
-    """
-    r = g.rank
-    if v1.rank_lattice != r or v2.rank_lattice != r:
-        raise DimensionError("vector rank does not match geometry rank")
-    f1, f2 = v1.coordinates(), v2.coordinates()
-    z1, z2 = _nonzero(f1, _plain(f1)), _nonzero(f2, _plain(f2))
-    n1, x1, S1, e1, a1, s1 = z1[0], z1[1], z1[2 : 2 + r], z1[2 + r : 2 + 2 * r], z1[-2], z1[-1]
-    n2, x2, S2, e2, a2, s2 = z2[0], z2[1], z2[2 : 2 + r], z2[2 + r : 2 + 2 * r], z2[-2], z2[-1]
-    h = g.h
-
-    xxh = x1 * x2 * h if x1 is not None and x2 is not None and h else None
-    n = _sum_products(((n1, n2),))
-    x = _sum_products(((n1, x2), (n2, x1)))
-    S = tuple(_or_zero(_sum_products(((n1, S2[i]), (n2, S1[i])))) for i in range(r))
-    eta = tuple(
-        _or_zero(
-            _sum_products(
-                ((n1, e2[i]), (n2, e1[i]), (xxh, g.hb[i] or None), (x1, S2[i]), (x2, S1[i]))
-            )
-        )
-        for i in range(r)
-    )
-    # Each pullback part meets the gram matrix once, for both of its
-    # pairings; pairings with H use the stored row hb * gram.
-    w1, w2 = _row(S1, g.gram), _row(S2, g.gram)
-    he1 = None if x2 is None else _sum_products(zip(g.hb_row, e1))
-    he2 = None if x1 is None else _sum_products(zip(g.hb_row, e2))
-    a = _sum_products(((n1, a2), (n2, a1), *zip(w1, S2)))
-    s = _sum_products(
-        (
-            (n1, s2),
-            (n2, s1),
-            (x1, None if he2 is None else h * he2),
-            (x2, None if he1 is None else h * he1),
-            (x1, a2),
-            (x2, a1),
-            *zip(w1, e2),
-            *zip(w2, e1),
-        )
-    )
-    return ChernVector._raw(
-        _or_zero(n),
-        _or_zero(x),
-        DivisorB._raw(S),
-        DivisorB._raw(eta),
-        _or_zero(a),
-        _or_zero(s),
-    )
 
 
 def divisor_vector(g: BaseGeometry, d: DivisorX) -> ChernVector:

@@ -63,19 +63,18 @@ def shape(v):
 
 
 def count_symbolic_products(monkeypatch):
-    """Record each call of ``ring._mul`` with a factor that is not all
-    Fraction, and return the list of records.  A structure-constant table
-    is read off one such call, so build g's table (``ring._structure_constants``)
-    before counting on g."""
+    """Record each product (``ring._contract``, which ``mul`` and ``degree``
+    run) with a factor that is not all Fraction, and return the list of
+    records."""
     calls = []
-    original = ring._mul
+    original = ring._contract
 
-    def counted(g, v1, v2):
+    def counted(table, den, v1, v2):
         if not all(type(c) is Fraction for c in v1.coordinates() + v2.coordinates()):
             calls.append(1)
-        return original(g, v1, v2)
+        return original(table, den, v1, v2)
 
-    monkeypatch.setattr(ring, "_mul", counted)
+    monkeypatch.setattr(ring, "_contract", counted)
     return calls
 
 

@@ -682,7 +682,6 @@ class TestCrossPolynomial:
         rng = random.Random(41)
         for rank, gram, hb in ((1, [[1]], [1]), (2, [[2, 3], [3, -1]], [1, 2])):
             g = BaseGeometry(rank, gram, hb, Fraction(-1, 2), 0, 1)
-            ring._structure_constants(g)
             m, n, dd = _rand_vector(rng, rank), _rand_vector(rng, rank), _rand_divisor(rng, rank)
             asymptotics._cross_poly(g, m, n, ChargeKind.REDUCED, None)
             assert len(ring_parts) == 2 * rank + 4

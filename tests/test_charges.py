@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from ellstab import ring
 from ellstab.charges import (
     _full_parts,
     _reduced_parts,
@@ -85,7 +84,6 @@ class TestProveClosedForm:
         calls = count_symbolic_products(monkeypatch)
         for rank, gram, hb, want in ((1, [[1]], [1], 14), (2, [[2, 3], [3, -1]], [1, 2], 18)):
             g = BaseGeometry(rank, gram, hb, Fraction(-1, 2), 0, 1)
-            ring._structure_constants(g)
             calls.clear()
             prove_closed_form(g)
             assert len(calls) == want

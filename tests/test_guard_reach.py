@@ -69,27 +69,42 @@ def _transform_entry(original):
     return mutant
 
 
-def _structure_constant(original):
-    """c_kij of the product at h = -1, rank 1 with i = j = x and k = eta
-    (x1 x2 h H), off by one."""
+def _relation(i: int, j: int, k: int):
+    """c_kij and c_kji of the product at h = -1, rank 1, each off by one:
+    a typo in one relation line behind ``ring._structure_constants``.
+    Flat indices at rank 1: n, x, S, eta, a, s = 0 .. 5."""
 
-    def mutant(g):
-        table, den = original(g)
-        if g.h == -1 and g.rank == 1:
-            table = [[list(cell) for cell in row] for row in table]
-            k, c = table[1][1][0]
-            table[1][1][0] = (k, c + den)
-        return table, den
+    def make(original):
+        def mutant(g):
+            table, den = original(g)
+            if g.h == -1 and g.rank == 1:
+                bumped = {(i, j, k), (j, i, k)}
+                table = [[(jj, kk, c + den * ((ii, jj, kk) in bumped)) for jj, kk, c in row]
+                         for ii, row in enumerate(table)]
+            return table, den
 
-    return mutant
+        return mutant
+
+    return make
 
 
-# mutation: (module, attribute, mutant maker, suites that catch it at SIZE)
+# mutation: (module, attribute, mutant maker, suites that catch it at SIZE).
+# "structure constant" is the relation Theta^2 = h Theta pull(H).  The unit
+# on a and on s (c_{a,0,a}, c_{s,0,s}) is caught by no suite at SIZE, and
+# has no row.
 REACH = {
     "reduced coefficient": (charges, "_reduced_coefficients", _coefficient, ("im-identity", "threshold")),
     "reduced germ": (charges, "_reduced_germs", _germ, ("im-identity", "threshold")),
     "transform entry": (fmt, "_phi", _transform_entry, ("involution", "swap", "im-identity")),
-    "structure constant": (ring, "_mul_table", _structure_constant, ("chow", "im-identity", "threshold")),
+    "structure constant": (ring, "_structure_constants", _relation(1, 1, 3), ("chow", "im-identity", "threshold")),
+    "Theta f = pt": (ring, "_structure_constants", _relation(1, 4, 5), ("chow", "im-identity", "threshold")),
+    "Theta pull(A)": (ring, "_structure_constants", _relation(1, 2, 3), ("chow", "im-identity", "threshold")),
+    "Theta Theta pull(A)": (ring, "_structure_constants", _relation(1, 3, 5), ("chow", "im-identity", "threshold")),
+    "pull(A) pull(B)": (ring, "_structure_constants", _relation(2, 2, 4), ("chow", "im-identity", "threshold")),
+    "pull(A) Theta pull(B)": (ring, "_structure_constants", _relation(2, 3, 5),
+                              ("chow", "im-identity", "threshold")),
+    "unit on x": (ring, "_structure_constants", _relation(0, 1, 1), ("im-identity", "threshold")),
+    "unit on eta": (ring, "_structure_constants", _relation(0, 3, 3), ("threshold",)),
 }
 
 

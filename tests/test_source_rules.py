@@ -100,3 +100,33 @@ def test_the_kernel_rule_sees_methods_aliases_and_module_stores():
                      "def scale(x): pass\n"
                      "def _store(p, nums, den): pass\n")
     assert list(_copies_the_integer_form_kernel(tree)) == [2, 4, 7, 8, 10]
+
+
+def _imports_poly(tree):
+    """Line numbers of an import of the ``poly`` module or of a name from
+    it, at module level or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "poly" or any(a.name == "poly" for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "poly" for a in node.names):
+            yield node.lineno
+
+
+def test_the_ring_imports_nothing_from_poly():
+    """The ring sits below the polynomials: ``poly`` builds on
+    ``ring._IntegerForm``, and the product's structure constants come from
+    the relations, not from a product at ``Poly2`` monomials."""
+    assert _sites(_imports_poly, {"ring.py"}) == []
+
+
+def test_the_layering_rule_sees_every_import_form():
+    tree = ast.parse("from .poly import Poly2\n"
+                     "def f():\n"
+                     "    from .poly import Poly2, monomial_coefficients\n"
+                     "from . import poly\n"
+                     "import ellstab.poly\n"
+                     "from ellstab.poly import Poly1\n"
+                     "from .series import LaurentSeries\n"
+                     "from . import polyhedra\n")
+    assert sorted(_imports_poly(tree)) == [1, 3, 4, 5, 6]

@@ -68,7 +68,6 @@ class TestImIdentity:
         rng = random.Random(23)
         for h in (Fraction(-1), Fraction(1, 2)):
             g = BaseGeometry(1, [[1]], [1], h, 0, 1)
-            ring._structure_constants(g)
             c = _rand_tilt(rng, h)
             counts = []
             for _ in range(3):
