@@ -27,7 +27,7 @@ from . import charges as charges_mod
 from .curves import CurveConstraint, admissible_bracket, expand_u
 from .errors import ComputationFault, ConfigurationError, DimensionError, DomainError
 from .poly import Poly2, RootInterval, monomial_coefficients, sign_at_root
-from .ring import BaseGeometry, ChernVector, DivisorB, _from_flat, _over_common_denominator
+from .ring import BaseGeometry, ChernVector, DivisorB, _over_common_denominator
 from .series import LaurentSeries
 
 
@@ -131,7 +131,7 @@ def _checked_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: Ch
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
     nums, full = v._nums, kind is ChargeKind.FULL
-    if nums is None:
+    if type(nums[0]) is not int:
         raise DomainError("a charge germ needs a rational class (every coordinate a Fraction)")
     if full and (nums[0] or nums[1]):
         raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
@@ -157,7 +157,7 @@ def _coefficient_rows(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int]:
         if full:
             flat[:2] = Fraction(0), Fraction(0)
             d = (DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r))),)
-        parts = coefficients(g, _from_flat(r, flat), *d)
+        parts = coefficients(g, ChernVector._ints(flat, 1), *d)
         values = [x for const, coeffs in parts for x in (const, *coeffs)]
         entries, den = monomial_coefficients(values)
         rows = [[] for _ in values]

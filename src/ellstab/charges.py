@@ -30,7 +30,6 @@ from .ring import (
     ChernVector,
     DivisorB,
     DivisorX,
-    _from_flat,
     degree,
     divisor_powers,
     pair_h,
@@ -164,7 +163,7 @@ def prove_closed_form(g: BaseGeometry) -> None:
         powers = divisor_powers(g, DivisorX(usym, g.hb_divisor.scale(vsym)))
         dim = 2 * g.rank + 4
         for k in range(dim):
-            basis = _from_flat(g.rank, [Fraction(int(i == k)) for i in range(dim)])
+            basis = ChernVector._ints([int(i == k) for i in range(dim)], 1)
             _checked_reduced_parts(g, basis, usym, vsym, powers)
         g.matrices[prove_closed_form] = True
 

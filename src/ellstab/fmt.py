@@ -9,11 +9,15 @@ cohomology is plain negation.  When the base is numerically canonically
 trivial (h = 0) each transform degenerates to swapping the two rows of the
 matrix notation and negating the second row.
 
-Both maps are linear in the flat coordinates (n, x, S, eta, a, s): a
-fraction-free vector (all ``Fraction``) goes through an integer matrix built
-once per geometry and read off one evaluation of the closed form at
-``Poly2`` monomials, applied to its numerators with one gcd for the result;
-any other scalar (``Poly2``) goes through the closed form.
+Both maps are linear in the flat coordinates (n, x, S, eta, a, s), so each
+is an integer matrix, built once per geometry and read off one evaluation
+of the closed form at ``Poly2`` monomials, applied to a vector's numerators
+at every scalar.  On rational vectors the result is fraction-free with one
+gcd; on vectors all of ``Poly2`` it is the closed form's value, type and
+hash.  On a vector that mixes ``Fraction`` with ``Poly2`` or series the
+value is the closed form's, but a coordinate that only ``Fraction``
+entries reach is a ``Fraction`` where the closed form, adding zero terms
+of the other type, gave a ``Poly2`` or a series.
 """
 
 from __future__ import annotations
@@ -23,16 +27,17 @@ from fractions import Fraction
 from .errors import DomainError
 from .poly import Poly2, monomial_coefficients
 from .ring import BaseGeometry, ChernVector, DimensionError, pair_h
-from .ring import _from_flat
 
 
 def phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
-    """Forward transform of a cohomology vector."""
+    """Forward transform of a cohomology vector, through the matrix of
+    ``_phi`` (types on mixed vectors: module docstring)."""
     return _apply(g, v, _phi)
 
 
 def phi_hat(g: BaseGeometry, v: ChernVector) -> ChernVector:
-    """Inverse-direction transform of a cohomology vector."""
+    """Inverse-direction transform of a cohomology vector, through the
+    matrix of ``_phi_hat``."""
     return _apply(g, v, _phi_hat)
 
 
@@ -63,17 +68,15 @@ def _phi_hat(g: BaseGeometry, v: ChernVector) -> ChernVector:
 
 
 def _apply(g: BaseGeometry, v: ChernVector, closed) -> ChernVector:
-    """The closed form at v; on a fraction-free vector through its matrix,
-    kept on g as sparse integer rows of (column, entry) over one
-    denominator, applied to the numerators."""
+    """The closed form at v through its matrix, kept on g as sparse integer
+    rows of (column, entry) over one denominator, applied to the
+    numerators at every scalar."""
     if v.rank_lattice != g.rank:
         raise DimensionError("vector rank does not match geometry rank")
-    nums = v._nums
-    if nums is None:
-        return closed(g, v)
     if closed not in g.matrices:
         g.matrices[closed] = _matrix(g, closed)
     rows, den = g.matrices[closed]
+    nums = v._nums
     return ChernVector._ints([sum(a * nums[j] for j, a in row) for row in rows], den * v._den)
 
 
@@ -82,7 +85,7 @@ def _matrix(g: BaseGeometry, closed) -> tuple[list, int]:
     scalars: coordinate j is u^(j+1), so the u^(j+1) coefficient of output
     k is M[k][j]."""
     dim = 2 * g.rank + 4
-    out = closed(g, _from_flat(g.rank, [Poly2._ints({(j + 1, 0): 1}, 1) for j in range(dim)]))
+    out = closed(g, ChernVector._ints([Poly2._ints({(j + 1, 0): 1}, 1) for j in range(dim)], 1))
     entries, den = monomial_coefficients(out.coordinates())
     rows = [[] for _ in range(dim)]
     for k, (j, _), c in entries:
@@ -96,15 +99,13 @@ def fiber_swap_rule(g: BaseGeometry, tw: ChernVector) -> ChernVector:
     Input is a suitably twisted vector of an object with n = x = 0; the
     output is the matching twist of its transform: rows are swapped and the
     new second row negated, i.e. (S, eta, a, s) -> (eta, -S, s, -a).  A
-    signed permutation, so a fraction-free vector goes through its
-    numerators over the same denominator.
+    signed permutation of the numerators over the same denominator, at
+    every scalar.
     """
     r, nums = g.rank, tw._nums
     if tw.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
-    if (tw.n != 0 or tw.x != 0) if nums is None else (nums[0] or nums[1]):
+    if nums[0] or nums[1]:
         raise DomainError("swap rule requires a fiber-degree-trivial class (n = x = 0)")
-    if nums is None:
-        return ChernVector(0, 0, tw.eta, -tw.S, tw.s, -tw.a)
     S, eta = nums[2 : 2 + r], nums[2 + r : 2 + 2 * r]
     return ChernVector._ints([0, 0, *eta, *(-t for t in S), nums[-1], -nums[-2]], tw._den)

@@ -64,6 +64,9 @@ class Poly1(_IntegerForm):
     def is_zero(self) -> bool:
         return not self._nums
 
+    def __bool__(self) -> bool:
+        return bool(self._nums)
+
     def _constant(self):
         return self._nums[0] if self._nums else 0
 
@@ -490,6 +493,9 @@ class Poly2(_IntegerForm):
 
     def is_zero(self) -> bool:
         return not self._nums
+
+    def __bool__(self) -> bool:
+        return bool(self._nums)
 
     def _constant(self):
         return self._nums.get((0, 0)) if self._nums else 0

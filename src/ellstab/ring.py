@@ -28,20 +28,19 @@ field B = t*Theta + pull(D) they give the closed forms used by ``twist``:
     B^3 = (t^3 h^2 * H^2  +  3 t^2 h * (H.D)  +  3t * (D.D)) * pt.
 
 All arithmetic is exact; coordinates are ``fractions.Fraction`` values
-(polynomial coefficients are also accepted, which lets the same formulas run
-symbolically).  One storage rule holds for vectors (``ChernVector``): a
-vector of ``Fraction``s is held fraction-free from construction, as
-``Poly2`` is, as integer numerators of its flat coordinates over one
-positive denominator; a vector of any other scalar holds only its fields.
-Each vector operation keeps one integer path and one path over the flat
-coordinates, and a vector made from its integer form builds each field on
-its first read.  The product has one rule: the relations, written once
-as integer structure constants over one denominator
-(``_structure_constants``) and kept on the geometry, which ``mul``
-applies at every scalar, to the integer numerators of a fraction-free
-factor and to the coordinates of any other.  ``degree``, the point
-coefficient of a product that every slope and charge reads, applies the
-constants that reach the point class in the same way.
+(polynomial and series coefficients are also accepted, which lets the same
+formulas run symbolically).  One storage form holds for every vector
+(``ChernVector``) at every scalar: its flat coordinates as numerators over
+one positive denominator.  A vector of rationals holds integers,
+content-reduced, so it is fraction-free from construction, as ``Poly2``
+is; any other holds its coordinates over 1.  Each vector operation is one
+formula over the numerators, and each field is built on its first read.
+The product has one rule: the relations, written once as integer
+structure constants over one denominator (``_structure_constants``) and
+kept on the geometry, which ``mul`` applies to the numerators at every
+scalar.  ``degree``, the point coefficient of a product that every slope
+and charge reads, applies the constants that reach the point class in the
+same way.
 ``_IntegerForm`` states that storage rule, with the operators it implies,
 once for the exact scalars ``Poly1``, ``Poly2`` and ``LaurentSeries``.
 """
@@ -53,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import ConfigurationError, DimensionError
 
 
 def _q(x):
@@ -84,18 +83,8 @@ def _sum_products(pairs):
     return total
 
 
-def _fraction(t: int, den: int) -> Fraction:
-    """t / den, with the shared zero for t = 0."""
-    return Fraction(t, den) if t else _ZERO
-
-
 def _or_zero(value):
     return _ZERO if value is None else value
-
-
-def _plain(coords) -> bool:
-    """Whether every coordinate is a Fraction."""
-    return all(type(c) is Fraction for c in coords)
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -169,13 +158,6 @@ class _IntegerForm:
         if n is not None:
             return hash(Fraction(n, self._den))
         return hash((frozenset(nums.items()) if isinstance(nums, dict) else nums, self._den))
-
-
-def _nonzero(coords, plain: bool) -> tuple:
-    """Coordinates with exact zeros, of any scalar type, replaced by None."""
-    if plain:
-        return tuple(c or None for c in coords)
-    return tuple(None if c == 0 else c for c in coords)
 
 
 @dataclass(frozen=True)
@@ -264,9 +246,10 @@ class BaseGeometry:
     ``matrices`` starts empty; it keeps the integer tables of the linear
     closed forms, keyed by the closed form: ``fmt``'s transform matrices,
     the product's structure constants (keyed by ``_structure_constants``)
-    and their point-class slice (keyed by ``degree``), and the charges' class
+    and their point-class slice (keyed by ``degree``), which act on the
+    numerators of vectors at every scalar, and the charges' class
     coefficient rows (keyed by the coefficient function), which act on the
-    integer numerators of fraction-free vectors, and the mark of
+    integer numerators of rational vectors, and the mark of
     ``charges.prove_closed_form`` once it has run on g.
     """
 
@@ -329,10 +312,9 @@ class BaseGeometry:
 
 
 class _Field:
-    """A field of ``ChernVector``.  A non-data descriptor: on first read of
-    a field of a vector made from its integer form it builds that field
-    alone, which sits in the instance ``__dict__`` and shadows it from then
-    on."""
+    """A field of ``ChernVector``.  A non-data descriptor: on first read it
+    builds that field alone from the numerators, which sits in the instance
+    ``__dict__`` and shadows it from then on."""
 
     def __init__(self, name: str, position: int):
         self.name, self.position = name, position  # flat index, or block of S/eta
@@ -343,9 +325,9 @@ class _Field:
         nums, den, i = v._nums, v._den, self.position
         if self.name in ("S", "eta"):
             r = len(nums) // 2 - 2
-            value = DivisorB._raw(tuple(_fraction(t, den) for t in nums[2 + i * r : 2 + (i + 1) * r]))
+            value = DivisorB._raw(tuple(_divided(t, den) for t in nums[2 + i * r : 2 + (i + 1) * r]))
         else:
-            value = _fraction(nums[i], den)
+            value = _divided(nums[i], den)
         v.__dict__[self.name] = value
         return value
 
@@ -359,19 +341,18 @@ class ChernVector:
     degree two), ``a`` (fiber coefficient of degree two), ``s`` (point
     coefficient).  Addition is componentwise, matching direct sums.
 
-    One storage rule: a vector whose coordinates are all ``Fraction`` holds,
-    from construction, its integer form ``_nums``: the numerators of its
-    flat coordinates (n, x, S..., eta..., a, s) over ``_den`` > 0,
-    content-reduced, so canonical (zero is all zeros over 1).  A vector of
-    any other scalar (``Poly2``, ``LaurentSeries``) holds only its fields,
-    and ``_nums`` is None.  ``==``, ``+``, ``-``, ``scale`` and
-    ``degree_part`` take the integers when every operand is rational (one
-    gcd, through ``_ints``) and otherwise one expression over
-    ``coordinates()``; ``mul``, ``degree``, ``fmt.phi``/``phi_hat`` and
-    ``fmt.fiber_swap_rule`` take the integers too, and otherwise their
-    formulas.  A vector made by ``_ints`` builds each field on its first
-    read, that field alone, with the constructor's type and value, so
-    ``hash`` and ``repr`` are unchanged.
+    One storage form at every scalar: the flat coordinates (n, x, S...,
+    eta..., a, s) as numerators ``_nums`` over one positive int ``_den``,
+    put in that form by ``_ints``.  A vector whose coordinates are all
+    rational holds integers, content-reduced, so canonical (zero is all
+    zeros over 1); any other vector (``Poly2``, ``LaurentSeries``, or
+    ``Fraction`` mixed with them) holds its coordinates over 1, and no int
+    among them, so ``type(v._nums[0]) is int`` tells the two apart.
+    ``==``, ``+``, ``-``, ``scale``, ``mul``, ``degree``,
+    ``fmt.phi``/``phi_hat`` and ``fmt.fiber_swap_rule`` are each one
+    formula over the numerators.  Each field is built on its first read,
+    that field alone, with the constructor's type and value, so ``hash``
+    and ``repr`` are those of the fields.
     """
 
     n: Fraction
@@ -382,44 +363,51 @@ class ChernVector:
     s: Fraction
 
     def __init__(self, n, x, S: DivisorB, eta: DivisorB, a, s):
+        if not (isinstance(S, DivisorB) and isinstance(eta, DivisorB)):
+            kinds = f"{type(S).__name__} and {type(eta).__name__}"
+            raise TypeError(f"components S and eta must be DivisorB, not {kinds}")
         if S.rank != eta.rank:
             raise DimensionError("components S and eta have different ranks")
-        self._hold(_q(n), _q(x), S, eta, _q(a), _q(s))
-
-    @classmethod
-    def _raw(cls, n, x, S: DivisorB, eta: DivisorB, a, s) -> "ChernVector":
-        """Assemble components that are already scalars, without coercion."""
-        v = object.__new__(cls)
-        v._hold(n, x, S, eta, a, s)
-        return v
-
-    def _hold(self, n, x, S: DivisorB, eta: DivisorB, a, s) -> None:
-        """Store the six fields, and the integer form when every coordinate
-        is a Fraction."""
-        coords = (n, x, *S.coords, *eta.coords, a, s)
-        nums, den = _over_common_denominator(coords) if _plain(coords) else (None, None)
-        self.__dict__.update(
-            n=n, x=x, S=S, eta=eta, a=a, s=s, _nums=None if nums is None else tuple(nums), _den=den
-        )
+        n, x, a, s = _q(n), _q(x), _q(a), _q(s)
+        coords = [n, x, *S.coords, *eta.coords, a, s]
+        try:  # Fractions, the usual input, go in as integers: no gcd has to refuse them
+            self._store(*_over_common_denominator(coords))
+        except AttributeError:
+            self._store(coords, 1)
+        self.__dict__.update(n=n, x=x, S=S, eta=eta, a=a, s=s)  # as their first reads would build them
 
     @classmethod
     def _ints(cls, nums, den: int) -> "ChernVector":
-        """The vector of flat coordinates nums[i] / den, for integers nums
-        and den > 0, content-reduced."""
-        c = gcd(den, *nums)
+        """The vector of flat coordinates nums[i] / den, for den > 0."""
+        v = object.__new__(cls)
+        v._store(nums, den)
+        return v
+
+    def _store(self, nums, den: int) -> None:
+        """Hold nums / den in the one storage form: rationals as integers
+        over one denominator, content-reduced; any other scalars each
+        divided by den, over 1."""
+        try:
+            c = gcd(den, *nums)  # refuses a scalar that is no int
+        except TypeError:
+            if all(isinstance(t, _RATIONAL) for t in nums):
+                nums, common = _over_common_denominator(nums)
+                den *= common
+                c = gcd(den, *nums)
+            else:
+                nums, den, c = [_divided(t, den) for t in nums], 1, 1
         if c != 1:
             nums = [t // c for t in nums]
             den //= c
-        v = object.__new__(cls)
-        v.__dict__.update(_nums=tuple(nums), _den=den)
-        return v
+        self.__dict__.update(_nums=tuple(nums), _den=den)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._nums is None or other._nums is None:
-            return self.coordinates() == other.coordinates()
-        return self._den == other._den and self._nums == other._nums
+        nums, other_nums, d1, d2 = self._nums, other._nums, self._den, other._den
+        if d1 == d2:
+            return nums == other_nums
+        return len(nums) == len(other_nums) and all(a * d2 == b * d1 for a, b in zip(nums, other_nums))
 
     @classmethod
     def zero(cls, rank: int) -> "ChernVector":
@@ -433,52 +421,31 @@ class ChernVector:
 
     @property
     def rank_lattice(self) -> int:
-        nums = self._nums
-        return self.S.rank if nums is None else len(nums) // 2 - 2
+        return len(self._nums) // 2 - 2
 
     def coordinates(self) -> tuple:
         """The flat coordinate tuple (n, x, S..., eta..., a, s)."""
         return (self.n, self.x, *self.S.coords, *self.eta.coords, self.a, self.s)
 
     def __add__(self, other: "ChernVector") -> "ChernVector":
-        r = self.rank_lattice
-        if other.rank_lattice != r:
+        if other.rank_lattice != self.rank_lattice:
             raise DimensionError("divisor rank mismatch")
-        nums, other_nums = self._nums, other._nums
-        if nums is None or other_nums is None:
-            return _from_flat(r, [a + b for a, b in zip(self.coordinates(), other.coordinates())])
         d1, d2 = self._den, other._den
-        return ChernVector._ints([a * d2 + b * d1 for a, b in zip(nums, other_nums)], d1 * d2)
+        return ChernVector._ints([a * d2 + b * d1 for a, b in zip(self._nums, other._nums)], d1 * d2)
 
     def __sub__(self, other: "ChernVector") -> "ChernVector":
         return self + (-other)
 
     def __neg__(self) -> "ChernVector":
-        nums = self._nums
-        if nums is None:
-            return _from_flat(self.rank_lattice, [-c for c in self.coordinates()])
-        return ChernVector._ints([-t for t in nums], self._den)
+        return ChernVector._ints([-t for t in self._nums], self._den)
 
     def scale(self, c) -> "ChernVector":
         c = _q(c)
-        nums = self._nums
-        if nums is None or type(c) is not Fraction:
-            return _from_flat(self.rank_lattice, [c * t for t in self.coordinates()])
-        return ChernVector._ints([c.numerator * t for t in nums], self._den * c.denominator)
+        p, q = (c.numerator, c.denominator) if type(c) is Fraction else (c, 1)
+        return ChernVector._ints([p * t for t in self._nums], self._den * q)
 
     def __rmul__(self, c) -> "ChernVector":
         return self.scale(c)
-
-    def degree_part(self, d: int) -> "ChernVector":
-        """The homogeneous piece of cohomological degree 2*d."""
-        if d not in (0, 1, 2, 3):
-            raise DomainError(f"no degree-{d} part on a threefold")
-        r = self.rank_lattice
-        keep = [k == d for k in (0, 1) + (1,) * r + (2,) * r + (2, 3)]  # halved degrees
-        nums = self._nums
-        if nums is None:
-            return _from_flat(r, [c if k else _ZERO for c, k in zip(self.coordinates(), keep)])
-        return ChernVector._ints([t if k else 0 for t, k in zip(nums, keep)], self._den)
 
     def a2(self, g: BaseGeometry) -> DivisorB:
         """Pullback part of the canonically twisted degree-one component."""
@@ -501,13 +468,6 @@ for _name, _position in (("n", 0), ("x", 1), ("S", 0), ("eta", 1), ("a", -2), ("
 del _name, _position
 
 
-def _from_flat(r: int, c) -> ChernVector:
-    """A vector from flat coordinates (n, x, S..., eta..., a, s) that are
-    already scalars, without coercion."""
-    S, eta = DivisorB._raw(tuple(c[2 : 2 + r])), DivisorB._raw(tuple(c[2 + r : 2 + 2 * r]))
-    return ChernVector._raw(c[0], c[1], S, eta, c[-2], c[-1])
-
-
 def pair(g: BaseGeometry, d1: DivisorB, d2: DivisorB):
     """Intersection pairing of two base classes: d1^T * gram * d2."""
     if d1.rank != g.rank or d2.rank != g.rank:
@@ -527,29 +487,27 @@ def pair_h(g: BaseGeometry, d: DivisorB):
     """Pairing H.d with the ample class, through the stored row hb * gram."""
     if d.rank != g.rank:
         raise DimensionError("divisor rank does not match geometry rank")
-    return _or_zero(_sum_products(zip(g.hb_row, _nonzero(d.coords, _plain(d.coords)))))
+    return _or_zero(_sum_products(zip(g.hb_row, (c or None for c in d.coords))))
 
 
 def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     """Graded product of two classes, truncated above the point class.
 
-    The structure constants of g applied to the factors by ``_contract``,
-    at every scalar; two fraction-free factors give the integer form of the
-    result, with one gcd.  A coordinate that no product reaches is the
-    Fraction zero: at h = 0, where Theta * Theta pull(A) has no point
-    coefficient, that can be the point coefficient even when x1 and eta2
-    are ``Poly2``s or series (a formula that multiplied by h = 0 would keep
-    their zero there).  Products are summed term by term, so a coordinate
-    of truncated series takes the floor of every term with a nonzero
-    constant, also where the rational factor's terms cancel.
+    The structure constants of g applied to the factors' numerators by
+    ``_contract`` at every scalar, and the totals put in the storage form
+    by ``ChernVector._ints`` (one gcd for two rational factors).  A
+    coordinate that no product reaches is the Fraction zero: at h = 0,
+    where Theta * Theta pull(A) has no point coefficient, that can be the
+    point coefficient even when x1 and eta2 are ``Poly2``s or series (a
+    formula that multiplied by h = 0 would keep their zero there).
+    Products are summed term by term, so a coordinate of truncated series
+    takes the floor of every term with a nonzero constant, also where the
+    rational factor's terms cancel.
     """
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
-    totals, den = _contract(*_structure_constants(g), v1, v2)
-    if v1._nums is None or v2._nums is None:
-        return _from_flat(r, [_divided(t, den) for t in totals])
-    return ChernVector._ints(totals, den)
+    return ChernVector._ints(*_contract(*_structure_constants(g), v1, v2))
 
 
 def degree(g: BaseGeometry, v1: ChernVector, v2: ChernVector):
@@ -569,11 +527,12 @@ def degree(g: BaseGeometry, v1: ChernVector, v2: ChernVector):
 
 def _contract(table: list, den: int, v1: ChernVector, v2: ChernVector) -> tuple[list, int]:
     """The sums of a_i b_j c over the entries (j, k, c) of ``table[i]``, by
-    output k, over den times the factors' denominators.  A fraction-free
-    factor gives its integer numerators over its denominator, any other its
-    coordinates over 1; a product with an exact-zero factor, of any scalar
-    type, is skipped, so an output that none reaches is the integer 0."""
-    (left, d1), (right, d2) = _factor(v1), _factor(v2)
+    output k, over den times the factors' denominators, with a_i and b_j the
+    factors' numerators.  A product with a factor that is false (an exact
+    zero, ``Fraction`` or ``Poly2``) is skipped, so an output that none
+    reaches is the integer 0; a series is never false, so a truncated
+    stored zero still passes its floor on."""
+    left, right = v1._nums, v2._nums
     totals = [0] * len(table)
     for a, row in zip(left, table):
         if a:
@@ -581,23 +540,15 @@ def _contract(table: list, den: int, v1: ChernVector, v2: ChernVector) -> tuple[
                 b = right[j]
                 if b:
                     totals[k] += a * c * b
-    return totals, den * d1 * d2
+    return totals, den * v1._den * v2._den
 
 
-def _factor(v: ChernVector) -> tuple:
-    """A factor of ``_contract``: the integer numerators and denominator of a
-    fraction-free vector, else the coordinates, exact zeros written 0, over 1."""
-    if v._nums is None:
-        return [0 if c == 0 else c for c in v.coordinates()], 1
-    return v._nums, v._den
-
-
-def _divided(total, den: int):
-    """A ``_contract`` total over den: a Fraction for an integer total, the
-    shared zero for 0, and any other scalar divided by den."""
-    if type(total) is int:
-        return _fraction(total, den)
-    return total if den == 1 else total / den
+def _divided(t, den: int):
+    """A numerator over den: a Fraction for an int, the shared zero for 0,
+    and any other scalar divided by den."""
+    if type(t) is int:
+        return Fraction(t, den) if t else _ZERO
+    return t if den == 1 else t / den
 
 
 def _structure_constants(g: BaseGeometry) -> tuple[list, int]:
@@ -664,7 +615,7 @@ def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
         s = -t * (th * th * g.hb2 + 3 * th * pair_h(g, D) + 3 * dd) / 6
     else:
         eta, s = g.zero_divisor().coords, _ZERO
-    expo = _from_flat(g.rank, [Fraction(1), -t, *(-c for c in D.coords), *eta, dd / 2, s])
+    expo = ChernVector._ints([Fraction(1), -t, *(-c for c in D.coords), *eta, dd / 2, s], 1)
     return mul(g, expo, v)
 
 

@@ -212,7 +212,7 @@ class TestChargeSeries:
             r = g.rank
             flat = [Fraction(0), Fraction(0)] + [Poly2._ints({(i + 3, 0): 1}, 1) for i in range(2 * r + 2)]
             dsym = DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r)))
-            (_, (re_x, _)), (_, (_, _, im_n)) = charges._full_coefficients(g, ring._from_flat(r, flat), dsym)
+            (_, (re_x, _)), (_, (_, _, im_n)) = charges._full_coefficients(g, ChernVector._ints(flat, 1), dsym)
             assert re_x == 0 and im_n == 0
             rows, _ = asymptotics._coefficient_rows(g, ChargeKind.FULL)
             assert len(rows) == 5
@@ -236,12 +236,19 @@ class TestChargeSeries:
 
     def test_rational_class_reads_no_field(self, monkeypatch):
         """The class and d enter as integers: on vectors made from their
-        integer form, neither kind builds a ChernVector field, on a fresh
-        geometry or once its coefficient rows are kept."""
+        integer form, neither kind builds a field of a rational vector, on a
+        fresh geometry or once its coefficient rows are kept.  (The rows and
+        transform matrices of a fresh geometry are read off vectors of
+        Poly2 monomials, whose fields are built on read too.)"""
         reads = []
         original = ring._Field.__get__
-        monkeypatch.setattr(ring._Field, "__get__",
-                            lambda self, v, owner=None: reads.append(self.name) or original(self, v, owner))
+
+        def counted(self, v, owner=None):
+            if v is not None and type(v._nums[0]) is int:
+                reads.append(self.name)
+            return original(self, v, owner)
+
+        monkeypatch.setattr(ring._Field, "__get__", counted)
         rng = random.Random(18)
         for g in fresh_geometries():
             tilt, onedim = _rand_tilt(rng, g.h), OneDimCurve(g.h, 1, rng.randint(3, 9))

@@ -10,7 +10,8 @@ from ellstab import fmt, ring
 from ellstab.errors import DimensionError, DomainError
 from ellstab.fmt import fiber_swap_rule, phi, phi_hat
 from ellstab.poly import Poly2
-from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, _from_flat, twist
+from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, twist
+from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
 from conftest import cv, d, fresh_geometries, sample_vectors, shape
@@ -99,7 +100,7 @@ class TestSwapRule:
     def test_integer_path_matches_the_field_path(self):
         """On vectors of Fractions, constructor-made or produced, the
         permuted numerators give the constructor-made field result in
-        value, scalar types, hash and repr; other scalars keep the fields."""
+        value, scalar types, hash and repr."""
         rng = random.Random(26)
         for g in fresh_geometries():
             for _ in range(20):
@@ -112,10 +113,35 @@ class TestSwapRule:
                     assert set(got.__dict__) == {"_nums", "_den"}
                     assert shape(got) == shape(want)
                     assert hash(got) == hash(want) and repr(got) == repr(want)
-                poly = _from_flat(g.rank, [Poly2.const(c) for c in flat.coordinates()])
+                poly = ChernVector._ints([Poly2.const(c) for c in flat.coordinates()], 1)
                 assert fiber_swap_rule(g, poly) == fiber_swap_rule(g, flat)
                 with pytest.raises(DomainError):
-                    fiber_swap_rule(g, _from_flat(g.rank, [Poly2.u()] + list(flat.coordinates())[1:]))
+                    fiber_swap_rule(g, ChernVector._ints([Poly2.u()] + list(flat.coordinates())[1:], 1))
+
+    def test_numerators_match_the_field_path_at_every_scalar(self):
+        """The signed permutation of the numerators is the field formula
+        the other scalars took, in value, type and hash, and refuses the
+        same classes."""
+        rng = random.Random(27)
+        floored = LaurentSeries([(1, 2), (-1, 1)], -3)
+        for g in fresh_geometries():
+            r = g.rank
+            for _ in range(10):
+                w = _rand_vector(rng, r)
+                tail = list(ChernVector(0, 0, w.S, w.eta, w.a, w.s).coordinates())[2:]
+                poly = [Poly2({(rng.randint(0, 2), 1): c}) for c in tail]
+                mixed = [c if rng.random() < 0.5 else Poly2.const(c) for c in tail]
+                series = [c if rng.random() < 0.5 else floored * c for c in tail]
+                for zeros in ((Fraction(0),) * 2, (Poly2(),) * 2):
+                    for flat in (poly, mixed, series):
+                        v = ChernVector._ints([*zeros, *flat], 1)
+                        want = _reference_swap(v)
+                        got = fiber_swap_rule(g, v)
+                        assert [(type(c), c, hash(c)) for c in got.coordinates()] == \
+                               [(type(c), c, hash(c)) for c in want.coordinates()]
+                for head in ((Poly2.u(), 0), (0, floored), (Fraction(1, 2), Poly2())):
+                    with pytest.raises(DomainError):
+                        fiber_swap_rule(g, ChernVector._ints([*head, *poly], 1))
 
     def test_agrees_with_transform_then_twist(self):
         rng = random.Random(6)
@@ -132,12 +158,26 @@ class TestSwapRule:
                     assert lhs == rhs
 
 
+def _germs(v):
+    """The coordinates as series, a number as its exact constant series:
+    no series equals a number, and where the closed form adds a series
+    zero times a coefficient to a Fraction the matrix has the Fraction."""
+    return [c if type(c) is LaurentSeries else LaurentSeries.const(c) for c in v.coordinates()]
+
+
+def _reference_swap(tw):
+    """The field formula the swap rule took on vectors not all Fraction."""
+    if tw.n != 0 or tw.x != 0:
+        raise DomainError("swap rule requires a fiber-degree-trivial class (n = x = 0)")
+    return ChernVector(0, 0, tw.eta, -tw.S, tw.s, -tw.a)
+
+
 def _reference_matrix(g, closed):
     """The basis-vector build that the Poly2 read-off replaced: the closed form
     at each of the 2r + 4 basis vectors gives one column."""
     dim = 2 * g.rank + 4
     basis = ([Fraction(int(i == j)) for i in range(dim)] for j in range(dim))
-    cols = [closed(g, _from_flat(g.rank, e)).coordinates() for e in basis]
+    cols = [closed(g, ChernVector._ints(e, 1)).coordinates() for e in basis]
     den = lcm(*(c.denominator for col in cols for c in col))
     rows = [[(j, int(col[i] * den)) for j, col in enumerate(cols) if col[i]] for i in range(dim)]
     return rows, den
@@ -192,13 +232,44 @@ class TestMatrixPath:
                            for i in range(dim)]
                 assert product == [[-int(i == j) for j in range(dim)] for i in range(dim)]
 
-    def test_poly2_coordinates_take_the_closed_form(self):
+    def test_poly2_coordinates_take_the_matrix(self):
+        """Poly2 coordinates go through the matrix, as Fractions do, and give
+        the closed form in value, type and hash."""
         for g in fresh_geometries():
             z = DivisorB.zero(g.rank)
-            v = ChernVector(Poly2.u(), 1, DivisorB([Poly2.v()] * g.rank), z, Fraction(1, 2), 0)
-            assert shape(phi(g, v)) == shape(fmt._phi(g, v))
-            assert shape(phi_hat(g, v)) == shape(fmt._phi_hat(g, v))
-            assert not g.matrices
+            v = ChernVector(Poly2.u(), Poly2.const(1), DivisorB([Poly2.v()] * g.rank), z.scale(Poly2.u()),
+                            Poly2.const(Fraction(1, 2)), Poly2())
+            for transform, closed in ((phi, fmt._phi), (phi_hat, fmt._phi_hat)):
+                got, want = transform(g, v), closed(g, v)
+                assert [(type(c), c, hash(c)) for c in got.coordinates()] == \
+                       [(type(c), c, hash(c)) for c in want.coordinates()]
+            assert set(g.matrices) == {fmt._phi, fmt._phi_hat}
+
+    def test_equals_closed_forms_at_every_scalar(self):
+        """The matrix gives the closed form's value at every scalar, and its
+        type and hash on vectors all of Poly2 (zeros included).  On a vector
+        that mixes Fraction and Poly2 a coordinate can be a Fraction where
+        the closed form's zero terms made a Poly2."""
+        rng = random.Random(10)
+
+        def poly2(c):
+            return Poly2({(rng.randint(0, 2), rng.randint(0, 2)): c, (0, 0): rng.choice((0, c))})
+
+        def series(c):
+            return LaurentSeries([(rng.randint(-2, 2), c), (-1, 1)], rng.choice((-4, -2, None)))
+
+        for g in fresh_geometries():
+            for w in sample_vectors(rng, g.rank):
+                flat = w.coordinates()
+                all_poly2 = ChernVector._ints([poly2(c) for c in flat], 1)
+                mixed = ChernVector._ints([c if rng.random() < 0.5 else poly2(c) for c in flat], 1)
+                truncated = ChernVector._ints([c if rng.random() < 0.3 else series(c) for c in flat], 1)
+                for transform, closed in ((phi, fmt._phi), (phi_hat, fmt._phi_hat)):
+                    got, want = transform(g, all_poly2), closed(g, all_poly2)
+                    assert [(type(c), c, hash(c)) for c in got.coordinates()] == \
+                           [(type(c), c, hash(c)) for c in want.coordinates()]
+                    assert list(transform(g, mixed).coordinates()) == list(closed(g, mixed).coordinates())
+                    assert _germs(transform(g, truncated)) == _germs(closed(g, truncated))
 
     def test_rank_mismatch_raises(self):
         g = BaseGeometry(1, [[1]], [1], -1)

@@ -1,6 +1,7 @@
 """The fraction-free ``Poly2`` against the dict-over-Fraction class it
 replaced and against sympy, plus == and hash on constants."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -193,6 +194,23 @@ def test_equal_constants_hash_equal(poly, value):
     assert poly == value and value == poly
     assert hash(poly) == hash(value)
     assert len({poly, value}) == 1
+
+
+def test_truthiness_means_nonzero():
+    """bool(p) == (p != 0) for Poly1 and Poly2, zeros and cancelled zeros
+    included, so that ``if p:`` skips an exact zero as it does a Fraction's."""
+    rng = random.Random(12)
+
+    def q():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    for _ in range(300):
+        p1 = Poly1([q() for _ in range(rng.randint(0, 3))])
+        p2 = Poly2({(rng.randint(0, 2), rng.randint(0, 2)): q() for _ in range(rng.randint(0, 3))})
+        for p in (p1, p2, p1 - p1, p2 - p2, p2 * 0, p1.scale(0), p2 + 1, p1 * p1):
+            assert bool(p) == (p != 0) == (not p.is_zero())
+    assert not Poly1([]) and not Poly2() and not Poly2.const(0)
+    assert Poly2.u() and Poly1.const(Fraction(1, 3)) and Poly2.const(-1)
 
 
 def test_constants_compare_without_building_a_polynomial(monkeypatch):

@@ -102,6 +102,36 @@ def test_the_kernel_rule_sees_methods_aliases_and_module_stores():
     assert list(_copies_the_integer_form_kernel(tree)) == [2, 4, 7, 8, 10]
 
 
+def _tests_nums_for_none(tree):
+    """Line numbers of ``<x>._nums is None``, ``nums is not None`` and the
+    like: a test of a vector's numerators, or of a local read off them,
+    against None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            operands = [node.left, *node.comparators]
+            named = any(getattr(x, "attr", getattr(x, "id", None)) in ("_nums", "nums") for x in operands)
+            if named and any(isinstance(x, ast.Constant) and x.value is None for x in operands):
+                yield node.lineno
+
+
+def test_every_vector_holds_its_numerators():
+    """A ``ChernVector`` of any scalar holds numerators over one
+    denominator, so no module asks whether it holds them."""
+    assert _sites(_tests_nums_for_none) == []
+
+
+def test_the_numerators_rule_sees_attributes_locals_and_both_forms():
+    tree = ast.parse("if v._nums is None: pass\n"
+                     "b = w._nums is not None\n"
+                     "nums = v._nums\n"
+                     "if nums is None: pass\n"
+                     "c = None is not self._nums\n"
+                     "d = v._den is None\n"
+                     "e = type(v._nums[0]) is int\n"
+                     "f = nums == None\n")
+    assert list(_tests_nums_for_none(tree)) == [1, 2, 4, 5]
+
+
 def _imports_poly(tree):
     """Line numbers of an import of the ``poly`` module or of a name from
     it, at module level or inside a function."""
