@@ -47,6 +47,7 @@ once for the exact scalars ``Poly1``, ``Poly2`` and ``LaurentSeries``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -91,6 +92,15 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
     den = lcm(*(c.denominator for c in values))
     return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _numerators(coords) -> tuple[list, int]:
+    """Flat coordinates as numerators: rationals over their least common
+    denominator, so that no gcd has to refuse a Fraction; others over 1."""
+    try:
+        return _over_common_denominator(coords)
+    except AttributeError:
+        return coords, 1
 
 
 _RATIONAL = (int, Fraction)
@@ -369,11 +379,7 @@ class ChernVector:
         if S.rank != eta.rank:
             raise DimensionError("components S and eta have different ranks")
         n, x, a, s = _q(n), _q(x), _q(a), _q(s)
-        coords = [n, x, *S.coords, *eta.coords, a, s]
-        try:  # Fractions, the usual input, go in as integers: no gcd has to refuse them
-            self._store(*_over_common_denominator(coords))
-        except AttributeError:
-            self._store(coords, 1)
+        self._store(*_numerators([n, x, *S.coords, *eta.coords, a, s]))
         self.__dict__.update(n=n, x=x, S=S, eta=eta, a=a, s=s)  # as their first reads would build them
 
     @classmethod
@@ -428,13 +434,19 @@ class ChernVector:
         return (self.n, self.x, *self.S.coords, *self.eta.coords, self.a, self.s)
 
     def __add__(self, other: "ChernVector") -> "ChernVector":
-        if other.rank_lattice != self.rank_lattice:
-            raise DimensionError("divisor rank mismatch")
-        d1, d2 = self._den, other._den
-        return ChernVector._ints([a * d2 + b * d1 for a, b in zip(self._nums, other._nums)], d1 * d2)
+        return self._add(other, operator.add)
 
     def __sub__(self, other: "ChernVector") -> "ChernVector":
-        return self + (-other)
+        return self._add(other, operator.sub)
+
+    def _add(self, other: "ChernVector", op) -> "ChernVector":
+        """op (+ or -) of the numerators, cross-multiplied if the denominators differ."""
+        if other.rank_lattice != self.rank_lattice:
+            raise DimensionError("divisor rank mismatch")
+        nums, other_nums, d1, d2 = self._nums, other._nums, self._den, other._den
+        if d1 == d2:
+            return ChernVector._ints(list(map(op, nums, other_nums)), d1)
+        return ChernVector._ints([op(a * d2, b * d1) for a, b in zip(nums, other_nums)], d1 * d2)
 
     def __neg__(self) -> "ChernVector":
         return ChernVector._ints([-t for t in self._nums], self._den)
@@ -615,7 +627,7 @@ def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
         s = -t * (th * th * g.hb2 + 3 * th * pair_h(g, D) + 3 * dd) / 6
     else:
         eta, s = g.zero_divisor().coords, _ZERO
-    expo = ChernVector._ints([Fraction(1), -t, *(-c for c in D.coords), *eta, dd / 2, s], 1)
+    expo = ChernVector._ints(*_numerators([1, -t, *(-c for c in D.coords), *eta, dd / 2, s]))
     return mul(g, expo, v)
 
 

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import curves, fmt, verify
 from .asymptotics import ChargeKind, Side, charge_series, compare_phases, phase_limit
@@ -34,10 +35,21 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, ok: bool, label: str) -> None:
+    def check(self, ok: bool, label) -> None:
         self.cases += 1
         if not ok and len(self.failures) < 8:
-            self.failures.append(label)
+            self.failures.append(str(label))
+
+
+class _Label:
+    """A case label: ``str`` formats the arguments into ``text``, which
+    ``SuiteReport.check`` does only when the check fails."""
+
+    def __init__(self, text: str, *args):
+        self.text, self.args = text, args
+
+    def __str__(self) -> str:
+        return self.text.format(*self.args)
 
 
 def geometry_for(h, rank2: bool = False) -> BaseGeometry:
@@ -62,15 +74,16 @@ def _rand_divisor(rng: random.Random, rank: int, lo: int = -9, hi: int = 9) -> D
     return DivisorB([_rand_q(rng, lo, hi) for _ in range(rank)])
 
 
+def _rand_nums(rng: random.Random, count: int) -> tuple[list[int], int]:
+    """``count`` draws of ``_rand_q`` at its defaults, the same calls in the
+    same order, as integer numerators over their least common denominator."""
+    draws = [(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(count)]
+    den = lcm(*(q for _, q in draws))
+    return [p * (den // q) for p, q in draws], den
+
+
 def _rand_vector(rng: random.Random, rank: int) -> ChernVector:
-    return ChernVector(
-        _rand_q(rng),
-        _rand_q(rng),
-        _rand_divisor(rng, rank),
-        _rand_divisor(rng, rank),
-        _rand_q(rng),
-        _rand_q(rng),
-    )
+    return ChernVector._ints(*_rand_nums(rng, 2 * rank + 4))
 
 
 H_SET_INVOLUTION = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2))
@@ -84,8 +97,9 @@ def suite_involution(cases: int = 10000, seed: int = 0) -> SuiteReport:
     for i in range(cases):
         for g in geoms:
             v = _rand_vector(rng, g.rank)
-            ok = fmt.phi_hat(g, fmt.phi(g, v)) == -v and fmt.phi(g, fmt.phi_hat(g, v)) == -v
-            report.check(ok, f"case {i} h={g.h} v={v}")
+            w = -v
+            ok = fmt.phi_hat(g, fmt.phi(g, v)) == w and fmt.phi(g, fmt.phi_hat(g, v)) == w
+            report.check(ok, _Label("case {} h={} v={}", i, g.h, v))
     return report
 
 
@@ -96,13 +110,13 @@ def suite_swap(cases: int = 10000, seed: int = 1) -> SuiteReport:
     geoms = [geometry_for(h, rank2=(i % 2 == 1)) for i, h in enumerate(H_SET_INVOLUTION)]
     for i in range(cases):
         g = geoms[i % len(geoms)]
-        z = DivisorB.zero(g.rank)
-        v = ChernVector(0, 0, _rand_divisor(rng, g.rank), _rand_divisor(rng, g.rank), _rand_q(rng), _rand_q(rng))
+        nums, den = _rand_nums(rng, 2 * g.rank + 2)
+        v = ChernVector._ints([0, 0, *nums], den)
         d = _rand_divisor(rng, g.rank)
         dbar = d - g.hb_divisor.scale(g.h / 2)
         lhs = fmt.fiber_swap_rule(g, twist(g, v, DivisorX.pullback(dbar)))
         rhs = twist(g, fmt.phi(g, v), DivisorX.pullback(d))
-        report.check(lhs == rhs, f"case {i} h={g.h} v={v} d={d}")
+        report.check(lhs == rhs, _Label("case {} h={} v={} d={}", i, g.h, v, d))
     return report
 
 
@@ -133,7 +147,7 @@ def suite_chow(cases: int = 100, seed: int = 2) -> SuiteReport:
         g = geometry_for(h)
         c = _rand_tilt(rng, h)
         rems = curves.chow_identity_symbolic_remainder(g, c)
-        report.check(all(r.is_zero() for r in rems), f"symbolic case {i} h={h} c={c}")
+        report.check(all(r.is_zero() for r in rems), _Label("symbolic case {} h={} c={}", i, h, c))
 
     g0 = geometry_for(0)
     for i in range(20):
@@ -142,7 +156,7 @@ def suite_chow(cases: int = 100, seed: int = 2) -> SuiteReport:
         u = (c.b / c.a) / vpar
         on = curves.chow_identity_check(g0, c, u, vpar)
         off = curves.chow_identity_check(g0, c, u, vpar + 1)
-        report.check(on and not off, f"rational case {i} c={c} vpar={vpar}")
+        report.check(on and not off, _Label("rational case {} c={} vpar={}", i, c, vpar))
 
     for i, h in enumerate([Fraction(-1), Fraction(1, 2)]):
         g = geometry_for(h)
@@ -150,7 +164,7 @@ def suite_chow(cases: int = 100, seed: int = 2) -> SuiteReport:
         vpar = Fraction(rng.randint(5, 30))
         root = solve_u(c, vpar, Fraction(1, 2**128))
         ok = curves.chow_identity_check(g, c, root, vpar)
-        report.check(ok, f"algebraic case {i} h={h} c={c} vpar={vpar}")
+        report.check(ok, _Label("algebraic case {} h={} c={} vpar={}", i, h, c, vpar))
     return report
 
 
@@ -173,24 +187,25 @@ def suite_im_identity(cases: int = 1000, seed: int = 3) -> SuiteReport:
     points = _rational_tilt_points(rng, max(10, cases // 25))
     for i in range(cases):
         c, u, vpar = points[i % len(points)]
-        e = _rand_vector(rng, 1)
+        nums, den = _rand_nums(rng, 6)
         if i % 3 == 1:
-            e = ChernVector(e.n, 0, e.S, e.eta, e.a, e.s)
+            nums[1] = 0
         elif i % 3 == 2:
-            e = ChernVector(e.n, -abs(e.x) - 1, e.S, e.eta, e.a, e.s)
-        report.check(verify.im_identity_check(g0, e, c, u, vpar), f"case {i} e={e}")
+            nums[1] = -abs(nums[1]) - den
+        e = ChernVector._ints(nums, den)
+        report.check(verify.im_identity_check(g0, e, c, u, vpar), _Label("case {} e={}", i, e))
         if i % 100 == 0:
             off = verify.im_identity_check(g0, e, c, u, vpar + 1)
             generic = pair_h(g0, e.a2(g0)) != 0
             if generic:
-                report.check(not off, f"off-curve case {i} e={e}")
+                report.check(not off, _Label("off-curve case {} e={}", i, e))
     for i, h in enumerate([Fraction(-1), Fraction(1, 2), Fraction(-2)]):
         g = geometry_for(h)
         c = _rand_tilt(rng, h)
         for _ in range(5):
             e = _rand_vector(rng, 1)
             rems = verify.im_identity_symbolic_remainders(g, e, c)
-            report.check(all(r.is_zero() for r in rems), f"symbolic h={h} e={e}")
+            report.check(all(r.is_zero() for r in rems), _Label("symbolic h={} e={}", h, e))
     return report
 
 
@@ -206,20 +221,13 @@ def suite_threshold(cases: int = 1000, seed: int = 4, order: int = 8) -> SuiteRe
         h = H_SET_THRESHOLD[i % len(H_SET_THRESHOLD)]
         g = geometry_for(h)
         c = _rand_tilt(rng, h)
-        z = DivisorB.zero(1)
-        t = ChernVector(
-            0, 0, z, DivisorB([Fraction(rng.randint(1, 6), rng.randint(1, 3))]), _rand_q(rng), _rand_q(rng)
-        )
-        e = ChernVector(
-            Fraction(rng.randint(1, 5)),
-            _rand_q(rng),
-            _rand_divisor(rng, 1),
-            _rand_divisor(rng, 1),
-            _rand_q(rng),
-            _rand_q(rng),
-        )
+        eta = DivisorB([Fraction(rng.randint(1, 6), rng.randint(1, 3))])
+        t = ChernVector(0, 0, DivisorB.zero(1), eta, _rand_q(rng), _rand_q(rng))
+        n = rng.randint(1, 5)
+        nums, den = _rand_nums(rng, 5)
+        e = ChernVector._ints([n * den, *nums], den)
         ok = verify.threshold_equiv_check(g, t, e, c, order)
-        report.check(ok, f"case {i} h={h} t={t} e={e} c={c}")
+        report.check(ok, _Label("case {} h={} t={} e={} c={}", i, h, t, e, c))
         report.verdicts.append(f"{i}:{ok}")
     return report
 
@@ -254,7 +262,7 @@ def suite_correspondence(cases: int = 1000, seed: int = 5, order: int = 8) -> Su
         m = _rand_onedim_class(rng, g, y, z)
         n = _rand_onedim_class(rng, g, y, z) if i % 7 else m
         ok = verify.slope_correspondence_check(g, m, n, y, z, dbar, order)
-        report.check(ok, f"case {i} h={h} m={m} n={n} y={y} z={z} dbar={dbar}")
+        report.check(ok, _Label("case {} h={} m={} n={} y={} z={} dbar={}", i, h, m, n, y, z, dbar))
         report.verdicts.append(f"{i}:{ok}")
     return report
 
@@ -264,7 +272,6 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
     rng = random.Random(seed)
     report = SuiteReport("h0")
     g = geometry_for(0)
-    zd = DivisorB.zero(1)
 
     def flat_class(curve: OneDimCurve, d: DivisorB) -> ChernVector:
         # At h = 0 the germ is exact, and Z at the curve point over v = 1
@@ -272,7 +279,8 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
         # scales by 1/v.  Reject classes with Z = 0, which have no phase, and
         # reflect the rest into the heart's half plane, since Z(-v) = -Z(v).
         while True:
-            v = ChernVector(0, 0, _rand_divisor(rng, 1), zd, _rand_q(rng), _rand_q(rng))
+            (S, a, s), den = _rand_nums(rng, 3)
+            v = ChernVector._ints([0, 0, S, 0, a, s], den)
             germ = charge_series(g, v, curve, ChargeKind.FULL, d=d)
             z = ChargeValue(germ.re.eval(1), germ.im.eval(1))
             if not z.is_zero():
@@ -286,7 +294,7 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
         m = flat_class(curve, d)
         n = flat_class(curve, d) if i % 9 else m
         ok = verify.h0_independence_check(g, m, n, y, z, d)
-        report.check(ok, f"case {i} m={m} n={n} y={y} z={z} d={d}")
+        report.check(ok, _Label("case {} m={} n={} y={} z={} d={}", i, m, n, y, z, d))
         verdict = compare_phases(
             charge_series(g, m, curve, ChargeKind.FULL, order, d),
             charge_series(g, n, curve, ChargeKind.FULL, order, d),
@@ -341,14 +349,14 @@ def suite_phases(order: int = 8) -> SuiteReport:
     for name, v, expected in tilt_cases:
         ac = charge_series(g, v, c, ChargeKind.REDUCED, order)
         got = phase_limit(ac)
-        report.check((got.limit, got.side) == expected, f"tilt {name}: got {got}")
+        report.check((got.limit, got.side) == expected, _Label("tilt {}: got {}", name, got))
 
     g0 = geometry_for(Fraction(0))
     c0 = OneDimCurve(Fraction(0), 1, 1)
     for name, v, expected in onedim_cases:
         ac = charge_series(g0, v, c0, ChargeKind.FULL, order, g0.zero_divisor())
         got = phase_limit(ac)
-        report.check((got.limit, got.side) == expected, f"flat {name}: got {got}")
+        report.check((got.limit, got.side) == expected, _Label("flat {}: got {}", name, got))
     return report
 
 

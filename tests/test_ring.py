@@ -1099,6 +1099,8 @@ class TestOneStorageForm:
                 for w in filter(lambda w: _compatible(v, w), vs):
                     _assert_same(v + w, _reference_add(v, w))
                     _assert_same(v - w, _reference_add(v, _reference_neg(w)))
+                    _assert_same(v - w, v + (-w))
+                    assert v - w == v + (-w) and hash(v - w) == hash(v + (-w))
                     assert (v == w) == _reference_eq(v, w) and (v != w) != _reference_eq(v, w)
 
     def test_products_match_the_coordinate_path(self):

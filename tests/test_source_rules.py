@@ -160,3 +160,30 @@ def test_the_layering_rule_sees_every_import_form():
                      "from .series import LaurentSeries\n"
                      "from . import polyhedra\n")
     assert sorted(_imports_poly(tree)) == [1, 3, 4, 5, 6]
+
+
+def _formats_a_label_eagerly(tree):
+    """Line numbers of ``report.check(ok, f"...")`` (or ``label=f"..."``):
+    an f-string label, built on every case although only a failing check
+    reads it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) == "check":
+            labels = node.args[1:2] + [k.value for k in node.keywords if k.arg == "label"]
+            if any(isinstance(label, ast.JoinedStr) for label in labels):
+                yield node.lineno
+
+
+def test_suite_labels_are_formatted_only_on_a_failure():
+    """A suite hands ``SuiteReport.check`` a ``_Label``, which formats its
+    arguments only when the check fails."""
+    assert _sites(_formats_a_label_eagerly, {"suites.py"}) == []
+
+
+def test_the_label_rule_sees_positional_and_keyword_f_strings():
+    tree = ast.parse('report.check(ok, f"case {i}")\n'
+                     'report.check(ok, label=f"case {i} v={v}")\n'
+                     'report.check(ok, _Label("case {}", i))\n'
+                     'report.check(ok, "case")\n'
+                     'check(ok, f"{i}")\n'
+                     'report.verdicts.append(f"{i}:{ok}")\n')
+    assert list(_formats_a_label_eagerly(tree)) == [1, 2, 5]
