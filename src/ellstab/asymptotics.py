@@ -28,7 +28,7 @@ from .curves import CurveConstraint, admissible_bracket, expand_u
 from .errors import ComputationFault, ConfigurationError, DimensionError, DomainError
 from .poly import Poly2, RootInterval, monomial_coefficients, sign_at_root
 from .ring import BaseGeometry, ChernVector, DivisorB, _over_common_denominator
-from .series import LaurentSeries
+from .series import LaurentSeries, _product_floor
 
 
 class ChargeKind(Enum):
@@ -242,7 +242,10 @@ def _with_zero_convention(ac: AsymptoticCharge) -> tuple[LaurentSeries, LaurentS
 def compare_phases(acm: AsymptoticCharge, acn: AsymptoticCharge) -> PhaseOrder:
     """Asymptotic order of two charge germs of the same kind.
 
-    Decided by the sign of the leading cross coefficient.  A vanishing
+    Decided by the sign of the leading cross coefficient, read top down
+    in integers until one is nonzero (``_leading_cross_sign``), with no
+    cross series built; its floor is the one ``cross_series`` carries.  A
+    vanishing
     cross with a negatively oriented dot series means the germs are
     antipodal (phases one apart, where the cross is blind); those are
     ordered by their phase limits.  Identical germs are exactly equal only
@@ -255,10 +258,9 @@ def compare_phases(acm: AsymptoticCharge, acn: AsymptoticCharge) -> PhaseOrder:
         return PhaseOrder(OrderKind.EXACT_EQUAL)
     m_re, m_im = _with_zero_convention(acm)
     n_re, n_im = _with_zero_convention(acn)
-    x = m_re * n_im - m_im * n_re
-    lead = x.leading()
-    if lead is not None:
-        return PhaseOrder(OrderKind.PREC if lead[1] > 0 else OrderKind.SUCC)
+    sign, floor = _leading_cross_sign(m_re, n_im, m_im, n_re)
+    if sign:
+        return PhaseOrder(OrderKind.PREC if sign > 0 else OrderKind.SUCC)
     dot = m_re * n_re + m_im * n_im
     dot_lead = dot.leading()
     if dot_lead is not None and dot_lead[1] < 0:
@@ -268,9 +270,35 @@ def compare_phases(acm: AsymptoticCharge, acn: AsymptoticCharge) -> PhaseOrder:
             return PhaseOrder(OrderKind.PREC)
         if lm.limit > ln.limit:
             return PhaseOrder(OrderKind.SUCC)
-    if x.is_exact():
+    if floor is None:
         return PhaseOrder(OrderKind.EXACT_EQUAL)
-    return PhaseOrder(OrderKind.EQUAL_THROUGH_ORDER, x.trunc)
+    return PhaseOrder(OrderKind.EQUAL_THROUGH_ORDER, floor)
+
+
+def _leading_cross_sign(a: LaurentSeries, b: LaurentSeries, c: LaurentSeries, d: LaurentSeries) -> tuple:
+    """The sign of the leading stored coefficient of the series a b - c d
+    (0 if it stores none) and that series' floor, with no series built.
+    The floor is the one ``*`` and ``-`` give it: the larger of the two
+    products' ``_product_floor``.  The coefficients are read from the top
+    exponent down to the floor, each as the integer sum of a_i b_j times
+    den(c) den(d) minus the sum of c_i d_j times den(a) den(b), a positive
+    multiple of the coefficient, until one is nonzero."""
+    floors = [f for f in (_product_floor(a, b), _product_floor(c, d)) if f is not None]
+    floor = max(floors) if floors else None
+    pairs = [(x._nums, y._nums, f) for x, y, f in ((a, b, c._den * d._den), (c, d, -a._den * b._den))
+             if x._nums and y._nums]
+    if not pairs:
+        return 0, floor
+    top = max(x[0][0] + y[0][0] for x, y, _ in pairs)
+    bottom = min(x[-1][0] + y[-1][0] for x, y, _ in pairs)
+    if floor is not None:
+        bottom = max(bottom, floor)
+    pairs = [(x, dict(y), f) for x, y, f in pairs]
+    for e in range(top, bottom - 1, -1):
+        total = sum(f * sum(n * y[e - i] for i, n in x if e - i in y) for x, y, f in pairs)
+        if total:
+            return (1 if total > 0 else -1), floor
+    return 0, floor
 
 
 def compare_vectors(

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import ConfigurationError, CurveDomainError
 from .poly import (
@@ -211,17 +211,27 @@ def expand_u(c: CurveConstraint, order: int) -> LaurentSeries:
 
 @lru_cache(maxsize=None)
 def _expand_u_cached(c: CurveConstraint, order: int) -> LaurentSeries:
+    """``expand_u``'s coefficients [x^k] y * u1^k h^(k-1) = N_k/D_k *
+    u1^k h^(k-1) at v^(1-2k), k = 1..K, as integer numerators over one
+    denominator, lcm(D) b^K hd^(K-1) for u1 = a/b and h = hn/hd."""
     u1 = c.leading_coefficient
+    a, b = u1.numerator, u1.denominator
     if c.h == 0:
-        return LaurentSeries.monomial(-1, u1)
+        return LaurentSeries._ints({-1: a}, b, None)
     p = 3 if isinstance(c, TiltCurve) else 2
-    terms, power, step = [], u1, u1 * c.h  # power = u1^k h^(k-1)
-    for k in range(1, (order + 1) // 2 + 1):
+    hn, hd = c.h.numerator, c.h.denominator
+    K = (order + 1) // 2
+    ratios = []  # (N_k, D_k)
+    for k in range(1, K + 1):
         m = (p - 2) * k + 1
-        coeff = Fraction(prod(m - p * i for i in range(k)), factorial(k) * m)
-        terms.append((1 - 2 * k, coeff * power))
-        power *= step
-    return LaurentSeries(terms, -order)
+        ratios.append((prod(m - p * i for i in range(k)), factorial(k) * m))
+    common = lcm(*(d for _, d in ratios))
+    nums, up, down = {}, a, (b * hd) ** (K - 1)  # up = a^k hn^(k-1), down = (b hd)^(K-k)
+    for k, (n, d) in enumerate(ratios, 1):
+        nums[1 - 2 * k] = n * (common // d) * up * down
+        up *= a * hn
+        down //= b * hd
+    return LaurentSeries._ints(nums, common * b * (b * hd) ** (K - 1), -order)
 
 
 @lru_cache(maxsize=None)

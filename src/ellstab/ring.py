@@ -259,8 +259,10 @@ class BaseGeometry:
     and their point-class slice (keyed by ``degree``), which act on the
     numerators of vectors at every scalar, and the charges' class
     coefficient rows (keyed by the coefficient function), which act on the
-    integer numerators of rational vectors, and the mark of
-    ``charges.prove_closed_form`` once it has run on g.
+    integer numerators of rational vectors, the classes that slopes pair
+    with and that depend on g alone (keyed by their builders in
+    ``slopes._FIXED``), and the mark of ``charges.prove_closed_form`` once
+    it has run on g.
     """
 
     rank: int
@@ -601,8 +603,9 @@ def _structure_constants(g: BaseGeometry) -> tuple[list, int]:
 
 def divisor_vector(g: BaseGeometry, d: DivisorX) -> ChernVector:
     """Embed a divisor class as a degree-one cohomology vector."""
-    z = DivisorB.zero(g.rank)
-    return ChernVector(0, d.theta, d.base, z, 0, 0)
+    if d.base.rank != g.rank:
+        raise DimensionError("components S and eta have different ranks")
+    return ChernVector._ints(*_numerators([0, d.theta, *d.base.coords, *[0] * g.rank, 0, 0]))
 
 
 def divisor_powers(g: BaseGeometry, d: DivisorX) -> tuple:
@@ -614,11 +617,14 @@ def divisor_powers(g: BaseGeometry, d: DivisorX) -> tuple:
 
 
 def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
-    """Twist by a field B: multiply by exp(-B) = 1 - B + B^2/2 - B^3/6.
+    """Twist by a field B: multiply by exp(-B) (``_exp_minus``), one product."""
+    return mul(g, _exp_minus(g, B), v)
 
-    B^2 and B^3 enter through their closed forms (module docstring), so a
-    twist costs one product.
-    """
+
+def _exp_minus(g: BaseGeometry, B: DivisorX) -> ChernVector:
+    """exp(-B) = 1 - B + B^2/2 - B^3/6 for a field B, with B^2 and B^3 from
+    their closed forms (module docstring), handed to ``ChernVector._ints``
+    as numerators."""
     t, D = B.theta, B.base
     dd = pair(g, D, D)
     if t:
@@ -626,9 +632,8 @@ def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
         eta = [th * t / 2 * hb + t * c for hb, c in zip(g.hb, D.coords)]
         s = -t * (th * th * g.hb2 + 3 * th * pair_h(g, D) + 3 * dd) / 6
     else:
-        eta, s = g.zero_divisor().coords, _ZERO
-    expo = ChernVector._ints(*_numerators([1, -t, *(-c for c in D.coords), *eta, dd / 2, s]))
-    return mul(g, expo, v)
+        eta, s = [0] * g.rank, 0
+    return ChernVector._ints(*_numerators([1, -t, *(-c for c in D.coords), *eta, dd / 2, s]))
 
 
 @lru_cache(maxsize=None)

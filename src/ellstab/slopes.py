@@ -6,7 +6,9 @@ that no intersection number is transcribed twice: each is one coordinate of
 the vector (ch0 or ch3) or one ``ring.degree`` pairing with a fixed
 homogeneous class (Theta, H, omega, omega^2, f, Theta*H, ...), which meets
 only the vector's part of the complementary degree, so a kind pairs the
-vector at most twice.  The value +infinity is
+vector at most twice.  The classes that depend on the geometry alone are
+built from their numerators once per geometry and kept on it.  The value
++infinity is
 returned exactly when the kind's denominator vanishes; it compares strictly
 greater than every finite value and equal to itself.
 """
@@ -25,6 +27,8 @@ from .ring import (
     ChernVector,
     DivisorB,
     DivisorX,
+    _exp_minus,
+    _numerators,
     compute_m,
     degree,
     divisor_powers,
@@ -158,21 +162,47 @@ class SlopeValue:
 def _ratio(num, den) -> SlopeValue:
     if den == 0:
         return SlopeValue.infinity()
+    if type(num) is Fraction and type(den) is Fraction:
+        return SlopeValue(num / den)
     return SlopeValue(Fraction(num) / Fraction(den))
+
+
+def _vector(g: BaseGeometry, x=0, S=None, eta=None, a=0) -> ChernVector:
+    """The class (0, x, S, eta, a, 0), S and eta given by coordinates (zero
+    if None), from its numerators."""
+    zeros = [0] * g.rank
+    return ChernVector._ints(*_numerators([0, x, *(S or zeros), *(eta or zeros), a, 0]))
+
+
+# The classes a slope pairs or multiplies that depend on g alone, by name.
+_FIXED = {
+    "fiber": lambda g: _vector(g, a=1),
+    "phb": lambda g: _vector(g, S=g.hb),
+    "theta_phb": lambda g: _vector(g, eta=g.hb),
+    "theta_phb_m": lambda g: _vector(g, eta=g.hb, a=compute_m(g)),
+    "theta_m": lambda g: _vector(g, x=1, S=[compute_m(g) * c for c in g.hb]),
+    "half_canonical_exp": lambda g: _exp_minus(g, g.half_canonical_bfield()),
+}
+
+
+def _fixed(g: BaseGeometry, name: str) -> ChernVector:
+    """The fixed class of that name on g, built on first use and kept in
+    ``g.matrices`` under its builder, as the transform matrices are."""
+    build = _FIXED[name]
+    if build not in g.matrices:
+        g.matrices[build] = build(g)
+    return g.matrices[build]
 
 
 def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
     """Evaluate a slope kind on a Chern vector."""
     tag = kind.tag
-    hb = g.hb_divisor
 
     if tag is SlopeTag.MU_F:
-        fiber = ChernVector(0, 0, g.zero_divisor(), g.zero_divisor(), 1, 0)
-        return _ratio(degree(g, fiber, v), v.n)
+        return _ratio(degree(g, _fixed(g, "fiber"), v), v.n)
 
     if tag is SlopeTag.MU_THETA_M:
-        theta_phb = ChernVector(0, 0, g.zero_divisor(), hb, compute_m(g), 0)
-        return _ratio(degree(g, theta_phb, v), v.n)
+        return _ratio(degree(g, _fixed(g, "theta_phb_m"), v), v.n)
 
     if tag is SlopeTag.MU_OMEGA_B:
         tw = twist(g, v, kind.bfield)
@@ -184,13 +214,11 @@ def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
         return _ratio(im, 2 * re)
 
     if tag is SlopeTag.MU_STAR:
-        phb = ChernVector(0, 0, hb, g.zero_divisor(), 0, 0)
-        return _ratio(v.s, degree(g, phb, v))
+        return _ratio(v.s, degree(g, _fixed(g, "phb"), v))
 
     if tag is SlopeTag.MU_STAR_B:
-        tw = twist(g, v, g.half_canonical_bfield())
-        phb = ChernVector(0, 0, hb, g.zero_divisor(), 0, 0)
-        return _ratio(tw.s, degree(g, phb, tw))
+        tw = mul(g, _fixed(g, "half_canonical_exp"), v)  # the twist by the half-canonical field
+        return _ratio(tw.s, degree(g, _fixed(g, "phb"), tw))
 
     if tag is SlopeTag.MU_BAR:
         tw = twist(g, v, DivisorX.pullback(kind.dbar))
@@ -201,13 +229,9 @@ def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
         if tag is SlopeTag.MU_OMEGA_PD:
             om = divisor_vector(g, kind.omega)
             return _ratio(degree(g, om, tw), degree(g, mul(g, om, om), tw))
-        theta_phb = ChernVector(0, 0, g.zero_divisor(), hb, 0, 0)
-        den = degree(g, theta_phb, tw)
+        den = degree(g, _fixed(g, "theta_phb"), tw)
         if tag is SlopeTag.MU_PHB_PD:
-            phb = ChernVector(0, 0, hb, g.zero_divisor(), 0, 0)
-            return _ratio(degree(g, phb, tw), den)
-        theta_m = ChernVector(0, 1, hb.scale(compute_m(g)), g.zero_divisor(), 0, 0)
-        return _ratio(degree(g, theta_m, tw), den)
+            return _ratio(degree(g, _fixed(g, "phb"), tw), den)
+        return _ratio(degree(g, _fixed(g, "theta_m"), tw), den)
 
     raise DomainError(f"unhandled slope kind {tag}")
-

@@ -236,14 +236,17 @@ H_SET_CORRESPONDENCE = (Fraction(-1), Fraction(0))
 
 
 def _rand_onedim_class(rng: random.Random, g: BaseGeometry, y, z) -> ChernVector:
-    zd = DivisorB.zero(g.rank)
+    """A one-dimensional class (0, 0, 0, eta, a, s): eta of integers in
+    [0, 5], a and s drawn as by ``_rand_q``, redrawn until the twisted
+    degree (h y + z)(H.eta) + y a is positive; tested and built on integer
+    numerators."""
+    r = g.rank
+    weights = verify._twisted_degree_weights(g, y, z)
     while True:
-        eta = DivisorB([Fraction(rng.randint(0, 5)) for _ in range(g.rank)])
-        a = _rand_q(rng)
-        s = _rand_q(rng)
-        den = (g.h * y + z) * pair_h(g, eta) + y * a
-        if den > 0:
-            return ChernVector(0, 0, zd, eta, a, s)
+        eta = [rng.randint(0, 5) for _ in range(r)]
+        (a, s), den = _rand_nums(rng, 2)
+        if sum(w * t for w, t in zip(weights, eta)) * den + weights[-1] * a > 0:
+            return ChernVector._ints([0] * (2 + r) + [t * den for t in eta] + [a, s], den)
 
 
 def suite_correspondence(cases: int = 1000, seed: int = 5, order: int = 8) -> SuiteReport:

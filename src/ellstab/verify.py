@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .asymptotics import ChargeKind, charge_series, compare_phases, cross_series
 from .charges import _checked_reduced_parts
 from .curves import OneDimCurve, TiltCurve, _fixed_cycles, constraint_poly
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .fmt import phi
 from .poly import Poly2, reduce_mod_u
 from .ring import (
@@ -131,6 +132,18 @@ def threshold_equiv_check(
     return cross_series(g_series, f_series).coefficient(1) == 0
 
 
+def _twisted_degree_weights(g: BaseGeometry, y, z) -> list[int]:
+    """Integers w such that, for rational y and z, w . (eta, a) is the
+    twisted degree (h y + z)(H.eta) + y a of a one-dimensional class times
+    hd yd zd L > 0 (h = hn/hd, y = yn/yd, z = zn/zd, and L the least common
+    denominator of ``g.hb_row``), so its sign reads off numerators."""
+    (hn, hd), (yn, yd), (zn, zd) = ((x.numerator, x.denominator) for x in (g.h, y, z))
+    row = [(c.numerator, c.denominator) if c else (0, 1) for c in g.hb_row]
+    L = lcm(*(d for _, d in row))
+    twisted = hn * yn * zd + zn * hd * yd  # (h y + z) hd yd zd
+    return [twisted * n * (L // d) for n, d in row] + [yn * hd * zd * L]
+
+
 def slope_correspondence_check(
     g: BaseGeometry,
     m: ChernVector,
@@ -143,16 +156,19 @@ def slope_correspondence_check(
     """Slope order of one-dimensional classes versus phase order of their
     transforms, strict and non-strict simultaneously."""
     curve = OneDimCurve(g.h, y, z)
-    obar = DivisorX(Fraction(y), g.hb_divisor.scale(Fraction(z)))
+    obar = DivisorX(curve.y, g.hb_divisor.scale(curve.z))
     kind = SlopeKind.mu_bar(obar, dbar)
     d = dbar + g.hb_divisor.scale(g.h / 2)
+    weights = _twisted_degree_weights(g, curve.y, curve.z)
 
     values = []
     for v in (m, n):
-        if v.n != 0 or v.x != 0 or not v.S.is_zero():
+        nums, r = v._nums, v.rank_lattice
+        if any(nums[: 2 + r]):
             raise DomainError("inputs must be one-dimensional classes")
-        den = (g.h * Fraction(y) + Fraction(z)) * pair_h(g, v.eta) + Fraction(y) * v.a
-        if den <= 0:
+        if r != g.rank:
+            raise DimensionError("divisor rank does not match geometry rank")
+        if sum(w * t for w, t in zip(weights, nums[2 + r :])) <= 0:
             raise DomainError("inputs require a positive twisted degree")
         values.append(slope(g, kind, v))
     mu_m, mu_n = values

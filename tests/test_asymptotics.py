@@ -525,6 +525,126 @@ class TestGermHalfPlane:
                 assert re_lead[1] > 0
 
 
+def _reference_compare_phases(acm, acn):
+    """``compare_phases`` as first written: the whole cross series built,
+    then its leading coefficient read."""
+    if acm.kind is not acn.kind:
+        raise DomainError("cannot compare charges of different kinds")
+    if acm == acn and acm.is_exact():
+        return PhaseOrder(OrderKind.EXACT_EQUAL)
+    m_re, m_im = asymptotics._with_zero_convention(acm)
+    n_re, n_im = asymptotics._with_zero_convention(acn)
+    x = m_re * n_im - m_im * n_re
+    lead = x.leading()
+    if lead is not None:
+        return PhaseOrder(OrderKind.PREC if lead[1] > 0 else OrderKind.SUCC)
+    dot = m_re * n_re + m_im * n_im
+    dot_lead = dot.leading()
+    if dot_lead is not None and dot_lead[1] < 0:
+        lm = phase_limit(AsymptoticCharge(m_re, m_im, acm.kind))
+        ln = phase_limit(AsymptoticCharge(n_re, n_im, acn.kind))
+        if lm.limit < ln.limit:
+            return PhaseOrder(OrderKind.PREC)
+        if lm.limit > ln.limit:
+            return PhaseOrder(OrderKind.SUCC)
+    if x.is_exact():
+        return PhaseOrder(OrderKind.EXACT_EQUAL)
+    return PhaseOrder(OrderKind.EQUAL_THROUGH_ORDER, x.trunc)
+
+
+def _outcome(compare, acm, acn):
+    """A comparison's PhaseOrder, or the DomainError it raises."""
+    try:
+        return compare(acm, acn)
+    except DomainError as e:
+        return "DomainError", str(e)
+
+
+def _random_series(rng):
+    terms = [(rng.randint(-8, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(rng.randint(0, 5))]
+    return LaurentSeries(terms, rng.choice([None, None, -6, -3, 0, 2]))
+
+
+def _germ_pairs(seed):
+    """Pairs of germs of one kind: random pairs of both kinds at orders 4,
+    8 and 16 (exact at h = 0), antipodal and identical pairs, stored zeros,
+    exact and truncated, and random hand-built series."""
+    rng = random.Random(seed)
+    out = []
+    for order in (4, 8, 16):
+        for h in (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(-2)):
+            g = geometry_for(h)
+            c, flat = _rand_tilt(rng, h), OneDimCurve(h, 1, 3)
+            for _ in range(4):
+                m, n = _rand_vector(rng, 1), _rand_vector(rng, 1)
+                germs = [charge_series(g, v, c, ChargeKind.REDUCED, order) for v in (m, n, -m)]
+                out += [(germs[0], germs[1]), (germs[0], germs[2]), (germs[0], germs[0])]
+                fm, fn = (phi(g, _rand_onedim_class(rng, g, 1, 3)) for _ in range(2))
+                germs = [charge_series(g, v, flat, ChargeKind.FULL, order, d(1)) for v in (fm, fn, -fm)]
+                out += [(germs[0], germs[1]), (germs[0], germs[2]), (germs[0], germs[0])]
+            zero = charge_series(g, ChernVector.zero(1), c, ChargeKind.REDUCED, order)
+            other = charge_series(g, _rand_vector(rng, 1), c, ChargeKind.REDUCED, order)
+            stored = AsymptoticCharge(LaurentSeries.zero(-order), LaurentSeries.zero(-order), ChargeKind.REDUCED)
+            out += [(zero, other), (other, zero), (zero, zero), (stored, other), (other, stored), (stored, zero)]
+            full_zero = AsymptoticCharge(LaurentSeries.zero(), LaurentSeries.zero(), ChargeKind.FULL)
+            out += [(full_zero, germs[0]), (germs[0], full_zero)]
+    for _ in range(300):
+        kind = rng.choice(list(ChargeKind))
+        acm, acn = (AsymptoticCharge(_random_series(rng), _random_series(rng), kind) for _ in range(2))
+        out += [(acm, acn), (acm, AsymptoticCharge(-acm.re, -acm.im, kind))]
+    return out
+
+
+class TestLazyCross:
+    """``compare_phases`` reads the cross series one coefficient at a time;
+    the whole series of ``_reference_compare_phases`` is the reference."""
+
+    def test_verdicts_kinds_and_floors_match_the_whole_cross_series(self):
+        pairs = _germ_pairs(90)
+        got = [_outcome(compare_phases, *p) for p in pairs]
+        assert got == [_outcome(_reference_compare_phases, *p) for p in pairs]
+        kinds = {o.kind for o in got if isinstance(o, PhaseOrder)}
+        assert kinds == set(OrderKind)
+        assert any(o.floor is not None for o in got if isinstance(o, PhaseOrder))
+        assert ("DomainError", "zero full-kind charge has indeterminate phase") in got
+
+    def test_leading_sign_and_floor_are_the_cross_series(self):
+        """The tie to ``cross_series``, which the threshold check's boundary
+        case reads."""
+        checked = 0
+        for acm, acn in _germ_pairs(91):
+            try:
+                x = cross_series(acm, acn)
+            except DomainError:
+                continue
+            m_re, m_im = asymptotics._with_zero_convention(acm)
+            n_re, n_im = asymptotics._with_zero_convention(acn)
+            lead = x.leading()
+            want = 0 if lead is None else (1 if lead[1] > 0 else -1)
+            assert asymptotics._leading_cross_sign(m_re, n_im, m_im, n_re) == (want, x.trunc)
+            checked += 1
+        assert checked > 500
+
+    def test_a_nonzero_leading_cross_multiplies_no_series(self, monkeypatch):
+        pairs = [(acm, acn) for acm, acn in _germ_pairs(92)
+                 if _outcome(cross_series, acm, acn) != ("DomainError", "zero full-kind charge has indeterminate phase")
+                 and cross_series(acm, acn).leading() is not None]
+        want = [_reference_compare_phases(*p) for p in pairs]
+        calls = []
+        original = LaurentSeries.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+        monkeypatch.setattr(LaurentSeries, "__rmul__", counted)
+        assert [compare_phases(*p) for p in pairs] == want
+        assert len(pairs) > 250 and calls == []
+        cross_series(*pairs[0])  # the whole series multiplies, counted
+        assert calls
+
+
 class TestWallScan:
     def test_proportional_is_degenerate(self, g0):
         c0 = OneDimCurve(0, 1, 1)

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellstab import curves
+from ellstab import curves, ring, series
 from ellstab.curves import (
     OneDimCurve,
     TiltCurve,
@@ -336,6 +337,22 @@ def _reference_expand_u(c, order):
         u = u + LaurentSeries.monomial(exp, -lead[1] / deriv_lead[1])
 
 
+def _reference_closed_form_expand_u(c, order):
+    """The closed form as first written: each coefficient a Fraction, the
+    series through the coercing constructor."""
+    u1 = c.leading_coefficient
+    if c.h == 0:
+        return LaurentSeries.monomial(-1, u1)
+    p = 3 if isinstance(c, TiltCurve) else 2
+    terms, power, step = [], u1, u1 * c.h  # power = u1^k h^(k-1)
+    for k in range(1, (order + 1) // 2 + 1):
+        m = (p - 2) * k + 1
+        coeff = Fraction(prod(m - p * i for i in range(k)), factorial(k) * m)
+        terms.append((1 - 2 * k, coeff * power))
+        power *= step
+    return LaurentSeries(terms, -order)
+
+
 def _reference_eval(p, u):
     powers = {0: LaurentSeries.const(1)}
     max_u = p.udegree()
@@ -406,6 +423,49 @@ class TestExpandUReference:
             order = rng.randint(1, 20)
             for c in (_rand_tilt(rng, h), _rand_onedim(rng, h)):
                 assert expand_u(c, order).trunc == -order, (c, order)
+
+
+INTEGER_FORM_H = (Fraction(-3, 4), Fraction(-1), Fraction(-2, 3), Fraction(0), Fraction(1, 3),
+                  Fraction(5, 2), Fraction(2))
+
+
+class TestExpandUIntegerForm:
+    """The closed form written as integer numerators over one denominator
+    gives the Fraction closed form's series: numerators, denominator, floor
+    and hash."""
+
+    def test_matches_the_fraction_closed_form(self):
+        rng = random.Random(14)
+        checked = 0
+        for h in INTEGER_FORM_H:
+            for c in (_rand_tilt(rng, h), _rand_onedim(rng, h), TiltCurve(h, Fraction(3, 2), Fraction(7, 3))):
+                for order in (1, 2, 3, 4, 7, 8, 15, 16, 25):
+                    got, want = expand_u(c, order), _reference_closed_form_expand_u(c, order)
+                    assert (got._nums, got._den, got.trunc, hash(got)) == (
+                        want._nums, want._den, want.trunc, hash(want)), (c, order)
+                    checked += 1
+        assert checked == len(INTEGER_FORM_H) * 3 * 9
+
+    def test_a_cold_expansion_builds_no_fraction(self, monkeypatch):
+        """Like the ring's counting guards: no Fraction constructed in
+        curves, series or ring, at every h (the exact monomial too)."""
+        cases = [(c, order) for h in INTEGER_FORM_H
+                 for c in (TiltCurve(h, Fraction(3, 2), Fraction(7, 3)), OneDimCurve(h, Fraction(2, 3), 5))
+                 for order in (1, 8, 16)]
+        want = [_reference_closed_form_expand_u(c, order) for c, order in cases]
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+        for module in (curves, series, ring):
+            monkeypatch.setattr(module, "Fraction", counting)
+        curves._expand_u_cached.cache_clear()
+        assert [expand_u(c, order) for c, order in cases] == want
+        assert built == []
+        LaurentSeries.monomial(-1, 2)  # the coercing constructors build Fractions, counted
+        assert built
 
 
 def _sym(x: Fraction):

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from ellstab import slopes
 from ellstab.charges import _reduced_parts
 from ellstab.errors import ConfigurationError
-from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, compute_m, pair, twist
-from ellstab.slopes import SlopeKind, SlopeValue, slope
+from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, compute_m, degree, pair, twist
+from ellstab.slopes import SlopeKind, SlopeTag, SlopeValue, slope
 from ellstab.suites import geometry_for, _rand_vector
 
-from conftest import cv, d
+from conftest import cv, d, fresh_geometries
 
 
 def test_mu_f(g1):
@@ -167,3 +168,73 @@ class TestDecompositions:
             SlopeKind(SlopeKind.mu_f().tag, d=DivisorB([1]))
         with pytest.raises(ConfigurationError):
             SlopeKind.mu_bar(None, None)
+
+
+def _reference_slope(g, kind, v):
+    """``slope`` as written before its fixed classes were kept on the
+    geometry: each built through the coercing constructor on every call."""
+    tag, hb, z = kind.tag, g.hb_divisor, g.zero_divisor()
+
+    def ratio(num, den):
+        return SlopeValue.infinity() if den == 0 else SlopeValue(Fraction(num) / Fraction(den))
+
+    if tag is SlopeTag.MU_F:
+        return ratio(degree(g, ChernVector(0, 0, z, z, 1, 0), v), v.n)
+    if tag is SlopeTag.MU_THETA_M:
+        return ratio(degree(g, ChernVector(0, 0, z, hb, compute_m(g), 0), v), v.n)
+    if tag is SlopeTag.MU_STAR:
+        return ratio(v.s, degree(g, ChernVector(0, 0, hb, z, 0, 0), v))
+    if tag is SlopeTag.MU_STAR_B:
+        tw = twist(g, v, g.half_canonical_bfield())
+        return ratio(tw.s, degree(g, ChernVector(0, 0, hb, z, 0, 0), tw))
+    if tag is SlopeTag.MU_BAR:
+        tw = twist(g, v, DivisorX.pullback(kind.dbar))
+        return ratio(tw.s, degree(g, ChernVector(0, kind.omegabar.theta, kind.omegabar.base, z, 0, 0), tw))
+    tw = twist(g, v, DivisorX.pullback(kind.d))
+    den = degree(g, ChernVector(0, 0, z, hb, 0, 0), tw)
+    if tag is SlopeTag.MU_PHB_PD:
+        return ratio(degree(g, ChernVector(0, 0, hb, z, 0, 0), tw), den)
+    return ratio(degree(g, ChernVector(0, 1, hb.scale(compute_m(g)), z, 0, 0), tw), den)
+
+
+class TestFixedClasses:
+    """The classes that depend on g alone are numerators kept on g."""
+
+    def test_slopes_equal_the_coercing_constructors(self):
+        rng = random.Random(15)
+        for g in fresh_geometries():
+            r = g.rank
+            for _ in range(12):
+                v = _rand_vector(rng, r)
+                dd = DivisorB([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)])
+                ob = DivisorX(Fraction(rng.randint(1, 4)), g.hb_divisor.scale(rng.randint(1, 4)))
+                for kind in (SlopeKind.mu_f(), SlopeKind.mu_theta_m(), SlopeKind.mu_star(), SlopeKind.mu_star_b(),
+                             SlopeKind.mu_bar(ob, dd), SlopeKind.mu_phb_pd(dd), SlopeKind.mu_theta_mphb_pd(dd)):
+                    got, want = slope(g, kind, v), _reference_slope(g, kind, v)
+                    assert (got, type(got.finite)) == (want, type(want.finite)), (g, kind, v)
+                    if not got.is_infinite:
+                        assert (got.finite.numerator, got.finite.denominator) == (
+                            want.finite.numerator, want.finite.denominator)
+
+    def test_each_is_built_once_per_geometry(self):
+        g = BaseGeometry(2, [[2, 1], [1, 3]], [1, 0], Fraction(1, 2))
+        v = _rand_vector(random.Random(16), 2)
+        for kind in (SlopeKind.mu_f(), SlopeKind.mu_theta_m(), SlopeKind.mu_star_b(),
+                     SlopeKind.mu_theta_mphb_pd(DivisorB([1, 2]))):
+            slope(g, kind, v)
+        kept = {key: value for key, value in g.matrices.items() if key in slopes._FIXED.values()}
+        assert len(kept) == len(slopes._FIXED)
+        for name, build in slopes._FIXED.items():
+            assert slopes._fixed(g, name) is kept[build] == build(g)
+        z, hb, m = g.zero_divisor(), g.hb_divisor, compute_m(g)
+        assert slopes._fixed(g, "theta_phb_m") == ChernVector(0, 0, z, hb, m, 0)
+        assert slopes._fixed(g, "theta_m") == ChernVector(0, 1, hb.scale(m), z, 0, 0)
+        assert slopes._fixed(g, "half_canonical_exp") == twist(g, ChernVector.unit(2), g.half_canonical_bfield())
+
+    def test_a_kind_that_needs_no_m_is_untouched_by_a_bad_m(self):
+        """m is read only by the kinds that pair with it, as before."""
+        g = BaseGeometry(1, [[1]], [1], 1, -1, 0)  # m0 = 0: m = 0
+        v = ChernVector(1, 0, DivisorB([1]), DivisorB([2]), 3, 4)
+        assert slope(g, SlopeKind.mu_star(), v) == _reference_slope(g, SlopeKind.mu_star(), v)
+        with pytest.raises(ConfigurationError):
+            slope(g, SlopeKind.mu_theta_m(), v)

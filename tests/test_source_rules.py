@@ -187,3 +187,44 @@ def test_the_label_rule_sees_positional_and_keyword_f_strings():
                      'check(ok, f"{i}")\n'
                      'report.verdicts.append(f"{i}:{ok}")\n')
     assert list(_formats_a_label_eagerly(tree)) == [1, 2, 5]
+
+
+def _calls_by_name(tree, called, function=None):
+    """Line numbers of calls made by the name ``called`` (``f(...)`` or
+    ``m.f(...)``), anywhere in the tree or only inside the functions of
+    that name."""
+    scopes = [tree] if function is None else [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function]
+    for scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and _called(node) == called:
+                yield node.lineno
+
+
+def test_slopes_build_no_class_through_the_coercing_constructor():
+    """A slope's fixed classes are numerators kept on the geometry
+    (``ChernVector._ints``), not coerced from Fractions on every call."""
+    assert _sites(lambda tree: _calls_by_name(tree, "ChernVector"), {"slopes.py"}) == []
+
+
+def test_the_one_dimensional_draw_builds_no_fraction():
+    """``suites._rand_onedim_class`` draws and tests its class on integer
+    numerators."""
+    tree = ast.parse((SRC / "suites.py").read_text())
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_rand_onedim_class" for node in tree.body)
+    assert list(_calls_by_name(tree, "Fraction", "_rand_onedim_class")) == []
+
+
+def test_the_call_rule_sees_both_forms_and_its_scope():
+    tree = ast.parse("a = ChernVector(0, 0, S, eta, 1, 0)\n"
+                     "b = ring.ChernVector(0, 0, S, eta, 1, 0)\n"
+                     "c = ChernVector._ints(nums, den)\n"
+                     "def _rand_onedim_class(rng):\n"
+                     "    x = Fraction(1)\n"
+                     "    y = fractions.Fraction(2, 3)\n"
+                     "    return ChernVector._ints([x], y)\n"
+                     "def other():\n"
+                     "    return Fraction(3)\n")
+    assert list(_calls_by_name(tree, "ChernVector")) == [1, 2]
+    assert list(_calls_by_name(tree, "Fraction", "_rand_onedim_class")) == [5, 6]
+    assert sorted(_calls_by_name(tree, "Fraction")) == [5, 6, 9]

@@ -1,14 +1,23 @@
-"""The suites' case draws and labels: integer draws that equal the
-Fraction-built ones, and labels formatted only when a check fails."""
+"""The suites' case draws and labels: integer draws (vectors and
+one-dimensional classes) that equal the Fraction-built ones, and labels
+formatted only when a check fails."""
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from ellstab import suites
-from ellstab.ring import ChernVector
-from ellstab.suites import SuiteReport, _rand_divisor, _rand_q, _rand_vector, geometry_for
+from ellstab.ring import ChernVector, DivisorB, pair_h
+from ellstab.suites import (
+    SuiteReport,
+    _rand_divisor,
+    _rand_onedim_class,
+    _rand_q,
+    _rand_vector,
+    geometry_for,
+)
 
 
 def _reference_rand_vector(rng: random.Random, rank: int) -> ChernVector:
@@ -24,6 +33,32 @@ def test_rand_vector_draws_as_the_fraction_generator(rank):
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(3):
             got, want = _rand_vector(rng, rank), _reference_rand_vector(ref, rank)
+            assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
+        assert rng.getstate() == ref.getstate()
+
+
+def _reference_rand_onedim_class(rng: random.Random, g, y, z) -> ChernVector:
+    """The one-dimensional draw the integer one replaces: Fractions,
+    ``DivisorB`` and the coercing constructor."""
+    zd = DivisorB.zero(g.rank)
+    while True:
+        eta = DivisorB([Fraction(rng.randint(0, 5)) for _ in range(g.rank)])
+        a = _rand_q(rng)
+        s = _rand_q(rng)
+        den = (g.h * y + z) * pair_h(g, eta) + y * a
+        if den > 0:
+            return ChernVector(0, 0, zd, eta, a, s)
+
+
+@pytest.mark.parametrize("rank2", [False, True])
+@pytest.mark.parametrize("h", [Fraction(-1), Fraction(0), Fraction(1, 2)])
+@pytest.mark.parametrize("y, z", [(1, 2), (3, 1), (Fraction(2), Fraction(3)), (Fraction(3, 2), Fraction(5, 4))])
+def test_rand_onedim_class_draws_as_the_fraction_generator(rank2, h, y, z):
+    g = geometry_for(h, rank2)
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            got, want = _rand_onedim_class(rng, g, y, z), _reference_rand_onedim_class(ref, g, y, z)
             assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
         assert rng.getstate() == ref.getstate()
 
@@ -67,6 +102,30 @@ def test_cases_failures_and_verdicts_are_pinned(name, monkeypatch):
     assert _digests(name) == passing
     _fail_every_check(monkeypatch)
     assert _digests(name) == failing
+
+
+# The same digests for the two germ suites at both series orders, at larger
+# sizes, taken from the Fraction-built one-dimensional draws, the whole
+# cross series and the Fraction closed form of u(v).
+GERM_DIGESTS = {
+    "correspondence": (30, ("abd7550024924d9e", "abd7550024924d9e"), ("9f909a8a4d7a352c", "6e0fb052b2397ab3")),
+    "threshold": (15, ("acf261c6e48e84fd", "acf261c6e48e84fd"), ("026c9361e02f1f21", "05dca2fc031fe6a9")),
+}
+
+
+@pytest.mark.parametrize("order", [8, 16])
+@pytest.mark.parametrize("name", sorted(GERM_DIGESTS))
+def test_germ_suites_are_pinned_at_both_orders(name, order, monkeypatch):
+    size, passing, failing = GERM_DIGESTS[name]
+
+    def digests():
+        reports = [suites.run_suite(name, size, seed, order) for seed in (0, 7)]
+        return tuple(hashlib.sha256(repr((r.cases, r.failures, r.verdicts)).encode()).hexdigest()[:16]
+                     for r in reports)
+
+    assert digests() == passing
+    _fail_every_check(monkeypatch)
+    assert digests() == failing
 
 
 class _Unreadable:

@@ -12,7 +12,7 @@ import pytest
 from ellstab import asymptotics, charges, curves, ring, suites, verify
 from ellstab.asymptotics import AsymptoticCharge, ChargeKind
 from ellstab.curves import OneDimCurve, TiltCurve
-from ellstab.errors import DomainError
+from ellstab.errors import DimensionError, DomainError
 from ellstab.ring import BaseGeometry, ChernVector
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt, _rand_vector
@@ -179,6 +179,49 @@ class TestCorrespondence:
             n = _rand_onedim_class(rng, g, y, z)
             dbar = d(Fraction(rng.randint(-4, 4), rng.randint(1, 2)))
             assert slope_correspondence_check(g, m, n, y, z, dbar)
+
+
+def _reference_domain_checks(g, v, y, z):
+    """The correspondence check's input tests as first written, on fields."""
+    if v.n != 0 or v.x != 0 or not v.S.is_zero():
+        raise DomainError("inputs must be one-dimensional classes")
+    den = (g.h * Fraction(y) + Fraction(z)) * ring.pair_h(g, v.eta) + Fraction(y) * v.a
+    if den <= 0:
+        raise DomainError("inputs require a positive twisted degree")
+
+
+def _error(f, *args):
+    try:
+        f(*args)
+    except (DomainError, DimensionError) as e:
+        return type(e), str(e)
+    return None
+
+
+class TestCorrespondenceDomain:
+    def test_numerator_tests_raise_as_the_field_tests(self):
+        """The same error, or none, for classes that are one-dimensional or
+        not, of twisted degree positive, zero or negative, and of another
+        lattice rank."""
+        rng = random.Random(25)
+        seen = set()
+        for h in (Fraction(-1), Fraction(0), Fraction(1, 2)):
+            for rank2 in (False, True):
+                g = geometry_for(h, rank2)
+                for y, z in ((1, 2), (Fraction(3, 2), Fraction(7, 4)), (2, 3)):
+                    good = suites._rand_onedim_class(rng, g, y, z)
+                    for _ in range(40):
+                        r = rng.choice((g.rank, g.rank, 3 - g.rank))
+                        lower = [rng.choice((0, 0, 0, 1)) for _ in range(2 + r)]
+                        upper = [rng.randint(-2, 2) for _ in range(r + 2)]
+                        v = ChernVector._ints(lower + upper, rng.randint(1, 3))
+                        want = _error(_reference_domain_checks, g, v, y, z)
+                        got = _error(slope_correspondence_check, g, v, good, y, z, d(*[1] * g.rank))
+                        assert got == want, (g, v, y, z)
+                        seen.add(want)
+        assert seen == {None, (DomainError, "inputs must be one-dimensional classes"),
+                        (DomainError, "inputs require a positive twisted degree"),
+                        (DimensionError, "divisor rank does not match geometry rank")}
 
 
 class TestH0Independence:
