@@ -26,8 +26,8 @@ from functools import lru_cache
 from . import charges as charges_mod
 from .curves import CurveConstraint, admissible_bracket, expand_u
 from .errors import ComputationFault, ConfigurationError, DimensionError, DomainError
-from .poly import Poly2, RootInterval, monomial_coefficients, sign_at_root
-from .ring import BaseGeometry, ChernVector, DivisorB, _over_common_denominator
+from .poly import Poly2, RootInterval, monomial_table, sign_at_root
+from .ring import BaseGeometry, ChernVector, DivisorB, _contract, _kept, _over_common_denominator
 from .series import LaurentSeries, _product_floor
 
 
@@ -104,19 +104,17 @@ def charge_series(
     coefficients: the reduced form's, or for the full charge with
     B = pull(d), d = 0 by default, ``charges._full_coefficients``.  The
     germs are evaluated once per (curve, order, kind) at the germ point
-    (u(v), v), with u(v) expanded through ``order`` terms, the coefficients
-    are ``_coefficient_rows`` applied to the numerators of the class and d,
-    and each class combines the germs in one integer pass; germs and
-    truncation floors are those the chained series arithmetic gives.  The
-    full kind raises ``DomainError`` unless the class is fiber-degree-trivial
-    (n = x = 0).
+    (u(v), v), with u(v) expanded through ``order`` terms; the
+    coefficients are the kind's table (``_charge_table``) applied by
+    ``ring._contract`` to the class and (1, d), and each class combines
+    the germs in one integer pass; germs and truncation floors are those
+    the chained series arithmetic gives.  The full kind raises
+    ``DomainError`` unless the class is fiber-degree-trivial (n = x = 0).
     """
     nums, ds = _checked_class(g, v, c, kind, d)
     germs = _charge_germs(c, order, kind)
-    rows, row_den = _coefficient_rows(g, kind)
     dnums, dden = _over_common_denominator(ds)
-    coeffs = [sum(e * nums[i] * (dden if j < 0 else dnums[j]) for i, j, e in row) for row in rows]
-    den = v._den * row_den * dden
+    coeffs, den = _contract(_kept(g, _charge_table, kind), (nums, v._den), ((dden, *dnums), dden))
     split = 1 + len(germs[0])
     re, im = (
         LaurentSeries._combination(part[0], zip(part[1:], part_germs), den)
@@ -141,32 +139,25 @@ def _checked_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: Ch
     return nums, ds
 
 
-def _coefficient_rows(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int]:
+def _charge_table(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int, int]:
     """A kind's class coefficients (re constant and coefficients, then im's)
-    as integer rows over one denominator, kept in ``g.matrices``: row k
-    lists the (i, j, c) of its terms c v_i d_j, with j = -1 for a term in v
-    alone.  Read off one evaluation at ``Poly2`` monomials: class coordinate
-    i is u^(i+1) (n = x = 0 for the full kind, so pull(d)^2, which meets
-    only n and x, drops out), d_j is v^(j+1).  The full kind's rows on the x
-    and n germs must be empty (else ``ComputationFault``) and are left out."""
-    full = kind is ChargeKind.FULL
-    coefficients = charges_mod._full_coefficients if full else charges_mod._reduced_coefficients
-    if coefficients not in g.matrices:
-        r = g.rank
-        flat, d = [Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * r + 4)], ()
-        if full:
-            flat[:2] = Fraction(0), Fraction(0)
-            d = (DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r))),)
-        parts = coefficients(g, ChernVector._ints(flat, 1), *d)
-        values = [x for const, coeffs in parts for x in (const, *coeffs)]
-        entries, den = monomial_coefficients(values)
-        rows = [[] for _ in values]
-        for k, (i, j), c in entries:
-            rows[k].append((i - 1, j - 1, c))
-        if full and any((rows.pop(6), rows.pop(1))):  # the x and n germs' coefficients
-            raise ComputationFault("full charge of a class with n = x = 0 reaches an x or n germ")
-        g.matrices[coefficients] = rows, den
-    return g.matrices[coefficients]
+    as a table on the class and (1, d), read off one evaluation at ``Poly2``
+    monomials: class coordinate i is u^(i+1) (n = x = 0 for the full kind,
+    so pull(d)^2, which meets only n and x, drops out), d_j is v^(j+1).  The
+    full kind's coefficients on the x and n germs must vanish (else
+    ``ComputationFault``) and are left out."""
+    r, full = g.rank, kind is ChargeKind.FULL
+    flat = [Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * r + 4)]
+    if full:
+        flat[:2] = Fraction(0), Fraction(0)
+        d = DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r)))
+        parts = charges_mod._full_coefficients(g, ChernVector._ints(flat, 1), d)
+    else:
+        parts = charges_mod._reduced_coefficients(g, ChernVector._ints(flat, 1))
+    values = [x for const, coeffs in parts for x in (const, *coeffs)]
+    if full and any((values.pop(6), values.pop(1))):  # the x and n germs' coefficients
+        raise ComputationFault("full charge of a class with n = x = 0 reaches an x or n germ")
+    return monomial_table(values, len(flat))
 
 
 @lru_cache(maxsize=None)
@@ -223,14 +214,6 @@ def phase_limit(ac: AsymptoticCharge) -> PhaseLimit:
     raise DomainError("real and imaginary leads share an order; the limit is not rational")
 
 
-def cross_series(acm: AsymptoticCharge, acn: AsymptoticCharge) -> LaurentSeries:
-    if acm.kind is not acn.kind:
-        raise DomainError("cannot compare charges of different kinds")
-    m_re, m_im = _with_zero_convention(acm)
-    n_re, n_im = _with_zero_convention(acn)
-    return m_re * n_im - m_im * n_re
-
-
 def _with_zero_convention(ac: AsymptoticCharge) -> tuple[LaurentSeries, LaurentSeries]:
     if ac.kind is ChargeKind.REDUCED and ac.is_stored_zero() and ac.is_exact():
         return LaurentSeries.zero(), LaurentSeries.const(1)
@@ -243,24 +226,19 @@ def compare_phases(acm: AsymptoticCharge, acn: AsymptoticCharge) -> PhaseOrder:
     """Asymptotic order of two charge germs of the same kind.
 
     Decided by the sign of the leading cross coefficient, read top down
-    in integers until one is nonzero (``_leading_cross_sign``), with no
-    cross series built; its floor is the one ``cross_series`` carries.  A
-    vanishing
-    cross with a negatively oriented dot series means the germs are
-    antipodal (phases one apart, where the cross is blind); those are
-    ordered by their phase limits.  Identical germs are exactly equal only
-    when they are exact; identical truncated germs are equal through the
-    cross series' floor, like any other vanishing cross.
+    in integers until one is nonzero (``_leading_cross``), with no cross
+    series built.  A vanishing cross with a negatively oriented dot series
+    means the germs are antipodal (phases one apart, where the cross is
+    blind); those are ordered by their phase limits.  Identical germs are
+    exactly equal only when they are exact; identical truncated germs are
+    equal through the cross series' floor, like any other vanishing cross.
     """
-    if acm.kind is not acn.kind:
-        raise DomainError("cannot compare charges of different kinds")
     if acm == acn and acm.is_exact():
         return PhaseOrder(OrderKind.EXACT_EQUAL)
-    m_re, m_im = _with_zero_convention(acm)
-    n_re, n_im = _with_zero_convention(acn)
-    sign, floor = _leading_cross_sign(m_re, n_im, m_im, n_re)
+    sign, _, floor = _leading_cross(acm, acn)
     if sign:
         return PhaseOrder(OrderKind.PREC if sign > 0 else OrderKind.SUCC)
+    (m_re, m_im), (n_re, n_im) = _with_zero_convention(acm), _with_zero_convention(acn)
     dot = m_re * n_re + m_im * n_im
     dot_lead = dot.leading()
     if dot_lead is not None and dot_lead[1] < 0:
@@ -275,20 +253,25 @@ def compare_phases(acm: AsymptoticCharge, acn: AsymptoticCharge) -> PhaseOrder:
     return PhaseOrder(OrderKind.EQUAL_THROUGH_ORDER, floor)
 
 
-def _leading_cross_sign(a: LaurentSeries, b: LaurentSeries, c: LaurentSeries, d: LaurentSeries) -> tuple:
-    """The sign of the leading stored coefficient of the series a b - c d
-    (0 if it stores none) and that series' floor, with no series built.
-    The floor is the one ``*`` and ``-`` give it: the larger of the two
-    products' ``_product_floor``.  The coefficients are read from the top
-    exponent down to the floor, each as the integer sum of a_i b_j times
-    den(c) den(d) minus the sum of c_i d_j times den(a) den(b), a positive
-    multiple of the coefficient, until one is nonzero."""
+def _leading_cross(acm: AsymptoticCharge, acn: AsymptoticCharge) -> tuple:
+    """The sign and exponent of the leading stored coefficient of the cross
+    series re(M) im(N) - im(M) re(N) of two germs of one kind, under the
+    zero convention ((0, None) if it stores none), and that series' floor,
+    with no series built.  The floor is the one ``*`` and ``-`` give it:
+    the larger of the two products' ``_product_floor``.  The coefficients
+    are read from the top exponent down to the floor, each as the integer
+    sum of a_i b_j times den(c) den(d) minus the sum of c_i d_j times
+    den(a) den(b), a positive multiple of the coefficient, until one is
+    nonzero."""
+    if acm.kind is not acn.kind:
+        raise DomainError("cannot compare charges of different kinds")
+    (a, c), (d, b) = _with_zero_convention(acm), _with_zero_convention(acn)
     floors = [f for f in (_product_floor(a, b), _product_floor(c, d)) if f is not None]
     floor = max(floors) if floors else None
     pairs = [(x._nums, y._nums, f) for x, y, f in ((a, b, c._den * d._den), (c, d, -a._den * b._den))
              if x._nums and y._nums]
     if not pairs:
-        return 0, floor
+        return 0, None, floor
     top = max(x[0][0] + y[0][0] for x, y, _ in pairs)
     bottom = min(x[-1][0] + y[-1][0] for x, y, _ in pairs)
     if floor is not None:
@@ -297,8 +280,8 @@ def _leading_cross_sign(a: LaurentSeries, b: LaurentSeries, c: LaurentSeries, d:
     for e in range(top, bottom - 1, -1):
         total = sum(f * sum(n * y[e - i] for i, n in x if e - i in y) for x, y, f in pairs)
         if total:
-            return (1 if total > 0 else -1), floor
-    return 0, floor
+            return (1 if total > 0 else -1), e, floor
+    return 0, None, floor
 
 
 def compare_vectors(

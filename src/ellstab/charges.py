@@ -8,8 +8,8 @@ B = pull(d) is -ch3^B plus that form on the class twisted in the ring
 (``_full_coefficients``).  ``_reduced_parts`` and ``_full_parts`` form the
 combination at ``Fraction`` points and at ``Poly2`` symbols;
 ``asymptotics.charge_series`` builds the germs once per curve and order as
-``LaurentSeries``, reads the coefficients off once per geometry as integer
-rows (at ``Poly2`` monomials), and combines each class in one integer pass.
+``LaurentSeries``, reads the coefficients off once per geometry as a table
+(at ``Poly2`` monomials), and combines each class in one integer pass.
 ``full_charge`` goes through ring products for any class and B-field.  The
 reduced charge also evaluates that path and insists it agrees with the
 closed form (``_checked_reduced_parts``), which guards the transcription of
@@ -30,6 +30,7 @@ from .ring import (
     ChernVector,
     DivisorB,
     DivisorX,
+    _kept,
     degree,
     divisor_powers,
     pair_h,
@@ -152,20 +153,24 @@ def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
 
 def prove_closed_form(g: BaseGeometry) -> None:
     """Check the reduced closed form against ring products at symbolic
-    (u, vpar) on the 2r + 4 basis classes, once per geometry (marked in
-    ``g.matrices``).  Both paths are linear in the class, so this proves
-    them equal for every class at every point, or raises
+    (u, vpar) on the 2r + 4 basis classes, once per geometry (the mark is
+    kept by ``ring._kept``).  Both paths are linear in the class, so this
+    proves them equal for every class at every point, or raises
     ``ComputationFault``: the ring's structure constants, which its products
     apply at ``Poly2`` scalars as at Fraction points, against the closed
     form."""
-    if prove_closed_form not in g.matrices:
-        usym, vsym = Poly2.u(), Poly2.v()
-        powers = divisor_powers(g, DivisorX(usym, g.hb_divisor.scale(vsym)))
-        dim = 2 * g.rank + 4
-        for k in range(dim):
-            basis = ChernVector._ints([int(i == k) for i in range(dim)], 1)
-            _checked_reduced_parts(g, basis, usym, vsym, powers)
-        g.matrices[prove_closed_form] = True
+    _kept(g, _proved_closed_form)
+
+
+def _proved_closed_form(g: BaseGeometry) -> bool:
+    """The check of ``prove_closed_form``, run; True once it passes."""
+    usym, vsym = Poly2.u(), Poly2.v()
+    powers = divisor_powers(g, DivisorX(usym, g.hb_divisor.scale(vsym)))
+    dim = 2 * g.rank + 4
+    for k in range(dim):
+        basis = ChernVector._ints([int(i == k) for i in range(dim)], 1)
+        _checked_reduced_parts(g, basis, usym, vsym, powers)
+    return True
 
 
 def full_charge(g: BaseGeometry, v: ChernVector, omega: DivisorX, B: DivisorX) -> ChargeValue:

@@ -51,7 +51,7 @@ from .series import LaurentSeries
 class TiltCurve:
     """Curve for comparing slope data at a*Theta + b*pull(H) with the
     moving polarization; requires a, b > 0, ha + 2b > 0 and ha + b != 0.
-    alpha = a(ha + 2b) and beta = (ha + b)^2 are computed at construction."""
+    alpha = a(ha + 2b), beta = (ha + b)^2 and the hash are computed at construction."""
 
     h: Fraction
     a: Fraction
@@ -72,6 +72,10 @@ class TiltCurve:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "alpha", a * (h * a + 2 * b))
         object.__setattr__(self, "beta", (h * a + b) ** 2)
+        object.__setattr__(self, "_hash", hash((h, a, b)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def leading_coefficient(self) -> Fraction:
@@ -82,7 +86,7 @@ class TiltCurve:
 @dataclass(frozen=True)
 class OneDimCurve:
     """Curve for one-dimensional classes: h + z/y = (1/2) u (hu + 2v);
-    requires y, z > 0 and h + z/y > 0."""
+    requires y, z > 0 and h + z/y > 0; the hash is computed at construction."""
 
     h: Fraction
     y: Fraction
@@ -97,6 +101,10 @@ class OneDimCurve:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
+        object.__setattr__(self, "_hash", hash((h, y, z)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def q(self) -> Fraction:

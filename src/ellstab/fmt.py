@@ -10,14 +10,16 @@ trivial (h = 0) each transform degenerates to swapping the two rows of the
 matrix notation and negating the second row.
 
 Both maps are linear in the flat coordinates (n, x, S, eta, a, s), so each
-is an integer matrix, built once per geometry and read off one evaluation
-of the closed form at ``Poly2`` monomials, applied to a vector's numerators
-at every scalar.  On rational vectors the result is fraction-free with one
-gcd; on vectors all of ``Poly2`` it is the closed form's value, type and
-hash.  On a vector that mixes ``Fraction`` with ``Poly2`` or series the
-value is the closed form's, but a coordinate that only ``Fraction``
-entries reach is a ``Fraction`` where the closed form, adding zero terms
-of the other type, gave a ``Poly2`` or a series.
+is an integer table (``_table``), read off one evaluation of the closed
+form at ``Poly2`` monomials by ``poly.monomial_table``, kept on the
+geometry by ``ring._kept`` and applied to a vector's numerators at every
+scalar by ``ring._contract`` with the unit as right factor.  On rational
+vectors the result is fraction-free with one gcd.  On any other vector
+the value is the closed form's, with one declared difference in type: zero
+coordinates are skipped, so an output that only zero or ``Fraction``
+coordinates reach is a ``Fraction`` where the closed form, adding zero
+terms of the other type, gave a ``Poly2`` (equal, with the same hash) or
+a series.
 """
 
 from __future__ import annotations
@@ -25,19 +27,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .poly import Poly2, monomial_coefficients
-from .ring import BaseGeometry, ChernVector, DimensionError, pair_h
+from .poly import Poly2, monomial_table
+from .ring import BaseGeometry, ChernVector, DimensionError, _contract, _kept, pair_h
 
 
 def phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
-    """Forward transform of a cohomology vector, through the matrix of
-    ``_phi`` (types on mixed vectors: module docstring)."""
+    """Forward transform of a cohomology vector: the table of ``_phi``
+    applied by ``ring._contract`` (types on symbolic vectors: module
+    docstring)."""
     return _apply(g, v, _phi)
 
 
 def phi_hat(g: BaseGeometry, v: ChernVector) -> ChernVector:
-    """Inverse-direction transform of a cohomology vector, through the
-    matrix of ``_phi_hat``."""
+    """Inverse-direction transform of a cohomology vector: the table of
+    ``_phi_hat`` applied by ``ring._contract``."""
     return _apply(g, v, _phi_hat)
 
 
@@ -68,29 +71,18 @@ def _phi_hat(g: BaseGeometry, v: ChernVector) -> ChernVector:
 
 
 def _apply(g: BaseGeometry, v: ChernVector, closed) -> ChernVector:
-    """The closed form at v through its matrix, kept on g as sparse integer
-    rows of (column, entry) over one denominator, applied to the
-    numerators at every scalar."""
+    """The closed form at v through its table, kept on g."""
     if v.rank_lattice != g.rank:
         raise DimensionError("vector rank does not match geometry rank")
-    if closed not in g.matrices:
-        g.matrices[closed] = _matrix(g, closed)
-    rows, den = g.matrices[closed]
-    nums = v._nums
-    return ChernVector._ints([sum(a * nums[j] for j, a in row) for row in rows], den * v._den)
+    return ChernVector._ints(*_contract(_kept(g, _table, closed), (v._nums, v._den), ((1,), 1)))
 
 
-def _matrix(g: BaseGeometry, closed) -> tuple[list, int]:
-    """The matrix of a closed form, read off one evaluation at monomial
-    scalars: coordinate j is u^(j+1), so the u^(j+1) coefficient of output
-    k is M[k][j]."""
+def _table(g: BaseGeometry, closed) -> tuple[list, int, int]:
+    """The table of a closed form, read off one evaluation at the monomials
+    u^(i+1) of coordinates i."""
     dim = 2 * g.rank + 4
-    out = closed(g, ChernVector._ints([Poly2._ints({(j + 1, 0): 1}, 1) for j in range(dim)], 1))
-    entries, den = monomial_coefficients(out.coordinates())
-    rows = [[] for _ in range(dim)]
-    for k, (j, _), c in entries:
-        rows[k].append((j - 1, c))
-    return rows, den
+    out = closed(g, ChernVector._ints([Poly2._ints({(i + 1, 0): 1}, 1) for i in range(dim)], 1))
+    return monomial_table(out.coordinates(), dim)
 
 
 def fiber_swap_rule(g: BaseGeometry, tw: ChernVector) -> ChernVector:

@@ -564,14 +564,18 @@ class Poly2(_IntegerForm):
                           for j, n in enumerate(p._nums)}, den)
 
 
-def monomial_coefficients(values) -> tuple[list, int]:
-    """The coefficients of values, each a Poly2 or an exact zero, as entries
-    (k, (i, j), c) over one positive denominator den: c / den is the
-    u^i v^j coefficient of value k.  A (bi)linear closed form evaluated at
-    distinct monomials gives its integer matrix or structure constants."""
+def monomial_table(values, size: int) -> tuple[list, int, int]:
+    """The ``ring._contract`` table of a (bi)linear closed form from its
+    values (Poly2s or exact zeros) at monomials, left coordinate i < size
+    at u^(i+1) and right coordinate j at v^j: the u^(i+1) v^j coefficient
+    of value k is the entry (j, k, c) of ``rows[i]``, over one den > 0."""
     polys = [(k, x) for k, x in enumerate(values) if isinstance(x, Poly2)]
     den = lcm(*(x._den for _, x in polys))
-    return [(k, key, n * (den // x._den)) for k, x in polys for key, n in x._nums.items()], den
+    rows = [[] for _ in range(size)]
+    for k, x in polys:
+        for (i, j), n in x._nums.items():
+            rows[i - 1].append((j, k, n * (den // x._den)))
+    return rows, den, len(values)
 
 
 def reduce_mod_u(dividend: Poly2, divisor: Poly2) -> Poly2:

@@ -35,12 +35,12 @@ one positive denominator.  A vector of rationals holds integers,
 content-reduced, so it is fraction-free from construction, as ``Poly2``
 is; any other holds its coordinates over 1.  Each vector operation is one
 formula over the numerators, and each field is built on its first read.
-The product has one rule: the relations, written once as integer
-structure constants over one denominator (``_structure_constants``) and
-kept on the geometry, which ``mul`` applies to the numerators at every
-scalar.  ``degree``, the point coefficient of a product that every slope
-and charge reads, applies the constants that reach the point class in the
-same way.
+Every (bi)linear closed form is an integer table applied by ``_contract``
+alone: the product's structure constants, written once from the relations
+(``_structure_constants``) and applied by ``mul`` and ``degree`` at every
+scalar, and the linear maps of ``fmt`` and ``asymptotics`` (right factor
+the unit 1), read off their closed forms by ``poly.monomial_table``.
+``_kept`` keeps every value that depends on the geometry alone on it.
 ``_IntegerForm`` states that storage rule, with the operators it implies,
 once for the exact scalars ``Poly1``, ``Poly2`` and ``LaurentSeries``.
 """
@@ -253,16 +253,12 @@ class BaseGeometry:
     ``m0`` a seed constant with m0 > vprime and h + 2*m0 > 0.  The H data
     derived from them (``hb2`` = H.H, ``hb_divisor`` and the row ``hb_row``
     of hb * gram used by ``pair_h``) is computed once, at construction.
-    ``matrices`` starts empty; it keeps the integer tables of the linear
-    closed forms, keyed by the closed form: ``fmt``'s transform matrices,
-    the product's structure constants (keyed by ``_structure_constants``)
-    and their point-class slice (keyed by ``degree``), which act on the
-    numerators of vectors at every scalar, and the charges' class
-    coefficient rows (keyed by the coefficient function), which act on the
-    integer numerators of rational vectors, the classes that slopes pair
-    with and that depend on g alone (keyed by their builders in
-    ``slopes._FIXED``), and the mark of ``charges.prove_closed_form`` once
-    it has run on g.
+    ``matrices`` starts empty; ``_kept`` alone reads and writes it, keyed
+    by (builder, argument tuple): the product's structure constants and their
+    point-class slice (``_point_constants``), the transform tables
+    (``fmt._table``) and the charge tables (``asymptotics._charge_table``),
+    the classes that slopes pair with (``slopes._FIXED``), and the mark of
+    ``charges.prove_closed_form`` once it has run on g.
     """
 
     rank: int
@@ -521,40 +517,48 @@ def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
-    return ChernVector._ints(*_contract(*_structure_constants(g), v1, v2))
+    table = _kept(g, _structure_constants)
+    return ChernVector._ints(*_contract(table, (v1._nums, v1._den), (v2._nums, v2._den)))
 
 
 def degree(g: BaseGeometry, v1: ChernVector, v2: ChernVector):
     """The point coefficient of v1 * v2, ``mul(g, v1, v2).s`` in value and
     type: ``_contract`` with the structure constants that reach the point
-    class, kept on g."""
+    class (``_point_constants``)."""
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
-    if degree not in g.matrices:
-        table, den = _structure_constants(g)
-        last = len(table) - 1
-        g.matrices[degree] = [[e for e in row if e[1] == last] for row in table], den
-    totals, den = _contract(*g.matrices[degree], v1, v2)
-    return _divided(totals[-1], den)
+    (total,), den = _contract(_kept(g, _point_constants), (v1._nums, v1._den), (v2._nums, v2._den))
+    return _divided(total, den)
 
 
-def _contract(table: list, den: int, v1: ChernVector, v2: ChernVector) -> tuple[list, int]:
-    """The sums of a_i b_j c over the entries (j, k, c) of ``table[i]``, by
-    output k, over den times the factors' denominators, with a_i and b_j the
-    factors' numerators.  A product with a factor that is false (an exact
-    zero, ``Fraction`` or ``Poly2``) is skipped, so an output that none
-    reaches is the integer 0; a series is never false, so a truncated
-    stored zero still passes its floor on."""
-    left, right = v1._nums, v2._nums
-    totals = [0] * len(table)
-    for a, row in zip(left, table):
+def _contract(table: tuple, left: tuple, right: tuple) -> tuple[list, int]:
+    """A table (rows, den, width) applied to factors given as (numerators,
+    denominator): the sums of a_i b_j c over the entries (j, k, c) of
+    ``rows[i]``, by output k < width, over den times the factors'
+    denominators.  A factor that is false (an exact zero, ``Fraction`` or
+    ``Poly2``) is skipped, so an output that none reaches is the integer 0;
+    a series is never false, so a stored zero still passes its floor on."""
+    rows, den, width = table
+    (lnums, lden), (rnums, rden) = left, right
+    totals = [0] * width
+    for a, row in zip(lnums, rows):
         if a:
             for j, k, c in row:
-                b = right[j]
+                b = rnums[j]
                 if b:
                     totals[k] += a * c * b
-    return totals, den * v1._den * v2._den
+    return totals, den * lden * rden
+
+
+def _kept(g: BaseGeometry, build, *args):
+    """``build(g, *args)``, built on first use and kept in ``g.matrices``
+    under (build, args): the one keeper of values of the geometry alone."""
+    try:
+        return g.matrices[build, args]
+    except KeyError:
+        value = g.matrices[build, args] = build(g, *args)
+        return value
 
 
 def _divided(t, den: int):
@@ -565,14 +569,12 @@ def _divided(t, den: int):
     return t if den == 1 else t / den
 
 
-def _structure_constants(g: BaseGeometry) -> tuple[list, int]:
+def _structure_constants(g: BaseGeometry) -> tuple[list, int, int]:
     """The structure constants of the product on g, from the relations in
-    the module docstring, built on first use and kept on g.  Basis class i
-    times basis class j is the sum of c_kij / den times basis class k, over
-    one positive denominator den; ``table[i]`` lists the (j, k, c_kij) with
+    the module docstring, as a ``_contract`` table.  Basis class i times
+    basis class j is the sum of c_kij / den times basis class k, over one
+    positive denominator den; ``rows[i]`` lists the (j, k, c_kij) with
     c_kij nonzero, by j and then k."""
-    if _structure_constants in g.matrices:
-        return g.matrices[_structure_constants]
     r, h = g.rank, g.h
     dim = 2 * r + 4
     x, S, eta, a, s = 1, range(2, 2 + r), range(2 + r, 2 + 2 * r), dim - 2, dim - 1
@@ -594,11 +596,16 @@ def _structure_constants(g: BaseGeometry) -> tuple[list, int]:
             meet(S[p], S[q], a, g.gram[p][q])  # pull(A) * pull(B) = (A.B) f
             meet(S[p], eta[q], s, g.gram[p][q])  # pull(A) * Theta pull(B) = (A.B) pt
     den = lcm(*(c.denominator for c in entries.values()))
-    table = [[] for _ in range(dim)]
+    rows = [[] for _ in range(dim)]
     for (i, j, k), c in sorted(entries.items()):
-        table[i].append((j, k, c.numerator * (den // c.denominator)))
-    g.matrices[_structure_constants] = table, den
-    return table, den
+        rows[i].append((j, k, c.numerator * (den // c.denominator)))
+    return rows, den, dim
+
+
+def _point_constants(g: BaseGeometry) -> tuple[list, int, int]:
+    """The structure constants that reach the point class, on output 0."""
+    rows, den, width = _kept(g, _structure_constants)
+    return [[(j, 0, c) for j, k, c in row if k == width - 1] for row in rows], den, 1
 
 
 def divisor_vector(g: BaseGeometry, d: DivisorX) -> ChernVector:

@@ -135,13 +135,6 @@ class LaurentSeries(_IntegerForm):
             raise DomainError(f"coefficient at v^{exponent} lies below the truncation floor")
         return Fraction(0)
 
-    def truncate(self, floor: int | None) -> "LaurentSeries":
-        if floor is None:
-            return self
-        new_floor = floor if self.trunc is None else max(floor, self.trunc)
-        kept = {e: n for e, n in self._nums if e >= new_floor}
-        return LaurentSeries._ints(kept, self._den, new_floor)
-
     def _add(self, other, sign: int):
         if isinstance(other, _RATIONAL):
             other = LaurentSeries.const(other)

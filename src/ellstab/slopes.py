@@ -28,6 +28,7 @@ from .ring import (
     DivisorB,
     DivisorX,
     _exp_minus,
+    _kept,
     _numerators,
     compute_m,
     degree,
@@ -186,12 +187,8 @@ _FIXED = {
 
 
 def _fixed(g: BaseGeometry, name: str) -> ChernVector:
-    """The fixed class of that name on g, built on first use and kept in
-    ``g.matrices`` under its builder, as the transform matrices are."""
-    build = _FIXED[name]
-    if build not in g.matrices:
-        g.matrices[build] = build(g)
-    return g.matrices[build]
+    """The fixed class of that name on g, kept by ``ring._kept``."""
+    return _kept(g, _FIXED[name])
 
 
 def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:

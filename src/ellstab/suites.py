@@ -53,8 +53,8 @@ class _Label:
 
 
 def geometry_for(h, rank2: bool = False) -> BaseGeometry:
-    """One shared geometry per (h, rank2), so its transform matrices and product
-    table are reused."""
+    """One shared geometry per (h, rank2), so the tables and classes kept on
+    it are reused."""
     return _geometry(Fraction(h), bool(rank2))
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .asymptotics import ChargeKind, charge_series, compare_phases, cross_series
+from .asymptotics import ChargeKind, _leading_cross, charge_series, compare_phases
 from .charges import _checked_reduced_parts
 from .curves import OneDimCurve, TiltCurve, _fixed_cycles, constraint_poly
 from .errors import DimensionError, DomainError
@@ -129,7 +129,8 @@ def threshold_equiv_check(
     if mu_t.finite > threshold:
         return verdict.is_succ
     # v^1 is the order the statement controls, the largest the cross can carry
-    return cross_series(g_series, f_series).coefficient(1) == 0
+    _, lead, _ = _leading_cross(g_series, f_series)
+    return lead is None or lead < 1
 
 
 def _twisted_degree_weights(g: BaseGeometry, y, z) -> list[int]:

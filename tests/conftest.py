@@ -1,11 +1,14 @@
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from ellstab import ring
+from ellstab.poly import Poly2
 from ellstab.ring import BaseGeometry, ChernVector, DivisorB
+from ellstab.series import LaurentSeries
 from ellstab.suites import _rand_vector
 
 
@@ -63,19 +66,81 @@ def shape(v):
 
 
 def count_symbolic_products(monkeypatch):
-    """Record each product (``ring._contract``, which ``mul`` and ``degree``
-    run) with a factor that is not all Fraction, and return the list of
-    records."""
+    """Record each application of a table (``ring._contract``, which
+    ``mul`` and ``degree`` run) with a factor that is not all Fraction, its
+    numerators not all integers, and return the list of records."""
     calls = []
     original = ring._contract
 
-    def counted(table, den, v1, v2):
-        if not all(type(c) is Fraction for c in v1.coordinates() + v2.coordinates()):
+    def counted(table, left, right):
+        if not all(type(t) is int for nums, _ in (left, right) for t in nums):
             calls.append(1)
-        return original(table, den, v1, v2)
+        return original(table, left, right)
 
     monkeypatch.setattr(ring, "_contract", counted)
     return calls
+
+
+# The readers and appliers that the tables of ``ring._contract`` replaced,
+# kept verbatim as references (their memo in ``g.matrices`` left out).
+
+
+def _reference_monomial_coefficients(values) -> tuple[list, int]:
+    """The coefficients of values, each a Poly2 or an exact zero, as entries
+    (k, (i, j), c) over one positive denominator den: c / den is the
+    u^i v^j coefficient of value k.  A (bi)linear closed form evaluated at
+    distinct monomials gives its integer matrix or structure constants."""
+    polys = [(k, x) for k, x in enumerate(values) if isinstance(x, Poly2)]
+    den = lcm(*(x._den for _, x in polys))
+    return [(k, key, n * (den // x._den)) for k, x in polys for key, n in x._nums.items()], den
+
+
+def _reference_read_matrix(g: BaseGeometry, closed) -> tuple[list, int]:
+    """The matrix of a closed form, read off one evaluation at monomial
+    scalars: coordinate j is u^(j+1), so the u^(j+1) coefficient of output
+    k is M[k][j]."""
+    dim = 2 * g.rank + 4
+    out = closed(g, ChernVector._ints([Poly2._ints({(j + 1, 0): 1}, 1) for j in range(dim)], 1))
+    entries, den = _reference_monomial_coefficients(out.coordinates())
+    rows = [[] for _ in range(dim)]
+    for k, (j, _), c in entries:
+        rows[k].append((j - 1, c))
+    return rows, den
+
+
+def _reference_matrix_apply(g: BaseGeometry, v: ChernVector, closed) -> ChernVector:
+    """The closed form at v through its matrix, as sparse integer rows of
+    (column, entry) over one denominator, applied to the numerators at
+    every scalar."""
+    rows, den = _reference_read_matrix(g, closed)
+    nums = v._nums
+    return ChernVector._ints([sum(a * nums[j] for j, a in row) for row in rows], den * v._den)
+
+
+def truncate(s: LaurentSeries, floor: int | None) -> LaurentSeries:
+    """s with every term below floor dropped and its floor raised to it."""
+    if floor is None:
+        return s
+    new_floor = floor if s.trunc is None else max(floor, s.trunc)
+    kept = {e: n for e, n in s._nums if e >= new_floor}
+    return LaurentSeries._ints(kept, s._den, new_floor)
+
+
+def as_table(rows: list, den: int, size: int) -> tuple[list, int, int]:
+    """Rows by output k of (i, j, c), the term c a_i b_j with b_j the right
+    factor's coordinate j, in the layout of ``ring._contract``, each row's
+    entries as a set."""
+    table = [set() for _ in range(size)]
+    for k, row in enumerate(rows):
+        for i, j, c in row:
+            table[i].add((j, k, c))
+    return table, den, len(rows)
+
+
+def table_sets(table: tuple) -> tuple:
+    """A ``ring._contract`` table with each row's entries as a set."""
+    rows, den, width = table
+    return [set(row) for row in rows], den, width
 
 
 @contextmanager

@@ -16,7 +16,6 @@ from ellstab.asymptotics import (
     charge_series,
     compare_phases,
     compare_vectors,
-    cross_series,
     cross_sign_at,
     phase_limit,
     wall_scan,
@@ -43,7 +42,16 @@ from ellstab.suites import (
     _rand_vector,
 )
 
-from conftest import count_symbolic_products, cv, d, deadline, fresh_geometries
+from conftest import (
+    _reference_monomial_coefficients,
+    as_table,
+    count_symbolic_products,
+    cv,
+    d,
+    deadline,
+    fresh_geometries,
+    table_sets,
+)
 
 
 def _reference_flat_full_germs(h, u, vpar):
@@ -86,6 +94,49 @@ def _reference_charge_series(g, v, c, kind, order, d):
     if d is None:
         d = g.zero_divisor()
     return charges._combine(_reference_flat_full_coefficients(g, v, d), _reference_flat_full_germs(h, u, vv))
+
+
+def _reference_coefficient_rows(g, kind):
+    """A kind's class coefficients (re constant and coefficients, then im's)
+    as integer rows over one denominator: row k lists the (i, j, c) of its
+    terms c v_i d_j, with j = -1 for a term in v alone.  Read off one
+    evaluation at ``Poly2`` monomials: class coordinate i is u^(i+1) (n = x
+    = 0 for the full kind, so pull(d)^2, which meets only n and x, drops
+    out), d_j is v^(j+1).  The full kind's rows on the x and n germs must be
+    empty (else ``ComputationFault``) and are left out."""
+    full = kind is ChargeKind.FULL
+    coefficients = charges._full_coefficients if full else charges._reduced_coefficients
+    r = g.rank
+    flat, dsym = [Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * r + 4)], ()
+    if full:
+        flat[:2] = Fraction(0), Fraction(0)
+        dsym = (DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r))),)
+    parts = coefficients(g, ChernVector._ints(flat, 1), *dsym)
+    values = [x for const, coeffs in parts for x in (const, *coeffs)]
+    entries, den = _reference_monomial_coefficients(values)
+    rows = [[] for _ in values]
+    for k, (i, j), c in entries:
+        rows[k].append((i - 1, j - 1, c))
+    if full and any((rows.pop(6), rows.pop(1))):  # the x and n germs' coefficients
+        raise ComputationFault("full charge of a class with n = x = 0 reaches an x or n germ")
+    return rows, den
+
+
+def _reference_applied_charge_series(g, v, c, kind, order=8, d=None):
+    """``charge_series`` applying ``_reference_coefficient_rows`` by its own
+    sums, as it did before the kept tables."""
+    nums, ds = asymptotics._checked_class(g, v, c, kind, d)
+    germs = asymptotics._charge_germs(c, order, kind)
+    rows, row_den = _reference_coefficient_rows(g, kind)
+    dnums, dden = ring._over_common_denominator(ds)
+    coeffs = [sum(e * nums[i] * (dden if j < 0 else dnums[j]) for i, j, e in row) for row in rows]
+    den = v._den * row_den * dden
+    split = 1 + len(germs[0])
+    re, im = (
+        LaurentSeries._combination(part[0], zip(part[1:], part_germs), den)
+        for part, part_germs in zip((coeffs[:split], coeffs[split:]), germs)
+    )
+    return AsymptoticCharge(re, im, kind)
 
 
 GERM_H = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2))
@@ -204,6 +255,32 @@ class TestChargeSeries:
                         assert got.trunc == want.trunc
                         assert all(type(cf) is Fraction for _, cf in got.terms)
 
+    def test_tables_are_the_reference_reader_s(self):
+        """Entry for entry, with the same denominator, as the rows of
+        ``_reference_coefficient_rows``: its d_j is right coordinate j + 1,
+        its term in v alone right coordinate 0, the unit."""
+        for g in fresh_geometries():
+            for kind in ChargeKind:
+                rows, den = _reference_coefficient_rows(g, kind)
+                ref = as_table([[(i, j + 1, c) for i, j, c in row] for row in rows], den, 2 * g.rank + 4)
+                assert table_sets(ring._kept(g, asymptotics._charge_table, kind)) == ref
+
+    def test_equals_the_reference_applier(self):
+        """Equal in value and hash to ``_reference_applied_charge_series``,
+        for both kinds, with and without d."""
+        rng = random.Random(19)
+        for g in fresh_geometries():
+            tilt, onedim = _rand_tilt(rng, g.h), OneDimCurve(g.h, 1, rng.randint(3, 9))
+            for _ in range(6):
+                v = _rand_vector(rng, g.rank)
+                flat = ChernVector._ints([0, 0, *v._nums[2:]], v._den)
+                dd = _rand_divisor(rng, g.rank)
+                for w, c, kind, dv in ((v, tilt, ChargeKind.REDUCED, None), (flat, onedim, ChargeKind.FULL, dd),
+                                       (flat, tilt, ChargeKind.FULL, None)):
+                    got = charge_series(g, w, c, kind, 8, dv)
+                    want = _reference_applied_charge_series(g, w, c, kind, 8, dv)
+                    assert got == want and hash(got) == hash(want)
+
     def test_full_rows_leave_out_the_x_and_n_germs(self, monkeypatch):
         """At n = x = 0 the full coefficients on the two germs that carry x
         and n vanish, so the full kind keeps three of the five rows; a full
@@ -214,8 +291,8 @@ class TestChargeSeries:
             dsym = DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r)))
             (_, (re_x, _)), (_, (_, _, im_n)) = charges._full_coefficients(g, ChernVector._ints(flat, 1), dsym)
             assert re_x == 0 and im_n == 0
-            rows, _ = asymptotics._coefficient_rows(g, ChargeKind.FULL)
-            assert len(rows) == 5
+            _, _, width = ring._kept(g, asymptotics._charge_table, ChargeKind.FULL)
+            assert width == 5
         original = charges._full_coefficients
 
         def carrying_n(g, v, d):
@@ -230,7 +307,7 @@ class TestChargeSeries:
             monkeypatch.setattr(charges, "_full_coefficients", patched)
             g = fresh_geometries()[0]
             with pytest.raises(ComputationFault):
-                asymptotics._coefficient_rows(g, ChargeKind.FULL)
+                asymptotics._charge_table(g, ChargeKind.FULL)
             with pytest.raises(ComputationFault):
                 charge_series(g, ChernVector(0, 0, d(1), d(2), 3, 4), OneDimCurve(g.h, 1, 3), ChargeKind.FULL)
 
@@ -392,7 +469,7 @@ class TestComparePhases:
         m = cv(1, 2, d(1), d(0), 1, 1)
         ac = charge_series(g, m, c, ChargeKind.REDUCED, 8)
         assert not ac.is_exact()
-        floor = cross_series(ac, ac).trunc
+        floor = _reference_cross_series(ac, ac).trunc
         assert compare_phases(ac, ac) == PhaseOrder(OrderKind.EQUAL_THROUGH_ORDER, floor)
         assert compare_vectors(g, m, m, c, ChargeKind.REDUCED, 8) == PhaseOrder(OrderKind.EXACT_EQUAL)
 
@@ -525,6 +602,16 @@ class TestGermHalfPlane:
                 assert re_lead[1] > 0
 
 
+def _reference_cross_series(acm, acn):
+    """The whole cross series re(M) im(N) - im(M) re(N), as
+    ``asymptotics.cross_series`` built it."""
+    if acm.kind is not acn.kind:
+        raise DomainError("cannot compare charges of different kinds")
+    m_re, m_im = asymptotics._with_zero_convention(acm)
+    n_re, n_im = asymptotics._with_zero_convention(acn)
+    return m_re * n_im - m_im * n_re
+
+
 def _reference_compare_phases(acm, acn):
     """``compare_phases`` as first written: the whole cross series built,
     then its leading coefficient read."""
@@ -609,26 +696,25 @@ class TestLazyCross:
         assert ("DomainError", "zero full-kind charge has indeterminate phase") in got
 
     def test_leading_sign_and_floor_are_the_cross_series(self):
-        """The tie to ``cross_series``, which the threshold check's boundary
-        case reads."""
+        """The tie to ``_reference_cross_series``, the whole series that the
+        threshold check's boundary case read before."""
         checked = 0
         for acm, acn in _germ_pairs(91):
             try:
-                x = cross_series(acm, acn)
+                x = _reference_cross_series(acm, acn)
             except DomainError:
                 continue
-            m_re, m_im = asymptotics._with_zero_convention(acm)
-            n_re, n_im = asymptotics._with_zero_convention(acn)
             lead = x.leading()
-            want = 0 if lead is None else (1 if lead[1] > 0 else -1)
-            assert asymptotics._leading_cross_sign(m_re, n_im, m_im, n_re) == (want, x.trunc)
+            want = (0, None) if lead is None else (1 if lead[1] > 0 else -1, lead[0])
+            assert asymptotics._leading_cross(acm, acn) == (*want, x.trunc)
             checked += 1
         assert checked > 500
 
     def test_a_nonzero_leading_cross_multiplies_no_series(self, monkeypatch):
         pairs = [(acm, acn) for acm, acn in _germ_pairs(92)
-                 if _outcome(cross_series, acm, acn) != ("DomainError", "zero full-kind charge has indeterminate phase")
-                 and cross_series(acm, acn).leading() is not None]
+                 if _outcome(_reference_cross_series, acm, acn)
+                 != ("DomainError", "zero full-kind charge has indeterminate phase")
+                 and _reference_cross_series(acm, acn).leading() is not None]
         want = [_reference_compare_phases(*p) for p in pairs]
         calls = []
         original = LaurentSeries.__mul__
@@ -641,7 +727,7 @@ class TestLazyCross:
         monkeypatch.setattr(LaurentSeries, "__rmul__", counted)
         assert [compare_phases(*p) for p in pairs] == want
         assert len(pairs) > 250 and calls == []
-        cross_series(*pairs[0])  # the whole series multiplies, counted
+        _reference_cross_series(*pairs[0])  # the whole series multiplies, counted
         assert calls
 
 

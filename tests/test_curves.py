@@ -26,10 +26,11 @@ from ellstab.curves import (
 )
 from ellstab.errors import ComputationFault, ConfigurationError, CurveDomainError
 from ellstab.poly import Poly1, Poly2, RootInterval, count_roots, isolate_positive_roots
-from ellstab.ring import DivisorX, divisor_vector, mul
+from ellstab.ring import ChernVector, DivisorX, divisor_vector, mul
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt
 
+from conftest import truncate
 from test_poly import _reference_add, _reference_divmod, _reference_mul, _reference_sign_at_root
 
 
@@ -333,7 +334,7 @@ def _reference_expand_u(c, order):
             raise ComputationFault("degenerate curve: derivative vanishes along the expansion")
         exp = lead[0] - deriv_lead[0]
         if exp < -order:
-            return u.truncate(-order)
+            return truncate(u, -order)
         u = u + LaurentSeries.monomial(exp, -lead[1] / deriv_lead[1])
 
 
@@ -517,6 +518,50 @@ def _filtered_tilt(rng, h):
         b = Fraction(rng.randint(1, 8), rng.randint(1, 4))
         if h * a + 2 * b > 0 and h * a + b != 0:
             return TiltCurve(h, a, b)
+
+
+class TestCurveHash:
+    """A curve's hash is computed once, at construction, with the value of
+    its field tuple, so the germ cache hashes no Fraction per lookup."""
+
+    @staticmethod
+    def _curves(rng):
+        for _ in range(30):
+            h = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            y, z = Fraction(rng.randint(1, 5), rng.randint(1, 3)), Fraction(rng.randint(1, 9), rng.randint(1, 2))
+            yield _rand_tilt(rng, h)
+            if h + z / y > 0:
+                yield OneDimCurve(h, y, z)
+
+    def test_value_is_the_field_tuple_s(self):
+        for c in self._curves(random.Random(61)):
+            fields = (c.h, c.a, c.b) if isinstance(c, TiltCurve) else (c.h, c.y, c.z)
+            assert hash(c) == hash(fields)
+        assert hash(TiltCurve(-1, 1, 2)) == hash((Fraction(-1), Fraction(1), Fraction(2)))
+        assert hash(OneDimCurve(Fraction(1, 2), 3, 1)) == hash((Fraction(1, 2), Fraction(3), Fraction(1)))
+
+    def test_hashing_a_built_curve_hashes_no_fraction(self, monkeypatch):
+        curves = list(self._curves(random.Random(62)))
+        calls = []
+        original = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(1) or original(x))
+        for c in curves:
+            hash(c)
+        assert calls == []
+
+    def test_equal_curves_built_apart_share_one_germ_entry(self):
+        from ellstab.asymptotics import ChargeKind, _charge_germs, charge_series
+        from ellstab.suites import _rand_vector
+
+        g = geometry_for(-1)
+        v = _rand_vector(random.Random(63), 1)
+        _charge_germs.cache_clear()
+        for c in (TiltCurve(-1, 1, 2), TiltCurve(Fraction(-2, 2), Fraction(3, 3), 2)):
+            charge_series(g, v, c, ChargeKind.REDUCED, 8)
+        for c in (OneDimCurve(-1, 1, 3), OneDimCurve(Fraction(-1), 2 * Fraction(1, 2), Fraction(6, 2))):
+            charge_series(g, ChernVector._ints([0, 0, *v._nums[2:]], v._den), c, ChargeKind.FULL, 8)
+        info = _charge_germs.cache_info()
+        assert (info.currsize, info.hits) == (2, 2)
 
 
 def test_rand_tilt_draws_as_the_inline_filter():

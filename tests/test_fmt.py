@@ -14,7 +14,17 @@ from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, twist
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
-from conftest import cv, d, fresh_geometries, sample_vectors, shape
+from conftest import (
+    _reference_matrix_apply,
+    _reference_read_matrix,
+    as_table,
+    cv,
+    d,
+    fresh_geometries,
+    sample_vectors,
+    shape,
+    table_sets,
+)
 
 
 H_SET = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2)]
@@ -183,16 +193,53 @@ def _reference_matrix(g, closed):
     return rows, den
 
 
+def _assert_as_closed_form(got, want):
+    """``got`` is ``want`` coordinate by coordinate in value, hash and type,
+    but for the declared difference of the module docstring: a coordinate
+    that only zero coordinates reach is the Fraction zero where the closed
+    form has a Poly2 zero."""
+    for c, w in zip(got.coordinates(), want.coordinates()):
+        if type(w) is Poly2 and w == 0 and type(c) is not Poly2:
+            assert c is ring._ZERO
+        else:
+            assert (type(c), c, hash(c)) == (type(w), w, hash(w))
+
+
 class TestMatrixPath:
+    def test_tables_are_the_reference_reader_s(self):
+        """Entry for entry, with the same denominator, as the matrix that
+        ``_reference_read_matrix`` reads off the closed form."""
+        for g in fresh_geometries():
+            for closed in (fmt._phi, fmt._phi_hat):
+                rows, den = _reference_read_matrix(g, closed)
+                ref = as_table([[(i, 0, c) for i, c in row] for row in rows], den, len(rows))
+                assert table_sets(ring._kept(g, fmt._table, closed)) == ref
+
+    def test_transforms_equal_the_reference_applier(self):
+        """Equal in value and hash to ``_reference_matrix_apply``, the row
+        sums the table replaced, at Fraction, Poly2 and series scalars; the
+        type differs only where the declared difference allows it."""
+        rng = random.Random(12)
+        for g in fresh_geometries():
+            for w in sample_vectors(rng, g.rank):
+                flat = w.coordinates()
+                poly2 = ChernVector._ints([Poly2({(rng.randint(0, 2), 1): c}) for c in flat], 1)
+                series = ChernVector._ints([LaurentSeries([(rng.randint(-2, 2), c)], -3) for c in flat], 1)
+                for v in (w, poly2, series):
+                    for transform, closed in ((phi, fmt._phi), (phi_hat, fmt._phi_hat)):
+                        got, want = transform(g, v), _reference_matrix_apply(g, v, closed)
+                        assert got == want and hash(got) == hash(want)
+                        for c, x in zip(got.coordinates(), want.coordinates()):
+                            assert type(c) is type(x) or (c is ring._ZERO and type(x) is Poly2)
+
     def test_read_off_equals_the_basis_vector_build(self):
         for g in fresh_geometries():
             phi(g, ChernVector.zero(g.rank))
             phi_hat(g, ChernVector.zero(g.rank))
             for closed in (fmt._phi, fmt._phi_hat):
-                rows, den = g.matrices[closed]
                 ref_rows, ref_den = _reference_matrix(g, closed)
-                assert den == ref_den
-                assert [set(row) for row in rows] == [set(row) for row in ref_rows]
+                ref = [[(i, 0, c) for i, c in row] for row in ref_rows]
+                assert table_sets(ring._kept(g, fmt._table, closed)) == as_table(ref, ref_den, len(ref))
 
     def test_equals_closed_forms_in_value_and_type(self):
         rng = random.Random(8)
@@ -200,7 +247,7 @@ class TestMatrixPath:
             for v in sample_vectors(rng, g.rank):
                 assert shape(phi(g, v)) == shape(fmt._phi(g, v))
                 assert shape(phi_hat(g, v)) == shape(fmt._phi_hat(g, v))
-            assert fmt._phi in g.matrices and fmt._phi_hat in g.matrices
+            assert (fmt._table, (fmt._phi,)) in g.matrices and (fmt._table, (fmt._phi_hat,)) in g.matrices
 
     def test_zero_rows_are_the_shared_zero(self):
         rng = random.Random(9)
@@ -220,10 +267,10 @@ class TestMatrixPath:
             phi_hat(g, ChernVector.zero(g.rank))
             dense = {}
             for closed in (fmt._phi, fmt._phi_hat):
-                rows, den = g.matrices[closed]
+                rows, den, _ = ring._kept(g, fmt._table, closed)
                 m = [[Fraction(0)] * dim for _ in range(dim)]
-                for i, row in enumerate(rows):
-                    for j, entry in row:
+                for j, row in enumerate(rows):
+                    for _, i, entry in row:
                         m[i][j] = Fraction(entry, den)
                 dense[closed] = m
             for first, second in ((fmt._phi, fmt._phi_hat), (fmt._phi_hat, fmt._phi)):
@@ -233,23 +280,23 @@ class TestMatrixPath:
                 assert product == [[-int(i == j) for j in range(dim)] for i in range(dim)]
 
     def test_poly2_coordinates_take_the_matrix(self):
-        """Poly2 coordinates go through the matrix, as Fractions do, and give
-        the closed form in value, type and hash."""
+        """Poly2 coordinates go through the table, as Fractions do, and give
+        the closed form in value, type and hash, but for the declared
+        difference (``_assert_as_closed_form``)."""
         for g in fresh_geometries():
             z = DivisorB.zero(g.rank)
             v = ChernVector(Poly2.u(), Poly2.const(1), DivisorB([Poly2.v()] * g.rank), z.scale(Poly2.u()),
                             Poly2.const(Fraction(1, 2)), Poly2())
             for transform, closed in ((phi, fmt._phi), (phi_hat, fmt._phi_hat)):
-                got, want = transform(g, v), closed(g, v)
-                assert [(type(c), c, hash(c)) for c in got.coordinates()] == \
-                       [(type(c), c, hash(c)) for c in want.coordinates()]
-            assert set(g.matrices) == {fmt._phi, fmt._phi_hat}
+                _assert_as_closed_form(transform(g, v), closed(g, v))
+            assert set(g.matrices) == {(fmt._table, (fmt._phi,)), (fmt._table, (fmt._phi_hat,))}
 
     def test_equals_closed_forms_at_every_scalar(self):
-        """The matrix gives the closed form's value at every scalar, and its
-        type and hash on vectors all of Poly2 (zeros included).  On a vector
-        that mixes Fraction and Poly2 a coordinate can be a Fraction where
-        the closed form's zero terms made a Poly2."""
+        """The table gives the closed form's value at every scalar, and its
+        type and hash on vectors all of Poly2 (zeros included), but for the
+        declared difference.  On a vector that mixes Fraction and Poly2 a
+        coordinate can be a Fraction where the closed form's zero terms made
+        a Poly2."""
         rng = random.Random(10)
 
         def poly2(c):
@@ -265,9 +312,7 @@ class TestMatrixPath:
                 mixed = ChernVector._ints([c if rng.random() < 0.5 else poly2(c) for c in flat], 1)
                 truncated = ChernVector._ints([c if rng.random() < 0.3 else series(c) for c in flat], 1)
                 for transform, closed in ((phi, fmt._phi), (phi_hat, fmt._phi_hat)):
-                    got, want = transform(g, all_poly2), closed(g, all_poly2)
-                    assert [(type(c), c, hash(c)) for c in got.coordinates()] == \
-                           [(type(c), c, hash(c)) for c in want.coordinates()]
+                    _assert_as_closed_form(transform(g, all_poly2), closed(g, all_poly2))
                     assert list(transform(g, mixed).coordinates()) == list(closed(g, mixed).coordinates())
                     assert _germs(transform(g, truncated)) == _germs(closed(g, truncated))
 
@@ -288,7 +333,7 @@ class TestMatrixPath:
         v = _rand_vector(random.Random(9), 2)
         fmt.phi_hat(g, fmt.phi(g, v))
         assert calls == ["phi", "phi_hat"]
-        assert set(g.matrices) == {fmt._phi, fmt._phi_hat}
+        assert set(g.matrices) == {(fmt._table, (fmt._phi,)), (fmt._table, (fmt._phi_hat,))}
 
 
 def test_geometry_for_shares_one_object_per_geometry():

@@ -76,12 +76,12 @@ def _relation(i: int, j: int, k: int):
 
     def make(original):
         def mutant(g):
-            table, den = original(g)
+            table, den, width = original(g)
             if g.h == -1 and g.rank == 1:
                 bumped = {(i, j, k), (j, i, k)}
                 table = [[(jj, kk, c + den * ((ii, jj, kk) in bumped)) for jj, kk, c in row]
                          for ii, row in enumerate(table)]
-            return table, den
+            return table, den, width
 
         return mutant
 

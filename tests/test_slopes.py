@@ -222,7 +222,7 @@ class TestFixedClasses:
         for kind in (SlopeKind.mu_f(), SlopeKind.mu_theta_m(), SlopeKind.mu_star_b(),
                      SlopeKind.mu_theta_mphb_pd(DivisorB([1, 2]))):
             slope(g, kind, v)
-        kept = {key: value for key, value in g.matrices.items() if key in slopes._FIXED.values()}
+        kept = {key[0]: value for key, value in g.matrices.items() if key[0] in slopes._FIXED.values()}
         assert len(kept) == len(slopes._FIXED)
         for name, build in slopes._FIXED.items():
             assert slopes._fixed(g, name) is kept[build] == build(g)

@@ -228,3 +228,93 @@ def test_the_call_rule_sees_both_forms_and_its_scope():
     assert list(_calls_by_name(tree, "ChernVector")) == [1, 2]
     assert list(_calls_by_name(tree, "Fraction", "_rand_onedim_class")) == [5, 6]
     assert sorted(_calls_by_name(tree, "Fraction")) == [5, 6, 9]
+
+
+def _inside(tree, keep):
+    """The ids of every node inside the definitions that ``keep`` accepts,
+    given each definition and the class it sits in (None at module level)."""
+    inside = set()
+    scopes = [(node, None) for node in tree.body]
+    scopes += [(item, node.name) for node in tree.body if isinstance(node, ast.ClassDef) for item in node.body]
+    for node, owner in scopes:
+        if isinstance(node, ast.FunctionDef) and keep(node.name, owner):
+            inside |= {id(n) for n in ast.walk(node)}
+    return inside
+
+
+def _touches_kept_values_outside_the_keeper(tree):
+    """Line numbers of a read or write of a geometry's ``matrices`` (the
+    attribute, or its name as a string) outside ``ring._kept`` and
+    ``BaseGeometry.__init__``."""
+    allowed = _inside(tree, lambda name, owner: (name, owner) in (("_kept", None), ("__init__", "BaseGeometry")))
+    for node in ast.walk(tree):
+        named = getattr(node, "attr", None) == "matrices" or getattr(node, "value", None) == "matrices"
+        if named and isinstance(node, (ast.Attribute, ast.Constant)) and id(node) not in allowed:
+            yield node.lineno
+
+
+def _names_the_old_reader(tree):
+    """Line numbers of a name, attribute, import or definition called
+    ``monomial_coefficients``."""
+    for node in ast.walk(tree):
+        if "monomial_coefficients" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                       getattr(node, "name", None)):
+            yield node.lineno
+
+
+def _is_fixed_index(index) -> bool:
+    if isinstance(index, ast.UnaryOp):
+        index = index.operand
+    return isinstance(index, (ast.Constant, ast.Slice))
+
+
+def _sums_over_numerators(tree):
+    """Line numbers of ``sum(...)`` calls outside ``ring._contract`` that
+    index numerators (a name ending in ``nums``) by a computed index, as
+    the row sums of a table did: ``sum(a * nums[j] for j, a in row)``."""
+    allowed = _inside(tree, lambda name, owner: name == "_contract" and owner is None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) == "sum" and id(node) not in allowed:
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Subscript) and not _is_fixed_index(sub.slice)
+                        and str(getattr(sub.value, "id", getattr(sub.value, "attr", ""))).endswith("nums")):
+                    yield node.lineno
+                    break
+
+
+def test_one_table_rule():
+    """Every value of the geometry alone is kept by ``ring._kept``, every
+    read-off table is built by ``poly.monomial_table``, and every table is
+    applied by ``ring._contract``."""
+    assert _sites(_touches_kept_values_outside_the_keeper) == []
+    assert _sites(_names_the_old_reader) == []
+    assert _sites(_sums_over_numerators) == []
+
+
+def test_the_table_rules_see_their_forms_and_scopes():
+    tree = ast.parse("def _kept(g, build, *args):\n"
+                     "    return g.matrices[build, args]\n"
+                     "class BaseGeometry:\n"
+                     "    def __init__(self):\n"
+                     "        object.__setattr__(self, 'matrices', {})\n"
+                     "    def other(self):\n"
+                     "        return self.matrices\n"
+                     "def phi(g, v):\n"
+                     "    if phi not in g.matrices:\n"
+                     "        g.matrices[phi] = 1\n"
+                     "    return getattr(g, 'matrices')\n")
+    assert sorted(_touches_kept_values_outside_the_keeper(tree)) == [7, 9, 10, 11]
+    tree = ast.parse("from .poly import Poly2, monomial_coefficients\n"
+                     "entries, den = monomial_coefficients(values)\n"
+                     "rows = poly.monomial_coefficients(values)\n"
+                     "def monomial_coefficients(values): pass\n"
+                     "table = monomial_table(values, 6)\n")
+    assert sorted(set(_names_the_old_reader(tree))) == [1, 2, 3, 4]
+    tree = ast.parse("def _contract(table, left, right):\n"
+                     "    return sum(a * lnums[j] for j, a in row)\n"
+                     "x = [sum(a * nums[j] for j, a in row) for row in rows]\n"
+                     "y = sum(e * v._nums[i] * dnums[j] for i, j, e in row)\n"
+                     "z = sum(w * t for w, t in zip(weights, nums[2 + r :]))\n"
+                     "w = sum(nums[0] + nums[-1] for _ in row)\n"
+                     "u = sum(c * y[e - i] for i, c in x)\n")
+    assert sorted(_sums_over_numerators(tree)) == [3, 4]

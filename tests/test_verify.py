@@ -25,6 +25,7 @@ from ellstab.verify import (
 )
 
 from conftest import count_symbolic_products, cv, d
+from test_asymptotics import _reference_cross_series
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ellstab"
 
@@ -128,6 +129,24 @@ class TestThreshold:
         t = cv(0, 0, d(0), d(1), 0, Fraction(-1, 6))
         e = cv(2, 1, d(0), d(0), 0, 0)
         assert threshold_equiv_check(g1, t, e, c)
+
+    def test_the_cross_carries_no_exponent_above_one(self, monkeypatch):
+        """Over the threshold suite's cases, the whole cross series of the
+        two germs (``_reference_cross_series``) stores no exponent above
+        v^1, so its lead lies below v^1 exactly when its v^1 coefficient,
+        which the boundary case read before, vanishes."""
+        pairs = []
+        original = verify.compare_phases
+        monkeypatch.setattr(verify, "compare_phases", lambda m, n: pairs.append((m, n)) or original(m, n))
+        for seed in range(4):
+            for order in (8, 16):
+                assert suites.suite_threshold(60, seed, order).passed
+        assert len(pairs) == 480
+        for m, n in pairs:
+            x = _reference_cross_series(m, n)
+            assert x.degree() is None or x.degree() <= 1
+            _, lead, _ = asymptotics._leading_cross(m, n)
+            assert (lead is None or lead < 1) == (x.coefficient(1) == 0)
 
     def test_preconditions(self, g1):
         c = TiltCurve(-1, 1, 2)
