@@ -6,20 +6,21 @@ one u*Theta + v*pull(H) through
     alpha / beta = a(ha+2b) / (ha+b)^2 = (hu+v) / ((1/6) u (h^2 u^2 + 3huv + 3v^2)),
 
 the one-dimensional curve is h + z/y = (1/2) u (hu + 2v).  Both are handled
-through their cross-multiplied polynomial forms, written once as
-u-coefficients over a generic scalar v (``_ucoefficients``): at a rational
-v they are the curve polynomial in u, at v = Poly1([0, 1]) the symbolic
-``constraint_poly``.  The curve point over v is the smallest positive
-root, by proof, and a bracket isolating it is written down in closed form
-(the Cauchy bound, or 2q/v on the one-dimensional curve with h < 0);
-solving refines that bracket on the dyadic grid by quadratic interval
-refinement on the sign of the curve polynomial, evaluated exactly in
-integers, with no Sturm isolation.  The cycle identity behind the tilt
-curve is decided exactly, at algebraic points by one Sturm-Tarski query.
-The expansion of u as a Laurent series in 1/v is written down coefficient
-by coefficient: with w = hu + v both curves become w = v y(h u1 / v^2) for
-a power series y solving y^2 = 1 + 2x or y^3 = 1 + 3xy, whose coefficients
-Lagrange inversion gives as products of integers.
+through their cross-multiplied polynomial forms, written once as an integer
+table of numerators at u^i v^j over one denominator (``_curve_table``):
+read homogeneously at a rational v = n/d it is the curve polynomial in u
+(``_curve_row``), and as monomials the symbolic ``constraint_poly``.  The
+curve point over v is the smallest positive root, by proof, and a bracket
+isolating it is written down in closed form from that row (the Cauchy
+bound, or 2q/v on the one-dimensional curve with h < 0); solving refines
+that bracket on the dyadic grid by quadratic interval refinement on the
+sign of the curve polynomial, on integer numerators throughout, with no
+Sturm isolation.  The cycle identity behind the tilt curve is decided
+exactly, at algebraic points by one Sturm-Tarski query.  The expansion of u
+as a Laurent series in 1/v is written down coefficient by coefficient: with
+w = hu + v both curves become w = v y(h u1 / v^2) for a power series y
+solving y^2 = 1 + 2x or y^3 = 1 + 3xy, whose coefficients Lagrange
+inversion gives as products of integers.
 """
 
 from __future__ import annotations
@@ -86,29 +87,29 @@ class TiltCurve:
 @dataclass(frozen=True)
 class OneDimCurve:
     """Curve for one-dimensional classes: h + z/y = (1/2) u (hu + 2v);
-    requires y, z > 0 and h + z/y > 0; the hash is computed at construction."""
+    requires y, z > 0 and h + z/y > 0.  q = h + z/y and the hash are
+    computed at construction."""
 
     h: Fraction
     y: Fraction
     z: Fraction
+    q: Fraction = field(init=False, compare=False, repr=False)
 
     def __init__(self, h, y, z):
         h, y, z = _q(h), _q(y), _q(z)
         if y <= 0 or z <= 0:
             raise ConfigurationError("one-dimensional curve: y and z must be positive")
-        if h + z / y <= 0:
+        q = h + z / y
+        if q <= 0:
             raise ConfigurationError("one-dimensional curve: requires h + z/y > 0")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "_hash", hash((h, y, z)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def q(self) -> Fraction:
-        return self.h + self.z / self.y
 
     @property
     def leading_coefficient(self) -> Fraction:
@@ -118,57 +119,81 @@ class OneDimCurve:
 CurveConstraint = TiltCurve | OneDimCurve
 
 
-def _ucoefficients(c: CurveConstraint, v) -> list:
-    """The u-coefficients (ascending) of the cross-multiplied curve equation
-    P(u, v), over any scalar v with +, - and *: the one place it is written."""
-    h = c.h
+def _curve_table(c: CurveConstraint) -> tuple[list[list[int]], int]:
+    """The cross-multiplied curve equation P(u, v), the one place it is
+    written: rows[i][j] is the numerator at u^i v^j over one den > 0.
+
+    Tilt: (alpha/6) u (h^2 u^2 + 3huv + 3v^2) - beta (hu + v), over
+    6 ad bd hd^2 for alpha = an/ad, beta = bn/bd and h = hn/hd;
+    one-dimensional: (h/2) u^2 + uv - q, over 2 hd qd for q = qn/qd.
+    """
+    hn, hd = c.h.numerator, c.h.denominator
     if isinstance(c, TiltCurve):
-        alpha, beta = c.alpha, c.beta
-        return [v * -beta, v * v * (alpha / 2) - beta * h, v * (alpha * h / 2), alpha * h * h / 6]
-    return [-c.q, v, h / 2]
+        an, ad = c.alpha.numerator, c.alpha.denominator
+        bn, bd = c.beta.numerator, c.beta.denominator
+        s, t = 6 * ad * bn * hd, 3 * an * bd * hd
+        return [[0, -s * hd], [-s * hn, 0, t * hd], [0, t * hn], [an * bd * hn * hn]], 6 * ad * bd * hd * hd
+    qn, qd = c.q.numerator, c.q.denominator
+    return [[-2 * hd * qn], [0, 2 * hd * qd], [hn * qd]], 2 * hd * qd
+
+
+def _curve_row(c: CurveConstraint, vpar: Fraction) -> Poly1:
+    """The curve polynomial P(., vpar) at vpar = n/d: each row of the table
+    read homogeneously, as d^top times its value, over den d^top."""
+    rows, den = _curve_table(c)
+    n, d = vpar.numerator, vpar.denominator
+    top = max(map(len, rows)) - 1
+    powers = [n**j * d ** (top - j) for j in range(top + 1)]
+    return Poly1._ints([sum(x * y for x, y in zip(row, powers)) for row in rows], den * d**top)
 
 
 @lru_cache(maxsize=None)
 def constraint_poly(c: CurveConstraint) -> Poly2:
     """Cross-multiplied curve equation as a polynomial P(u, v); the curve is
     its zero set in the positive quadrant."""
-    return Poly2.from_ucoefficients(_ucoefficients(c, Poly1([0, 1])))
+    rows, den = _curve_table(c)
+    return Poly2._ints({(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)}, den)
 
 
 def admissible_bracket(c: CurveConstraint, vpar) -> tuple[Poly1, RootInterval]:
     """The curve polynomial p = P(., vpar) and a bracket of its admissible
     root u, the smallest positive root: an interval (lo, hi] holding that
     root and no other root of p, with neither end a root, or the exact root
-    as a collapsed interval.  Written down, with no root isolation.
+    as a collapsed interval.  Written down from p's integer row, with no
+    root isolation.
 
-    At h = 0 the root is u1/vpar.  Otherwise p(0) < 0 (-beta vpar on the
-    tilt curve, -q on the one-dimensional one).  For h != 0, w = hu + v
-    turns the tilt curve into w^3 - (6h beta/alpha) w = v^3, and u > 0 is
-    w < v (h < 0) or w > v (h > 0).  For h < 0 the left side is increasing
-    and exceeds v^3 at w = v; for h > 0 it is convex on w > 0 and below v^3
-    at w = v.  Either way the tilt curve has exactly one positive root, and
-    it is simple (the left side crosses v^3 there from below, increasing or
-    convex), so (0, B] isolates it for the Cauchy bound B.  So it does the
+    At h = 0, p = p0 + p1 u is linear and its root is u1/vpar.  Otherwise
+    p(0) < 0 (-beta vpar on the tilt curve, -q on the one-dimensional one).
+    For h != 0, w = hu + v turns the tilt curve into
+    w^3 - (6h beta/alpha) w = v^3, and u > 0 is w < v (h < 0) or w > v
+    (h > 0).  For h < 0 the left side is increasing and exceeds v^3 at
+    w = v; for h > 0 it is convex on w > 0 and below v^3 at w = v.  Either
+    way the tilt curve has exactly one positive root, and it is simple (the
+    left side crosses v^3 there from below, increasing or convex), so
+    (0, B] isolates it for the Cauchy bound B.  So it does the
     one-dimensional curve's for h > 0, where the product of the two roots,
     -2q/h, is negative.  For h < 0 both one-dimensional roots,
     2q/(v + sqrt(v^2 + 2hq)) (the admissible one) and
     2q/(v - sqrt(v^2 + 2hq)), are positive, and p(2q/v) = (q/v^2)(v^2 + 2hq)
     is positive (so (0, 2q/v] isolates the admissible root), zero (a double
-    root at 2q/v) or negative (no real root).
+    root at 2q/v) or negative (no real root).  On p's row (p0, p1, p2),
+    2q/v = -2 p0/p1 and p1^2 - 4 p0 p2 is v^2 + 2hq times a positive square.
     """
     vpar = _q(vpar)
     if vpar <= 0:
         raise CurveDomainError("curve solving requires vpar > 0")
-    p = Poly1(_ucoefficients(c, vpar))
+    p = _curve_row(c, vpar)
+    row = p._nums
     if c.h == 0:
-        root = c.leading_coefficient / vpar
+        root = Fraction(-row[0], row[1])
         return p, RootInterval(root, root)
     if isinstance(c, TiltCurve) or c.h > 0:
         return p, RootInterval(Fraction(0), _root_bound(p))
-    disc = vpar * vpar + 2 * c.h * c.q
+    p0, p1, p2 = row
+    disc = p1 * p1 - 4 * p0 * p2
     if disc < 0:
         raise CurveDomainError(f"no positive root on the curve at vpar = {vpar}")
-    hi = 2 * c.q / vpar
+    hi = Fraction(-2 * p0, p1)
     return p, RootInterval(Fraction(0) if disc else hi, hi)
 
 
@@ -290,7 +315,7 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
     if isinstance(u, RootInterval) and not u.exact:
-        p = Poly1(_ucoefficients(c, _q(vpar)))
+        p = _curve_row(c, _q(vpar))
         if p(u.lo) == 0 or p(u.hi) == 0 or count_roots(p, u.lo, u.hi) != 1:
             raise CurveDomainError("bracket does not isolate a single root of the curve")
         P = _primitive(p)

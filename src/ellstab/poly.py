@@ -354,15 +354,18 @@ def _bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInte
     quadratic interval refinement (Abbott, 2006) on the bisection's grid;
     a grid point that is a root collapses it.
 
-    Works on q(t), a positive multiple of p(lo + (hi - lo) t) with integer
-    coefficients (``_shifted``), at dyadic points t = m / 2^j, where
-    2^(jd) q(t) is the integer sum of q_i m^i 2^(j(d-i)).  A root at lo is
-    divided out of q (a factor t, positive on the cell), so the current cell
-    always has ends of opposite exact signs and the root strictly inside.
-    Each step splits the cell into N = 2^k sub-cells and takes the one the
-    secant through the end values points at (an integer floor division), if
-    its ends have opposite signs; k then doubles.  Otherwise the cell is
-    bisected and k halves, down to 2.  The level never passes J.
+    Works on integer numerators over one denominator, lo = A/D and
+    hi - lo = W/D, and on q(t), a positive multiple of p(lo + (hi - lo) t)
+    with integer coefficients (``_shifted``), at dyadic points t = m / 2^j,
+    where 2^(jd) q(t) is the integer sum of q_i m^i 2^(j(d-i)).  A root at
+    lo is divided out of q (a factor t, positive on the cell), so the
+    current cell always has ends of opposite exact signs and the root
+    strictly inside.  Each step splits the cell into N = 2^k sub-cells and
+    takes the one the secant through the end values points at (an integer
+    floor division), if its ends have opposite signs; k then doubles.
+    Otherwise the cell is bisected and k halves, down to 2.  The level
+    never passes J.  Only the returned ends are built as Fractions, each
+    (A 2^j + W m) / (D 2^j) (``_grid``).
 
     The output is bisection's, which is unique: [hi - step, hi] for
     step = (hi - lo) / 2^J if hi is the root; else the root itself if it is
@@ -371,18 +374,19 @@ def _bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInte
     level at most J lies strictly inside a level-J cell, so a root on the
     grid is met by an evaluation before the level reaches J.
     """
-    width = hi - lo
-    wide = width.numerator * precision.denominator
-    narrow = precision.numerator * width.denominator
+    den = lcm(lo.denominator, hi.denominator)
+    base = lo.numerator * (den // lo.denominator)
+    width = hi.numerator * (den // hi.denominator) - base
+    wide = width * precision.denominator
+    narrow = precision.numerator * den
     top = max(0, wide.bit_length() - narrow.bit_length())  # J: the least with wide <= narrow << J
     if narrow << top < wide:
         top += 1
     if top == 0:
         return RootInterval(lo, hi)
-    step = width / (1 << top)
-    q = _shifted(p, lo, width)
+    q = _shifted(p, base, width, den)
     if sum(q) == 0:  # hi is the root: no sign change inside, bisection keeps right
-        return RootInterval(hi - step, hi)
+        return RootInterval(_grid(base, width, den, (1 << top) - 1, top), hi)
     while q[0] == 0:  # lo is a root: q / t has q's signs on the cell
         q = q[1:]
     d = len(q) - 1
@@ -403,39 +407,44 @@ def _bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInte
             left = a << (k * d) if i == 0 else value(m * n + i, j + k)
             right = b << (k * d) if i == n - 1 else value(m * n + i + 1, j + k)
             if left == 0 or right == 0:
-                return _point(lo, width, m * n + i + (left != 0), j + k)
+                root = _grid(base, width, den, m * n + i + (left != 0), j + k)
+                return RootInterval(root, root)
             if (left > 0) != (right > 0):
                 m, j, a, b, k = m * n + i, j + k, left, right, 2 * k
                 continue
             k = max(2, k // 2)
         mid = value(2 * m + 1, j + 1)
         if mid == 0:
-            return _point(lo, width, 2 * m + 1, j + 1)
+            root = _grid(base, width, den, 2 * m + 1, j + 1)
+            return RootInterval(root, root)
         if (mid > 0) == (a > 0):
             m, a, b = 2 * m + 1, mid, b << d
         else:
             m, a, b = 2 * m, a << d, mid
         j += 1
-    return RootInterval(lo + step * m, lo + step * (m + 1))
+    return RootInterval(_grid(base, width, den, m, top), _grid(base, width, den, m + 1, top))
 
 
-def _point(lo: Fraction, width: Fraction, m: int, j: int) -> RootInterval:
-    root = lo + width * Fraction(m, 1 << j)
-    return RootInterval(root, root)
+def _grid(base: int, width: int, den: int, m: int, j: int) -> Fraction:
+    """The grid point lo + (hi - lo) m / 2^j, for lo = base/den and
+    hi - lo = width/den."""
+    return Fraction((base << j) + width * m, den << j)
 
 
-def _shifted(p: Poly1, lo: Fraction, width: Fraction) -> list[int]:
+def _shifted(p: Poly1, base: int, width: int, den: int) -> list[int]:
     """Primitive integer coefficients (ascending) of a positive multiple of
-    p(lo + width t): with lo = A/D and width = W/D over one denominator and
-    p's coefficients cleared to integers P_i, the t^k coefficient of
-    D^n p(lo + width t) is W^k sum_(i>=k) C(i, k) P_i A^(i-k) D^(n-i)."""
-    den = lcm(lo.denominator, width.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    w = width.numerator * (den // width.denominator)
+    p(lo + (hi - lo) t), for lo = A/D and hi - lo = W/D (``base``, ``width``
+    and ``den``): with p's coefficients cleared to integers P_i, the t^k
+    coefficient of D^n p(lo + (hi - lo) t) is
+    W^k sum_(i>=k) C(i, k) P_i A^(i-k) D^(n-i), which is P_k W^k D^(n-k)
+    when lo = 0, as on every curve bracket."""
     c = _primitive(p)
     n = len(c) - 1
-    q = [w**k * sum(comb(i, k) * c[i] * a ** (i - k) * den ** (n - i) for i in range(k, n + 1))
-         for k in range(n + 1)]
+    if base == 0:
+        q = [x * width**k * den ** (n - k) for k, x in enumerate(c)]
+    else:
+        q = [width**k * sum(comb(i, k) * c[i] * base ** (i - k) * den ** (n - i) for i in range(k, n + 1))
+             for k in range(n + 1)]
     content = gcd(*q)
     return [x // content for x in q]
 
@@ -554,14 +563,6 @@ class Poly2(_IntegerForm):
         """Coefficient of u^k as a polynomial in v (ascending)."""
         row = {j: n for (i, j), n in self._nums.items() if i == k}
         return Poly1._ints([row.get(j, 0) for j in range(max(row, default=-1) + 1)], self._den)
-
-    @classmethod
-    def from_ucoefficients(cls, coeffs: list) -> "Poly2":
-        """The polynomial sum_i coeffs[i] u^i, each a Poly1 in v or a constant."""
-        rows = [p if isinstance(p, Poly1) else Poly1.const(p) for p in coeffs]
-        den = lcm(*(p._den for p in rows))
-        return cls._ints({(i, j): n * (den // p._den) for i, p in enumerate(rows)
-                          for j, n in enumerate(p._nums)}, den)
 
 
 def monomial_table(values, size: int) -> tuple[list, int, int]:

@@ -252,9 +252,10 @@ class BaseGeometry:
     ampleness bound below which Theta + v*pull(H) need not be ample, and
     ``m0`` a seed constant with m0 > vprime and h + 2*m0 > 0.  The H data
     derived from them (``hb2`` = H.H, ``hb_divisor`` and the row ``hb_row``
-    of hb * gram used by ``pair_h``) is computed once, at construction.
-    ``matrices`` starts empty; ``_kept`` alone reads and writes it, keyed
-    by (builder, argument tuple): the product's structure constants and their
+    of hb * gram used by ``pair_h``) is computed once, at construction; the
+    hash once, on first use, since most geometries are never hashed.
+    ``matrices`` starts empty; ``_kept`` alone reads and writes it, keyed by
+    (builder, argument tuple): the product's structure constants and their
     point-class slice (``_point_constants``), the transform tables
     (``fmt._table``) and the charge tables (``asymptotics._charge_table``),
     the classes that slopes pair with (``slopes._FIXED``), and the mark of
@@ -310,6 +311,12 @@ class BaseGeometry:
         hb_row = (_sum_products((c or None, row[j] or None) for c, row in zip(hb, gram)) for j in range(rank))
         object.__setattr__(self, "hb_row", tuple(hb_row))
         object.__setattr__(self, "matrices", {})
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.rank, self.gram, self.hb, self.h, self.vprime, self.m0)))
+        return self._hash
 
     def half_canonical_bfield(self) -> DivisorX:
         """The distinguished twist -(1/2) * pull(K_base) = -(h/2) * pull(H)."""

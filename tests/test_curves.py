@@ -1,22 +1,22 @@
 """Constraint curves: polynomials, roots, expansions, the cycle identity."""
 
+import dataclasses
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellstab import curves, ring, series
+from ellstab import curves, poly, ring, series
 from ellstab.curves import (
     OneDimCurve,
     TiltCurve,
     _cycle_sides,
     _fixed_cycles,
     _symbolic_difference_parts,
-    _ucoefficients,
     admissible_bracket,
     chow_identity_check,
     chow_identity_symbolic_remainder,
@@ -275,7 +275,7 @@ class TestExpandU:
         # by: (alpha/2) v^2 (tilt) or v (one-dimensional)
         for c in _reference_curves(14):
             poly = constraint_poly(c)
-            dpoly = Poly2.from_ucoefficients(
+            dpoly = _reference_from_ucoefficients(
                 [(k + 1) * poly.ucoefficient(k + 1) for k in range(poly.udegree())]
             )
             u0 = LaurentSeries.monomial(-1, c.leading_coefficient)
@@ -318,7 +318,7 @@ def _reference_expand_u(c, order):
     """The reversion as first written: an exact working series, the
     derivative re-evaluated at every step and products through powers of u."""
     poly = constraint_poly(c)
-    dpoly = Poly2.from_ucoefficients(
+    dpoly = _reference_from_ucoefficients(
         [(k + 1) * poly.ucoefficient(k + 1) for k in range(poly.udegree())]
     )
     u = LaurentSeries.monomial(-1, c.leading_coefficient)
@@ -540,6 +540,23 @@ class TestCurveHash:
         assert hash(TiltCurve(-1, 1, 2)) == hash((Fraction(-1), Fraction(1), Fraction(2)))
         assert hash(OneDimCurve(Fraction(1, 2), 3, 1)) == hash((Fraction(1, 2), Fraction(3), Fraction(1)))
 
+    def test_onedim_q_is_kept_outside_equality_and_repr(self, monkeypatch):
+        """q = h + z/y is computed at construction, read with no Fraction
+        operator, and left out of ==, the hash and repr, as alpha and beta
+        are on the tilt curve."""
+        onedim = [c for c in self._curves(random.Random(64)) if isinstance(c, OneDimCurve)]
+        for c in onedim:
+            assert c.q == c.h + c.z / c.y and type(c.q) is Fraction
+            assert c.leading_coefficient == c.q
+            assert "q=" not in repr(c)
+        twin = OneDimCurve(Fraction(-2, 2), Fraction(2, 1), 6)
+        assert twin == OneDimCurve(-1, 2, 6) and hash(twin) == hash(OneDimCurve(-1, 2, 6))
+        assert not next(f for f in dataclasses.fields(OneDimCurve) if f.name == "q").compare
+        calls = []
+        monkeypatch.setattr(Fraction, "__add__", lambda *args: calls.append(1))
+        monkeypatch.setattr(Fraction, "__truediv__", lambda *args: calls.append(1))
+        assert [c.q for c in onedim] and calls == []
+
     def test_hashing_a_built_curve_hashes_no_fraction(self, monkeypatch):
         curves = list(self._curves(random.Random(62)))
         calls = []
@@ -637,7 +654,7 @@ def _reference_algebraic_chow(parts, c, u: RootInterval, vpar) -> bool:
     """The algebraic verdict as first computed: each part at v reduced mod
     the curve polynomial by long division over Fraction, and the sum of
     squares signed at the root by the Fraction Sturm-Tarski chain."""
-    p = Poly1(_ucoefficients(c, vpar))
+    p = Poly1(_reference_ucoefficients(c, vpar))
     total = ()
     for part in parts:
         r = _reference_divmod(part.eval_v(vpar).c, p.c)[1]
@@ -680,6 +697,24 @@ class TestAlgebraicChowPath:
         assert verdicts.count(True) >= 40 and verdicts.count(False) >= 10, verdicts
 
 
+def _reference_ucoefficients(c, v) -> list:
+    """The u-coefficients (ascending) of the curve polynomial as first
+    written, over any scalar v with +, - and *, in Fraction arithmetic."""
+    h = c.h
+    if isinstance(c, TiltCurve):
+        alpha, beta = c.alpha, c.beta
+        return [v * -beta, v * v * (alpha / 2) - beta * h, v * (alpha * h / 2), alpha * h * h / 6]
+    return [-(c.h + c.z / c.y), v, h / 2]
+
+
+def _reference_from_ucoefficients(coeffs: list) -> Poly2:
+    """sum_i coeffs[i] u^i for Poly1s in v, as ``Poly2.from_ucoefficients``
+    built it before the curve polynomial became one integer table."""
+    den = lcm(*(p._den for p in coeffs))
+    return Poly2._ints({(i, j): n * (den // p._den) for i, p in enumerate(coeffs)
+                        for j, n in enumerate(p._nums)}, den)
+
+
 def _reference_constraint_poly(c) -> Poly2:
     """The curve polynomial as first written, in Poly2 arithmetic."""
     u, v = Poly2.u(), Poly2.v()
@@ -694,8 +729,8 @@ CURVE_POLY_H = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fractio
 
 
 class TestCurvePolynomial:
-    """The u-coefficients over a generic v give the first-written Poly2 and
-    its restrictions to rational v, term for term."""
+    """The integer table gives the first-written Poly2 and the first-written
+    u-coefficients at rational v, term for term."""
 
     def _curves(self):
         rng = random.Random(70)
@@ -714,11 +749,68 @@ class TestCurvePolynomial:
         rng = random.Random(71)
         for c in self._curves():
             for vpar in (Fraction(1), Fraction(rng.randint(1, 400), rng.randint(1, 9)), Fraction(1, 7)):
-                got, want = Poly1(_ucoefficients(c, vpar)), _reference_constraint_poly(c).eval_v(vpar)
+                got, want = curves._curve_row(c, vpar), _reference_constraint_poly(c).eval_v(vpar)
                 assert got.c == want.c, (c, vpar)
                 assert all(type(a) is Fraction for a in got.c)
                 if isinstance(c, TiltCurve) or vpar * vpar + 2 * c.h * c.q >= 0:
                     assert admissible_bracket(c, vpar)[0].c == want.c
+
+    def test_integer_table_matches_reference_ucoefficients(self):
+        """At v = 1, 1/7 and random rational v, the table read homogeneously
+        is the Poly1 of the first-written u-coefficients, in storage form."""
+        rng = random.Random(73)
+        checked = 0
+        for c in self._curves():
+            rows, den = curves._curve_table(c)
+            assert den > 0 and all(type(x) is int for row in rows for x in row)
+            for vpar in (Fraction(1), Fraction(1, 7), Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)),
+                         Fraction(rng.randint(1, 50), 2 ** rng.randint(0, 40))):
+                got, want = curves._curve_row(c, vpar), Poly1(_reference_ucoefficients(c, vpar))
+                assert (got._nums, got._den) == (want._nums, want._den), (c, vpar)
+                checked += 1
+        assert checked == 4 * 2 * 8 * len(CURVE_POLY_H)
+
+    def test_cold_solve_u_does_no_fraction_arithmetic(self, monkeypatch):
+        """From the curve's constants to the returned bracket a cold
+        ``solve_u`` works on integers: no Fraction operator runs, and the
+        only Fractions built in curves, poly and ring are the ends of
+        ``admissible_bracket``'s bracket and of the returned interval."""
+        rng = random.Random(74)
+        cases = []
+        for h in CURVE_POLY_H:
+            for _ in range(6):
+                for c in (_rand_tilt(rng, h), _rand_onedim(rng, h)):
+                    for vpar in (Fraction(rng.randint(1, 900), rng.randint(1, 9)), Fraction(rng.randint(1, 40))):
+                        if isinstance(c, TiltCurve) or vpar * vpar + 2 * c.h * c.q > 0:
+                            precision = Fraction(1, 2 ** rng.choice([1, 8, 64, 128]))
+                            cases.append((c, vpar, precision, admissible_bracket(c, vpar)[1],
+                                          solve_u(c, vpar, precision)))
+        operators = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                     "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__pow__",
+                     "__rpow__", "__neg__", "__pos__", "__abs__"):
+            monkeypatch.setattr(Fraction, name, lambda *args, _op=getattr(Fraction, name):
+                                operators.append(_op) or _op(*args))
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(Fraction(*args, **kwargs))
+            return built[-1]
+
+        for module in (curves, poly, ring):
+            monkeypatch.setattr(module, "Fraction", counting)
+        exact = 0
+        for c, vpar, precision, bracket, root in cases:
+            built.clear()
+            for cache in (constraint_poly, curves._expand_u_cached, _fixed_cycles, _symbolic_difference_parts):
+                cache.cache_clear()
+            assert solve_u(c, vpar, precision) == root
+            assert operators == [], (c, vpar)
+            assert 1 <= len(built) <= 4 and set(built) <= {bracket.lo, bracket.hi, root.lo, root.hi}, built
+            exact += root.exact
+        assert len(cases) >= 100 and exact >= 10, (len(cases), exact)
+        Fraction(1, 2) + 1  # the counter does see an operator
+        assert operators
 
     def test_cold_solve_u_builds_no_poly2(self, monkeypatch):
         """Counted at ``Poly2._store``, which every Poly2 constructor

@@ -529,6 +529,38 @@ class TestQuadraticRefinement:
                     assert got.exact == (top >= level), (level, top, got)
                     assert root in got
 
+    def test_matches_reference_on_shaped_brackets(self):
+        """Brackets of each shape the integer numerators must keep: lo != 0
+        with non-dyadic ends (as ``isolate_positive_roots`` passes), hi a
+        root, lo a root, and a root on a grid point of level L above,
+        at and below the target level J."""
+        rng = random.Random(61)
+        shapes = {"inside": 0, "hi": 0, "lo": 0, "grid": 0}
+        for _ in range(150):
+            lo = Fraction(rng.randint(-60, 60), rng.choice([3, 5, 7, 9, 11]))
+            width = Fraction(rng.randint(1, 90), rng.choice([3, 7, 13, 1, 6]))
+            level = rng.randint(1, 70)
+            grid_root = lo + width * Fraction(rng.randrange(1, 1 << level, 2), 1 << level)
+            outside = [lo - Fraction(rng.randint(1, 9), 5), lo + width + Fraction(rng.randint(1, 9), 4)]
+            inner = lo + width * Fraction(rng.randint(1, 20), 21)
+            cases = [("inside", _product([inner, *outside]), lo, lo + width),
+                     ("hi", _product([lo + width, *outside]), lo, lo + width),
+                     ("lo", _product([lo, inner, *outside]), lo, lo + width),
+                     ("grid", _product([grid_root, *outside]), lo, lo + width)]
+            for shape, p, a, b in cases:
+                if count_roots(p, a, b) != 1:
+                    continue
+                for precision in (Fraction(1, 2 ** rng.randint(1, 90)), width / 3, Fraction(1, 10**20)):
+                    for f in (p, -p):
+                        got = _bisect_by_sign(f, a, b, precision)
+                        assert got == _reference_bisect_by_sign(f, a, b, precision), (shape, f, a, b)
+                        assert all(type(x) is Fraction for x in (got.lo, got.hi))
+                    shapes[shape] += 1
+                    if shape == "grid":
+                        top = next(j for j in range(400) if width / (1 << j) <= precision)
+                        assert got.exact == (level <= top), (level, top, got)
+        assert min(shapes.values()) >= 100, shapes
+
     def test_root_at_an_end(self):
         p = _product([1, 2], (3,))
         # hi is the root: the rightmost level-J cell

@@ -107,6 +107,41 @@ class TestGeometryInvariants:
             assert g.rank == 2 and type(g.rank) is int
 
 
+class TestGeometryHash:
+    """The hash is computed once, on first use, with the value the
+    dataclass computed from the compared fields, so an ``lru_cache`` keyed
+    by a geometry hashes no Fraction of ``gram`` per lookup after its first."""
+
+    def _geometries(self):
+        yield from GEOMS
+        yield BaseGeometry(3, [[2, 1, 0], [1, 2, 1], [0, 1, 4]], [1, 0, 2], Fraction(-3, 2), 0, 1)
+        yield BaseGeometry(2, [[0, 1], [1, 2]], [0, 1], Fraction(-1, 2), Fraction(1, 3), 1)
+
+    def test_value_is_the_field_tuple_s(self):
+        for g in self._geometries():
+            assert hash(g) == hash((g.rank, g.gram, g.hb, g.h, g.vprime, g.m0))
+        assert hash(GEOMS[0]) == hash((1, ((Fraction(1),),), (Fraction(1),), Fraction(-1), Fraction(0), Fraction(1)))
+
+    def test_equal_geometries_built_apart_hash_equal(self):
+        for g in self._geometries():
+            twin = BaseGeometry(g.rank, [[str(x) for x in row] for row in g.gram], list(g.hb), g.h, g.vprime, g.m0)
+            v = ChernVector(1, 0, twin.hb_divisor, twin.hb_divisor, 0, 0)
+            mul(twin, v, v)  # the values kept on the geometry leave its hash unchanged
+            assert twin == g and hash(twin) == hash(g)
+
+    def test_hashing_a_hashed_geometry_hashes_no_fraction(self, monkeypatch):
+        fields = [(g.rank, g.gram, g.hb, g.h, g.vprime, g.m0) for g in self._geometries()]
+        calls = []
+        original = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(1) or original(x))
+        geometries = [BaseGeometry(*f) for f in fields]
+        assert calls == []  # construction hashes nothing
+        first = [hash(g) for g in geometries]
+        assert calls
+        calls.clear()
+        assert [hash(g) for g in geometries] == first and calls == []
+
+
 class TestFloatsAreRefused:
     """A float never enters the exact layer: each constructor refuses it
     where it is given, before any product or derived constant runs."""

@@ -253,13 +253,16 @@ def _touches_kept_values_outside_the_keeper(tree):
             yield node.lineno
 
 
-def _names_the_old_reader(tree):
-    """Line numbers of a name, attribute, import or definition called
-    ``monomial_coefficients``."""
+def _named(tree, names):
+    """Line numbers of a name, attribute, import or definition called one
+    of ``names``."""
     for node in ast.walk(tree):
-        if "monomial_coefficients" in (getattr(node, "id", None), getattr(node, "attr", None),
-                                       getattr(node, "name", None)):
+        if any(getattr(node, key, None) in names for key in ("id", "attr", "name")):
             yield node.lineno
+
+
+def _names_the_old_reader(tree):
+    return _named(tree, {"monomial_coefficients"})
 
 
 def _is_fixed_index(index) -> bool:
@@ -318,3 +321,48 @@ def test_the_table_rules_see_their_forms_and_scopes():
                      "w = sum(nums[0] + nums[-1] for _ in row)\n"
                      "u = sum(c * y[e - i] for i, c in x)\n")
     assert sorted(_sums_over_numerators(tree)) == [3, 4]
+
+
+_OLD_CURVE_WRITERS = {"_ucoefficients", "from_ucoefficients"}
+_CURVE_TABLE_NAMES = {"_curve_table", "_curve_row"}
+
+
+def _reads_the_curve_table_outside_its_readers(tree):
+    """Line numbers of a call to ``_curve_table`` outside ``_curve_row`` and
+    ``constraint_poly``, and of ``constraint_poly(...).eval_v``: a curve
+    row built around the one integer table."""
+    allowed = _inside(tree, lambda name, owner: owner is None and name in ("_curve_row", "constraint_poly"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) == "_curve_table" and id(node) not in allowed:
+            yield node.lineno
+        if (isinstance(node, ast.Attribute) and node.attr == "eval_v" and isinstance(node.value, ast.Call)
+                and _called(node.value) == "constraint_poly"):
+            yield node.lineno
+
+
+def test_the_curve_polynomial_is_written_once():
+    """``curves._curve_table`` is the one place the curve polynomial is
+    written, as integer numerators; ``_curve_row`` (the row at a rational
+    v) and ``constraint_poly`` read it, and no other module builds a row."""
+    others = {path.name for path in SRC.glob("*.py")} - {"curves.py"}
+    assert _sites(lambda tree: _named(tree, _OLD_CURVE_WRITERS)) == []
+    assert _sites(lambda tree: _named(tree, _CURVE_TABLE_NAMES), others) == []
+    assert _sites(_reads_the_curve_table_outside_its_readers) == []
+    assert _sites(lambda tree: _named(tree, _CURVE_TABLE_NAMES), {"curves.py"})
+
+
+def test_the_curve_rules_see_names_calls_and_scopes():
+    tree = ast.parse("from .curves import _curve_row, constraint_poly\n"
+                     "def _ucoefficients(c, v): pass\n"
+                     "p = Poly2.from_ucoefficients(rows)\n"
+                     "def constraint_poly(c):\n"
+                     "    return _curve_table(c)\n"
+                     "def _curve_row(c, v):\n"
+                     "    rows, den = _curve_table(c)\n"
+                     "def solve(c, v):\n"
+                     "    rows, den = curves._curve_table(c)\n"
+                     "    return constraint_poly(c).eval_v(v)\n"
+                     "x = constraint_poly(c).eval(u, v)\n")
+    assert sorted(set(_named(tree, _OLD_CURVE_WRITERS))) == [2, 3]
+    assert sorted(set(_named(tree, _CURVE_TABLE_NAMES))) == [1, 5, 6, 7, 9]
+    assert sorted(_reads_the_curve_table_outside_its_readers(tree)) == [9, 10]
