@@ -31,6 +31,7 @@ from .ring import (
     DivisorB,
     DivisorX,
     _kept,
+    _sum,
     degree,
     divisor_powers,
     pair_h,
@@ -99,8 +100,7 @@ def _combine(parts: tuple, germs: tuple) -> tuple:
     any scalar."""
     out = []
     for (const, coeffs), part_germs in zip(parts, germs):
-        terms = [x * c for x, c in zip(part_germs, coeffs)]
-        total = sum(terms[1:], terms[0])
+        total = _sum([x * c for x, c in zip(part_germs, coeffs)])
         out.append(total + const if const else total)
     return tuple(out)
 

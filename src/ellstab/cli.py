@@ -173,7 +173,7 @@ def _omega_from(cfg: Config, args) -> DivisorX:
 def _bfield_from(cfg: Config, args) -> DivisorX:
     if args.b_theta is None and args.b_base is None:
         return DivisorX(0, cfg.geometry.zero_divisor())
-    theta = _fraction_arg(args.b_theta, "--b-theta") if args.b_theta else Fraction(0)
+    theta = _fraction_arg(args.b_theta, "--b-theta") if args.b_theta is not None else Fraction(0)
     return DivisorX(theta, _divisor_arg(cfg, args, "--b-base"))
 
 

@@ -16,7 +16,7 @@ bound, or 2q/v on the one-dimensional curve with h < 0); solving refines
 that bracket on the dyadic grid by quadratic interval refinement on the
 sign of the curve polynomial, on integer numerators throughout, with no
 Sturm isolation.  The cycle identity behind the tilt curve is decided
-exactly, at algebraic points by one Sturm-Tarski query.  The expansion of u
+exactly, at algebraic points by Sturm-Tarski queries.  The expansion of u
 as a Laurent series in 1/v is written down coefficient by coefficient: with
 w = hu + v both curves become w = v y(h u1 / v^2) for a power series y
 solving y^2 = 1 + 2x or y^3 = 1 + 3xy, whose coefficients Lagrange
@@ -36,9 +36,7 @@ from .poly import (
     Poly2,
     RootInterval,
     _bisect_by_sign,
-    _negated_remainder,
     _positive,
-    _primitive,
     _root_bound,
     count_roots,
     reduce_mod_u,
@@ -306,11 +304,10 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
     Decided exactly.  For rational u the two cycles are compared directly,
     so the result is True precisely on zeros of the constraint polynomial p.
     A bracketed algebraic u must isolate one root of p at vpar, with neither
-    end a root, or ``CurveDomainError`` is raised; one Sturm-Tarski query
-    then decides whether the sum of squares of the difference components,
-    each reduced mod p, vanishes at that root.  The remainders are integer
-    pseudo-remainders, each a nonzero multiple of the exact one: a sum of
-    squares vanishes at a real root exactly when every term does.
+    end a root, or ``CurveDomainError`` is raised; then one Sturm-Tarski
+    query per component of the difference (``sign_at_root``) decides
+    whether it vanishes at that root, and a component whose remainder mod p
+    is zero returns at once.
     """
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
@@ -318,10 +315,7 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
         p = _curve_row(c, _q(vpar))
         if p(u.lo) == 0 or p(u.hi) == 0 or count_roots(p, u.lo, u.hi) != 1:
             raise CurveDomainError("bracket does not isolate a single root of the curve")
-        P = _primitive(p)
-        reduced = [Poly1._ints(_negated_remainder(_primitive(part.eval_v(vpar)), P), 1)
-                   for part in _symbolic_difference_parts(g, c)]
-        return sign_at_root(sum(r * r for r in reduced), p, u) == 0
+        return all(sign_at_root(part.eval_v(vpar), p, u) == 0 for part in _symbolic_difference_parts(g, c))
     if isinstance(u, RootInterval):
         u = u.lo
     lhs, rhs = _cycle_sides(g, c, _q(u), _q(vpar))

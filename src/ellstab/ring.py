@@ -41,6 +41,7 @@ alone: the product's structure constants, written once from the relations
 scalar, and the linear maps of ``fmt`` and ``asymptotics`` (right factor
 the unit 1), read off their closed forms by ``poly.monomial_table``.
 ``_kept`` keeps every value that depends on the geometry alone on it.
+``pair`` and ``pair_h`` skip exact-zero factors as ``_contract`` does.
 ``_IntegerForm`` states that storage rule, with the operators it implies,
 once for the exact scalars ``Poly1``, ``Poly2`` and ``LaurentSeries``.
 """
@@ -50,7 +51,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 from .errors import ConfigurationError, DimensionError
@@ -75,17 +76,10 @@ def _qtuple(xs) -> tuple:
 _ZERO = Fraction(0)
 
 
-def _sum_products(pairs):
-    """Sum of p * q over the pairs with no None factor, or None if there is none."""
-    total = None
-    for p, q in pairs:
-        if p is not None and q is not None:
-            total = p * q if total is None else total + p * q
-    return total
-
-
-def _or_zero(value):
-    return _ZERO if value is None else value
+def _sum(terms: list):
+    """The terms added from the first, so that a ``Poly2`` or series keeps
+    its type; the Fraction zero when there are none."""
+    return reduce(operator.add, terms) if terms else _ZERO
 
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
@@ -252,8 +246,9 @@ class BaseGeometry:
     ampleness bound below which Theta + v*pull(H) need not be ample, and
     ``m0`` a seed constant with m0 > vprime and h + 2*m0 > 0.  The H data
     derived from them (``hb2`` = H.H, ``hb_divisor`` and the row ``hb_row``
-    of hb * gram used by ``pair_h``) is computed once, at construction; the
-    hash once, on first use, since most geometries are never hashed.
+    of hb * gram used by ``pair_h``, Fractions with the zero where the row
+    vanishes) is computed once, at construction; the hash once, on first
+    use, since most geometries are never hashed.
     ``matrices`` starts empty; ``_kept`` alone reads and writes it, keyed by
     (builder, argument tuple): the product's structure constants and their
     point-class slice (``_point_constants``), the transform tables
@@ -307,9 +302,7 @@ class BaseGeometry:
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "hb2", hb2)
         object.__setattr__(self, "hb_divisor", DivisorB(hb))
-        # (hb * gram)_j, or None where every product hb_i * gram_ij is zero.
-        hb_row = (_sum_products((c or None, row[j] or None) for c, row in zip(hb, gram)) for j in range(rank))
-        object.__setattr__(self, "hb_row", tuple(hb_row))
+        object.__setattr__(self, "hb_row", tuple(sum(c * row[j] for c, row in zip(hb, gram)) for j in range(rank)))
         object.__setattr__(self, "matrices", {})
         object.__setattr__(self, "_hash", None)
 
@@ -489,22 +482,15 @@ def pair(g: BaseGeometry, d1: DivisorB, d2: DivisorB):
     """Intersection pairing of two base classes: d1^T * gram * d2."""
     if d1.rank != g.rank or d2.rank != g.rank:
         raise DimensionError("divisor rank does not match geometry rank")
-    total = None
-    for ci, row in zip(d1.coords, g.gram):
-        if ci == 0:
-            continue
-        for gij, cj in zip(row, d2.coords):
-            if gij == 0 or cj == 0:
-                continue
-            total = ci * gij * cj if total is None else total + ci * gij * cj
-    return _or_zero(total)
+    return _sum([ci * gij * cj for ci, row in zip(d1.coords, g.gram) if ci
+                 for gij, cj in zip(row, d2.coords) if gij and cj])
 
 
 def pair_h(g: BaseGeometry, d: DivisorB):
     """Pairing H.d with the ample class, through the stored row hb * gram."""
     if d.rank != g.rank:
         raise DimensionError("divisor rank does not match geometry rank")
-    return _or_zero(_sum_products(zip(g.hb_row, (c or None for c in d.coords))))
+    return _sum([h * c for h, c in zip(g.hb_row, d.coords) if h and c])
 
 
 def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
@@ -598,7 +584,7 @@ def _structure_constants(g: BaseGeometry) -> tuple[list, int, int]:
     for p in range(r):
         meet(x, x, eta[p], h * g.hb[p])  # Theta^2 = h Theta pull(H)
         meet(x, S[p], eta[p], 1)  # Theta * pull(A) = Theta pull(A)
-        meet(x, eta[p], s, h * (g.hb_row[p] or 0))  # Theta * Theta pull(A) = h (H.A) pt
+        meet(x, eta[p], s, h * g.hb_row[p])  # Theta * Theta pull(A) = h (H.A) pt
         for q in range(r):
             meet(S[p], S[q], a, g.gram[p][q])  # pull(A) * pull(B) = (A.B) f
             meet(S[p], eta[q], s, g.gram[p][q])  # pull(A) * Theta pull(B) = (A.B) pt

@@ -139,7 +139,7 @@ def _twisted_degree_weights(g: BaseGeometry, y, z) -> list[int]:
     hd yd zd L > 0 (h = hn/hd, y = yn/yd, z = zn/zd, and L the least common
     denominator of ``g.hb_row``), so its sign reads off numerators."""
     (hn, hd), (yn, yd), (zn, zd) = ((x.numerator, x.denominator) for x in (g.h, y, z))
-    row = [(c.numerator, c.denominator) if c else (0, 1) for c in g.hb_row]
+    row = [(c.numerator, c.denominator) for c in g.hb_row]
     L = lcm(*(d for _, d in row))
     twisted = hn * yn * zd + zn * hd * yd  # (h y + z) hd yd zd
     return [twisted * n * (L // d) for n, d in row] + [yn * hd * zd * L]

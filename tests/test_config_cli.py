@@ -530,6 +530,19 @@ class TestFlagErrors:
         assert code == 1 and out == ""
         assert capsys.readouterr().err == f"error: {flag}: expected a rational, got 'x'\n"
 
+    @pytest.mark.parametrize("flag, command", [
+        ("--b-theta", ["charge", "--kind", "full", "--object", "curvecl", "--u", "1/2", "--v", "4"]),
+        ("--b-theta", ["slope", "--kind", "MU_OMEGA_B", "--object", "curvecl", "--u", "1/2", "--v", "4"]),
+        ("--theta", ["twist", "--object", "point"]),
+        ("--u", ["charge", "--kind", "reduced", "--object", "curvecl", "--v", "4"]),
+    ], ids=lambda c: c if isinstance(c, str) else c[0])
+    def test_empty_rational_flag_names_the_flag(self, cfg_path, capsys, flag, command):
+        """An empty value is not a rational, so it is an error naming the
+        flag, never read as zero."""
+        code, out = run_cli("--config", cfg_path, *command, f"{flag}=")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == f"error: {flag}: expected a rational, got ''\n"
+
     @pytest.mark.parametrize("command", [
         ["phase", "--object", "point"],
         ["compare", "--objects", "point,curvecl"],

@@ -264,6 +264,23 @@ def _or_zero(value):
     return _ZERO if value is None else value
 
 
+def _reference_pair(g: BaseGeometry, d1: DivisorB, d2: DivisorB):
+    """Intersection pairing of two base classes: d1^T * gram * d2, as
+    ``pair`` summed it with the None sentinel, kept verbatim as its
+    reference."""
+    if d1.rank != g.rank or d2.rank != g.rank:
+        raise DimensionError("divisor rank does not match geometry rank")
+    total = None
+    for ci, row in zip(d1.coords, g.gram):
+        if ci == 0:
+            continue
+        for gij, cj in zip(row, d2.coords):
+            if gij == 0 or cj == 0:
+                continue
+            total = ci * gij * cj if total is None else total + ci * gij * cj
+    return _or_zero(total)
+
+
 def _row(coords, gram) -> tuple:
     """The row vector coords * gram over coordinates given with zeros as None;
     an entry is None when no nonzero product reaches it."""
@@ -1183,6 +1200,45 @@ class TestOneStorageForm:
             floored = LaurentSeries.zero(-2)
             got = pair_h(g, DivisorB._raw((floored,) * g.rank))
             assert type(got) is LaurentSeries and got.trunc == -2
+
+    def test_pair_matches_the_reference_at_every_scalar(self):
+        """``pair`` skips exact-zero factors as ``_contract`` does, with the
+        value, type and hash of the None-sentinel loop: Fraction, Poly2,
+        mixed and series divisors, all-zero divisors of each scalar, and a
+        truncated stored zero, which is never skipped and keeps its floor."""
+        rng = random.Random(49)
+        floored = LaurentSeries.zero(-2)
+        for g in fresh_geometries() + unusual_geometries():
+            r = g.rank
+            divisors = [d for v in _every_scalar(rng, r) for d in (v.S, v.eta)]
+            divisors += [DivisorB._raw((zero,) * r) for zero in (Fraction(0), Poly2(), Poly2.const(0), floored)]
+            divisors += [DivisorB._raw((floored,) + (Fraction(0),) * (r - 1)), g.hb_divisor]
+            for d1 in divisors:
+                for d2 in divisors:
+                    if {LaurentSeries, Poly2} <= {type(c) for c in d1.coords + d2.coords}:
+                        continue
+                    got, want = pair(g, d1, d2), _reference_pair(g, d1, d2)
+                    assert (type(got), got, hash(got)) == (type(want), want, hash(want))
+            for zero in (Fraction(0), Poly2(), Poly2.const(0)):
+                got = pair(g, DivisorB._raw((zero,) * r), g.hb_divisor)
+                assert type(got) is Fraction and got == 0
+            got = pair(g, DivisorB._raw((floored,) + (Fraction(0),) * (r - 1)), g.hb_divisor)
+            assert type(got) is LaurentSeries and got.trunc == -2
+
+    def test_hb_row_holds_plain_values(self):
+        """(hb * gram)_j is a Fraction, the zero where it vanishes, and
+        ``pair_h`` skips a vanishing entry as ``pair`` skips a zero factor."""
+        vanishing = [BaseGeometry(2, [[1, 0], [0, -1]], [1, 0], 0), BaseGeometry(2, [[1, 1], [1, -1]], [1, 1], 0)]
+        for g in fresh_geometries() + unusual_geometries() + vanishing:
+            r = g.rank
+            column = [sum(g.hb[i] * g.gram[i][j] for i in range(r)) for j in range(r)]
+            assert [(type(c), c) for c in g.hb_row] == [(Fraction, c) for c in column]
+            for k in range(r):
+                d = DivisorB._raw(tuple(Poly2.u() if j == k else Fraction(0) for j in range(r)))
+                got = pair_h(g, d)
+                assert got == pair(g, g.hb_divisor, d)
+                assert type(got) is (Poly2 if g.hb_row[k] else Fraction)
+        assert [g.hb_row for g in vanishing] == [(1, 0), (2, 0)]
 
     def test_a_truncated_stored_zero_keeps_its_floor_through_mul(self):
         """A series coordinate is never skipped as zero, so the floor of a

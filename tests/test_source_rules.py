@@ -366,3 +366,35 @@ def test_the_curve_rules_see_names_calls_and_scopes():
     assert sorted(set(_named(tree, _OLD_CURVE_WRITERS))) == [2, 3]
     assert sorted(set(_named(tree, _CURVE_TABLE_NAMES))) == [1, 5, 6, 7, 9]
     assert sorted(_reads_the_curve_table_outside_its_readers(tree)) == [9, 10]
+
+
+_SENTINEL_HELPERS = {"_sum_products", "_or_zero"}
+_HAND_REMAINDERS = {"_negated_remainder", "_primitive"}
+
+
+def test_the_pairings_sum_without_a_none_sentinel():
+    """``pair`` and ``pair_h`` skip exact-zero factors as ``ring._contract``
+    does and add the products with ``ring._sum``, so no module keeps a None
+    for "no product reached"."""
+    assert _sites(lambda tree: _named(tree, _SENTINEL_HELPERS)) == []
+
+
+def test_every_algebraic_sign_goes_through_sign_at_root():
+    """The algebraic cycle check asks ``sign_at_root`` once per component
+    and reduces nothing mod the curve polynomial by hand."""
+    assert _sites(lambda tree: _named(tree, _HAND_REMAINDERS), {"curves.py"}) == []
+
+
+def test_the_sentinel_and_remainder_rules_see_their_forms():
+    tree = ast.parse("def _sum_products(pairs): pass\n"
+                     "x = ring._or_zero(total)\n"
+                     "from .ring import _or_zero, pair\n"
+                     "y = _sum(terms)\n")
+    assert sorted(set(_named(tree, _SENTINEL_HELPERS))) == [1, 2, 3]
+    tree = ast.parse("from .poly import (\n"
+                     "    Poly1,\n"
+                     "    _negated_remainder,\n"
+                     ")\n"
+                     "r = poly._primitive(p)\n"
+                     "s = sign_at_root(q, p, u)\n")
+    assert sorted(set(_named(tree, _HAND_REMAINDERS))) == [3, 5]
