@@ -64,18 +64,18 @@ def _require_positive(name: str, value) -> None:
 
 def _reduced_germs(h, u, vpar, flat: bool = False) -> tuple:
     """The class-independent germs of the reduced charge's (re, im), over
-    any scalar: (hu w + vpar^2, u w) and (hu + vpar, u,
-    u (h^2 u^2 + 3 hu vpar + 3 vpar^2)), with w = hu + 2 vpar.  ``flat``
-    leaves out the first of re and the last of im, whose coefficients carry
-    x and n, for a class with n = x = 0."""
-    hu = h * u
-    w = hu + 2 * vpar
+    any scalar: (w^2, u (w + vpar)) and (w, u, u (w^2 + vpar (w + vpar))),
+    with w = hu + vpar, four products.  These are (hu + vpar)^2 =
+    hu (hu + 2 vpar) + vpar^2 and w^2 + vpar (w + vpar) = h^2 u^2 +
+    3 hu vpar + 3 vpar^2, at every scalar.  ``flat`` leaves out the first
+    of re and the last of im, whose coefficients carry x and n, for a class
+    with n = x = 0."""
+    w = h * u + vpar
+    wv = w + vpar
     if flat:
-        return (u * w,), (hu + vpar, u)
-    return (
-        (hu * w + vpar * vpar, u * w),
-        (hu + vpar, u, u * (hu * hu + 3 * hu * vpar + 3 * vpar * vpar)),
-    )
+        return (u * wv,), (w, u)
+    w2 = w * w
+    return (w2, u * wv), (w, u, u * (w2 + vpar * wv))
 
 
 def _reduced_coefficients(g: BaseGeometry, v: ChernVector) -> tuple:

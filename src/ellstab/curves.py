@@ -50,7 +50,9 @@ from .series import LaurentSeries
 class TiltCurve:
     """Curve for comparing slope data at a*Theta + b*pull(H) with the
     moving polarization; requires a, b > 0, ha + 2b > 0 and ha + b != 0.
-    alpha = a(ha + 2b), beta = (ha + b)^2 and the hash are computed at construction."""
+    alpha = a(ha + 2b), beta = (ha + b)^2 and the hash are computed at
+    construction, the checks and alpha and beta on the numerators of h, a
+    and b."""
 
     h: Fraction
     a: Fraction
@@ -60,17 +62,20 @@ class TiltCurve:
 
     def __init__(self, h, a, b):
         h, a, b = _q(h), _q(a), _q(b)
-        if a <= 0 or b <= 0:
+        (hn, hd), (an, ad), (bn, bd) = ((x.numerator, x.denominator) for x in (h, a, b))
+        if an <= 0 or bn <= 0:
             raise ConfigurationError("tilt curve: a and b must be positive")
-        if h * a + 2 * b <= 0:
+        s0 = hn * an * bd + bn * hd * ad  # (ha + b) hd ad bd
+        s1 = s0 + bn * hd * ad  # (ha + 2b) hd ad bd
+        if s1 <= 0:
             raise ConfigurationError("tilt curve: requires h*a + 2*b > 0")
-        if h * a + b == 0:
+        if s0 == 0:
             raise ConfigurationError("tilt curve: requires h*a + b != 0")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "alpha", a * (h * a + 2 * b))
-        object.__setattr__(self, "beta", (h * a + b) ** 2)
+        object.__setattr__(self, "alpha", Fraction(an * s1, ad * hd * ad * bd))
+        object.__setattr__(self, "beta", Fraction(s0 * s0, (hd * ad * bd) ** 2))
         object.__setattr__(self, "_hash", hash((h, a, b)))
 
     def __hash__(self) -> int:
@@ -86,7 +91,8 @@ class TiltCurve:
 class OneDimCurve:
     """Curve for one-dimensional classes: h + z/y = (1/2) u (hu + 2v);
     requires y, z > 0 and h + z/y > 0.  q = h + z/y and the hash are
-    computed at construction."""
+    computed at construction, q and its check on the numerators of h, y
+    and z."""
 
     h: Fraction
     y: Fraction
@@ -95,11 +101,13 @@ class OneDimCurve:
 
     def __init__(self, h, y, z):
         h, y, z = _q(h), _q(y), _q(z)
-        if y <= 0 or z <= 0:
+        (hn, hd), (yn, yd), (zn, zd) = ((x.numerator, x.denominator) for x in (h, y, z))
+        if yn <= 0 or zn <= 0:
             raise ConfigurationError("one-dimensional curve: y and z must be positive")
-        q = h + z / y
-        if q <= 0:
+        qn = hn * zd * yn + zn * yd * hd  # (h + z/y) hd zd yn
+        if qn <= 0:
             raise ConfigurationError("one-dimensional curve: requires h + z/y > 0")
+        q = Fraction(qn, hd * zd * yn)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)

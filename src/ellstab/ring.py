@@ -253,8 +253,10 @@ class BaseGeometry:
     (builder, argument tuple): the product's structure constants and their
     point-class slice (``_point_constants``), the transform tables
     (``fmt._table``) and the charge tables (``asymptotics._charge_table``),
-    the classes that slopes pair with (``slopes._FIXED``), and the mark of
-    ``charges.prove_closed_form`` once it has run on g.
+    exp(-B) of the half-canonical field (``_half_canonical_exp``), the
+    classes that slopes pair with (``slopes._FIXED``) and the parameterless
+    kinds' pairs of them, and the mark of ``charges.prove_closed_form``
+    once it has run on g.
     """
 
     rank: int
@@ -619,6 +621,13 @@ def divisor_powers(g: BaseGeometry, d: DivisorX) -> tuple:
 def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
     """Twist by a field B: multiply by exp(-B) (``_exp_minus``), one product."""
     return mul(g, _exp_minus(g, B), v)
+
+
+def _half_canonical_exp(g: BaseGeometry) -> ChernVector:
+    """exp(-B) of the half-canonical field B = -(1/2) pull(K_base), the
+    twist of ``slopes``' MU_STAR_B and of ``verify``'s im-identity and
+    threshold guard; read through ``_kept``, so built once per geometry."""
+    return _exp_minus(g, g.half_canonical_bfield())
 
 
 def _exp_minus(g: BaseGeometry, B: DivisorX) -> ChernVector:

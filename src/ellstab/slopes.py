@@ -1,41 +1,43 @@
 """Slope and slope-like functions with exact values in Q union {+infinity}.
 
-Every kind is a quotient of two linear functionals of the Chern vector,
-with numerators and denominators computed through the cohomology product so
-that no intersection number is transcribed twice: each is one coordinate of
-the vector (ch0 or ch3) or one ``ring.degree`` pairing with a fixed
-homogeneous class (Theta, H, omega, omega^2, f, Theta*H, ...), which meets
-only the vector's part of the complementary degree, so a kind pairs the
-vector at most twice.  The classes that depend on the geometry alone are
-built from their numerators once per geometry and kept on it.  The value
-+infinity is
-returned exactly when the kind's denominator vanishes; it compares strictly
-greater than every finite value and equal to itself.
+Every kind is the quotient of two point pairings, ``degree(g, F, v) /
+degree(g, G, v)``, with classes F and G of (g, kind) alone.  ch0 is the
+pairing with the point class and ch3 the pairing with the unit; the other
+pairings are with fixed homogeneous classes (Theta, H, omega, omega^2, f,
+Theta*H, ...), built from their numerators.  A kind's twist by exp(-B)
+sits on its classes, since degree(F, exp(-B) v) = degree(F exp(-B), v),
+so no class is ever twisted.  The classes are built once per (g, kind):
+a parameterless kind's on g (``ring._kept``), any other's on the
+``SlopeKind`` object, by geometry.  The value is one Fraction built from
+the integer totals of the two pairings (``ring._contract``), in which v's
+denominator cancels.  The value +infinity is returned exactly when the
+second pairing vanishes; it compares strictly greater than every finite
+value and equal to itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
 
-from .charges import _ring_parts
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DimensionError, DomainError
 from .ring import (
     BaseGeometry,
     ChernVector,
     DivisorB,
     DivisorX,
+    _contract,
     _exp_minus,
+    _half_canonical_exp,
     _kept,
     _numerators,
+    _point_constants,
     compute_m,
-    degree,
     divisor_powers,
     divisor_vector,
     mul,
-    twist,
 )
 
 
@@ -77,6 +79,8 @@ class SlopeKind:
     omegabar: DivisorX | None = None
     dbar: DivisorB | None = None
     d: DivisorB | None = None
+    # the pair of classes the kind pairs with, by geometry (``_classes``)
+    _classes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         required = SLOPE_PARAMETERS[self.tag]
@@ -160,29 +164,22 @@ class SlopeValue:
         return "inf" if self.finite is None else str(self.finite)
 
 
-def _ratio(num, den) -> SlopeValue:
-    if den == 0:
-        return SlopeValue.infinity()
-    if type(num) is Fraction and type(den) is Fraction:
-        return SlopeValue(num / den)
-    return SlopeValue(Fraction(num) / Fraction(den))
-
-
-def _vector(g: BaseGeometry, x=0, S=None, eta=None, a=0) -> ChernVector:
-    """The class (0, x, S, eta, a, 0), S and eta given by coordinates (zero
+def _vector(g: BaseGeometry, n=0, x=0, S=None, eta=None, a=0, s=0) -> ChernVector:
+    """The class (n, x, S, eta, a, s), S and eta given by coordinates (zero
     if None), from its numerators."""
     zeros = [0] * g.rank
-    return ChernVector._ints(*_numerators([0, x, *(S or zeros), *(eta or zeros), a, 0]))
+    return ChernVector._ints(*_numerators([n, x, *(S or zeros), *(eta or zeros), a, s]))
 
 
 # The classes a slope pairs or multiplies that depend on g alone, by name.
 _FIXED = {
+    "unit": lambda g: _vector(g, n=1),
+    "point": lambda g: _vector(g, s=1),
     "fiber": lambda g: _vector(g, a=1),
     "phb": lambda g: _vector(g, S=g.hb),
     "theta_phb": lambda g: _vector(g, eta=g.hb),
     "theta_phb_m": lambda g: _vector(g, eta=g.hb, a=compute_m(g)),
     "theta_m": lambda g: _vector(g, x=1, S=[compute_m(g) * c for c in g.hb]),
-    "half_canonical_exp": lambda g: _exp_minus(g, g.half_canonical_bfield()),
 }
 
 
@@ -191,44 +188,81 @@ def _fixed(g: BaseGeometry, name: str) -> ChernVector:
     return _kept(g, _FIXED[name])
 
 
+def _mu_omega_b(g: BaseGeometry, kind: SlopeKind) -> tuple:
+    om = divisor_vector(g, kind.omega)
+    return mul(g, mul(g, om, om), _exp_minus(g, kind.bfield)), _fixed(g, "point")
+
+
+def _nu_omega_b(g: BaseGeometry, kind: SlopeKind) -> tuple:
+    """Im / (2 Re) of ``charges._ring_parts``: (w - (w^3/6) pt, w^2), on the twist."""
+    e = _exp_minus(g, kind.bfield)
+    om, om2, om3 = divisor_powers(g, kind.omega)
+    return mul(g, om - _fixed(g, "point").scale(om3 / 6), e), mul(g, om2, e)
+
+
+def _mu_star_b(g: BaseGeometry, _) -> tuple:
+    e = _kept(g, _half_canonical_exp)
+    return e, mul(g, _fixed(g, "phb"), e)
+
+
+def _mu_bar(g: BaseGeometry, kind: SlopeKind) -> tuple:
+    e = _exp_minus(g, DivisorX.pullback(kind.dbar))
+    return e, mul(g, divisor_vector(g, kind.omegabar), e)
+
+
+def _pd(g: BaseGeometry, kind: SlopeKind, top: ChernVector, bottom: ChernVector) -> tuple:
+    """(top, bottom) on the twist by pull(d)."""
+    e = _exp_minus(g, DivisorX.pullback(kind.d))
+    return mul(g, top, e), mul(g, bottom, e)
+
+
+def _mu_omega_pd(g: BaseGeometry, kind: SlopeKind) -> tuple:
+    om = divisor_vector(g, kind.omega)
+    return _pd(g, kind, om, mul(g, om, om))
+
+
+# The pair (F, G) of each kind, slope(v) = degree(F, v) / degree(G, v), from
+# g and the kind; a parameterless kind's builder reads g alone.
+_PAIRS = {
+    SlopeTag.MU_OMEGA_B: _mu_omega_b,
+    SlopeTag.NU_OMEGA_B: _nu_omega_b,
+    SlopeTag.MU_F: lambda g, _: (_fixed(g, "fiber"), _fixed(g, "point")),
+    SlopeTag.MU_THETA_M: lambda g, _: (_fixed(g, "theta_phb_m"), _fixed(g, "point")),
+    SlopeTag.MU_STAR: lambda g, _: (_fixed(g, "unit"), _fixed(g, "phb")),
+    SlopeTag.MU_STAR_B: _mu_star_b,
+    SlopeTag.MU_BAR: _mu_bar,
+    SlopeTag.MU_PHB_PD: lambda g, kind: _pd(g, kind, _fixed(g, "phb"), _fixed(g, "theta_phb")),
+    SlopeTag.MU_THETA_MPHB_PD: lambda g, kind: _pd(g, kind, _fixed(g, "theta_m"), _fixed(g, "theta_phb")),
+    SlopeTag.MU_OMEGA_PD: _mu_omega_pd,
+}
+
+
+def _classes(g: BaseGeometry, kind: SlopeKind) -> tuple:
+    """The kind's pair (F, G) on g, built on first use: kept on g for a
+    parameterless kind, on the kind (by geometry) for any other."""
+    build = _PAIRS[kind.tag]
+    if not SLOPE_PARAMETERS[kind.tag]:
+        return _kept(g, build, None)
+    pair = kind._classes.get(g)
+    if pair is None:
+        pair = kind._classes[g] = build(g, kind)
+    return pair
+
+
 def slope(g: BaseGeometry, kind: SlopeKind, v: ChernVector) -> SlopeValue:
-    """Evaluate a slope kind on a Chern vector."""
-    tag = kind.tag
-
-    if tag is SlopeTag.MU_F:
-        return _ratio(degree(g, _fixed(g, "fiber"), v), v.n)
-
-    if tag is SlopeTag.MU_THETA_M:
-        return _ratio(degree(g, _fixed(g, "theta_phb_m"), v), v.n)
-
-    if tag is SlopeTag.MU_OMEGA_B:
-        tw = twist(g, v, kind.bfield)
-        om = divisor_vector(g, kind.omega)
-        return _ratio(degree(g, mul(g, om, om), tw), tw.n)
-
-    if tag is SlopeTag.NU_OMEGA_B:
-        re, im = _ring_parts(g, twist(g, v, kind.bfield), divisor_powers(g, kind.omega))
-        return _ratio(im, 2 * re)
-
-    if tag is SlopeTag.MU_STAR:
-        return _ratio(v.s, degree(g, _fixed(g, "phb"), v))
-
-    if tag is SlopeTag.MU_STAR_B:
-        tw = mul(g, _fixed(g, "half_canonical_exp"), v)  # the twist by the half-canonical field
-        return _ratio(tw.s, degree(g, _fixed(g, "phb"), tw))
-
-    if tag is SlopeTag.MU_BAR:
-        tw = twist(g, v, DivisorX.pullback(kind.dbar))
-        return _ratio(tw.s, degree(g, divisor_vector(g, kind.omegabar), tw))
-
-    if tag in (SlopeTag.MU_PHB_PD, SlopeTag.MU_THETA_MPHB_PD, SlopeTag.MU_OMEGA_PD):
-        tw = twist(g, v, DivisorX.pullback(kind.d))
-        if tag is SlopeTag.MU_OMEGA_PD:
-            om = divisor_vector(g, kind.omega)
-            return _ratio(degree(g, om, tw), degree(g, mul(g, om, om), tw))
-        den = degree(g, _fixed(g, "theta_phb"), tw)
-        if tag is SlopeTag.MU_PHB_PD:
-            return _ratio(degree(g, _fixed(g, "phb"), tw), den)
-        return _ratio(degree(g, _fixed(g, "theta_m"), tw), den)
-
-    raise DomainError(f"unhandled slope kind {tag}")
+    """Evaluate a slope kind on a rational Chern vector: degree(F, v) /
+    degree(G, v) for the kind's classes, +infinity where the second
+    vanishes.  Both pairings are integer totals over v's numerators, so
+    one Fraction of them, over the classes' denominators, is the value."""
+    nums = v._nums
+    if v.rank_lattice != g.rank:
+        raise DimensionError("vector rank does not match geometry rank")
+    if type(nums[0]) is not int:
+        raise DomainError("a slope needs a rational class (every coordinate a Fraction)")
+    top, bottom = _classes(g, kind)
+    table, right = _kept(g, _point_constants), (nums, 1)
+    (num,), _ = _contract(table, (top._nums, 1), right)
+    (den,), _ = _contract(table, (bottom._nums, 1), right)
+    if not den:
+        return SlopeValue.infinity()
+    return SlopeValue(Fraction(num * bottom._den, den * top._den))

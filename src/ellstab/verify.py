@@ -20,7 +20,7 @@ from math import lcm
 from .asymptotics import ChargeKind, _leading_cross, charge_series, compare_phases
 from .charges import _checked_reduced_parts
 from .curves import OneDimCurve, TiltCurve, _fixed_cycles, constraint_poly
-from .errors import DimensionError, DomainError
+from .errors import ComputationFault, DimensionError, DomainError
 from .fmt import phi
 from .poly import Poly2, reduce_mod_u
 from .ring import (
@@ -28,10 +28,13 @@ from .ring import (
     ChernVector,
     DivisorB,
     DivisorX,
+    _half_canonical_exp,
+    _kept,
     degree,
     divisor_powers,
+    divisor_vector,
+    mul,
     pair_h,
-    twist,
 )
 from .slopes import SlopeKind, slope
 
@@ -48,7 +51,7 @@ def _im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -
 
     _, _, obar2, theta_obar2 = _fixed_cycles(g, c)
     om3_over6 = powers[2] * Fraction(1, 6)
-    tw = twist(g, e, g.half_canonical_bfield())
+    tw = mul(g, _kept(g, _half_canonical_exp), e)  # the twist by the half-canonical field
     obar2_ch1b = degree(g, obar2, tw)
     return lhs * theta_obar2, om3_over6 * obar2_ch1b - u * e.a3(g) * theta_obar2
 
@@ -117,6 +120,12 @@ def threshold_equiv_check(
     mu_e = slope(g, SlopeKind.mu_omega_b(obar, g.half_canonical_bfield()), e)
     if mu_t.is_infinite or mu_e.is_infinite:
         raise DomainError("slopes must be finite under the stated preconditions")
+    # mu_e pairs e with w^2 exp(-B); on e twisted by the kept exp(-B) it is
+    # w^2 . ch1 / ch0 by definition, a guard on the ring's unit products
+    tw = mul(g, _kept(g, _half_canonical_exp), e)
+    om = divisor_vector(g, obar)
+    if degree(g, mul(g, om, om), tw) != mu_e.finite * tw.n:
+        raise ComputationFault("the twisted slope of e disagrees with its definition")
     threshold = 2 * mu_e.finite / (c.alpha * g.hb2)
 
     g_series = charge_series(g, phi(g, t), c, ChargeKind.REDUCED, order)

@@ -7,6 +7,7 @@ import pytest
 
 from ellstab.charges import (
     _full_parts,
+    _reduced_germs,
     _reduced_parts,
     full_charge,
     in_full_half_plane,
@@ -14,11 +15,12 @@ from ellstab.charges import (
     prove_closed_form,
     reduced_charge,
 )
-from ellstab.curves import OneDimCurve, TiltCurve, solve_u
+from ellstab.curves import OneDimCurve, TiltCurve, expand_u, solve_u
 from ellstab.errors import DomainError
 from ellstab.fmt import phi
 from ellstab.poly import Poly2
 from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair
+from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
 from conftest import count_symbolic_products, cv, d
@@ -220,3 +222,67 @@ class TestHeartNecessaryConditions:
             for v in generators:
                 out = full_charge(g, v, om, DivisorX.pullback(dd))
                 assert in_full_half_plane(out) or out.is_zero()
+
+
+def _reference_reduced_germs(h, u, vpar, flat: bool = False) -> tuple:
+    """``charges._reduced_germs`` as written before w = hu + vpar, with its
+    seven products, kept verbatim as its reference."""
+    hu = h * u
+    w = hu + 2 * vpar
+    if flat:
+        return (u * w,), (hu + vpar, u)
+    return (
+        (hu * w + vpar * vpar, u * w),
+        (hu + vpar, u, u * (hu * hu + 3 * hu * vpar + 3 * vpar * vpar)),
+    )
+
+
+def _germ_shape(germs):
+    """Each germ with its type, and its floor if it is a series."""
+    return [[(type(x), x, getattr(x, "trunc", None)) for x in part] for part in germs]
+
+
+class TestReducedGerms:
+    """The germs around w = hu + vpar equal the seven-product form."""
+
+    def test_germs_match_the_reference(self):
+        rng = random.Random(21)
+        vpar = LaurentSeries.monomial(1, 1)
+        series = 0
+        for h in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+            points = [(Poly2.u(), Poly2.v())]
+            points += [(Fraction(rng.randint(1, 9), rng.randint(1, 4)), Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+                       for _ in range(12)]
+            curves = []
+            while len(curves) < 6:
+                a, b = (Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(2))
+                for make in (TiltCurve, OneDimCurve):
+                    try:
+                        curves.append(make(h, a, b))
+                    except Exception:
+                        pass
+            points += [(expand_u(c, order), vpar) for c in curves for order in (4, 8, 16)]
+            for u, v in points:
+                for flat in (False, True):
+                    got, want = _reduced_germs(h, u, v, flat), _reference_reduced_germs(h, u, v, flat)
+                    assert _germ_shape(got) == _germ_shape(want), (h, u, v, flat)
+                    series += isinstance(u, LaurentSeries)
+        assert series >= 5 * 6 * 3 * 2
+
+    def test_a_tilt_germ_build_makes_four_series_products(self, monkeypatch):
+        c = TiltCurve(-1, Fraction(3, 2), Fraction(5, 3))
+        u, vpar = expand_u(c, 8), LaurentSeries.monomial(1, 1)
+        products = []
+        original = LaurentSeries.__mul__
+
+        def counted(self, other):
+            if isinstance(other, LaurentSeries):
+                products.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+        _reduced_germs(c.h, u, vpar)
+        assert len(products) == 4
+        products.clear()
+        _reduced_germs(c.h, u, vpar, flat=True)
+        assert len(products) == 1

@@ -581,6 +581,62 @@ class TestCurveHash:
         assert (info.currsize, info.hits) == (2, 2)
 
 
+def _reference_tilt_fields(h, a, b) -> tuple:
+    """TiltCurve's checks and (alpha, beta) in Fraction arithmetic, as the
+    constructor first wrote them."""
+    if a <= 0 or b <= 0:
+        raise ConfigurationError("tilt curve: a and b must be positive")
+    if h * a + 2 * b <= 0:
+        raise ConfigurationError("tilt curve: requires h*a + 2*b > 0")
+    if h * a + b == 0:
+        raise ConfigurationError("tilt curve: requires h*a + b != 0")
+    return a * (h * a + 2 * b), (h * a + b) ** 2
+
+
+def _reference_onedim_q(h, y, z) -> Fraction:
+    """OneDimCurve's checks and q in Fraction arithmetic."""
+    if y <= 0 or z <= 0:
+        raise ConfigurationError("one-dimensional curve: y and z must be positive")
+    q = h + z / y
+    if q <= 0:
+        raise ConfigurationError("one-dimensional curve: requires h + z/y > 0")
+    return q
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ConfigurationError as e:
+        return str(e)
+
+
+def test_curves_are_built_from_numerators_as_from_fractions():
+    """Fields, hash and error messages of both curves against the Fraction
+    formulas, on random points of which about half are refused."""
+    rng = random.Random(65)
+    built = 0
+    for _ in range(1500):
+        h, a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3))
+        tilt = _outcome(TiltCurve, h, a, b)
+        want = _outcome(_reference_tilt_fields, h, a, b)
+        if isinstance(want, str):
+            assert tilt == want
+        else:
+            assert (tilt.alpha, tilt.beta) == want and hash(tilt) == hash((h, a, b))
+            assert type(tilt.alpha) is Fraction and type(tilt.beta) is Fraction
+            built += 1
+        onedim = _outcome(OneDimCurve, h, a, b)
+        want = _outcome(_reference_onedim_q, h, a, b)
+        if isinstance(want, str):
+            assert onedim == want
+        else:
+            assert onedim.q == want and type(onedim.q) is Fraction and hash(onedim) == hash((h, a, b))
+            built += 1
+    assert 500 < built < 2500
+    assert _outcome(TiltCurve, -1, 1, 1) == "tilt curve: requires h*a + b != 0"
+    assert _outcome(TiltCurve, "-5/2", 1, 1) == "tilt curve: requires h*a + 2*b > 0"
+
+
 def test_rand_tilt_draws_as_the_inline_filter():
     for seed in range(5):
         for h in (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1, 3)):

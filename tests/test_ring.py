@@ -289,6 +289,13 @@ def _row(coords, gram) -> tuple:
     )
 
 
+def _reference_hb_row(g: BaseGeometry) -> tuple:
+    """The row hb * gram of the references, None where no nonzero product
+    reaches an entry (a structural zero); a cancelled entry is the
+    Fraction zero."""
+    return _row(_nonzero(g.hb, True), g.gram)
+
+
 def _plain(coords) -> bool:
     """Whether every coordinate is a Fraction."""
     return all(type(c) is Fraction for c in coords)
@@ -332,8 +339,9 @@ def _reference_mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVe
     # Each pullback part meets the gram matrix once, for both of its
     # pairings; pairings with H use the stored row hb * gram.
     w1, w2 = _row(S1, g.gram), _row(S2, g.gram)
-    he1 = None if x2 is None else _sum_products(zip(g.hb_row, e1))
-    he2 = None if x1 is None else _sum_products(zip(g.hb_row, e2))
+    hb_row = _reference_hb_row(g)
+    he1 = None if x2 is None else _sum_products(zip(hb_row, e1))
+    he2 = None if x1 is None else _sum_products(zip(hb_row, e2))
     a = _sum_products(((n1, a2), (n2, a1), *zip(w1, S2)))
     s = _sum_products(
         (
@@ -973,7 +981,7 @@ def _reference_pair_h(g: BaseGeometry, d: DivisorB):
     """Pairing H.d with the ample class, through the stored row hb * gram."""
     if d.rank != g.rank:
         raise DimensionError("divisor rank does not match geometry rank")
-    return _or_zero(_sum_products(zip(g.hb_row, _nonzero(d.coords, _plain(d.coords)))))
+    return _or_zero(_sum_products(zip(_reference_hb_row(g), _nonzero(d.coords, _plain(d.coords)))))
 
 
 def _reference_twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
@@ -1239,6 +1247,27 @@ class TestOneStorageForm:
                 assert got == pair(g, g.hb_divisor, d)
                 assert type(got) is (Poly2 if g.hb_row[k] else Fraction)
         assert [g.hb_row for g in vanishing] == [(1, 0), (2, 0)]
+
+    def test_the_references_skip_a_structural_zero_of_hb_row(self):
+        """On a lattice whose hb * gram has a structural zero, the references
+        skip it as ``pair_h`` and ``mul`` do: the same value and type."""
+        rng = random.Random(50)
+        for h in (0, -1):
+            g = BaseGeometry(2, [[1, 0], [0, -1]], [1, 0], h)
+            assert g.hb_row == (1, 0) and _reference_hb_row(g) == (1, None)
+            divisors = [DivisorB._raw((Fraction(0), Poly2.u())), DivisorB._raw((Poly2.v(), Poly2.u()))]
+            divisors += [d for v in _every_scalar(rng, 2) for d in (v.S, v.eta)]
+            for d in divisors:
+                got, want = pair_h(g, d), _reference_pair_h(g, d)
+                assert (type(got), got, hash(got)) == (type(want), want, hash(want))
+            assert type(_reference_pair_h(g, divisors[0])) is Fraction
+            theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
+            vs = _every_scalar(rng, 2) + [theta, _from_flat(2, [0, 0, 0, 0, 0, Poly2.u(), 0, 0])]
+            for v1 in vs:
+                for v2 in filter(lambda w: _compatible(v1, w), vs):
+                    _assert_as_reference(g, mul(g, v1, v2), _reference_mul(g, v1, v2))
+            got, want = mul(g, theta, vs[-1]), _reference_mul(g, theta, vs[-1])
+            assert (type(got.s), type(want.s)) == (Fraction, Fraction)
 
     def test_a_truncated_stored_zero_keeps_its_floor_through_mul(self):
         """A series coordinate is never skipped as zero, so the floor of a

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from ellstab import slopes
-from ellstab.charges import _reduced_parts
-from ellstab.errors import ConfigurationError
-from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, compute_m, degree, pair, twist
+from ellstab import ring, slopes
+from ellstab.charges import _reduced_parts, _ring_parts
+from ellstab.errors import ConfigurationError, DimensionError, DomainError
+from ellstab.poly import Poly2
+from ellstab.ring import (BaseGeometry, ChernVector, DivisorB, DivisorX, compute_m, degree, divisor_powers,
+                          divisor_vector, mul, pair, twist)
 from ellstab.slopes import SlopeKind, SlopeTag, SlopeValue, slope
 from ellstab.suites import geometry_for, _rand_vector
 
@@ -172,7 +174,8 @@ class TestDecompositions:
 
 def _reference_slope(g, kind, v):
     """``slope`` as written before its fixed classes were kept on the
-    geometry: each built through the coercing constructor on every call."""
+    geometry: each built through the coercing constructor on every call,
+    and every kind with a field twisting v."""
     tag, hb, z = kind.tag, g.hb_divisor, g.zero_divisor()
 
     def ratio(num, den):
@@ -182,6 +185,13 @@ def _reference_slope(g, kind, v):
         return ratio(degree(g, ChernVector(0, 0, z, z, 1, 0), v), v.n)
     if tag is SlopeTag.MU_THETA_M:
         return ratio(degree(g, ChernVector(0, 0, z, hb, compute_m(g), 0), v), v.n)
+    if tag is SlopeTag.MU_OMEGA_B:
+        tw = twist(g, v, kind.bfield)
+        om = divisor_vector(g, kind.omega)
+        return ratio(degree(g, mul(g, om, om), tw), tw.n)
+    if tag is SlopeTag.NU_OMEGA_B:
+        re, im = _ring_parts(g, twist(g, v, kind.bfield), divisor_powers(g, kind.omega))
+        return ratio(im, 2 * re)
     if tag is SlopeTag.MU_STAR:
         return ratio(v.s, degree(g, ChernVector(0, 0, hb, z, 0, 0), v))
     if tag is SlopeTag.MU_STAR_B:
@@ -191,35 +201,60 @@ def _reference_slope(g, kind, v):
         tw = twist(g, v, DivisorX.pullback(kind.dbar))
         return ratio(tw.s, degree(g, ChernVector(0, kind.omegabar.theta, kind.omegabar.base, z, 0, 0), tw))
     tw = twist(g, v, DivisorX.pullback(kind.d))
+    if tag is SlopeTag.MU_OMEGA_PD:
+        om = divisor_vector(g, kind.omega)
+        return ratio(degree(g, om, tw), degree(g, mul(g, om, om), tw))
     den = degree(g, ChernVector(0, 0, z, hb, 0, 0), tw)
     if tag is SlopeTag.MU_PHB_PD:
         return ratio(degree(g, ChernVector(0, 0, hb, z, 0, 0), tw), den)
     return ratio(degree(g, ChernVector(0, 1, hb.scale(compute_m(g)), z, 0, 0), tw), den)
 
 
+def _every_kind(rng, g):
+    """One kind of each tag, its parameters drawn at random on g."""
+    r = g.rank
+    dd = DivisorB([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)])
+    ob = DivisorX(Fraction(rng.randint(1, 4)), g.hb_divisor.scale(rng.randint(1, 4)))
+    bfield = DivisorX(Fraction(rng.randint(-3, 3), 2), DivisorB([Fraction(rng.randint(-3, 3)) for _ in range(r)]))
+    kinds = (SlopeKind.mu_omega_b(ob, bfield), SlopeKind.nu_omega_b(ob, bfield), SlopeKind.mu_f(),
+             SlopeKind.mu_theta_m(), SlopeKind.mu_star(), SlopeKind.mu_star_b(), SlopeKind.mu_bar(ob, dd),
+             SlopeKind.mu_phb_pd(dd), SlopeKind.mu_theta_mphb_pd(dd), SlopeKind.mu_omega_pd(ob, dd))
+    assert {k.tag for k in kinds} == set(SlopeTag)
+    return kinds
+
+
+_PARAMETERLESS = [tag for tag in SlopeTag if not slopes.SLOPE_PARAMETERS[tag]]
+
+
 class TestFixedClasses:
     """The classes that depend on g alone are numerators kept on g."""
 
     def test_slopes_equal_the_coercing_constructors(self):
+        """Every kind, against the twisting reference, in value and in the
+        type and form of ``finite``: random classes of ranks 1 and 2, the
+        zero class and classes on which a kind's pairings vanish (infinite
+        slopes)."""
         rng = random.Random(15)
+        infinite = 0
         for g in fresh_geometries():
             r = g.rank
-            for _ in range(12):
-                v = _rand_vector(rng, r)
-                dd = DivisorB([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)])
-                ob = DivisorX(Fraction(rng.randint(1, 4)), g.hb_divisor.scale(rng.randint(1, 4)))
-                for kind in (SlopeKind.mu_f(), SlopeKind.mu_theta_m(), SlopeKind.mu_star(), SlopeKind.mu_star_b(),
-                             SlopeKind.mu_bar(ob, dd), SlopeKind.mu_phb_pd(dd), SlopeKind.mu_theta_mphb_pd(dd)):
+            z = DivisorB.zero(r)
+            special = [ChernVector.zero(r), ChernVector(0, 0, z, z, 1, 3), ChernVector(0, 0, z, z, 0, 2),
+                       ChernVector(0, 1, z, z, 0, 0)]
+            for v in special + [_rand_vector(rng, r) for _ in range(30)]:
+                for kind in _every_kind(rng, g):  # fresh parameters for every class
                     got, want = slope(g, kind, v), _reference_slope(g, kind, v)
                     assert (got, type(got.finite)) == (want, type(want.finite)), (g, kind, v)
+                    infinite += got.is_infinite
                     if not got.is_infinite:
                         assert (got.finite.numerator, got.finite.denominator) == (
                             want.finite.numerator, want.finite.denominator)
+        assert infinite
 
     def test_each_is_built_once_per_geometry(self):
         g = BaseGeometry(2, [[2, 1], [1, 3]], [1, 0], Fraction(1, 2))
         v = _rand_vector(random.Random(16), 2)
-        for kind in (SlopeKind.mu_f(), SlopeKind.mu_theta_m(), SlopeKind.mu_star_b(),
+        for kind in (SlopeKind.mu_f(), SlopeKind.mu_theta_m(), SlopeKind.mu_star(), SlopeKind.mu_star_b(),
                      SlopeKind.mu_theta_mphb_pd(DivisorB([1, 2]))):
             slope(g, kind, v)
         kept = {key[0]: value for key, value in g.matrices.items() if key[0] in slopes._FIXED.values()}
@@ -227,9 +262,16 @@ class TestFixedClasses:
         for name, build in slopes._FIXED.items():
             assert slopes._fixed(g, name) is kept[build] == build(g)
         z, hb, m = g.zero_divisor(), g.hb_divisor, compute_m(g)
+        assert slopes._fixed(g, "unit") == ChernVector.unit(2)
+        assert slopes._fixed(g, "point") == ChernVector(0, 0, z, z, 0, 1)
         assert slopes._fixed(g, "theta_phb_m") == ChernVector(0, 0, z, hb, m, 0)
         assert slopes._fixed(g, "theta_m") == ChernVector(0, 1, hb.scale(m), z, 0, 0)
-        assert slopes._fixed(g, "half_canonical_exp") == twist(g, ChernVector.unit(2), g.half_canonical_bfield())
+        exp_half = ring._kept(g, ring._half_canonical_exp)
+        assert exp_half is g.matrices[ring._half_canonical_exp, ()]
+        assert exp_half == twist(g, ChernVector.unit(2), g.half_canonical_bfield())
+        for tag in _PARAMETERLESS:  # their pairs, kept on g
+            build = slopes._PAIRS[tag]
+            assert g.matrices[build, (None,)] == build(g, None)
 
     def test_a_kind_that_needs_no_m_is_untouched_by_a_bad_m(self):
         """m is read only by the kinds that pair with it, as before."""
@@ -238,3 +280,63 @@ class TestFixedClasses:
         assert slope(g, SlopeKind.mu_star(), v) == _reference_slope(g, SlopeKind.mu_star(), v)
         with pytest.raises(ConfigurationError):
             slope(g, SlopeKind.mu_theta_m(), v)
+
+
+class TestTwoPointPairings:
+    """Each kind is two point pairings with classes built once per (g, kind)."""
+
+    def test_a_parameterized_kind_builds_its_classes_once(self, monkeypatch):
+        rng = random.Random(17)
+        g = BaseGeometry(2, [[2, 1], [1, 3]], [1, 0], Fraction(1, 2))
+        v, w = _rand_vector(rng, 2), _rand_vector(rng, 2)
+        products = []
+        original = slopes.mul
+        monkeypatch.setattr(slopes, "mul", lambda *args: products.append(1) or original(*args))
+        for kind in _every_kind(rng, g):
+            if kind.tag in _PARAMETERLESS:
+                continue
+            products.clear()
+            first = slope(g, kind, v)
+            assert products, kind.tag
+            products.clear()
+            assert (slope(g, kind, w), slope(g, kind, v)) == (_reference_slope(g, kind, w), first)
+            assert products == [], kind.tag
+            assert list(kind._classes) == [g]
+
+    def test_a_parameterless_kind_runs_no_mul_after_its_first_use(self, monkeypatch):
+        rng = random.Random(18)
+        g = BaseGeometry(2, [[2, 1], [1, 3]], [1, 0], Fraction(-1))
+        cases = [(SlopeKind(tag), _rand_vector(rng, 2)) for tag in _PARAMETERLESS for _ in range(3)]
+        want = [_reference_slope(g, kind, v) for kind, v in cases]
+        for tag in _PARAMETERLESS:
+            slope(g, SlopeKind(tag), _rand_vector(rng, 2))
+
+        def refuse(*args):
+            raise AssertionError("a parameterless kind multiplied after its first use")
+
+        monkeypatch.setattr(ring, "mul", refuse)
+        monkeypatch.setattr(slopes, "mul", refuse)
+        assert [slope(g, kind, v) for kind, v in cases] == want
+
+    def test_no_slope_twists(self, monkeypatch):
+        rng = random.Random(19)
+        g = BaseGeometry(1, [[1]], [1], Fraction(-1))
+        kinds = _every_kind(rng, g)
+        vs = [_rand_vector(rng, 1) for _ in range(4)]
+        want = [_reference_slope(g, kind, v) for kind in kinds for v in vs]
+
+        def refuse(*args):
+            raise AssertionError("a slope twisted a class")
+
+        monkeypatch.setattr(ring, "twist", refuse)
+        assert [slope(g, kind, v) for kind in kinds for v in vs] == want
+
+    def test_a_class_that_is_not_rational_is_refused(self):
+        g = BaseGeometry(1, [[1]], [1], Fraction(-1))
+        z = DivisorB._raw((Poly2(),))
+        v = ChernVector(Poly2.u(), 0, z, z, 0, 0)
+        for kind in _every_kind(random.Random(20), g):
+            with pytest.raises(DomainError, match="rational class"):
+                slope(g, kind, v)
+        with pytest.raises(DimensionError):
+            slope(g, SlopeKind.mu_f(), ChernVector.unit(2))

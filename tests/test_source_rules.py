@@ -398,3 +398,21 @@ def test_the_sentinel_and_remainder_rules_see_their_forms():
                      "r = poly._primitive(p)\n"
                      "s = sign_at_root(q, p, u)\n")
     assert sorted(set(_named(tree, _HAND_REMAINDERS))) == [3, 5]
+
+
+def test_no_slope_names_twist():
+    """A slope kind's exp(-B) goes on its fixed classes, so ``slopes`` never
+    twists a class (by the name ``twist`` or ``ring.twist``)."""
+    assert _sites(lambda tree: _named(tree, {"twist"}), {"slopes.py"}) == []
+
+
+def test_the_twist_rule_sees_imports_calls_and_attributes():
+    tree = ast.parse("from .ring import (\n"
+                     "    mul,\n"
+                     "    twist,\n"
+                     ")\n"
+                     "tw = ring.twist(g, v, B)\n"
+                     "e = _exp_minus(g, B)\n"
+                     "def twist(g, v, B): pass\n"
+                     "twisted = mul(g, f, e)\n")
+    assert sorted(set(_named(tree, {"twist"}))) == [3, 5, 7]

@@ -12,9 +12,10 @@ import pytest
 from ellstab import asymptotics, charges, curves, ring, suites, verify
 from ellstab.asymptotics import AsymptoticCharge, ChargeKind
 from ellstab.curves import OneDimCurve, TiltCurve
-from ellstab.errors import DimensionError, DomainError
+from ellstab.errors import ComputationFault, DimensionError, DomainError
 from ellstab.ring import BaseGeometry, ChernVector
 from ellstab.series import LaurentSeries
+from ellstab.slopes import SlopeTag, SlopeValue
 from ellstab.suites import geometry_for, _rand_tilt, _rand_vector
 from ellstab.verify import (
     h0_independence_check,
@@ -147,6 +148,22 @@ class TestThreshold:
             assert x.degree() is None or x.degree() <= 1
             _, lead, _ = asymptotics._leading_cross(m, n)
             assert (lead is None or lead < 1) == (x.coefficient(1) == 0)
+
+    def test_a_twisted_slope_off_its_definition_is_a_fault(self, g1, monkeypatch):
+        """mu_{omega,B}(e) is checked against omega^2 . ch1 / ch0 of e twisted
+        by exp(-B): a slope that disagrees raises ``ComputationFault``."""
+        c = TiltCurve(-1, 1, 2)
+        t = cv(0, 0, d(0), d(1), 0, 0)
+        e = cv(2, 1, d(0), d(0), 0, 0)
+        original = verify.slope
+
+        def off(g, kind, v):
+            value = original(g, kind, v)
+            return SlopeValue(value.finite + 1) if kind.tag is SlopeTag.MU_OMEGA_B else value
+
+        monkeypatch.setattr(verify, "slope", off)
+        with pytest.raises(ComputationFault, match="definition"):
+            threshold_equiv_check(g1, t, e, c)
 
     def test_preconditions(self, g1):
         c = TiltCurve(-1, 1, 2)
