@@ -27,7 +27,7 @@ from . import charges as charges_mod
 from .curves import CurveConstraint, admissible_bracket, expand_u
 from .errors import ComputationFault, ConfigurationError, DimensionError, DomainError
 from .poly import Poly2, RootInterval, monomial_table, sign_at_root
-from .ring import BaseGeometry, ChernVector, DivisorB, _contract, _kept, _over_common_denominator
+from .ring import BaseGeometry, ChernVector, DivisorB, _contract, _kept, _over_common_denominator, _q
 from .series import LaurentSeries, _product_floor
 
 
@@ -126,6 +126,8 @@ def charge_series(
 def _checked_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: ChargeKind, d) -> tuple:
     """``charge_series``'s checks, with no germ built; the class numerators
     and the coordinates of d (none for the reduced kind)."""
+    if not isinstance(kind, ChargeKind):
+        raise DomainError(f"unknown charge kind {kind}")
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
     nums, full = v._nums, kind is ChargeKind.FULL
@@ -164,8 +166,6 @@ def _charge_table(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int, int]:
 def _charge_germs(c: CurveConstraint, order: int, kind: ChargeKind) -> tuple:
     """The class-independent germs of a charge kind at (u(v), v) on the curve."""
     u, vv = expand_u(c, order), LaurentSeries.monomial(1, 1)
-    if not isinstance(kind, ChargeKind):
-        raise DomainError(f"unknown charge kind {kind}")
     return charges_mod._reduced_germs(c.h, u, vv, kind is ChargeKind.FULL)
 
 
@@ -380,9 +380,10 @@ def wall_scan(
     ``precision``.  Zero samples between opposite signs are one wall, from
     the first to the last of them.  A cross value that vanishes at every
     sample is reported as degenerate with no walls rather than as a wall
-    everywhere.
+    everywhere.  The range ends and ``precision`` are exact scalars; a
+    float raises ``TypeError`` (``ring._q``).
     """
-    lo, hi = Fraction(vrange[0]), Fraction(vrange[1])
+    lo, hi, precision = _q(vrange[0]), _q(vrange[1]), _q(precision)
     if not (0 < lo < hi):
         raise DomainError("wall scan requires 0 < vmin < vmax")
     if samples < 2:

@@ -47,12 +47,6 @@ class ChargeValue:
     re: Fraction
     im: Fraction
 
-    def __add__(self, other: "ChargeValue") -> "ChargeValue":
-        return ChargeValue(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> "ChargeValue":
-        return ChargeValue(-self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

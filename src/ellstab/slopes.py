@@ -98,40 +98,12 @@ class SlopeKind:
         return cls(SlopeTag.MU_OMEGA_B, omega=omega, bfield=bfield)
 
     @classmethod
-    def nu_omega_b(cls, omega: DivisorX, bfield: DivisorX) -> "SlopeKind":
-        return cls(SlopeTag.NU_OMEGA_B, omega=omega, bfield=bfield)
-
-    @classmethod
-    def mu_f(cls) -> "SlopeKind":
-        return cls(SlopeTag.MU_F)
-
-    @classmethod
-    def mu_theta_m(cls) -> "SlopeKind":
-        return cls(SlopeTag.MU_THETA_M)
-
-    @classmethod
-    def mu_star(cls) -> "SlopeKind":
-        return cls(SlopeTag.MU_STAR)
-
-    @classmethod
     def mu_star_b(cls) -> "SlopeKind":
         return cls(SlopeTag.MU_STAR_B)
 
     @classmethod
     def mu_bar(cls, omegabar: DivisorX, dbar: DivisorB) -> "SlopeKind":
         return cls(SlopeTag.MU_BAR, omegabar=omegabar, dbar=dbar)
-
-    @classmethod
-    def mu_phb_pd(cls, d: DivisorB) -> "SlopeKind":
-        return cls(SlopeTag.MU_PHB_PD, d=d)
-
-    @classmethod
-    def mu_theta_mphb_pd(cls, d: DivisorB) -> "SlopeKind":
-        return cls(SlopeTag.MU_THETA_MPHB_PD, d=d)
-
-    @classmethod
-    def mu_omega_pd(cls, omega: DivisorX, d: DivisorB) -> "SlopeKind":
-        return cls(SlopeTag.MU_OMEGA_PD, omega=omega, d=d)
 
 
 @total_ordering
@@ -140,10 +112,6 @@ class SlopeValue:
     """An exact rational slope or +infinity (finite is None)."""
 
     finite: Fraction | None
-
-    @classmethod
-    def of(cls, value) -> "SlopeValue":
-        return cls(Fraction(value))
 
     @classmethod
     def infinity(cls) -> "SlopeValue":

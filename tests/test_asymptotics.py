@@ -166,6 +166,27 @@ class TestChargeSeries:
         assert ac.re.terms == ((2, Fraction(1, 2)),)
         assert ac.im.is_stored_zero()
 
+    def test_a_fractional_order_is_refused(self, g1):
+        """It used to truncate u(v) and cache the germs under the key 8.5."""
+        v, c = cv(1, 0, d(0), d(1), 0, 0), TiltCurve(-1, 1, 2)
+        with pytest.raises(CurveDomainError, match="whole number"):
+            charge_series(g1, v, c, ChargeKind.REDUCED, Fraction(17, 2))
+        with pytest.raises(TypeError):
+            charge_series(g1, v, c, ChargeKind.REDUCED, 8.5)
+
+    def test_the_kind_is_checked_before_any_expansion(self, g1, monkeypatch):
+        """A kind that is not a ``ChargeKind`` raises before u(v) is
+        expanded; ``compare_vectors`` on equal classes used to return
+        EXACT_EQUAL for it."""
+        expanded = []
+        monkeypatch.setattr(asymptotics, "expand_u", lambda c, order: expanded.append(order))
+        v, c = cv(0, 0, d(0), d(1), 2, 0), OneDimCurve(-1, 1, 3)
+        for call in (lambda: charge_series(g1, v, c, "full", 11),
+                     lambda: compare_vectors(g1, v, v, c, "full", 11)):
+            with pytest.raises(DomainError, match="unknown charge kind full"):
+                call()
+        assert expanded == []
+
     def test_full_fiber_vector(self, g0):
         c = OneDimCurve(0, 1, 1)
         v = cv(0, 0, d(0), d(0), 3, 5)
@@ -759,6 +780,17 @@ class TestWallScan:
             for precision in (Fraction(0), Fraction(-1, 2**16)):
                 with pytest.raises(DomainError, match="precision must be positive"):
                     wall_scan(g1, m, n, c, ChargeKind.REDUCED, (Fraction(1, 2), 5), precision)
+
+    def test_floats_are_refused(self, g1):
+        """The range ends and the precision used to be compared as given, a
+        float precision against the Fraction grid."""
+        m, n, c = cv(1, 0, d(0), d(1), 0, 0), cv(0, 1, d(1), d(0), 1, 0), TiltCurve(-1, 1, 2)
+        for vrange, precision in (((Fraction(1, 2), 5), 0.001), ((0.5, 5), Fraction(1, 2**10)),
+                                  ((Fraction(1, 2), 5.0), Fraction(1, 2**10))):
+            with pytest.raises(TypeError, match="float"):
+                wall_scan(g1, m, n, c, ChargeKind.REDUCED, vrange, precision, samples=4)
+        exact = wall_scan(g1, m, n, c, ChargeKind.REDUCED, (Fraction(1, 2), 5), Fraction(1, 2**10), samples=4)
+        assert wall_scan(g1, m, n, c, ChargeKind.REDUCED, ("1/2", 5), "1/1024", samples=4) == exact
 
     def test_no_crossing(self, g0):
         c0 = OneDimCurve(0, 1, 1)

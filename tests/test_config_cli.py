@@ -375,9 +375,9 @@ d2 = DivisorB([2])
 
 # per slope kind: its CLI flags and the same kind built through the library
 SLOPE_CASES = {
-    SlopeTag.MU_F: ([], lambda g: SlopeKind.mu_f()),
-    SlopeTag.MU_THETA_M: ([], lambda g: SlopeKind.mu_theta_m()),
-    SlopeTag.MU_STAR: ([], lambda g: SlopeKind.mu_star()),
+    SlopeTag.MU_F: ([], lambda g: SlopeKind(SlopeTag.MU_F)),
+    SlopeTag.MU_THETA_M: ([], lambda g: SlopeKind(SlopeTag.MU_THETA_M)),
+    SlopeTag.MU_STAR: ([], lambda g: SlopeKind(SlopeTag.MU_STAR)),
     SlopeTag.MU_STAR_B: ([], lambda g: SlopeKind.mu_star_b()),
     SlopeTag.MU_OMEGA_B: (
         ["--u", "1/2", "--v", "3", "--b-theta", "1/3", "--b-base", "[2]"],
@@ -385,17 +385,19 @@ SLOPE_CASES = {
     ),
     SlopeTag.NU_OMEGA_B: (
         ["--u", "1/2", "--v", "3", "--b-theta", "1/3", "--b-base", "[2]"],
-        lambda g: SlopeKind.nu_omega_b(_x(g, Fraction(1, 2), 3), DivisorX(Fraction(1, 3), d2)),
+        lambda g: SlopeKind(
+            SlopeTag.NU_OMEGA_B, omega=_x(g, Fraction(1, 2), 3), bfield=DivisorX(Fraction(1, 3), d2)
+        ),
     ),
     SlopeTag.MU_BAR: (
         ["--y", "2", "--z", "3", "--dbar", "[2]"],
         lambda g: SlopeKind.mu_bar(_x(g, 2, 3), d2),
     ),
-    SlopeTag.MU_PHB_PD: (["--d", "[2]"], lambda g: SlopeKind.mu_phb_pd(d2)),
-    SlopeTag.MU_THETA_MPHB_PD: (["--d", "[2]"], lambda g: SlopeKind.mu_theta_mphb_pd(d2)),
+    SlopeTag.MU_PHB_PD: (["--d", "[2]"], lambda g: SlopeKind(SlopeTag.MU_PHB_PD, d=d2)),
+    SlopeTag.MU_THETA_MPHB_PD: (["--d", "[2]"], lambda g: SlopeKind(SlopeTag.MU_THETA_MPHB_PD, d=d2)),
     SlopeTag.MU_OMEGA_PD: (
         ["--u", "1", "--v", "2", "--d", "[2]"],
-        lambda g: SlopeKind.mu_omega_pd(_x(g, 1, 2), d2),
+        lambda g: SlopeKind(SlopeTag.MU_OMEGA_PD, omega=_x(g, 1, 2), d=d2),
     ),
 }
 

@@ -282,6 +282,21 @@ class TestExpandU:
             want = (2, c.alpha / 2) if isinstance(c, TiltCurve) else (1, 1)
             assert _reference_eval(dpoly, u0).leading() == want, c
 
+    def test_order_is_a_whole_number(self):
+        """A fractional order used to be truncated silently (2.5 and 7/2 gave
+        floors -2 and -3); a float is refused as a float precision is."""
+        c = TiltCurve(-1, 1, 2)
+        for order in (Fraction(5, 2), Fraction(7, 2), "7/2", Fraction(1, 2), 0):
+            with pytest.raises(CurveDomainError):
+                expand_u(c, order)
+        for order in (2.5, 8.0):
+            with pytest.raises(TypeError):
+                expand_u(c, order)
+        want = expand_u(c, 8)
+        for order in (Fraction(8), Fraction(16, 2), "8"):
+            got = expand_u(c, order)
+            assert (got, got.trunc) == (want, -8)
+
     def test_onedim_example(self):
         series = expand_u(OneDimCurve(-1, 1, 2), 8)
         assert series.coefficient(-1) == 1

@@ -416,3 +416,75 @@ def test_the_twist_rule_sees_imports_calls_and_attributes():
                      "def twist(g, v, B): pass\n"
                      "twisted = mul(g, f, e)\n")
     assert sorted(set(_named(tree, {"twist"}))) == [3, 5, 7]
+
+
+# Every module-level functools memo in src, with the reuse it serves.  Hit/miss
+# counts are from perfbench's three workloads at seed 1, one run of each
+# workload's passes, read before each ``fresh_unit`` clear.
+_MEMOS = {
+    # 201/31 on ring-identities, 727/455 on germ-verdicts: one germ per
+    # (curve, order, kind), and the one place an expansion of u(v) is reused
+    ("asymptotics.py", "_charge_germs"),
+    # 48/12 on ring-identities, 40/8 on curve-queries
+    ("curves.py", "constraint_poly"),
+    # 212/52 on ring-identities, 41/51 on curve-queries
+    ("curves.py", "_fixed_cycles"),
+    # no benchmark hit (0/12), but a second algebraic chow check on one curve
+    # takes 124 us with it and 486 us without it
+    ("curves.py", "_symbolic_difference_parts"),
+    # 208/56 on ring-identities
+    ("verify.py", "_polarization_powers"),
+    # 557/43 on germ-verdicts, 6/8 on curve-queries
+    ("suites.py", "_geometry"),
+    # no hit in any workload (below the germ cache, and ``_kept`` keeps the
+    # slope classes built from m); both stay only because the benchmark's
+    # self-test ``test_fresh_unit_empties_package_caches`` reads their
+    # ``cache_info`` by name, and go with the next change to the benchmark
+    ("curves.py", "_expand_u_cached"),
+    ("ring.py", "compute_m"),
+}
+
+
+def _functools_memos(tree):
+    """(line, name) of each module-level function decorated by ``lru_cache``,
+    ``lru_cache(...)``, ``cache`` or their ``functools.`` forms."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "id", getattr(target, "attr", None))
+                if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) != "functools":
+                    continue
+                if name in ("lru_cache", "cache"):
+                    yield node.lineno, node.name
+
+
+def test_every_memo_is_listed_with_its_reuse():
+    """A memo beside ``ring._kept`` or inside another cache is a second way
+    of keeping a value; a new one is listed in ``_MEMOS`` with the reuse it
+    serves."""
+    files = sorted(SRC.glob("*.py"))
+    found = {(path.name, name) for path in files for _, name in _functools_memos(ast.parse(path.read_text()))}
+    assert found == _MEMOS
+
+
+def test_the_memo_rule_sees_every_decorator_form():
+    tree = ast.parse("@lru_cache\n"
+                     "def a(x): pass\n"
+                     "@lru_cache(maxsize=None)\n"
+                     "def b(x): pass\n"
+                     "@functools.lru_cache(maxsize=None, typed=True)\n"
+                     "def c(x): pass\n"
+                     "@cache\n"
+                     "def d(x): pass\n"
+                     "@functools.cache\n"
+                     "def e(x): pass\n"
+                     "@cached_property\n"
+                     "def f(self): pass\n"
+                     "@total_ordering\n"
+                     "class G:\n"
+                     "    @functools.cached_property\n"
+                     "    def h(self): pass\n"
+                     "@self.cache\n"
+                     "def i(x): pass\n")
+    assert list(_functools_memos(tree)) == [(2, "a"), (4, "b"), (6, "c"), (8, "d"), (10, "e")]
