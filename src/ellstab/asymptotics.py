@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import charges as charges_mod
-from .curves import CurveConstraint, admissible_bracket, expand_u
+from .curves import CurveConstraint, _whole_order, admissible_bracket, expand_u
 from .errors import ComputationFault, ConfigurationError, DimensionError, DomainError
 from .poly import Poly2, RootInterval, monomial_table, sign_at_root
 from .ring import BaseGeometry, ChernVector, DivisorB, _contract, _kept, _over_common_denominator, _q
@@ -110,9 +110,11 @@ def charge_series(
     the germs in one integer pass; germs and truncation floors are those
     the chained series arithmetic gives.  The full kind raises
     ``DomainError`` unless the class is fiber-degree-trivial (n = x = 0).
+    ``order`` is made an int by ``curves._whole_order`` before the germ
+    cache is read.
     """
     nums, ds = _checked_class(g, v, c, kind, d)
-    germs = _charge_germs(c, order, kind)
+    germs = _charge_germs(c, _whole_order(order), kind)
     dnums, dden = _over_common_denominator(ds)
     coeffs, den = _contract(_kept(g, _charge_table, kind), (nums, v._den), ((dden, *dnums), dden))
     split = 1 + len(germs[0])
@@ -126,8 +128,7 @@ def charge_series(
 def _checked_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: ChargeKind, d) -> tuple:
     """``charge_series``'s checks, with no germ built; the class numerators
     and the coordinates of d (none for the reduced kind)."""
-    if not isinstance(kind, ChargeKind):
-        raise DomainError(f"unknown charge kind {kind}")
+    _check_kind(kind)
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
     nums, full = v._nums, kind is ChargeKind.FULL
@@ -139,6 +140,11 @@ def _checked_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: Ch
     if v.rank_lattice != g.rank or len(ds) != (g.rank if full else 0):
         raise DimensionError("divisor rank does not match geometry rank")
     return nums, ds
+
+
+def _check_kind(kind) -> None:
+    if not isinstance(kind, ChargeKind):
+        raise DomainError(f"unknown charge kind {kind}")
 
 
 def _charge_table(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int, int]:
@@ -296,6 +302,7 @@ def compare_vectors(
     """Compare two vectors along a curve, escalating the order once if the
     cross series vanishes through the first truncation floor.  Identical
     vectors that pass ``charge_series``'s checks are exactly equal at once."""
+    order = _whole_order(order)
     if m == n:
         _checked_class(g, m, c, kind, d)
         return PhaseOrder(OrderKind.EXACT_EQUAL)
@@ -318,6 +325,7 @@ def _cross_poly(
     Both charges are closed forms at symbolic (u, v): the reduced one, or the
     full one with B = pull(d), d = 0 by default, for any class.  Their ring
     guard is proved once per geometry (``charges.prove_closed_form``)."""
+    _check_kind(kind)
     charges_mod.prove_closed_form(g)
     usym, vsym = Poly2.u(), Poly2.v()
     if kind is ChargeKind.REDUCED:

@@ -243,21 +243,23 @@ def expand_u(c: CurveConstraint, order: int) -> LaurentSeries:
     exponent m <= -1, w^3 - v^3 would have its lowest term at v^(3m) and
     (6h beta/alpha) w its lowest at v^m.
 
-    ``order`` is a whole number at least 1, of any exact type; a float
-    raises ``TypeError`` (``ring._q``), any other value
-    ``CurveDomainError``.  The germ cache ``asymptotics._charge_germs`` is
-    where an expansion is reused; ``_expand_u_cached`` below it never hits
-    on the benchmark and stays only because perfbench's cache-clearing
-    self-test reads it by name.
+    ``order`` is checked by ``_whole_order``.  The germ cache
+    ``asymptotics._charge_germs`` is where an expansion is reused.
     """
-    if type(order) is not int:  # an int is taken as it is, with no Fraction built
-        order = _q(order)
-        if order != int(order):
-            raise CurveDomainError(f"expansion order must be a whole number, not {order}")
-        order = int(order)
+    return _expand_u_cached(c, _whole_order(order))
+
+
+def _whole_order(order) -> int:
+    """A series order as an int: a whole number at least 1 of any exact
+    type; a float raises ``TypeError`` (``ring._q``), any other value
+    ``CurveDomainError``.  An int is checked as it is, so that a cold
+    expansion builds no ``Fraction``."""
+    order = order if type(order) is int else _q(order)
     if order < 1:
         raise CurveDomainError("expansion order must be at least 1")
-    return _expand_u_cached(c, order)
+    if order.denominator != 1:
+        raise CurveDomainError(f"expansion order must be a whole number, not {order}")
+    return order.numerator
 
 
 @lru_cache(maxsize=None)

@@ -651,10 +651,6 @@ def compute_m(g: BaseGeometry) -> Fraction:
 
     For k >= m the class Theta*pull(H) + k*f pairs nonnegatively with every
     effective divisor, which makes the section-slope function well behaved.
-    Its callers in ``slopes`` keep the classes built from m on the geometry
-    (``_kept``), so the ``lru_cache`` here serves no reuse of its own; it
-    stays only because perfbench's cache-clearing self-test reads it by
-    name.
     """
     m = g.m0 * g.m0 * g.hb2 / (g.h + 2 * g.m0)
     if m <= 0:

@@ -174,6 +174,23 @@ class TestChargeSeries:
         with pytest.raises(TypeError):
             charge_series(g1, v, c, ChargeKind.REDUCED, 8.5)
 
+    def test_the_order_is_an_int_before_the_germ_cache_is_read(self, g1, monkeypatch):
+        """8.0 and 8 are one cache key, so a float order used to be refused
+        only while the cache was cold; a string order reached the cache as
+        it was, and ``compare_vectors`` escalated "8" to "88"."""
+        v, c = cv(1, 0, d(0), d(1), 0, 0), TiltCurve(-1, 1, 2)
+        charge_series(g1, v, c, ChargeKind.REDUCED, 8)
+        with pytest.raises(TypeError):
+            charge_series(g1, v, c, ChargeKind.REDUCED, 8.0)
+        orders, germs = [], asymptotics._charge_germs
+        monkeypatch.setattr(asymptotics, "_charge_germs",
+                            lambda c, order, kind: orders.append(order) or germs(c, order, kind))
+        m, n = cv(-1, -1, d(-1), d(-1), -1, -1), cv(-1, -1, d(-1), d(-1), -1, 0)  # equal through order 8
+        want = compare_vectors(g1, m, n, c, ChargeKind.REDUCED, 8)
+        assert compare_vectors(g1, m, n, c, ChargeKind.REDUCED, "8") == want
+        assert orders == [8, 8, 16, 16] * 2
+        assert {type(order) for order in orders} == {int}
+
     def test_the_kind_is_checked_before_any_expansion(self, g1, monkeypatch):
         """A kind that is not a ``ChargeKind`` raises before u(v) is
         expanded; ``compare_vectors`` on equal classes used to return
@@ -986,6 +1003,17 @@ class TestCrossSignExact:
         for vpar in (Fraction(3), Fraction(7, 2), Fraction(40)):
             assert not solve_u(c, vpar, Fraction(1, 2**64)).exact
             assert cross_sign_at(g, m, m.scale(-3), c, ChargeKind.REDUCED, vpar) == 0
+
+
+    def test_a_kind_that_is_not_a_charge_kind_is_refused(self, g1):
+        """Every kind but ``ChargeKind.REDUCED`` used to be taken as the full
+        charge, so "reduced" gave the full charge's sign."""
+        m, n, c = cv(1, 0, d(0), d(1), 0, 0), cv(0, 1, d(1), d(0), 1, 0), TiltCurve(-1, 1, 2)
+        for kind in ("reduced", "bogus"):
+            with pytest.raises(DomainError, match=f"unknown charge kind {kind}"):
+                cross_sign_at(g1, m, n, c, kind, Fraction(3))
+            with pytest.raises(DomainError, match=f"unknown charge kind {kind}"):
+                wall_scan(g1, m, n, c, kind, (Fraction(1, 2), 5), samples=4)
 
 
 def test_cross_sign_builds_no_fraction_but_the_bracket_end(monkeypatch):
