@@ -12,6 +12,12 @@ sign equals the sign of sin(pi (phi_N - phi_M)) pointwise, so a positive
 lead means M eventually has the smaller phase.  A cross series with no
 stored coefficients is reported as equal-through-order unless the data is
 exact, in which case the germs are genuinely proportional as stored.
+Two classes are compared without germs first: their cross is the sum of
+m_k G_i H_j over the products of the kind's germs (1 included), with m_k
+the integer 2 x 2 minors of their coefficients, so it is read top down off
+one cross table per (curve, kind), whose rows are the products'
+coefficients from the closed form of u, down to a cutoff never below the
+germs' floor; a cross that vanishes there goes to the germs.
 At finite parameters the cross value is a polynomial in (u, v), from the
 same closed forms, whose sign at each curve point is exact, zero included.
 """
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import charges as charges_mod
 from .curves import CurveConstraint, _whole_order, admissible_bracket, expand_u
@@ -113,10 +120,8 @@ def charge_series(
     ``order`` is made an int by ``curves._whole_order`` before the germ
     cache is read.
     """
-    nums, ds = _checked_class(g, v, c, kind, d)
+    coeffs, den = _class_coefficients(g, v, c, kind, d)
     germs = _charge_germs(c, _whole_order(order), kind)
-    dnums, dden = _over_common_denominator(ds)
-    coeffs, den = _contract(_kept(g, _charge_table, kind), (nums, v._den), ((dden, *dnums), dden))
     split = 1 + len(germs[0])
     re, im = (
         LaurentSeries._combination(part[0], zip(part[1:], part_germs), den)
@@ -140,6 +145,15 @@ def _checked_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: Ch
     if v.rank_lattice != g.rank or len(ds) != (g.rank if full else 0):
         raise DimensionError("divisor rank does not match geometry rank")
     return nums, ds
+
+
+def _class_coefficients(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: ChargeKind, d) -> tuple:
+    """``_checked_class``, then the kind's coefficients of v (re constant
+    and coefficients, then im's), the table ``_charge_table`` applied by
+    ``ring._contract`` to the class and (1, d): (integers, den)."""
+    nums, ds = _checked_class(g, v, c, kind, d)
+    dnums, dden = _over_common_denominator(ds)
+    return _contract(_kept(g, _charge_table, kind), (nums, v._den), ((dden, *dnums), dden))
 
 
 def _check_kind(kind) -> None:
@@ -290,6 +304,166 @@ def _leading_cross(acm: AsymptoticCharge, acn: AsymptoticCharge) -> tuple:
     return 0, None, floor
 
 
+def _cross_products(g: BaseGeometry, kind: ChargeKind) -> tuple:
+    """What a kind's cross tables need of g alone, kept by ``ring._kept``.
+
+    The products G_i H_j of the kind's germs (``charges._reduced_germs`` at
+    ``Poly2`` symbols, 1 first in both lists; product k = i len(H) + j), as
+    their terms (b - a, a, k, n) for n u^a v^b over one den > 0, by the
+    parity of b - a and then by descending b - a; the ``ring._contract``
+    table of the minors m_k = re_i(M) im_j(N) - im_j(M) re_i(N) of two
+    classes' coefficients (``_class_coefficients``), so that the cross of
+    M and N is the sum of m_k G_i H_j over their dens; and the largest and
+    smallest b - a of each product."""
+    re, im = charges_mod._reduced_germs(g.h, Poly2.u(), Poly2.v(), kind is ChargeKind.FULL)
+    values = [Poly2._ints({(0, 0): 1}, 1), *im]
+    for x in re:
+        values += [x, *(x * y for y in im)]
+    den = lcm(*(x._den for x in values))
+    terms = sorted(((b - a, a, k, n * (den // x._den)) for k, x in enumerate(values)
+                    for (a, b), n in x._nums.items()), reverse=True)
+    split, size = 1 + len(re), 1 + len(im)
+    minors = [[(split + j, i * size + j, 1) for j in range(size)] for i in range(split)]
+    minors += [[(i, i * size + j, -1) for i in range(split)] for j in range(size)]
+    spans = [[t[0] for t in terms if t[2] == k] for k in range(len(values))]
+    by_parity = ([t for t in terms if t[0] % 2 == 0], [t for t in terms if t[0] % 2])
+    return by_parity, (minors, 1, len(values)), [(x[0], x[-1]) for x in spans]
+
+
+class _CrossTable:
+    """The v^e coefficients of a kind's products G_i H_j along one curve,
+    built as they are read.
+
+    ``top`` is the largest exponent of any product, ``largest`` the largest
+    power A of u in one.  ``row(e, ks)`` is every product's v^e coefficient
+    at (u(v), v), as integers over one positive denominator (so a cross
+    coefficient is the sum of m_k times entry k, up to a positive factor),
+    with the entries of products ks known.  With u = U(v^-2)/v, the term
+    n u^a v^b gives n [x^t] U^a at t = (b - a - e)/2; U's coefficients are
+    the numerators of ``expand_u`` over its den D, ``powers[a]`` holds
+    U^a D^(A - a) through the known depth, and an entry that needs a
+    deeper one is None until a row asks for it, when ``expand_u`` is
+    called at the depth the asked entries need and the row is rebuilt.  At
+    h = 0, U is the exact constant u1, so every entry is exact."""
+
+    def __init__(self, c: CurveConstraint, kept: tuple):
+        self.c = c
+        self.terms, self.minors, extents = kept
+        self.top = max(x[0] for x in extents)
+        self.largest = max(t[1] for part in self.terms for t in part)
+        self.exact = c.h == 0
+        self.rows: dict[int, list] = {}
+        self.depth = 0
+
+    def _expand(self, depth: int) -> None:
+        u = expand_u(self.c, 2 * depth - 1)
+        coeffs = [0] * depth
+        for e, n in u._nums:
+            coeffs[(-1 - e) // 2] = n
+        powers, A = [coeffs], self.largest
+        for _ in range(A - 1):
+            last = powers[-1]
+            powers.append([sum(last[i] * coeffs[t - i] for i in range(t + 1)) for t in range(depth)])
+        self.powers = [[u._den**A]] + [[x * u._den ** (A - a) for x in p] for a, p in enumerate(powers, 1)]
+        self.depth = depth
+
+    def row(self, e: int, ks: list[int]) -> list:
+        out = self.rows.get(e)
+        if out is None or any(out[k] is None for k in ks):
+            terms = self.terms[e % 2]
+            depth = 1 if self.exact else max(
+                ((s - e) // 2 + 1 for s, a, k, _ in terms if a and s >= e and k in ks), default=1)
+            if depth > self.depth:
+                self._expand(depth)
+            out, unknown = [0] * self.minors[2], []
+            for s, a, k, n in terms:
+                if s < e:
+                    break  # terms are held by descending b - a
+                pw, t = self.powers[a], (s - e) // 2
+                if t < len(pw):
+                    out[k] += n * pw[t]
+                elif a and not self.exact:
+                    unknown.append(k)
+            for k in unknown:
+                out[k] = None
+            self.rows[e] = out
+        return out
+
+
+@lru_cache(maxsize=None)
+def _cross_table(g: BaseGeometry, c: CurveConstraint, kind: ChargeKind) -> _CrossTable:
+    """The cross table of (curve, kind), on the products kept on g."""
+    return _CrossTable(c, _kept(g, _cross_products, kind))
+
+
+def _cross_coefficients(
+    g: BaseGeometry,
+    m: ChernVector,
+    n: ChernVector,
+    c: CurveConstraint,
+    kind: ChargeKind,
+    order: int = 8,
+    d: DivisorB | None = None,
+):
+    """The coefficients of the cross re(M) im(N) - im(M) re(N) of two
+    classes along the curve, read top down off their cross table as
+    (exponent, an integer of the coefficient's sign), zeros included, with
+    no series built; nothing when every minor vanishes (the cross is zero).
+
+    Both classes are checked as ``charge_series`` checks them, with its
+    errors.  The read starts at the top of the products with a nonzero
+    minor.  At h = 0 every entry is exact and the read ends at their
+    bottom.  Otherwise it ends at the cutoff top + 1 - order, with the
+    table's ``top``, never below the floor that ``_leading_cross`` gives
+    on ``charge_series`` germs at this order: u(v), expanded with floor
+    -order = deg u - order + 1, is exact at or above its degree - order + 1;
+    products and sums of such series keep that (their floors are the
+    largest of the candidates of ``series._product_floor``), and so does
+    the cross, whose degree is at most top."""
+    left = _class_coefficients(g, m, c, kind, d)
+    order = _whole_order(order)
+    right = _class_coefficients(g, n, c, kind, d)
+    if left == right:  # every minor is zero; no products are built for it
+        return
+    _, minor_table, extents = _kept(g, _cross_products, kind)
+    minors = [(k, x) for k, x in enumerate(_contract(minor_table, left, right)[0]) if x]
+    if not minors:
+        return
+    table, ks = _cross_table(g, c, kind), [k for k, _ in minors]
+    top = max(extents[k][0] for k in ks)
+    stop = min(extents[k][1] for k in ks) if table.exact else table.top + 1 - order
+    for e in range(top, stop - 1, -1):
+        row = table.row(e, ks)
+        yield e, sum(x * row[k] for k, x in minors)
+
+
+def _germ_verdict(
+    g: BaseGeometry,
+    m: ChernVector,
+    n: ChernVector,
+    c: CurveConstraint,
+    kind: ChargeKind,
+    order: int,
+    d: DivisorB | None = None,
+) -> tuple[PhaseOrder, int | None]:
+    """``compare_phases`` of two classes' ``charge_series`` germs at
+    ``order``, with the exponent of the cross's leading stored coefficient
+    (None if it stores none, as ``_leading_cross`` gives it).
+
+    The first nonzero coefficient of ``_cross_coefficients`` decides the
+    pair, with no series built.  A cross that vanishes identically or
+    through the cutoff (equal or proportional classes, a zero charge,
+    antipodal germs, a pair equal on the whole curve) goes to
+    ``compare_phases`` on the germs; the lead of a strict verdict there is
+    read off them by ``_leading_cross``."""
+    for e, x in _cross_coefficients(g, m, n, c, kind, order, d):
+        if x:
+            return PhaseOrder(OrderKind.PREC if x > 0 else OrderKind.SUCC), e
+    acm, acn = (charge_series(g, v, c, kind, order, d) for v in (m, n))
+    verdict = compare_phases(acm, acn)
+    return verdict, _leading_cross(acm, acn)[1] if verdict.is_prec or verdict.is_succ else None
+
+
 def compare_vectors(
     g: BaseGeometry,
     m: ChernVector,
@@ -299,22 +473,22 @@ def compare_vectors(
     order: int = 8,
     d: DivisorB | None = None,
 ) -> PhaseOrder:
-    """Compare two vectors along a curve, escalating the order once if the
+    """Compare two vectors along a curve: ``compare_phases`` of their
+    ``charge_series`` germs at ``order``, escalating the order once if the
     cross series vanishes through the first truncation floor.  Identical
-    vectors that pass ``charge_series``'s checks are exactly equal at once."""
+    vectors that pass ``charge_series``'s checks are exactly equal at once.
+
+    The leading cross coefficient is read off the cross table of (curve,
+    kind) (``_germ_verdict``), so a pair it decides builds no series; a
+    cross that vanishes there goes to the germs."""
     order = _whole_order(order)
     if m == n:
         _checked_class(g, m, c, kind, d)
         return PhaseOrder(OrderKind.EXACT_EQUAL)
-    first = compare_phases(
-        charge_series(g, m, c, kind, order, d), charge_series(g, n, c, kind, order, d)
-    )
+    first = _germ_verdict(g, m, n, c, kind, order, d)[0]
     if first.kind is not OrderKind.EQUAL_THROUGH_ORDER:
         return first
-    doubled = 2 * order
-    return compare_phases(
-        charge_series(g, m, c, kind, doubled, d), charge_series(g, n, c, kind, doubled, d)
-    )
+    return _germ_verdict(g, m, n, c, kind, 2 * order, d)[0]
 
 
 def _cross_poly(

@@ -9,7 +9,9 @@ B = pull(d) is -ch3^B plus that form on the class twisted in the ring
 combination at ``Fraction`` points and at ``Poly2`` symbols;
 ``asymptotics.charge_series`` builds the germs once per curve and order as
 ``LaurentSeries``, reads the coefficients off once per geometry as a table
-(at ``Poly2`` monomials), and combines each class in one integer pass.
+(at ``Poly2`` monomials), and combines each class in one integer pass;
+``asymptotics``' cross tables multiply the germs pairwise at ``Poly2``
+symbols, once per geometry.
 ``full_charge`` goes through ring products for any class and B-field.  The
 reduced charge also evaluates that path and insists it agrees with the
 closed form (``_checked_reduced_parts``), which guards the transcription of

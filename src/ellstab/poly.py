@@ -494,11 +494,11 @@ class Poly2(_IntegerForm):
 
     @classmethod
     def u(cls) -> "Poly2":
-        return cls({(1, 0): 1})
+        return cls._ints({(1, 0): 1}, 1)
 
     @classmethod
     def v(cls) -> "Poly2":
-        return cls({(0, 1): 1})
+        return cls._ints({(0, 1): 1}, 1)
 
     def is_zero(self) -> bool:
         return not self._nums

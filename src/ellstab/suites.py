@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import curves, fmt, verify
-from .asymptotics import ChargeKind, Side, charge_series, compare_phases, phase_limit
+from .asymptotics import ChargeKind, Side, charge_series, compare_vectors, phase_limit
 from .curves import OneDimCurve, TiltCurve, solve_u
 from .charges import ChargeValue, in_full_half_plane
 from .errors import ConfigurationError, DomainError
@@ -298,10 +298,7 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
         n = flat_class(curve, d) if i % 9 else m
         ok = verify.h0_independence_check(g, m, n, y, z, d)
         report.check(ok, _Label("case {} m={} n={} y={} z={} d={}", i, m, n, y, z, d))
-        verdict = compare_phases(
-            charge_series(g, m, curve, ChargeKind.FULL, order, d),
-            charge_series(g, n, curve, ChargeKind.FULL, order, d),
-        )
+        verdict = compare_vectors(g, m, n, curve, ChargeKind.FULL, order, d)
         report.verdicts.append(f"{i}:{verdict.kind.value}")
     return report
 

@@ -7,8 +7,9 @@ along the tilt curve, the threshold biconditional comparing a
 one-dimensional class against a positive-rank class, the slope-to-phase
 correspondence for transforms of one-dimensional classes, and the
 parameter independence of comparisons when h = 0, decided on the exact
-charge germs.  Membership of an object in a category is always a caller
-assertion; only the numeric consequences are checked.
+cross of the charges along the curve.  Membership of an object in a
+category is always a caller assertion; only the numeric consequences are
+checked.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .asymptotics import ChargeKind, _leading_cross, charge_series, compare_phases
+from .asymptotics import ChargeKind, _cross_coefficients, _germ_verdict
 from .charges import _checked_reduced_parts
 from .curves import OneDimCurve, TiltCurve, _fixed_cycles, constraint_poly
 from .errors import ComputationFault, DimensionError, DomainError
@@ -102,10 +103,14 @@ def threshold_equiv_check(
     The one-dimensional class t (with positive H.eta) destabilizes the
     shifted transform of e (rank n > 0) exactly when its canonically
     twisted slope reaches 2 / (a (ha+2b) H^2) times the twisted slope of e.
-    Off the boundary the full germ comparison must match the strict
-    inequality on both sides; at exact equality the controlled leading
-    order of the cross series must vanish, finer orders being outside the
-    statement's scope.
+    Off the boundary the germ comparison at ``order`` must match the strict
+    inequality on both sides; at exact equality the cross of the two
+    charges must have no coefficient at v^1, the controlled leading order
+    (and the largest the cross can carry), finer orders being outside the
+    statement's scope.  Both are read off the cross table
+    (``asymptotics._germ_verdict``: the verdict of ``compare_phases`` on
+    the ``charge_series`` germs, and the exponent of their leading cross
+    coefficient).
     """
     if t.n != 0 or t.x != 0 or not t.S.is_zero():
         raise DomainError("t must be a one-dimensional class (n = x = 0, S = 0)")
@@ -128,17 +133,13 @@ def threshold_equiv_check(
         raise ComputationFault("the twisted slope of e disagrees with its definition")
     threshold = 2 * mu_e.finite / (c.alpha * g.hb2)
 
-    g_series = charge_series(g, phi(g, t), c, ChargeKind.REDUCED, order)
-    f_vec = -phi(g, e)
-    f_series = charge_series(g, f_vec, c, ChargeKind.REDUCED, order)
-    verdict = compare_phases(g_series, f_series)
+    verdict, lead = _germ_verdict(g, phi(g, t), -phi(g, e), c, ChargeKind.REDUCED, order)
 
     if mu_t.finite < threshold:
         return verdict.is_prec
     if mu_t.finite > threshold:
         return verdict.is_succ
     # v^1 is the order the statement controls, the largest the cross can carry
-    _, lead, _ = _leading_cross(g_series, f_series)
     return lead is None or lead < 1
 
 
@@ -183,10 +184,7 @@ def slope_correspondence_check(
         values.append(slope(g, kind, v))
     mu_m, mu_n = values
 
-    verdict = compare_phases(
-        charge_series(g, phi(g, m), curve, ChargeKind.FULL, order, d),
-        charge_series(g, phi(g, n), curve, ChargeKind.FULL, order, d),
-    )
+    verdict = _germ_verdict(g, phi(g, m), phi(g, n), curve, ChargeKind.FULL, order, d)[0]
     strict_ok = verdict.is_prec == (mu_m < mu_n)
     nonstrict_ok = (not verdict.is_succ) == (mu_m <= mu_n)
     return strict_ok and nonstrict_ok
@@ -199,13 +197,14 @@ def h0_independence_check(
     same at every curve point, with sign given by the constant parts.
 
     Decided exactly, over all v > 0.  The curve is u = q/v, which
-    ``expand_u`` gives as the exact monomial, so the full-kind germs of
-    ``charge_series`` are the charges themselves and their cross
-    re(M) im(N) - im(M) re(N) is the exact cross value X(q/v, v) along the
-    curve.  It must have no term but v^-1: the cross value is then
-    X(q, 1)/v, of one fixed sign (or zero identically), the sign at
-    (u, v) = (q, 1), where the charges are their v-independent parts with
-    Im scaled by q > 0.  A zero class has zero germs, so it passes.
+    ``expand_u`` gives as the exact monomial, so the coefficients of the
+    cross re(M) im(N) - im(M) re(N) of the full charges that
+    ``asymptotics._cross_coefficients`` reads are exact, finitely many, and
+    those of the exact cross value X(q/v, v) along the curve.  It must have
+    no term but v^-1: the cross value is then X(q, 1)/v, of one fixed sign
+    (or zero identically), the sign at (u, v) = (q, 1), where the charges
+    are their v-independent parts with Im scaled by q > 0.  A zero class
+    has a zero cross, so it passes.
 
     This checks the shape of the full charge, not its values (those are the
     reduced closed form's on the ring twist, which ``prove_closed_form``
@@ -218,6 +217,4 @@ def h0_independence_check(
     curve = OneDimCurve(0, y, z)
     if any(v.n != 0 or v.x != 0 or not v.eta.is_zero() for v in (m, n)):
         raise DomainError("inputs must have the flat numeric shape (n = x = 0, eta = 0)")
-    zm, zn = (charge_series(g, v, curve, ChargeKind.FULL, d=d) for v in (m, n))
-    cross = zm.re * zn.im - zm.im * zn.re
-    return all(e == -1 for e, _ in cross.terms)
+    return all(e == -1 for e, x in _cross_coefficients(g, m, n, curve, ChargeKind.FULL, d=d) if x)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellstab import asymptotics, charges, poly, ring
+from ellstab import asymptotics, charges, poly, ring, suites, verify
 from ellstab.asymptotics import (
     AsymptoticCharge,
     ChargeKind,
@@ -33,6 +33,8 @@ from ellstab.fmt import phi
 from ellstab.poly import Poly2, RootInterval
 from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair, pair_h
 from ellstab.series import LaurentSeries
+from ellstab.verify import slope_correspondence_check as correspondence_check
+from ellstab.verify import threshold_equiv_check as threshold_check
 from ellstab.suites import (
     geometry_for,
     phase_table_cases,
@@ -429,13 +431,16 @@ class TestChargeSeries:
     def test_germ_cache_is_a_module_level_lru_cache(self):
         """Cache emptying that walks the package's module-level callables with
         ``cache_clear`` (as perfbench's ``fresh_unit`` does) finds the germ
-        cache."""
+        cache and the cross tables."""
         caches = [f for f in vars(asymptotics).values() if callable(getattr(f, "cache_clear", None))]
-        assert asymptotics._charge_germs in caches
-        charge_series(geometry_for(-1), ChernVector.unit(1), TiltCurve(-1, 1, 2), ChargeKind.REDUCED, 8)
-        assert asymptotics._charge_germs.cache_info().currsize >= 1
-        asymptotics._charge_germs.cache_clear()
-        assert asymptotics._charge_germs.cache_info().currsize == 0
+        g, c = geometry_for(-1), TiltCurve(-1, 1, 2)
+        charge_series(g, ChernVector.unit(1), c, ChargeKind.REDUCED, 8)
+        compare_vectors(g, ChernVector.unit(1), cv(1, 2, d(1), d(0), 1, 1), c, ChargeKind.REDUCED, 8)
+        for cache in (asymptotics._charge_germs, asymptotics._cross_table):
+            assert cache in caches
+            assert cache.cache_info().currsize >= 1
+            cache.cache_clear()
+            assert cache.cache_info().currsize == 0
 
     @pytest.mark.parametrize("order", [0, -1])
     def test_nonpositive_order_raises_before_caching(self, order):
@@ -767,6 +772,263 @@ class TestLazyCross:
         assert len(pairs) > 250 and calls == []
         _reference_cross_series(*pairs[0])  # the whole series multiplies, counted
         assert calls
+
+
+def _cross_pairs(seed):
+    """Random class pairs on both curves and both kinds, at every h of
+    ``GERM_H`` and ranks 1 and 2: random classes for the reduced kind, and
+    for the full kind transforms of one-dimensional classes with a random
+    d."""
+    rng = random.Random(seed)
+    out = []
+    for h in GERM_H:
+        for rank2 in (False, True):
+            g = geometry_for(h, rank2)
+            y, z = Fraction(rng.randint(1, 2)), Fraction(rng.randint(5, 9))  # h + z/y > 0
+            for c in (_rand_tilt(rng, h), OneDimCurve(h, y, z)):
+                for _ in range(3):
+                    out.append((g, _rand_vector(rng, g.rank), _rand_vector(rng, g.rank), c, ChargeKind.REDUCED, None))
+                    fm, fn = (phi(g, _rand_onedim_class(rng, g, y, z)) for _ in range(2))
+                    out.append((g, fm, fn, c, ChargeKind.FULL, _rand_divisor(rng, g.rank, -4, 4)))
+    return out
+
+
+def _table_lead(g, m, n, c, kind, order, d=None):
+    """(sign, exponent) of the first nonzero coefficient the cross table
+    reads, or None."""
+    for e, x in asymptotics._cross_coefficients(g, m, n, c, kind, order, d):
+        if x:
+            return (1 if x > 0 else -1), e
+    return None
+
+
+class TestCrossTable:
+    """Verdicts read off one cross table per (curve, kind); ``_leading_cross``
+    and ``compare_phases`` on ``charge_series`` germs are the reference."""
+
+    def test_leads_floors_and_verdicts_match_the_germs(self):
+        """The first nonzero coefficient the table reads is the germs'
+        ``_leading_cross`` lead at orders 1, 2, 3, 8 and 16, and a lead
+        below the cutoff is left to the germs; at h = 0, where the germs are
+        exact, every lead is read.  The cutoff, class-independent, is never
+        below the germs' floor: it is the floor for the reduced kind's
+        random classes and two above it for the full kind's transforms,
+        whose re germ is exact.  ``_germ_verdict`` is ``compare_phases`` on
+        the germs with that lead."""
+        pairs = _cross_pairs(93)
+        decided = 0
+        gaps = set()
+        for order in (1, 2, 3, 8, 16):
+            for g, m, n, c, kind, d in pairs:
+                acm, acn = (charge_series(g, v, c, kind, order, d) for v in (m, n))
+                sign, lead, floor = asymptotics._leading_cross(acm, acn)
+                got = _table_lead(g, m, n, c, kind, order, d)
+                if c.h == 0:
+                    assert floor is None and got == ((sign, lead) if sign else None)
+                else:
+                    cutoff = asymptotics._cross_table(g, c, kind).top + 1 - order
+                    assert got == ((sign, lead) if sign and lead >= cutoff else None)
+                    gaps.add((kind, cutoff - floor))
+                decided += got is not None
+                assert asymptotics._germ_verdict(g, m, n, c, kind, order, d) == (compare_phases(acm, acn), lead)
+        assert decided > 0.8 * 5 * len(pairs)
+        assert gaps == {(ChargeKind.REDUCED, 0), (ChargeKind.FULL, 2)}
+
+    def test_vanishing_crosses_reach_compare_phases(self, monkeypatch):
+        """Pairs whose cross vanishes on the whole curve go to
+        ``compare_phases`` on the germs, with the verdicts it gave before:
+        identical classes, zero classes (the zero convention, and its
+        DomainError for the full kind), at h = 0 a class whose im part
+        cancels (d1 + 3 u1 d3 = 0) and one whose whole charge does, and
+        ROADMAP defect 2's delta and s-only pairs, equal on the whole curve."""
+        calls = []
+        original = asymptotics.compare_phases
+        monkeypatch.setattr(asymptotics, "compare_phases", lambda a, b: calls.append(1) or original(a, b))
+
+        def reached(g, m, n, c, kind, order=8, d=None):
+            calls.clear()
+            germs = [charge_series(g, v, c, kind, order, d) for v in (m, n)]
+            want = _outcome(original, *germs)
+            got = _outcome(lambda a, b: asymptotics._germ_verdict(g, a, b, c, kind, order, d)[0], m, n)
+            assert got == want and calls
+            return got
+
+        rng = random.Random(94)
+        for h in (Fraction(-1), Fraction(0)):
+            g, flat = geometry_for(h), OneDimCurve(h, 1, 3)
+            m, fm = _rand_vector(rng, 1), phi(g, _rand_onedim_class(rng, g, 1, 3))
+            exact = OrderKind.EXACT_EQUAL if h == 0 else OrderKind.EQUAL_THROUGH_ORDER
+            assert reached(g, m, m, _rand_tilt(rng, h), ChargeKind.REDUCED).kind is exact
+            assert reached(g, fm, fm, flat, ChargeKind.FULL, 8, d(1)).kind is exact
+            reached(g, ChernVector.zero(1), m, _rand_tilt(rng, h), ChargeKind.REDUCED)
+            assert reached(g, ChernVector.zero(1), fm, flat, ChargeKind.FULL) == (
+                "DomainError", "zero full-kind charge has indeterminate phase")
+
+        g, c = geometry_for(0), TiltCurve(0, 1, 2)  # u1 = b/a = 2 and H^2 = 1, so d1 + 3 u1 d3 = H.eta - n
+        real, zero = cv(1, 1, d(0), d(1), 0, 0), cv(1, 0, d(0), d(1), 0, 0)
+        germ = charge_series(g, real, c, ChargeKind.REDUCED, 8)
+        assert germ.im.is_stored_zero() and germ.is_exact() and not germ.re.is_stored_zero()
+        assert charge_series(g, zero, c, ChargeKind.REDUCED, 8).is_stored_zero()
+        assert reached(g, real, -real, c, ChargeKind.REDUCED).is_prec  # antipodal: phases 0 and 1
+        assert reached(g, real, cv(1, 3, d(0), d(1), 0, 0), c, ChargeKind.REDUCED).kind is OrderKind.EXACT_EQUAL
+        assert reached(g, zero, real, c, ChargeKind.REDUCED).is_succ  # the zero convention: phase 1/2
+
+        m = cv(0, 2, d(0), d(1), 0, 0)
+        for h, a, b in ((-1, 1, 2), (Fraction(1, 2), 1, 1), (-2, 1, 3)):
+            g, c = geometry_for(h), TiltCurve(h, a, b)
+            delta = cv(6, 0, d(0), d(6 * c.beta / c.alpha), 0, 0)
+            for first, second in ((m, m + delta), (delta, m)):
+                for order, floor in ((8, -12), (16, -28)):
+                    calls.clear()
+                    verdict = compare_vectors(g, first, second, c, ChargeKind.REDUCED, order)
+                    assert verdict == PhaseOrder(OrderKind.EQUAL_THROUGH_ORDER, floor) and calls
+        s_only = cv(0, 1, d(0), d(Fraction(-1, 2)), 0, Fraction(1, 6))
+        calls.clear()
+        verdict = compare_vectors(geometry_for(-1), s_only, s_only + cv(0, 0, d(0), d(0), 0, 1),
+                                  TiltCurve(-1, 1, 2), ChargeKind.REDUCED, 8)
+        assert verdict == PhaseOrder(OrderKind.EQUAL_THROUGH_ORDER, -14) and calls
+
+    def test_a_decided_verdict_builds_no_series(self, monkeypatch):
+        """On the threshold and correspondence suites' pairs at orders 8 and
+        16, each on a cold table, a verdict the table decides builds no
+        ``LaurentSeries`` but ``expand_u``'s and calls ``expand_u`` at order
+        1 only: the suites' leads (v^1 and v^-1) need only u's leading
+        coefficient."""
+        pairs = []
+        recorded = verify._germ_verdict
+        monkeypatch.setattr(verify, "_germ_verdict", lambda *args: pairs.append(args) or recorded(*args))
+        for order in (8, 16):
+            suites.suite_threshold(30, 4, order)
+            suites.suite_correspondence(30, 5, order)
+        monkeypatch.undo()
+        built, expanded, inside = [], [], []
+        ints, expand = LaurentSeries._ints.__func__, asymptotics.expand_u
+
+        def counted_ints(cls, *args):
+            if not inside:
+                built.append(1)
+            return ints(cls, *args)
+
+        def counted_expand(c, order):
+            expanded.append(order)
+            inside.append(1)
+            try:
+                return expand(c, order)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(LaurentSeries, "_ints", classmethod(counted_ints))
+        monkeypatch.setattr(asymptotics, "expand_u", counted_expand)
+        decided = 0
+        for g, m, n, c, kind, order, *rest in pairs:
+            if _table_lead(g, m, n, c, kind, order, *rest) is None:
+                continue
+            asymptotics._cross_table.cache_clear()
+            built.clear(), expanded.clear()
+            verdict, _ = asymptotics._germ_verdict(g, m, n, c, kind, order, *rest)
+            assert verdict.is_prec or verdict.is_succ
+            assert built == [] and expanded == [1]
+            decided += 1
+        assert len(pairs) == 120 and decided > 108
+
+    def test_a_row_expands_u_only_as_deep_as_its_terms_reach(self, monkeypatch):
+        """Reading a cold table's rows top down calls ``expand_u`` at the
+        order each row needs: the term n u^a v^b (a > 0) of a product
+        G_i H_j reaches v^e through u's coefficient at v^-(b - a - e + 1), so
+        order b - a - e + 1 (the products here are multiplied afresh as
+        ``Poly2``s).  A row read again calls nothing."""
+        expanded, expand = [], asymptotics.expand_u
+        monkeypatch.setattr(asymptotics, "expand_u", lambda c, order: expanded.append(order) or expand(c, order))
+        for c, kind in ((TiltCurve(-1, Fraction(3, 2), Fraction(5, 3)), ChargeKind.REDUCED),
+                        (OneDimCurve(Fraction(1, 2), 2, 3), ChargeKind.FULL)):
+            g = geometry_for(c.h)
+            re, im = charges._reduced_germs(c.h, Poly2.u(), Poly2.v(), kind is ChargeKind.FULL)
+            products = [x * y for x in (1, *re) for y in (1, *im)]
+            spans = [j - i for p in products if isinstance(p, Poly2) for i, j in p.terms if i]
+            asymptotics._cross_table.cache_clear()
+            table, every = asymptotics._cross_table(g, c, kind), list(range(len(products)))
+            deepest = 0
+            for e in range(table.top, table.top - 12, -1):
+                expanded.clear()
+                row = table.row(e, every)
+                need = max([s - e + 1 for s in spans if s >= e and (s - e) % 2 == 0], default=1)
+                assert expanded == ([need] if need > deepest else [])
+                assert None not in row
+                deepest = max(deepest, need)
+                expanded.clear()
+                assert table.row(e, every) is row and expanded == []
+            assert deepest >= 11
+
+    def test_rows_are_the_products_coefficients(self):
+        """Every known entry of a row is the v^e coefficient of its product
+        G_i H_j at u = ``expand_u(c, 41)`` (series products, exact far below
+        the rows read), up to one positive factor per row, whichever
+        products a pair asked for first: rows read for the constant product
+        alone, then for one product, then for all."""
+        for c, kind in ((TiltCurve(-1, Fraction(3, 2), Fraction(5, 3)), ChargeKind.REDUCED),
+                        (OneDimCurve(Fraction(1, 2), 2, 3), ChargeKind.FULL),
+                        (TiltCurve(0, 1, 2), ChargeKind.REDUCED)):
+            u, v = expand_u(c, 41), LaurentSeries.monomial(1, 1)
+            re, im = charges._reduced_germs(c.h, u, v, kind is ChargeKind.FULL)
+            one = LaurentSeries.const(1)
+            products = [x * y for x in (one, *re) for y in (one, *im)]
+            asymptotics._cross_table.cache_clear()
+            table = asymptotics._cross_table(geometry_for(c.h), c, kind)
+            for ks in ([0], [len(products) - 1], list(range(len(products)))):
+                for e in range(table.top, table.top - 12, -1):
+                    row = table.row(e, ks)
+                    known = [(x, p.coefficient(e)) for x, p in zip(row, products) if x is not None]
+                    assert all(row[k] is not None for k in ks)
+                    assert all((x > 0) - (x < 0) == (y > 0) - (y < 0) for x, y in known)
+                    assert all(x * y2 == x2 * y for x, y in known for x2, y2 in known)
+            assert table.depth == (1 if c.h == 0 else 6)
+
+    def test_the_checks_raise_as_before(self):
+        """``compare_vectors`` and the threshold and correspondence checks
+        raise, for each fault alone, the error they raised when every
+        verdict read ``charge_series`` germs: a kind that is not a
+        ``ChargeKind``, a curve of another h, a class that is not rational,
+        n or x nonzero for the full kind, a rank mismatch and orders 0 and
+        2.5."""
+        g, tilt, flat = geometry_for(-1), TiltCurve(-1, 1, 2), OneDimCurve(-1, 1, 3)
+        m, n = cv(1, 2, d(1), d(0), 1, 1), cv(2, 1, d(0), d(1), 3, -1)
+        fm, fn = cv(0, 0, d(1), d(2), 3, 4), cv(0, 0, d(2), d(1), -1, 2)
+        symbolic = ChernVector(Poly2.u(), 0, d(0), d(1), 0, 0)
+        t, e, e2 = cv(0, 0, d(0), d(1), 0, 0), cv(2, 1, d(0), d(0), 0, 0), cv(2, 1, d(0, 0), d(0, 0), 0, 0)
+        o1, o2, o3 = cv(0, 0, d(0), d(1), 0, 1), cv(0, 0, d(0), d(1), 0, 2), cv(0, 0, d(0, 0), d(1, 0), 0, 2)
+        reduced, full = ChargeKind.REDUCED, ChargeKind.FULL
+        rational = "a charge germ needs a rational class (every coordinate a Fraction)"
+        rank = "divisor rank does not match geometry rank"
+        cases = [
+            (lambda: compare_vectors(g, m, n, tilt, "full", 8), DomainError, "unknown charge kind full"),
+            (lambda: compare_vectors(g, m, n, TiltCurve(0, 1, 2), reduced, 8), ConfigurationError,
+             "curve and geometry disagree on h"),
+            (lambda: compare_vectors(g, symbolic, n, tilt, reduced, 8), DomainError, rational),
+            (lambda: compare_vectors(g, m, symbolic, tilt, reduced, 8), DomainError, rational),
+            (lambda: compare_vectors(g, fm, m, flat, full, 8), DomainError,
+             "flat full charge requires a fiber-degree-trivial class (n = x = 0)"),
+            (lambda: compare_vectors(g, m, e2, tilt, reduced, 8), DimensionError, rank),
+            (lambda: compare_vectors(g, fm, fn, flat, full, 8, d(1, 2)), DimensionError, rank),
+            (lambda: threshold_check(g, t, e, TiltCurve(0, 1, 2)), ConfigurationError,
+             "curve and geometry disagree on h"),
+            (lambda: threshold_check(g, t, symbolic, tilt), TypeError,
+             "'<=' not supported between instances of 'Poly2' and 'int'"),
+            (lambda: threshold_check(g, t, e2, tilt), DimensionError, "vector rank does not match geometry rank"),
+            (lambda: correspondence_check(g, m, o2, 1, 3, d(0)), DomainError, "inputs must be one-dimensional classes"),
+            (lambda: correspondence_check(g, o1, o3, 1, 3, d(0)), DimensionError, rank),
+            (lambda: correspondence_check(g, o1, o2, 1, 3, d(0, 0)), DimensionError, "divisor rank mismatch"),
+        ]
+        for order, error, text in ((0, CurveDomainError, "expansion order must be at least 1"),
+                                   (2.5, TypeError, "exact scalars are int, Fraction or str, not float (2.5)"),
+                                   (Fraction(5, 2), CurveDomainError,
+                                    "expansion order must be a whole number, not 5/2")):
+            cases += [(lambda o=order: compare_vectors(g, m, n, tilt, reduced, o), error, text),
+                      (lambda o=order: threshold_check(g, t, e, tilt, o), error, text),
+                      (lambda o=order: correspondence_check(g, o1, o2, 1, 3, d(0), o), error, text)]
+        for call, error, text in cases:
+            with pytest.raises(error) as raised:
+                call()
+            assert str(raised.value) == text
 
 
 class TestWallScan:

@@ -422,9 +422,14 @@ def test_the_twist_rule_sees_imports_calls_and_attributes():
 # counts are from perfbench's three workloads at seed 1, one run of each
 # workload's passes, read before each ``fresh_unit`` clear.
 _MEMOS = {
-    # 201/31 on ring-identities, 727/455 on germ-verdicts: one germ per
-    # (curve, order, kind), and the one place an expansion of u(v) is reused
+    # 41/31 on ring-identities, 51/47 on germ-verdicts: one germ per
+    # (curve, order, kind), for the verdicts the cross table leaves to the
+    # germs, ``charge_series`` and the h0 suite's class draws
     ("asymptotics.py", "_charge_germs"),
+    # 38/26 on ring-identities, 104/439 on germ-verdicts: one cross table per
+    # (geometry, curve, kind), its rows and u's coefficients reused by every
+    # later pair on the curve (the correspondence suite's curves repeat)
+    ("asymptotics.py", "_cross_table"),
     # 48/12 on ring-identities, 40/8 on curve-queries
     ("curves.py", "constraint_poly"),
     # 212/52 on ring-identities, 41/51 on curve-queries
@@ -488,3 +493,33 @@ def test_the_memo_rule_sees_every_decorator_form():
                      "@self.cache\n"
                      "def i(x): pass\n")
     assert list(_functools_memos(tree)) == [(2, "a"), (4, "b"), (6, "c"), (8, "d"), (10, "e")]
+
+
+def _multiplies_germ_parts(tree):
+    """Line numbers of a product with a ``.re`` or ``.im`` operand: a cross
+    or a dot of two germs written out by hand."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if any(getattr(x, "attr", None) in ("re", "im") for x in (node.left, node.right)):
+                yield node.lineno
+
+
+def test_verify_writes_no_cross():
+    """The cross re(M) im(N) - im(M) re(N) is written once, in
+    ``asymptotics``: ``verify`` reads it off the cross table
+    (``_germ_verdict``, ``_cross_coefficients``), names no
+    ``_leading_cross`` and multiplies no germ parts."""
+    assert _sites(lambda tree: _named(tree, {"_leading_cross"}), {"verify.py"}) == []
+    assert _sites(_multiplies_germ_parts, {"verify.py"}) == []
+
+
+def test_the_cross_rule_sees_imports_attributes_and_products():
+    tree = ast.parse("from .asymptotics import (\n"
+                     "    _leading_cross,\n"
+                     ")\n"
+                     "cross = zm.re * zn.im - zm.im * zn.re\n"
+                     "_, lead, _ = asymptotics._leading_cross(m, n)\n"
+                     "x = re * im + zm.re + zn.im\n"
+                     "y = 2 * germ.im\n")
+    assert sorted(set(_named(tree, {"_leading_cross"}))) == [2, 5]
+    assert sorted(_multiplies_germ_parts(tree)) == [4, 4, 7]

@@ -10,11 +10,9 @@ from pathlib import Path
 import pytest
 
 from ellstab import asymptotics, charges, curves, ring, suites, verify
-from ellstab.asymptotics import AsymptoticCharge, ChargeKind
-from ellstab.curves import OneDimCurve, TiltCurve
+from ellstab.curves import TiltCurve
 from ellstab.errors import ComputationFault, DimensionError, DomainError
 from ellstab.ring import BaseGeometry, ChernVector
-from ellstab.series import LaurentSeries
 from ellstab.slopes import SlopeTag, SlopeValue
 from ellstab.suites import geometry_for, _rand_tilt, _rand_vector
 from ellstab.verify import (
@@ -135,19 +133,22 @@ class TestThreshold:
         """Over the threshold suite's cases, the whole cross series of the
         two germs (``_reference_cross_series``) stores no exponent above
         v^1, so its lead lies below v^1 exactly when its v^1 coefficient,
-        which the boundary case read before, vanishes."""
+        which the boundary case read before, vanishes; the lead that the
+        check reads (``_germ_verdict``) is the germs' ``_leading_cross``."""
         pairs = []
-        original = verify.compare_phases
-        monkeypatch.setattr(verify, "compare_phases", lambda m, n: pairs.append((m, n)) or original(m, n))
+        original = verify._germ_verdict
+        monkeypatch.setattr(verify, "_germ_verdict", lambda *args: pairs.append(args) or original(*args))
         for seed in range(4):
             for order in (8, 16):
                 assert suites.suite_threshold(60, seed, order).passed
         assert len(pairs) == 480
-        for m, n in pairs:
-            x = _reference_cross_series(m, n)
+        for g, m, n, c, kind, order in pairs:
+            acm, acn = (asymptotics.charge_series(g, v, c, kind, order) for v in (m, n))
+            x = _reference_cross_series(acm, acn)
             assert x.degree() is None or x.degree() <= 1
-            _, lead, _ = asymptotics._leading_cross(m, n)
+            _, lead, _ = asymptotics._leading_cross(acm, acn)
             assert (lead is None or lead < 1) == (x.coefficient(1) == 0)
+            assert original(g, m, n, c, kind, order)[1] == lead
 
     def test_a_twisted_slope_off_its_definition_is_a_fault(self, g1, monkeypatch):
         """mu_{omega,B}(e) is checked against omega^2 . ch1 / ch0 of e twisted
@@ -281,15 +282,11 @@ class TestH0Independence:
         assert h0_independence_check(g0, m, n, 2, 3, d(1))
 
     def test_decided_over_all_v(self, g0, monkeypatch):
-        """Germs whose cross along the curve u = q/v is X(q/v, v) for
-        X = u (v - 3)(v - 5), whose sign flips between v = 3 and v = 5, fail
-        the check, though X has the predicted sign at v = 2, 10, 100 and 10^4."""
-        q = OneDimCurve(0, 1, 1).q
-        flips = LaurentSeries([(1, q), (0, -8 * q), (-1, 15 * q)])
-        one, zero = LaurentSeries.const(1), LaurentSeries.zero()
-        germs = iter([AsymptoticCharge(one, zero, ChargeKind.FULL),
-                      AsymptoticCharge(zero, flips, ChargeKind.FULL)])
-        monkeypatch.setattr(verify, "charge_series", lambda *args, **kwargs: next(germs))
+        """A cross whose coefficients along the curve u = q/v are those of
+        X(q/v, v) = q v - 8 q + 15 q / v for X = u (v - 3)(v - 5), whose sign
+        flips between v = 3 and v = 5, fails the check, though X has the
+        predicted sign at v = 2, 10, 100 and 10^4."""
+        monkeypatch.setattr(verify, "_cross_coefficients", lambda *args, **kwargs: iter([(1, 1), (0, -8), (-1, 15)]))
         m = cv(0, 0, d(1), d(0), 1, 0)
         assert not h0_independence_check(g0, m, m, 1, 1, d(0))
 
