@@ -136,9 +136,8 @@ def _checked_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: Ch
     _check_kind(kind)
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
+    _check_rational(v)
     nums, full = v._nums, kind is ChargeKind.FULL
-    if type(nums[0]) is not int:
-        raise DomainError("a charge germ needs a rational class (every coordinate a Fraction)")
     if full and (nums[0] or nums[1]):
         raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
     ds = (d if d is not None else g.zero_divisor()).coords if full else ()
@@ -154,6 +153,14 @@ def _class_coefficients(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kin
     nums, ds = _checked_class(g, v, c, kind, d)
     dnums, dden = _over_common_denominator(ds)
     return _contract(_kept(g, _charge_table, kind), (nums, v._den), ((dden, *dnums), dden))
+
+
+def _check_rational(*classes: ChernVector) -> None:
+    """Refuse a class with a coordinate that is no rational number, as
+    every germ verdict does, before anything is compared."""
+    for v in classes:
+        if type(v._nums[0]) is not int:
+            raise DomainError("a charge germ needs a rational class (every coordinate a Fraction)")
 
 
 def _check_kind(kind) -> None:

@@ -42,7 +42,18 @@ from .poly import (
     reduce_mod_u,
     sign_at_root,
 )
-from .ring import BaseGeometry, ChernVector, DivisorX, _q, degree, divisor_powers, divisor_vector, mul
+from .ring import (
+    BaseGeometry,
+    ChernVector,
+    DivisorX,
+    _kept,
+    _over_common_denominator,
+    _q,
+    degree,
+    divisor_powers,
+    divisor_vector,
+    mul,
+)
 from .series import LaurentSeries
 
 
@@ -290,16 +301,28 @@ def _expand_u_cached(c: CurveConstraint, order: int) -> LaurentSeries:
 @lru_cache(maxsize=None)
 def _fixed_cycles(g: BaseGeometry, c: TiltCurve) -> tuple[ChernVector, ChernVector, ChernVector, Fraction]:
     """The ring products of the fixed polarization obar = obar1 + obar2
-    alone: obar1 (obar1 + 2 obar2), theta, obar^2 and the degree of
-    theta obar^2."""
-    hb = g.hb_divisor
-    obar1 = divisor_vector(g, DivisorX(c.a, g.zero_divisor()))
-    obar2 = divisor_vector(g, DivisorX(0, hb.scale(c.b)))
-    obar = obar1 + obar2
+    alone, obar1 = a Theta and obar2 = b pull(H): obar1 (obar1 + 2 obar2),
+    theta, obar^2 and the degree of theta obar^2, each summed on numerators
+    as a^2, 2ab and b^2 times the products of Theta and pull(H) that
+    ``_theta_h_products`` keeps on g."""
+    theta, (t2, th, hh), n, (e1, e2, e3), m = _kept(g, _theta_h_products)
+    (an, ad), (bn, bd) = (c.a.numerator, c.a.denominator), (c.b.numerator, c.b.denominator)
+    ca, cab, cb, den = an * an * bd * bd, 2 * an * bn * ad * bd, bn * bn * ad * ad, ad * ad * bd * bd
+    left = [ca * x + cab * y for x, y in zip(t2, th)]
+    obar_sq = [x + cb * z for x, z in zip(left, hh)]
+    return (ChernVector._ints(left, den * n), theta, ChernVector._ints(obar_sq, den * n),
+            Fraction(ca * e1 + cab * e2 + cb * e3, den * m))
+
+
+def _theta_h_products(g: BaseGeometry) -> tuple:
+    """Theta, the numerators of Theta^2, Theta pull(H) and pull(H)^2 over
+    one denominator n, and of their degrees against Theta over m."""
     theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
-    left_cycle = mul(g, obar1, obar1 + obar2.scale(2))
-    obar_sq = mul(g, obar, obar)
-    return left_cycle, theta, obar_sq, degree(g, theta, obar_sq)
+    hb = divisor_vector(g, DivisorX(0, g.hb_divisor))
+    products = [mul(g, theta, theta), mul(g, theta, hb), mul(g, hb, hb)]
+    n = lcm(*(v._den for v in products))
+    degrees, m = _over_common_denominator([degree(g, theta, v) for v in products])
+    return theta, [[t * (n // v._den) for t in v._nums] for v in products], n, degrees, m
 
 
 def _cycle_sides(g: BaseGeometry, c: TiltCurve, u, vpar) -> tuple[ChernVector, ChernVector]:

@@ -141,7 +141,7 @@ class _IntegerForm:
 
     def __truediv__(self, other):
         if isinstance(other, _RATIONAL):
-            return self * (1 / Fraction(other))
+            return self * Fraction(other.denominator, other.numerator)
         return NotImplemented
 
     def scale(self, c):
@@ -253,10 +253,12 @@ class BaseGeometry:
     (builder, argument tuple): the product's structure constants and their
     point-class slice (``_point_constants``), the transform tables
     (``fmt._table``) and the charge tables (``asymptotics._charge_table``),
-    exp(-B) of the half-canonical field (``_half_canonical_exp``), the
-    classes that slopes pair with (``slopes._FIXED``) and the parameterless
-    kinds' pairs of them, and the mark of ``charges.prove_closed_form``
-    once it has run on g.
+    the lattice data of ``pair`` and exp(-B) as integers (``_gram_ints``,
+    ``_theta_ints``), the half-canonical field and its exp(-B)
+    (``_half_canonical_bfield``, ``_half_canonical_exp``), the classes that
+    slopes pair with (``slopes._FIXED``) and the parameterless kinds' pairs
+    of them, the products of ``curves._fixed_cycles`` (``_theta_h_products``)
+    and the mark of ``charges.prove_closed_form`` once it has run on g.
     """
 
     rank: int
@@ -314,8 +316,9 @@ class BaseGeometry:
         return self._hash
 
     def half_canonical_bfield(self) -> DivisorX:
-        """The distinguished twist -(1/2) * pull(K_base) = -(h/2) * pull(H)."""
-        return DivisorX(0, self.hb_divisor.scale(-Fraction(self.h) / 2))
+        """The distinguished twist -(1/2) * pull(K_base) = -(h/2) * pull(H),
+        built on the first call and kept (``_kept``)."""
+        return _kept(self, _half_canonical_bfield)
 
     def zero_divisor(self) -> DivisorB:
         return DivisorB.zero(self.rank)
@@ -481,11 +484,21 @@ del _name, _position
 
 
 def pair(g: BaseGeometry, d1: DivisorB, d2: DivisorB):
-    """Intersection pairing of two base classes: d1^T * gram * d2."""
+    """Intersection pairing of two base classes: d1^T * gram * d2, the
+    integer gram rows (``_gram_ints``) applied to their numerators."""
     if d1.rank != g.rank or d2.rank != g.rank:
         raise DimensionError("divisor rank does not match geometry rank")
-    return _sum([ci * gij * cj for ci, row in zip(d1.coords, g.gram) if ci
-                 for gij, cj in zip(row, d2.coords) if gij and cj])
+    (n1, l1), (n2, l2) = _numerators(d1.coords), _numerators(d2.coords)
+    rows, gd = _kept(g, _gram_ints)
+    return _divided(_form(rows, n1, n2), gd * l1 * l2)
+
+
+def _form(rows: list, n1, n2):
+    """The sum of a_i c b_j over the entries (j, c) of ``rows[i]`` with no
+    exact-zero factor, added from the first term as ``_sum`` adds; the int
+    0 when there is none, so that integer numerators give an int."""
+    terms = [a * c * n2[j] for a, row in zip(n1, rows) if a for j, c in row if n2[j]]
+    return _sum(terms) if terms else 0
 
 
 def pair_h(g: BaseGeometry, d: DivisorB):
@@ -578,7 +591,7 @@ def _structure_constants(g: BaseGeometry) -> tuple[list, int, int]:
     def meet(i, j, k, c):
         """Class i times class j, and j times i, is c times class k."""
         if c:
-            entries[i, j, k] = entries[j, i, k] = Fraction(c)
+            entries[i, j, k] = entries[j, i, k] = c
 
     for k in range(dim):
         meet(0, k, k, 1)  # the unit
@@ -623,26 +636,67 @@ def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
     return mul(g, _exp_minus(g, B), v)
 
 
+def _half_canonical_bfield(g: BaseGeometry) -> DivisorX:
+    return DivisorX(0, g.hb_divisor.scale(-g.h / 2))
+
+
 def _half_canonical_exp(g: BaseGeometry) -> ChernVector:
     """exp(-B) of the half-canonical field B = -(1/2) pull(K_base), the
-    twist of ``slopes``' MU_STAR_B and of ``verify``'s im-identity and
-    threshold guard; read through ``_kept``, so built once per geometry."""
+    twist of ``slopes``' MU_STAR_B (and of MU_OMEGA_B at that field) and
+    of ``verify``'s im-identity and threshold guard; read through
+    ``_kept``, so built once per geometry."""
     return _exp_minus(g, g.half_canonical_bfield())
 
 
 def _exp_minus(g: BaseGeometry, B: DivisorX) -> ChernVector:
-    """exp(-B) = 1 - B + B^2/2 - B^3/6 for a field B, with B^2 and B^3 from
-    their closed forms (module docstring), handed to ``ChernVector._ints``
-    as numerators."""
-    t, D = B.theta, B.base
-    dd = pair(g, D, D)
+    """exp(-B) = 1 - B + B^2/2 - B^3/6 for a field B = t Theta + pull(D),
+    with B^2 and B^3 from their closed forms (module docstring), on the
+    numerators of (t, D) over one denominator L (``_numerators``: Poly2 or
+    series coordinates over 1) and the integer lattice data of
+    ``_gram_ints`` and, for t != 0, ``_theta_ints``.  Each coordinate is
+    a numerator over its own denominator: integers go over their least
+    common multiple to ``ChernVector._ints`` (one gcd); any other scalar
+    is divided by its own denominator alone, where that is not 1.  The
+    products are grouped as in the closed forms, so a series keeps the
+    floors they give."""
+    if B.base.rank != g.rank:
+        raise DimensionError("divisor rank does not match geometry rank")
+    (t, *d), L = _numerators([B.theta, *B.base.coords])
+    rows, gd = _kept(g, _gram_ints)
+    q, LL = _form(rows, d, d), L * L  # D.D over gd L^2
     if t:
-        th = t * g.h
-        eta = [th * t / 2 * hb + t * c for hb, c in zip(g.hb, D.coords)]
-        s = -t * (th * th * g.hb2 + 3 * th * pair_h(g, D) + 3 * dd) / 6
+        hrow, w, wd, c3, c2, c1, sd = _kept(g, _theta_ints)
+        eta = [(t * t * wi + t * c * wd, wd * LL) for wi, c in zip(w, d)]
+        hd = _form(hrow, (1,), d)  # H.D over rd L
+        s = (-t * (t * t * c3 + t * hd * c2 + q * c1), sd * LL * L)
     else:
-        eta, s = [0] * g.rank, 0
-    return ChernVector._ints(*_numerators([1, -t, *(-c for c in D.coords), *eta, dd / 2, s]))
+        eta, s = [(0, 1)] * g.rank, (0, 1)
+    parts = [(1, 1), (-t, L), *((-c, L) for c in d), *eta, (q, 2 * gd * LL), s]
+    if type(t) is int:
+        den = lcm(*(p for _, p in parts))
+        return ChernVector._ints([n * (den // p) for n, p in parts], den)
+    return ChernVector._ints([n if p == 1 else _divided(n, p) for n, p in parts], 1)
+
+
+def _gram_ints(g: BaseGeometry) -> tuple[list, int]:
+    """The gram matrix as integer rows over one denominator gd, read off
+    the structure constants (pull(A) * pull(B) = (A.B) f): ``rows[i]``
+    lists the (j, G_ij gd) with G_ij nonzero, by j."""
+    rows, gd, width = _kept(g, _structure_constants)
+    return [[(j - 2, c) for j, k, c in rows[2 + i] if k == width - 2] for i in range(g.rank)], gd
+
+
+def _theta_ints(g: BaseGeometry) -> tuple:
+    """The integers that exp(-B) reads only for t != 0: the row hb * gram
+    over rd, as a one-row ``_form`` table; w over wd, with w_i / wd =
+    h hb_i / 2, the t^2 coefficient of eta; and c3, c2, c1 with
+    6 s = -t (t^2 h^2 H^2 + 3 t h (H.D) + 3 (D.D)) read on numerators:
+    c3 / m = h^2 H^2, c2 / m = 3 h / rd and c1 / m = 3 / gd, over sd = 6 m."""
+    row, rd = _over_common_denominator(g.hb_row)
+    w, wd = _over_common_denominator([g.h * c / 2 for c in g.hb])
+    gd = _kept(g, _gram_ints)[1]
+    (c3, c2, c1), m = _over_common_denominator([g.h * g.h * g.hb2, 3 * g.h / rd, Fraction(3, gd)])
+    return [[(j, c) for j, c in enumerate(row) if c]], w, wd, c3, c2, c1, 6 * m
 
 
 @lru_cache(maxsize=None)

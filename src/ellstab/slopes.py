@@ -157,8 +157,11 @@ def _fixed(g: BaseGeometry, name: str) -> ChernVector:
 
 
 def _mu_omega_b(g: BaseGeometry, kind: SlopeKind) -> tuple:
+    """(w^2 exp(-B), pt), with exp(-B) kept on g at the half-canonical field."""
     om = divisor_vector(g, kind.omega)
-    return mul(g, mul(g, om, om), _exp_minus(g, kind.bfield)), _fixed(g, "point")
+    B = kind.bfield
+    e = _kept(g, _half_canonical_exp) if B == g.half_canonical_bfield() else _exp_minus(g, B)
+    return mul(g, mul(g, om, om), e), _fixed(g, "point")
 
 
 def _nu_omega_b(g: BaseGeometry, kind: SlopeKind) -> tuple:

@@ -113,7 +113,7 @@ def suite_swap(cases: int = 10000, seed: int = 1) -> SuiteReport:
         nums, den = _rand_nums(rng, 2 * g.rank + 2)
         v = ChernVector._ints([0, 0, *nums], den)
         d = _rand_divisor(rng, g.rank)
-        dbar = d - g.hb_divisor.scale(g.h / 2)
+        dbar = d + g.half_canonical_bfield().base
         lhs = fmt.fiber_swap_rule(g, twist(g, v, DivisorX.pullback(dbar)))
         rhs = twist(g, fmt.phi(g, v), DivisorX.pullback(d))
         report.check(lhs == rhs, _Label("case {} h={} v={} d={}", i, g.h, v, d))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .asymptotics import ChargeKind, _cross_coefficients, _germ_verdict
+from .asymptotics import ChargeKind, _check_rational, _cross_coefficients, _germ_verdict
 from .charges import _checked_reduced_parts
 from .curves import OneDimCurve, TiltCurve, _fixed_cycles, constraint_poly
 from .errors import ComputationFault, DimensionError, DomainError
@@ -112,6 +112,7 @@ def threshold_equiv_check(
     the ``charge_series`` germs, and the exponent of their leading cross
     coefficient).
     """
+    _check_rational(t, e)
     if t.n != 0 or t.x != 0 or not t.S.is_zero():
         raise DomainError("t must be a one-dimensional class (n = x = 0, S = 0)")
     heta = pair_h(g, t.eta)
@@ -166,6 +167,7 @@ def slope_correspondence_check(
 ) -> bool:
     """Slope order of one-dimensional classes versus phase order of their
     transforms, strict and non-strict simultaneously."""
+    _check_rational(m, n)
     curve = OneDimCurve(g.h, y, z)
     obar = DivisorX(curve.y, g.hb_divisor.scale(curve.z))
     kind = SlopeKind.mu_bar(obar, dbar)

@@ -989,7 +989,8 @@ class TestCrossTable:
         verdict read ``charge_series`` germs: a kind that is not a
         ``ChargeKind``, a curve of another h, a class that is not rational,
         n or x nonzero for the full kind, a rank mismatch and orders 0 and
-        2.5."""
+        2.5.  A class that is not rational is refused by the threshold
+        check as by ``compare_vectors``, with the same ``DomainError``."""
         g, tilt, flat = geometry_for(-1), TiltCurve(-1, 1, 2), OneDimCurve(-1, 1, 3)
         m, n = cv(1, 2, d(1), d(0), 1, 1), cv(2, 1, d(0), d(1), 3, -1)
         fm, fn = cv(0, 0, d(1), d(2), 3, 4), cv(0, 0, d(2), d(1), -1, 2)
@@ -1011,8 +1012,7 @@ class TestCrossTable:
             (lambda: compare_vectors(g, fm, fn, flat, full, 8, d(1, 2)), DimensionError, rank),
             (lambda: threshold_check(g, t, e, TiltCurve(0, 1, 2)), ConfigurationError,
              "curve and geometry disagree on h"),
-            (lambda: threshold_check(g, t, symbolic, tilt), TypeError,
-             "'<=' not supported between instances of 'Poly2' and 'int'"),
+            (lambda: threshold_check(g, t, symbolic, tilt), DomainError, rational),
             (lambda: threshold_check(g, t, e2, tilt), DimensionError, "vector rank does not match geometry rank"),
             (lambda: correspondence_check(g, m, o2, 1, 3, d(0)), DomainError, "inputs must be one-dimensional classes"),
             (lambda: correspondence_check(g, o1, o3, 1, 3, d(0)), DimensionError, rank),

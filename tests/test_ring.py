@@ -997,6 +997,61 @@ def _reference_twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVecto
     return _reference_table_mul(g, expo, v)
 
 
+def _reference_exp_minus(g: BaseGeometry, B: DivisorX) -> ChernVector:
+    """exp(-B) = 1 - B + B^2/2 - B^3/6 from the closed forms of B^2 and B^3
+    on the coordinates, as ``ring._exp_minus`` built it before it read
+    numerators, kept verbatim as its reference (with the reference pairings)."""
+    t, D = B.theta, B.base
+    dd = _reference_pair(g, D, D)
+    if t:
+        th = t * g.h
+        eta = [th * t / 2 * hb + t * c for hb, c in zip(g.hb, D.coords)]
+        s = -t * (th * th * g.hb2 + 3 * th * _reference_pair_h(g, D) + 3 * dd) / 6
+    else:
+        eta, s = [0] * g.rank, 0
+    return ChernVector._ints(*ring._numerators([1, -t, *(-c for c in D.coords), *eta, dd / 2, s]))
+
+
+def fractional_geometries():
+    """Lattices with a non-integer gram or hb, at fractional h and h = 0,
+    ranks 1 and 2."""
+    return [
+        BaseGeometry(1, [[Fraction(1, 2)]], [Fraction(2, 3)], Fraction(1, 3)),
+        BaseGeometry(1, [[Fraction(3, 4)]], [Fraction(1, 2)], 0),
+        BaseGeometry(2, [[Fraction(3, 2), Fraction(1, 3)], [Fraction(1, 3), 2]], [Fraction(1, 2), 1], 0),
+        BaseGeometry(2, [[Fraction(1, 2), 1], [1, Fraction(5, 4)]], [Fraction(2, 3), Fraction(1, 5)],
+                     Fraction(-5, 3), 0, 2),
+        BaseGeometry(2, [[0, Fraction(1, 2)], [Fraction(1, 2), 0]], [1, 1], Fraction(3, 2)),
+    ]
+
+
+def _fields(rng, g):
+    """Fields B = t Theta + pull(D) at every scalar: rational with t = 0 and
+    t != 0 (zeros of either part included), Poly2 (symbolic, zero, mixed
+    with Fractions) and series (truncated and exact, mixed with Fractions)."""
+    r = g.rank
+    z = g.zero_divisor()
+    u, v = Poly2.u(), Poly2.v()
+    s1 = LaurentSeries([(1, Fraction(2, 3)), (-1, 5)], -4)
+    s2 = LaurentSeries([(0, Fraction(-1, 2)), (-2, 3)], -3)
+    exact = LaurentSeries([(2, 1), (0, Fraction(1, 3))])
+    series = [s1, s2, exact, LaurentSeries.zero(-2)]
+    out = [DivisorX.zero(r), DivisorX(_rand_q(rng) or 1, z), g.half_canonical_bfield()]
+    for _ in range(6):
+        out += [DivisorX(0, _rand_divisor(rng, r)), DivisorX(_rand_q(rng), _rand_divisor(rng, r))]
+    out += [DivisorX(u, g.hb_divisor.scale(v)), DivisorX(0, DivisorB._raw((v,) * r)),
+            DivisorX(Poly2(), DivisorB([Poly2()] * r)), DivisorX(u, z),
+            DivisorX(_rand_q(rng) or 1, DivisorB._raw((u,) * r)),
+            DivisorX(u, _rand_divisor(rng, r)), DivisorX(0, DivisorB._raw((Fraction(0),) * (r - 1) + (u * v,)))]
+    for _ in range(4):
+        pick = lambda: rng.choice(series + [_rand_q(rng), Fraction(0)])
+        out += [DivisorX(rng.choice(series), DivisorB._raw(tuple(pick() for _ in range(r)))),
+                DivisorX(_rand_q(rng) or 1, DivisorB._raw(tuple(rng.choice(series) for _ in range(r)))),
+                DivisorX(0, DivisorB._raw(tuple(pick() for _ in range(r)))),
+                DivisorX(rng.choice(series), _rand_divisor(rng, r))]
+    return out
+
+
 def _storage_forms(rank, flat):
     """The same class held both ways a vector of Fractions can be: fields
     with the integer form (the public constructor), and the integer form
@@ -1197,6 +1252,25 @@ class TestOneStorageForm:
                 for B in fields[:2] if _is_series(v) else fields:
                     _assert_same(twist(g, v, B), _reference_twist(g, v, B))
 
+    def test_exp_minus_matches_the_closed_form_at_every_scalar(self):
+        """exp(-B) from numerators has the value, type, hash and storage form
+        of the closed form on the coordinates, for fields with t = 0 and
+        t != 0 at every scalar, on lattices with integer and non-integer
+        gram and hb, fractional h and h = 0, at ranks 1, 2 and 3."""
+        rng = random.Random(51)
+        for g in fresh_geometries() + unusual_geometries() + fractional_geometries():
+            for B in _fields(rng, g):
+                got, want = ring._exp_minus(g, B), _reference_exp_minus(g, B)
+                _assert_same(got, want)
+                assert (got._nums, got._den) == (want._nums, want._den)
+                assert [type(c) for c in got._nums] == [type(c) for c in want._nums]
+                if not any(isinstance(c, (Poly2, LaurentSeries)) for c in (B.theta, *B.base.coords)):
+                    _assert_canonical(got)
+                    v = _rand_vector(rng, g.rank)
+                    _assert_same(twist(g, v, B), _reference_table_mul(g, want, v))
+        with pytest.raises(DimensionError, match="divisor rank does not match geometry rank"):
+            ring._exp_minus(fresh_geometries()[0], DivisorX.zero(2))
+
     def test_pair_h_skips_exact_zeros_of_every_scalar(self):
         """A Poly2 zero is skipped, as a Fraction zero is, so H.d of a
         divisor of zeros is the Fraction zero; a series is never skipped."""
@@ -1216,7 +1290,7 @@ class TestOneStorageForm:
         truncated stored zero, which is never skipped and keeps its floor."""
         rng = random.Random(49)
         floored = LaurentSeries.zero(-2)
-        for g in fresh_geometries() + unusual_geometries():
+        for g in fresh_geometries() + unusual_geometries() + fractional_geometries():
             r = g.rank
             divisors = [d for v in _every_scalar(rng, r) for d in (v.S, v.eta)]
             divisors += [DivisorB._raw((zero,) * r) for zero in (Fraction(0), Poly2(), Poly2.const(0), floored)]
@@ -1287,6 +1361,42 @@ class TestOneStorageForm:
             ChernVector(1, 0, [1], [0], 0, 0)
         with pytest.raises(TypeError, match="S and eta"):
             ChernVector(1, 0, DivisorB([1]), (0,), 0, 0)
+
+
+def test_rational_twist_builds_no_fraction(monkeypatch):
+    """Once a geometry's integer rows are kept, exp(-B) and ``twist`` of
+    rational fields and classes construct no Fraction at all
+    (``Fraction.__new__`` counted, so Fraction arithmetic counts too), for
+    t = 0 and t != 0; ``pair`` builds one, its value, or none for zero."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    rng = random.Random(52)
+    for g in fresh_geometries() + fractional_geometries():
+        r = g.rank
+        vs = [_rand_vector(rng, r) for _ in range(4)]
+        fields = [DivisorX(0, _rand_divisor(rng, r)), DivisorX(_rand_q(rng) or 1, _rand_divisor(rng, r)),
+                  DivisorX(_rand_q(rng) or 1, g.zero_divisor()), DivisorX.zero(r), g.half_canonical_bfield()]
+        for B in fields:
+            twist(g, vs[0], B)  # the rows, built once per geometry
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        for v in vs:
+            for B in fields:
+                twist(g, v, B)
+                ring._exp_minus(g, B)
+        monkeypatch.undo()
+        assert built == []
+        for v in vs:
+            d1, d2 = v.S, v.eta  # reading fields builds Fractions
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+            value = pair(g, d1, d2)
+            monkeypatch.undo()
+            assert len(built) == (1 if value else 0)
+            built.clear()
 
 
 def test_rational_hot_path_builds_no_fraction(monkeypatch):

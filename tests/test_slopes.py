@@ -275,6 +275,29 @@ class TestFixedClasses:
             build = slopes._PAIRS[tag]
             assert g.matrices[build, (None,)] == build(g, None)
 
+    def test_the_half_canonical_field_and_its_exp_are_built_once(self, monkeypatch):
+        """``half_canonical_bfield`` is kept on g, and a MU_OMEGA_B kind at
+        that field (the same object or an equal one) reads the kept exp(-B),
+        with no ``_exp_minus``; another field still builds its own."""
+        g = BaseGeometry(2, [[2, 1], [1, 3]], [1, 0], Fraction(-3, 2))
+        half = g.half_canonical_bfield()
+        assert half is g.half_canonical_bfield()
+        assert half == DivisorX(0, g.hb_divisor.scale(Fraction(3, 4)))
+        rng = random.Random(17)
+        vs = [_rand_vector(rng, 2) for _ in range(5)]
+        omega = DivisorX(2, g.hb_divisor.scale(3))
+        built, original = [], slopes._exp_minus
+        monkeypatch.setattr(slopes, "_exp_minus", lambda g, B: built.append(B) or original(g, B))
+        for B in (half, DivisorX(0, DivisorB([Fraction(3, 4), 0]))):
+            kind = SlopeKind.mu_omega_b(omega, B)
+            for v in vs:
+                assert slope(g, kind, v) == _reference_slope(g, kind, v)
+        assert built == []
+        other = SlopeKind.mu_omega_b(omega, DivisorX(1, g.hb_divisor))
+        for v in vs:
+            assert slope(g, other, v) == _reference_slope(g, other, v)
+        assert built == [other.bfield]
+
     def test_a_kind_that_needs_no_m_is_untouched_by_a_bad_m(self):
         """m is read only by the kinds that pair with it, as before."""
         g = BaseGeometry(1, [[1]], [1], 1, -1, 0)  # m0 = 0: m = 0

@@ -418,6 +418,34 @@ def test_the_twist_rule_sees_imports_calls_and_attributes():
     assert sorted(set(_named(tree, {"twist"}))) == [3, 5, 7]
 
 
+def _twists_by_the_half_canonical_field(tree):
+    """Line numbers of ``_exp_minus(...)`` and ``twist(...)`` calls, bare or
+    through a module, with a ``half_canonical_bfield()`` call among their
+    arguments."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) in ("_exp_minus", "twist"):
+            if any(isinstance(a, ast.Call) and _called(a) == "half_canonical_bfield" for a in node.args):
+                yield node.lineno
+
+
+def test_the_half_canonical_exp_is_read_where_it_is_kept():
+    """Outside ``ring``, exp(-B) of the half-canonical field is read through
+    ``_kept(g, _half_canonical_exp)``, built once per geometry, never built
+    again by ``_exp_minus`` or a ``twist``."""
+    names = {path.name for path in SRC.glob("*.py")} - {"ring.py"}
+    assert _sites(_twists_by_the_half_canonical_field, names) == []
+
+
+def test_the_half_canonical_rule_sees_calls_and_attributes():
+    tree = ast.parse("e = _exp_minus(g, g.half_canonical_bfield())\n"
+                     "tw = ring.twist(g, v, geo.half_canonical_bfield())\n"
+                     "e = _kept(g, _half_canonical_exp)\n"
+                     "tw = twist(g, v, DivisorX.pullback(d))\n"
+                     "kind = SlopeKind.mu_omega_b(obar, g.half_canonical_bfield())\n"
+                     "tw = twist(\n    g, v, g.half_canonical_bfield()\n)\n")
+    assert sorted(_twists_by_the_half_canonical_field(tree)) == [1, 2, 6]
+
+
 # Every module-level functools memo in src, with the reuse it serves.  Hit/miss
 # counts are from perfbench's three workloads at seed 1, one run of each
 # workload's passes, read before each ``fresh_unit`` clear.

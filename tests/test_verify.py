@@ -12,6 +12,7 @@ import pytest
 from ellstab import asymptotics, charges, curves, ring, suites, verify
 from ellstab.curves import TiltCurve
 from ellstab.errors import ComputationFault, DimensionError, DomainError
+from ellstab.poly import Poly2
 from ellstab.ring import BaseGeometry, ChernVector
 from ellstab.slopes import SlopeTag, SlopeValue
 from ellstab.suites import geometry_for, _rand_tilt, _rand_vector
@@ -259,6 +260,31 @@ class TestCorrespondenceDomain:
         assert seen == {None, (DomainError, "inputs must be one-dimensional classes"),
                         (DomainError, "inputs require a positive twisted degree"),
                         (DimensionError, "divisor rank does not match geometry rank")}
+
+
+class TestSymbolicClasses:
+    def test_both_checks_refuse_a_class_that_is_not_rational(self, g1):
+        """A class with a ``Poly2`` coordinate, in either argument and in any
+        field, gets the ``DomainError`` that ``compare_vectors`` raises for
+        it, before any comparison."""
+        u = Poly2.u()
+        rational = "a charge germ needs a rational class (every coordinate a Fraction)"
+        tilt = TiltCurve(-1, 1, 2)
+        t, e = cv(0, 0, d(0), d(1), 0, 0), cv(2, 1, d(0), d(0), 0, 0)
+        m, n = cv(0, 0, d(0), d(1), 0, 1), cv(0, 0, d(0), d(1), 0, 2)
+        calls = [
+            lambda: threshold_equiv_check(g1, ChernVector(0, 0, d(0), d(u), 0, 0), e, tilt),
+            lambda: threshold_equiv_check(g1, ChernVector(0, 0, d(0), d(1), u, 0), e, tilt),
+            lambda: threshold_equiv_check(g1, t, ChernVector(u, 1, d(0), d(0), 0, 0), tilt),
+            lambda: threshold_equiv_check(g1, t, ChernVector(2, 1, d(0), d(0), 0, u), tilt),
+            lambda: slope_correspondence_check(g1, ChernVector(0, 0, d(0), d(u), 0, 1), n, 1, 3, d(0)),
+            lambda: slope_correspondence_check(g1, m, ChernVector(0, 0, d(0), d(1), u, 2), 1, 3, d(0)),
+            lambda: slope_correspondence_check(g1, m, ChernVector(0, 0, d(0), d(1), 0, u), 1, 3, d(0)),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError) as raised:
+                call()
+            assert str(raised.value) == rational
 
 
 class TestH0Independence:
