@@ -31,16 +31,12 @@ from functools import lru_cache
 from math import lcm
 
 from . import charges as charges_mod
+from .charges import ChargeKind
 from .curves import CurveConstraint, _whole_order, admissible_bracket, expand_u
-from .errors import ComputationFault, ConfigurationError, DimensionError, DomainError
-from .poly import Poly2, RootInterval, monomial_table, sign_at_root
+from .errors import ConfigurationError, DimensionError, DomainError
+from .poly import Poly2, RootInterval, sign_at_root
 from .ring import BaseGeometry, ChernVector, DivisorB, _contract, _kept, _over_common_denominator, _q
 from .series import LaurentSeries, _product_floor
-
-
-class ChargeKind(Enum):
-    REDUCED = "reduced"
-    FULL = "full"
 
 
 class Side(Enum):
@@ -112,7 +108,7 @@ def charge_series(
     B = pull(d), d = 0 by default, ``charges._full_coefficients``.  The
     germs are evaluated once per (curve, order, kind) at the germ point
     (u(v), v), with u(v) expanded through ``order`` terms; the
-    coefficients are the kind's table (``_charge_table``) applied by
+    coefficients are the kind's table (``charges._charge_table``) applied by
     ``ring._contract`` to the class and (1, d), and each class combines
     the germs in one integer pass; germs and truncation floors are those
     the chained series arithmetic gives.  The full kind raises
@@ -148,11 +144,11 @@ def _checked_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: Ch
 
 def _class_coefficients(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: ChargeKind, d) -> tuple:
     """``_checked_class``, then the kind's coefficients of v (re constant
-    and coefficients, then im's), the table ``_charge_table`` applied by
+    and coefficients, then im's), the table ``charges._charge_table`` applied by
     ``ring._contract`` to the class and (1, d): (integers, den)."""
     nums, ds = _checked_class(g, v, c, kind, d)
     dnums, dden = _over_common_denominator(ds)
-    return _contract(_kept(g, _charge_table, kind), (nums, v._den), ((dden, *dnums), dden))
+    return _contract(_kept(g, charges_mod._charge_table, kind), (nums, v._den), ((dden, *dnums), dden))
 
 
 def _check_rational(*classes: ChernVector) -> None:
@@ -166,27 +162,6 @@ def _check_rational(*classes: ChernVector) -> None:
 def _check_kind(kind) -> None:
     if not isinstance(kind, ChargeKind):
         raise DomainError(f"unknown charge kind {kind}")
-
-
-def _charge_table(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int, int]:
-    """A kind's class coefficients (re constant and coefficients, then im's)
-    as a table on the class and (1, d), read off one evaluation at ``Poly2``
-    monomials: class coordinate i is u^(i+1) (n = x = 0 for the full kind,
-    so pull(d)^2, which meets only n and x, drops out), d_j is v^(j+1).  The
-    full kind's coefficients on the x and n germs must vanish (else
-    ``ComputationFault``) and are left out."""
-    r, full = g.rank, kind is ChargeKind.FULL
-    flat = [Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * r + 4)]
-    if full:
-        flat[:2] = Fraction(0), Fraction(0)
-        d = DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r)))
-        parts = charges_mod._full_coefficients(g, ChernVector._ints(flat, 1), d)
-    else:
-        parts = charges_mod._reduced_coefficients(g, ChernVector._ints(flat, 1))
-    values = [x for const, coeffs in parts for x in (const, *coeffs)]
-    if full and any((values.pop(6), values.pop(1))):  # the x and n germs' coefficients
-        raise ComputationFault("full charge of a class with n = x = 0 reaches an x or n germ")
-    return monomial_table(values, len(flat))
 
 
 @lru_cache(maxsize=None)

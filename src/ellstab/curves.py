@@ -46,6 +46,7 @@ from .ring import (
     BaseGeometry,
     ChernVector,
     DivisorX,
+    _divided,
     _kept,
     _over_common_denominator,
     _q,
@@ -329,8 +330,8 @@ def _cycle_sides(g: BaseGeometry, c: TiltCurve, u, vpar) -> tuple[ChernVector, C
     """The two degree-two cycles whose equality is the compatibility of the
     fixed and moving polarizations, both built through ring products."""
     left_cycle, theta, _, theta_obar2 = _fixed_cycles(g, c)
-    om, _, om3 = divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
-    lhs = left_cycle.scale(om3 / 6)
+    om, _, (om3, den) = divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
+    lhs = left_cycle.scale(_divided(om3, den) / 6)
     rhs = mul(g, om, theta).scale(theta_obar2)
     return lhs, rhs
 

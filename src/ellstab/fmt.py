@@ -80,9 +80,19 @@ def _apply(g: BaseGeometry, v: ChernVector, closed) -> ChernVector:
 def _table(g: BaseGeometry, closed) -> tuple[list, int, int]:
     """The table of a closed form, read off one evaluation at the monomials
     u^(i+1) of coordinates i."""
-    dim = 2 * g.rank + 4
-    out = closed(g, ChernVector._ints([Poly2._ints({(i + 1, 0): 1}, 1) for i in range(dim)], 1))
-    return monomial_table(out.coordinates(), dim)
+    return monomial_table(closed(g, _monomials(g)).coordinates(), 2 * g.rank + 4)
+
+
+def _a3_table(g: BaseGeometry) -> tuple[list, int, int]:
+    """``ChernVector.a3``, the fiber coefficient that the transform carries
+    to degree two, as a one-output table on the class, read off it at the
+    same monomials."""
+    return monomial_table([_monomials(g).a3(g)], 2 * g.rank + 4)
+
+
+def _monomials(g: BaseGeometry) -> ChernVector:
+    """The class whose coordinate i is the monomial u^(i+1)."""
+    return ChernVector._ints([Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * g.rank + 4)], 1)
 
 
 def fiber_swap_rule(g: BaseGeometry, tw: ChernVector) -> ChernVector:

@@ -251,9 +251,10 @@ class BaseGeometry:
     use, since most geometries are never hashed.
     ``matrices`` starts empty; ``_kept`` alone reads and writes it, keyed by
     (builder, argument tuple): the product's structure constants and their
-    point-class slice (``_point_constants``), the transform tables
-    (``fmt._table``) and the charge tables (``asymptotics._charge_table``),
-    the lattice data of ``pair`` and exp(-B) as integers (``_gram_ints``,
+    point-class slice (``_point_constants``), the transform tables and the
+    row of ``ChernVector.a3`` (``fmt._table``, ``fmt._a3_table``), the
+    charge tables (``charges._charge_table``), the lattice data of
+    ``pair`` and exp(-B) as integers (``_gram_ints``,
     ``_theta_ints``), the half-canonical field and its exp(-B)
     (``_half_canonical_bfield``, ``_half_canonical_exp``), the classes that
     slopes pair with (``slopes._FIXED``) and the parameterless kinds' pairs
@@ -531,13 +532,18 @@ def mul(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> ChernVector:
 
 def degree(g: BaseGeometry, v1: ChernVector, v2: ChernVector):
     """The point coefficient of v1 * v2, ``mul(g, v1, v2).s`` in value and
-    type: ``_contract`` with the structure constants that reach the point
-    class (``_point_constants``)."""
+    type: ``_degree_numerator`` over its den."""
+    return _divided(*_degree_numerator(g, v1, v2))
+
+
+def _degree_numerator(g: BaseGeometry, v1: ChernVector, v2: ChernVector) -> tuple:
+    """``degree`` as (numerator, den): ``_contract`` with the structure
+    constants that reach the point class (``_point_constants``)."""
     r = g.rank
     if v1.rank_lattice != r or v2.rank_lattice != r:
         raise DimensionError("vector rank does not match geometry rank")
     (total,), den = _contract(_kept(g, _point_constants), (v1._nums, v1._den), (v2._nums, v2._den))
-    return _divided(total, den)
+    return total, den
 
 
 def _contract(table: tuple, left: tuple, right: tuple) -> tuple[list, int]:
@@ -624,11 +630,12 @@ def divisor_vector(g: BaseGeometry, d: DivisorX) -> ChernVector:
 
 
 def divisor_powers(g: BaseGeometry, d: DivisorX) -> tuple:
-    """A divisor class as a vector, its square, and the degree of its cube:
-    the powers a charge at the polarization d reads, built once."""
+    """A divisor class as a vector, its square, and the degree of its cube
+    as (numerator, den) (``_degree_numerator``): the powers a charge at the
+    polarization d reads, built once."""
     dv = divisor_vector(g, d)
     d2 = mul(g, dv, dv)
-    return dv, d2, degree(g, d2, dv)
+    return dv, d2, _degree_numerator(g, d2, dv)
 
 
 def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:

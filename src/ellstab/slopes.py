@@ -29,6 +29,7 @@ from .ring import (
     DivisorB,
     DivisorX,
     _contract,
+    _divided,
     _exp_minus,
     _half_canonical_exp,
     _kept,
@@ -167,8 +168,8 @@ def _mu_omega_b(g: BaseGeometry, kind: SlopeKind) -> tuple:
 def _nu_omega_b(g: BaseGeometry, kind: SlopeKind) -> tuple:
     """Im / (2 Re) of ``charges._ring_parts``: (w - (w^3/6) pt, w^2), on the twist."""
     e = _exp_minus(g, kind.bfield)
-    om, om2, om3 = divisor_powers(g, kind.omega)
-    return mul(g, om - _fixed(g, "point").scale(om3 / 6), e), mul(g, om2, e)
+    om, om2, (om3, den) = divisor_powers(g, kind.omega)
+    return mul(g, om - _fixed(g, "point").scale(_divided(om3, den) / 6), e), mul(g, om2, e)
 
 
 def _mu_star_b(g: BaseGeometry, _) -> tuple:

@@ -14,25 +14,26 @@ checked.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from .asymptotics import ChargeKind, _check_rational, _cross_coefficients, _germ_verdict
-from .charges import _checked_reduced_parts
+from .charges import _checked_reduced_parts, _point
 from .curves import OneDimCurve, TiltCurve, _fixed_cycles, constraint_poly
 from .errors import ComputationFault, DimensionError, DomainError
-from .fmt import phi
+from .fmt import _a3_table, phi
 from .poly import Poly2, reduce_mod_u
 from .ring import (
     BaseGeometry,
     ChernVector,
     DivisorB,
     DivisorX,
+    _contract,
+    _degree_numerator,
+    _divided,
     _half_canonical_exp,
     _kept,
     degree,
-    divisor_powers,
     divisor_vector,
     mul,
     pair_h,
@@ -44,24 +45,37 @@ def _im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -
     """The two sides of the imaginary-part identity, both scaled by
     Theta.Obar^2: the left through the transform and the ring-checked
     reduced charge, the right from the twisted degree-one pairing against
-    the fixed polarization Obar = a Theta + b pull(H).  The products of the
-    point alone (the powers of w, Obar^2 and Theta.Obar^2) are built once
-    per point and curve."""
-    powers = _polarization_powers(g, u, vpar)
-    lhs = -_checked_reduced_parts(g, phi(g, e), u, vpar, powers)[1]
+    the fixed polarization Obar = a Theta + b pull(H).  The point's germ
+    numerators and the powers of w are built once per point, Obar^2 and
+    Theta.Obar^2 once per curve.  Every term is an integer contraction on
+    numerators: the reduced charge (``charges._checked_reduced_parts``),
+    Obar^2 . ch1^B (``ring._degree_numerator`` on the class twisted by the
+    half-canonical field) and a3(e) (the kept row ``fmt._a3_table``); a
+    value is built only for each side."""
+    if g.h != c.h:
+        raise DomainError("curve and geometry disagree on h")
+    point = _polarization_powers(g, u, vpar)
+    _, (im, im_den) = _checked_reduced_parts(g, phi(g, e), point)
+    om, _, (om3, om3_den) = point[1]
+    un, ud = om._nums[1], om._den  # u, the Theta coordinate of w
 
     _, _, obar2, theta_obar2 = _fixed_cycles(g, c)
-    om3_over6 = powers[2] * Fraction(1, 6)
+    tn, td = theta_obar2.numerator, theta_obar2.denominator
     tw = mul(g, _kept(g, _half_canonical_exp), e)  # the twist by the half-canonical field
-    obar2_ch1b = degree(g, obar2, tw)
-    return lhs * theta_obar2, om3_over6 * obar2_ch1b - u * e.a3(g) * theta_obar2
+    ch1b, ch1b_den = _degree_numerator(g, obar2, tw)
+    (a3,), a3_den = _contract(_kept(g, _a3_table), (e._nums, e._den), ((1,), 1))
+    lhs = _divided(-im * tn, im_den * td)
+    rhs = _divided(om3 * (ch1b * ud * a3_den * td) - un * (6 * om3_den * ch1b_den * a3 * tn),
+                   6 * om3_den * ch1b_den * ud * a3_den * td)
+    return lhs, rhs
 
 
 @lru_cache(maxsize=None, typed=True)
 def _polarization_powers(g: BaseGeometry, u, vpar) -> tuple:
-    """``ring.divisor_powers`` of w = u Theta + vpar pull(H); typed, so that
-    a constant ``Poly2`` point keeps its scalar type."""
-    return divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
+    """``charges._point`` at (u, vpar): the germ numerators and the
+    ``ring.divisor_powers`` of w = u Theta + vpar pull(H); typed, so that a
+    constant ``Poly2`` point keeps its scalar type."""
+    return _point(g, u, vpar)
 
 
 def im_identity_check(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -> bool:
@@ -72,10 +86,9 @@ def im_identity_check(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) ->
     and the ring-path charge, the right from the twisted degree-one pairing
     against the fixed polarization.  Off the curve the two sides differ for
     generic input, so the return value is the pointwise truth of the
-    identity.  Holds for every input on the curve, including x = 0.
+    identity.  Holds for every input on the curve, including x = 0.  A
+    curve of another h raises ``DomainError``.
     """
-    if g.h != c.h:
-        raise DomainError("curve and geometry disagree on h")
     lhs, rhs = _im_identity_sides(g, e, c, u, vpar)
     return lhs == rhs
 
@@ -85,7 +98,8 @@ def im_identity_symbolic_remainders(g: BaseGeometry, e: ChernVector, c: TiltCurv
 
     The difference, cleared of its constant denominator, is a polynomial
     multiple of the constraint polynomial; the returned remainders are zero
-    exactly when the identity holds on the whole curve.
+    exactly when the identity holds on the whole curve.  A curve of another
+    h raises ``DomainError``.
     """
     lhs, rhs = _im_identity_sides(g, e, c, Poly2.u(), Poly2.v())
     return [reduce_mod_u(lhs - rhs, constraint_poly(c))]

@@ -303,7 +303,7 @@ class TestChargeSeries:
             for kind in ChargeKind:
                 rows, den = _reference_coefficient_rows(g, kind)
                 ref = as_table([[(i, j + 1, c) for i, j, c in row] for row in rows], den, 2 * g.rank + 4)
-                assert table_sets(ring._kept(g, asymptotics._charge_table, kind)) == ref
+                assert table_sets(ring._kept(g, charges._charge_table, kind)) == ref
 
     def test_equals_the_reference_applier(self):
         """Equal in value and hash to ``_reference_applied_charge_series``,
@@ -331,7 +331,7 @@ class TestChargeSeries:
             dsym = DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r)))
             (_, (re_x, _)), (_, (_, _, im_n)) = charges._full_coefficients(g, ChernVector._ints(flat, 1), dsym)
             assert re_x == 0 and im_n == 0
-            _, _, width = ring._kept(g, asymptotics._charge_table, ChargeKind.FULL)
+            _, _, width = ring._kept(g, charges._charge_table, ChargeKind.FULL)
             assert width == 5
         original = charges._full_coefficients
 
@@ -347,7 +347,7 @@ class TestChargeSeries:
             monkeypatch.setattr(charges, "_full_coefficients", patched)
             g = fresh_geometries()[0]
             with pytest.raises(ComputationFault):
-                asymptotics._charge_table(g, ChargeKind.FULL)
+                charges._charge_table(g, ChargeKind.FULL)
             with pytest.raises(ComputationFault):
                 charge_series(g, ChernVector(0, 0, d(1), d(2), 3, 4), OneDimCurve(g.h, 1, 3), ChargeKind.FULL)
 

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from ellstab import charges, ring
 from ellstab.charges import (
+    _checked_reduced_parts,
     _full_parts,
     _reduced_germs,
     _reduced_parts,
+    _ring_parts,
     full_charge,
     in_full_half_plane,
     onedim_transform_charge,
@@ -16,14 +19,14 @@ from ellstab.charges import (
     reduced_charge,
 )
 from ellstab.curves import OneDimCurve, TiltCurve, expand_u, solve_u
-from ellstab.errors import DomainError
+from ellstab.errors import ComputationFault, DomainError
 from ellstab.fmt import phi
 from ellstab.poly import Poly2
-from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, pair
+from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, degree, divisor_powers, pair
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
-from conftest import count_symbolic_products, cv, d
+from conftest import count_symbolic_products, cv, d, fresh_geometries
 
 
 def in_reduced_half_plane(c) -> bool:
@@ -286,3 +289,90 @@ class TestReducedGerms:
         products.clear()
         _reduced_germs(c.h, u, vpar, flat=True)
         assert len(products) == 1
+
+
+# The reduced closed form and its ring guard as written before the reduced
+# table: the closed form combined on the class's Fraction fields, the ring
+# side through ``ring.degree``, kept verbatim as their references.
+
+
+def _reference_reduced_parts(g: BaseGeometry, v: ChernVector, u, vpar) -> tuple:
+    """Closed form of the reduced charge as (re, im), over any scalar."""
+    return charges._combine(charges._reduced_coefficients(g, v), charges._reduced_germs(g.h, u, vpar))
+
+
+def _reference_ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:
+    """(w^2 ch1 / 2, w ch2 - w^3 ch0 / 6) through ring products, from the
+    powers (w, w^2, w^3) of the polarization w (``_reference_powers``)."""
+    om, om2, om3 = powers
+    return degree(g, om2, v) / 2, degree(g, om, v) - om3 * v.n / 6
+
+
+def _reference_checked_reduced_parts(g: BaseGeometry, v: ChernVector, u, vpar, powers: tuple) -> tuple:
+    """The reduced closed form at (u, vpar), after checking it against the
+    ring products at the powers of w = u*Theta + vpar*pull(H)."""
+    charges._require_positive("u", u)
+    charges._require_positive("vpar", vpar)
+    parts = _reference_reduced_parts(g, v, u, vpar)
+    if parts != _reference_ring_parts(g, v, powers):
+        raise ComputationFault("reduced charge closed form disagrees with ring evaluation")
+    return parts
+
+
+def _reference_powers(g: BaseGeometry, u, vpar) -> tuple:
+    """``ring.divisor_powers`` of w = u*Theta + vpar*pull(H), with the
+    degree of w^3 as a value, as it was returned."""
+    om, om2, om3 = divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
+    return om, om2, ring._divided(*om3)
+
+
+def _typed(values) -> list:
+    return [(type(x), x) for x in values]
+
+
+class TestReducedTable:
+    """The reduced closed form through the kept table on numerators, and
+    its ring guard on numerators, equal the Fraction-field forms in value
+    and type, at Fraction points and at Poly2 symbols."""
+
+    def _cases(self, rng):
+        for g in fresh_geometries():
+            points = [(Poly2.u(), Poly2.v())]
+            points += [(Fraction(rng.randint(1, 9), rng.randint(1, 4)), Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+                       for _ in range(3)]
+            for u, vpar in points:
+                vectors = [ChernVector.zero(g.rank)] + [_rand_vector(rng, g.rank) for _ in range(8)]
+                vectors[1] = ChernVector._ints([vectors[1]._nums[0], 0, *vectors[1]._nums[2:]], vectors[1]._den)
+                for v in vectors:
+                    yield g, v, u, vpar
+
+    def test_parts_match_the_reference(self):
+        symbolic = 0
+        for g, v, u, vpar in self._cases(random.Random(31)):
+            want = _typed(_reference_reduced_parts(g, v, u, vpar))
+            assert _typed(_reduced_parts(g, v, u, vpar)) == want
+            checked = _checked_reduced_parts(g, v, charges._point(g, u, vpar))
+            assert _typed(ring._divided(*part) for part in checked) == want
+            assert want == _typed(_reference_checked_reduced_parts(g, v, u, vpar, _reference_powers(g, u, vpar)))
+            symbolic += isinstance(u, Poly2)
+        assert symbolic == 11 * 9
+
+    def test_ring_side_matches_the_reference(self):
+        for g, v, u, vpar in self._cases(random.Random(32)):
+            got = _ring_parts(g, v, divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar))))
+            want = _reference_ring_parts(g, v, _reference_powers(g, u, vpar))
+            assert _typed(ring._divided(*part) for part in got) == _typed(want)
+
+    def test_the_guard_raises_on_a_wrong_table_entry(self, monkeypatch):
+        """A wrong coefficient, read into the kept table, disagrees with the
+        ring side at a Fraction point."""
+        original = charges._reduced_coefficients
+
+        def perturbed(g, v):
+            re, (im_const, (im_eta, im_a, im_n)) = original(g, v)
+            return re, (im_const, (im_eta, im_a + v.s, im_n))
+
+        monkeypatch.setattr(charges, "_reduced_coefficients", perturbed)
+        g = BaseGeometry(1, [[1]], [1], Fraction(-1), 0, 1)
+        with pytest.raises(ComputationFault):
+            reduced_charge(g, cv(1, 1, d(0), d(0), 0, 1), Fraction(1, 2), 3)

@@ -191,8 +191,8 @@ def _reference_slope(g, kind, v):
         om = divisor_vector(g, kind.omega)
         return ratio(degree(g, mul(g, om, om), tw), tw.n)
     if tag is SlopeTag.NU_OMEGA_B:
-        re, im = _ring_parts(g, twist(g, v, kind.bfield), divisor_powers(g, kind.omega))
-        return ratio(im, 2 * re)
+        (re, re_den), (im, im_den) = _ring_parts(g, twist(g, v, kind.bfield), divisor_powers(g, kind.omega))
+        return ratio(Fraction(im, im_den), 2 * Fraction(re, re_den))
     if tag is SlopeTag.MU_STAR:
         return ratio(v.s, degree(g, ChernVector(0, 0, hb, z, 0, 0), v))
     if tag is SlopeTag.MU_STAR_B:

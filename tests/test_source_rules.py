@@ -551,3 +551,32 @@ def test_the_cross_rule_sees_imports_attributes_and_products():
                      "y = 2 * germ.im\n")
     assert sorted(set(_named(tree, {"_leading_cross"}))) == [2, 5]
     assert sorted(_multiplies_germ_parts(tree)) == [4, 4, 7]
+
+
+def _calls(tree, names):
+    """Line numbers of a call made by one of ``names`` (``f(...)`` or
+    ``m.f(...)``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) in names:
+            yield node.lineno
+
+
+def test_the_closed_forms_are_read_through_their_tables():
+    """The reduced coefficients are called only in ``charges``, where the
+    kept table is read off them (``charges._charge_table``), and ``verify``
+    reads a3 through its kept row (``fmt._a3_table``), never by calling
+    ``ChernVector.a3``."""
+    others = {path.name for path in SRC.glob("*.py")} - {"charges.py"}
+    assert _sites(lambda tree: _calls(tree, {"_reduced_coefficients"}), others) == []
+    assert _sites(lambda tree: _calls(tree, {"a3"}), {"verify.py"}) == []
+
+
+def test_the_table_rule_sees_both_call_forms():
+    tree = ast.parse("parts = _reduced_coefficients(g, v)\n"
+                     "parts = charges_mod._reduced_coefficients(g, flat)\n"
+                     "table = _kept(g, _reduced_coefficients)\n"
+                     "x = e.a3(g)\n"
+                     "y = ChernVector.a3(e, g)\n"
+                     "z = e.a3\n")
+    assert sorted(_calls(tree, {"_reduced_coefficients"})) == [1, 2]
+    assert sorted(_calls(tree, {"a3"})) == [4, 5]

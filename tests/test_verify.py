@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from ellstab import asymptotics, charges, curves, ring, suites, verify
-from ellstab.curves import TiltCurve
+from ellstab.curves import TiltCurve, solve_u
+from ellstab.fmt import phi
 from ellstab.errors import ComputationFault, DimensionError, DomainError
 from ellstab.poly import Poly2
 from ellstab.ring import BaseGeometry, ChernVector
@@ -26,8 +27,23 @@ from ellstab.verify import (
 
 from conftest import count_symbolic_products, cv, d
 from test_asymptotics import _reference_cross_series
+from test_charges import _reference_checked_reduced_parts, _reference_powers
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ellstab"
+
+
+def _reference_im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -> tuple:
+    """``verify._im_identity_sides`` as written before it worked on
+    numerators, kept verbatim as its reference (the powers of w built here
+    rather than memoized, the ring-checked charge the Fraction-field one)."""
+    powers = _reference_powers(g, u, vpar)
+    lhs = -_reference_checked_reduced_parts(g, phi(g, e), u, vpar, powers)[1]
+
+    _, _, obar2, theta_obar2 = curves._fixed_cycles(g, c)
+    om3_over6 = powers[2] * Fraction(1, 6)
+    tw = ring.mul(g, ring._kept(g, ring._half_canonical_exp), e)  # the twist by the half-canonical field
+    obar2_ch1b = ring.degree(g, obar2, tw)
+    return lhs * theta_obar2, om3_over6 * obar2_ch1b - u * e.a3(g) * theta_obar2
 
 
 class TestImIdentity:
@@ -60,10 +76,12 @@ class TestImIdentity:
             assert im_identity_check(g, e, c, u, vpar)
 
     def test_symbolic_case_reuses_the_polarization_powers(self, monkeypatch):
-        """The first symbolic case on a geometry makes 4 products at Poly2
-        scalars: w^2 and w^3, shared by the ring-checked charge and the
-        right side, then w^2 ch1 and w ch2 of the transform.  Later cases
-        reuse w's powers and make only the last 2."""
+        """The first symbolic case on a geometry makes 4 table applications
+        at Poly2 scalars: w^2 and w^3, kept with the germ numerators by
+        ``_polarization_powers``, then the ring side's two pairings w^2 ch1
+        and w ch2 (``ring._degree_numerator``) of the transform.  Later
+        cases reuse the point and make only the last 2; the reduced table,
+        the twist, Obar^2 ch1^B and the a3 row apply to integers."""
         calls = count_symbolic_products(monkeypatch)
         verify._polarization_powers.cache_clear()
         rng = random.Random(23)
@@ -80,15 +98,18 @@ class TestImIdentity:
 
     def test_suite_builds_the_point_products_once(self, monkeypatch):
         """Obar^2 and Theta.Obar^2 are built once per curve and the powers
-        of w once per point, so suite_im_identity(50, 7) makes at most 368
-        ring products, ``mul`` and ``degree`` pairings together (528 when
-        every case rebuilt those four)."""
+        of w once per point, so suite_im_identity(50, 7) makes 316 ring
+        products and point pairings (``mul`` and ``ring._degree_numerator``,
+        which ``degree`` runs): 4 per case (the ring side's two pairings,
+        the twist and Obar^2 ch1^B) over 66 cases, 2 per point (w^2, w^3)
+        over 14 points and 6 per geometry (``curves._theta_h_products``)
+        over 4 geometries."""
         calls = []
 
         def counted(original):
             return lambda g, v1, v2: calls.append(1) or original(g, v1, v2)
 
-        for name in ("mul", "degree"):
+        for name in ("mul", "_degree_numerator"):
             product = counted(getattr(ring, name))
             for module in (ring, verify, charges, curves):
                 if hasattr(module, name):
@@ -97,7 +118,80 @@ class TestImIdentity:
         curves._fixed_cycles.cache_clear()
         report = suites.suite_im_identity(50, 7)
         assert report.passed and report.cases == 66
-        assert len(calls) <= 368
+        assert len(calls) <= 316
+
+    def test_sides_match_the_reference_at_rational_points(self):
+        """On and off the curve, with x = 0 and x < 0, at ranks 1 and 2:
+        the same values, of the same type, as ``_reference_im_identity_sides``."""
+        rng = random.Random(24)
+        off = 0
+        for h in (Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(-2)):
+            for rank2 in (False, True):
+                g = geometry_for(h, rank2)
+                for i in range(40):
+                    c = _rand_tilt(rng, h)
+                    vpar = Fraction(rng.randint(2, 60), rng.randint(1, 4))
+                    u = solve_u(c, vpar, Fraction(1, 2**8)).lo if h else (c.b / c.a) / vpar
+                    if i % 4 == 3 or h:
+                        u += Fraction(1, rng.randint(1, 9))  # off the curve
+                    nums, den = suites._rand_nums(rng, 2 * g.rank + 4)
+                    nums[1] = (0, -abs(nums[1]) - den, nums[1])[i % 3]
+                    e = ChernVector._ints(nums, den)
+                    got = verify._im_identity_sides(g, e, c, u, vpar)
+                    want = _reference_im_identity_sides(g, e, c, u, vpar)
+                    assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
+                    off += got[0] != got[1]
+        assert off > 100
+
+    def test_sides_match_the_reference_at_symbols(self):
+        rng = random.Random(25)
+        usym, vsym = Poly2.u(), Poly2.v()
+        for h in (Fraction(-2), Fraction(-1), Fraction(1, 2)):
+            for rank2 in (False, True):
+                g = geometry_for(h, rank2)
+                c = _rand_tilt(rng, h)
+                for e in [ChernVector.zero(g.rank)] + [_rand_vector(rng, g.rank) for _ in range(6)]:
+                    got = verify._im_identity_sides(g, e, c, usym, vsym)
+                    want = _reference_im_identity_sides(g, e, c, usym, vsym)
+                    assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
+                    assert all(isinstance(x, Poly2) for x in got)
+
+    def test_warm_rational_check_builds_only_its_values(self, monkeypatch):
+        """Once a point, a curve and the geometry's tables are warm, a
+        rational check builds no Fraction but its two side values
+        (``Fraction.__new__`` counted, so Fraction arithmetic counts too)."""
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        rng = random.Random(26)
+        for rank2 in (False, True):
+            g = geometry_for(Fraction(0), rank2)
+            points = suites._rational_tilt_points(rng, 4)
+            vectors = [_rand_vector(rng, g.rank) for _ in range(6)] + [ChernVector.zero(g.rank)]
+            for c, u, vpar in points:
+                im_identity_check(g, vectors[0], c, u, vpar)
+                im_identity_check(g, vectors[0], c, u, vpar + 1)
+            for c, u, vpar in points:
+                for e in vectors:
+                    for point in (vpar, vpar + 1):
+                        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+                        im_identity_check(g, e, c, u, point)
+                        monkeypatch.undo()
+                        assert len(built) <= 2
+                        built.clear()
+
+    def test_a_curve_of_another_h_raises_at_both_entry_points(self):
+        g = BaseGeometry(1, [[1]], [1], -1, 0, 1)
+        c = TiltCurve(Fraction(1, 2), 1, 2)
+        e = cv(1, 1, d(1), d(0), 0, 0)
+        with pytest.raises(DomainError, match="disagree on h"):
+            im_identity_check(g, e, c, Fraction(1, 2), 4)
+        with pytest.raises(DomainError, match="disagree on h"):
+            im_identity_symbolic_remainders(g, e, c)
 
     def test_symbolic_all_h(self):
         rng = random.Random(22)
