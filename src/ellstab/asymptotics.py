@@ -478,17 +478,18 @@ def _cross_poly(
 ) -> Poly2:
     """The exact cross value re(M) im(N) - im(M) re(N) as a polynomial in (u, v).
 
-    Both charges are closed forms at symbolic (u, v): the reduced one, or the
-    full one with B = pull(d), d = 0 by default, for any class.  Their ring
-    guard is proved once per geometry (``charges.prove_closed_form``)."""
+    Both charges are closed forms at symbolic (u, v): the reduced one, on
+    the germ numerators kept per geometry (``charges._symbolic_germs``), or
+    the full one with B = pull(d), d = 0 by default, for any class.  Their
+    ring guard is proved once per geometry (``charges.prove_closed_form``)."""
     _check_kind(kind)
     charges_mod.prove_closed_form(g)
-    usym, vsym = Poly2.u(), Poly2.v()
     if kind is ChargeKind.REDUCED:
-        zm, zn = (charges_mod._reduced_parts(g, v, usym, vsym) for v in (m, n))
+        germs = _kept(g, charges_mod._symbolic_germs)
+        zm, zn = (charges_mod._reduced_parts(g, v, germs) for v in (m, n))
     else:
         dd = d if d is not None else g.zero_divisor()
-        zm, zn = (charges_mod._full_parts(g, v, usym, vsym, dd) for v in (m, n))
+        zm, zn = (charges_mod._full_parts(g, v, Poly2.u(), Poly2.v(), dd) for v in (m, n))
     return zm[0] * zn[1] - zm[1] * zn[0]
 
 

@@ -10,7 +10,8 @@ on the class (``_charge_table``), read off them once per geometry at
 ``Poly2`` monomials and kept by ``ring._kept``.  ``_reduced_parts`` applies
 the reduced table to the class's numerators (``ring._contract``) and
 combines the result with the germs' numerators over one denominator, at
-``Fraction`` points and at ``Poly2`` symbols alike; ``_full_parts`` forms
+``Fraction`` points and at ``Poly2`` symbols alike (the symbols' germ
+numerators kept per geometry, ``_symbolic_germs``); ``_full_parts`` forms
 the full combination; ``asymptotics.charge_series`` builds the germs once
 per curve and order as ``LaurentSeries`` and combines each class with the
 same tables in one integer pass; ``asymptotics``' cross tables multiply
@@ -154,10 +155,17 @@ def _reduced_numerators(g: BaseGeometry, v: ChernVector, germs: tuple) -> tuple:
     return tuple((total, den * cden) for total in _combine(parts, (re, im)))
 
 
-def _reduced_parts(g: BaseGeometry, v: ChernVector, u, vpar) -> tuple:
-    """Closed form of the reduced charge as (re, im), over any scalar: one
-    ``ring._divided`` per part of ``_reduced_numerators``."""
-    return tuple(_divided(*part) for part in _reduced_numerators(g, v, _germ_numerators(g.h, u, vpar)))
+def _symbolic_germs(g: BaseGeometry) -> tuple:
+    """``_germ_numerators`` at the symbols (u, v), which depend on h alone;
+    read through ``ring._kept``, so built once per geometry."""
+    return _germ_numerators(g.h, Poly2.u(), Poly2.v())
+
+
+def _reduced_parts(g: BaseGeometry, v: ChernVector, germs: tuple) -> tuple:
+    """Closed form of the reduced charge as (re, im) at the point of germs
+    (``_germ_numerators``), over any scalar: one ``ring._divided`` per part
+    of ``_reduced_numerators``."""
+    return tuple(_divided(*part) for part in _reduced_numerators(g, v, germs))
 
 
 def _full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
@@ -226,7 +234,7 @@ def prove_closed_form(g: BaseGeometry) -> None:
 
 def _proved_closed_form(g: BaseGeometry) -> bool:
     """The check of ``prove_closed_form``, run; True once it passes."""
-    point = _point(g, Poly2.u(), Poly2.v())
+    point = _kept(g, _symbolic_germs), divisor_powers(g, DivisorX(Poly2.u(), g.hb_divisor.scale(Poly2.v())))
     dim = 2 * g.rank + 4
     for k in range(dim):
         _checked_reduced_parts(g, ChernVector._ints([int(i == k) for i in range(dim)], 1), point)

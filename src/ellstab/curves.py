@@ -16,7 +16,13 @@ bound, or 2q/v on the one-dimensional curve with h < 0); solving refines
 that bracket on the dyadic grid by quadratic interval refinement on the
 sign of the curve polynomial, on integer numerators throughout, with no
 Sturm isolation.  The cycle identity behind the tilt curve is decided
-exactly, at algebraic points by Sturm-Tarski queries.  The expansion of u
+exactly on integer numerators: what it reads of the fixed polarization is
+kept per curve (``_fixed_cycles``), what it reads of the moving one, the
+products of Theta and pull(H) behind omega Theta and deg(omega^3), per
+geometry (``_omega_products``), so a rational point cross-multiplies
+integers and the symbolic cycle parts are written down with no ring or
+polynomial product; at algebraic points one Sturm-Tarski query per part
+decides it.  The expansion of u
 as a Laurent series in 1/v is written down coefficient by coefficient: with
 w = hu + v both curves become w = v y(h u1 / v^2) for a power series y
 solving y^2 = 1 + 2x or y^3 = 1 + 3xy, whose coefficients Lagrange
@@ -46,12 +52,12 @@ from .ring import (
     BaseGeometry,
     ChernVector,
     DivisorX,
+    _degree_numerator,
     _divided,
     _kept,
     _over_common_denominator,
     _q,
     degree,
-    divisor_powers,
     divisor_vector,
     mul,
 )
@@ -326,34 +332,61 @@ def _theta_h_products(g: BaseGeometry) -> tuple:
     return theta, [[t * (n // v._den) for t in v._nums] for v in products], n, degrees, m
 
 
-def _cycle_sides(g: BaseGeometry, c: TiltCurve, u, vpar) -> tuple[ChernVector, ChernVector]:
-    """The two degree-two cycles whose equality is the compatibility of the
-    fixed and moving polarizations, both built through ring products."""
-    left_cycle, theta, _, theta_obar2 = _fixed_cycles(g, c)
-    om, _, (om3, den) = divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
-    lhs = left_cycle.scale(_divided(om3, den) / 6)
-    rhs = mul(g, om, theta).scale(theta_obar2)
-    return lhs, rhs
+def _omega_products(g: BaseGeometry) -> tuple:
+    """What the cycle identity reads of omega = u Theta + v pull(H), kept on
+    g: the numerators of omega Theta's terms Theta^2 and pull(H) Theta over
+    one denominator n, and of the coefficients of deg(omega^3) at
+    u^(3-j) v^j, j = 0..3, over m.  Both are bilinear in omega, so they are
+    summed from the products of Theta and pull(H) in the argument order of
+    the ring path, mul(omega, omega), its degree against omega and
+    mul(omega, Theta), and agree with it for any structure constants;
+    Theta^2, Theta pull(H) and pull(H)^2 are read off ``_theta_h_products``."""
+    theta, (t2, th, hh), n, _, _ = _kept(g, _theta_h_products)
+    hb = divisor_vector(g, DivisorX(0, g.hb_divisor))
+    h_theta = mul(g, hb, theta)
+    squares = (ChernVector._ints(t2, n), ChernVector._ints(th, n), h_theta, ChernVector._ints(hh, n))
+    cube = [Fraction(0)] * 4  # square q is X_a X_b for (a, b) = divmod(q, 2), X_0 = Theta, X_1 = pull(H)
+    for q, square in enumerate(squares):
+        for c, x in enumerate((theta, hb)):
+            cube[sum(divmod(q, 2)) + c] += _divided(*_degree_numerator(g, square, x))
+    cube, m = _over_common_denominator(cube)
+    den = lcm(n, h_theta._den)
+    return [x * (den // n) for x in t2], [x * (den // h_theta._den) for x in h_theta._nums], den, cube, m
+
+
+def _cycle_numerators(g: BaseGeometry, c: TiltCurve) -> tuple:
+    """The two cycles as integers: at omega = u Theta + v pull(H), flat
+    coordinate k of the left cycle is left_k W(u, v) / (6 m ld) and of the
+    right one T (u tt_k + v ht_k) / n, for W(u, v) = sum_j cube_j u^(3-j) v^j
+    and T = tn / td; returns (left, ld, tn, td, tt, ht, n, cube, m)."""
+    left_cycle, _, _, t = _fixed_cycles(g, c)
+    return (left_cycle._nums, left_cycle._den, t.numerator, t.denominator, *_kept(g, _omega_products))
 
 
 @lru_cache(maxsize=None)
 def _symbolic_difference_parts(g: BaseGeometry, c: TiltCurve) -> tuple[Poly2, ...]:
-    """All components of the symbolic cycle difference, as (u, v) polynomials."""
-    lhs, rhs = _cycle_sides(g, c, Poly2.u(), Poly2.v())
-    diff = lhs - rhs
-    return (diff.n, diff.x, diff.a, diff.s, *diff.S.coords, *diff.eta.coords)
+    """All components of the symbolic cycle difference, as (u, v)
+    polynomials in the order (n, x, a, s, S..., eta...), each written as one
+    ``Poly2._ints`` from ``_cycle_numerators`` over 6 m ld td n."""
+    left, ld, tn, td, tt, ht, n, cube, m = _cycle_numerators(g, c)
+    lw, rw = td * n, 6 * m * ld * tn
+    parts = [Poly2._ints({**{(3 - j, j): x * cj * lw for j, cj in enumerate(cube)}, (1, 0): -a * rw, (0, 1): -b * rw},
+                         6 * m * ld * td * n) for x, a, b in zip(left, tt, ht)]
+    return (*parts[:2], *parts[-2:], *parts[2:-2])
 
 
 def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
     """Whether the degree-two cycle identity behind the curve holds at (u, vpar).
 
-    Decided exactly.  For rational u the two cycles are compared directly,
-    so the result is True precisely on zeros of the constraint polynomial p.
-    A bracketed algebraic u must isolate one root of p at vpar, with neither
-    end a root, or ``CurveDomainError`` is raised; then one Sturm-Tarski
-    query per component of the difference (``sign_at_root``) decides
-    whether it vanishes at that root, and a component whose remainder mod p
-    is zero returns at once.
+    Decided exactly.  For rational u the two cycles are compared on
+    integers: with u = U/D and vpar = V/D, the numerators of
+    ``_cycle_numerators`` cross-multiplied, so the result is True precisely
+    on zeros of the constraint polynomial p.  A bracketed algebraic u must
+    isolate one root of p at vpar, with neither end a root, or
+    ``CurveDomainError`` is raised; then one Sturm-Tarski query per
+    component of the difference (``sign_at_root``) decides whether it
+    vanishes at that root, and a component whose remainder mod p is zero
+    returns at once.
     """
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
@@ -364,8 +397,12 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
         return all(sign_at_root(part.eval_v(vpar), p, u) == 0 for part in _symbolic_difference_parts(g, c))
     if isinstance(u, RootInterval):
         u = u.lo
-    lhs, rhs = _cycle_sides(g, c, _q(u), _q(vpar))
-    return lhs == rhs
+    u, vpar = _q(u), _q(vpar)
+    left, ld, tn, td, tt, ht, n, cube, m = _cycle_numerators(g, c)
+    U, V, D = u.numerator * vpar.denominator, vpar.numerator * u.denominator, u.denominator * vpar.denominator
+    lw = sum(cj * U ** (3 - j) * V**j for j, cj in enumerate(cube)) * td * n  # left over 6 m ld td n D^3
+    rw = 6 * m * ld * tn * D * D  # right over the same
+    return all(x * lw == (U * a + V * b) * rw for x, a, b in zip(left, tt, ht))
 
 
 def chow_identity_symbolic_remainder(g: BaseGeometry, c: TiltCurve) -> list[Poly2]:

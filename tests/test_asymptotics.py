@@ -1123,6 +1123,16 @@ def _pointwise_walls(sign, vrange, precision, samples):
     return tuple(walls)
 
 
+def _reference_cross_poly(g, m, n):
+    """The reduced kind's cross polynomial as built before its symbolic
+    germ numerators were kept on the geometry: rebuilt for each class."""
+    usym, vsym = Poly2.u(), Poly2.v()
+    zm, zn = (tuple(ring._divided(*part) for part in
+                    charges._reduced_numerators(g, v, charges._germ_numerators(g.h, usym, vsym)))
+              for v in (m, n))
+    return zm[0] * zn[1] - zm[1] * zn[0]
+
+
 class TestCrossPolynomial:
     """Scans and signs through the cross polynomial equal evaluation of the
     charges point by point."""
@@ -1215,6 +1225,53 @@ class TestCrossPolynomial:
                 asymptotics._cross_poly(g, n, m, kind, dd)
                 asymptotics._cross_poly(g, m, m.scale(2), kind, None)
             assert ring_parts == [] and products == []
+
+    def test_a_warm_reduced_cross_polynomial_builds_no_germ(self, monkeypatch):
+        """The reduced germ numerators at symbols depend on h alone and are
+        kept per geometry (``charges._symbolic_germs``): after the first
+        cross polynomial on a geometry no call builds them (counted at
+        ``charges._germ_numerators``), and every polynomial equals the one
+        built from germs rebuilt per class."""
+        rng = random.Random(44)
+        built = []
+        original = charges._germ_numerators
+        for g in fresh_geometries():
+            asymptotics._cross_poly(g, _rand_vector(rng, g.rank), _rand_vector(rng, g.rank), ChargeKind.REDUCED, None)
+            pairs = [(_rand_vector(rng, g.rank), _rand_vector(rng, g.rank)) for _ in range(4)]
+            pairs.append((pairs[0][0], pairs[0][0].scale(3)))
+            monkeypatch.setattr(charges, "_germ_numerators", lambda *a: built.append(1) or original(*a))
+            got = [asymptotics._cross_poly(g, m, n, ChargeKind.REDUCED, None) for m, n in pairs]
+            monkeypatch.undo()
+            assert built == []
+            assert got == [_reference_cross_poly(g, m, n) for m, n in pairs]
+        charges._germ_numerators(Fraction(1), Poly2.u(), Poly2.v())
+        monkeypatch.setattr(charges, "_germ_numerators", lambda *a: built.append(1) or original(*a))
+        asymptotics._cross_poly(BaseGeometry(1, [[1]], [1], Fraction(-1, 3)), *pairs[0], ChargeKind.REDUCED, None)
+        assert built == [1]  # the counter sees the one cold build, shared with the ring guard's proof
+
+    def test_signs_and_scans_match_germs_rebuilt_per_class(self, monkeypatch):
+        """``cross_sign_at`` and ``wall_scan`` on random reduced pairs give
+        what they gave with the germs rebuilt for each class."""
+        rng = random.Random(45)
+        cases = []
+        for h in (Fraction(-1), Fraction(0), Fraction(1, 2)):
+            for rank2 in (False, True):
+                g = geometry_for(h, rank2)
+                for _ in range(3):
+                    a = rng.randint(1, 3)
+                    c = TiltCurve(h, a, a + rng.randint(1, 2))
+                    points = [Fraction(rng.randint(3, 40), rng.randint(1, 3)) for _ in range(3)]
+                    cases.append((g, _rand_vector(rng, g.rank), _rand_vector(rng, g.rank), c, points))
+
+        def run():
+            return [(wall_scan(g, m, n, c, ChargeKind.REDUCED, (3, 14), Fraction(1, 2**10), None, 6),
+                     [cross_sign_at(g, m, n, c, ChargeKind.REDUCED, vpar) for vpar in points])
+                    for g, m, n, c, points in cases]
+
+        got = run()
+        monkeypatch.setattr(asymptotics, "_cross_poly", lambda g, m, n, kind, d: _reference_cross_poly(g, m, n))
+        assert run() == got
+        assert sum(len(scan.walls) for scan, _ in got) >= 1 and {s for _, signs in got for s in signs} == {-1, 1}
 
     def test_guard_catches_a_perturbed_closed_form(self, monkeypatch):
         """A wrong class coefficient in the reduced closed form makes the

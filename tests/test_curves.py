@@ -14,7 +14,6 @@ from ellstab import curves, poly, ring, series
 from ellstab.curves import (
     OneDimCurve,
     TiltCurve,
-    _cycle_sides,
     _fixed_cycles,
     _symbolic_difference_parts,
     admissible_bracket,
@@ -30,8 +29,10 @@ from ellstab.ring import ChernVector, DivisorX, divisor_vector, mul
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_tilt
 
-from conftest import truncate
+from conftest import fresh_geometries, truncate
+from test_charges import _typed
 from test_poly import _reference_add, _reference_divmod, _reference_mul, _reference_sign_at_root
+from test_ring import fractional_geometries
 
 
 def _eval_poly2_series(p: Poly2, u: LaurentSeries) -> LaurentSeries:
@@ -922,23 +923,120 @@ def _reference_cycle_sides(g, c, u, vpar):
     return lhs, rhs
 
 
+def _reference_parts(g, c) -> tuple:
+    """The symbolic parts as first built: the flat coordinates of the
+    reference cycles' difference at the symbols (u, v), in the order
+    (n, x, a, s, S..., eta...)."""
+    lhs, rhs = _reference_cycle_sides(g, c, Poly2.u(), Poly2.v())
+    diff = lhs - rhs
+    return (diff.n, diff.x, diff.a, diff.s, *diff.S.coords, *diff.eta.coords)
+
+
+# (h, u, v, a, b): rational points of tilt curves at h != 0, where they are
+# sparse (found by a search over small u and v)
+RATIONAL_CURVE_POINTS = (
+    (Fraction(-1), Fraction(1, 4), Fraction(2), Fraction(16, 13), Fraction(29, 13)),
+    (Fraction(-1), Fraction(32, 5), Fraction(16), Fraction(1, 112), Fraction(113, 112)),
+    (Fraction(-2), Fraction(1, 4), Fraction(4), Fraction(8, 13), Fraction(29, 13)),
+    (Fraction(-2), Fraction(1, 6), Fraction(35), Fraction(27, 181), Fraction(235, 181)),
+    (Fraction(1, 2), Fraction(1), Fraction(7, 2), Fraction(4, 13), Fraction(11, 13)),
+)
+
+
+def _chow_cases(rng):
+    """(g, c, points) on fresh rank-1 and rank-2 geometries and the
+    fractional lattices: random rational points off the curve, and points on
+    it (dense at h = 0, ``RATIONAL_CURVE_POINTS`` elsewhere)."""
+    for g in fresh_geometries() + fractional_geometries():
+        for _ in range(3):
+            c = _rand_tilt(rng, g.h)
+            points = [(Fraction(rng.randint(1, 30), rng.randint(1, 8)), Fraction(rng.randint(1, 30), rng.randint(1, 4)))
+                      for _ in range(3)]
+            if g.h == 0:
+                points += [((c.b / c.a) / v, v) for v in (Fraction(rng.randint(1, 30), rng.randint(1, 4)), Fraction(7))]
+            yield g, c, points
+        for h, u, vpar, a, b in RATIONAL_CURVE_POINTS:
+            if h == g.h:
+                yield g, TiltCurve(h, a, b), [(u, vpar), (u, vpar + 1)]
+
+
 class TestChowFixedParts:
-    """The curve-only products are built once per (geometry, curve), with
-    the cycles, their scalar types and the chow verdicts unchanged."""
+    """The cycle identity decided on kept integer products gives the
+    symbolic parts and the rational verdicts of the cycles built through
+    ring products at each call (``_reference_cycle_sides``), with the
+    curve-only data built once per (geometry, curve)."""
+
+    def _check_against_reference(self, rng) -> list:
+        verdicts = []
+        for g, c, points in _chow_cases(rng):
+            assert _typed(_symbolic_difference_parts(g, c)) == _typed(_reference_parts(g, c)), (g, c)
+            for u, vpar in points:
+                lhs, rhs = _reference_cycle_sides(g, c, u, vpar)
+                verdicts.append(chow_identity_check(g, c, u, vpar))
+                assert verdicts[-1] == (lhs == rhs), (g, c, u, vpar)
+        return verdicts
 
     def test_cycle_sides_match_reference(self):
-        rng = random.Random(73)
-        for h in CURVE_POLY_H:
-            for rank2 in (False, True):
-                g = geometry_for(h, rank2)
-                c = _rand_tilt(rng, h)
-                points = [(Poly2.u(), Poly2.v())]
-                points += [(Fraction(rng.randint(1, 30), rng.randint(1, 8)), Fraction(rng.randint(1, 30)))
-                           for _ in range(3)]
-                for u, vpar in points:
-                    for got, want in zip(_cycle_sides(g, c, u, vpar), _reference_cycle_sides(g, c, u, vpar)):
-                        assert [(type(x), x) for x in got.coordinates()] == (
-                            [(type(x), x) for x in want.coordinates()])
+        """Restated once the ring-product sides were deleted: parts by value
+        and type, verdicts on and off the curve."""
+        verdicts = self._check_against_reference(random.Random(73))
+        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 100, verdicts.count(True)
+
+    def test_match_reference_under_a_mutated_table(self, monkeypatch):
+        """A relation typo (Theta^2 reaching Theta pull(A_0) once more, both
+        orders) read into every fresh geometry's structure constants: the
+        kept products follow the ring path's order, so parts and verdicts
+        still equal the reference's, which the typo breaks."""
+        original = ring._structure_constants
+
+        def mutant(g):
+            table, den, width = original(g)
+            eta0 = 2 + g.rank
+            return [[(j, k, c + den * (i == j == 1 and k == eta0)) for j, k, c in row]
+                    for i, row in enumerate(table)], den, width
+
+        monkeypatch.setattr(ring, "_structure_constants", mutant)
+        _clear_chow_caches()
+        try:
+            verdicts = self._check_against_reference(random.Random(75))
+            rng = random.Random(78)
+            broken = [any(not r.is_zero() for r in chow_identity_symbolic_remainder(g, _rand_tilt(rng, g.h)))
+                      for g in fresh_geometries() if g.h != 0]
+        finally:
+            _clear_chow_caches()
+        assert verdicts.count(False) >= 100 and all(broken), broken
+
+    def test_warm_rational_check_builds_no_chern_vector(self, monkeypatch):
+        """Counted at ``ChernVector._store``, which every vector goes
+        through: once the curve's cycles and the geometry's products are
+        kept, a rational check builds no vector."""
+        rng = random.Random(76)
+        cases = [(g, c, points) for g, c, points in _chow_cases(rng)]
+        for g, c, points in cases:
+            chow_identity_check(g, c, *points[0])
+        built = []
+        store = ChernVector._store
+        monkeypatch.setattr(ChernVector, "_store", lambda v, nums, den: built.append(1) or store(v, nums, den))
+        verdicts = [chow_identity_check(g, c, u, vpar) for g, c, points in cases for u, vpar in points]
+        assert built == [] and True in verdicts and False in verdicts
+        ChernVector.zero(1)  # the counter does see a vector built
+        assert built
+
+    def test_symbolic_parts_multiply_no_poly2(self, monkeypatch):
+        """Counted at ``Poly2.__mul__`` and ``__rmul__``: the parts are
+        written as integer numerators, from cold caches on."""
+        calls = []
+        for name in ("__mul__", "__rmul__"):
+            original = getattr(Poly2, name)
+            monkeypatch.setattr(Poly2, name, lambda *args, _op=original: calls.append(1) or _op(*args))
+        _clear_chow_caches()
+        rng = random.Random(77)
+        for g in fresh_geometries() + fractional_geometries():
+            parts = _symbolic_difference_parts(g, _rand_tilt(rng, g.h))
+            assert len(parts) == 2 * g.rank + 4 and all(type(x) is Poly2 for x in parts)
+        assert calls == []
+        Poly2.u() * Poly2.v()  # the counter does see a product
+        assert calls
 
     def test_built_once_per_geometry_and_curve(self):
         g, c = geometry_for(Fraction(-1)), TiltCurve(-1, 1, 2)
@@ -951,3 +1049,10 @@ class TestChowFixedParts:
         assert _fixed_cycles.cache_info().misses == 1
         assert _symbolic_difference_parts.cache_info().misses == 1
         assert isinstance(_symbolic_difference_parts(g, c), tuple)
+
+
+def _clear_chow_caches():
+    """Empty the curve memos, which key on geometry values, so that a fresh
+    geometry equal to an earlier one builds its cycles again."""
+    for cache in (_fixed_cycles, _symbolic_difference_parts, constraint_poly):
+        cache.cache_clear()

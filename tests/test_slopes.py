@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ellstab import ring, slopes
-from ellstab.charges import _reduced_parts, _ring_parts
+from ellstab.charges import _germ_numerators, _reduced_parts, _ring_parts
 from ellstab.errors import ConfigurationError, DimensionError, DomainError
 from ellstab.poly import Poly2
 from ellstab.ring import (BaseGeometry, ChernVector, DivisorB, DivisorX, compute_m, degree, divisor_powers,
@@ -161,7 +161,7 @@ class TestDecompositions:
                 u, vp = Fraction(rng.randint(1, 5), 2), Fraction(rng.randint(1, 5))
                 bfield = DivisorX(Fraction(rng.randint(-3, 3), 2),
                                   DivisorB([Fraction(rng.randint(-3, 3)) for _ in range(2)]))
-                re, im = _reduced_parts(g, twist(g, v, bfield), u, vp)
+                re, im = _reduced_parts(g, twist(g, v, bfield), _germ_numerators(g.h, u, vp))
                 kind = SlopeKind(SlopeTag.NU_OMEGA_B, omega=DivisorX(u, g.hb_divisor.scale(vp)), bfield=bfield)
                 nu = slope(g, kind, v)
                 assert nu == (SlopeValue.infinity() if re == 0 else SlopeValue(im / (2 * re)))

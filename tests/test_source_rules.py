@@ -463,7 +463,8 @@ _MEMOS = {
     # 212/52 on ring-identities, 41/51 on curve-queries
     ("curves.py", "_fixed_cycles"),
     # no benchmark hit (0/12), but a second algebraic chow check on one curve
-    # takes 124 us with it and 486 us without it
+    # takes 71-86 us with it and 98-122 us without it (rank 1 and 2, h = -1
+    # and 1/2; building the parts costs 18-23 us of that)
     ("curves.py", "_symbolic_difference_parts"),
     # 208/56 on ring-identities
     ("verify.py", "_polarization_powers"),
@@ -580,3 +581,41 @@ def test_the_table_rule_sees_both_call_forms():
                      "z = e.a3\n")
     assert sorted(_calls(tree, {"_reduced_coefficients"})) == [1, 2]
     assert sorted(_calls(tree, {"a3"})) == [4, 5]
+
+
+_RING_PRODUCTS = {"mul", "degree", "_degree_numerator", "divisor_powers"}
+_CURVE_KEPT_BUILDERS = {"_theta_h_products", "_omega_products"}
+
+
+def _ring_products_outside_the_kept_builders(tree):
+    """Line numbers of a ring product or point pairing (``mul``,
+    ``degree``, ``_degree_numerator``, ``divisor_powers``, bare or through a
+    module) outside the module-level builders of ``_CURVE_KEPT_BUILDERS``."""
+    allowed = _inside(tree, lambda name, owner: owner is None and name in _CURVE_KEPT_BUILDERS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) in _RING_PRODUCTS and id(node) not in allowed:
+            yield node.lineno
+
+
+def test_the_cycle_identity_makes_no_ring_product_per_point():
+    """``curves`` decides the cycle identity on integer numerators of
+    products kept per geometry: only the kept builders multiply or pair
+    classes, so no per-point or per-curve ring product comes back."""
+    assert _sites(_ring_products_outside_the_kept_builders, {"curves.py"}) == []
+    assert _sites(lambda tree: _calls(tree, _RING_PRODUCTS), {"curves.py"})
+
+
+def test_the_kept_builder_rule_sees_calls_and_scopes():
+    tree = ast.parse("def _theta_h_products(g):\n"
+                     "    return mul(g, x, y), degree(g, x, y)\n"
+                     "def _omega_products(g):\n"
+                     "    return ring._degree_numerator(g, x, y)\n"
+                     "def _cycle_sides(g, c, u, v):\n"
+                     "    om, _, w3 = divisor_powers(g, d)\n"
+                     "    return ring.mul(g, om, theta), degree(g, om, om)\n"
+                     "class C:\n"
+                     "    def _omega_products(self):\n"
+                     "        return mul(g, x, y)\n"
+                     "x = _degree_numerator(g, a, b)\n"
+                     "y = multiply(g, a, b)\n")
+    assert sorted(_ring_products_outside_the_kept_builders(tree)) == [6, 7, 7, 10, 11]
