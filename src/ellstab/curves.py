@@ -16,13 +16,10 @@ bound, or 2q/v on the one-dimensional curve with h < 0); solving refines
 that bracket on the dyadic grid by quadratic interval refinement on the
 sign of the curve polynomial, on integer numerators throughout, with no
 Sturm isolation.  The cycle identity behind the tilt curve is decided
-exactly on integer numerators: what it reads of the fixed polarization is
-kept per curve (``_fixed_cycles``), what it reads of the moving one, the
-products of Theta and pull(H) behind omega Theta and deg(omega^3), per
-geometry (``_omega_products``), so a rational point cross-multiplies
-integers and the symbolic cycle parts are written down with no ring or
-polynomial product; at algebraic points one Sturm-Tarski query per part
-decides it.  The expansion of u
+exactly on integer numerators of ring products kept per curve and per
+geometry (``_fixed_cycles``, ``_omega_products``), with no ring or
+polynomial product at a point, and at algebraic points by Sturm-Tarski
+queries.  The expansion of u
 as a Laurent series in 1/v is written down coefficient by coefficient: with
 w = hu + v both curves become w = v y(h u1 / v^2) for a power series y
 solving y^2 = 1 + 2x or y^3 = 1 + 3xy, whose coefficients Lagrange
@@ -335,12 +332,10 @@ def _theta_h_products(g: BaseGeometry) -> tuple:
 def _omega_products(g: BaseGeometry) -> tuple:
     """What the cycle identity reads of omega = u Theta + v pull(H), kept on
     g: the numerators of omega Theta's terms Theta^2 and pull(H) Theta over
-    one denominator n, and of the coefficients of deg(omega^3) at
-    u^(3-j) v^j, j = 0..3, over m.  Both are bilinear in omega, so they are
-    summed from the products of Theta and pull(H) in the argument order of
-    the ring path, mul(omega, omega), its degree against omega and
-    mul(omega, Theta), and agree with it for any structure constants;
-    Theta^2, Theta pull(H) and pull(H)^2 are read off ``_theta_h_products``."""
+    one den, and of deg(omega^3)'s coefficients at u^(3-j) v^j over m,
+    summed from the products of Theta and pull(H) (``_theta_h_products``
+    and pull(H) Theta) in the ring path's argument order, so exact for any
+    structure constants."""
     theta, (t2, th, hh), n, _, _ = _kept(g, _theta_h_products)
     hb = divisor_vector(g, DivisorX(0, g.hb_divisor))
     h_theta = mul(g, hb, theta)
