@@ -105,7 +105,7 @@ def charge_series(
 
     The charge is ``charges._reduced_germs`` combined with class
     coefficients: the reduced form's, or for the full charge with
-    B = pull(d), d = 0 by default, ``charges._full_coefficients``.  The
+    B = pull(d), d = 0 by default, those of the class twisted by B.  The
     germs are evaluated once per (curve, order, kind) at the germ point
     (u(v), v), with u(v) expanded through ``order`` terms; the
     coefficients are the kind's table (``charges._charge_table``) applied by
@@ -478,18 +478,19 @@ def _cross_poly(
 ) -> Poly2:
     """The exact cross value re(M) im(N) - im(M) re(N) as a polynomial in (u, v).
 
-    Both charges are closed forms at symbolic (u, v): the reduced one, on
-    the germ numerators kept per geometry (``charges._symbolic_germs``), or
-    the full one with B = pull(d), d = 0 by default, for any class.  Their
+    Both charges are closed forms at symbolic (u, v), on the germ
+    numerators kept per geometry (``charges._symbolic_germs``): the reduced
+    one, or the full one with B = pull(d), d = 0 by default, for any class
+    (the reduced form of the class twisted in the ring).  Their
     ring guard is proved once per geometry (``charges.prove_closed_form``)."""
     _check_kind(kind)
     charges_mod.prove_closed_form(g)
+    germs = _kept(g, charges_mod._symbolic_germs)
     if kind is ChargeKind.REDUCED:
-        germs = _kept(g, charges_mod._symbolic_germs)
         zm, zn = (charges_mod._reduced_parts(g, v, germs) for v in (m, n))
     else:
         dd = d if d is not None else g.zero_divisor()
-        zm, zn = (charges_mod._full_parts(g, v, Poly2.u(), Poly2.v(), dd) for v in (m, n))
+        zm, zn = (charges_mod._full_parts(g, v, dd, germs) for v in (m, n))
     return zm[0] * zn[1] - zm[1] * zn[0]
 
 

@@ -2,26 +2,28 @@
 
 The reduced charge has one closed form, written once over any scalar with
 ``+ - *`` as class-independent germs of (h, u, vpar) (``_reduced_germs``)
-times class coefficients (``_reduced_coefficients``), so that re and im are
-each a constant plus a sum of coefficient times germ.  The full charge with
-B = pull(d) is -ch3^B plus that form on the class twisted in the ring
-(``_full_coefficients``).  Each kind's coefficients are one integer table
-on the class (``_charge_table``), read off them once per geometry at
-``Poly2`` monomials and kept by ``ring._kept``.  ``_reduced_parts`` applies
-the reduced table to the class's numerators (``ring._contract``) and
-combines the result with the germs' numerators over one denominator, at
-``Fraction`` points and at ``Poly2`` symbols alike (the symbols' germ
-numerators kept per geometry, ``_symbolic_germs``); ``_full_parts`` forms
-the full combination; ``asymptotics.charge_series`` builds the germs once
-per curve and order as ``LaurentSeries`` and combines each class with the
-same tables in one integer pass; ``asymptotics``' cross tables multiply
-the germs pairwise at ``Poly2`` symbols, once per geometry.
-``full_charge`` goes through ring products for any class and B-field.  The
-reduced charge also evaluates that path, on numerators, and insists it
-agrees with the closed form (``_checked_reduced_parts``), which guards the
-transcription of every intersection number used; ``prove_closed_form``
-does so once per geometry at symbolic (u, vpar), against the ring's
-structure constants.
+times class coefficients, so that re and im are each a constant plus a sum
+of coefficient times germ.  The coefficients are linear in the class and
+kept as one integer table per geometry (``_charge_table``, kept by
+``ring._kept``), written from the lattice's integers: the reduced table
+(``_reduced_table``) from H^2/2, H.S/2, H.eta, a and -H^2/6; the full one
+with B = pull(d) (``_full_table``) composed from it and the twist by
+pull(d) read off the ring's structure constants, with -ch3 of the twisted
+class as its constant, so that it has no entry of its own.
+``_reduced_parts`` applies the reduced table to the class's numerators
+(``ring._contract``) and combines the result with the germs' numerators
+over one denominator, at ``Fraction`` points and at ``Poly2`` symbols alike
+(the symbols' germ numerators kept per geometry, ``_symbolic_germs``);
+``_full_parts`` does so on the class twisted in the ring, for any class;
+``asymptotics.charge_series`` builds the germs once per curve and order as
+``LaurentSeries`` and combines each class with the same tables in one
+integer pass; ``asymptotics``' cross tables multiply the germs pairwise at
+``Poly2`` symbols, once per geometry.  ``full_charge`` goes through ring
+products for any class and B-field.  The reduced charge also evaluates
+that path, on numerators, and insists it agrees with the closed form
+(``_checked_reduced_parts``), which guards the transcription of every
+intersection number used; ``prove_closed_form`` does so once per geometry
+at symbolic (u, vpar), against the ring's structure constants.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ComputationFault, DomainError
-from .fmt import _monomials, phi
-from .poly import Poly2, monomial_table
+from .fmt import _slots, phi
+from .poly import Poly2
 from .ring import (
     BaseGeometry,
     ChernVector,
@@ -43,9 +45,10 @@ from .ring import (
     _divided,
     _kept,
     _numerators,
+    _structure_constants,
     _sum,
+    _written,
     divisor_powers,
-    pair_h,
     twist,
 )
 
@@ -88,41 +91,50 @@ def _reduced_germs(h, u, vpar, flat: bool = False) -> tuple:
     return (w2, u * wv), (w, u, u * (w2 + vpar * wv))
 
 
-def _reduced_coefficients(g: BaseGeometry, v: ChernVector) -> tuple:
-    """The reduced charge's (re, im), each as (constant, coefficients on
-    its ``_reduced_germs``)."""
-    return (
-        (0, (g.hb2 * v.x / 2, pair_h(g, v.S) / 2)),
-        (0, (pair_h(g, v.eta), v.a, -(g.hb2 * v.n) / 6)),
-    )
-
-
-def _full_coefficients(g: BaseGeometry, v: ChernVector, d: DivisorB) -> tuple:
-    """The full charge's (re, im) with B = pull(d) on ``_reduced_germs``:
-    -ch3^B plus the reduced coefficients of v twisted by B, for any class."""
-    tw = twist(g, v, DivisorX.pullback(d))
-    (const, re), im = _reduced_coefficients(g, tw)
-    return (const - tw.s, re), im
-
-
 def _charge_table(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int, int]:
-    """A kind's class coefficients (re constant and coefficients, then im's)
-    as a table on the class and (1, d), read off one evaluation at ``Poly2``
-    monomials: class coordinate i is u^(i+1) (n = x = 0 for the full kind,
-    so pull(d)^2, which meets only n and x, drops out), d_j is v^(j+1).  The
-    full kind's coefficients on the x and n germs must vanish (else
-    ``ComputationFault``) and are left out."""
-    r, full, monomials = g.rank, kind is ChargeKind.FULL, _monomials(g)
-    if full:
-        flat = ChernVector._ints([Fraction(0), Fraction(0), *monomials._nums[2:]], 1)
-        d = DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r)))
-        parts = _full_coefficients(g, flat, d)
-    else:
-        parts = _reduced_coefficients(g, monomials)
-    values = [x for const, coeffs in parts for x in (const, *coeffs)]
-    if full and any((values.pop(6), values.pop(1))):  # the x and n germs' coefficients
+    """A kind's class coefficients (re constant and coefficients on its
+    germs, then im's) as a ``ring._contract`` table on the class and the
+    right factor (1, d): the reduced kind's ``_reduced_table`` or the full
+    kind's ``_full_table``."""
+    return _reduced_table(g) if kind is ChargeKind.REDUCED else _full_table(g)
+
+
+def _reduced_table(g: BaseGeometry) -> tuple[list, int, int]:
+    """The reduced charge's coefficients on its ``_reduced_germs``, written
+    from g's lattice data, seven outputs with the unit as right factor:
+    re (0, H^2 x / 2, H.S / 2) and im (0, H.eta, a, -H^2 n / 6)."""
+    n, x, S, eta, a, s = _slots(g.rank)
+    return _written([
+        (x, 0, 1, g.hb2 / 2), *((S[p], 0, 2, c / 2) for p, c in enumerate(g.hb_row)),
+        *((eta[p], 0, 4, c) for p, c in enumerate(g.hb_row)), (a, 0, 5, 1), (n, 0, 6, -g.hb2 / 6),
+    ], s + 1, 7)
+
+
+def _full_table(g: BaseGeometry) -> tuple[list, int, int]:
+    """The full charge's coefficients with B = pull(d) for a class with
+    n = x = 0, on the right factor (1, d): the kept reduced table applied to
+    the class twisted by pull(d), with -ch3 of the twist as re's constant.
+    The twist exp(-pull(d)) v = v - pull(d) v is read off the kept structure
+    constants in ``ring.mul``'s argument order (pull(d)^2 is a multiple of
+    the fiber, which meets only n and x, so it drops out).  The coefficients
+    on the x and n germs must vanish (else ``ComputationFault``) and are
+    left out: five outputs, re (const, H.S / 2), im (0, H.eta, a)."""
+    rows, den, width = _kept(g, _structure_constants)
+    reduced, rden, _ = _kept(g, _charge_table, ChargeKind.REDUCED)
+    composed: dict = {}  # (i, j, out): c, the term c / (den rden) a_i b_j on output out
+    for b, j, sign in ((0, 0, 1), *((2 + p, p + 1, -1) for p in range(g.rank))):  # 1, then -pull(d_p)
+        for i, k, c in rows[b]:  # basis b times class coordinate i > 1 is c / den times basis k
+            if i > 1:
+                terms = [(out, sign * c * e) for _, out, e in reduced[k]]
+                if k == width - 1:
+                    terms.append((0, -sign * c * rden))
+                for out, e in terms:
+                    composed[i, j, out] = composed.get((i, j, out), 0) + e
+    if any(c for (_, _, out), c in composed.items() if out in (1, 6)):  # the x and n germs
         raise ComputationFault("full charge of a class with n = x = 0 reaches an x or n germ")
-    return monomial_table(values, 2 * r + 4)
+    outputs = {0: 0, 2: 1, 3: 2, 4: 3, 5: 4}
+    return _written([(i, j, outputs[out], c) for (i, j, out), c in composed.items() if out in outputs],
+                    width, 5, den * rden)
 
 
 def _combine(parts: tuple, germs: tuple) -> tuple:
@@ -168,10 +180,14 @@ def _reduced_parts(g: BaseGeometry, v: ChernVector, germs: tuple) -> tuple:
     return tuple(_divided(*part) for part in _reduced_numerators(g, v, germs))
 
 
-def _full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
-    """The full charge with B = pull(d) as (re, im), over any scalar, for any
-    class."""
-    return _combine(_full_coefficients(g, v, d), _reduced_germs(g.h, u, vpar))
+def _full_parts(g: BaseGeometry, v: ChernVector, d: DivisorB, germs: tuple) -> tuple:
+    """The full charge with B = pull(d) as (re, im) at the point of germs
+    (``_germ_numerators``), over any scalar, for any class: the reduced
+    closed form (``_reduced_numerators``) of v twisted in the ring, with
+    -ch3 of the twist added to re."""
+    tw = twist(g, v, DivisorX.pullback(d))
+    re, im = _reduced_numerators(g, tw, germs)
+    return _divided(*re) - tw.s, _divided(*im)
 
 
 def _ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:
@@ -264,7 +280,7 @@ def onedim_transform_charge(
     if v1dim.n != 0 or v1dim.x != 0 or not v1dim.S.is_zero():
         raise DomainError("transform charge requires a one-dimensional class (n = x = 0, S = 0)")
     d = dbar + g.hb_divisor.scale(g.h / 2)
-    return ChargeValue(*_full_parts(g, phi(g, v1dim), u, vpar, d))
+    return ChargeValue(*_full_parts(g, phi(g, v1dim), d, _germ_numerators(g.h, u, vpar)))
 
 
 def in_full_half_plane(c: ChargeValue) -> bool:

@@ -10,89 +10,99 @@ trivial (h = 0) each transform degenerates to swapping the two rows of the
 matrix notation and negating the second row.
 
 Both maps are linear in the flat coordinates (n, x, S, eta, a, s), so each
-is an integer table (``_table``), read off one evaluation of the closed
-form at ``Poly2`` monomials by ``poly.monomial_table``, kept on the
-geometry by ``ring._kept`` and applied to a vector's numerators at every
-scalar by ``ring._contract`` with the unit as right factor.  On rational
-vectors the result is fraction-free with one gcd.  On any other vector
-the value is the closed form's, with one declared difference in type: zero
-coordinates are skipped, so an output that only zero or ``Fraction``
-coordinates reach is a ``Fraction`` where the closed form, adding zero
-terms of the other type, gave a ``Poly2`` (equal, with the same hash) or
-a series.
+is an integer table in the layout of ``ring._contract`` (right factor the
+unit), written from the lattice's integers (h, hb, the row hb * gram and
+H^2) by ``_phi_table`` and ``_phi_hat_table``, each from its own sign
+pattern, kept on the geometry by ``ring._kept`` and applied to a vector's
+numerators at every scalar by ``ring._contract``.  On rational vectors the
+result is fraction-free with one gcd.  On any other vector the value is
+the closed form's, with one declared difference in type: zero coordinates
+are skipped, so an output that only zero or ``Fraction`` coordinates reach
+is a ``Fraction`` where the closed form, adding zero terms of the other
+type, gave a ``Poly2`` (equal, with the same hash) or a series.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DomainError
-from .poly import Poly2, monomial_table
-from .ring import BaseGeometry, ChernVector, DimensionError, _contract, _kept, pair_h
+from .ring import BaseGeometry, ChernVector, DimensionError, _contract, _kept, _written
 
 
 def phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
-    """Forward transform of a cohomology vector: the table of ``_phi``
-    applied by ``ring._contract`` (types on symbolic vectors: module
-    docstring)."""
-    return _apply(g, v, _phi)
+    """Forward transform of a cohomology vector: the table
+    ``_phi_table`` applied by ``ring._contract`` (types on symbolic
+    vectors: module docstring)."""
+    return _apply(g, v, _phi_table)
 
 
 def phi_hat(g: BaseGeometry, v: ChernVector) -> ChernVector:
-    """Inverse-direction transform of a cohomology vector: the table of
-    ``_phi_hat`` applied by ``ring._contract``."""
-    return _apply(g, v, _phi_hat)
+    """Inverse-direction transform of a cohomology vector: the table
+    ``_phi_hat_table`` applied by ``ring._contract``."""
+    return _apply(g, v, _phi_hat_table)
 
 
-def _phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
-    h, hb, hh2 = g.h, g.hb_divisor, g.h * g.h * g.hb2
-    heta = pair_h(g, v.eta)
-    hS = pair_h(g, v.S)
-    n2 = v.x
-    x2 = -v.n
-    S2 = v.eta + hb.scale(v.x * h / 2)
-    eta2 = -(v.S + hb.scale(v.n * h / 2))
-    a2 = (v.s + h * heta / 2 + Fraction(1, 8) * v.x * hh2) - Fraction(1, 24) * v.x * hh2
-    s2 = -(v.a + h * hS / 2 + Fraction(1, 8) * v.n * hh2) - Fraction(1, 24) * v.n * hh2
-    return ChernVector(n2, x2, S2, eta2, a2, s2)
-
-
-def _phi_hat(g: BaseGeometry, v: ChernVector) -> ChernVector:
-    h, hb, hh2 = g.h, g.hb_divisor, g.h * g.h * g.hb2
-    heta = pair_h(g, v.eta)
-    hS = pair_h(g, v.S)
-    n2 = v.x
-    x2 = -v.n
-    S2 = v.eta - hb.scale(v.x * h / 2)
-    eta2 = hb.scale(v.n * h / 2) - v.S
-    a2 = v.s - h * heta / 2 + Fraction(1, 12) * v.x * hh2
-    s2 = -Fraction(1, 6) * v.n * hh2 - v.a + h * hS / 2
-    return ChernVector(n2, x2, S2, eta2, a2, s2)
-
-
-def _apply(g: BaseGeometry, v: ChernVector, closed) -> ChernVector:
-    """The closed form at v through its table, kept on g."""
+def _apply(g: BaseGeometry, v: ChernVector, writer) -> ChernVector:
+    """The transform of v through the table of writer, kept on g."""
     if v.rank_lattice != g.rank:
         raise DimensionError("vector rank does not match geometry rank")
-    return ChernVector._ints(*_contract(_kept(g, _table, closed), (v._nums, v._den), ((1,), 1)))
+    return ChernVector._ints(*_contract(_kept(g, writer), (v._nums, v._den), ((1,), 1)))
 
 
-def _table(g: BaseGeometry, closed) -> tuple[list, int, int]:
-    """The table of a closed form, read off one evaluation at the monomials
-    u^(i+1) of coordinates i."""
-    return monomial_table(closed(g, _monomials(g)).coordinates(), 2 * g.rank + 4)
+def _slots(r: int) -> tuple:
+    """The flat indices of n, x, S, eta, a and s at lattice rank r."""
+    return 0, 1, range(2, 2 + r), range(2 + r, 2 + 2 * r), 2 * r + 2, 2 * r + 3
+
+
+def _phi_table(g: BaseGeometry) -> tuple[list, int, int]:
+    """The forward transform's table, written from g's lattice data:
+
+        n' = x,   x' = -n,   S' = eta + (h/2) x H,   eta' = -S - (h/2) n H,
+        a' = s + (h/2) H.eta + (1/12) x h^2 H^2,
+        s' = -a - (h/2) H.S - (1/6) n h^2 H^2.
+    """
+    n, x, S, eta, a, s = _slots(g.rank)
+    h, hh2 = g.h, g.h * g.h * g.hb2
+    shift = [h * c / 2 for c in g.hb]
+    pairing = [h * c / 2 for c in g.hb_row]
+    return _written([
+        (x, 0, n, 1), (n, 0, x, -1),
+        *((eta[p], 0, S[p], 1) for p in range(g.rank)), *((x, 0, S[p], c) for p, c in enumerate(shift)),
+        *((S[p], 0, eta[p], -1) for p in range(g.rank)), *((n, 0, eta[p], -c) for p, c in enumerate(shift)),
+        (s, 0, a, 1), *((eta[p], 0, a, c) for p, c in enumerate(pairing)), (x, 0, a, hh2 / 12),
+        (a, 0, s, -1), *((S[p], 0, s, -c) for p, c in enumerate(pairing)), (n, 0, s, -hh2 / 6),
+    ], s + 1, s + 1)
+
+
+def _phi_hat_table(g: BaseGeometry) -> tuple[list, int, int]:
+    """The inverse-direction transform's table, written from g's lattice
+    data, independently of ``_phi_table``:
+
+        n' = x,   x' = -n,   S' = eta - (h/2) x H,   eta' = -S + (h/2) n H,
+        a' = s - (h/2) H.eta + (1/12) x h^2 H^2,
+        s' = -a + (h/2) H.S - (1/6) n h^2 H^2.
+    """
+    n, x, S, eta, a, s = _slots(g.rank)
+    h, hh2 = g.h, g.h * g.h * g.hb2
+    shift = [h * c / 2 for c in g.hb]
+    pairing = [h * c / 2 for c in g.hb_row]
+    return _written([
+        (x, 0, n, 1), (n, 0, x, -1),
+        *((eta[p], 0, S[p], 1) for p in range(g.rank)), *((x, 0, S[p], -c) for p, c in enumerate(shift)),
+        *((S[p], 0, eta[p], -1) for p in range(g.rank)), *((n, 0, eta[p], c) for p, c in enumerate(shift)),
+        (s, 0, a, 1), *((eta[p], 0, a, -c) for p, c in enumerate(pairing)), (x, 0, a, hh2 / 12),
+        (a, 0, s, -1), *((S[p], 0, s, c) for p, c in enumerate(pairing)), (n, 0, s, -hh2 / 6),
+    ], s + 1, s + 1)
 
 
 def _a3_table(g: BaseGeometry) -> tuple[list, int, int]:
     """``ChernVector.a3``, the fiber coefficient that the transform carries
-    to degree two, as a one-output table on the class, read off it at the
-    same monomials."""
-    return monomial_table([_monomials(g).a3(g)], 2 * g.rank + 4)
-
-
-def _monomials(g: BaseGeometry) -> ChernVector:
-    """The class whose coordinate i is the monomial u^(i+1)."""
-    return ChernVector._ints([Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * g.rank + 4)], 1)
+    to degree two, as a one-output table on the class, written from g's
+    lattice data: s + (h/2) H.eta + (1/12) x h^2 H^2."""
+    _, x, _, eta, _, s = _slots(g.rank)
+    return _written([
+        (s, 0, 0, 1), *((eta[p], 0, 0, g.h * c / 2) for p, c in enumerate(g.hb_row)),
+        (x, 0, 0, g.h * g.h * g.hb2 / 12),
+    ], s + 1, 1)
 
 
 def fiber_swap_rule(g: BaseGeometry, tw: ChernVector) -> ChernVector:

@@ -91,11 +91,13 @@ class Poly1(_IntegerForm):
         if isinstance(other, Poly1):
             return Poly1._ints(_convolve(self._nums, other._nums), self._den * other._den)
         if isinstance(other, _RATIONAL):
-            p = other.numerator
-            return Poly1._ints([n * p for n in self._nums], self._den * other.denominator)
+            return self._times(other.numerator, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _times(self, p: int, q: int) -> "Poly1":
+        return Poly1._ints([n * p for n in self._nums], self._den * q)
 
     def __call__(self, x):
         """The value at a rational x = n/d: d^k p(x) summed in integers, one Fraction."""
@@ -535,12 +537,13 @@ class Poly2(_IntegerForm):
                     out[key] = out[key] + a * b if key in out else a * b
             return Poly2._ints(out, self._den * other._den)
         if isinstance(other, _RATIONAL):
-            p = other.numerator
-            return Poly2._ints({key: n * p for key, n in self._nums.items()},
-                               self._den * other.denominator)
+            return self._times(other.numerator, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _times(self, p: int, q: int) -> "Poly2":
+        return Poly2._ints({key: n * p for key, n in self._nums.items()}, self._den * q)
 
     def eval(self, u, v) -> Fraction:
         return self.eval_v(v)(_q(u))
@@ -563,20 +566,6 @@ class Poly2(_IntegerForm):
         """Coefficient of u^k as a polynomial in v (ascending)."""
         row = {j: n for (i, j), n in self._nums.items() if i == k}
         return Poly1._ints([row.get(j, 0) for j in range(max(row, default=-1) + 1)], self._den)
-
-
-def monomial_table(values, size: int) -> tuple[list, int, int]:
-    """The ``ring._contract`` table of a (bi)linear closed form from its
-    values (Poly2s or exact zeros) at monomials, left coordinate i < size
-    at u^(i+1) and right coordinate j at v^j: the u^(i+1) v^j coefficient
-    of value k is the entry (j, k, c) of ``rows[i]``, over one den > 0."""
-    polys = [(k, x) for k, x in enumerate(values) if isinstance(x, Poly2)]
-    den = lcm(*(x._den for _, x in polys))
-    rows = [[] for _ in range(size)]
-    for k, x in polys:
-        for (i, j), n in x._nums.items():
-            rows[i - 1].append((j, k, n * (den // x._den)))
-    return rows, den, len(values)
 
 
 def reduce_mod_u(dividend: Poly2, divisor: Poly2) -> Poly2:

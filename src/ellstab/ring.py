@@ -38,8 +38,9 @@ formula over the numerators, and each field is built on its first read.
 Every (bi)linear closed form is an integer table applied by ``_contract``
 alone: the product's structure constants, written once from the relations
 (``_structure_constants``) and applied by ``mul`` and ``degree`` at every
-scalar, and the linear maps of ``fmt`` and ``asymptotics`` (right factor
-the unit 1), read off their closed forms by ``poly.monomial_table``.
+scalar, and the linear maps of ``fmt`` and ``charges`` (right factor the
+unit 1, or (1, d) for the full charge), each written from the lattice's
+integers (h, hb, the row hb * gram, H^2) by ``_written``.
 ``_kept`` keeps every value that depends on the geometry alone on it.
 ``pair`` and ``pair_h`` skip exact-zero factors as ``_contract`` does.
 ``_IntegerForm`` states that storage rule, with the operators it implies,
@@ -111,11 +112,12 @@ class _IntegerForm:
 
     Each type lays out ``_nums`` in its own ``_store``, one pass that drops
     zeros and divides out the content, and supplies ``_add(other, sign)``,
-    ``__mul__`` and ``__neg__``.  Here are the private constructor
-    ``_ints``, ``+``, ``-``, ``/`` and ``scale`` by a rational, and ``==``
-    and ``hash`` under which a constant is its value: a form with at most
-    one numerator is read by ``_constant()``, the numerator of a constant
-    or None.  ``LaurentSeries``, a frozen dataclass, has field equality
+    ``__mul__``, ``__neg__`` and ``_times(p, q)``, its numerators times the
+    int p over its den times the int q > 0.  Here are the private
+    constructor ``_ints``, ``+``, ``-``, ``/`` and ``scale`` by a rational,
+    and ``==`` and ``hash`` under which a constant is its value: a form
+    with at most one numerator is read by ``_constant()``, the numerator of
+    a constant or None.  ``LaurentSeries``, a frozen dataclass, has field equality
     instead: a series carries a floor, so none equals a number.
     """
 
@@ -140,8 +142,13 @@ class _IntegerForm:
         return (-self) + other
 
     def __truediv__(self, other):
+        """Division by a nonzero rational p/q: the numerators times q (the
+        sign of p moved onto them) over the den times |p|, one gcd."""
         if isinstance(other, _RATIONAL):
-            return self * Fraction(other.denominator, other.numerator)
+            p, q = other.numerator, other.denominator
+            if not p:
+                raise ZeroDivisionError(f"{type(self).__name__} division by zero")
+            return self._times(-q, -p) if p < 0 else self._times(q, p)
         return NotImplemented
 
     def scale(self, c):
@@ -250,11 +257,13 @@ class BaseGeometry:
     vanishes) is computed once, at construction; the hash once, on first
     use, since most geometries are never hashed.
     ``matrices`` starts empty; ``_kept`` alone reads and writes it, keyed by
-    (builder, argument tuple): the product's structure constants and their
-    point-class slice (``_point_constants``), the transform tables and the
-    row of ``ChernVector.a3`` (``fmt._table``, ``fmt._a3_table``), the
-    charge tables (``charges._charge_table``), the lattice data of
-    ``pair`` and exp(-B) as integers (``_gram_ints``,
+    (builder, argument tuple), each built on its first use and none here:
+    the product's structure constants and their point-class slice
+    (``_point_constants``), the transform tables and the row of
+    ``ChernVector.a3`` (``fmt._phi_table``, ``fmt._phi_hat_table``,
+    ``fmt._a3_table``) and the charge tables (``charges._charge_table``),
+    all written from the lattice's integers (no ``Poly2`` evaluation), the
+    lattice data of ``pair`` and exp(-B) as integers (``_gram_ints``,
     ``_theta_ints``), the half-canonical field and its exp(-B)
     (``_half_canonical_bfield``, ``_half_canonical_exp``), the classes that
     slopes pair with (``slopes._FIXED``) and the parameterless kinds' pairs
@@ -565,6 +574,23 @@ def _contract(table: tuple, left: tuple, right: tuple) -> tuple[list, int]:
                 if b:
                     totals[k] += a * c * b
     return totals, den * lden * rden
+
+
+def _written(entries, size: int, width: int, den: int = 1) -> tuple[list, int, int]:
+    """The ``_contract`` table of the terms (i, j, k, c), c / den a_i b_j on
+    output k, for rational c and left size ``size``: the nonzero c over their
+    least common denominator, content-reduced, so that den is the least
+    denominator of the entries; ``rows[i]`` lists its (j, k, c) in the order
+    given."""
+    entries = [entry for entry in entries if entry[3]]
+    common = lcm(*(c.denominator for *_, c in entries))
+    nums = [c.numerator * (common // c.denominator) for *_, c in entries]
+    den *= common
+    content = gcd(den, *nums)
+    rows = [[] for _ in range(size)]
+    for (i, j, k, _), c in zip(entries, nums):
+        rows[i].append((j, k, c // content))
+    return rows, den // content, width
 
 
 def _kept(g: BaseGeometry, build, *args):

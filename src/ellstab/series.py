@@ -154,8 +154,7 @@ class LaurentSeries(_IntegerForm):
         if isinstance(other, _RATIONAL):
             if other == 0:
                 return LaurentSeries.zero()
-            p, den = other.numerator, self._den * other.denominator
-            return LaurentSeries._ints({e: n * p for e, n in self._nums}, den, self.trunc)
+            return self._times(other.numerator, other.denominator)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         floor = _product_floor(self, other)
@@ -169,6 +168,9 @@ class LaurentSeries(_IntegerForm):
         return LaurentSeries._ints(out, self._den * other._den, floor)
 
     __rmul__ = __mul__
+
+    def _times(self, p: int, q: int) -> "LaurentSeries":
+        return LaurentSeries._ints({e: n * p for e, n in self._nums}, self._den * q, self.trunc)
 
     def eval(self, v) -> Fraction:
         """Evaluate the stored terms at a rational point (tail ignored)."""

@@ -7,7 +7,7 @@ import pytest
 
 from ellstab import ring
 from ellstab.poly import Poly2
-from ellstab.ring import BaseGeometry, ChernVector, DivisorB
+from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX
 from ellstab.series import LaurentSeries
 from ellstab.suites import _rand_vector
 
@@ -157,3 +157,84 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# The closed forms and the read-off that the table writers of ``fmt`` and
+# ``charges`` replaced, kept verbatim as references: each kept table is
+# pinned, entry for entry and with the same den and width, against the
+# table read off its closed form at ``Poly2`` monomials.
+
+
+def _reference_phi(g: BaseGeometry, v: ChernVector) -> ChernVector:
+    h, hb, hh2 = g.h, g.hb_divisor, g.h * g.h * g.hb2
+    heta = ring.pair_h(g, v.eta)
+    hS = ring.pair_h(g, v.S)
+    n2 = v.x
+    x2 = -v.n
+    S2 = v.eta + hb.scale(v.x * h / 2)
+    eta2 = -(v.S + hb.scale(v.n * h / 2))
+    a2 = (v.s + h * heta / 2 + Fraction(1, 8) * v.x * hh2) - Fraction(1, 24) * v.x * hh2
+    s2 = -(v.a + h * hS / 2 + Fraction(1, 8) * v.n * hh2) - Fraction(1, 24) * v.n * hh2
+    return ChernVector(n2, x2, S2, eta2, a2, s2)
+
+
+def _reference_phi_hat(g: BaseGeometry, v: ChernVector) -> ChernVector:
+    h, hb, hh2 = g.h, g.hb_divisor, g.h * g.h * g.hb2
+    heta = ring.pair_h(g, v.eta)
+    hS = ring.pair_h(g, v.S)
+    n2 = v.x
+    x2 = -v.n
+    S2 = v.eta - hb.scale(v.x * h / 2)
+    eta2 = hb.scale(v.n * h / 2) - v.S
+    a2 = v.s - h * heta / 2 + Fraction(1, 12) * v.x * hh2
+    s2 = -Fraction(1, 6) * v.n * hh2 - v.a + h * hS / 2
+    return ChernVector(n2, x2, S2, eta2, a2, s2)
+
+
+def _reference_monomial_table(values, size: int) -> tuple[list, int, int]:
+    """The ``ring._contract`` table of a (bi)linear closed form from its
+    values (Poly2s or exact zeros) at monomials, left coordinate i < size
+    at u^(i+1) and right coordinate j at v^j: the u^(i+1) v^j coefficient
+    of value k is the entry (j, k, c) of ``rows[i]``, over one den > 0."""
+    polys = [(k, x) for k, x in enumerate(values) if isinstance(x, Poly2)]
+    den = lcm(*(x._den for _, x in polys))
+    rows = [[] for _ in range(size)]
+    for k, x in polys:
+        for (i, j), n in x._nums.items():
+            rows[i - 1].append((j, k, n * (den // x._den)))
+    return rows, den, len(values)
+
+
+def _reference_monomials(g: BaseGeometry) -> ChernVector:
+    """The class whose coordinate i is the monomial u^(i+1)."""
+    return ChernVector._ints([Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * g.rank + 4)], 1)
+
+
+def _reference_transform_table(g: BaseGeometry, closed) -> tuple[list, int, int]:
+    """The table of a transform's closed form, read off one evaluation at
+    the monomials u^(i+1) of coordinates i."""
+    return _reference_monomial_table(closed(g, _reference_monomials(g)).coordinates(), 2 * g.rank + 4)
+
+
+def _reference_a3_table(g: BaseGeometry) -> tuple[list, int, int]:
+    """``ChernVector.a3`` as a one-output table on the class, read off it at
+    the same monomials."""
+    return _reference_monomial_table([_reference_monomials(g).a3(g)], 2 * g.rank + 4)
+
+
+def _reference_reduced_coefficients(g: BaseGeometry, v: ChernVector) -> tuple:
+    """The reduced charge's (re, im), each as (constant, coefficients on
+    its ``_reduced_germs``)."""
+    return (
+        (0, (g.hb2 * v.x / 2, ring.pair_h(g, v.S) / 2)),
+        (0, (ring.pair_h(g, v.eta), v.a, -(g.hb2 * v.n) / 6)),
+    )
+
+
+def _reference_full_coefficients(g: BaseGeometry, v: ChernVector, d: DivisorB) -> tuple:
+    """The full charge's (re, im) with B = pull(d) on ``_reduced_germs``:
+    -ch3^B plus the reduced coefficients of v twisted by B, for any class."""
+    tw = ring.twist(g, v, DivisorX.pullback(d))
+    (const, re), im = _reference_reduced_coefficients(g, tw)
+    return (const - tw.s, re), im
+

@@ -45,7 +45,9 @@ from ellstab.suites import (
 )
 
 from conftest import (
+    _reference_full_coefficients,
     _reference_monomial_coefficients,
+    _reference_reduced_coefficients,
     as_table,
     count_symbolic_products,
     cv,
@@ -54,6 +56,8 @@ from conftest import (
     fresh_geometries,
     table_sets,
 )
+from test_charges import _reference_full_parts, _with_entry
+from test_ring import table_geometries
 
 
 def _reference_flat_full_germs(h, u, vpar):
@@ -107,7 +111,7 @@ def _reference_coefficient_rows(g, kind):
     out), d_j is v^(j+1).  The full kind's rows on the x and n germs must be
     empty (else ``ComputationFault``) and are left out."""
     full = kind is ChargeKind.FULL
-    coefficients = charges._full_coefficients if full else charges._reduced_coefficients
+    coefficients = _reference_full_coefficients if full else _reference_reduced_coefficients
     r = g.rank
     flat, dsym = [Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * r + 4)], ()
     if full:
@@ -298,8 +302,9 @@ class TestChargeSeries:
     def test_tables_are_the_reference_reader_s(self):
         """Entry for entry, with the same denominator, as the rows of
         ``_reference_coefficient_rows``: its d_j is right coordinate j + 1,
-        its term in v alone right coordinate 0, the unit."""
-        for g in fresh_geometries():
+        its term in v alone right coordinate 0, the unit; on every lattice
+        of ``table_geometries``."""
+        for g in table_geometries():
             for kind in ChargeKind:
                 rows, den = _reference_coefficient_rows(g, kind)
                 ref = as_table([[(i, j + 1, c) for i, j, c in row] for row in rows], den, 2 * g.rank + 4)
@@ -323,28 +328,21 @@ class TestChargeSeries:
 
     def test_full_rows_leave_out_the_x_and_n_germs(self, monkeypatch):
         """At n = x = 0 the full coefficients on the two germs that carry x
-        and n vanish, so the full kind keeps three of the five rows; a full
-        closed form with a term on either of them raises."""
+        and n vanish, so the full kind keeps five of the seven outputs; a
+        reduced table with a term on either of them, in a coordinate that a
+        class with n = x = 0 has, makes the composed full table raise."""
         for g in fresh_geometries():
             r = g.rank
             flat = [Fraction(0), Fraction(0)] + [Poly2._ints({(i + 3, 0): 1}, 1) for i in range(2 * r + 2)]
             dsym = DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r)))
-            (_, (re_x, _)), (_, (_, _, im_n)) = charges._full_coefficients(g, ChernVector._ints(flat, 1), dsym)
+            (_, (re_x, _)), (_, (_, _, im_n)) = _reference_full_coefficients(g, ChernVector._ints(flat, 1), dsym)
             assert re_x == 0 and im_n == 0
             _, _, width = ring._kept(g, charges._charge_table, ChargeKind.FULL)
             assert width == 5
-        original = charges._full_coefficients
-
-        def carrying_n(g, v, d):
-            re, (im_const, (im_eta, im_a, im_n)) = original(g, v, d)
-            return re, (im_const, (im_eta, im_a, im_n + v.s))
-
-        def carrying_x(g, v, d):
-            (re_const, (re_x, re_S)), im = original(g, v, d)
-            return (re_const, (re_x + v.a, re_S)), im
-
+        carrying_n = _with_entry(charges._reduced_table, -1, 6)  # im's n germ, + s
+        carrying_x = _with_entry(charges._reduced_table, -2, 1)  # re's x germ, + a
         for patched in (carrying_n, carrying_x):
-            monkeypatch.setattr(charges, "_full_coefficients", patched)
+            monkeypatch.setattr(charges, "_reduced_table", patched)
             g = fresh_geometries()[0]
             with pytest.raises(ComputationFault):
                 charges._charge_table(g, ChargeKind.FULL)
@@ -1123,13 +1121,18 @@ def _pointwise_walls(sign, vrange, precision, samples):
     return tuple(walls)
 
 
-def _reference_cross_poly(g, m, n):
-    """The reduced kind's cross polynomial as built before its symbolic
-    germ numerators were kept on the geometry: rebuilt for each class."""
+def _reference_cross_poly(g, m, n, kind=ChargeKind.REDUCED, d=None):
+    """The cross polynomial as built before its symbolic germ numerators
+    were kept on the geometry: rebuilt for each class, and for the full
+    kind combined with the full coefficients (``_reference_full_parts``)."""
     usym, vsym = Poly2.u(), Poly2.v()
-    zm, zn = (tuple(ring._divided(*part) for part in
-                    charges._reduced_numerators(g, v, charges._germ_numerators(g.h, usym, vsym)))
-              for v in (m, n))
+    if kind is ChargeKind.FULL:
+        dd = d if d is not None else g.zero_divisor()
+        zm, zn = (_reference_full_parts(g, v, usym, vsym, dd) for v in (m, n))
+    else:
+        zm, zn = (tuple(ring._divided(*part) for part in
+                        charges._reduced_numerators(g, v, charges._germ_numerators(g.h, usym, vsym)))
+                  for v in (m, n))
     return zm[0] * zn[1] - zm[1] * zn[0]
 
 
@@ -1227,62 +1230,82 @@ class TestCrossPolynomial:
             assert ring_parts == [] and products == []
 
     def test_a_warm_reduced_cross_polynomial_builds_no_germ(self, monkeypatch):
+        self._builds_no_warm_germ(ChargeKind.REDUCED, monkeypatch)
+
+    def test_a_warm_full_cross_polynomial_builds_no_germ(self, monkeypatch):
+        self._builds_no_warm_germ(ChargeKind.FULL, monkeypatch)
+
+    def _builds_no_warm_germ(self, kind, monkeypatch):
         """The reduced germ numerators at symbols depend on h alone and are
-        kept per geometry (``charges._symbolic_germs``): after the first
-        cross polynomial on a geometry no call builds them (counted at
-        ``charges._germ_numerators``), and every polynomial equals the one
-        built from germs rebuilt per class."""
-        rng = random.Random(44)
+        kept per geometry (``charges._symbolic_germs``), and both kinds read
+        them: after the first cross polynomial on a geometry no call builds
+        them (counted at ``charges._germ_numerators``), and every polynomial
+        equals the one built from germs rebuilt per class (for the full
+        kind, any class and d)."""
+        rng = random.Random(f"warm-{kind.value}")
         built = []
         original = charges._germ_numerators
         for g in fresh_geometries():
-            asymptotics._cross_poly(g, _rand_vector(rng, g.rank), _rand_vector(rng, g.rank), ChargeKind.REDUCED, None)
-            pairs = [(_rand_vector(rng, g.rank), _rand_vector(rng, g.rank)) for _ in range(4)]
-            pairs.append((pairs[0][0], pairs[0][0].scale(3)))
+            asymptotics._cross_poly(g, _rand_vector(rng, g.rank), _rand_vector(rng, g.rank), kind, None)
+            pairs = [(_rand_vector(rng, g.rank), _rand_vector(rng, g.rank), _rand_divisor(rng, g.rank))
+                     for _ in range(4)]
+            pairs.append((pairs[0][0], pairs[0][0].scale(3), None))
             monkeypatch.setattr(charges, "_germ_numerators", lambda *a: built.append(1) or original(*a))
-            got = [asymptotics._cross_poly(g, m, n, ChargeKind.REDUCED, None) for m, n in pairs]
+            got = [asymptotics._cross_poly(g, m, n, kind, dd) for m, n, dd in pairs]
             monkeypatch.undo()
             assert built == []
-            assert got == [_reference_cross_poly(g, m, n) for m, n in pairs]
+            want = [_reference_cross_poly(g, m, n, kind, dd) for m, n, dd in pairs]
+            assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
         charges._germ_numerators(Fraction(1), Poly2.u(), Poly2.v())
         monkeypatch.setattr(charges, "_germ_numerators", lambda *a: built.append(1) or original(*a))
-        asymptotics._cross_poly(BaseGeometry(1, [[1]], [1], Fraction(-1, 3)), *pairs[0], ChargeKind.REDUCED, None)
+        m, n = _rand_vector(rng, 1), _rand_vector(rng, 1)
+        asymptotics._cross_poly(BaseGeometry(1, [[1]], [1], Fraction(-1, 3)), m, n, kind, None)
         assert built == [1]  # the counter sees the one cold build, shared with the ring guard's proof
 
     def test_signs_and_scans_match_germs_rebuilt_per_class(self, monkeypatch):
-        """``cross_sign_at`` and ``wall_scan`` on random reduced pairs give
-        what they gave with the germs rebuilt for each class."""
-        rng = random.Random(45)
+        self._match_germs_rebuilt_per_class(ChargeKind.REDUCED, monkeypatch)
+
+    def test_full_signs_and_scans_match_germs_rebuilt_per_class(self, monkeypatch):
+        self._match_germs_rebuilt_per_class(ChargeKind.FULL, monkeypatch)
+
+    def _match_germs_rebuilt_per_class(self, kind, monkeypatch):
+        """``cross_sign_at`` and ``wall_scan`` on random pairs give what
+        they gave with the germs rebuilt for each class (reduced pairs on
+        tilt curves; full pairs of one-dimensional classes on their curves,
+        with a random d)."""
+        rng = random.Random(f"rebuilt-{kind.value}")
         cases = []
         for h in (Fraction(-1), Fraction(0), Fraction(1, 2)):
             for rank2 in (False, True):
                 g = geometry_for(h, rank2)
                 for _ in range(3):
-                    a = rng.randint(1, 3)
-                    c = TiltCurve(h, a, a + rng.randint(1, 2))
                     points = [Fraction(rng.randint(3, 40), rng.randint(1, 3)) for _ in range(3)]
-                    cases.append((g, _rand_vector(rng, g.rank), _rand_vector(rng, g.rank), c, points))
+                    if kind is ChargeKind.REDUCED:
+                        a = rng.randint(1, 3)
+                        c, dd = TiltCurve(h, a, a + rng.randint(1, 2)), None
+                        m, n = _rand_vector(rng, g.rank), _rand_vector(rng, g.rank)
+                    else:
+                        y, z = Fraction(rng.randint(1, 2)), Fraction(rng.randint(3, 5))
+                        c, dd = OneDimCurve(h, y, z), _rand_divisor(rng, g.rank, -2, 2)
+                        m, n = _rand_onedim_class(rng, g, y, z), _rand_onedim_class(rng, g, y, z)
+                    cases.append((g, m, n, c, dd, points))
 
         def run():
-            return [(wall_scan(g, m, n, c, ChargeKind.REDUCED, (3, 14), Fraction(1, 2**10), None, 6),
-                     [cross_sign_at(g, m, n, c, ChargeKind.REDUCED, vpar) for vpar in points])
-                    for g, m, n, c, points in cases]
+            return [(wall_scan(g, m, n, c, kind, (3, 14), Fraction(1, 2**10), dd, 6),
+                     [cross_sign_at(g, m, n, c, kind, vpar, dd) for vpar in points])
+                    for g, m, n, c, dd, points in cases]
 
         got = run()
-        monkeypatch.setattr(asymptotics, "_cross_poly", lambda g, m, n, kind, d: _reference_cross_poly(g, m, n))
+        monkeypatch.setattr(asymptotics, "_cross_poly", _reference_cross_poly)
         assert run() == got
-        assert sum(len(scan.walls) for scan, _ in got) >= 1 and {s for _, signs in got for s in signs} == {-1, 1}
+        assert {s for _, signs in got for s in signs} == {-1, 1}
+        assert kind is ChargeKind.FULL or sum(len(scan.walls) for scan, _ in got) >= 1
 
     def test_guard_catches_a_perturbed_closed_form(self, monkeypatch):
         """A wrong class coefficient in the reduced closed form makes the
-        first cross polynomial on a fresh geometry raise, for either kind."""
-        original = charges._reduced_coefficients
-
-        def perturbed(g, v):
-            (re_const, (re_x, re_S)), im = original(g, v)
-            return (re_const, (re_x + v.x, re_S)), im
-
-        monkeypatch.setattr(charges, "_reduced_coefficients", perturbed)
+        first cross polynomial on a fresh geometry raise, for either kind
+        (re's coefficient on the x germ, H^2 x / 2, written with one x more)."""
+        monkeypatch.setattr(charges, "_reduced_table", _with_entry(charges._reduced_table, 1, 1))
         m, n = cv(1, 0, d(1), d(0), 0, 0), cv(0, 0, d(0), d(1), 1, 0)
         for kind in (ChargeKind.REDUCED, ChargeKind.FULL):
             g = BaseGeometry(1, [[1]], [1], -1)

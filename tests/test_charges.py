@@ -7,6 +7,7 @@ import pytest
 
 from ellstab import charges, ring
 from ellstab.charges import (
+    ChargeKind,
     _checked_reduced_parts,
     _full_parts,
     _germ_numerators,
@@ -27,7 +28,16 @@ from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, degree, 
 from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
-from conftest import count_symbolic_products, cv, d, fresh_geometries
+from conftest import (
+    _reference_full_coefficients,
+    _reference_reduced_coefficients,
+    count_symbolic_products,
+    cv,
+    d,
+    fresh_geometries,
+    table_sets,
+)
+from test_ring import table_geometries
 
 
 def in_reduced_half_plane(c) -> bool:
@@ -78,7 +88,7 @@ class TestReducedCharge:
                     dd = _rand_divisor(rng_d, g.rank, -4, 4)
                     om = DivisorX(u, g.hb_divisor.scale(vp))
                     full = full_charge(g, flat, om, DivisorX.pullback(dd))
-                    re, im = _full_parts(g, flat, usym, vsym, dd)
+                    re, im = _full_parts(g, flat, dd, _germ_numerators(g.h, usym, vsym))
                     assert (re.eval(u, vp), im.eval(u, vp)) == (full.re, full.im)
 
 
@@ -299,7 +309,14 @@ class TestReducedGerms:
 
 def _reference_reduced_parts(g: BaseGeometry, v: ChernVector, u, vpar) -> tuple:
     """Closed form of the reduced charge as (re, im), over any scalar."""
-    return charges._combine(charges._reduced_coefficients(g, v), charges._reduced_germs(g.h, u, vpar))
+    return charges._combine(_reference_reduced_coefficients(g, v), charges._reduced_germs(g.h, u, vpar))
+
+
+def _reference_full_parts(g: BaseGeometry, v: ChernVector, u, vpar, d: DivisorB) -> tuple:
+    """``charges._full_parts`` as written before it twisted the class and
+    applied the kept reduced table: the full coefficients combined with the
+    germs rebuilt at (u, vpar)."""
+    return charges._combine(_reference_full_coefficients(g, v, d), charges._reduced_germs(g.h, u, vpar))
 
 
 def _reference_ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:
@@ -365,15 +382,107 @@ class TestReducedTable:
             assert _typed(ring._divided(*part) for part in got) == _typed(want)
 
     def test_the_guard_raises_on_a_wrong_table_entry(self, monkeypatch):
-        """A wrong coefficient, read into the kept table, disagrees with the
-        ring side at a Fraction point."""
-        original = charges._reduced_coefficients
-
-        def perturbed(g, v):
-            re, (im_const, (im_eta, im_a, im_n)) = original(g, v)
-            return re, (im_const, (im_eta, im_a + v.s, im_n))
-
-        monkeypatch.setattr(charges, "_reduced_coefficients", perturbed)
+        """A wrong coefficient, written into the kept table (im's
+        coefficient on u, a, read as a + s), disagrees with the ring side at
+        a Fraction point."""
+        monkeypatch.setattr(charges, "_reduced_table", _with_entry(charges._reduced_table, -1, 5))
         g = BaseGeometry(1, [[1]], [1], Fraction(-1), 0, 1)
         with pytest.raises(ComputationFault):
             reduced_charge(g, cv(1, 1, d(0), d(0), 0, 1), Fraction(1, 2), 3)
+
+
+def _with_entry(writer, i: int, k: int, factor: int = 1):
+    """A table writer whose table has one more term: factor times class
+    coordinate i (a flat index, negative from the end) on output k."""
+
+    def mutant(g):
+        rows, den, width = writer(g)
+        rows = [list(row) for row in rows]
+        rows[i].append((0, k, factor * den))
+        return rows, den, width
+
+    return mutant
+
+
+class TestWrittenTables:
+    """The charge tables are written from the lattice's integers: the
+    reduced one directly, the full one composed from it and the twist
+    (both pinned against the read-off in ``test_asymptotics``)."""
+
+    def test_a_cold_build_makes_no_poly2(self, monkeypatch):
+        """Building both charge tables on a fresh geometry constructs no
+        ``Poly2`` (counted at ``Poly2._store``)."""
+        built = []
+        original = Poly2._store
+        monkeypatch.setattr(Poly2, "_store", lambda self, *form: built.append(1) or original(self, *form))
+        for g in table_geometries():
+            for kind in (ChargeKind.FULL, ChargeKind.REDUCED):
+                ring._kept(g, charges._charge_table, kind)
+        assert built == []
+
+    def test_a_mutated_reduced_writer_changes_the_full_table(self, monkeypatch):
+        """The full table keeps no entry of its own: doubling the reduced
+        writer's H.S / 2 entries, or giving im's coefficient on u a term in
+        s, changes the composed full table on every geometry, as it changes
+        the table read off the reduced closed form through the twist."""
+        def doubled_hs(g):
+            rows, den, width = writer(g)
+            return [[(j, k, 2 * c if k == 2 else c) for j, k, c in row] for row in rows], den, width
+
+        writer = charges._reduced_table
+        for mutant in (doubled_hs, _with_entry(writer, -1, 5)):
+            for g in table_geometries():
+                want = ring._kept(g, charges._charge_table, ChargeKind.FULL)
+                fresh = BaseGeometry(g.rank, g.gram, g.hb, g.h, g.vprime, g.m0)
+                monkeypatch.setattr(charges, "_reduced_table", mutant)
+                got = ring._kept(fresh, charges._charge_table, ChargeKind.FULL)
+                monkeypatch.undo()
+                assert table_sets(got) != table_sets(want)
+
+    def test_the_x_and_n_germs_stay_empty(self, monkeypatch):
+        """A reduced table whose coefficient on the x germ (re's first) or
+        the n germ (im's last) reaches a class with n = x = 0 makes the full
+        table's composition raise."""
+        for k in (1, 6):
+            monkeypatch.setattr(charges, "_reduced_table", _with_entry(charges._reduced_table, -2, k))
+            with pytest.raises(ComputationFault):
+                charges._charge_table(BaseGeometry(1, [[1]], [1], Fraction(-1)), ChargeKind.FULL)
+            monkeypatch.undo()
+
+
+class TestFullParts:
+    """``_full_parts`` twists the class in the ring and applies the kept
+    reduced table, on kept germ numerators at symbols and on the point's at
+    a point; it gives what the full coefficients on germs rebuilt per class
+    gave, in value and type."""
+
+    def _classes(self, rng, g):
+        z = g.zero_divisor()
+        yield ChernVector.zero(g.rank)
+        yield ChernVector(0, 0, z, z, 0, Fraction(5, 3))
+        for _ in range(6):
+            v = _rand_vector(rng, g.rank)
+            yield v
+            yield ChernVector._ints([0, 0, *v._nums[2:]], v._den)
+
+    def test_parts_match_the_reference(self):
+        rng = random.Random(51)
+        usym, vsym = Poly2.u(), Poly2.v()
+        for g in fresh_geometries() + table_geometries()[-5:]:
+            kept = ring._kept(g, charges._symbolic_germs)
+            for v in self._classes(rng, g):
+                dd = _rand_divisor(rng, g.rank, -4, 4)
+                for u, vpar, germs in ((usym, vsym, kept), (Fraction(rng.randint(1, 9), 4), Fraction(7, 3), None)):
+                    germs = germs or _germ_numerators(g.h, u, vpar)
+                    assert _typed(_full_parts(g, v, dd, germs)) == _typed(_reference_full_parts(g, v, u, vpar, dd))
+
+    def test_onedim_transform_charge_matches_the_reference(self):
+        rng = random.Random(52)
+        for g in fresh_geometries():
+            for _ in range(8):
+                eta = _rand_divisor(rng, g.rank, -5, 5)
+                v = ChernVector(0, 0, g.zero_divisor(), eta, Fraction(rng.randint(-5, 5), 3), rng.randint(-5, 5))
+                u, vpar, dbar = Fraction(rng.randint(1, 9), 5), Fraction(rng.randint(1, 9), 2), _rand_divisor(rng, g.rank)
+                got = onedim_transform_charge(g, v, u, vpar, dbar)
+                want = _reference_full_parts(g, phi(g, v), u, vpar, dbar + g.hb_divisor.scale(g.h / 2))
+                assert _typed((got.re, got.im)) == _typed(want)

@@ -15,8 +15,12 @@ from ellstab.series import LaurentSeries
 from ellstab.suites import geometry_for, _rand_divisor, _rand_vector
 
 from conftest import (
+    _reference_a3_table,
     _reference_matrix_apply,
+    _reference_phi,
+    _reference_phi_hat,
     _reference_read_matrix,
+    _reference_transform_table,
     as_table,
     cv,
     d,
@@ -25,6 +29,7 @@ from conftest import (
     shape,
     table_sets,
 )
+from test_ring import table_geometries
 
 
 H_SET = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2)]
@@ -193,6 +198,14 @@ def _reference_matrix(g, closed):
     return rows, den
 
 
+# Each transform's table writer and the closed form it replaced
+# (``conftest._reference_phi``, ``_reference_phi_hat``), its public map, and
+# the keys under which ``ring._kept`` holds the two tables.
+WRITERS = ((fmt._phi_table, _reference_phi), (fmt._phi_hat_table, _reference_phi_hat))
+TRANSFORMS = ((phi, _reference_phi), (phi_hat, _reference_phi_hat))
+KEPT = {(fmt._phi_table, ()), (fmt._phi_hat_table, ())}
+
+
 def _assert_as_closed_form(got, want):
     """``got`` is ``want`` coordinate by coordinate in value, hash and type,
     but for the declared difference of the module docstring: a coordinate
@@ -207,13 +220,30 @@ def _assert_as_closed_form(got, want):
 
 class TestMatrixPath:
     def test_tables_are_the_reference_reader_s(self):
-        """Entry for entry, with the same denominator, as the matrix that
-        ``_reference_read_matrix`` reads off the closed form."""
-        for g in fresh_geometries():
-            for closed in (fmt._phi, fmt._phi_hat):
+        """Each written table is, entry for entry, with the same denominator
+        and width, the matrix that ``_reference_read_matrix`` reads off its
+        closed form and the table that ``_reference_transform_table`` reads
+        off it at ``Poly2`` monomials, on lattices with fractional gram and
+        hb and of signature (1, 1) too; so is the a3 row."""
+        for g in table_geometries():
+            for writer, closed in WRITERS:
                 rows, den = _reference_read_matrix(g, closed)
                 ref = as_table([[(i, 0, c) for i, c in row] for row in rows], den, len(rows))
-                assert table_sets(ring._kept(g, fmt._table, closed)) == ref
+                assert table_sets(ring._kept(g, writer)) == ref
+                assert table_sets(writer(g)) == table_sets(_reference_transform_table(g, closed))
+            assert table_sets(ring._kept(g, fmt._a3_table)) == table_sets(_reference_a3_table(g))
+
+    def test_a_cold_build_makes_no_poly2(self, monkeypatch):
+        """The writers read the lattice's data alone: building each table
+        on a fresh geometry constructs no ``Poly2`` (counted at
+        ``Poly2._store``)."""
+        built = []
+        original = Poly2._store
+        monkeypatch.setattr(Poly2, "_store", lambda self, *form: built.append(1) or original(self, *form))
+        for g in table_geometries():
+            for writer in (fmt._phi_table, fmt._phi_hat_table, fmt._a3_table):
+                ring._kept(g, writer)
+        assert built == []
 
     def test_transforms_equal_the_reference_applier(self):
         """Equal in value and hash to ``_reference_matrix_apply``, the row
@@ -226,7 +256,7 @@ class TestMatrixPath:
                 poly2 = ChernVector._ints([Poly2({(rng.randint(0, 2), 1): c}) for c in flat], 1)
                 series = ChernVector._ints([LaurentSeries([(rng.randint(-2, 2), c)], -3) for c in flat], 1)
                 for v in (w, poly2, series):
-                    for transform, closed in ((phi, fmt._phi), (phi_hat, fmt._phi_hat)):
+                    for transform, closed in TRANSFORMS:
                         got, want = transform(g, v), _reference_matrix_apply(g, v, closed)
                         assert got == want and hash(got) == hash(want)
                         for c, x in zip(got.coordinates(), want.coordinates()):
@@ -236,18 +266,18 @@ class TestMatrixPath:
         for g in fresh_geometries():
             phi(g, ChernVector.zero(g.rank))
             phi_hat(g, ChernVector.zero(g.rank))
-            for closed in (fmt._phi, fmt._phi_hat):
+            for writer, closed in WRITERS:
                 ref_rows, ref_den = _reference_matrix(g, closed)
                 ref = [[(i, 0, c) for i, c in row] for row in ref_rows]
-                assert table_sets(ring._kept(g, fmt._table, closed)) == as_table(ref, ref_den, len(ref))
+                assert table_sets(ring._kept(g, writer)) == as_table(ref, ref_den, len(ref))
 
     def test_equals_closed_forms_in_value_and_type(self):
         rng = random.Random(8)
         for g in fresh_geometries():
             for v in sample_vectors(rng, g.rank):
-                assert shape(phi(g, v)) == shape(fmt._phi(g, v))
-                assert shape(phi_hat(g, v)) == shape(fmt._phi_hat(g, v))
-            assert (fmt._table, (fmt._phi,)) in g.matrices and (fmt._table, (fmt._phi_hat,)) in g.matrices
+                assert shape(phi(g, v)) == shape(_reference_phi(g, v))
+                assert shape(phi_hat(g, v)) == shape(_reference_phi_hat(g, v))
+            assert set(g.matrices) == KEPT
 
     def test_zero_rows_are_the_shared_zero(self):
         rng = random.Random(9)
@@ -261,19 +291,22 @@ class TestMatrixPath:
         assert zeros >= 100, zeros
 
     def test_matrices_compose_to_minus_identity(self):
-        for g in fresh_geometries():
+        """The two written tables, each from its own sign pattern, compose
+        to minus the identity in either order, on every fresh geometry and
+        on the lattices of ``table_geometries``."""
+        for g in fresh_geometries() + table_geometries():
             dim = 2 * g.rank + 4
             phi(g, ChernVector.zero(g.rank))
             phi_hat(g, ChernVector.zero(g.rank))
             dense = {}
-            for closed in (fmt._phi, fmt._phi_hat):
-                rows, den, _ = ring._kept(g, fmt._table, closed)
+            for closed, _ in WRITERS:
+                rows, den, _ = ring._kept(g, closed)
                 m = [[Fraction(0)] * dim for _ in range(dim)]
                 for j, row in enumerate(rows):
                     for _, i, entry in row:
                         m[i][j] = Fraction(entry, den)
                 dense[closed] = m
-            for first, second in ((fmt._phi, fmt._phi_hat), (fmt._phi_hat, fmt._phi)):
+            for first, second in ((fmt._phi_table, fmt._phi_hat_table), (fmt._phi_hat_table, fmt._phi_table)):
                 a, b = dense[second], dense[first]
                 product = [[sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)]
                            for i in range(dim)]
@@ -287,9 +320,9 @@ class TestMatrixPath:
             z = DivisorB.zero(g.rank)
             v = ChernVector(Poly2.u(), Poly2.const(1), DivisorB([Poly2.v()] * g.rank), z.scale(Poly2.u()),
                             Poly2.const(Fraction(1, 2)), Poly2())
-            for transform, closed in ((phi, fmt._phi), (phi_hat, fmt._phi_hat)):
+            for transform, closed in TRANSFORMS:
                 _assert_as_closed_form(transform(g, v), closed(g, v))
-            assert set(g.matrices) == {(fmt._table, (fmt._phi,)), (fmt._table, (fmt._phi_hat,))}
+            assert set(g.matrices) == KEPT
 
     def test_equals_closed_forms_at_every_scalar(self):
         """The table gives the closed form's value at every scalar, and its
@@ -311,7 +344,7 @@ class TestMatrixPath:
                 all_poly2 = ChernVector._ints([poly2(c) for c in flat], 1)
                 mixed = ChernVector._ints([c if rng.random() < 0.5 else poly2(c) for c in flat], 1)
                 truncated = ChernVector._ints([c if rng.random() < 0.3 else series(c) for c in flat], 1)
-                for transform, closed in ((phi, fmt._phi), (phi_hat, fmt._phi_hat)):
+                for transform, closed in TRANSFORMS:
                     _assert_as_closed_form(transform(g, all_poly2), closed(g, all_poly2))
                     assert list(transform(g, mixed).coordinates()) == list(closed(g, mixed).coordinates())
                     assert _germs(transform(g, truncated)) == _germs(closed(g, truncated))
@@ -333,7 +366,7 @@ class TestMatrixPath:
         v = _rand_vector(random.Random(9), 2)
         fmt.phi_hat(g, fmt.phi(g, v))
         assert calls == ["phi", "phi_hat"]
-        assert set(g.matrices) == {(fmt._table, (fmt._phi,)), (fmt._table, (fmt._phi_hat,))}
+        assert set(g.matrices) == KEPT
 
 
 def test_geometry_for_shares_one_object_per_geometry():

@@ -9,16 +9,15 @@ shared suite geometries and the germ cache among them) emptied, so no
 table or germ built by the unmutated code is reused; the caches are emptied
 again afterwards, so no later test sees a table built by a mutant.
 
-The full charge has no entry of its own: its coefficients are the reduced
-closed form's on the class twisted in the ring, so the reduced mutations
-reach it.
+The full charge has no entry of its own: its table is the reduced writer's
+composed with the twist read off the structure constants, so the reduced
+mutations reach it.
 """
 
 import pytest
 
 from ellstab import asymptotics, charges, curves, fmt, poly, ring, series, slopes, suites, verify
 from ellstab.errors import ComputationFault
-from ellstab.ring import ChernVector
 
 SIZE = 5
 MODULES = (ring, poly, series, fmt, slopes, charges, curves, asymptotics, verify, suites)
@@ -40,11 +39,12 @@ def fresh_package():
 
 
 def _coefficient(original):
-    """The reduced charge's coefficient on u w, H.S/2, written H.S."""
+    """The reduced writer's coefficient on u w, H.S/2, written H.S: every
+    entry on re's second germ doubled."""
 
-    def mutant(g, v):
-        (re_const, (re_x, re_S)), im = original(g, v)
-        return (re_const, (re_x, 2 * re_S)), im
+    def mutant(g):
+        rows, den, width = original(g)
+        return [[(j, k, 2 * c if k == 2 else c) for j, k, c in row] for row in rows], den, width
 
     return mutant
 
@@ -60,11 +60,15 @@ def _germ(original):
 
 
 def _transform_entry(original):
-    """The forward transform's (a, s) entry, 1 written 2."""
+    """The forward transform writer's (a, s) entry, 1 written 2: its s -> a
+    entry bumped by den."""
 
-    def mutant(g, v):
-        out = original(g, v)
-        return ChernVector(out.n, out.x, out.S, out.eta, out.a + v.s, out.s)
+    def mutant(g):
+        rows, den, width = original(g)
+        a, s = width - 2, width - 1
+        rows = [list(row) for row in rows]
+        rows[s] = [(j, k, c + den if k == a else c) for j, k, c in rows[s]]
+        return rows, den, width
 
     return mutant
 
@@ -93,9 +97,9 @@ def _relation(i: int, j: int, k: int):
 # on a and on s (c_{a,0,a}, c_{s,0,s}) is caught by no suite at SIZE, and
 # has no row.
 REACH = {
-    "reduced coefficient": (charges, "_reduced_coefficients", _coefficient, ("im-identity", "threshold")),
+    "reduced coefficient": (charges, "_reduced_table", _coefficient, ("im-identity", "threshold")),
     "reduced germ": (charges, "_reduced_germs", _germ, ("im-identity", "threshold")),
-    "transform entry": (fmt, "_phi", _transform_entry, ("involution", "swap", "im-identity")),
+    "transform entry": (fmt, "_phi_table", _transform_entry, ("involution", "swap", "im-identity")),
     "structure constant": (ring, "_structure_constants", _relation(1, 1, 3), ("chow", "im-identity", "threshold")),
     "Theta f = pt": (ring, "_structure_constants", _relation(1, 4, 5), ("chow", "im-identity", "threshold")),
     "Theta pull(A)": (ring, "_structure_constants", _relation(1, 2, 3), ("chow", "im-identity", "threshold")),

@@ -30,6 +30,8 @@ from ellstab.suites import H_SET_INVOLUTION, _rand_divisor, _rand_q, _rand_vecto
 
 from conftest import (
     _reference_monomial_coefficients,
+    _reference_phi,
+    _reference_phi_hat,
     _reference_read_matrix,
     cv,
     d,
@@ -677,7 +679,7 @@ def test_tables_leave_geometry_identity_unchanged():
         mul(g, v, _mixed_vector(random.Random(36), g.rank))
         fmt.phi(g, v)
         fmt.phi_hat(g, v)
-        kept = {(ring._structure_constants, ()), (fmt._table, (fmt._phi,)), (fmt._table, (fmt._phi_hat,))}
+        kept = {(ring._structure_constants, ()), (fmt._phi_table, ()), (fmt._phi_hat_table, ())}
         assert set(g.matrices) == kept
         fresh = BaseGeometry(g.rank, g.gram, g.hb, g.h, g.vprime, g.m0)
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
@@ -1025,6 +1027,24 @@ def fractional_geometries():
     ]
 
 
+def signature_geometries():
+    """Lattices of the forms <2> (rank 1) and diag(1, -1) (signature
+    (1, 1)), with an hb that is a basis vector and one that is not."""
+    return [
+        BaseGeometry(1, [[2]], [1], Fraction(-1)),
+        BaseGeometry(1, [[2]], [Fraction(3, 2)], Fraction(1, 2)),
+        BaseGeometry(2, [[1, 0], [0, -1]], [1, 0], Fraction(-1)),
+        BaseGeometry(2, [[1, 0], [0, -1]], [2, 1], Fraction(3, 7)),
+        BaseGeometry(2, [[1, 0], [0, -1]], [Fraction(3, 2), Fraction(1, 2)], Fraction(-2), 0, 2),
+    ]
+
+
+def table_geometries():
+    """The lattices the table writers are pinned on: ``fresh_geometries``,
+    ``fractional_geometries`` and ``signature_geometries``, all fresh."""
+    return fresh_geometries() + fractional_geometries() + signature_geometries()
+
+
 def _fields(rng, g):
     """Fields B = t Theta + pull(D) at every scalar: rational with t = 0 and
     t != 0 (zeros of either part included), Poly2 (symbolic, zero, mixed
@@ -1095,8 +1115,8 @@ class TestFractionFree:
         g, (f1, f2), c = case
         v1, v2 = _coerced(g.rank, f1), _coerced(g.rank, f2)
         for a in _storage_forms(g.rank, f1):
-            _assert_matches(fmt.phi(g, a), _reference_apply(g, v1, fmt._phi))
-            _assert_matches(fmt.phi_hat(g, a), _reference_apply(g, v1, fmt._phi_hat))
+            _assert_matches(fmt.phi(g, a), _reference_apply(g, v1, _reference_phi))
+            _assert_matches(fmt.phi_hat(g, a), _reference_apply(g, v1, _reference_phi_hat))
             _assert_matches(-a, _reference_neg(v1))
             for k in (c, 3, 0):
                 _assert_matches(a.scale(k), _reference_scale(v1, k))
@@ -1416,7 +1436,7 @@ def test_rational_hot_path_builds_no_fraction(monkeypatch):
         fmt.phi_hat(g, vs[0])
         mul(g, vs[0], vs[0])  # the tables, built once per geometry
         monkeypatch.setattr(ring, "Fraction", counting)
-        monkeypatch.setattr(fmt, "Fraction", counting)
+        monkeypatch.setattr(fmt, "Fraction", counting, raising=False)  # fmt builds none by name
         for v, w in zip(vs, vs[1:]):
             assert fmt.phi_hat(g, fmt.phi(g, v)) == -v
             assert fmt.phi(g, fmt.phi_hat(g, v)) == -v

@@ -285,13 +285,34 @@ def _sums_over_numerators(tree):
                     break
 
 
+def _reads_a_table_off_monomials(tree):
+    """Line numbers of a definition, call, import or other use of the
+    ``Poly2`` read-off (``monomial_table``) or of its monomial class
+    (``_monomials``)."""
+    return _named(tree, {"monomial_table", "_monomials"})
+
+
 def test_one_table_rule():
     """Every value of the geometry alone is kept by ``ring._kept``, every
-    read-off table is built by ``poly.monomial_table``, and every table is
-    applied by ``ring._contract``."""
+    table is written from the lattice's integers (no module defines or
+    calls a read-off at ``Poly2`` monomials), and every table is applied by
+    ``ring._contract``."""
     assert _sites(_touches_kept_values_outside_the_keeper) == []
     assert _sites(_names_the_old_reader) == []
+    assert _sites(_reads_a_table_off_monomials) == []
     assert _sites(_sums_over_numerators) == []
+
+
+def test_the_read_off_rule_sees_definitions_calls_and_imports():
+    tree = ast.parse("from .poly import Poly2, monomial_table\n"
+                     "def monomial_table(values, size): pass\n"
+                     "table = poly.monomial_table(values, 6)\n"
+                     "def _monomials(g): pass\n"
+                     "parts = f(g, _monomials(g))\n"
+                     "monomials = _monomial_rows(g)\n"
+                     "name = 'monomial_table'\n"
+                     "rows = _written(entries, 6, 6)\n")
+    assert sorted(set(_reads_a_table_off_monomials(tree))) == [1, 2, 3, 4, 5]
 
 
 def test_the_table_rules_see_their_forms_and_scopes():
@@ -562,25 +583,41 @@ def _calls(tree, names):
             yield node.lineno
 
 
+_TABLE_WRITERS = {"_phi_table", "_phi_hat_table", "_a3_table", "_reduced_table", "_full_table"}
+
+
+def _calls_a_writer_outside_the_keeper(tree):
+    """Line numbers of a call of a table writer outside
+    ``charges._charge_table``, which calls the two charge writers; every
+    other use hands a writer to ``ring._kept``, so each table is built once
+    per geometry."""
+    allowed = _inside(tree, lambda name, owner: name == "_charge_table" and owner is None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) in _TABLE_WRITERS and id(node) not in allowed:
+            yield node.lineno
+
+
 def test_the_closed_forms_are_read_through_their_tables():
-    """The reduced coefficients are called only in ``charges``, where the
-    kept table is read off them (``charges._charge_table``), and ``verify``
-    reads a3 through its kept row (``fmt._a3_table``), never by calling
-    ``ChernVector.a3``."""
-    others = {path.name for path in SRC.glob("*.py")} - {"charges.py"}
-    assert _sites(lambda tree: _calls(tree, {"_reduced_coefficients"}), others) == []
+    """The table writers are called only by ``charges._charge_table`` and
+    otherwise read through ``ring._kept``, and ``verify`` reads a3 through
+    its kept row (``fmt._a3_table``), never by calling ``ChernVector.a3``."""
+    assert _sites(_calls_a_writer_outside_the_keeper) == []
     assert _sites(lambda tree: _calls(tree, {"a3"}), {"verify.py"}) == []
 
 
 def test_the_table_rule_sees_both_call_forms():
-    tree = ast.parse("parts = _reduced_coefficients(g, v)\n"
-                     "parts = charges_mod._reduced_coefficients(g, flat)\n"
-                     "table = _kept(g, _reduced_coefficients)\n"
+    tree = ast.parse("def _charge_table(g, kind):\n"
+                     "    return _reduced_table(g) if kind else _full_table(g)\n"
+                     "rows = _phi_table(g)\n"
+                     "rows = fmt._a3_table(g)\n"
+                     "table = _kept(g, _phi_hat_table)\n"
                      "x = e.a3(g)\n"
                      "y = ChernVector.a3(e, g)\n"
-                     "z = e.a3\n")
-    assert sorted(_calls(tree, {"_reduced_coefficients"})) == [1, 2]
-    assert sorted(_calls(tree, {"a3"})) == [4, 5]
+                     "z = e.a3\n"
+                     "def other(g):\n"
+                     "    return charges_mod._reduced_table(g)\n")
+    assert sorted(_calls_a_writer_outside_the_keeper(tree)) == [3, 4, 10]
+    assert sorted(_calls(tree, {"a3"})) == [6, 7]
 
 
 _RING_PRODUCTS = {"mul", "degree", "_degree_numerator", "divisor_powers"}
