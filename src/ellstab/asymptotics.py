@@ -19,7 +19,9 @@ one cross table per (curve, kind), whose rows are the products'
 coefficients from the closed form of u, down to a cutoff never below the
 germs' floor; a cross that vanishes there goes to the germs.
 At finite parameters the cross value is a polynomial in (u, v), from the
-same closed forms, whose sign at each curve point is exact, zero included.
+same closed forms, whose sign at each curve point is exact, zero included;
+its walls are read off the positive roots of its norm modulo the curve
+polynomial.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from math import lcm
 
 from . import charges as charges_mod
 from .charges import ChargeKind
-from .curves import CurveConstraint, _whole_order, admissible_bracket, expand_u
+from .curves import CurveConstraint, _whole_order, admissible_bracket, constraint_poly, expand_u
 from .errors import ConfigurationError, DimensionError, DomainError
-from .poly import Poly2, RootInterval, sign_at_root
+from .poly import Poly2, RootInterval, isolate_positive_roots, norm_mod_u, sign_at_root
 from .ring import BaseGeometry, ChernVector, DivisorB, _contract, _kept, _over_common_denominator, _q
 from .series import LaurentSeries, _product_floor
 
@@ -482,8 +484,11 @@ def _cross_poly(
     numerators kept per geometry (``charges._symbolic_germs``): the reduced
     one, or the full one with B = pull(d), d = 0 by default, for any class
     (the reduced form of the class twisted in the ring).  Their
-    ring guard is proved once per geometry (``charges.prove_closed_form``)."""
+    ring guard is proved once per geometry (``charges.prove_closed_form``).
+    A class of another lattice rank than g's raises ``DimensionError``."""
     _check_kind(kind)
+    if m.rank_lattice != g.rank or n.rank_lattice != g.rank:
+        raise DimensionError("vector rank does not match geometry rank")
     charges_mod.prove_closed_form(g)
     germs = _kept(g, charges_mod._symbolic_germs)
     if kind is ChargeKind.REDUCED:
@@ -523,6 +528,10 @@ def cross_sign_at(
 
 @dataclass(frozen=True)
 class WallScanResult:
+    """The walls of a scan, each a bracket over which the exact cross value
+    changes sign on the admissible branch, in ascending order; ``degenerate``
+    when the cross vanishes on the whole curve (then there are no walls)."""
+
     walls: tuple[RootInterval, ...]
     degenerate: bool
 
@@ -538,46 +547,45 @@ def wall_scan(
     d: DivisorB | None = None,
     samples: int = 64,
 ) -> WallScanResult:
-    """Sign-change brackets of the exact cross value over a finite v range.
+    """Every wall of two classes in [vmin, vmax]: a v where the exact cross
+    value on the admissible branch changes sign, bracketed to ``precision``.
 
-    The cross value is built once as a polynomial in (u, v); the range is
-    sampled on a uniform rational grid, and adjacent samples with exact
-    opposite signs (as ``cross_sign_at`` gives them) are bisected down to
-    ``precision``.  Zero samples between opposite signs are one wall, from
-    the first to the last of them.  A cross value that vanishes at every
-    sample is reported as degenerate with no walls rather than as a wall
-    everywhere.  The range ends and ``precision`` are exact scalars; a
-    float raises ``TypeError`` (``ring._q``).
+    The cross value X is built once as a polynomial in (u, v)
+    (``_cross_poly``).  The curve polynomial P is irreducible over Q(v), so
+    X vanishes on the whole curve exactly when its norm R = ``norm_mod_u(X,
+    P)`` is zero (reported as degenerate), and otherwise every wall is a
+    root of R.  Each positive root bracket of R (``isolate_positive_roots``)
+    that meets the range is clipped to it and is a wall when the exact
+    signs of the cross (``_cross_sign``) at its two ends are opposite; a
+    collapsed bracket [r, r] is a wall when the signs at points of the
+    root-free gaps on either side of r, inside the range, are.  So a root
+    where the cross only touches zero, one on another branch of P, and one
+    at an end of the range are not walls.  The range ends and ``precision``
+    are exact scalars; a float raises ``TypeError`` (``ring._q``).  vmin off
+    the curve raises ``CurveDomainError``.  ``samples`` has no effect; it is
+    accepted for callers that pass it positionally.
     """
     lo, hi, precision = _q(vrange[0]), _q(vrange[1]), _q(precision)
     if not (0 < lo < hi):
         raise DomainError("wall scan requires 0 < vmin < vmax")
-    if samples < 2:
-        raise DomainError("wall scan needs at least two samples")
     if precision <= 0:
         raise DomainError("wall scan precision must be positive")
     cross = _cross_poly(g, m, n, kind, d)
-    grid = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
-    signs = [_cross_sign(cross, c, vv) for vv in grid]
-    nonzero = [k for k, sg in enumerate(signs) if sg]
-    if not nonzero:
+    admissible_bracket(c, lo)  # vmin off the curve raises; every v above it is on it
+    norm = norm_mod_u(cross, constraint_poly(c))
+    if not norm:
         return WallScanResult((), True)
-
+    roots = isolate_positive_roots(norm, precision)
     walls = []
-    for i, j in zip(nonzero, nonzero[1:]):
-        s1 = signs[i]
-        if s1 * signs[j] > 0:
+    for k, root in enumerate(roots):
+        if root.hi < lo or root.lo > hi:
             continue
-        if j > i + 1:  # the zero samples between opposite signs
-            walls.append(RootInterval(grid[i + 1], grid[j - 1]))
-            continue
-        a, b = grid[i], grid[j]
-        while b - a > precision:
-            mid = (a + b) / 2
-            sm = _cross_sign(cross, c, mid)
-            if sm == 0:
-                a = b = mid
-                break
-            a, b = (mid, b) if sm == s1 else (a, mid)
-        walls.append(RootInterval(a, b))
+        if root.exact:  # test points in the gaps to the neighbouring brackets
+            left = roots[k - 1].hi if k else Fraction(0)
+            right = roots[k + 1].lo if k + 1 < len(roots) else root.hi + 1
+            ends = max(lo, (left + root.lo) / 2), min(hi, (root.hi + right) / 2)
+        else:
+            ends = max(lo, root.lo), min(hi, root.hi)
+        if _cross_sign(cross, c, ends[0]) * _cross_sign(cross, c, ends[1]) < 0:
+            walls.append(root if root.exact else RootInterval(*ends))
     return WallScanResult(tuple(walls), False)

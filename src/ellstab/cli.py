@@ -306,7 +306,6 @@ def cmd_wall_scan(args, cfg: Config, out: _Output) -> int:
         (_fraction_arg(args.vmin, "--vmin"), _fraction_arg(args.vmax, "--vmax")),
         Fraction(1, 2**args.precision),
         _divisor_arg(cfg, args, "--d"),
-        args.samples,
     )
     rows = [[names[0], names[1], "degenerate", "", ""]] if result.degenerate else []
     for w in result.walls:
@@ -411,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["reduced", "full"], required=True)
     p.add_argument("--vmin", required=True)
     p.add_argument("--vmax", required=True)
-    p.add_argument("--samples", type=int, default=64)
     p.add_argument("--d", default=None)
 
     p = sub.add_parser("verify", help="run a randomized identity suite")

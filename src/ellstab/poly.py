@@ -590,3 +590,41 @@ def reduce_mod_u(dividend: Poly2, divisor: Poly2) -> Poly2:
             raise ComputationFault("non-exact coefficient division during reduction")
         shift = Poly2._ints({(d - d0, j): n for j, n in enumerate(q._nums)}, q._den)
         rem = rem - shift * divisor
+
+
+def norm_mod_u(x: Poly2, p: Poly2) -> Poly1:
+    """The norm R(v) of x modulo p over Q(v), for p of u-degree d >= 1.
+
+    R is the determinant of the u-coefficients of u^i rho mod p,
+    i = 0 .. d - 1, for rho = x mod p: multiplication by x on
+    Q(v)[u]/(p) in the basis 1, u, ..., u^(d-1), whose determinant is the
+    product of x over the roots of p, Res_u(x, p) over lead^(deg_u x) for
+    p's u-lead (Collins, 1967).  Each dividend y is multiplied by lead^k
+    first, k = deg_u y - d + 1, so that ``reduce_mod_u`` divides exactly.
+    So R is Res_u(x, p) times a constant when the lead is constant or d = 1
+    (the curves: a constant lead for h != 0, and c v^j with d = 1 at h = 0),
+    and times a power of the lead otherwise.  R = 0 exactly when
+    x = 0 mod p, if p is irreducible over Q(v).
+    """
+    d = p.udegree()
+    if d < 1:
+        raise ZeroDivisionError("norm modulo a polynomial free of u")
+    lead = Poly2._ints({(0, j): n for (i, j), n in p._nums.items() if i == d}, 1)
+
+    def reduced(y: Poly2) -> Poly2:
+        for _ in range(y.udegree() - d + 1):
+            y = y * lead
+        return reduce_mod_u(y, p)
+
+    rows = [reduced(x)]
+    for _ in range(d - 1):
+        rows.append(reduced(rows[-1] * Poly2.u()))
+    return _determinant([[y.ucoefficient(i) for i in range(d)] for y in rows])
+
+
+def _determinant(m: list) -> Poly1:
+    """Laplace expansion along the first row of a square matrix of Poly1s."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((m[0][j] * _determinant([row[:j] + row[j + 1:] for row in m[1:]]) * (-1) ** j
+                for j in range(len(m))), Poly1._ints((), 1))

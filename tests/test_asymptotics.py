@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from ellstab import asymptotics, charges, poly, ring, suites, verify
 from ellstab.asymptotics import (
@@ -21,7 +22,7 @@ from ellstab.asymptotics import (
     wall_scan,
 )
 from ellstab.charges import full_charge, reduced_charge
-from ellstab.curves import OneDimCurve, TiltCurve, admissible_bracket, expand_u, solve_u
+from ellstab.curves import OneDimCurve, TiltCurve, admissible_bracket, constraint_poly, expand_u, solve_u
 from ellstab.errors import (
     ComputationFault,
     ConfigurationError,
@@ -1033,14 +1034,14 @@ class TestWallScan:
     def test_proportional_is_degenerate(self, g0):
         c0 = OneDimCurve(0, 1, 1)
         m = cv(0, 0, d(1), d(1), 1, 0)
-        res = wall_scan(g0, m, m.scale(2), c0, ChargeKind.FULL, (1, 10), Fraction(1, 2**10), d(0), 16)
+        res = wall_scan(g0, m, m.scale(2), c0, ChargeKind.FULL, (1, 10), Fraction(1, 2**10), d(0))
         assert res.degenerate and res.walls == ()
 
     def test_single_constructed_crossing(self, g0):
         c0 = OneDimCurve(0, 1, 1)
         m = cv(0, 0, d(1), d(1), 1, 0)
         n = cv(0, 0, d(1), d(1), 5, -1)
-        res = wall_scan(g0, m, n, c0, ChargeKind.FULL, (1, 10), Fraction(1, 2**12), d(0), 32)
+        res = wall_scan(g0, m, n, c0, ChargeKind.FULL, (1, 10), Fraction(1, 2**12), d(0))
         assert not res.degenerate
         assert len(res.walls) == 1
         w = res.walls[0]
@@ -1065,20 +1066,168 @@ class TestWallScan:
         for vrange, precision in (((Fraction(1, 2), 5), 0.001), ((0.5, 5), Fraction(1, 2**10)),
                                   ((Fraction(1, 2), 5.0), Fraction(1, 2**10))):
             with pytest.raises(TypeError, match="float"):
-                wall_scan(g1, m, n, c, ChargeKind.REDUCED, vrange, precision, samples=4)
-        exact = wall_scan(g1, m, n, c, ChargeKind.REDUCED, (Fraction(1, 2), 5), Fraction(1, 2**10), samples=4)
-        assert wall_scan(g1, m, n, c, ChargeKind.REDUCED, ("1/2", 5), "1/1024", samples=4) == exact
+                wall_scan(g1, m, n, c, ChargeKind.REDUCED, vrange, precision)
+        exact = wall_scan(g1, m, n, c, ChargeKind.REDUCED, (Fraction(1, 2), 5), Fraction(1, 2**10))
+        assert wall_scan(g1, m, n, c, ChargeKind.REDUCED, ("1/2", 5), "1/1024") == exact
 
     def test_no_crossing(self, g0):
         c0 = OneDimCurve(0, 1, 1)
         m = cv(0, 0, d(1), d(1), 1, 0)
         n = cv(0, 0, d(1), d(1), 2, -1)
-        res = wall_scan(g0, m, n, c0, ChargeKind.FULL, (1, 4), Fraction(1, 2**10), d(0), 16)
+        res = wall_scan(g0, m, n, c0, ChargeKind.FULL, (1, 4), Fraction(1, 2**10), d(0))
         # here the cross value is -v: one fixed sign, no walls
         signs = {cross_sign_at(g0, m, n, c0, ChargeKind.FULL, vv, d(0)) for vv in (2, 3, 4)}
         assert signs == {-1}
         assert res.walls == ()
         assert not res.degenerate
+
+
+_U, _V = sympy.symbols("u v")
+
+
+def _sympy(p: Poly2):
+    return sum((sympy.Rational(x.numerator, x.denominator) * _U**i * _V**j for (i, j), x in p.terms.items()),
+               sympy.Integer(0))
+
+
+def _resultant(cross: Poly2, c) -> sympy.Poly:
+    """Res_u(X, P) of the cross and the curve polynomial, by sympy."""
+    return sympy.Poly(sympy.resultant(_sympy(cross), _sympy(constraint_poly(c)), _U), _V)
+
+
+# Known defect 1 (ROADMAP): walls near v = 0.77695 and 3.73666, which a
+# 64-sample grid over [1/100, 1000] misses.
+_DEFECT_ONE = (cv(0, Fraction(-2, 3), d(-8), d(2), -4, Fraction(2, 3)),
+               cv(Fraction(5, 6), 2, d(Fraction(-4, 3)), d(-2), Fraction(1, 2), Fraction(-5, 6)))
+
+
+class TestExactWalls:
+    """Walls read off the isolated positive roots of the cross's norm."""
+
+    def test_defect_one_shows_both_walls(self, g1):
+        m, n = _DEFECT_ONE
+        c = TiltCurve(-1, 1, 2)
+        res = wall_scan(g1, m, n, c, ChargeKind.REDUCED, (Fraction(1, 100), 1000))
+        assert not res.degenerate and len(res.walls) == 2
+        oracle = _resultant(asymptotics._cross_poly(g1, m, n, ChargeKind.REDUCED, None), c).sqf_part()
+        for w, near in zip(res.walls, (Fraction(77695, 100000), Fraction(373666, 100000))):
+            assert w.hi - w.lo <= Fraction(1, 2**16) and abs(w.lo - near) < Fraction(1, 10**4)
+            assert oracle.count_roots(w.lo, w.hi) == 1
+            signs = [cross_sign_at(g1, m, n, c, ChargeKind.REDUCED, v) for v in (w.lo, w.hi)]
+            assert signs[0] * signs[1] < 0
+        assert wall_scan(g1, m, n, c, ChargeKind.REDUCED, (Fraction(1, 100), 1000), samples=1) == res
+
+    @pytest.mark.parametrize("h", [Fraction(-1), Fraction(1, 2), Fraction(0)])
+    def test_the_norm_is_the_resultant(self, h):
+        """``poly.norm_mod_u`` of the cross and the curve polynomial is
+        sympy's resultant up to a constant, on random tilt pairs (the
+        reduced kind, and the full kind on any class) and one-dimensional
+        pairs of both kinds (the full kind on one-dimensional classes: the
+        reduced cross of two of them is zero)."""
+        rng = random.Random(f"norm-{h}")
+        g = geometry_for(h)
+        for case in range(8):
+            kind = (ChargeKind.REDUCED, ChargeKind.FULL)[case % 2]
+            if case < 4:
+                c, dd = _rand_tilt(rng, h), None if kind is ChargeKind.REDUCED else _rand_divisor(rng, 1)
+                m, n = _rand_vector(rng, 1), _rand_vector(rng, 1)
+            else:
+                y, z = Fraction(rng.randint(1, 2)), Fraction(rng.randint(3, 5))
+                c, dd = OneDimCurve(h, y, z), d(rng.randint(-2, 2))
+                if kind is ChargeKind.REDUCED:
+                    m, n = _rand_vector(rng, 1), _rand_vector(rng, 1)
+                else:
+                    m, n = _rand_onedim_class(rng, g, y, z), _rand_onedim_class(rng, g, y, z)
+            cross = asymptotics._cross_poly(g, m, n, kind, dd)
+            norm = poly.norm_mod_u(cross, constraint_poly(c))
+            want = _resultant(cross, c)
+            got = sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in reversed(norm.c)], _V)
+            assert norm and not want.is_zero
+            assert (got * want.LC() - want * got.LC()).is_zero
+
+    def test_defect_two_pairs_have_a_zero_norm(self, g1):
+        """The delta family and the s-only pair vanish on the whole curve:
+        their norm is zero and the scan reports them degenerate."""
+        c = TiltCurve(-1, 1, 2)
+        delta, m = cv(6, 0, d(0), d(2), 0, 0), cv(0, 2, d(0), d(1), 0, 0)
+        s_only = cv(0, 1, d(0), d(Fraction(-1, 2)), 0, Fraction(1, 6))
+        pairs = [(m, m + delta, (1, 50)), (delta, m, (1, 50)),
+                 (s_only, cv(0, 1, d(0), d(Fraction(-1, 2)), 0, Fraction(7, 6)), (1, 10))]
+        for a, b, vrange in pairs:
+            cross = asymptotics._cross_poly(g1, a, b, ChargeKind.REDUCED, None)
+            assert not poly.norm_mod_u(cross, constraint_poly(c))
+            assert wall_scan(g1, a, b, c, ChargeKind.REDUCED, vrange) == asymptotics.WallScanResult((), True)
+
+    # Pairs whose cross vanishes on the admissible branch at a rational v that
+    # is no dyadic point: at h = 0 and on a one-dimensional curve with h < 0.
+    _RATIONAL_ROOTS = [
+        (Fraction(0), OneDimCurve(0, 2, 2), cv(0, 0, d(1), d(-1), 2, 0), cv(0, 0, d(-2), d(-3), 4, 4),
+         Fraction(4, 3)),
+        (Fraction(-1), OneDimCurve(-1, 2, 6), cv(0, 0, d(-2), d(-1), 4, -4), cv(0, 0, d(4), d(-4), -4, -2),
+         Fraction(10, 3)),
+    ]
+
+    @pytest.mark.parametrize("h, c, m, n, root", _RATIONAL_ROOTS)
+    def test_a_rational_root_lies_in_its_wall(self, h, c, m, n, root):
+        g = geometry_for(h)
+        assert cross_sign_at(g, m, n, c, ChargeKind.FULL, root, d(0)) == 0
+        res = wall_scan(g, m, n, c, ChargeKind.FULL, (root - 1, root + 2), Fraction(1, 2**10), d(0))
+        assert len(res.walls) == 1 and root in res.walls[0]
+        w = res.walls[0]
+        assert w.exact or cross_sign_at(g, m, n, c, ChargeKind.FULL, w.lo, d(0)) * \
+            cross_sign_at(g, m, n, c, ChargeKind.FULL, w.hi, d(0)) < 0
+
+    @pytest.mark.parametrize("h, c, m, n, root", _RATIONAL_ROOTS)
+    def test_a_root_at_an_end_of_the_range_is_no_wall(self, h, c, m, n, root):
+        """The cross takes one sign on the range and zero at its end, so
+        the order does not flip inside it."""
+        g = geometry_for(h)
+        for vrange in ((root, root + 2), (root - 1, root)):
+            assert wall_scan(g, m, n, c, ChargeKind.FULL, vrange, Fraction(1, 2**10), d(0)).walls == ()
+        assert len(wall_scan(g, m, n, c, ChargeKind.FULL, (root - 1, root + 2), Fraction(1, 2**10),
+                             d(0)).walls) == 1
+
+    def test_a_collapsed_root_is_tested_in_the_gaps_beside_it(self, g0, monkeypatch):
+        """A root that the isolation reports exactly, [2, 2], is a wall when
+        the signs in the root-free gaps on either side of it differ inside
+        the range: over [1, 3], not over [2, 3] or [1, 2].  (Isolation
+        collapses a bracket only at a root on its dyadic grid; here the
+        bracket of the root v = 2 is collapsed by hand.)"""
+        c0 = OneDimCurve(0, 1, 1)
+        m, n = cv(0, 0, d(1), d(1), 1, 0), cv(0, 0, d(1), d(1), -4, 1)
+        isolate = poly.isolate_positive_roots
+        monkeypatch.setattr(asymptotics, "isolate_positive_roots", lambda p, precision: [
+            RootInterval(Fraction(2), Fraction(2)) if 2 in r else r for r in isolate(p, precision)])
+        for vrange, walls in (((1, 3), (RootInterval(Fraction(2), Fraction(2)),)), ((2, 3), ()), ((1, 2), ())):
+            assert wall_scan(g0, m, n, c0, ChargeKind.FULL, vrange, Fraction(1, 2**10), d(0)).walls == walls
+
+    def test_a_zero_on_the_other_branch_is_no_wall(self):
+        """On a one-dimensional curve with h < 0 both roots of P are
+        positive: the norm has a root near v = 6.789 where the cross
+        vanishes on the other branch, and the admissible sign does not
+        change there."""
+        g, c, dd = geometry_for(-1), OneDimCurve(-1, 1, 5), d(1)
+        m, n = cv(0, 0, d(0), d(2), 0, Fraction(6, 5)), cv(0, 0, d(0), d(4), Fraction(5, 2), Fraction(9, 2))
+        cross = asymptotics._cross_poly(g, m, n, ChargeKind.FULL, dd)
+        roots = [r for r in poly.isolate_positive_roots(poly.norm_mod_u(cross, constraint_poly(c)), Fraction(1, 2**10))
+                 if 3 <= r.lo and r.hi <= 14]
+        assert len(roots) == 1 and 6 < roots[0].lo < 7
+        assert len({cross_sign_at(g, m, n, c, ChargeKind.FULL, v, dd) for v in (3, roots[0].lo, roots[0].hi, 14)}) == 1
+        assert wall_scan(g, m, n, c, ChargeKind.FULL, (3, 14), Fraction(1, 2**10), dd) == \
+            asymptotics.WallScanResult((), False)
+
+    @pytest.mark.parametrize("kind", [ChargeKind.REDUCED, ChargeKind.FULL])
+    def test_classes_of_another_rank_are_refused(self, kind):
+        """Two rank-2 classes on a rank-1 geometry used to give a sign and
+        a wall, because the tables read only the first coordinates."""
+        g, c = BaseGeometry(1, [[1]], [1], -1), TiltCurve(-1, 1, 2)
+        one = cv(1, 0, d(1), d(0), 0, 0)
+        wide = [cv(1, 0, d(1, 2), d(0, 1), 0, 0), cv(0, 1, d(-1, 0), d(2, 1), 1, 0)]
+        for m, n in ((wide[0], wide[1]), (one, wide[1]), (wide[0], one)):
+            with pytest.raises(DimensionError, match="vector rank does not match geometry rank"):
+                cross_sign_at(g, m, n, c, kind, 3)
+            with pytest.raises(DimensionError, match="vector rank does not match geometry rank"):
+                wall_scan(g, m, n, c, kind, (1, 10))
 
 
 def _pointwise_sign(g, m, n, c, kind, vpar, dd):
@@ -1101,7 +1250,8 @@ def _pointwise_sign(g, m, n, c, kind, vpar, dd):
 
 def _pointwise_walls(sign, vrange, precision, samples):
     """Sign changes on the grid bisected with the given sign function, for
-    scans with no zero sample."""
+    scans with no zero sample: a reference search that may miss walls but
+    reports none that is not one."""
     lo, hi = Fraction(vrange[0]), Fraction(vrange[1])
     grid = [lo + (hi - lo) * k / samples for k in range(samples + 1)]
     signs = [sign(v) for v in grid]
@@ -1119,6 +1269,22 @@ def _pointwise_walls(sign, vrange, precision, samples):
             a, b = (mid, b) if sm == sa else (a, mid)
         walls.append(RootInterval(a, b))
     return tuple(walls)
+
+
+def _assert_holds_grid_walls(walls, grid_walls, sign):
+    """Every exact wall has opposite signs at its ends (``sign``, the
+    pointwise sign; a collapsed wall a zero), and the sign change that each
+    grid wall brackets lies in exactly one exact wall: the two brackets
+    meet, and where they meet the signs are again opposite.  The brackets
+    themselves need not nest, since they are cells of different dyadic
+    grids."""
+    for w in walls:
+        assert sign(w.lo) == 0 if w.exact else sign(w.lo) * sign(w.hi) < 0, w
+    for gw in grid_walls:
+        met = [w for w in walls if w.lo <= gw.hi and gw.lo <= w.hi]
+        assert len(met) == 1, (gw, walls)
+        lo, hi = max(gw.lo, met[0].lo), min(gw.hi, met[0].hi)
+        assert lo == hi or sign(lo) * sign(hi) < 0, (gw, met[0])
 
 
 def _reference_cross_poly(g, m, n, kind=ChargeKind.REDUCED, d=None):
@@ -1164,9 +1330,9 @@ class TestCrossPolynomial:
 
                 if case >= 5 or sign(vrange[0]) * sign(vrange[1]) < 0:
                     break
-            res = wall_scan(g, m, n, c, kind, vrange, precision, dd, samples)
+            res = wall_scan(g, m, n, c, kind, vrange, precision, dd)
             assert not res.degenerate
-            assert res.walls == _pointwise_walls(sign, vrange, precision, samples)
+            _assert_holds_grid_walls(res.walls, _pointwise_walls(sign, vrange, precision, samples), sign)
             walls += len(res.walls)
             points = [Fraction(rng.randint(12, 60), rng.randint(1, 4)) for _ in range(3)]
             points += [v for w in res.walls for v in (w.lo, w.hi)]
@@ -1200,8 +1366,8 @@ class TestCrossPolynomial:
             zm, zn = (full_charge(g, v, omega, DivisorX.pullback(dd)) for v in (m, n))
             ring_cross = zm.re * zn.im - zm.im * zn.re
             assert asymptotics._cross_poly(g, m, n, ChargeKind.FULL, dd) == ring_cross
-            res = wall_scan(g, m, n, c, ChargeKind.FULL, vrange, precision, dd, samples)
-            assert res.walls == _pointwise_walls(sign, vrange, precision, samples)
+            res = wall_scan(g, m, n, c, ChargeKind.FULL, vrange, precision, dd)
+            _assert_holds_grid_walls(res.walls, _pointwise_walls(sign, vrange, precision, samples), sign)
             walls += len(res.walls)
             for vpar in [Fraction(rng.randint(12, 60), rng.randint(1, 4)) for _ in range(3)]:
                 assert cross_sign_at(g, m, n, c, ChargeKind.FULL, vpar, dd) == sign(vpar)
@@ -1291,7 +1457,7 @@ class TestCrossPolynomial:
                     cases.append((g, m, n, c, dd, points))
 
         def run():
-            return [(wall_scan(g, m, n, c, kind, (3, 14), Fraction(1, 2**10), dd, 6),
+            return [(wall_scan(g, m, n, c, kind, (3, 14), Fraction(1, 2**10), dd),
                      [cross_sign_at(g, m, n, c, kind, vpar, dd) for vpar in points])
                     for g, m, n, c, dd, points in cases]
 
@@ -1314,15 +1480,15 @@ class TestCrossPolynomial:
 
     def test_exact_zero_sign(self, g0):
         # at h = 0 the curve point over v is u = 1/v and the cross value
-        # vanishes at v = 2, where the scan reports a collapsed wall
+        # vanishes at v = 2, which the scan's one wall holds
         c0 = OneDimCurve(0, 1, 1)
         m = cv(0, 0, d(1), d(1), 1, 0)
         n = cv(0, 0, d(1), d(1), -4, 1)
         signs = [cross_sign_at(g0, m, n, c0, ChargeKind.FULL, v, d(0)) for v in (1, 2, 3)]
         assert signs == [-1, 0, 1]
         assert signs == [_pointwise_sign(g0, m, n, c0, ChargeKind.FULL, v, d(0)) for v in (1, 2, 3)]
-        res = wall_scan(g0, m, n, c0, ChargeKind.FULL, (1, 3), Fraction(1, 2**10), d(0), 4)
-        assert res.walls == (RootInterval(Fraction(2), Fraction(2)),)
+        res = wall_scan(g0, m, n, c0, ChargeKind.FULL, (1, 3), Fraction(1, 2**10), d(0))
+        assert len(res.walls) == 1 and 2 in res.walls[0]
 
 
 class TestCrossSignExact:
@@ -1355,7 +1521,7 @@ class TestCrossSignExact:
             with pytest.raises(DomainError, match=f"unknown charge kind {kind}"):
                 cross_sign_at(g1, m, n, c, kind, Fraction(3))
             with pytest.raises(DomainError, match=f"unknown charge kind {kind}"):
-                wall_scan(g1, m, n, c, kind, (Fraction(1, 2), 5), samples=4)
+                wall_scan(g1, m, n, c, kind, (Fraction(1, 2), 5))
 
 
 def test_cross_sign_builds_no_fraction_but_the_bracket_end(monkeypatch):

@@ -222,8 +222,34 @@ class TestCli:
     def test_wall_scan_command(self, cfg_path):
         code, out = run_cli("--config", cfg_path, "--format", "records", "wall-scan",
                             "--objects", "point,curvecl", "--curve", "flat1", "--kind", "full",
-                            "--vmin", "1", "--vmax", "4", "--samples", "8")
+                            "--vmin", "1", "--vmax", "4")
         assert code == 0
+
+    def test_wall_scan_takes_no_samples(self, cfg_path, capsys):
+        """The scan has no grid, so ``--samples`` is no longer a flag."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", cfg_path, "wall-scan", "--objects", "point,curvecl", "--curve", "flat1",
+                    "--kind", "full", "--vmin", "1", "--vmax", "4", "--samples", "8")
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_wall_scan_shows_both_walls_of_defect_one(self, tmp_path):
+        """Both walls of the pair near v = 0.77695 and 3.73666 over
+        [1/100, 1000], which the 64-sample grid missed (it printed none)."""
+        cfg = tmp_path / "walls.cfg"
+        cfg.write_text("[geometry]\nrank = 1\ngram = [[1]]\nhb = [1]\nh = -1\n\n"
+                       "[curve tilt]\nkind = tilt\na = 1\nb = 2\n\n"
+                       "[object m]\nvector = 0 -2/3 [-8] [2] -4 2/3\n\n"
+                       "[object n]\nvector = 5/6 2 [-4/3] [-2] 1/2 -5/6\n")
+        code, out = run_cli("--config", str(cfg), "--format", "records", "--precision", "20", "wall-scan",
+                            "--objects", "m,n", "--curve", "tilt", "--kind", "reduced",
+                            "--vmin", "1/100", "--vmax", "1000")
+        assert code == 0
+        rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+        assert [row[:3] for row in rows] == [["m", "n", "wall"]] * 2
+        for row, near in zip(rows, (Fraction(77695, 100000), Fraction(373666, 100000))):
+            lo, hi = Fraction(row[3]), Fraction(row[4])
+            assert lo < hi <= lo + Fraction(1, 2**20) and abs(lo - near) < Fraction(1, 10**4)
 
     def test_verify_suite(self, cfg_path):
         code, out = run_cli("--config", cfg_path, "--cases", "100", "--seed", "7",

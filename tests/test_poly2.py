@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellstab.errors import ComputationFault
-from ellstab.poly import Poly1, Poly2, reduce_mod_u
+from ellstab.poly import Poly1, Poly2, norm_mod_u, reduce_mod_u
 from ellstab.ring import _q
 
-from test_poly import _reference_divmod
+from test_poly import _rat, _reference_divmod
 
 
 class _ReferencePoly2:
@@ -320,3 +320,32 @@ def test_products_and_reduction_against_sympy(a, b, lead, degree):
     d = Poly2(_divisor(b, lead, degree))
     want = sympy.rem(_sympy(p).as_expr(), _sympy(d).as_expr(), _U)
     assert reduce_mod_u(p, d).terms == _from_sympy(want)
+
+
+def _proportional(a, b) -> bool:
+    """Whether two sympy polynomials in v are nonzero multiples of each other,
+    or both zero."""
+    if a.is_zero or b.is_zero:
+        return a.is_zero and b.is_zero
+    return (a * b.LC() - b * a.LC()).is_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_TERMS, b=_TERMS, lead=_COEFFS.filter(bool), degree=st.integers(1, 3), power=st.integers(0, 2))
+def test_norm_is_the_resultant(a, b, lead, degree, power):
+    """``norm_mod_u`` is Res_u(x, p) up to a nonzero constant, for a
+    constant u-lead, and for lead v^power when p is linear in u (the lead of
+    both curves at h = 0); so it is zero exactly when the resultant is."""
+    x = Poly2(a)
+    d = _divisor(b, lead, degree)
+    if degree == 1:
+        d[(1, power)] = d.pop((1, 0))
+    p = Poly2(d)
+    got = norm_mod_u(x, p)
+    want = sympy.Poly(sympy.resultant(_sympy(x).as_expr(), _sympy(p).as_expr(), _U), _V)
+    assert _proportional(sympy.Poly([_rat(c) for c in reversed(got.c)] or [0], _V), want)
+
+
+def test_norm_refuses_a_divisor_free_of_u():
+    with pytest.raises(ZeroDivisionError):
+        norm_mod_u(Poly2.u(), Poly2({(0, 1): 1}))
