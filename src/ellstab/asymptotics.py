@@ -36,7 +36,7 @@ from . import charges as charges_mod
 from .charges import ChargeKind
 from .curves import CurveConstraint, _whole_order, admissible_bracket, constraint_poly, expand_u
 from .errors import ConfigurationError, DimensionError, DomainError
-from .poly import Poly2, RootInterval, isolate_positive_roots, norm_mod_u, sign_at_root
+from .poly import Poly2, RootInterval, _isolated_roots, norm_mod_u, sign_at_root
 from .ring import BaseGeometry, ChernVector, DivisorB, _contract, _kept, _over_common_denominator, _q
 from .series import LaurentSeries, _product_floor
 
@@ -554,16 +554,19 @@ def wall_scan(
     (``_cross_poly``).  The curve polynomial P is irreducible over Q(v), so
     X vanishes on the whole curve exactly when its norm R = ``norm_mod_u(X,
     P)`` is zero (reported as degenerate), and otherwise every wall is a
-    root of R.  Each positive root bracket of R (``isolate_positive_roots``)
-    that meets the range is clipped to it and is a wall when the exact
-    signs of the cross (``_cross_sign``) at its two ends are opposite; a
-    collapsed bracket [r, r] is a wall when the signs at points of the
-    root-free gaps on either side of r, inside the range, are.  So a root
-    where the cross only touches zero, one on another branch of P, and one
-    at an end of the range are not walls.  The range ends and ``precision``
-    are exact scalars; a float raises ``TypeError`` (``ring._q``).  vmin off
-    the curve raises ``CurveDomainError``.  ``samples`` has no effect; it is
-    accepted for callers that pass it positionally.
+    root of R.  R's positive roots are isolated only in the cells that meet
+    the range (``poly._isolated_roots``), so a root outside it is neither
+    counted nor refined.  Each bracket that meets the range is clipped to
+    it and is a wall when the exact signs of the cross (``_cross_sign``) at
+    its two ends are opposite; a collapsed bracket [r, r] is a wall when
+    the signs at points of the root-free gaps on either side of r, inside
+    the range, are (a neighbour dropped outside the range moves such a
+    point, never out of its gap).  So a root where the cross only touches
+    zero, one on another branch of P, and one at an end of the range are
+    not walls.  The range ends and ``precision`` are exact scalars; a float
+    raises ``TypeError`` (``ring._q``).  vmin off the curve raises
+    ``CurveDomainError``.  ``samples`` has no effect; it is accepted for
+    callers that pass it positionally.
     """
     lo, hi, precision = _q(vrange[0]), _q(vrange[1]), _q(precision)
     if not (0 < lo < hi):
@@ -575,7 +578,7 @@ def wall_scan(
     norm = norm_mod_u(cross, constraint_poly(c))
     if not norm:
         return WallScanResult((), True)
-    roots = isolate_positive_roots(norm, precision)
+    roots = _isolated_roots(norm, precision, (lo, hi))
     walls = []
     for k, root in enumerate(roots):
         if root.hi < lo or root.lo > hi:

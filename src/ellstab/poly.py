@@ -10,7 +10,12 @@ refinement: secant guesses checked by exact signs, with the bisection's
 output), no floating point anywhere.  Remainder sequences are integer
 pseudo-remainders, each member up to a positive factor, so root counts and
 Sturm-Tarski signs read integer values at each rational point, as the
-refinement does on an integer Taylor shift of the polynomial.
+refinement does on an integer Taylor shift of the polynomial.  Isolation
+counts at the integer pairs of its dyadic cells of (0, B], each point once,
+and builds Fractions only for the ends it returns.  Reduction modulo a
+polynomial in u and the norm over Q(v) work on u-rows, integer coefficient
+rows in v: each elimination step multiplies by the least integer that makes
+the division of the top row by the lead row exact.
 """
 
 from __future__ import annotations
@@ -218,11 +223,10 @@ def _squarefree_chain(p: Poly1) -> list[tuple[int, ...]]:
     return chain
 
 
-def _sign_variations(chain, x) -> int:
-    """Sign changes along the chain at x = n/d: each member of degree k is
-    read as the integer sum of c_i n^i d^(k-i), which has the sign of its
-    value at x because d > 0."""
-    n, d = x.numerator, x.denominator
+def _sign_variations(chain, n: int, d: int) -> int:
+    """Sign changes along the chain at x = n/d, d > 0: each member of
+    degree k is read as the integer sum of c_i n^i d^(k-i), which has the
+    sign of its value at x."""
     last = count = 0
     for c in chain:
         value = _horner(c, n, d)
@@ -237,7 +241,8 @@ def count_roots(p: Poly1, lo: Fraction, hi: Fraction, chain=None) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi]."""
     if chain is None:
         chain = _squarefree_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return (_sign_variations(chain, lo.numerator, lo.denominator)
+            - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
 def sign_at_root(q: Poly1, p: Poly1, bracket: RootInterval) -> int:
@@ -263,7 +268,9 @@ def sign_at_root(q: Poly1, p: Poly1, bracket: RootInterval) -> int:
         return 0
     dP = [i * n for i, n in enumerate(P)][1:]
     chain = sturm_chain(p, Poly1._ints(_negated_remainder(_convolve(dP, r), P), 1))
-    return _sign_variations(chain, bracket.lo) - _sign_variations(chain, bracket.hi)
+    lo, hi = bracket.lo, bracket.hi
+    return (_sign_variations(chain, lo.numerator, lo.denominator)
+            - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
 @dataclass(frozen=True)
@@ -284,38 +291,55 @@ class RootInterval:
 def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
     """All positive real roots of p, each bracketed to the given width.
 
-    Sturm counting on p's squarefree part isolates the roots; each
-    isolating bracket is then refined on the dyadic grid by the sign of
-    that part alone, so every returned interval is certified exactly.
+    Sturm counting on p's squarefree part isolates the roots in the cells
+    (B m / 2^j, B (m + 1) / 2^j] of (0, B], B = Bn / Bd the Cauchy bound;
+    each isolating cell is then refined on the dyadic grid by the sign of
+    that part alone, so every returned interval is certified exactly.  The
+    counts are taken in integers at the pairs (Bn m, Bd 2^j), each point
+    once, and only the returned ends are built as Fractions.
     """
+    return _isolated_roots(p, precision, None)
+
+
+def _isolated_roots(p: Poly1, precision, vrange: tuple | None) -> list[RootInterval]:
+    """``isolate_positive_roots``, with the cells that miss the closed
+    range vrange = (vmin, vmax), if one is given, dropped before they are
+    counted or refined.  Every cell that meets the range is split and
+    refined as without it, so the brackets that meet the range are the
+    same; a bracket outside it may still be returned."""
     precision = _positive(precision)
     chain = _squarefree_chain(p)
     if not chain or len(chain[0]) < 2:
         return []
-    p = Poly1._ints(chain[0], 1)
-    # Each pending interval (lo, hi] carries whether its ends are roots of p.
-    # A bracket is taken only when neither end is, so no bracket touches a
-    # root that is reported exactly, and no root is reported twice.
-    stack = [(Fraction(0), _root_bound(p), p(0) == 0, False)]
-    isolated: list[tuple[Fraction, Fraction]] = []
+    sqf = chain[0]
+    bn, bd = _cauchy_bound(sqf)
+    if vrange is not None:
+        (a, b), (c, e) = ((x.numerator, x.denominator) for x in vrange)
+    sqf_poly = Poly1._ints(sqf, 1)
+    out: list[RootInterval] = []
+    # Each pending cell (m, j) carries the sign variations at its ends and
+    # whether its ends are roots of p.  A cell is taken only when neither
+    # end is, so no bracket touches a root that is reported exactly, and no
+    # root is reported twice.
+    stack = [(0, 0, _sign_variations(chain, 0, bd), _sign_variations(chain, bn, bd), sqf[0] == 0, False)]
     while stack:
-        lo, hi, lo_root, hi_root = stack.pop()
-        k = count_roots(p, lo, hi, chain) - hi_root
+        m, j, at_lo, at_hi, lo_root, hi_root = stack.pop()
+        if vrange is not None and (bn * (m + 1) * b < a * (bd << j) or bn * m * e > c * (bd << j)):
+            continue  # the closed cell [B m / 2^j, B (m + 1) / 2^j] misses the range
+        k = at_lo - at_hi - hi_root
         if k == 0:
             continue
         if k == 1 and not (lo_root or hi_root):
-            isolated.append((lo, hi))
+            out.append(_refined(sqf_poly, bn * m, bn, bd << j, precision))
             continue
-        mid = (lo + hi) / 2
-        mid_root = p(mid) == 0
+        n, d = bn * (2 * m + 1), bd << (j + 1)
+        at_mid = _sign_variations(chain, n, d)
+        mid_root = _horner(sqf, n, d) == 0
         if mid_root:
-            isolated.append((mid, mid))
-        stack.append((lo, mid, lo_root, mid_root))
-        stack.append((mid, hi, mid_root, hi_root))
-    out = [
-        RootInterval(lo, hi) if lo == hi else _bisect_by_sign(p, lo, hi, precision)
-        for lo, hi in isolated
-    ]
+            root = Fraction(n, d)
+            out.append(RootInterval(root, root))
+        stack.append((2 * m, j + 1, at_lo, at_mid, lo_root, mid_root))
+        stack.append((2 * m + 1, j + 1, at_mid, at_hi, mid_root, hi_root))
     out.sort(key=lambda r: r.lo)
     return out
 
@@ -330,8 +354,13 @@ def _positive(precision) -> Fraction:
 
 def _root_bound(p: Poly1) -> Fraction:
     """Cauchy's bound 1 + max |p_i| / |lead|, above every |root| of p."""
-    lead = abs(p._nums[-1])
-    return Fraction(lead + max(abs(n) for n in p._nums), lead)
+    return Fraction(*_cauchy_bound(p._nums))
+
+
+def _cauchy_bound(c) -> tuple[int, int]:
+    """Cauchy's bound of a nonzero integer row as (numerator, denominator)."""
+    lead = abs(c[-1])
+    return lead + max(map(abs, c)), lead
 
 
 def refine_root(p: Poly1, bracket: RootInterval, precision: Fraction) -> RootInterval:
@@ -378,17 +407,22 @@ def _bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInte
     """
     den = lcm(lo.denominator, hi.denominator)
     base = lo.numerator * (den // lo.denominator)
-    width = hi.numerator * (den // hi.denominator) - base
+    return _refined(p, base, hi.numerator * (den // hi.denominator) - base, den, precision)
+
+
+def _refined(p: Poly1, base: int, width: int, den: int, precision) -> RootInterval:
+    """``_bisect_by_sign`` on the cell lo = base/den, hi - lo = width/den
+    given as integers, building Fractions only for the returned ends."""
     wide = width * precision.denominator
     narrow = precision.numerator * den
     top = max(0, wide.bit_length() - narrow.bit_length())  # J: the least with wide <= narrow << J
     if narrow << top < wide:
         top += 1
     if top == 0:
-        return RootInterval(lo, hi)
+        return RootInterval(_grid(base, width, den, 0, 0), _grid(base, width, den, 1, 0))
     q = _shifted(p, base, width, den)
     if sum(q) == 0:  # hi is the root: no sign change inside, bisection keeps right
-        return RootInterval(_grid(base, width, den, (1 << top) - 1, top), hi)
+        return RootInterval(_grid(base, width, den, (1 << top) - 1, top), _grid(base, width, den, 1, 0))
     while q[0] == 0:  # lo is a root: q / t has q's signs on the cell
         q = q[1:]
     d = len(q) - 1
@@ -571,60 +605,137 @@ class Poly2(_IntegerForm):
 def reduce_mod_u(dividend: Poly2, divisor: Poly2) -> Poly2:
     """Remainder of dividend modulo divisor, eliminating the variable u.
 
-    Works in v-coefficient polynomials and requires every elimination step
-    to divide exactly; raises if it cannot (which never happens for the
-    identities this package reduces).
+    Works on the u-rows of both (``_urows``), integer coefficient rows in v
+    over the dividend's den (``_reduced_rows``), and requires every
+    elimination step to divide exactly in Q[v]; raises if it cannot (which
+    never happens for the identities this package reduces).
     """
-    d0 = divisor.udegree()
-    if d0 < 0:
+    p = _urows(divisor)
+    if not p:
         raise ZeroDivisionError("reduction modulo the zero polynomial")
-    lead = divisor.ucoefficient(d0)
-    rem = dividend
-    while True:
-        d = rem.udegree()
-        if d < d0 or rem.is_zero():
-            return rem
-        cd = rem.ucoefficient(d)
-        q, r = cd.divmod(lead)
-        if not r.is_zero():
-            raise ComputationFault("non-exact coefficient division during reduction")
-        shift = Poly2._ints({(d - d0, j): n for j, n in enumerate(q._nums)}, q._den)
-        rem = rem - shift * divisor
+    rows, scale = _reduced_rows(_urows(dividend), p)
+    return Poly2._ints({(i, j): n for i, row in enumerate(rows) for j, n in enumerate(row) if n},
+                       dividend._den * scale)
+
+
+def _urows(p: Poly2) -> list[list[int]]:
+    """The numerators of p by u-row: rows[i][j] at u^i v^j, each row
+    ascending in v and free of trailing zeros, the top row nonzero."""
+    rows: list[list[int]] = [[] for _ in range(p.udegree() + 1)]
+    for (i, j), n in p._nums.items():
+        row = rows[i]
+        if len(row) <= j:
+            row.extend([0] * (j + 1 - len(row)))
+        row[j] = n
+    return rows
+
+
+def _reduced_rows(rows: list[list[int]], p: list[list[int]]) -> tuple[list[list[int]], int]:
+    """The u-rows of s times (rows mod p), zero top rows stripped, and the
+    int s > 0, for integer u-rows with p's top row nonzero.  Each step
+    takes the top row t: for s' t = q l in Q[v], l p's top row and s' > 0
+    least (``_exact_quotient``, which raises where l does not divide t), it
+    multiplies the other rows by s' and subtracts q u^(deg t - deg p) times
+    p's lower rows, so the top row cancels; for a constant l, s' is |l|
+    over its gcd with t's coefficients."""
+    lead, d0 = p[-1], len(p) - 1
+    rows, scale = list(rows), 1
+    while rows and not any(rows[-1]):
+        rows.pop()
+    while len(rows) > d0:
+        s, q = _exact_quotient(rows.pop(), lead)
+        if s != 1:
+            rows = [[s * x for x in row] for row in rows]
+            scale *= s
+        shift = len(rows) - d0
+        for i, prow in enumerate(p[:-1]):
+            if prow:
+                rows[shift + i] = _added(rows[shift + i], _convolve(q, prow), -1)
+        while rows and not any(rows[-1]):
+            rows.pop()
+    return rows, scale
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> tuple[int, list[int]]:
+    """(s, q) with s a = q b for the least int s > 0, q an integer row,
+    where the nonzero row b divides the row a in Q[v]; otherwise
+    ``ComputationFault``.  Each step multiplies by |lead| / gcd(lead, c)
+    for the top coefficient c only, as ``_negated_remainder`` does."""
+    lead, n = b[-1], len(b) - 1
+    scale, r, q = 1, list(a), [0] * (len(a) - n)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = gcd(lead, c)
+        m, c = abs(lead) // g, (c if lead > 0 else -c) // g  # m * old top = c * lead
+        if m != 1:
+            scale *= m
+            r = [m * x for x in r]
+            q = [m * x for x in q]
+        q[k] = c
+        for j in range(n):
+            r[k + j] -= c * b[j]
+    if any(r):
+        raise ComputationFault("non-exact coefficient division during reduction")
+    return scale, q
 
 
 def norm_mod_u(x: Poly2, p: Poly2) -> Poly1:
-    """The norm R(v) of x modulo p over Q(v), for p of u-degree d >= 1.
+    """The norm R(v) of x modulo p over Q(v), for p of u-degree d >= 1, up
+    to a nonzero rational factor.
 
     R is the determinant of the u-coefficients of u^i rho mod p,
     i = 0 .. d - 1, for rho = x mod p: multiplication by x on
     Q(v)[u]/(p) in the basis 1, u, ..., u^(d-1), whose determinant is the
     product of x over the roots of p, Res_u(x, p) over lead^(deg_u x) for
     p's u-lead (Collins, 1967).  Each dividend y is multiplied by lead^k
-    first, k = deg_u y - d + 1, so that ``reduce_mod_u`` divides exactly.
-    So R is Res_u(x, p) times a constant when the lead is constant or d = 1
-    (the curves: a constant lead for h != 0, and c v^j with d = 1 at h = 0),
-    and times a power of the lead otherwise.  R = 0 exactly when
-    x = 0 mod p, if p is irreducible over Q(v).
+    first, k = deg_u y - d + 1, up to a constant (by the lead's primitive
+    part, so not at all when the lead is constant), so that every
+    elimination divides exactly.  So R is Res_u(x, p) times a constant
+    when the lead is constant or d = 1 (the curves: a constant lead for
+    h != 0, and c v^j with d = 1 at h = 0), and times a power of the lead
+    otherwise.  R = 0 exactly when x = 0 mod p, if p is irreducible over
+    Q(v).  All of it runs on integer u-rows (``_reduced_rows``), each
+    reduction and the d x d determinant up to a positive factor.
     """
-    d = p.udegree()
+    prows = _urows(p)
+    d = len(prows) - 1
     if d < 1:
         raise ZeroDivisionError("norm modulo a polynomial free of u")
-    lead = Poly2._ints({(0, j): n for (i, j), n in p._nums.items() if i == d}, 1)
+    content = gcd(*prows[-1])
+    unit = [x // content for x in prows[-1]]  # the lead's primitive part
 
-    def reduced(y: Poly2) -> Poly2:
-        for _ in range(y.udegree() - d + 1):
-            y = y * lead
-        return reduce_mod_u(y, p)
+    def reduced(rows: list[list[int]]) -> list[list[int]]:
+        if len(unit) > 1:
+            for _ in range(len(rows) - d):
+                rows = [_convolve(row, unit) for row in rows]
+        return _reduced_rows(rows, prows)[0]
 
-    rows = [reduced(x)]
+    y = reduced(_urows(x))
+    matrix = [y]
     for _ in range(d - 1):
-        rows.append(reduced(rows[-1] * Poly2.u()))
-    return _determinant([[y.ucoefficient(i) for i in range(d)] for y in rows])
+        y = reduced([[]] + y)
+        matrix.append(y)
+    return Poly1._ints(_determinant([y + [[]] * (d - len(y)) for y in matrix]), 1)
 
 
-def _determinant(m: list) -> Poly1:
-    """Laplace expansion along the first row of a square matrix of Poly1s."""
+def _determinant(m: list) -> list[int]:
+    """Laplace expansion along the first row of a square matrix of integer
+    rows (polynomials in v, ascending)."""
     if len(m) == 1:
         return m[0][0]
-    return sum((m[0][j] * _determinant([row[:j] + row[j + 1:] for row in m[1:]]) * (-1) ** j
-                for j in range(len(m))), Poly1._ints((), 1))
+    out: list[int] = []
+    for j, a in enumerate(m[0]):
+        if a:
+            minor = _determinant([row[:j] + row[j + 1:] for row in m[1:]])
+            out = _added(out, _convolve(a, minor), -1 if j % 2 else 1)
+    return out
+
+
+def _added(row: list[int], term: list[int], sign: int) -> list[int]:
+    """row + sign * term for integer rows, as a new list."""
+    out = list(row) + [0] * (len(term) - len(row))
+    for k, x in enumerate(term):
+        out[k] += sign * x
+    return out

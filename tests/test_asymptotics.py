@@ -58,6 +58,8 @@ from conftest import (
     table_sets,
 )
 from test_charges import _reference_full_parts, _with_entry
+from test_poly import _reference_isolate_positive_roots
+from test_poly2 import _reference_norm_mod_u
 from test_ring import table_geometries
 
 
@@ -1195,9 +1197,9 @@ class TestExactWalls:
         bracket of the root v = 2 is collapsed by hand.)"""
         c0 = OneDimCurve(0, 1, 1)
         m, n = cv(0, 0, d(1), d(1), 1, 0), cv(0, 0, d(1), d(1), -4, 1)
-        isolate = poly.isolate_positive_roots
-        monkeypatch.setattr(asymptotics, "isolate_positive_roots", lambda p, precision: [
-            RootInterval(Fraction(2), Fraction(2)) if 2 in r else r for r in isolate(p, precision)])
+        isolate = poly._isolated_roots
+        monkeypatch.setattr(asymptotics, "_isolated_roots", lambda p, precision, vrange: [
+            RootInterval(Fraction(2), Fraction(2)) if 2 in r else r for r in isolate(p, precision, vrange)])
         for vrange, walls in (((1, 3), (RootInterval(Fraction(2), Fraction(2)),)), ((2, 3), ()), ((1, 2), ())):
             assert wall_scan(g0, m, n, c0, ChargeKind.FULL, vrange, Fraction(1, 2**10), d(0)).walls == walls
 
@@ -1228,6 +1230,167 @@ class TestExactWalls:
                 cross_sign_at(g, m, n, c, kind, 3)
             with pytest.raises(DimensionError, match="vector rank does not match geometry rank"):
                 wall_scan(g, m, n, c, kind, (1, 10))
+
+
+def _reference_wall_scan(g, m, n, c, kind, vrange, precision=Fraction(1, 2**16), dd=None,
+                         isolate=_reference_isolate_positive_roots):
+    """``wall_scan`` as it was before the range pruning: every positive root
+    of the norm isolated and refined (both as they were, on ``Poly2`` and
+    Fraction ends), then the brackets that meet the range clipped to it."""
+    lo, hi, precision = Fraction(vrange[0]), Fraction(vrange[1]), Fraction(precision)
+    cross = asymptotics._cross_poly(g, m, n, kind, dd)
+    admissible_bracket(c, lo)
+    norm = _reference_norm_mod_u(cross, constraint_poly(c))
+    if not norm:
+        return asymptotics.WallScanResult((), True)
+    roots = isolate(norm, precision)
+    walls = []
+    for k, root in enumerate(roots):
+        if root.hi < lo or root.lo > hi:
+            continue
+        if root.exact:  # test points in the gaps to the neighbouring brackets
+            left = roots[k - 1].hi if k else Fraction(0)
+            right = roots[k + 1].lo if k + 1 < len(roots) else root.hi + 1
+            ends = max(lo, (left + root.lo) / 2), min(hi, (root.hi + right) / 2)
+        else:
+            ends = max(lo, root.lo), min(hi, root.hi)
+        if asymptotics._cross_sign(cross, c, ends[0]) * asymptotics._cross_sign(cross, c, ends[1]) < 0:
+            walls.append(root if root.exact else RootInterval(*ends))
+    return asymptotics.WallScanResult(tuple(walls), False)
+
+
+def _scan_outcome(scan, *args):
+    """A scan's result, or the domain error it raises."""
+    try:
+        return scan(*args)
+    except (CurveDomainError, DomainError) as e:
+        return type(e).__name__, str(e)
+
+
+class TestPrunedScan:
+    """The scan that isolates only the cells meeting its range against the
+    one that isolated every positive root of the norm and then clipped."""
+
+    def test_random_pairs_and_ranges_that_cut_a_bracket(self):
+        """Both kinds, tilt and one-dimensional curves, h in {-1, 1/2, 0};
+        the ranges include ends strictly inside a bracket of the norm's
+        roots and ends in the gaps between them."""
+        cut = 0
+        for h in (Fraction(-1), Fraction(1, 2), Fraction(0)):
+            rng = random.Random(f"pruned-{h}")
+            g = geometry_for(h)
+            for case in range(8):
+                kind = (ChargeKind.REDUCED, ChargeKind.FULL)[case % 2]
+                if case < 4:
+                    c, dd = _rand_tilt(rng, h), None if kind is ChargeKind.REDUCED else _rand_divisor(rng, 1)
+                    m, n = _rand_vector(rng, 1), _rand_vector(rng, 1)
+                else:
+                    y, z = Fraction(rng.randint(1, 2)), Fraction(rng.randint(3, 5))
+                    c, dd = OneDimCurve(h, y, z), d(rng.randint(-2, 2))
+                    if kind is ChargeKind.REDUCED:
+                        m, n = _rand_vector(rng, 1), _rand_vector(rng, 1)
+                    else:
+                        m, n = _rand_onedim_class(rng, g, y, z), _rand_onedim_class(rng, g, y, z)
+                precision = Fraction(1, 2 ** rng.choice([4, 10]))
+                cross = asymptotics._cross_poly(g, m, n, kind, dd)
+                roots = _reference_isolate_positive_roots(
+                    _reference_norm_mod_u(cross, constraint_poly(c)), precision)
+                inside = [(r.lo + r.hi) / 2 for r in roots if not r.exact]
+                gaps = [(a.hi + b.lo) / 2 for a, b in zip(roots, roots[1:])]
+                points = sorted({x for x in inside + gaps if x > 0} | {Fraction(1, 4), Fraction(3), Fraction(40)})
+                ranges = list(itertools.combinations(points, 2))
+                rng.shuffle(ranges)
+                for vrange in ranges[:12]:
+                    args = (g, m, n, c, kind, vrange, precision, dd)
+                    assert _scan_outcome(wall_scan, *args) == _scan_outcome(_reference_wall_scan, *args), args
+                    cut += any(x in inside for x in vrange)
+        assert cut >= 60, cut
+
+    @pytest.mark.parametrize("h, c, m, n, root", TestExactWalls._RATIONAL_ROOTS)
+    def test_a_rational_root_whose_neighbours_lie_outside(self, h, c, m, n, root):
+        """4/3 at h = 0 and 10/3 at h = -1, in narrow ranges that leave the
+        norm's other positive roots outside, and with the root at vmin and
+        at vmax."""
+        g = geometry_for(h)
+        for lo, hi in ((root - 1, root + 2), (root - Fraction(1, 100), root + Fraction(1, 100)),
+                       (root - Fraction(1, 2**20), root + Fraction(1, 3)), (root, root + 2), (root - 1, root)):
+            for precision in (Fraction(1, 2**10), Fraction(1, 2**40)):
+                args = (g, m, n, c, ChargeKind.FULL, (lo, hi), precision, d(0))
+                assert wall_scan(*args) == _reference_wall_scan(*args)
+
+    def test_a_collapsed_root_with_its_neighbours_outside(self, g0, monkeypatch):
+        """A bracket collapsed to [2, 2] by hand in both scans: its gap test
+        points move when the neighbours are dropped, inside the same gaps."""
+        c0 = OneDimCurve(0, 1, 1)
+        m, n = cv(0, 0, d(1), d(1), 1, 0), cv(0, 0, d(1), d(1), -4, 1)
+        isolate = poly._isolated_roots
+
+        def collapse(roots):
+            return [RootInterval(Fraction(2), Fraction(2)) if 2 in r else r for r in roots]
+
+        monkeypatch.setattr(asymptotics, "_isolated_roots", lambda p, precision, vrange: collapse(
+            isolate(p, precision, vrange)))
+        for vrange in ((1, 3), (2, 3), (1, 2), (Fraction(15, 8), Fraction(17, 8)), (Fraction(1, 100), 1000)):
+            args = (g0, m, n, c0, ChargeKind.FULL, vrange, Fraction(1, 2**10), d(0))
+            assert wall_scan(*args) == _reference_wall_scan(
+                *args, isolate=lambda p, precision: collapse(_reference_isolate_positive_roots(p, precision)))
+
+    def test_defect_one_and_defect_two(self, g1):
+        """Both walls of defect 1 over [1/100, 1000] and over ranges holding
+        one of them; defect 2's pairs stay degenerate."""
+        c = TiltCurve(-1, 1, 2)
+        for vrange in ((Fraction(1, 100), 1000), (Fraction(1, 100), 2), (2, 1000), (Fraction(3, 4), Fraction(4, 5))):
+            args = (g1, *_DEFECT_ONE, c, ChargeKind.REDUCED, vrange)
+            assert wall_scan(*args) == _reference_wall_scan(*args)
+        delta, m = cv(6, 0, d(0), d(2), 0, 0), cv(0, 2, d(0), d(1), 0, 0)
+        s_only = cv(0, 1, d(0), d(Fraction(-1, 2)), 0, Fraction(1, 6))
+        for a, b, vrange in ((m, m + delta, (1, 50)), (delta, m, (1, 50)),
+                             (s_only, cv(0, 1, d(0), d(Fraction(-1, 2)), 0, Fraction(7, 6)), (1, 10))):
+            args = (g1, a, b, c, ChargeKind.REDUCED, vrange)
+            assert wall_scan(*args) == _reference_wall_scan(*args) == asymptotics.WallScanResult((), True)
+
+    def test_a_warm_scan_multiplies_no_poly2_in_the_norm(self, g1, monkeypatch):
+        """On defect 1's pair, a warm scan's norm runs on integer u-rows (no
+        ``Poly2`` product), and its isolation builds a Fraction (counted at
+        ``Fraction.__new__``) only for the ends it returns."""
+        c = TiltCurve(-1, 1, 2)
+        args = (g1, *_DEFECT_ONE, c, ChargeKind.REDUCED, (Fraction(1, 100), 1000))
+        want = wall_scan(*args)
+        inside, products, built, returned = [], [], [], []
+
+        def within(name, fn, out=None):
+            def run(*a):
+                inside.append(name)
+                try:
+                    result = fn(*a)
+                finally:
+                    inside.pop()
+                if out is not None:
+                    out.append(result)
+                return result
+            return run
+
+        mul, new = Poly2.__mul__, Fraction.__new__
+
+        def counting_mul(self, other):
+            if "norm" in inside:
+                products.append(other)
+            return mul(self, other)
+
+        def counting_new(cls, *a, **kw):
+            if "isolate" in inside:
+                built.append(a)
+            return new(cls, *a, **kw)
+
+        monkeypatch.setattr(asymptotics, "norm_mod_u", within("norm", poly.norm_mod_u))
+        monkeypatch.setattr(asymptotics, "_isolated_roots", within("isolate", poly._isolated_roots, returned))
+        monkeypatch.setattr(Poly2, "__mul__", counting_mul)
+        monkeypatch.setattr(Poly2, "__rmul__", counting_mul)
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        assert wall_scan(*args) == want
+        (roots,) = returned
+        assert products == [] and len(roots) >= 2
+        assert len(built) == len({id(x) for r in roots for x in (r.lo, r.hi)})
 
 
 def _pointwise_sign(g, m, n, c, kind, vpar, dd):

@@ -761,3 +761,98 @@ def test_sign_at_root_builds_no_fraction(monkeypatch):
     assert len(cases) >= 60 and built == []
     Poly1._ints([1, 2], 3).c  # reading coefficients builds Fractions, counted
     assert built
+
+
+def _reference_isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
+    """``isolate_positive_roots`` as it was before the integer cells: Sturm
+    counts with ``count_roots`` at Fraction ends, each end counted again by
+    every interval it bounds, the midpoints tested by evaluating p."""
+    precision = poly._positive(precision)
+    chain = poly._squarefree_chain(p)
+    if not chain or len(chain[0]) < 2:
+        return []
+    p = Poly1._ints(chain[0], 1)
+    stack = [(Fraction(0), poly._root_bound(p), p(0) == 0, False)]
+    isolated: list[tuple[Fraction, Fraction]] = []
+    while stack:
+        lo, hi, lo_root, hi_root = stack.pop()
+        k = count_roots(p, lo, hi, chain) - hi_root
+        if k == 0:
+            continue
+        if k == 1 and not (lo_root or hi_root):
+            isolated.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        mid_root = p(mid) == 0
+        if mid_root:
+            isolated.append((mid, mid))
+        stack.append((lo, mid, lo_root, mid_root))
+        stack.append((mid, hi, mid_root, hi_root))
+    out = [
+        RootInterval(lo, hi) if lo == hi else _bisect_by_sign(p, lo, hi, precision)
+        for lo, hi in isolated
+    ]
+    out.sort(key=lambda r: r.lo)
+    return out
+
+
+def _on_the_grid(p: Poly1) -> bool:
+    """Whether a positive rational root r of p's squarefree part lies on the
+    isolation grid B m / 2^j, B the Cauchy bound of its primitive row."""
+    sqf = Poly1._ints(poly._squarefree_chain(p)[0], 1)
+    bound = poly._root_bound(sqf)
+    ratios = [r / bound for r in _rational_roots(sqf) if r > 0]
+    return any(x.denominator & (x.denominator - 1) == 0 for x in ratios)
+
+
+class TestIntegerIsolation:
+    """The isolation on integer cells against the Fraction loop it replaced."""
+
+    PRECISIONS = (UNREFINED, Fraction(1, 2**10), Fraction(1, 2**64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.lists(st.integers(-40, 40), min_size=1, max_size=10), bits=st.sampled_from([1, 10, 64]))
+    def test_random_integer_polynomials(self, c, bits):
+        """Integer polynomials of degree <= 9, the degree of a wall norm."""
+        p = Poly1(c)
+        assert isolate_positive_roots(p, Fraction(1, 2**bits)) == (
+            _reference_isolate_positive_roots(p, Fraction(1, 2**bits)))
+
+    def test_edge_cases(self):
+        """Dyadic roots on the isolation grid, a root at the first midpoint
+        B/2 ((x - 1)(x - 2) and (2x - 1)(2x - 3), B = 4 and 3), double roots,
+        several positive roots and a root at 0."""
+        first_midpoint = [_product([1, 2]), Poly1([3, -8, 4])]
+        for p in first_midpoint:
+            assert p(poly._root_bound(p) / 2) == 0
+        candidates = [Fraction(k, 2**j) for k in range(1, 13) for j in range(3)]
+        grid = [p for p in (_product(r) for r in combinations(candidates, 2)) if _on_the_grid(p)]
+        double = [_product([1, 1, 3]), _product([Fraction(5, 3)] * 2, (2,)), _product([Fraction(1, 8)] * 3, (5,))]
+        several = [_product([Fraction(1, 3), 1, Fraction(7, 4), 3, 5], (2, 7)), _product(range(1, 10))]
+        zero = [_product([0, 1, 2]), _product([0, 0, 3], (2,)), _product([0, -1, Fraction(1, 2)])]
+        assert len(grid) >= 20
+        for p in first_midpoint + grid + double + several + zero:
+            for precision in self.PRECISIONS:
+                got = isolate_positive_roots(p, precision)
+                assert got == _reference_isolate_positive_roots(p, precision), (p, precision)
+        assert RootInterval(Fraction(2), Fraction(2)) in isolate_positive_roots(first_midpoint[0], UNREFINED)
+        assert len(isolate_positive_roots(several[1], UNREFINED)) == 9
+
+    def test_only_the_returned_ends_are_built(self, monkeypatch):
+        """The counts and tests run on integer pairs: every Fraction built
+        (counted at ``Fraction.__new__``) is an end of a returned bracket."""
+        rng = random.Random(44)
+        polys = [_random_poly(rng) for _ in range(60)] + [_product([1, 1, 3]), _product([0, 1, 2], (2,))]
+        built = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        precisions = [Fraction(1, 2 ** rng.choice([1, 10, 64])) for _ in polys]
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        for p, precision in zip(polys, precisions):
+            built.clear()
+            got = isolate_positive_roots(p, precision)
+            assert len(built) == len({id(x) for r in got for x in (r.lo, r.hi)})

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellstab.curves import OneDimCurve, TiltCurve, constraint_poly
 from ellstab.errors import ComputationFault
 from ellstab.poly import Poly1, Poly2, norm_mod_u, reduce_mod_u
 from ellstab.ring import _q
@@ -349,3 +350,118 @@ def test_norm_is_the_resultant(a, b, lead, degree, power):
 def test_norm_refuses_a_divisor_free_of_u():
     with pytest.raises(ZeroDivisionError):
         norm_mod_u(Poly2.u(), Poly2({(0, 1): 1}))
+
+
+def _reference_poly2_reduce(dividend: Poly2, divisor: Poly2) -> Poly2:
+    """``reduce_mod_u`` as the ``Poly2`` loop it was before the integer
+    u-rows: one top u-coefficient at a time, divided by the lead with
+    ``Poly1.divmod``, the quotient times u^k times the divisor subtracted."""
+    d0 = divisor.udegree()
+    if d0 < 0:
+        raise ZeroDivisionError("reduction modulo the zero polynomial")
+    lead = divisor.ucoefficient(d0)
+    rem = dividend
+    while True:
+        d = rem.udegree()
+        if d < d0 or rem.is_zero():
+            return rem
+        cd = rem.ucoefficient(d)
+        q, r = cd.divmod(lead)
+        if not r.is_zero():
+            raise ComputationFault("non-exact coefficient division during reduction")
+        shift = Poly2._ints({(d - d0, j): n for j, n in enumerate(q._nums)}, q._den)
+        rem = rem - shift * divisor
+
+
+def _reference_norm_mod_u(x: Poly2, p: Poly2) -> Poly1:
+    """``norm_mod_u`` as it was before the integer u-rows: every dividend
+    times lead^(deg_u y - d + 1) as a ``Poly2``, reduced by the ``Poly2``
+    loop, and the determinant of the ``Poly1`` u-coefficients by Laplace
+    expansion."""
+    d = p.udegree()
+    if d < 1:
+        raise ZeroDivisionError("norm modulo a polynomial free of u")
+    lead = Poly2._ints({(0, j): n for (i, j), n in p._nums.items() if i == d}, 1)
+
+    def reduced(y: Poly2) -> Poly2:
+        for _ in range(y.udegree() - d + 1):
+            y = y * lead
+        return _reference_poly2_reduce(y, p)
+
+    rows = [reduced(x)]
+    for _ in range(d - 1):
+        rows.append(reduced(rows[-1] * Poly2.u()))
+    return _reference_determinant([[y.ucoefficient(i) for i in range(d)] for y in rows])
+
+
+def _reference_determinant(m: list) -> Poly1:
+    """Laplace expansion along the first row of a square matrix of Poly1s."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((m[0][j] * _reference_determinant([row[:j] + row[j + 1:] for row in m[1:]]) * (-1) ** j
+                for j in range(len(m))), Poly1._ints((), 1))
+
+
+# Both curves' own polynomials at h in {-2, -1, 0, 1/2}: a constant u-lead
+# for h != 0, c v^2 (tilt) and c v (one-dimensional) with d = 1 at h = 0.
+_CURVE_POLYS = [constraint_poly(c) for h in (-2, -1, 0, Fraction(1, 2)) for c in (
+    TiltCurve(h, 1, 3), TiltCurve(h, Fraction(1, 2), Fraction(5, 3)),
+    OneDimCurve(h, 1, 3), OneDimCurve(h, Fraction(2, 3), Fraction(7, 2)))]
+
+
+@st.composite
+def _divisors(draw):
+    """A curve polynomial, a divisor linear in u with lead c v^j, or a free
+    divisor of u-degree at least 1."""
+    which = draw(st.sampled_from(["curve", "monomial", "free"]))
+    if which == "curve":
+        return draw(st.sampled_from(_CURVE_POLYS))
+    if which == "monomial":
+        terms = {key: x for key, x in draw(_TERMS).items() if key[0] == 0}
+        terms[(1, draw(st.integers(0, 3)))] = draw(_COEFFS.filter(bool))
+        return Poly2(terms)
+    return draw(_TERMS.map(Poly2).filter(lambda p: p.udegree() >= 1))
+
+
+def _lead(p: Poly2) -> Poly2:
+    d = p.udegree()
+    return Poly2._ints({(0, j): n for (i, j), n in p._nums.items() if i == d}, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_TERMS, divisor=_divisors(), power=st.integers(0, 3))
+def test_integer_reduction_is_the_poly2_loop(a, divisor, power):
+    """``reduce_mod_u`` on integer u-rows gives the old loop's ``_nums`` and
+    ``_den``, or raises ``ComputationFault`` where it raised: on the curves'
+    own polynomials and on leads c v^j at d = 1, with the dividend times a
+    power of the lead so that some non-constant leads divide exactly."""
+    x = Poly2(a)
+    for _ in range(power):
+        x = x * _lead(divisor)
+    try:
+        want = _reference_poly2_reduce(x, divisor)
+    except ComputationFault:
+        with pytest.raises(ComputationFault):
+            reduce_mod_u(x, divisor)
+        return
+    got = reduce_mod_u(x, divisor)
+    _assert_canonical(got)
+    assert got._nums == want._nums and got._den == want._den
+
+
+def _proportional_poly1(a: Poly1, b: Poly1) -> bool:
+    """Whether a = r b for a nonzero rational r (both zero included)."""
+    if not a or not b:
+        return not a and not b
+    return a * b.c[-1] == b * a.c[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_TERMS, divisor=_divisors())
+def test_integer_norm_is_the_poly2_norm(a, divisor):
+    """``norm_mod_u`` on integer u-rows is the old ``Poly2`` norm up to a
+    nonzero rational, so it has the same roots, the v = 0 factors at h = 0
+    included."""
+    x = Poly2(a)
+    assert _proportional_poly1(norm_mod_u(x, divisor), _reference_norm_mod_u(x, divisor))
+
