@@ -18,8 +18,9 @@ the integer 2 x 2 minors of their coefficients, so it is read top down off
 one cross table per (curve, kind), whose rows are the products'
 coefficients from the closed form of u, down to a cutoff never below the
 germs' floor; a cross that vanishes there goes to the germs.
-At finite parameters the cross value is a polynomial in (u, v), from the
-same closed forms, whose sign at each curve point is exact, zero included;
+At finite parameters the cross value is a polynomial in (u, v), the same
+sum over the reduced kind's products at symbols, whose sign at each curve
+point is exact, zero included;
 its walls are read off the positive roots of its norm modulo the curve
 polynomial.
 """
@@ -297,8 +298,8 @@ def _cross_products(g: BaseGeometry, kind: ChargeKind) -> tuple:
     parity of b - a and then by descending b - a; the ``ring._contract``
     table of the minors m_k = re_i(M) im_j(N) - im_j(M) re_i(N) of two
     classes' coefficients (``_class_coefficients``), so that the cross of
-    M and N is the sum of m_k G_i H_j over their dens; and the largest and
-    smallest b - a of each product."""
+    M and N is the sum of m_k G_i H_j over their dens; the largest and
+    smallest b - a of each product; and the den."""
     re, im = charges_mod._reduced_germs(g.h, Poly2.u(), Poly2.v(), kind is ChargeKind.FULL)
     values = [Poly2._ints({(0, 0): 1}, 1), *im]
     for x in re:
@@ -311,7 +312,7 @@ def _cross_products(g: BaseGeometry, kind: ChargeKind) -> tuple:
     minors += [[(i, i * size + j, -1) for i in range(split)] for j in range(size)]
     spans = [[t[0] for t in terms if t[2] == k] for k in range(len(values))]
     by_parity = ([t for t in terms if t[0] % 2 == 0], [t for t in terms if t[0] % 2])
-    return by_parity, (minors, 1, len(values)), [(x[0], x[-1]) for x in spans]
+    return by_parity, (minors, 1, len(values)), [(x[0], x[-1]) for x in spans], den
 
 
 class _CrossTable:
@@ -332,7 +333,7 @@ class _CrossTable:
 
     def __init__(self, c: CurveConstraint, kept: tuple):
         self.c = c
-        self.terms, self.minors, extents = kept
+        self.terms, self.minors, extents, _ = kept
         self.top = max(x[0] for x in extents)
         self.largest = max(t[1] for part in self.terms for t in part)
         self.exact = c.h == 0
@@ -409,7 +410,7 @@ def _cross_coefficients(
     right = _class_coefficients(g, n, c, kind, d)
     if left == right:  # every minor is zero; no products are built for it
         return
-    _, minor_table, extents = _kept(g, _cross_products, kind)
+    _, minor_table, extents, _ = _kept(g, _cross_products, kind)
     minors = [(k, x) for k, x in enumerate(_contract(minor_table, left, right)[0]) if x]
     if not minors:
         return
@@ -480,23 +481,35 @@ def _cross_poly(
 ) -> Poly2:
     """The exact cross value re(M) im(N) - im(M) re(N) as a polynomial in (u, v).
 
-    Both charges are closed forms at symbolic (u, v), on the germ
-    numerators kept per geometry (``charges._symbolic_germs``): the reduced
-    one, or the full one with B = pull(d), d = 0 by default, for any class
-    (the reduced form of the class twisted in the ring).  Their
-    ring guard is proved once per geometry (``charges.prove_closed_form``).
-    A class of another lattice rank than g's raises ``DimensionError``."""
+    It is the sum of m_k G_i H_j over the reduced kind's products kept on g
+    (``_cross_products``), for m_k the integer 2 x 2 minors of the two
+    classes' coefficients on the reduced germs: the reduced ones
+    (``charges._reduced_coefficients``), or for the full kind with
+    B = pull(d), d = 0 by default, those of the class twisted in the ring
+    (``charges._twisted_coefficients``), for any class.  So it is one
+    integer sum, with no ``Poly2`` product.  The closed form's ring guard
+    is proved once per geometry (``charges.prove_closed_form``).  A class
+    of another lattice rank than g's raises ``DimensionError``, and one with
+    a coordinate that is no rational number ``DomainError``."""
     _check_kind(kind)
     if m.rank_lattice != g.rank or n.rank_lattice != g.rank:
         raise DimensionError("vector rank does not match geometry rank")
+    _check_rational(m, n)
     charges_mod.prove_closed_form(g)
-    germs = _kept(g, charges_mod._symbolic_germs)
+    terms, minor_table, _, den = _kept(g, _cross_products, ChargeKind.REDUCED)
     if kind is ChargeKind.REDUCED:
-        zm, zn = (charges_mod._reduced_parts(g, v, germs) for v in (m, n))
+        left, right = (charges_mod._reduced_coefficients(g, v) for v in (m, n))
     else:
         dd = d if d is not None else g.zero_divisor()
-        zm, zn = (charges_mod._full_parts(g, v, dd, germs) for v in (m, n))
-    return zm[0] * zn[1] - zm[1] * zn[0]
+        left, right = (charges_mod._twisted_coefficients(g, v, dd) for v in (m, n))
+    minors, mden = _contract(minor_table, left, right)
+    totals: dict = {}
+    for part in terms:
+        for s, a, k, c in part:
+            if minors[k]:
+                key = a, s + a
+                totals[key] = totals.get(key, 0) + minors[k] * c
+    return Poly2._ints(totals, den * mden)
 
 
 def _cross_sign(cross: Poly2, c: CurveConstraint, vpar) -> int:

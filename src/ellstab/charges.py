@@ -10,20 +10,22 @@ kept as one integer table per geometry (``_charge_table``, kept by
 with B = pull(d) (``_full_table``) composed from it and the twist by
 pull(d) read off the ring's structure constants, with -ch3 of the twisted
 class as its constant, so that it has no entry of its own.
-``_reduced_parts`` applies the reduced table to the class's numerators
-(``ring._contract``) and combines the result with the germs' numerators
-over one denominator, at ``Fraction`` points and at ``Poly2`` symbols alike
-(the symbols' germ numerators kept per geometry, ``_symbolic_germs``);
-``_full_parts`` does so on the class twisted in the ring, for any class;
+``_reduced_coefficients`` applies the reduced table to the class's
+numerators (``ring._contract``), and ``_twisted_coefficients`` to the
+class twisted in the ring, for any class, with -ch3 of the twist as re's
+constant; ``_combined`` combines either with the germs' numerators over one
+denominator, at ``Fraction`` points and at ``Poly2`` symbols alike;
 ``asymptotics.charge_series`` builds the germs once per curve and order as
 ``LaurentSeries`` and combines each class with the same tables in one
-integer pass; ``asymptotics``' cross tables multiply the germs pairwise at
-``Poly2`` symbols, once per geometry.  ``full_charge`` goes through ring
-products for any class and B-field.  The reduced charge also evaluates
-that path, on numerators, and insists it agrees with the closed form
-(``_checked_reduced_parts``), which guards the transcription of every
-intersection number used; ``prove_closed_form`` does so once per geometry
-at symbolic (u, vpar), against the ring's structure constants.
+integer pass; ``asymptotics`` multiplies the germs pairwise at ``Poly2``
+symbols once per geometry, and its cross tables and cross polynomials sum
+the products with the integer minors of two classes' coefficients.
+``full_charge`` goes through ring products for any class and B-field.  The
+reduced charge also evaluates that path, on numerators, and insists it
+agrees with the closed form (``_checked_reduced_parts``), which guards the
+transcription of every intersection number used; ``prove_closed_form``
+does so once per geometry at symbolic (u, vpar), against the ring's
+structure constants.
 """
 
 from __future__ import annotations
@@ -155,39 +157,44 @@ def _germ_numerators(h, u, vpar) -> tuple:
     return nums[: len(re)], nums[len(re) :], den
 
 
-def _reduced_numerators(g: BaseGeometry, v: ChernVector, germs: tuple) -> tuple:
-    """The reduced closed form of v at the point of ``_germ_numerators``
-    (germs), re and im each as (numerator, den): the kept reduced table
-    (``_charge_table``) applied to v's numerators by ``ring._contract``,
-    combined with the germ numerators by ``_combine``."""
-    re, im, den = germs
-    coeffs, cden = _contract(_kept(g, _charge_table, ChargeKind.REDUCED), (v._nums, v._den), ((1,), 1))
+def _reduced_coefficients(g: BaseGeometry, v: ChernVector) -> tuple:
+    """v's coefficients on the ``_reduced_germs`` (re constant and
+    coefficients, then im's) as (numerators, den): the kept reduced table
+    (``_charge_table``) applied to v's numerators by ``ring._contract``."""
+    return _contract(_kept(g, _charge_table, ChargeKind.REDUCED), (v._nums, v._den), ((1,), 1))
+
+
+def _twisted_coefficients(g: BaseGeometry, v: ChernVector, d: DivisorB) -> tuple:
+    """The full charge's coefficients with B = pull(d), for any class, laid
+    out as ``_reduced_coefficients``: those of v twisted in the ring, with
+    -ch3 of the twist as re's constant (where the reduced table has none)."""
+    tw = twist(g, v, DivisorX.pullback(d))
+    coeffs, den = _reduced_coefficients(g, tw)
+    coeffs[0] = -tw._nums[-1] * (den // tw._den)
+    return coeffs, den
+
+
+def _combined(coefficients: tuple, germs: tuple) -> tuple:
+    """A charge at the point of ``_germ_numerators`` (germs), re and im
+    each as (numerator, den): its coefficients (numerators, den) combined
+    with the germ numerators by ``_combine``."""
+    (coeffs, cden), (re, im, den) = coefficients, germs
     split = 1 + len(re)
     parts = (coeffs[0] * den, coeffs[1:split]), (coeffs[split] * den, coeffs[split + 1 :])
     return tuple((total, den * cden) for total in _combine(parts, (re, im)))
 
 
-def _symbolic_germs(g: BaseGeometry) -> tuple:
-    """``_germ_numerators`` at the symbols (u, v), which depend on h alone;
-    read through ``ring._kept``, so built once per geometry."""
-    return _germ_numerators(g.h, Poly2.u(), Poly2.v())
-
-
-def _reduced_parts(g: BaseGeometry, v: ChernVector, germs: tuple) -> tuple:
-    """Closed form of the reduced charge as (re, im) at the point of germs
-    (``_germ_numerators``), over any scalar: one ``ring._divided`` per part
-    of ``_reduced_numerators``."""
-    return tuple(_divided(*part) for part in _reduced_numerators(g, v, germs))
+def _reduced_numerators(g: BaseGeometry, v: ChernVector, germs: tuple) -> tuple:
+    """The reduced closed form of v at the point of germs, re and im each
+    as (numerator, den): ``_combined`` on ``_reduced_coefficients``."""
+    return _combined(_reduced_coefficients(g, v), germs)
 
 
 def _full_parts(g: BaseGeometry, v: ChernVector, d: DivisorB, germs: tuple) -> tuple:
     """The full charge with B = pull(d) as (re, im) at the point of germs
-    (``_germ_numerators``), over any scalar, for any class: the reduced
-    closed form (``_reduced_numerators``) of v twisted in the ring, with
-    -ch3 of the twist added to re."""
-    tw = twist(g, v, DivisorX.pullback(d))
-    re, im = _reduced_numerators(g, tw, germs)
-    return _divided(*re) - tw.s, _divided(*im)
+    (``_germ_numerators``), over any scalar, for any class: one
+    ``ring._divided`` per part of ``_combined`` on ``_twisted_coefficients``."""
+    return tuple(_divided(*part) for part in _combined(_twisted_coefficients(g, v, d), germs))
 
 
 def _ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:
@@ -250,7 +257,8 @@ def prove_closed_form(g: BaseGeometry) -> None:
 
 def _proved_closed_form(g: BaseGeometry) -> bool:
     """The check of ``prove_closed_form``, run; True once it passes."""
-    point = _kept(g, _symbolic_germs), divisor_powers(g, DivisorX(Poly2.u(), g.hb_divisor.scale(Poly2.v())))
+    u, v = Poly2.u(), Poly2.v()
+    point = _germ_numerators(g.h, u, v), divisor_powers(g, DivisorX(u, g.hb_divisor.scale(v)))
     dim = 2 * g.rank + 4
     for k in range(dim):
         _checked_reduced_parts(g, ChernVector._ints([int(i == k) for i in range(dim)], 1), point)

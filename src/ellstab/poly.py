@@ -30,10 +30,9 @@ from .ring import _RATIONAL, _IntegerForm, _over_common_denominator, _q
 
 class Poly1(_IntegerForm):
     """Univariate polynomial over the rationals: its numerators by ascending
-    power, trailing zeros trimmed (zero is ((), 1)).  Evaluation and
-    ``divmod`` work on integers; ``c``, the ``Fraction`` coefficients, is
-    built on first read.  ``__init__`` takes ints, Fractions and numeric
-    strings."""
+    power, trailing zeros trimmed (zero is ((), 1)).  Evaluation works on
+    integers; ``c``, the ``Fraction`` coefficients, is built on first read.
+    ``__init__`` takes ints, Fractions and numeric strings."""
 
     __slots__ = ("_nums", "_den", "_c")
 
@@ -115,29 +114,6 @@ class Poly1(_IntegerForm):
     def derivative(self) -> "Poly1":
         return Poly1._ints([i * n for i, n in enumerate(self._nums)][1:], self._den)
 
-    def divmod(self, other: "Poly1") -> tuple["Poly1", "Poly1"]:
-        """Quotient and remainder: pseudo-division lead^k a = q b + r in
-        integers (k = deg a - deg b + 1), then one division by lead^k
-        through the denominator."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        a, b = self._nums, other._nums
-        n = len(b) - 1
-        if len(a) <= n:
-            return Poly1._ints((), 1), self
-        lead, rem, quot = b[-1], list(a), [0] * (len(a) - n)
-        for k in range(len(a) - 1 - n, -1, -1):
-            c = rem.pop()
-            quot = [x * lead for x in quot]
-            quot[k] = c
-            rem = [x * lead for x in rem]
-            for j in range(n):
-                rem[k + j] -= c * b[j]
-        scale = self._den * lead ** len(quot)
-        if scale < 0:
-            scale, quot, rem = -scale, [-x for x in quot], [-x for x in rem]
-        return Poly1._ints([x * other._den for x in quot], scale), Poly1._ints(rem, scale)
-
 
 def _exact(x) -> Fraction:
     """An exact polynomial coefficient as a Fraction: an int, a Fraction or a
@@ -215,11 +191,8 @@ def _negated_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...
 def _squarefree_chain(p: Poly1) -> list[tuple[int, ...]]:
     """The Sturm chain of p's squarefree part, that part first ([] for p = 0)."""
     chain = sturm_chain(p)
-    if chain and len(chain[-1]) > 1:  # p / gcd(p, p'), up to a constant
-        q, r = p.divmod(Poly1._ints(chain[-1], 1))
-        if not r.is_zero():
-            raise ComputationFault("inexact polynomial gcd division")
-        chain = sturm_chain(q)
+    if chain and len(chain[-1]) > 1:  # p / gcd(p, p'), up to a positive factor
+        chain = sturm_chain(Poly1._ints(_exact_quotient(p._nums, chain[-1])[1], 1))
     return chain
 
 
@@ -227,9 +200,15 @@ def _sign_variations(chain, n: int, d: int) -> int:
     """Sign changes along the chain at x = n/d, d > 0: each member of
     degree k is read as the integer sum of c_i n^i d^(k-i), which has the
     sign of its value at x."""
-    last = count = 0
-    for c in chain:
-        value = _horner(c, n, d)
+    return _variations_after(_horner(chain[0], n, d), chain, n, d) if chain else 0
+
+
+def _variations_after(head: int, chain, n: int, d: int) -> int:
+    """``_sign_variations`` given head, the first member's value there."""
+    last = (head > 0) - (head < 0)
+    count = 0
+    for k in range(1, len(chain)):
+        value = _horner(chain[k], n, d)
         if value:
             sign = 1 if value > 0 else -1
             count += sign == -last
@@ -333,8 +312,8 @@ def _isolated_roots(p: Poly1, precision, vrange: tuple | None) -> list[RootInter
             out.append(_refined(sqf_poly, bn * m, bn, bd << j, precision))
             continue
         n, d = bn * (2 * m + 1), bd << (j + 1)
-        at_mid = _sign_variations(chain, n, d)
-        mid_root = _horner(sqf, n, d) == 0
+        head = _horner(sqf, n, d)
+        at_mid, mid_root = _variations_after(head, chain, n, d), head == 0
         if mid_root:
             root = Fraction(n, d)
             out.append(RootInterval(root, root))
@@ -492,7 +471,7 @@ def _sign(x) -> int:
 class Poly2(_IntegerForm):
     """Bivariate polynomial in (u, v) with rational coefficients: its
     numerators by monomial (i, j), for u^i v^j (zero is ({}, 1)).
-    ``eval_v`` and ``ucoefficient`` hand integer rows to ``Poly1._ints``;
+    ``eval_v`` hands an integer row to ``Poly1._ints``;
     ``terms``, the {(i, j): Fraction} view, is built on first use and
     cached.  ``__init__`` builds a polynomial from such a view.
 
@@ -596,11 +575,6 @@ class Poly2(_IntegerForm):
     def udegree(self) -> int:
         return max((i for (i, _) in self._nums), default=-1)
 
-    def ucoefficient(self, k: int) -> Poly1:
-        """Coefficient of u^k as a polynomial in v (ascending)."""
-        row = {j: n for (i, j), n in self._nums.items() if i == k}
-        return Poly1._ints([row.get(j, 0) for j in range(max(row, default=-1) + 1)], self._den)
-
 
 def reduce_mod_u(dividend: Poly2, divisor: Poly2) -> Poly2:
     """Remainder of dividend modulo divisor, eliminating the variable u.
@@ -658,7 +632,7 @@ def _reduced_rows(rows: list[list[int]], p: list[list[int]]) -> tuple[list[list[
 
 def _exact_quotient(a: list[int], b: list[int]) -> tuple[int, list[int]]:
     """(s, q) with s a = q b for the least int s > 0, q an integer row,
-    where the nonzero row b divides the row a in Q[v]; otherwise
+    where the nonzero row b divides the row a as polynomials; otherwise
     ``ComputationFault``.  Each step multiplies by |lead| / gcd(lead, c)
     for the top coefficient c only, as ``_negated_remainder`` does."""
     lead, n = b[-1], len(b) - 1

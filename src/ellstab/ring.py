@@ -268,9 +268,10 @@ class BaseGeometry:
     (``_half_canonical_bfield``, ``_half_canonical_exp``), the classes that
     slopes pair with (``slopes._FIXED``) and the parameterless kinds' pairs
     of them, the products of ``curves._fixed_cycles`` and of the cycle
-    identity's omega side (``_theta_h_products``, ``_omega_products``), the
-    reduced germ numerators at symbols (``charges._symbolic_germs``) and the
-    mark of ``charges.prove_closed_form`` once it has run on g.
+    identity's omega side (``_theta_h_products``, ``_omega_products``), each
+    charge kind's products of its germs at symbols
+    (``asymptotics._cross_products``) and the mark of
+    ``charges.prove_closed_form`` once it has run on g.
     """
 
     rank: int

@@ -60,7 +60,7 @@ from conftest import (
 from test_charges import _reference_full_parts, _with_entry
 from test_poly import _reference_isolate_positive_roots
 from test_poly2 import _reference_norm_mod_u
-from test_ring import table_geometries
+from test_ring import signature_geometries, table_geometries
 
 
 def _reference_flat_full_germs(h, u, vpar):
@@ -1565,31 +1565,93 @@ class TestCrossPolynomial:
         self._builds_no_warm_germ(ChargeKind.FULL, monkeypatch)
 
     def _builds_no_warm_germ(self, kind, monkeypatch):
-        """The reduced germ numerators at symbols depend on h alone and are
-        kept per geometry (``charges._symbolic_germs``), and both kinds read
+        """The products of the reduced germs at symbols depend on h alone
+        and are kept per geometry (``_cross_products``), and both kinds read
         them: after the first cross polynomial on a geometry no call builds
-        them (counted at ``charges._germ_numerators``), and every polynomial
+        a germ (counted at ``charges._reduced_germs``, which the products
+        and the ring guard's germ numerators call), and every polynomial
         equals the one built from germs rebuilt per class (for the full
         kind, any class and d)."""
         rng = random.Random(f"warm-{kind.value}")
         built = []
-        original = charges._germ_numerators
+        original = charges._reduced_germs
         for g in fresh_geometries():
             asymptotics._cross_poly(g, _rand_vector(rng, g.rank), _rand_vector(rng, g.rank), kind, None)
             pairs = [(_rand_vector(rng, g.rank), _rand_vector(rng, g.rank), _rand_divisor(rng, g.rank))
                      for _ in range(4)]
             pairs.append((pairs[0][0], pairs[0][0].scale(3), None))
-            monkeypatch.setattr(charges, "_germ_numerators", lambda *a: built.append(1) or original(*a))
+            monkeypatch.setattr(charges, "_reduced_germs", lambda *a, **k: built.append(1) or original(*a, **k))
             got = [asymptotics._cross_poly(g, m, n, kind, dd) for m, n, dd in pairs]
             monkeypatch.undo()
             assert built == []
             want = [_reference_cross_poly(g, m, n, kind, dd) for m, n, dd in pairs]
             assert [(type(x), x) for x in got] == [(type(x), x) for x in want]
-        charges._germ_numerators(Fraction(1), Poly2.u(), Poly2.v())
-        monkeypatch.setattr(charges, "_germ_numerators", lambda *a: built.append(1) or original(*a))
+        monkeypatch.setattr(charges, "_reduced_germs", lambda *a, **k: built.append(1) or original(*a, **k))
         m, n = _rand_vector(rng, 1), _rand_vector(rng, 1)
         asymptotics._cross_poly(BaseGeometry(1, [[1]], [1], Fraction(-1, 3)), m, n, kind, None)
-        assert built == [1]  # the counter sees the one cold build, shared with the ring guard's proof
+        assert built == [1, 1]  # the counter sees the cold builds: the ring guard's and the products'
+
+    def test_matches_the_reference_on_every_lattice(self):
+        """The integer sum over the kept products equals the cross of the
+        charges built at symbols, in ``_nums``, ``_den`` and type: both
+        kinds on fresh lattices (h = 0 among them, ranks 1 and 2) and on
+        diag(1, -1), for zero, proportional and flat partners, full-kind
+        classes with n, x != 0, and random d."""
+        rng = random.Random(44)
+        nonflat = 0
+        for g in fresh_geometries() + signature_geometries()[2:]:
+            zero = ChernVector.zero(g.rank)
+            for kind in ChargeKind:
+                for _ in range(6):
+                    m, n = _rand_vector(rng, g.rank), _rand_vector(rng, g.rank)
+                    flat = ChernVector._ints([0, 0, *n._nums[2:]], n._den)
+                    dd = _rand_divisor(rng, g.rank, -3, 3) if rng.random() < 0.8 else None
+                    for a, b in ((m, n), (m, flat), (zero, m), (m, m.scale(Fraction(-2, 3)))):
+                        got = asymptotics._cross_poly(g, a, b, kind, dd)
+                        want = _reference_cross_poly(g, a, b, kind, dd)
+                        assert (type(got), got._nums, got._den) == (type(want), want._nums, want._den)
+                    nonflat += kind is ChargeKind.FULL and m.n != 0 and m.x != 0
+        assert nonflat >= 20
+
+    def test_a_warm_cross_polynomial_multiplies_no_poly2(self, monkeypatch):
+        """After the first cross polynomial on a geometry, either kind is one
+        integer sum over the kept products, with no ``Poly2`` product
+        (counted at ``Poly2.__mul__`` and ``__rmul__``); the counter sees
+        the cold build's."""
+        rng = random.Random(45)
+        products = []
+        original = Poly2.__mul__
+
+        def counted(self, other):
+            products.append(1)
+            return original(self, other)
+
+        def count():
+            monkeypatch.setattr(Poly2, "__mul__", counted)
+            monkeypatch.setattr(Poly2, "__rmul__", counted)
+
+        for g in fresh_geometries():
+            asymptotics._cross_poly(g, _rand_vector(rng, g.rank), _rand_vector(rng, g.rank), ChargeKind.REDUCED, None)
+            count()
+            for kind in ChargeKind:
+                for dd in (None, _rand_divisor(rng, g.rank)):
+                    asymptotics._cross_poly(g, _rand_vector(rng, g.rank), _rand_vector(rng, g.rank), kind, dd)
+            monkeypatch.undo()
+        assert products == []
+        m = _rand_vector(rng, 1)
+        count()
+        asymptotics._cross_poly(BaseGeometry(1, [[1]], [1], Fraction(-1, 3)), m, m.scale(2), ChargeKind.FULL, None)
+        assert products
+
+    def test_a_class_that_is_not_rational_is_refused(self, g1):
+        """``cross_sign_at`` and ``wall_scan`` refuse a class with a ``Poly2``
+        coordinate, as every germ verdict does, before any cross is built."""
+        m, n, c = cv(Poly2.u(), 0, d(0), d(1), 0, 0), cv(0, 1, d(1), d(0), 1, 0), TiltCurve(-1, 1, 2)
+        for kind in ChargeKind:
+            with pytest.raises(DomainError, match="rational class"):
+                cross_sign_at(g1, m, n, c, kind, Fraction(3))
+            with pytest.raises(DomainError, match="rational class"):
+                wall_scan(g1, n, m, c, kind, (Fraction(1, 2), 5))
 
     def test_signs_and_scans_match_germs_rebuilt_per_class(self, monkeypatch):
         self._match_germs_rebuilt_per_class(ChargeKind.REDUCED, monkeypatch)

@@ -12,7 +12,7 @@ from ellstab.charges import (
     _full_parts,
     _germ_numerators,
     _reduced_germs,
-    _reduced_parts,
+    _reduced_numerators,
     _ring_parts,
     full_charge,
     in_full_half_plane,
@@ -81,7 +81,8 @@ class TestReducedCharge:
                     u = Fraction(rng.randint(1, 7), rng.randint(1, 5))
                     vp = Fraction(rng.randint(1, 9), rng.randint(1, 5))
                     out = reduced_charge(g, v, u, vp)
-                    re, im = _reduced_parts(g, v, _germ_numerators(g.h, usym, vsym))
+                    re, im = (ring._divided(*part) for part in
+                              _reduced_numerators(g, v, _germ_numerators(g.h, usym, vsym)))
                     assert (re.eval(u, vp), im.eval(u, vp)) == (out.re, out.im)
 
                     flat = ChernVector(0, 0, v.S, v.eta, v.a, v.s)
@@ -368,7 +369,8 @@ class TestReducedTable:
         symbolic = 0
         for g, v, u, vpar in self._cases(random.Random(31)):
             want = _typed(_reference_reduced_parts(g, v, u, vpar))
-            assert _typed(_reduced_parts(g, v, _germ_numerators(g.h, u, vpar))) == want
+            parts = _reduced_numerators(g, v, _germ_numerators(g.h, u, vpar))
+            assert _typed(ring._divided(*part) for part in parts) == want
             checked = _checked_reduced_parts(g, v, charges._point(g, u, vpar))
             assert _typed(ring._divided(*part) for part in checked) == want
             assert want == _typed(_reference_checked_reduced_parts(g, v, u, vpar, _reference_powers(g, u, vpar)))
@@ -452,9 +454,10 @@ class TestWrittenTables:
 
 class TestFullParts:
     """``_full_parts`` twists the class in the ring and applies the kept
-    reduced table, on kept germ numerators at symbols and on the point's at
-    a point; it gives what the full coefficients on germs rebuilt per class
-    gave, in value and type."""
+    reduced table (``_twisted_coefficients``), on germ numerators at
+    symbols built once per geometry and on the point's at a point; it gives
+    what the full coefficients on germs rebuilt per class gave, in value
+    and type."""
 
     def _classes(self, rng, g):
         z = g.zero_divisor()
@@ -469,10 +472,10 @@ class TestFullParts:
         rng = random.Random(51)
         usym, vsym = Poly2.u(), Poly2.v()
         for g in fresh_geometries() + table_geometries()[-5:]:
-            kept = ring._kept(g, charges._symbolic_germs)
+            symbolic = _germ_numerators(g.h, usym, vsym)
             for v in self._classes(rng, g):
                 dd = _rand_divisor(rng, g.rank, -4, 4)
-                for u, vpar, germs in ((usym, vsym, kept), (Fraction(rng.randint(1, 9), 4), Fraction(7, 3), None)):
+                for u, vpar, germs in ((usym, vsym, symbolic), (Fraction(rng.randint(1, 9), 4), Fraction(7, 3), None)):
                     germs = germs or _germ_numerators(g.h, u, vpar)
                     assert _typed(_full_parts(g, v, dd, germs)) == _typed(_reference_full_parts(g, v, u, vpar, dd))
 

@@ -32,6 +32,7 @@ from ellstab.suites import geometry_for, _rand_tilt
 from conftest import fresh_geometries, truncate
 from test_charges import _typed
 from test_poly import _reference_add, _reference_divmod, _reference_mul, _reference_sign_at_root
+from test_poly2 import _ucoefficient
 from test_ring import fractional_geometries
 
 
@@ -277,7 +278,7 @@ class TestExpandU:
         for c in _reference_curves(14):
             poly = constraint_poly(c)
             dpoly = _reference_from_ucoefficients(
-                [(k + 1) * poly.ucoefficient(k + 1) for k in range(poly.udegree())]
+                [(k + 1) * _ucoefficient(poly, k + 1) for k in range(poly.udegree())]
             )
             u0 = LaurentSeries.monomial(-1, c.leading_coefficient)
             want = (2, c.alpha / 2) if isinstance(c, TiltCurve) else (1, 1)
@@ -335,7 +336,7 @@ def _reference_expand_u(c, order):
     derivative re-evaluated at every step and products through powers of u."""
     poly = constraint_poly(c)
     dpoly = _reference_from_ucoefficients(
-        [(k + 1) * poly.ucoefficient(k + 1) for k in range(poly.udegree())]
+        [(k + 1) * _ucoefficient(poly, k + 1) for k in range(poly.udegree())]
     )
     u = LaurentSeries.monomial(-1, c.leading_coefficient)
     while True:

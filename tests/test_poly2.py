@@ -148,6 +148,13 @@ class _ReferencePoly2:
         return cls(terms)
 
 
+def _ucoefficient(p: Poly2, k: int) -> Poly1:
+    """The coefficient of u^k in p as a polynomial in v (ascending), as
+    ``Poly2.ucoefficient`` gave it before the u-rows replaced its callers."""
+    row = {j: n for (i, j), n in p._nums.items() if i == k}
+    return Poly1._ints([row.get(j, 0) for j in range(max(row, default=-1) + 1)], p._den)
+
+
 def _reference_reduce_mod_u(dividend: _ReferencePoly2, divisor: _ReferencePoly2) -> _ReferencePoly2:
     """Remainder of dividend modulo divisor, eliminating the variable u.
 
@@ -270,7 +277,7 @@ def test_matches_reference(a, b, c, u, v):
     _same_poly1(p.eval_v(v), rp.eval_v(v))
     assert p.udegree() == rp.udegree()
     for k in range(5):
-        _same_poly1(p.ucoefficient(k), rp.ucoefficient(k))
+        _same_poly1(_ucoefficient(p, k), rp.ucoefficient(k))
     assert (p == q) == (rp == rq)
 
 
@@ -355,21 +362,21 @@ def test_norm_refuses_a_divisor_free_of_u():
 def _reference_poly2_reduce(dividend: Poly2, divisor: Poly2) -> Poly2:
     """``reduce_mod_u`` as the ``Poly2`` loop it was before the integer
     u-rows: one top u-coefficient at a time, divided by the lead with
-    ``Poly1.divmod``, the quotient times u^k times the divisor subtracted."""
+    ``Poly1.divmod`` (here its Fraction long division, ``_reference_divmod``),
+    the quotient times u^k times the divisor subtracted."""
     d0 = divisor.udegree()
     if d0 < 0:
         raise ZeroDivisionError("reduction modulo the zero polynomial")
-    lead = divisor.ucoefficient(d0)
+    lead = _ucoefficient(divisor, d0)
     rem = dividend
     while True:
         d = rem.udegree()
         if d < d0 or rem.is_zero():
             return rem
-        cd = rem.ucoefficient(d)
-        q, r = cd.divmod(lead)
-        if not r.is_zero():
+        q, r = _reference_divmod(_ucoefficient(rem, d).c, lead.c)
+        if r:
             raise ComputationFault("non-exact coefficient division during reduction")
-        shift = Poly2._ints({(d - d0, j): n for j, n in enumerate(q._nums)}, q._den)
+        shift = Poly2({(d - d0, j): c for j, c in enumerate(q)})
         rem = rem - shift * divisor
 
 
@@ -391,7 +398,7 @@ def _reference_norm_mod_u(x: Poly2, p: Poly2) -> Poly1:
     rows = [reduced(x)]
     for _ in range(d - 1):
         rows.append(reduced(rows[-1] * Poly2.u()))
-    return _reference_determinant([[y.ucoefficient(i) for i in range(d)] for y in rows])
+    return _reference_determinant([[_ucoefficient(y, i) for i in range(d)] for y in rows])
 
 
 def _reference_determinant(m: list) -> Poly1:

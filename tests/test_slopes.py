@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from ellstab import ring, slopes
-from ellstab.charges import _germ_numerators, _reduced_parts, _ring_parts
+from ellstab.charges import _germ_numerators, _reduced_numerators, _ring_parts
 from ellstab.errors import ConfigurationError, DimensionError, DomainError
 from ellstab.poly import Poly2
-from ellstab.ring import (BaseGeometry, ChernVector, DivisorB, DivisorX, compute_m, degree, divisor_powers,
-                          divisor_vector, mul, pair, twist)
+from ellstab.ring import (BaseGeometry, ChernVector, DivisorB, DivisorX, _divided, compute_m, degree,
+                          divisor_powers, divisor_vector, mul, pair, twist)
 from ellstab.slopes import SlopeKind, SlopeTag, SlopeValue, slope
 from ellstab.suites import geometry_for, _rand_vector
 
@@ -161,7 +161,8 @@ class TestDecompositions:
                 u, vp = Fraction(rng.randint(1, 5), 2), Fraction(rng.randint(1, 5))
                 bfield = DivisorX(Fraction(rng.randint(-3, 3), 2),
                                   DivisorB([Fraction(rng.randint(-3, 3)) for _ in range(2)]))
-                re, im = _reduced_parts(g, twist(g, v, bfield), _germ_numerators(g.h, u, vp))
+                re, im = (_divided(*part) for part in
+                          _reduced_numerators(g, twist(g, v, bfield), _germ_numerators(g.h, u, vp)))
                 kind = SlopeKind(SlopeTag.NU_OMEGA_B, omega=DivisorX(u, g.hb_divisor.scale(vp)), bfield=bfield)
                 nu = slope(g, kind, v)
                 assert nu == (SlopeValue.infinity() if re == 0 else SlopeValue(im / (2 * re)))

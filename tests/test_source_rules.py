@@ -389,6 +389,75 @@ def test_the_curve_rules_see_names_calls_and_scopes():
     assert sorted(_reads_the_curve_table_outside_its_readers(tree)) == [9, 10]
 
 
+_RETIRED_CROSS_ROUTE = {"_symbolic_germs", "_reduced_parts"}
+_POLY2_SOURCES = {"Poly2", "_reduced_parts", "_full_parts", "_symbolic_germs", "_reduced_germs", "_germ_numerators"}
+
+
+def _bindings(node):
+    """(target, value) of each binding that ``node`` makes: assignments,
+    and the targets of ``for`` loops and comprehensions with their iterables."""
+    if isinstance(node, ast.Assign):
+        return [(target, node.value) for target in node.targets]
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+        return [(node.target, node.value)]
+    if isinstance(node, (ast.For, ast.comprehension)):
+        return [(node.target, node.iter)]
+    return []
+
+
+def _multiplies_two_poly2_values(tree, function="_cross_poly"):
+    """Line numbers of a ``*`` inside the functions named ``function`` whose
+    two operands each read a ``Poly2`` value: a name or attribute in
+    ``_POLY2_SOURCES`` (the type, or a closed form at symbols), or a local
+    name bound from one, directly or through other locals."""
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == function):
+            continue
+        bound: set = set()
+
+        def symbolic(expr):
+            return any(getattr(n, "id", getattr(n, "attr", None)) in _POLY2_SOURCES | bound for n in ast.walk(expr))
+
+        while True:
+            new = {t.id for node in ast.walk(fn) for target, value in _bindings(node) if symbolic(value)
+                   for t in ast.walk(target) if isinstance(t, ast.Name)}
+            if new <= bound:
+                break
+            bound |= new
+        for node in ast.walk(fn):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                if symbolic(node.left) and symbolic(node.right):
+                    yield node.lineno
+
+
+def test_one_cross_route():
+    """The cross polynomial is one integer sum over the kept products of the
+    reduced germs (``asymptotics._cross_products``): no module names the
+    per-class symbolic charges that it replaced, and ``_cross_poly``
+    multiplies no two ``Poly2`` values."""
+    assert _sites(lambda tree: _named(tree, _RETIRED_CROSS_ROUTE)) == []
+    assert _sites(lambda tree: _named(tree, {"_cross_poly"}), {"asymptotics.py"})
+    assert _sites(_multiplies_two_poly2_values, {"asymptotics.py"}) == []
+
+
+def test_the_cross_route_rules_see_names_bindings_and_scopes():
+    tree = ast.parse("def _cross_poly(g, m, n, kind, d):\n"
+                     "    germs = _kept(g, charges_mod._symbolic_germs)\n"
+                     "    zm, zn = (charges_mod._reduced_parts(g, v, germs) for v in (m, n))\n"
+                     "    x = zm[0] * zn[1] - zm[1] * zn[0]\n"
+                     "    u = Poly2.u()\n"
+                     "    w = u\n"
+                     "    y = w * Poly2.v() + 2 * u\n"
+                     "    for s, a, k, c in terms:\n"
+                     "        t = minors[k] * c\n"
+                     "    return Poly2._ints(totals, den * mden)\n"
+                     "def other():\n"
+                     "    return Poly2.u() * Poly2.v()\n"
+                     "from .charges import _reduced_parts\n")
+    assert sorted(_multiplies_two_poly2_values(tree)) == [4, 4, 7]
+    assert sorted(set(_named(tree, _RETIRED_CROSS_ROUTE))) == [2, 3, 13]
+
+
 _SENTINEL_HELPERS = {"_sum_products", "_or_zero"}
 _HAND_REMAINDERS = {"_negated_remainder", "_primitive"}
 
