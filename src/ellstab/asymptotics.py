@@ -5,7 +5,10 @@ A charge germ is the pair of truncated Laurent series obtained by pushing
 the exact expansion of u(v) through the charge's closed form: the
 class-independent germs of that form are built once per (curve, order,
 kind) and kept in a module-level cache, and each class is then one integer
-linear combination of them with its class coefficients.  Two germs
+linear combination of them with its class coefficients
+(``charges._coefficients``, one table per kind for every class, in one
+layout of 3 re and 4 im slots; the full kind's x and n germs are exact
+zeros, since its classes here have n = x = 0).  Two germs
 are ordered by the sign of the leading coefficient of the cross series
 re(M) im(N) - im(M) re(N): for phases ranged in a common half plane this
 sign equals the sign of sin(pi (phi_N - phi_M)) pointwise, so a positive
@@ -38,7 +41,7 @@ from .charges import ChargeKind
 from .curves import CurveConstraint, _whole_order, admissible_bracket, constraint_poly, expand_u
 from .errors import ConfigurationError, DimensionError, DomainError
 from .poly import Poly2, RootInterval, _isolated_roots, norm_mod_u, sign_at_root
-from .ring import BaseGeometry, ChernVector, DivisorB, _contract, _kept, _over_common_denominator, _q
+from .ring import BaseGeometry, ChernVector, DivisorB, _contract, _kept, _q
 from .series import LaurentSeries, _product_floor
 
 
@@ -106,52 +109,40 @@ def charge_series(
     """Charge of a vector of Fractions along the curve as a pair of Laurent
     series in v.
 
-    The charge is ``charges._reduced_germs`` combined with class
-    coefficients: the reduced form's, or for the full charge with
-    B = pull(d), d = 0 by default, those of the class twisted by B.  The
-    germs are evaluated once per (curve, order, kind) at the germ point
-    (u(v), v), with u(v) expanded through ``order`` terms; the
-    coefficients are the kind's table (``charges._charge_table``) applied by
-    ``ring._contract`` to the class and (1, d), and each class combines
-    the germs in one integer pass; germs and truncation floors are those
-    the chained series arithmetic gives.  The full kind raises
-    ``DomainError`` unless the class is fiber-degree-trivial (n = x = 0).
-    ``order`` is made an int by ``curves._whole_order`` before the germ
-    cache is read.
+    The charge is ``charges._reduced_germs`` combined with the kind's class
+    coefficients (``charges._coefficients``): the reduced form's, or for
+    the full charge with B = pull(d), d = 0 by default, those of the
+    product by exp(-pull(d)).  The germs are evaluated once per (curve,
+    order, kind) at the germ point (u(v), v), with u(v) expanded through
+    ``order`` terms, and each class combines them in one integer pass;
+    germs and truncation floors are those the chained series arithmetic
+    gives.  The full kind raises ``DomainError`` unless the class is
+    fiber-degree-trivial (n = x = 0), and its x and n germs are exact
+    zeros.  ``order`` is made an int by ``curves._whole_order`` before the
+    germ cache is read.
     """
     coeffs, den = _class_coefficients(g, v, c, kind, d)
     germs = _charge_germs(c, _whole_order(order), kind)
-    split = 1 + len(germs[0])
     re, im = (
         LaurentSeries._combination(part[0], zip(part[1:], part_germs), den)
-        for part, part_germs in zip((coeffs[:split], coeffs[split:]), germs)
+        for part, part_germs in zip((coeffs[:3], coeffs[3:]), germs)
     )
     return AsymptoticCharge(re, im, kind)
 
 
-def _checked_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: ChargeKind, d) -> tuple:
-    """``charge_series``'s checks, with no germ built; the class numerators
-    and the coordinates of d (none for the reduced kind)."""
+def _class_coefficients(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: ChargeKind, d) -> tuple:
+    """``charge_series``'s checks, with no germ built, then the kind's
+    coefficients of v (``charges._coefficients``): (integers, den).  A d of
+    another rank than g's raises ``DimensionError`` there."""
     _check_kind(kind)
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
     _check_rational(v)
-    nums, full = v._nums, kind is ChargeKind.FULL
-    if full and (nums[0] or nums[1]):
+    if kind is ChargeKind.FULL and (v._nums[0] or v._nums[1]):
         raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
-    ds = (d if d is not None else g.zero_divisor()).coords if full else ()
-    if v.rank_lattice != g.rank or len(ds) != (g.rank if full else 0):
-        raise DimensionError("divisor rank does not match geometry rank")
-    return nums, ds
-
-
-def _class_coefficients(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: ChargeKind, d) -> tuple:
-    """``_checked_class``, then the kind's coefficients of v (re constant
-    and coefficients, then im's), the table ``charges._charge_table`` applied by
-    ``ring._contract`` to the class and (1, d): (integers, den)."""
-    nums, ds = _checked_class(g, v, c, kind, d)
-    dnums, dden = _over_common_denominator(ds)
-    return _contract(_kept(g, charges_mod._charge_table, kind), (nums, v._den), ((dden, *dnums), dden))
+    if v.rank_lattice != g.rank:
+        raise DimensionError("vector rank does not match geometry rank")
+    return charges_mod._coefficients(g, v, kind, d)
 
 
 def _check_rational(*classes: ChernVector) -> None:
@@ -293,48 +284,51 @@ def _cross_products(g: BaseGeometry, kind: ChargeKind) -> tuple:
     """What a kind's cross tables need of g alone, kept by ``ring._kept``.
 
     The products G_i H_j of the kind's germs (``charges._reduced_germs`` at
-    ``Poly2`` symbols, 1 first in both lists; product k = i len(H) + j), as
+    ``Poly2`` symbols, 1 first in both lists; product k = 4 i + j), as
     their terms (b - a, a, k, n) for n u^a v^b over one den > 0, by the
-    parity of b - a and then by descending b - a; the ``ring._contract``
-    table of the minors m_k = re_i(M) im_j(N) - im_j(M) re_i(N) of two
-    classes' coefficients (``_class_coefficients``), so that the cross of
-    M and N is the sum of m_k G_i H_j over their dens; the largest and
-    smallest b - a of each product; and the den."""
+    parity of b - a and then by descending b - a (a product with the full
+    kind's zero x or n germ is the int 0, with none); the
+    ``ring._contract`` table of the minors m_k = re_i(M) im_j(N) -
+    im_j(M) re_i(N) of two classes' coefficients (``_class_coefficients``)
+    on the products with terms, so that the cross of M and N is the sum of
+    m_k G_i H_j over their dens; the largest and smallest b - a of each
+    product (None for one with no terms); and the den."""
     re, im = charges_mod._reduced_germs(g.h, Poly2.u(), Poly2.v(), kind is ChargeKind.FULL)
     values = [Poly2._ints({(0, 0): 1}, 1), *im]
     for x in re:
-        values += [x, *(x * y for y in im)]
-    den = lcm(*(x._den for x in values))
-    terms = sorted(((b - a, a, k, n * (den // x._den)) for k, x in enumerate(values)
-                    for (a, b), n in x._nums.items()), reverse=True)
-    split, size = 1 + len(re), 1 + len(im)
-    minors = [[(split + j, i * size + j, 1) for j in range(size)] for i in range(split)]
-    minors += [[(i, i * size + j, -1) for i in range(split)] for j in range(size)]
-    spans = [[t[0] for t in terms if t[2] == k] for k in range(len(values))]
+        values += [x, *(x * y if x and y else 0 for y in im)]
+    live = {k for k, x in enumerate(values) if x}
+    den = lcm(*(values[k]._den for k in live))
+    terms = sorted(((b - a, a, k, n * (den // values[k]._den)) for k in live
+                    for (a, b), n in values[k]._nums.items()), reverse=True)
+    minors = [[(3 + j, 4 * i + j, 1) for j in range(4) if 4 * i + j in live] for i in range(3)]
+    minors += [[(i, 4 * i + j, -1) for i in range(3) if 4 * i + j in live] for j in range(4)]
+    spans = [[b - a for a, b in x._nums] if k in live else None for k, x in enumerate(values)]
     by_parity = ([t for t in terms if t[0] % 2 == 0], [t for t in terms if t[0] % 2])
-    return by_parity, (minors, 1, len(values)), [(x[0], x[-1]) for x in spans], den
+    return by_parity, (minors, 1, len(values)), [(max(x), min(x)) if x else None for x in spans], den
 
 
 class _CrossTable:
     """The v^e coefficients of a kind's products G_i H_j along one curve,
     built as they are read.
 
-    ``top`` is the largest exponent of any product, ``largest`` the largest
-    power A of u in one.  ``row(e, ks)`` is every product's v^e coefficient
-    at (u(v), v), as integers over one positive denominator (so a cross
-    coefficient is the sum of m_k times entry k, up to a positive factor),
-    with the entries of products ks known.  With u = U(v^-2)/v, the term
-    n u^a v^b gives n [x^t] U^a at t = (b - a - e)/2; U's coefficients are
-    the numerators of ``expand_u`` over its den D, ``powers[a]`` holds
-    U^a D^(A - a) through the known depth, and an entry that needs a
-    deeper one is None until a row asks for it, when ``expand_u`` is
-    called at the depth the asked entries need and the row is rebuilt.  At
-    h = 0, U is the exact constant u1, so every entry is exact."""
+    ``top`` is the largest exponent of any product with terms, ``largest``
+    the largest power A of u in one.  ``row(e, ks)`` is every product's v^e
+    coefficient at (u(v), v), as integers over one positive denominator (so
+    a cross coefficient is the sum of m_k times entry k, up to a positive
+    factor), with the entries of products ks known.  With u = U(v^-2)/v,
+    the term n u^a v^b gives n [x^t] U^a at t = (b - a - e)/2; U's
+    coefficients are the numerators of ``expand_u`` over its den D,
+    ``powers[a]`` holds U^a D^(A - a) through the known depth, and an entry
+    that needs a deeper one is None until a row asks for it, when
+    ``expand_u`` is called at the depth the asked entries need and the row
+    is rebuilt.  At h = 0, U is the exact constant u1, so every entry is
+    exact."""
 
     def __init__(self, c: CurveConstraint, kept: tuple):
         self.c = c
         self.terms, self.minors, extents, _ = kept
-        self.top = max(x[0] for x in extents)
+        self.top = max(x[0] for x in extents if x)
         self.largest = max(t[1] for part in self.terms for t in part)
         self.exact = c.h == 0
         self.rows: dict[int, list] = {}
@@ -468,7 +462,7 @@ def compare_vectors(
     cross that vanishes there goes to the germs."""
     order = _whole_order(order)
     if m == n:
-        _checked_class(g, m, c, kind, d)
+        _class_coefficients(g, m, c, kind, d)
         return PhaseOrder(OrderKind.EXACT_EQUAL)
     first = _germ_verdict(g, m, n, c, kind, order, d)[0]
     if first.kind is not OrderKind.EQUAL_THROUGH_ORDER:
@@ -483,25 +477,20 @@ def _cross_poly(
 
     It is the sum of m_k G_i H_j over the reduced kind's products kept on g
     (``_cross_products``), for m_k the integer 2 x 2 minors of the two
-    classes' coefficients on the reduced germs: the reduced ones
-    (``charges._reduced_coefficients``), or for the full kind with
-    B = pull(d), d = 0 by default, those of the class twisted in the ring
-    (``charges._twisted_coefficients``), for any class.  So it is one
-    integer sum, with no ``Poly2`` product.  The closed form's ring guard
-    is proved once per geometry (``charges.prove_closed_form``).  A class
-    of another lattice rank than g's raises ``DimensionError``, and one with
-    a coordinate that is no rational number ``DomainError``."""
+    classes' coefficients on the reduced germs (``charges._coefficients``,
+    for the full kind with B = pull(d), d = 0 by default), for any class.
+    So it is one integer sum, with no ``Poly2`` product.  The closed form's
+    ring guard is proved once per geometry (``charges.prove_closed_form``).
+    A class of another lattice rank than g's raises ``DimensionError``, as
+    does a d of another rank for the full kind, and a class with a
+    coordinate that is no rational number ``DomainError``."""
     _check_kind(kind)
     if m.rank_lattice != g.rank or n.rank_lattice != g.rank:
         raise DimensionError("vector rank does not match geometry rank")
     _check_rational(m, n)
     charges_mod.prove_closed_form(g)
     terms, minor_table, _, den = _kept(g, _cross_products, ChargeKind.REDUCED)
-    if kind is ChargeKind.REDUCED:
-        left, right = (charges_mod._reduced_coefficients(g, v) for v in (m, n))
-    else:
-        dd = d if d is not None else g.zero_divisor()
-        left, right = (charges_mod._twisted_coefficients(g, v, dd) for v in (m, n))
+    left, right = (charges_mod._coefficients(g, v, kind, d) for v in (m, n))
     minors, mden = _contract(minor_table, left, right)
     totals: dict = {}
     for part in terms:

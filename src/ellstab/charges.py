@@ -4,16 +4,16 @@ The reduced charge has one closed form, written once over any scalar with
 ``+ - *`` as class-independent germs of (h, u, vpar) (``_reduced_germs``)
 times class coefficients, so that re and im are each a constant plus a sum
 of coefficient times germ.  The coefficients are linear in the class and
-kept as one integer table per geometry (``_charge_table``, kept by
-``ring._kept``), written from the lattice's integers: the reduced table
-(``_reduced_table``) from H^2/2, H.S/2, H.eta, a and -H^2/6; the full one
-with B = pull(d) (``_full_table``) composed from it and the twist by
-pull(d) read off the ring's structure constants, with -ch3 of the twisted
-class as its constant, so that it has no entry of its own.
-``_reduced_coefficients`` applies the reduced table to the class's
-numerators (``ring._contract``), and ``_twisted_coefficients`` to the
-class twisted in the ring, for any class, with -ch3 of the twist as re's
-constant; ``_combined`` combines either with the germs' numerators over one
+kept as one integer table per geometry and kind (``_charge_table``, kept
+by ``ring._kept``), written from the lattice's integers, seven outputs
+for every class: the reduced table (``_reduced_table``) from H^2/2,
+H.S/2, H.eta, a and -H^2/6; the full one with B = pull(d)
+(``_full_table``) composed from it and the product by exp(-pull(d)) read
+off the ring's structure constants, with -ch3 of the product as its
+constant, so that it has no entry of its own.  ``_coefficients`` applies
+a kind's table to the class's numerators and its right factor (the unit,
+or exp(-pull(d)) on integers) by ``ring._contract``;
+``_combined`` combines them with the germs' numerators over one
 denominator, at ``Fraction`` points and at ``Poly2`` symbols alike;
 ``asymptotics.charge_series`` builds the germs once per curve and order as
 ``LaurentSeries`` and combines each class with the same tables in one
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ComputationFault, DomainError
+from .errors import ComputationFault, DimensionError, DomainError
 from .fmt import _slots, phi
 from .poly import Poly2
 from .ring import (
@@ -45,6 +45,8 @@ from .ring import (
     _contract,
     _degree_numerator,
     _divided,
+    _form,
+    _gram_ints,
     _kept,
     _numerators,
     _structure_constants,
@@ -82,13 +84,13 @@ def _reduced_germs(h, u, vpar, flat: bool = False) -> tuple:
     any scalar: (w^2, u (w + vpar)) and (w, u, u (w^2 + vpar (w + vpar))),
     with w = hu + vpar, four products.  These are (hu + vpar)^2 =
     hu (hu + 2 vpar) + vpar^2 and w^2 + vpar (w + vpar) = h^2 u^2 +
-    3 hu vpar + 3 vpar^2, at every scalar.  ``flat`` leaves out the first
-    of re and the last of im, whose coefficients carry x and n, for a class
-    with n = x = 0."""
+    3 hu vpar + 3 vpar^2, at every scalar.  ``flat`` leaves the first of
+    re and the last of im, whose coefficients carry x and n, as the exact
+    zero 0, for classes with n = x = 0."""
     w = h * u + vpar
     wv = w + vpar
     if flat:
-        return (u * wv,), (w, u)
+        return (0, u * wv), (w, u, 0)
     w2 = w * w
     return (w2, u * wv), (w, u, u * (w2 + vpar * wv))
 
@@ -96,8 +98,8 @@ def _reduced_germs(h, u, vpar, flat: bool = False) -> tuple:
 def _charge_table(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int, int]:
     """A kind's class coefficients (re constant and coefficients on its
     germs, then im's) as a ``ring._contract`` table on the class and the
-    right factor (1, d): the reduced kind's ``_reduced_table`` or the full
-    kind's ``_full_table``."""
+    kind's right factor (``_coefficients``): the reduced kind's
+    ``_reduced_table`` or the full kind's ``_full_table``."""
     return _reduced_table(g) if kind is ChargeKind.REDUCED else _full_table(g)
 
 
@@ -113,30 +115,28 @@ def _reduced_table(g: BaseGeometry) -> tuple[list, int, int]:
 
 
 def _full_table(g: BaseGeometry) -> tuple[list, int, int]:
-    """The full charge's coefficients with B = pull(d) for a class with
-    n = x = 0, on the right factor (1, d): the kept reduced table applied to
-    the class twisted by pull(d), with -ch3 of the twist as re's constant.
-    The twist exp(-pull(d)) v = v - pull(d) v is read off the kept structure
-    constants in ``ring.mul``'s argument order (pull(d)^2 is a multiple of
-    the fiber, which meets only n and x, so it drops out).  The coefficients
-    on the x and n germs must vanish (else ``ComputationFault``) and are
-    left out: five outputs, re (const, H.S / 2), im (0, H.eta, a)."""
+    """The full charge's coefficients with B = pull(d), for every class, on
+    the right factor exp(-pull(d)) (``_coefficients``): the kept reduced
+    table composed with the product by it, read off the kept structure
+    constants in ``ring.mul``'s argument order, with -ch3 of the product as
+    re's constant.  exp(-pull(d)) = 1 - pull(d) + ((d.d) / 2) f has only n,
+    S and a coordinates, so only their rows are read.  Seven outputs, laid
+    out as the reduced table's.  The germ path leaves out the x and n germs
+    for its classes with n = x = 0, so their coefficients on those germs
+    must vanish (else ``ComputationFault``)."""
     rows, den, width = _kept(g, _structure_constants)
     reduced, rden, _ = _kept(g, _charge_table, ChargeKind.REDUCED)
-    composed: dict = {}  # (i, j, out): c, the term c / (den rden) a_i b_j on output out
-    for b, j, sign in ((0, 0, 1), *((2 + p, p + 1, -1) for p in range(g.rank))):  # 1, then -pull(d_p)
-        for i, k, c in rows[b]:  # basis b times class coordinate i > 1 is c / den times basis k
-            if i > 1:
-                terms = [(out, sign * c * e) for _, out, e in reduced[k]]
-                if k == width - 1:
-                    terms.append((0, -sign * c * rden))
-                for out, e in terms:
-                    composed[i, j, out] = composed.get((i, j, out), 0) + e
-    if any(c for (_, _, out), c in composed.items() if out in (1, 6)):  # the x and n germs
+    n, _, S, _, a, _ = _slots(g.rank)
+    composed: dict = {}  # (i, j, out): c, the term c / (den rden) v_i e_j on output out
+    for j in (n, *S, a):
+        for i, k, c in rows[j]:  # factor coordinate j times class coordinate i is c / den times basis k
+            for _, out, e in reduced[k]:
+                composed[i, j, out] = composed.get((i, j, out), 0) + c * e
+            if k == width - 1:
+                composed[i, j, 0] = composed.get((i, j, 0), 0) - c * rden
+    if any(c for (i, _, out), c in composed.items() if i > 1 and out in (1, 6)):  # the x and n germs
         raise ComputationFault("full charge of a class with n = x = 0 reaches an x or n germ")
-    outputs = {0: 0, 2: 1, 3: 2, 4: 3, 5: 4}
-    return _written([(i, j, outputs[out], c) for (i, j, out), c in composed.items() if out in outputs],
-                    width, 5, den * rden)
+    return _written([(i, j, out, c) for (i, j, out), c in composed.items()], width, 7, den * rden)
 
 
 def _combine(parts: tuple, germs: tuple) -> tuple:
@@ -157,21 +157,27 @@ def _germ_numerators(h, u, vpar) -> tuple:
     return nums[: len(re)], nums[len(re) :], den
 
 
-def _reduced_coefficients(g: BaseGeometry, v: ChernVector) -> tuple:
-    """v's coefficients on the ``_reduced_germs`` (re constant and
-    coefficients, then im's) as (numerators, den): the kept reduced table
-    (``_charge_table``) applied to v's numerators by ``ring._contract``."""
-    return _contract(_kept(g, _charge_table, ChargeKind.REDUCED), (v._nums, v._den), ((1,), 1))
-
-
-def _twisted_coefficients(g: BaseGeometry, v: ChernVector, d: DivisorB) -> tuple:
-    """The full charge's coefficients with B = pull(d), for any class, laid
-    out as ``_reduced_coefficients``: those of v twisted in the ring, with
-    -ch3 of the twist as re's constant (where the reduced table has none)."""
-    tw = twist(g, v, DivisorX.pullback(d))
-    coeffs, den = _reduced_coefficients(g, tw)
-    coeffs[0] = -tw._nums[-1] * (den // tw._den)
-    return coeffs, den
+def _coefficients(g: BaseGeometry, v: ChernVector, kind: ChargeKind, d: DivisorB | None) -> tuple:
+    """v's coefficients on the ``_reduced_germs`` (re constant and two
+    coefficients, then im's constant and three) as (numerators, den): the
+    kind's kept table (``_charge_table``) applied by ``ring._contract`` to
+    v's numerators and the kind's right factor.  That is the unit for the
+    reduced kind; for the full one with B = pull(d), d = 0 by default, the
+    numerators of exp(-pull(d)) = 1 - pull(d) + ((d.d) / 2) f over one den,
+    from d's numerators and the integer gram rows (``ring._gram_ints``); d.d
+    is left out for a class with n = x = 0, which f does not meet.  A d of
+    another rank than g's raises ``DimensionError``."""
+    right = (1,), 1
+    if kind is ChargeKind.FULL:
+        d = d if d is not None else g.zero_divisor()
+        if d.rank != g.rank:
+            raise DimensionError("divisor rank does not match geometry rank")
+        ds, L = _numerators(d.coords)
+        rows, gd = _kept(g, _gram_ints)
+        s = -2 * gd * L
+        q = _form(rows, ds, ds) if v._nums[0] or v._nums[1] else 0  # the fiber f meets only n and x
+        right = [-s * L, 0, *[s * c for c in ds], *[0] * g.rank, q, 0], -s * L
+    return _contract(_kept(g, _charge_table, kind), (v._nums, v._den), right)
 
 
 def _combined(coefficients: tuple, germs: tuple) -> tuple:
@@ -179,22 +185,21 @@ def _combined(coefficients: tuple, germs: tuple) -> tuple:
     each as (numerator, den): its coefficients (numerators, den) combined
     with the germ numerators by ``_combine``."""
     (coeffs, cden), (re, im, den) = coefficients, germs
-    split = 1 + len(re)
-    parts = (coeffs[0] * den, coeffs[1:split]), (coeffs[split] * den, coeffs[split + 1 :])
+    parts = (coeffs[0] * den, coeffs[1:3]), (coeffs[3] * den, coeffs[4:])
     return tuple((total, den * cden) for total in _combine(parts, (re, im)))
 
 
 def _reduced_numerators(g: BaseGeometry, v: ChernVector, germs: tuple) -> tuple:
     """The reduced closed form of v at the point of germs, re and im each
-    as (numerator, den): ``_combined`` on ``_reduced_coefficients``."""
-    return _combined(_reduced_coefficients(g, v), germs)
+    as (numerator, den): ``_combined`` on the reduced ``_coefficients``."""
+    return _combined(_coefficients(g, v, ChargeKind.REDUCED, None), germs)
 
 
 def _full_parts(g: BaseGeometry, v: ChernVector, d: DivisorB, germs: tuple) -> tuple:
     """The full charge with B = pull(d) as (re, im) at the point of germs
     (``_germ_numerators``), over any scalar, for any class: one
-    ``ring._divided`` per part of ``_combined`` on ``_twisted_coefficients``."""
-    return tuple(_divided(*part) for part in _combined(_twisted_coefficients(g, v, d), germs))
+    ``ring._divided`` per part of ``_combined`` on the full ``_coefficients``."""
+    return tuple(_divided(*part) for part in _combined(_coefficients(g, v, ChargeKind.FULL, d), germs))
 
 
 def _ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:

@@ -194,7 +194,7 @@ def slope_correspondence_check(
         if any(nums[: 2 + r]):
             raise DomainError("inputs must be one-dimensional classes")
         if r != g.rank:
-            raise DimensionError("divisor rank does not match geometry rank")
+            raise DimensionError("vector rank does not match geometry rank")
         if sum(w * t for w, t in zip(weights, nums[2 + r :])) <= 0:
             raise DomainError("inputs require a positive twisted degree")
         values.append(slope(g, kind, v))
@@ -223,8 +223,8 @@ def h0_independence_check(
     has a zero cross, so it passes.
 
     This checks the shape of the full charge, not its values (those are the
-    reduced closed form's on the ring twist, which ``prove_closed_form``
-    guards).  With eta = 0, Re is constant along the curve and Im is u times
+    reduced closed form's on the product by exp(-pull(d)), which
+    ``prove_closed_form`` guards).  With eta = 0, Re is constant along the curve and Im is u times
     a constant, so the cross is a multiple of 1/v whatever the coefficients
     are, and the same holds at every h.
     """

@@ -105,45 +105,58 @@ def _reference_charge_series(g, v, c, kind, order, d):
     return charges._combine(_reference_flat_full_coefficients(g, v, d), _reference_flat_full_germs(h, u, vv))
 
 
+def _reference_product_coefficients(g, v, factor):
+    """The reduced charge's (re, im) of the product factor * v (``ring.mul``
+    in that order), with -ch3 of the product as re's constant."""
+    product = ring.mul(g, factor, v)
+    (const, re), im = _reference_reduced_coefficients(g, product)
+    return (const - product.s, re), im
+
+
 def _reference_coefficient_rows(g, kind):
     """A kind's class coefficients (re constant and coefficients, then im's)
     as integer rows over one denominator: row k lists the (i, j, c) of its
-    terms c v_i d_j, with j = -1 for a term in v alone.  Read off one
-    evaluation at ``Poly2`` monomials: class coordinate i is u^(i+1) (n = x
-    = 0 for the full kind, so pull(d)^2, which meets only n and x, drops
-    out), d_j is v^(j+1).  The full kind's rows on the x and n germs must be
-    empty (else ``ComputationFault``) and are left out."""
-    full = kind is ChargeKind.FULL
-    coefficients = _reference_full_coefficients if full else _reference_reduced_coefficients
+    terms c v_i e_j, for e the kind's right factor: the unit (j = 0) for
+    the reduced kind, exp(-pull(d)) for the full one.  Read off one
+    evaluation at ``Poly2`` monomials: class coordinate i is u^(i+1), and
+    for the full kind the coefficients of the product by the factor whose
+    coordinate j is v^(j+1) on the n, S and a slots that exp(-pull(d))
+    has, and zero elsewhere."""
     r = g.rank
-    flat, dsym = [Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * r + 4)], ()
-    if full:
-        flat[:2] = Fraction(0), Fraction(0)
-        dsym = (DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r))),)
-    parts = coefficients(g, ChernVector._ints(flat, 1), *dsym)
+    dim = 2 * r + 4
+    v = ChernVector._ints([Poly2._ints({(i + 1, 0): 1}, 1) for i in range(dim)], 1)
+    if kind is ChargeKind.FULL:
+        slots = (0, *range(2, 2 + r), dim - 2)
+        factor = ChernVector._ints([Poly2._ints({(0, j + 1): 1}, 1) if j in slots else Fraction(0)
+                                    for j in range(dim)], 1)
+        parts = _reference_product_coefficients(g, v, factor)
+    else:
+        parts = _reference_reduced_coefficients(g, v)
     values = [x for const, coeffs in parts for x in (const, *coeffs)]
     entries, den = _reference_monomial_coefficients(values)
     rows = [[] for _ in values]
     for k, (i, j), c in entries:
-        rows[k].append((i - 1, j - 1, c))
-    if full and any((rows.pop(6), rows.pop(1))):  # the x and n germs' coefficients
-        raise ComputationFault("full charge of a class with n = x = 0 reaches an x or n germ")
+        rows[k].append((i - 1, max(j - 1, 0), c))
     return rows, den
 
 
 def _reference_applied_charge_series(g, v, c, kind, order=8, d=None):
     """``charge_series`` applying ``_reference_coefficient_rows`` by its own
-    sums, as it did before the kept tables."""
-    nums, ds = asymptotics._checked_class(g, v, c, kind, d)
+    sums, with exp(-pull(d)) from ``ring._exp_minus`` as the full kind's
+    right factor, as it did before the kept tables."""
+    asymptotics._class_coefficients(g, v, c, kind, d)
     germs = asymptotics._charge_germs(c, order, kind)
     rows, row_den = _reference_coefficient_rows(g, kind)
-    dnums, dden = ring._over_common_denominator(ds)
-    coeffs = [sum(e * nums[i] * (dden if j < 0 else dnums[j]) for i, j, e in row) for row in rows]
-    den = v._den * row_den * dden
-    split = 1 + len(germs[0])
+    if kind is ChargeKind.FULL:
+        e = ring._exp_minus(g, DivisorX.pullback(d if d is not None else g.zero_divisor()))
+        factor, fden = e._nums, e._den
+    else:
+        factor, fden = (1,), 1
+    coeffs = [sum(x * v._nums[i] * factor[j] for i, j, x in row) for row in rows]
+    den = v._den * row_den * fden
     re, im = (
         LaurentSeries._combination(part[0], zip(part[1:], part_germs), den)
-        for part, part_germs in zip((coeffs[:split], coeffs[split:]), germs)
+        for part, part_germs in zip((coeffs[:3], coeffs[3:]), germs)
     )
     return AsymptoticCharge(re, im, kind)
 
@@ -304,13 +317,12 @@ class TestChargeSeries:
 
     def test_tables_are_the_reference_reader_s(self):
         """Entry for entry, with the same denominator, as the rows of
-        ``_reference_coefficient_rows``: its d_j is right coordinate j + 1,
-        its term in v alone right coordinate 0, the unit; on every lattice
-        of ``table_geometries``."""
+        ``_reference_coefficient_rows``, on the same right coordinates; on
+        every lattice of ``table_geometries``."""
         for g in table_geometries():
             for kind in ChargeKind:
                 rows, den = _reference_coefficient_rows(g, kind)
-                ref = as_table([[(i, j + 1, c) for i, j, c in row] for row in rows], den, 2 * g.rank + 4)
+                ref = as_table(rows, den, 2 * g.rank + 4)
                 assert table_sets(ring._kept(g, charges._charge_table, kind)) == ref
 
     def test_equals_the_reference_applier(self):
@@ -331,17 +343,22 @@ class TestChargeSeries:
 
     def test_full_rows_leave_out_the_x_and_n_germs(self, monkeypatch):
         """At n = x = 0 the full coefficients on the two germs that carry x
-        and n vanish, so the full kind keeps five of the seven outputs; a
-        reduced table with a term on either of them, in a coordinate that a
-        class with n = x = 0 has, makes the composed full table raise."""
+        and n vanish: no entry of the seven-output full table from another
+        coordinate reaches them, and the full kind's germs hold them as
+        exact zeros.  A reduced table with a term on either of them, in a
+        coordinate that a class with n = x = 0 has, makes the composed full
+        table raise."""
         for g in fresh_geometries():
             r = g.rank
             flat = [Fraction(0), Fraction(0)] + [Poly2._ints({(i + 3, 0): 1}, 1) for i in range(2 * r + 2)]
             dsym = DivisorB._raw(tuple(Poly2._ints({(0, j + 1): 1}, 1) for j in range(r)))
             (_, (re_x, _)), (_, (_, _, im_n)) = _reference_full_coefficients(g, ChernVector._ints(flat, 1), dsym)
             assert re_x == 0 and im_n == 0
-            _, _, width = ring._kept(g, charges._charge_table, ChargeKind.FULL)
-            assert width == 5
+            rows, _, width = ring._kept(g, charges._charge_table, ChargeKind.FULL)
+            assert width == 7
+            assert not [k for row in rows[2:] for _, k, _ in row if k in (1, 6)]
+            (x_germ, _), (_, _, n_germ) = asymptotics._charge_germs(OneDimCurve(g.h, 1, 3), 8, ChargeKind.FULL)
+            assert x_germ == 0 and n_germ == 0
         carrying_n = _with_entry(charges._reduced_table, -1, 6)  # im's n germ, + s
         carrying_x = _with_entry(charges._reduced_table, -2, 1)  # re's x germ, + a
         for patched in (carrying_n, carrying_x):
@@ -972,7 +989,7 @@ class TestCrossTable:
             u, v = expand_u(c, 41), LaurentSeries.monomial(1, 1)
             re, im = charges._reduced_germs(c.h, u, v, kind is ChargeKind.FULL)
             one = LaurentSeries.const(1)
-            products = [x * y for x in (one, *re) for y in (one, *im)]
+            products = [x * y or LaurentSeries.zero() for x in (one, *re) for y in (one, *im)]
             asymptotics._cross_table.cache_clear()
             table = asymptotics._cross_table(geometry_for(c.h), c, kind)
             for ks in ([0], [len(products) - 1], list(range(len(products)))):
@@ -991,7 +1008,9 @@ class TestCrossTable:
         ``ChargeKind``, a curve of another h, a class that is not rational,
         n or x nonzero for the full kind, a rank mismatch and orders 0 and
         2.5.  A class that is not rational is refused by the threshold
-        check as by ``compare_vectors``, with the same ``DomainError``."""
+        check as by ``compare_vectors``, with the same ``DomainError``.  A
+        class of another rank is named as a vector, as the threshold check
+        named it, and a d of another rank as a divisor."""
         g, tilt, flat = geometry_for(-1), TiltCurve(-1, 1, 2), OneDimCurve(-1, 1, 3)
         m, n = cv(1, 2, d(1), d(0), 1, 1), cv(2, 1, d(0), d(1), 3, -1)
         fm, fn = cv(0, 0, d(1), d(2), 3, 4), cv(0, 0, d(2), d(1), -1, 2)
@@ -1000,7 +1019,7 @@ class TestCrossTable:
         o1, o2, o3 = cv(0, 0, d(0), d(1), 0, 1), cv(0, 0, d(0), d(1), 0, 2), cv(0, 0, d(0, 0), d(1, 0), 0, 2)
         reduced, full = ChargeKind.REDUCED, ChargeKind.FULL
         rational = "a charge germ needs a rational class (every coordinate a Fraction)"
-        rank = "divisor rank does not match geometry rank"
+        rank, vector_rank = "divisor rank does not match geometry rank", "vector rank does not match geometry rank"
         cases = [
             (lambda: compare_vectors(g, m, n, tilt, "full", 8), DomainError, "unknown charge kind full"),
             (lambda: compare_vectors(g, m, n, TiltCurve(0, 1, 2), reduced, 8), ConfigurationError,
@@ -1009,14 +1028,14 @@ class TestCrossTable:
             (lambda: compare_vectors(g, m, symbolic, tilt, reduced, 8), DomainError, rational),
             (lambda: compare_vectors(g, fm, m, flat, full, 8), DomainError,
              "flat full charge requires a fiber-degree-trivial class (n = x = 0)"),
-            (lambda: compare_vectors(g, m, e2, tilt, reduced, 8), DimensionError, rank),
+            (lambda: compare_vectors(g, m, e2, tilt, reduced, 8), DimensionError, vector_rank),
             (lambda: compare_vectors(g, fm, fn, flat, full, 8, d(1, 2)), DimensionError, rank),
             (lambda: threshold_check(g, t, e, TiltCurve(0, 1, 2)), ConfigurationError,
              "curve and geometry disagree on h"),
             (lambda: threshold_check(g, t, symbolic, tilt), DomainError, rational),
-            (lambda: threshold_check(g, t, e2, tilt), DimensionError, "vector rank does not match geometry rank"),
+            (lambda: threshold_check(g, t, e2, tilt), DimensionError, vector_rank),
             (lambda: correspondence_check(g, m, o2, 1, 3, d(0)), DomainError, "inputs must be one-dimensional classes"),
-            (lambda: correspondence_check(g, o1, o3, 1, 3, d(0)), DimensionError, rank),
+            (lambda: correspondence_check(g, o1, o3, 1, 3, d(0)), DimensionError, vector_rank),
             (lambda: correspondence_check(g, o1, o2, 1, 3, d(0, 0)), DimensionError, "divisor rank mismatch"),
         ]
         for order, error, text in ((0, CurveDomainError, "expansion order must be at least 1"),
@@ -1030,6 +1049,30 @@ class TestCrossTable:
             with pytest.raises(error) as raised:
                 call()
             assert str(raised.value) == text
+
+
+    def test_rank_errors_name_the_vector_or_the_divisor(self):
+        """A class of another lattice rank raises "vector rank ..." on every
+        germ entry point, and a d of another rank "divisor rank ..." on
+        every full-kind entry point, the equal pair, the cross sign and the
+        wall scan included."""
+        g, flat = geometry_for(-1), OneDimCurve(-1, 1, 3)
+        fm, fn, wide = cv(0, 0, d(1), d(2), 3, 4), cv(0, 0, d(2), d(1), -1, 2), cv(0, 0, d(1, 0), d(2, 0), 3, 4)
+        full, dd = ChargeKind.FULL, d(1, 2)
+        for call in (lambda: charge_series(g, wide, flat, full), lambda: compare_vectors(g, fm, wide, flat, full),
+                     lambda: compare_vectors(g, wide, wide, flat, full),
+                     lambda: charge_series(g, wide, TiltCurve(-1, 1, 2), ChargeKind.REDUCED)):
+            with pytest.raises(DimensionError, match="^vector rank does not match geometry rank$"):
+                call()
+        for call in (lambda: charge_series(g, fm, flat, full, 8, dd),
+                     lambda: compare_vectors(g, fm, fn, flat, full, 8, dd),
+                     lambda: compare_vectors(g, fm, fm, flat, full, 8, dd),
+                     lambda: cross_sign_at(g, fm, fn, flat, full, 2, dd),
+                     lambda: wall_scan(g, fm, fn, flat, full, (1, 4), Fraction(1, 8), dd),
+                     lambda: verify.h0_independence_check(geometry_for(0), cv(0, 0, d(1), d(0), 1, 0),
+                                                          cv(0, 0, d(2), d(0), -1, 3), 1, 3, dd)):
+            with pytest.raises(DimensionError, match="^divisor rank does not match geometry rank$"):
+                call()
 
 
 class TestWallScan:

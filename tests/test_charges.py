@@ -21,7 +21,7 @@ from ellstab.charges import (
     reduced_charge,
 )
 from ellstab.curves import OneDimCurve, TiltCurve, expand_u, solve_u
-from ellstab.errors import ComputationFault, DomainError
+from ellstab.errors import ComputationFault, DimensionError, DomainError
 from ellstab.fmt import phi
 from ellstab.poly import Poly2
 from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX, degree, divisor_powers, pair
@@ -241,11 +241,12 @@ class TestHeartNecessaryConditions:
 
 def _reference_reduced_germs(h, u, vpar, flat: bool = False) -> tuple:
     """``charges._reduced_germs`` as written before w = hu + vpar, with its
-    seven products, kept verbatim as its reference."""
+    seven products, kept as its reference; ``flat`` gives the x and n
+    germs as the exact zero 0, in the one layout of both kinds."""
     hu = h * u
     w = hu + 2 * vpar
     if flat:
-        return (u * w,), (hu + vpar, u)
+        return (0, u * w), (hu + vpar, u, 0)
     return (
         (hu * w + vpar * vpar, u * w),
         (hu + vpar, u, u * (hu * hu + 3 * hu * vpar + 3 * vpar * vpar)),
@@ -408,8 +409,9 @@ def _with_entry(writer, i: int, k: int, factor: int = 1):
 
 class TestWrittenTables:
     """The charge tables are written from the lattice's integers: the
-    reduced one directly, the full one composed from it and the twist
-    (both pinned against the read-off in ``test_asymptotics``)."""
+    reduced one directly, the full one composed from it and the product by
+    exp(-pull(d)) (both pinned against the read-off in
+    ``test_asymptotics``)."""
 
     def test_a_cold_build_makes_no_poly2(self, monkeypatch):
         """Building both charge tables on a fresh geometry constructs no
@@ -453,11 +455,11 @@ class TestWrittenTables:
 
 
 class TestFullParts:
-    """``_full_parts`` twists the class in the ring and applies the kept
-    reduced table (``_twisted_coefficients``), on germ numerators at
-    symbols built once per geometry and on the point's at a point; it gives
-    what the full coefficients on germs rebuilt per class gave, in value
-    and type."""
+    """``_full_parts`` applies the kept full table (``_coefficients``, the
+    reduced table composed with the product by exp(-pull(d))), on germ
+    numerators at symbols built once per geometry and on the point's at a
+    point; it gives what the full coefficients on germs rebuilt per class
+    gave, in value and type."""
 
     def _classes(self, rng, g):
         z = g.zero_divisor()
@@ -489,3 +491,80 @@ class TestFullParts:
                 got = onedim_transform_charge(g, v, u, vpar, dbar)
                 want = _reference_full_parts(g, phi(g, v), u, vpar, dbar + g.hb_divisor.scale(g.h / 2))
                 assert _typed((got.re, got.im)) == _typed(want)
+
+
+def _reference_flat_full_table(g: BaseGeometry) -> tuple[list, int, int]:
+    """``charges._full_table`` as written when it covered classes with
+    n = x = 0 only, on the right factor (1, d), kept verbatim as its
+    reference: the kept reduced table applied to the class twisted by
+    pull(d), with -ch3 of the twist as re's constant, the x and n germs left
+    out; five outputs, re (const, H.S / 2), im (0, H.eta, a)."""
+    rows, den, width = ring._kept(g, ring._structure_constants)
+    reduced, rden, _ = ring._kept(g, charges._charge_table, ChargeKind.REDUCED)
+    composed: dict = {}
+    for b, j, sign in ((0, 0, 1), *((2 + p, p + 1, -1) for p in range(g.rank))):
+        for i, k, c in rows[b]:
+            if i > 1:
+                terms = [(out, sign * c * e) for _, out, e in reduced[k]]
+                if k == width - 1:
+                    terms.append((0, -sign * c * rden))
+                for out, e in terms:
+                    composed[i, j, out] = composed.get((i, j, out), 0) + e
+    if any(c for (_, _, out), c in composed.items() if out in (1, 6)):
+        raise ComputationFault("full charge of a class with n = x = 0 reaches an x or n germ")
+    outputs = {0: 0, 2: 1, 3: 2, 4: 3, 5: 4}
+    return ring._written([(i, j, outputs[out], c) for (i, j, out), c in composed.items() if out in outputs],
+                         width, 5, den * rden)
+
+
+class TestCoefficients:
+    """The full kind's coefficients, the reduced table composed with the
+    product by exp(-pull(d)), are those of the class twisted in the ring
+    (``_reference_full_coefficients``), for every class."""
+
+    def _classes(self, rng, g):
+        r, u, v = g.rank, Poly2.u(), Poly2.v()
+        yield ChernVector.zero(r)
+        yield ChernVector._ints([Poly2._ints({(i + 1, 0): 1}, 1) for i in range(2 * r + 4)], 1)
+        yield ChernVector._ints([u, Fraction(0), *[v] * r, *[u * v] * r, Fraction(3), u], 1)
+        for _ in range(4):
+            yield _rand_vector(rng, r)
+
+    def test_equal_to_the_ring_twist_in_value_and_type(self):
+        """On every lattice of ``table_geometries``, for classes with n and
+        x nonzero, at ``Fraction`` and ``Poly2`` coordinates, and random d
+        (the reference's exact int zeros read as the ``Fraction`` zero)."""
+        rng = random.Random(53)
+        full = 0
+        for g in table_geometries():
+            for v in self._classes(rng, g):
+                for dd in (g.zero_divisor(), _rand_divisor(rng, g.rank, -4, 4), _rand_divisor(rng, g.rank, -4, 4)):
+                    nums, den = charges._coefficients(g, v, ChargeKind.FULL, dd)
+                    (c0, re), (c1, im) = _reference_full_coefficients(g, v, dd)
+                    want = [Fraction(x) if type(x) is int else x for x in (c0, *re, c1, *im)]
+                    assert _typed(ring._divided(x, den) for x in nums) == _typed(want)
+                    full += bool(v.n and v.x)
+        assert full >= 4 * len(table_geometries())
+
+    def test_flat_classes_keep_the_flat_only_table(self):
+        """On classes with n = x = 0, the outputs other than the x and n
+        germs' equal the flat-only table's (``_reference_flat_full_table``)
+        on the right factor (1, d), and those two are zero."""
+        rng = random.Random(54)
+        for g in table_geometries():
+            flat_table = _reference_flat_full_table(g)
+            for _ in range(6):
+                v = _rand_vector(rng, g.rank)
+                v = ChernVector._ints([0, 0, *v._nums[2:]], v._den)
+                dd = _rand_divisor(rng, g.rank, -4, 4)
+                nums, den = charges._coefficients(g, v, ChargeKind.FULL, dd)
+                dnums, dden = ring._over_common_denominator(dd.coords)
+                want, wden = ring._contract(flat_table, (v._nums, v._den), ((dden, *dnums), dden))
+                got = [Fraction(x, den) for x in nums]
+                assert got[1] == got[6] == 0
+                assert [got[k] for k in (0, 2, 3, 4, 5)] == [Fraction(x, wden) for x in want]
+
+    def test_a_divisor_of_another_rank_raises(self):
+        g = geometry_for(Fraction(-1))
+        with pytest.raises(DimensionError, match="^divisor rank does not match geometry rank$"):
+            charges._coefficients(g, cv(0, 0, d(1), d(2), 3, 4), ChargeKind.FULL, d(1, 2))

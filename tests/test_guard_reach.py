@@ -10,8 +10,8 @@ table or germ built by the unmutated code is reused; the caches are emptied
 again afterwards, so no later test sees a table built by a mutant.
 
 The full charge has no entry of its own: its table is the reduced writer's
-composed with the twist read off the structure constants, so the reduced
-mutations reach it.
+composed with the product by exp(-pull(d)) read off the structure
+constants, so the reduced mutations reach it.
 """
 
 import pytest
@@ -59,6 +59,17 @@ def _germ(original):
     return mutant
 
 
+def _full_constant(original):
+    """The composed full table without its -ch3 constant: every entry on
+    re's constant dropped."""
+
+    def mutant(g):
+        rows, den, width = original(g)
+        return [[(j, k, c) for j, k, c in row if k] for row in rows], den, width
+
+    return mutant
+
+
 def _transform_entry(original):
     """The forward transform writer's (a, s) entry, 1 written 2: its s -> a
     entry bumped by den."""
@@ -95,10 +106,13 @@ def _relation(i: int, j: int, k: int):
 # mutation: (module, attribute, mutant maker, suites that catch it at SIZE).
 # "structure constant" is the relation Theta^2 = h Theta pull(H).  The unit
 # on a and on s (c_{a,0,a}, c_{s,0,s}) is caught by no suite at SIZE, and
-# has no row.
+# has no row.  The full table without -ch3 is caught by correspondence and
+# not by h0: at h = 0 with eta = 0 the cross is a multiple of 1/v whatever
+# the coefficients are.
 REACH = {
     "reduced coefficient": (charges, "_reduced_table", _coefficient, ("im-identity", "threshold")),
     "reduced germ": (charges, "_reduced_germs", _germ, ("im-identity", "threshold")),
+    "full constant": (charges, "_full_table", _full_constant, ("correspondence",)),
     "transform entry": (fmt, "_phi_table", _transform_entry, ("involution", "swap", "im-identity")),
     "structure constant": (ring, "_structure_constants", _relation(1, 1, 3), ("chow", "im-identity", "threshold")),
     "Theta f = pt": (ring, "_structure_constants", _relation(1, 4, 5), ("chow", "im-identity", "threshold")),

@@ -508,6 +508,40 @@ def test_the_twist_rule_sees_imports_calls_and_attributes():
     assert sorted(set(_named(tree, {"twist"}))) == [3, 5, 7]
 
 
+def _twists_outside(tree, function=None):
+    """Line numbers of a ``twist(...)`` call, bare or through a module,
+    outside the module-level function named ``function`` (anywhere, for
+    None)."""
+    allowed = _inside(tree, lambda name, owner: owner is None and name == function)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) == "twist" and id(node) not in allowed:
+            yield node.lineno
+
+
+def test_the_full_kind_twists_no_class():
+    """The full kind's coefficients are its table on exp(-pull(d)), so
+    ``charges`` twists a class only in ``full_charge``, its independent
+    ring path, and ``asymptotics`` never does."""
+    assert _sites(lambda tree: _twists_outside(tree, "full_charge"), {"charges.py"}) == []
+    assert _sites(_twists_outside, {"asymptotics.py"}) == []
+
+
+def test_the_twist_call_rule_sees_both_forms_and_its_scope():
+    tree = ast.parse("def full_charge(g, v, omega, B):\n"
+                     "    tw = twist(g, v, B)\n"
+                     "    return ring.twist(g, tw, B)\n"
+                     "def _coefficients(g, v, kind, d):\n"
+                     "    return twist(g, v, DivisorX.pullback(d))\n"
+                     "class C:\n"
+                     "    def full_charge(self):\n"
+                     "        return charges.twist(g, v, B)\n"
+                     "tw = ring.twist(g, v, B)\n"
+                     "e = _exp_minus(g, B)\n"
+                     "f = twist\n")
+    assert sorted(_twists_outside(tree, "full_charge")) == [5, 8, 9]
+    assert sorted(_twists_outside(tree)) == [2, 3, 5, 8, 9]
+
+
 def _twists_by_the_half_canonical_field(tree):
     """Line numbers of ``_exp_minus(...)`` and ``twist(...)`` calls, bare or
     through a module, with a ``half_canonical_bfield()`` call among their

@@ -314,9 +314,12 @@ class TestCorrespondence:
 
 
 def _reference_domain_checks(g, v, y, z):
-    """The correspondence check's input tests as first written, on fields."""
+    """The correspondence check's input tests as first written, on fields,
+    with a class of another rank named as a vector."""
     if v.n != 0 or v.x != 0 or not v.S.is_zero():
         raise DomainError("inputs must be one-dimensional classes")
+    if v.rank_lattice != g.rank:
+        raise DimensionError("vector rank does not match geometry rank")
     den = (g.h * Fraction(y) + Fraction(z)) * ring.pair_h(g, v.eta) + Fraction(y) * v.a
     if den <= 0:
         raise DomainError("inputs require a positive twisted degree")
@@ -353,7 +356,7 @@ class TestCorrespondenceDomain:
                         seen.add(want)
         assert seen == {None, (DomainError, "inputs must be one-dimensional classes"),
                         (DomainError, "inputs require a positive twisted degree"),
-                        (DimensionError, "divisor rank does not match geometry rank")}
+                        (DimensionError, "vector rank does not match geometry rank")}
 
 
 class TestSymbolicClasses:
