@@ -131,9 +131,16 @@ def charge_series(
 
 
 def _class_coefficients(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: ChargeKind, d) -> tuple:
-    """``charge_series``'s checks, with no germ built, then the kind's
-    coefficients of v (``charges._coefficients``): (integers, den).  A d of
-    another rank than g's raises ``DimensionError`` there."""
+    """``charge_series``'s checks (``_check_class``), with no germ built,
+    then the kind's coefficients of v (``charges._coefficients``):
+    (integers, den).  A d of another rank than g's raises
+    ``DimensionError`` there."""
+    _check_class(g, v, c, kind)
+    return charges_mod._coefficients(g, v, kind, d)
+
+
+def _check_class(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kind: ChargeKind) -> None:
+    """Refuse a kind, curve or class that ``charge_series`` refuses."""
     _check_kind(kind)
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
@@ -142,7 +149,6 @@ def _class_coefficients(g: BaseGeometry, v: ChernVector, c: CurveConstraint, kin
         raise DomainError("flat full charge requires a fiber-degree-trivial class (n = x = 0)")
     if v.rank_lattice != g.rank:
         raise DimensionError("vector rank does not match geometry rank")
-    return charges_mod._coefficients(g, v, kind, d)
 
 
 def _check_rational(*classes: ChernVector) -> None:
@@ -390,18 +396,22 @@ def _cross_coefficients(
     no series built; nothing when every minor vanishes (the cross is zero).
 
     Both classes are checked as ``charge_series`` checks them, with its
-    errors.  The read starts at the top of the products with a nonzero
-    minor.  At h = 0 every entry is exact and the read ends at their
-    bottom.  Otherwise it ends at the cutoff top + 1 - order, with the
+    errors, and share one right factor (``charges._right_factor``; the
+    full kind's classes here have n = x = 0).  The read starts at the top
+    of the products with a nonzero minor.  At h = 0 every entry is exact
+    and the read ends at their bottom.  Otherwise it ends at the cutoff top + 1 - order, with the
     table's ``top``, never below the floor that ``_leading_cross`` gives
     on ``charge_series`` germs at this order: u(v), expanded with floor
     -order = deg u - order + 1, is exact at or above its degree - order + 1;
     products and sums of such series keep that (their floors are the
     largest of the candidates of ``series._product_floor``), and so does
     the cross, whose degree is at most top."""
-    left = _class_coefficients(g, m, c, kind, d)
+    _check_class(g, m, c, kind)
+    factor = charges_mod._right_factor(g, kind, d, False)
+    left = charges_mod._coefficients(g, m, kind, d, factor)
     order = _whole_order(order)
-    right = _class_coefficients(g, n, c, kind, d)
+    _check_class(g, n, c, kind)
+    right = charges_mod._coefficients(g, n, kind, d, factor)
     if left == right:  # every minor is zero; no products are built for it
         return
     _, minor_table, extents, _ = _kept(g, _cross_products, kind)
@@ -490,7 +500,8 @@ def _cross_poly(
     _check_rational(m, n)
     charges_mod.prove_closed_form(g)
     terms, minor_table, _, den = _kept(g, _cross_products, ChargeKind.REDUCED)
-    left, right = (charges_mod._coefficients(g, v, kind, d) for v in (m, n))
+    factor = charges_mod._right_factor(g, kind, d, any(v._nums[0] or v._nums[1] for v in (m, n)))
+    left, right = (charges_mod._coefficients(g, v, kind, d, factor) for v in (m, n))
     minors, mden = _contract(minor_table, left, right)
     totals: dict = {}
     for part in terms:

@@ -11,8 +11,9 @@ H.S/2, H.eta, a and -H^2/6; the full one with B = pull(d)
 (``_full_table``) composed from it and the product by exp(-pull(d)) read
 off the ring's structure constants, with -ch3 of the product as its
 constant, so that it has no entry of its own.  ``_coefficients`` applies
-a kind's table to the class's numerators and its right factor (the unit,
-or exp(-pull(d)) on integers) by ``ring._contract``;
+a kind's table to the class's numerators and its right factor
+(``_right_factor``: the unit, or exp(-pull(d)) on integers) by
+``ring._contract``;
 ``_combined`` combines them with the germs' numerators over one
 denominator, at ``Fraction`` points and at ``Poly2`` symbols alike;
 ``asymptotics.charge_series`` builds the germs once per curve and order as
@@ -157,27 +158,38 @@ def _germ_numerators(h, u, vpar) -> tuple:
     return nums[: len(re)], nums[len(re) :], den
 
 
-def _coefficients(g: BaseGeometry, v: ChernVector, kind: ChargeKind, d: DivisorB | None) -> tuple:
+def _coefficients(g: BaseGeometry, v: ChernVector, kind: ChargeKind, d: DivisorB | None, right=None) -> tuple:
     """v's coefficients on the ``_reduced_germs`` (re constant and two
     coefficients, then im's constant and three) as (numerators, den): the
     kind's kept table (``_charge_table``) applied by ``ring._contract`` to
-    v's numerators and the kind's right factor.  That is the unit for the
-    reduced kind; for the full one with B = pull(d), d = 0 by default, the
-    numerators of exp(-pull(d)) = 1 - pull(d) + ((d.d) / 2) f over one den,
-    from d's numerators and the integer gram rows (``ring._gram_ints``); d.d
-    is left out for a class with n = x = 0, which f does not meet.  A d of
+    v's numerators and the kind's right factor, ``right`` when the caller
+    built it for several classes, else ``_right_factor``'s for v."""
+    if right is None:
+        right = _right_factor(g, kind, d, bool(v._nums[0] or v._nums[1]))
+    return _contract(_kept(g, _charge_table, kind), (v._nums, v._den), right)
+
+
+def _right_factor(g: BaseGeometry, kind: ChargeKind, d: DivisorB | None, fiber: bool) -> tuple:
+    """A kind's right factor for ``_coefficients`` as (numerators, den).
+    That is the unit for the reduced kind, and for the full one with
+    B = pull(d) when d is None or 0; otherwise the numerators of
+    exp(-pull(d)) = 1 - pull(d) + ((d.d) / 2) f over one den, from d's
+    numerators and the integer gram rows (``ring._gram_ints``).  d.d is
+    left out unless ``fiber``: f meets only the n and x coordinates, so the
+    coefficients of a class with n = x = 0 are the same either way.  A d of
     another rank than g's raises ``DimensionError``."""
-    right = (1,), 1
-    if kind is ChargeKind.FULL:
-        d = d if d is not None else g.zero_divisor()
+    if kind is ChargeKind.REDUCED:
+        return (1,), 1
+    if d is not None:
         if d.rank != g.rank:
             raise DimensionError("divisor rank does not match geometry rank")
         ds, L = _numerators(d.coords)
-        rows, gd = _kept(g, _gram_ints)
-        s = -2 * gd * L
-        q = _form(rows, ds, ds) if v._nums[0] or v._nums[1] else 0  # the fiber f meets only n and x
-        right = [-s * L, 0, *[s * c for c in ds], *[0] * g.rank, q, 0], -s * L
-    return _contract(_kept(g, _charge_table, kind), (v._nums, v._den), right)
+        if any(ds):
+            rows, gd = _kept(g, _gram_ints)
+            s = -2 * gd * L
+            q = _form(rows, ds, ds) if fiber else 0
+            return [-s * L, 0, *[s * c for c in ds], *[0] * g.rank, q, 0], -s * L
+    return (1, *[0] * (2 * g.rank + 3)), 1
 
 
 def _combined(coefficients: tuple, germs: tuple) -> tuple:

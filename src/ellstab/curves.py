@@ -11,15 +11,18 @@ table of numerators at u^i v^j over one denominator (``_curve_table``):
 read homogeneously at a rational v = n/d it is the curve polynomial in u
 (``_curve_row``), and as monomials the symbolic ``constraint_poly``.  The
 curve point over v is the smallest positive root, by proof, and a bracket
-isolating it is written down in closed form from that row (the Cauchy
-bound, or 2q/v on the one-dimensional curve with h < 0); solving refines
-that bracket on the dyadic grid by quadratic interval refinement on the
-sign of the curve polynomial, on integer numerators throughout, with no
+isolating it is written down in closed form from that row as integers
+(``_admissible_cell``: the Cauchy bound, or 2q/v on the one-dimensional
+curve with h < 0); solving refines that bracket on the dyadic grid by the
+sign of the curve polynomial (the one-dimensional curve's quadratic cell
+written down by an integer square root, the tilt curve's cubic by
+quadratic interval refinement), on integer numerators throughout, with no
 Sturm isolation.  The cycle identity behind the tilt curve is decided
 exactly on integer numerators of ring products kept per curve and per
 geometry (``_fixed_cycles``, ``_omega_products``), with no ring or
-polynomial product at a point, and at algebraic points by Sturm-Tarski
-queries.  The expansion of u
+polynomial product at a point, and at an algebraic point by one gcd of the
+cycle parts' remainders and one Sturm count (``poly.vanish_at_root``).
+The expansion of u
 as a Laurent series in 1/v is written down coefficient by coefficient: with
 w = hu + v both curves become w = v y(h u1 / v^2) for a power series y
 solving y^2 = 1 + 2x or y^3 = 1 + 3xy, whose coefficients Lagrange
@@ -38,12 +41,13 @@ from .poly import (
     Poly1,
     Poly2,
     RootInterval,
-    _bisect_by_sign,
+    _cauchy_bound,
+    _grid,
     _positive,
-    _root_bound,
+    _refined,
     count_roots,
     reduce_mod_u,
-    sign_at_root,
+    vanish_at_root,
 )
 from .ring import (
     BaseGeometry,
@@ -180,8 +184,18 @@ def admissible_bracket(c: CurveConstraint, vpar) -> tuple[Poly1, RootInterval]:
     """The curve polynomial p = P(., vpar) and a bracket of its admissible
     root u, the smallest positive root: an interval (lo, hi] holding that
     root and no other root of p, with neither end a root, or the exact root
-    as a collapsed interval.  Written down from p's integer row, with no
-    root isolation.
+    as a collapsed interval.  Its ends are those ``_admissible_cell``
+    writes down from p's integer row, with no root isolation."""
+    p, lo, hi, den = _admissible_cell(c, _q(vpar))
+    if lo == hi:
+        root = Fraction(lo, den)
+        return p, RootInterval(root, root)
+    return p, RootInterval(Fraction(lo, den), _grid(lo, hi - lo, den, 1, 0))
+
+
+def _admissible_cell(c: CurveConstraint, vpar: Fraction) -> tuple[Poly1, int, int, int]:
+    """``admissible_bracket``'s p and ends as integers (p, a, b, den): the
+    bracket (a/den, b/den] with den > 0, and a = b for the exact root.
 
     At h = 0, p = p0 + p1 u is linear and its root is u1/vpar.  Otherwise
     p(0) < 0 (-beta vpar on the tilt curve, -q on the one-dimensional one).
@@ -198,41 +212,43 @@ def admissible_bracket(c: CurveConstraint, vpar) -> tuple[Poly1, RootInterval]:
     2q/(v - sqrt(v^2 + 2hq)), are positive, and p(2q/v) = (q/v^2)(v^2 + 2hq)
     is positive (so (0, 2q/v] isolates the admissible root), zero (a double
     root at 2q/v) or negative (no real root).  On p's row (p0, p1, p2),
-    2q/v = -2 p0/p1 and p1^2 - 4 p0 p2 is v^2 + 2hq times a positive square.
+    2q/v = -2 p0/p1 and p1^2 - 4 p0 p2 is v^2 + 2hq times a positive square;
+    p1, the u-coefficient vpar (times a positive factor), is positive.
     """
-    vpar = _q(vpar)
     if vpar <= 0:
         raise CurveDomainError("curve solving requires vpar > 0")
     p = _curve_row(c, vpar)
     row = p._nums
     if c.h == 0:
-        root = Fraction(-row[0], row[1])
-        return p, RootInterval(root, root)
+        return p, -row[0], -row[0], row[1]
     if isinstance(c, TiltCurve) or c.h > 0:
-        return p, RootInterval(Fraction(0), _root_bound(p))
+        bn, bd = _cauchy_bound(row)
+        return p, 0, bn, bd
     p0, p1, p2 = row
     disc = p1 * p1 - 4 * p0 * p2
     if disc < 0:
         raise CurveDomainError(f"no positive root on the curve at vpar = {vpar}")
-    hi = Fraction(-2 * p0, p1)
-    return p, RootInterval(Fraction(0) if disc else hi, hi)
+    return p, 0 if disc else -2 * p0, -2 * p0, p1
 
 
 def solve_u(c: CurveConstraint, vpar, precision) -> RootInterval:
     """The curve's admissible root u at a fixed v: its smallest positive root.
 
-    The bracket of ``admissible_bracket`` is refined on the sign of the
-    curve polynomial (``poly._bisect_by_sign``: quadratic interval
-    refinement on the bisection's dyadic grid, a few exact integer
-    evaluations) to a certified sign-change interval no wider than
-    ``precision``, the same interval bisection gives; exact rational roots,
-    and grid points that are roots, are returned as collapsed intervals.
+    The bracket of ``_admissible_cell`` is refined straight from its
+    integer ends on the sign of the curve polynomial (``poly._refined``:
+    the bisection's dyadic grid, on a few exact integer evaluations) to a
+    certified sign-change interval no wider than ``precision``, the same
+    interval bisection gives: the one-dimensional curve's quadratic cell is
+    written down by an integer square root, the tilt curve's cubic refined
+    by quadratic interval refinement.  Exact rational roots, and grid
+    points that are roots, are returned as collapsed intervals.
     """
-    p, bracket = admissible_bracket(c, vpar)
+    p, lo, hi, den = _admissible_cell(c, _q(vpar))
     precision = _positive(precision)
-    if bracket.exact:
-        return bracket
-    return _bisect_by_sign(p, bracket.lo, bracket.hi, precision)
+    if lo == hi:
+        root = Fraction(lo, den)
+        return RootInterval(root, root)
+    return _refined(p, lo, hi - lo, den, precision)
 
 
 def expand_u(c: CurveConstraint, order: int) -> LaurentSeries:
@@ -378,10 +394,11 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
     ``_cycle_numerators`` cross-multiplied, so the result is True precisely
     on zeros of the constraint polynomial p.  A bracketed algebraic u must
     isolate one root of p at vpar, with neither end a root, or
-    ``CurveDomainError`` is raised; then one Sturm-Tarski query per
-    component of the difference (``sign_at_root``) decides whether it
-    vanishes at that root, and a component whose remainder mod p is zero
-    returns at once.
+    ``CurveDomainError`` is raised; then ``poly.vanish_at_root`` decides
+    whether every component of the difference vanishes at that root: the
+    components' remainders mod p fold into one gcd with p, and one Sturm
+    count of that gcd on the bracket, when it is neither constant nor p,
+    answers.
     """
     if g.h != c.h:
         raise ConfigurationError("curve and geometry disagree on h")
@@ -389,7 +406,7 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
         p = _curve_row(c, _q(vpar))
         if p(u.lo) == 0 or p(u.hi) == 0 or count_roots(p, u.lo, u.hi) != 1:
             raise CurveDomainError("bracket does not isolate a single root of the curve")
-        return all(sign_at_root(part.eval_v(vpar), p, u) == 0 for part in _symbolic_difference_parts(g, c))
+        return vanish_at_root((part.eval_v(vpar) for part in _symbolic_difference_parts(g, c)), p, u)
     if isinstance(u, RootInterval):
         u = u.lo
     u, vpar = _q(u), _q(vpar)

@@ -3,26 +3,30 @@
 Univariate polynomials (``Poly1``) and bivariate polynomials in (u, v)
 (``Poly2``, used both numerically and as symbolic ring scalars) over the
 rationals, held under the storage rule of ``ring._IntegerForm``.
-Root isolation runs on one signed remainder sequence per polynomial (its
-last term, gcd(p, p') up to a constant, gives the squarefree part), and
-refinement by sign on the dyadic grid of bisection (quadratic interval
-refinement: secant guesses checked by exact signs, with the bisection's
-output), no floating point anywhere.  Remainder sequences are integer
-pseudo-remainders, each member up to a positive factor, so root counts and
-Sturm-Tarski signs read integer values at each rational point, as the
-refinement does on an integer Taylor shift of the polynomial.  Isolation
-counts at the integer pairs of its dyadic cells of (0, B], each point once,
-and builds Fractions only for the ends it returns.  Reduction modulo a
-polynomial in u and the norm over Q(v) work on u-rows, integer coefficient
-rows in v: each elimination step multiplies by the least integer that makes
-the division of the top row by the lead row exact.
+Root isolation divides out the power of x first and runs on one signed
+remainder sequence per polynomial (its last term, gcd(p, p') up to a
+constant, gives the squarefree part), and refinement by sign on the dyadic
+grid of bisection (a degree-1 or degree-2 cell written down in closed form,
+by a floor division or an integer square root; quadratic interval
+refinement, secant guesses checked by exact signs, above that; either way
+the bisection's output, certified by exact signs), no floating point
+anywhere.  Remainder sequences are integer pseudo-remainders, each member
+up to a positive factor, so root counts and Sturm-Tarski signs read integer
+values at each rational point, as the refinement does on an integer Taylor
+shift of the polynomial; whether several polynomials all vanish at a
+bracketed root is one gcd of their remainders and one Sturm count of it.
+Isolation counts at the integer pairs of its dyadic cells of (0, B], each
+point once, and builds Fractions only for the ends it returns.  Reduction
+modulo a polynomial in u and the norm over Q(v) work on u-rows, integer
+coefficient rows in v: each elimination step multiplies by the least
+integer that makes the division of the top row by the lead row exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .errors import ComputationFault, CurveDomainError
 from .ring import _RATIONAL, _IntegerForm, _over_common_denominator, _q
@@ -252,6 +256,35 @@ def sign_at_root(q: Poly1, p: Poly1, bracket: RootInterval) -> int:
             - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
+def vanish_at_root(qs, p: Poly1, bracket: RootInterval) -> bool:
+    """Whether every polynomial of qs vanishes at the one root of p in a
+    bracket, taken as ``sign_at_root`` takes it.
+
+    The remainders of the qs mod p fold into one gcd g with p, each taken
+    mod the gcd so far (Euclid on ``_negated_remainder``, every member up
+    to a nonzero factor), so g's roots are the roots of p where every q
+    vanishes.  A constant g ends the fold with False; a g still equal to p
+    gives True; otherwise one Sturm count of g on (lo, hi], whose ends are
+    no roots of p and so none of g, decides.
+    """
+    if bracket.exact:
+        return all(not q(bracket.lo) for q in qs)
+    P = _primitive(p)
+    if not P:
+        raise ZeroDivisionError("polynomial division by zero")
+    g = P
+    for q in qs:
+        r = _negated_remainder(_primitive(q), g)
+        while r:  # g <- gcd(g, r)
+            if len(r) == 1:
+                return False
+            g, r = r, _negated_remainder(g, r)
+    if g is P:
+        return True
+    g = Poly1._ints(g, 1)
+    return count_roots(g, bracket.lo, bracket.hi, sturm_chain(g)) > 0
+
+
 @dataclass(frozen=True)
 class RootInterval:
     """A certified root enclosure [lo, hi]; lo == hi means an exact root."""
@@ -270,10 +303,13 @@ class RootInterval:
 def isolate_positive_roots(p: Poly1, precision: Fraction) -> list[RootInterval]:
     """All positive real roots of p, each bracketed to the given width.
 
-    Sturm counting on p's squarefree part isolates the roots in the cells
-    (B m / 2^j, B (m + 1) / 2^j] of (0, B], B = Bn / Bd the Cauchy bound;
-    each isolating cell is then refined on the dyadic grid by the sign of
-    that part alone, so every returned interval is certified exactly.  The
+    p = x^k f with f(0) != 0 loses x^k first, which has no positive root
+    and no sign change on (0, B].  Sturm counting on f's squarefree part
+    isolates the roots in the cells (B m / 2^j, B (m + 1) / 2^j] of (0, B],
+    B = Bn / Bd its Cauchy bound, which is also that of p's squarefree
+    part (x times f's); each isolating cell is then refined on the dyadic
+    grid by the sign of f's part alone, so every returned interval is
+    certified exactly, and 0 stays a root that no bracket touches.  The
     counts are taken in integers at the pairs (Bn m, Bd 2^j), each point
     once, and only the returned ends are built as Fractions.
     """
@@ -287,7 +323,10 @@ def _isolated_roots(p: Poly1, precision, vrange: tuple | None) -> list[RootInter
     refined as without it, so the brackets that meet the range are the
     same; a bracket outside it may still be returned."""
     precision = _positive(precision)
-    chain = _squarefree_chain(p)
+    nums, k = p._nums, 0
+    while k < len(nums) and not nums[k]:
+        k += 1
+    chain = _squarefree_chain(Poly1._ints(nums[k:], 1) if k else p)
     if not chain or len(chain[0]) < 2:
         return []
     sqf = chain[0]
@@ -297,10 +336,10 @@ def _isolated_roots(p: Poly1, precision, vrange: tuple | None) -> list[RootInter
     sqf_poly = Poly1._ints(sqf, 1)
     out: list[RootInterval] = []
     # Each pending cell (m, j) carries the sign variations at its ends and
-    # whether its ends are roots of p.  A cell is taken only when neither
-    # end is, so no bracket touches a root that is reported exactly, and no
-    # root is reported twice.
-    stack = [(0, 0, _sign_variations(chain, 0, bd), _sign_variations(chain, bn, bd), sqf[0] == 0, False)]
+    # whether its ends are roots of p (0 is when k > 0).  A cell is taken
+    # only when neither end is, so no bracket touches a root that is
+    # reported exactly, and no root is reported twice.
+    stack = [(0, 0, _sign_variations(chain, 0, bd), _sign_variations(chain, bn, bd), k > 0, False)]
     while stack:
         m, j, at_lo, at_hi, lo_root, hi_root = stack.pop()
         if vrange is not None and (bn * (m + 1) * b < a * (bd << j) or bn * m * e > c * (bd << j)):
@@ -375,7 +414,9 @@ def _bisect_by_sign(p: Poly1, lo: Fraction, hi: Fraction, precision) -> RootInte
     floor division), if its ends have opposite signs; k then doubles.
     Otherwise the cell is bisected and k halves, down to 2.  The level
     never passes J.  Only the returned ends are built as Fractions, each
-    (A 2^j + W m) / (D 2^j) (``_grid``).
+    (A 2^j + W m) / (D 2^j) (``_grid``).  When q, after the root at lo is
+    divided out, has degree 1 or 2, the level-J cell is written down
+    instead (``_closed_cell``), with no refinement step.
 
     The output is bisection's, which is unique: [hi - step, hi] for
     step = (hi - lo) / 2^J if hi is the root; else the root itself if it is
@@ -405,6 +446,8 @@ def _refined(p: Poly1, base: int, width: int, den: int, precision) -> RootInterv
     while q[0] == 0:  # lo is a root: q / t has q's signs on the cell
         q = q[1:]
     d = len(q) - 1
+    if d <= 2:
+        return _closed_cell(q, base, width, den, top)
 
     def value(m: int, j: int) -> int:
         acc = q[d]
@@ -438,6 +481,54 @@ def _refined(p: Poly1, base: int, width: int, den: int, precision) -> RootInterv
             m, a, b = 2 * m, a << d, mid
         j += 1
     return RootInterval(_grid(base, width, den, m, top), _grid(base, width, den, m + 1, top))
+
+
+def _closed_cell(q: list[int], base: int, width: int, den: int, top: int) -> RootInterval:
+    """``_refined``'s output for q of degree 1 or 2 with q(0) q(1) < 0, so
+    one root t* in (0, 1): with M = 2^J t*, the collapsed grid point M when
+    M is an integer, else the cell [floor(M), floor(M) + 1] / 2^J, as
+    ``_closed_floor`` writes it down.  The cell is certified by the exact
+    values of Q(x) = 2^(Jd) q(x / 2^J) at its ends, zero at a collapsed
+    point and of opposite signs otherwise; a failed certificate raises
+    ``ComputationFault``."""
+    if q[-1] < 0:
+        q = [-x for x in q]
+    m, exact = _closed_floor(q, top)
+    scale = 1 << top
+    at_m = _horner(q, m, scale)
+    if exact:
+        if at_m or not 0 < m < scale:
+            raise ComputationFault("closed-form root fails its exact certificate")
+        root = _grid(base, width, den, m, top)
+        return RootInterval(root, root)
+    at_next = _horner(q, m + 1, scale)
+    if not (0 <= m < scale and at_m and at_next and (at_m > 0) != (at_next > 0)):
+        raise ComputationFault("closed-form cell fails its exact sign certificate")
+    return RootInterval(_grid(base, width, den, m, top), _grid(base, width, den, m + 1, top))
+
+
+def _closed_floor(q: list[int], top: int) -> tuple[int, bool]:
+    """floor(M) and whether M is an integer, for M = 2^J t*, t* the root in
+    (0, 1) of q of degree 1 or 2 with q(0) q(1) < 0 and a positive lead.
+
+    Degree 1: M = -q0 2^J / q1, one floor division.  Degree 2, with
+    Q(x) = 2^(2J) q(x / 2^J) = a x^2 + b x + c: M = (-b + e s) / 2a for
+    s = sqrt(D), D = b^2 - 4ac, with e = 1 if q0 < 0 (q is negative from 0
+    up to its larger root) and e = -1 if q0 > 0 (positive up to its smaller
+    root).  For r = isqrt(D) that is (-b + e r) / 2a when D = r^2;
+    otherwise s lies strictly between r and r + 1, so -b + e s lies
+    strictly between the integers N = -b + e r - (1 if e < 0) and N + 1,
+    and no multiple of 2a does, whence floor(M) = floor(N / 2a)."""
+    if len(q) == 2:
+        m, rest = divmod(-q[0] << top, q[1])
+        return m, not rest
+    a, b, c = q[2], q[1] << top, q[0] << (2 * top)
+    disc = b * b - 4 * a * c
+    r = isqrt(disc)
+    if r * r == disc:
+        m, rest = divmod(-b + r if q[0] < 0 else -b - r, 2 * a)
+        return m, not rest
+    return (-b + r if q[0] < 0 else -b - r - 1) // (2 * a), False
 
 
 def _grid(base: int, width: int, den: int, m: int, j: int) -> Fraction:

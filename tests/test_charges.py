@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellstab import charges, ring
+from ellstab import asymptotics, charges, ring, suites
 from ellstab.charges import (
     ChargeKind,
     _checked_reduced_parts,
@@ -568,3 +568,75 @@ class TestCoefficients:
         g = geometry_for(Fraction(-1))
         with pytest.raises(DimensionError, match="^divisor rank does not match geometry rank$"):
             charges._coefficients(g, cv(0, 0, d(1), d(2), 3, 4), ChargeKind.FULL, d(1, 2))
+
+
+def _reference_coefficients(g, v, kind, dd):
+    """``_coefficients`` as it was before the right factor was built once
+    for several classes: exp(-pull(d)) written for each class, at the zero
+    divisor for d = None, with d.d only for a class with n or x nonzero."""
+    right = (1,), 1
+    if kind is ChargeKind.FULL:
+        dd = dd if dd is not None else g.zero_divisor()
+        if dd.rank != g.rank:
+            raise DimensionError("divisor rank does not match geometry rank")
+        ds, L = ring._numerators(dd.coords)
+        rows, gd = ring._kept(g, ring._gram_ints)
+        s = -2 * gd * L
+        q = ring._form(rows, ds, ds) if v._nums[0] or v._nums[1] else 0
+        right = [-s * L, 0, *[s * c for c in ds], *[0] * g.rank, q, 0], -s * L
+    return ring._contract(ring._kept(g, charges._charge_table, kind), (v._nums, v._den), right)
+
+
+class TestRightFactor:
+    """The right factor is built once for a pair (``charges._right_factor``)
+    and is the unit at d = None and d = 0; the coefficients keep their
+    values."""
+
+    def test_suite_cases_keep_their_coefficients(self, monkeypatch):
+        """Every class coefficient the threshold, correspondence and h0
+        suites read, by any route, equals the per-class reference's in value
+        and type, and at d = None it is bit for bit the one at d = 0."""
+        seen = []
+        original = charges._coefficients
+
+        def recording(g, v, kind, dd, right=None):
+            out = original(g, v, kind, dd, right)
+            seen.append((g, v, kind, dd, out))
+            return out
+
+        monkeypatch.setattr(charges, "_coefficients", recording)
+        for runner in (suites.suite_threshold, suites.suite_correspondence, suites.suite_h0):
+            assert runner(cases=24).passed
+        monkeypatch.undo()
+        for g in {case[0] for case in seen}:
+            unit = (1, *[0] * (2 * g.rank + 3)), 1
+            assert all(charges._right_factor(g, ChargeKind.FULL, x, True) == unit for x in (None, g.zero_divisor()))
+        kinds = {ChargeKind.REDUCED: 0, ChargeKind.FULL: 0}
+        for g, v, kind, dd, (nums, den) in seen:
+            want, wden = _reference_coefficients(g, v, kind, dd)
+            assert _typed(ring._divided(x, den) for x in nums) == _typed(ring._divided(x, wden) for x in want)
+            if kind is ChargeKind.FULL:
+                none, zero = (charges._coefficients(g, v, kind, x) for x in (None, g.zero_divisor()))
+                assert none == zero
+                want, wden = _reference_coefficients(g, v, kind, None)
+                got = _typed(ring._divided(x, none[1]) for x in none[0])
+                assert got == _typed(ring._divided(x, wden) for x in want)
+            kinds[kind] += 1
+        assert kinds[ChargeKind.REDUCED] >= 40 and kinds[ChargeKind.FULL] >= 150, kinds
+
+    def test_a_pair_builds_one_factor(self, monkeypatch):
+        """``_cross_coefficients`` and ``_cross_poly`` build one right factor
+        for both classes, and one with d.d when either class meets f."""
+        calls = []
+        original = charges._right_factor
+        monkeypatch.setattr(charges, "_right_factor", lambda *args: calls.append(args) or original(*args))
+        g, rng = geometry_for(Fraction(-1)), random.Random(57)
+        c = OneDimCurve(-1, 1, 3)
+        flat = [ChernVector._ints([0, 0, *_rand_vector(rng, 1)._nums[2:]], 1) for _ in range(2)]
+        dd = _rand_divisor(rng, 1, -4, 4)
+        list(asymptotics._cross_coefficients(g, *flat, c, ChargeKind.FULL, 8, dd))
+        asymptotics._cross_poly(g, *flat, ChargeKind.FULL, dd)
+        m = _rand_vector(rng, 1)
+        asymptotics._cross_poly(g, m, flat[0], ChargeKind.FULL, dd)
+        full = [fiber for _, kind, _, fiber in calls if kind is ChargeKind.FULL]
+        assert full == [False, False, bool(m.n or m.x)]

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellstab import poly, ring
-from ellstab.errors import CurveDomainError
+from ellstab.curves import OneDimCurve, admissible_bracket, solve_u
+from ellstab.errors import ComputationFault, CurveDomainError
 from ellstab.poly import (
     Poly1,
     Poly2,
@@ -856,3 +857,255 @@ class TestIntegerIsolation:
             built.clear()
             got = isolate_positive_roots(p, precision)
             assert len(built) == len({id(x) for r in got for x in (r.lo, r.hi)})
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Count the calls of poly's function ``name``, which still runs."""
+    calls = []
+    original = getattr(poly, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poly, name, counted)
+    return calls
+
+
+class TestClosedFormCells:
+    """A degree-1 or degree-2 cell is written down (``poly._closed_cell``)
+    and is the one-bit bisection's, bit for bit."""
+
+    PRECISIONS = (Fraction(1, 2), Fraction(1, 2**10), Fraction(1, 2**64), Fraction(1, 2**128),
+                  Fraction(1, 2**256), Fraction(1, 3**50))
+
+    def _check(self, f, lo, hi):
+        for precision in self.PRECISIONS:
+            got = _bisect_by_sign(f, lo, hi, precision)
+            assert got == _reference_bisect_by_sign(f, lo, hi, precision), (f._nums, lo, hi, precision)
+            assert all(type(x) is Fraction for x in (got.lo, got.hi))
+
+    def test_degrees_one_and_two_on_random_brackets(self, monkeypatch):
+        """Linear and quadratic polynomials with rational and irrational
+        roots, either leading sign, on the brackets of
+        ``_refinement_brackets``."""
+        calls = _counting(monkeypatch, "_closed_cell")
+        rng = random.Random(90)
+        degrees = {1: 0, 2: 0}
+        for _ in range(120):
+            if rng.random() < 0.5:
+                p = _product([Fraction(rng.randint(-4, 40), rng.choice([1, 2, 3, 8]))
+                              for _ in range(rng.randint(1, 2))])
+            else:
+                p = Poly1([rng.randint(-40, 40), rng.randint(-40, 40), rng.choice([-3, -1, 1, 2, 5])])
+            p = p * Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            for sf, lo, hi in _refinement_brackets(p, rng):
+                for f in (sf, -sf):
+                    self._check(f, lo, hi)
+                degrees[sf.degree] = degrees.get(sf.degree, 0) + 1
+        assert degrees[1] >= 50 and degrees[2] >= 100, degrees
+        assert len(calls) >= 1500
+
+    def test_shaped_cells(self, monkeypatch):
+        """Roots on the grid of levels below, at and above J (collapsed
+        exactly when the level is at most J), a root at hi, a root at lo
+        that is divided out, and a quadratic with both roots positive and
+        only one in the cell."""
+        calls = _counting(monkeypatch, "_closed_cell")
+        for level in (1, 2, 7, 64, 200):
+            root = Fraction(5, 3) + Fraction(4, 3) * Fraction(2**level - 1, 2**level)
+            for f in (_product([root]), -_product([root, 7]), _product([root, Fraction(-1, 3)])):
+                for top in (level - 1, level, level + 1, 260):
+                    precision = Fraction(4, 3) / 2**top
+                    got = _bisect_by_sign(f, Fraction(5, 3), Fraction(3), precision)
+                    assert got == _reference_bisect_by_sign(f, Fraction(5, 3), Fraction(3), precision)
+                    assert got.exact == (top >= level) and root in got
+        lo, hi = Fraction(1, 7), Fraction(9, 7)
+        for f in (_product([hi]), _product([hi, 5]), -_product([hi, Fraction(1, 9)])):  # a root at hi
+            self._check(f, lo, hi)
+            assert _bisect_by_sign(f, lo, hi, Fraction(1, 2**20)).hi == hi
+        for other in (Fraction(2, 3), Fraction(1, 2**30) + lo):  # a root at lo, divided out
+            self._check(_product([lo, other]), lo, hi)
+        self._check(-_product([lo], (2,)) * Fraction(1, 3), lo, Fraction(3, 2))
+        for k in (2, 3, 5, 99):  # (x - 1/k)(x - k): only the smaller root in (0, 1]
+            self._check(_product([Fraction(1, k), k]), Fraction(0), Fraction(1))
+            self._check(Poly1([1, -3 * k, k]), Fraction(0), Fraction(1, 3))  # irrational roots
+        assert len(calls) >= 100
+
+    def test_the_one_dimensional_curve_at_negative_h(self, monkeypatch):
+        """Both roots positive, the bracket (0, 2q/v] holding the smaller:
+        ``solve_u`` writes the cell down, and it is the reference's."""
+        calls = _counting(monkeypatch, "_closed_cell")
+        rng = random.Random(91)
+        checked = 0
+        while checked < 60:
+            h, y = Fraction(-rng.randint(1, 6), rng.randint(1, 3)), rng.randint(1, 5)
+            c = OneDimCurve(h, y, -h * y + Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+            vpar = Fraction(rng.randint(1, 90), rng.randint(1, 4))
+            try:
+                p, bracket = admissible_bracket(c, vpar)
+            except CurveDomainError:
+                continue
+            if bracket.exact:
+                continue
+            assert len(isolate_positive_roots(p, UNREFINED)) == 2
+            for precision in self.PRECISIONS:
+                assert solve_u(c, vpar, precision) == _reference_bisect_by_sign(p, bracket.lo, bracket.hi, precision)
+            checked += 1
+        assert len(calls) >= 60 * 4  # the coarsest precisions may leave the bracket as it is
+
+    @pytest.mark.parametrize("shift", [-2, 2])
+    def test_an_off_guess_fails_the_certificate(self, monkeypatch, shift):
+        """A floor moved by two cells, at a collapsed root or inside a cell,
+        is refused by the exact signs, with no silent fallback."""
+        guess = poly._closed_floor
+        monkeypatch.setattr(poly, "_closed_floor", lambda q, top: (guess(q, top)[0] + shift, guess(q, top)[1]))
+        cases = [(_product([Fraction(1, 3)]), Fraction(0), Fraction(1)),  # degree 1, inside a cell
+                 (_product([Fraction(5, 8)]), Fraction(0), Fraction(1)),  # degree 1, on the grid
+                 (_product([], (2,)), Fraction(1), Fraction(2)),  # degree 2, irrational
+                 (_product([Fraction(3, 4), 9]), Fraction(0), Fraction(1))]  # degree 2, on the grid
+        for f, lo, hi in cases:
+            for g in (f, -f):
+                with pytest.raises(ComputationFault, match="certificate"):
+                    _bisect_by_sign(g, lo, hi, Fraction(1, 2**16))
+
+
+def _reference_unstripped_isolated_roots(p: Poly1, precision, vrange) -> list[RootInterval]:
+    """``poly._isolated_roots`` before it divided out x^k: the squarefree
+    chain of p itself, 0 flagged a root by the chain's constant term."""
+    precision = poly._positive(precision)
+    chain = poly._squarefree_chain(p)
+    if not chain or len(chain[0]) < 2:
+        return []
+    sqf = chain[0]
+    bn, bd = poly._cauchy_bound(sqf)
+    if vrange is not None:
+        (a, b), (c, e) = ((x.numerator, x.denominator) for x in vrange)
+    sqf_poly = Poly1._ints(sqf, 1)
+    out = []
+    stack = [(0, 0, poly._sign_variations(chain, 0, bd), poly._sign_variations(chain, bn, bd), sqf[0] == 0, False)]
+    while stack:
+        m, j, at_lo, at_hi, lo_root, hi_root = stack.pop()
+        if vrange is not None and (bn * (m + 1) * b < a * (bd << j) or bn * m * e > c * (bd << j)):
+            continue
+        k = at_lo - at_hi - hi_root
+        if k == 0:
+            continue
+        if k == 1 and not (lo_root or hi_root):
+            out.append(poly._refined(sqf_poly, bn * m, bn, bd << j, precision))
+            continue
+        n, d = bn * (2 * m + 1), bd << (j + 1)
+        head = poly._horner(sqf, n, d)
+        at_mid, mid_root = poly._variations_after(head, chain, n, d), head == 0
+        if mid_root:
+            out.append(RootInterval(Fraction(n, d), Fraction(n, d)))
+        stack.append((2 * m, j + 1, at_lo, at_mid, lo_root, mid_root))
+        stack.append((2 * m + 1, j + 1, at_mid, at_hi, mid_root, hi_root))
+    out.sort(key=lambda r: r.lo)
+    return out
+
+
+class TestStrippedIsolation:
+    """``_isolated_roots`` divides out x^k before its squarefree chain and
+    still flags 0 as a root, so every bracket is the unstripped one."""
+
+    def test_times_powers_of_x_match_the_unstripped_isolation(self, monkeypatch):
+        rng = random.Random(92)
+        chains = _counting(monkeypatch, "sturm_chain")
+        stripped = 0
+        for _ in range(600):
+            f = Poly1([rng.randint(-30, 30) for _ in range(rng.randint(1, 8))])
+            f = _random_poly(rng) if rng.random() < 0.5 else f
+            k = rng.choice([0, 1, 1, 2, 3])
+            p = Poly1._ints((0,) * k + f._nums, f._den) if f else f
+            precision = Fraction(1, 2 ** rng.choice([1, 10, 64])) if rng.random() < 0.8 else UNREFINED
+            lo = Fraction(rng.randint(0, 30), rng.choice([1, 3, 8]))
+            vrange = (lo, lo + Fraction(rng.randint(1, 60), rng.choice([1, 2, 7])))
+            for r in (None, vrange):
+                chains.clear()
+                got = poly._isolated_roots(p, precision, r)
+                assert got == _reference_unstripped_isolated_roots(p, precision, r), (p._nums, precision, r)
+                if k and p:
+                    assert all(b.exact or b.lo > 0 for b in got)  # 0 is a root no bracket touches
+                    assert chains[0][0]._nums[0] and len(chains[0][0]._nums) <= len(f._nums)  # x^k is gone
+            stripped += bool(k and p)
+        assert stripped >= 250
+
+    def test_a_wall_norm_loses_its_double_chain(self, monkeypatch):
+        """R = v^3 S(v^2) builds one Sturm chain, where the unstripped
+        isolation built two (p's, then its squarefree part's)."""
+        chains = _counting(monkeypatch, "sturm_chain")
+        s = Poly1([-7, 3, 11, -2])
+        r = Poly1._ints((0, 0, 0, *(c for x in s._nums for c in (x, 0)))[:-1], 1)
+        got = isolate_positive_roots(r, Fraction(1, 2**10))
+        assert len(chains) == 1
+        chains.clear()
+        assert got == _reference_unstripped_isolated_roots(r, Fraction(1, 2**10), None)
+        assert len(chains) == 2 and got
+
+
+class TestVanishAtRoot:
+    """``vanish_at_root``, one gcd and one Sturm count, against one
+    ``sign_at_root`` per polynomial."""
+
+    def _brackets(self, p, rng):
+        return [b for b in isolate_positive_roots(p, Fraction(1, 2 ** rng.choice([1, 8, 64]))) if not b.exact]
+
+    def test_random_parts_against_sign_at_root(self):
+        rng = random.Random(93)
+        verdicts = []
+        for _ in range(150):
+            p = _random_poly(rng)
+            if p.degree < 1:
+                continue
+            factor = _product([Fraction(rng.randint(1, 20), rng.choice([1, 3, 7]))], (rng.choice([2, 3, 5]),))
+            p = p * factor if rng.random() < 0.5 else p
+            for bracket in self._brackets(p, rng):
+                parts = [Poly1([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))])
+                         * rng.choice([p, factor, Poly1([1])]) for _ in range(rng.randint(0, 4))]
+                want = all(sign_at_root(q, p, bracket) == 0 for q in parts)
+                assert poly.vanish_at_root(parts, p, bracket) == want, (p._nums, [q._nums for q in parts], bracket)
+                assert poly.vanish_at_root(iter(parts), p, bracket) == want
+                verdicts.append(want)
+        assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100, (verdicts.count(True), len(verdicts))
+
+    def test_one_failing_part_first_or_last(self):
+        p = _product([Fraction(1, 3), 2], (3,))
+        vanishing = [p * Poly1([1, 2]), p * Fraction(5, 7), Poly1([])]
+        for bracket in isolate_positive_roots(p, Fraction(1, 2**30)):
+            failing = Poly1([-bracket.hi - 1, 1])  # x - hi - 1: no zero at the root
+            assert poly.vanish_at_root(vanishing, p, bracket)
+            assert not poly.vanish_at_root([failing, *vanishing], p, bracket)
+            assert not poly.vanish_at_root([*vanishing, failing], p, bracket)
+
+    def test_a_rational_non_dyadic_root_with_a_linear_gcd(self, monkeypatch):
+        """p = (3x - 1)(x^2 - 2)(x - 5): parts sharing only 3x - 1 with p
+        vanish at 1/3 and nowhere else, and the gcd is linear."""
+        p = _product([Fraction(1, 3), 5], (2,))
+        parts = [Poly1([-1, 3]) * Poly1([1, 1]), Poly1([-1, 3]) * Poly1([-4, 0, 1]) * Fraction(2, 9)]
+        counts = _counting(monkeypatch, "count_roots")
+        brackets = isolate_positive_roots(p, Fraction(1, 2**40))
+        counts.clear()
+        got = [poly.vanish_at_root(parts, p, b) for b in brackets]
+        assert [b.lo < Fraction(1, 3) < b.hi for b in brackets] == [True, False, False]
+        assert got == [True, False, False]
+        assert [len(c[0]._nums) for c in counts] == [2, 2, 2]  # one count a bracket, of the linear gcd
+
+    def test_parts_all_zero_mod_p(self, monkeypatch):
+        """Multiples of p (and no parts at all) vanish, with no count."""
+        p = Poly1([-2, 0, 1]) * Poly1([-3, 1])
+        counts = _counting(monkeypatch, "count_roots")
+        brackets = isolate_positive_roots(p, Fraction(1, 2**64))
+        counts.clear()
+        for bracket in brackets:
+            assert poly.vanish_at_root([p * Poly1([1, 1, 1]), Poly1([]), p * p * Fraction(-3, 2)], p, bracket)
+            assert poly.vanish_at_root([], p, bracket)
+        assert counts == []
+
+    def test_exact_brackets_and_zero_p(self):
+        p = _product([1, 2])
+        one = RootInterval(Fraction(1), Fraction(1))
+        assert poly.vanish_at_root([Poly1([-1, 1]), p * p], p, one)
+        assert not poly.vanish_at_root([Poly1([-1, 1]), Poly1([-2, 1])], p, one)
+        with pytest.raises(ZeroDivisionError):
+            poly.vanish_at_root([Poly1([1])], Poly1([]), RootInterval(Fraction(1), Fraction(2)))

@@ -469,9 +469,10 @@ def test_the_pairings_sum_without_a_none_sentinel():
     assert _sites(lambda tree: _named(tree, _SENTINEL_HELPERS)) == []
 
 
-def test_every_algebraic_sign_goes_through_sign_at_root():
-    """The algebraic cycle check asks ``sign_at_root`` once per component
-    and reduces nothing mod the curve polynomial by hand."""
+def test_every_algebraic_vanishing_goes_through_poly():
+    """The algebraic cycle check asks ``poly.vanish_at_root`` once per
+    point, one gcd of the components' remainders and one Sturm count, and
+    reduces nothing mod the curve polynomial by hand."""
     assert _sites(lambda tree: _named(tree, _HAND_REMAINDERS), {"curves.py"}) == []
 
 
@@ -488,6 +489,35 @@ def test_the_sentinel_and_remainder_rules_see_their_forms():
                      "r = poly._primitive(p)\n"
                      "s = sign_at_root(q, p, u)\n")
     assert sorted(set(_named(tree, _HAND_REMAINDERS))) == [3, 5]
+
+
+def _floats(tree):
+    """Line numbers of a ``float(...)`` call, a ``sqrt(...)`` or
+    ``<module>.sqrt(...)`` call, and a power ``** 0.5``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) in ("float", "sqrt"):
+            yield node.lineno
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Constant) and node.right.value == 0.5):
+            yield node.lineno
+
+
+def test_no_module_computes_in_floating_point():
+    """The package is exact: roots are certified dyadic brackets, the
+    closed-form cells use ``math.isqrt``, and nothing converts to a float."""
+    assert _sites(_floats) == []
+
+
+def test_the_float_rule_sees_calls_roots_and_powers():
+    tree = ast.parse("a = float(x)\n"
+                     "b = math.sqrt(d)\n"
+                     "c = sqrt(d)\n"
+                     "e = d ** 0.5\n"
+                     "f = isqrt(d)\n"
+                     "g = math.isqrt(d) ** 2\n"
+                     "h = isinstance(x, float)\n"
+                     "i = x ** 5\n")
+    assert sorted(set(_floats(tree))) == [1, 2, 3, 4]
 
 
 def test_no_slope_names_twist():
