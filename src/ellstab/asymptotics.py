@@ -34,13 +34,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 
 from . import charges as charges_mod
 from .charges import ChargeKind
 from .curves import CurveConstraint, _whole_order, admissible_bracket, constraint_poly, expand_u
 from .errors import ConfigurationError, DimensionError, DomainError
-from .poly import Poly2, RootInterval, _isolated_roots, norm_mod_u, sign_at_root
+from .poly import Poly2, RootInterval, _isolated_roots, _monomial_product, norm_mod_u, sign_at_root
 from .ring import BaseGeometry, ChernVector, DivisorB, _contract, _kept, _q
 from .series import LaurentSeries, _product_floor
 
@@ -289,29 +289,39 @@ def _leading_cross(acm: AsymptoticCharge, acn: AsymptoticCharge) -> tuple:
 def _cross_products(g: BaseGeometry, kind: ChargeKind) -> tuple:
     """What a kind's cross tables need of g alone, kept by ``ring._kept``.
 
-    The products G_i H_j of the kind's germs (``charges._reduced_germs`` at
-    ``Poly2`` symbols, 1 first in both lists; product k = 4 i + j), as
-    their terms (b - a, a, k, n) for n u^a v^b over one den > 0, by the
-    parity of b - a and then by descending b - a (a product with the full
-    kind's zero x or n germ is the int 0, with none); the
+    The products G_i H_j of the kind's germs (1 first in both lists;
+    product k = 4 i + j), multiplied by integer convolution
+    (``poly._monomial_product``) of the germs' monomial rows kept on g
+    (``charges._germ_rows``, the full kind's flat rows), as their terms
+    (b - a, a, k, n) for n u^a v^b over one den > 0, the least (all the
+    products over den^2, content divided out), by the parity of b - a and
+    then by descending b - a (a product with the full kind's zero x or n
+    germ is empty, with none); the
     ``ring._contract`` table of the minors m_k = re_i(M) im_j(N) -
     im_j(M) re_i(N) of two classes' coefficients (``_class_coefficients``)
     on the products with terms, so that the cross of M and N is the sum of
     m_k G_i H_j over their dens; the largest and smallest b - a of each
     product (None for one with no terms); and the den."""
-    re, im = charges_mod._reduced_germs(g.h, Poly2.u(), Poly2.v(), kind is ChargeKind.FULL)
-    values = [Poly2._ints({(0, 0): 1}, 1), *im]
+    _, rows, gden = _kept(g, charges_mod._germ_rows, kind is ChargeKind.FULL)
+    re, im = rows[:2], rows[2:]
+    square = gden * gden
+    values = [({(0, 0): 1}, square), *((y, gden) for y in im)]  # each row with its factor to den^2
     for x in re:
-        values += [x, *(x * y if x and y else 0 for y in im)]
-    live = {k for k, x in enumerate(values) if x}
-    den = lcm(*(values[k]._den for k in live))
-    terms = sorted(((b - a, a, k, n * (den // values[k]._den)) for k in live
-                    for (a, b), n in values[k]._nums.items()), reverse=True)
+        values += [(x, gden), *((_monomial_product(x, y), 1) for y in im)]
+    terms = [(b - a, a, k, n * f) for k, (x, f) in enumerate(values) for (a, b), n in x.items() if n]
+    content = gcd(square, *(t[3] for t in terms))
+    if content != 1:
+        terms = [(s, a, k, n // content) for s, a, k, n in terms]
+    terms.sort(reverse=True)
+    spans: list = [[] for _ in values]
+    for s, _, k, _ in terms:
+        spans[k].append(s)
+    live = {k for k, s in enumerate(spans) if s}
     minors = [[(3 + j, 4 * i + j, 1) for j in range(4) if 4 * i + j in live] for i in range(3)]
     minors += [[(i, 4 * i + j, -1) for i in range(3) if 4 * i + j in live] for j in range(4)]
-    spans = [[b - a for a, b in x._nums] if k in live else None for k, x in enumerate(values)]
+    extents = [(s[0], s[-1]) if s else None for s in spans]
     by_parity = ([t for t in terms if t[0] % 2 == 0], [t for t in terms if t[0] % 2])
-    return by_parity, (minors, 1, len(values)), [(max(x), min(x)) if x else None for x in spans], den
+    return by_parity, (minors, 1, len(values)), extents, square // content
 
 
 class _CrossTable:

@@ -18,15 +18,19 @@ a kind's table to the class's numerators and its right factor
 denominator, at ``Fraction`` points and at ``Poly2`` symbols alike;
 ``asymptotics.charge_series`` builds the germs once per curve and order as
 ``LaurentSeries`` and combines each class with the same tables in one
-integer pass; ``asymptotics`` multiplies the germs pairwise at ``Poly2``
-symbols once per geometry, and its cross tables and cross polynomials sum
-the products with the integer minors of two classes' coefficients.
+integer pass.  At the symbols (u, vpar) the germs are read once per
+geometry as integer monomial rows (``_germ_rows``, the one place the
+``Poly2`` symbols are built); ``asymptotics`` multiplies them pairwise by
+integer convolution, and its cross tables and cross polynomials sum the
+products with the integer minors of two classes' coefficients.
 ``full_charge`` goes through ring products for any class and B-field.  The
 reduced charge also evaluates that path, on numerators, and insists it
 agrees with the closed form (``_checked_reduced_parts``), which guards the
-transcription of every intersection number used; ``prove_closed_form``
-does so once per geometry at symbolic (u, vpar), against the ring's
-structure constants.
+transcription of every intersection number used.  At the symbols both
+sides are integer matrices on the basis classes, kept per geometry
+(``_symbol_rows``): ``prove_closed_form`` compares them once, for every
+class, and a symbolic class combines them with its numerators
+(``_symbol_parts``), guarded as at a point.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
+from .curves import _omega_products, _theta_h_products
 from .errors import ComputationFault, DimensionError, DomainError
 from .fmt import _slots, phi
 from .poly import Poly2
@@ -50,6 +56,7 @@ from .ring import (
     _gram_ints,
     _kept,
     _numerators,
+    _point_constants,
     _structure_constants,
     _sum,
     _written,
@@ -262,24 +269,117 @@ def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
 
 
 def prove_closed_form(g: BaseGeometry) -> None:
-    """Check the reduced closed form against ring products at symbolic
-    (u, vpar) on the 2r + 4 basis classes, once per geometry (the mark is
-    kept by ``ring._kept``).  Both paths are linear in the class, so this
-    proves them equal for every class at every point, or raises
-    ``ComputationFault``: the ring's structure constants, which its products
-    apply at ``Poly2`` scalars as at Fraction points, against the closed
-    form."""
+    """Check the reduced closed form against ring products at the symbols
+    (u, vpar) for every class, once per geometry (the mark is kept by
+    ``ring._kept``), or raise ``ComputationFault``.  Both sides are linear
+    in the class and polynomial in (u, vpar), so they agree for every class
+    at every point exactly when their integer matrices on the basis classes
+    and monomials (``_symbol_rows``) do: one comparison, the closed form's
+    (the reduced table on the germs' rows) against the ring's (the ring's
+    structure constants on the kept products of Theta and pull(H)), with
+    no ``Poly2`` product."""
     _kept(g, _proved_closed_form)
 
 
 def _proved_closed_form(g: BaseGeometry) -> bool:
     """The check of ``prove_closed_form``, run; True once it passes."""
-    u, v = Poly2.u(), Poly2.v()
-    point = _germ_numerators(g.h, u, v), divisor_powers(g, DivisorX(u, g.hb_divisor.scale(v)))
-    dim = 2 * g.rank + 4
-    for k in range(dim):
-        _checked_reduced_parts(g, ChernVector._ints([int(i == k) for i in range(dim)], 1), point)
+    (closed, cden), (ring, rden), _ = _kept(g, _symbol_rows)
+    if closed.keys() != ring.keys() or any(n * rden != ring[key] * cden for key, n in closed.items()):
+        raise ComputationFault("reduced charge closed form disagrees with ring evaluation")
     return True
+
+
+def _germ_rows(g: BaseGeometry, flat: bool = False) -> tuple:
+    """``_reduced_germs`` at the symbols (u, vpar), ``flat`` as given, read
+    once per geometry (kept by ``ring._kept``) as integer monomial rows
+    {(i, j): n}, for n u^i vpar^j over one den > 0: (symbols, rows, den),
+    the rows of re's two germs and then im's three, an exact zero empty.
+    The one place where ``charges``, ``verify`` and ``asymptotics`` build
+    the ``Poly2`` symbols."""
+    u, v = Poly2.u(), Poly2.v()
+    re, im = _reduced_germs(g.h, u, v, flat)
+    germs = [*re, *im]
+    den = lcm(*(x._den for x in germs if x))
+    return (u, v), [({key: n * (den // x._den) for key, n in x._nums.items()} if x._den != den else x._nums)
+                    if x else {} for x in germs], den
+
+
+def _symbol_rows(g: BaseGeometry) -> tuple:
+    """The reduced charge at the symbols (u, vpar) of each basis class, kept
+    by ``ring._kept`` as integer matrices {(k, part, i, j): n}, the
+    u^i vpar^j coefficient of re (part 0) or im (part 1) on basis class k,
+    zeros dropped: (closed, ring, cube), each with its den.
+
+    closed: the reduced table (``_charge_table``) on the germs' rows
+    (``_germ_rows``), re and im each a constant plus coefficients times
+    germs, as ``_combined`` takes them.  ring: w^2 e_k / 2 and
+    w e_k - [k = 0] deg(w^3) / 6 for w = u Theta + vpar pull(H), as
+    ``_ring_parts`` pairs them: the point-class constants
+    (``ring._point_constants``) composed with the monomial rows of w and
+    w^2 on the left.  w^2 and deg(w^3) (cube, {(i, j): n}) are summed from the
+    products of Theta and pull(H) that the cycle identity keeps
+    (``curves._theta_h_products``, ``curves._omega_products``) in the ring
+    path's argument order, so they are exact for any structure constants."""
+    _, germs, gden = _kept(g, _germ_rows)
+    table, tden, _ = _kept(g, _charge_table, ChargeKind.REDUCED)
+    one = {(0, 0): gden}
+    units = [(part, germ) for part, germs in ((0, [one, *germs[:2]]), (1, [one, *germs[2:]])) for germ in germs]
+    closed: dict = {}  # output k's part and germ: re's constant and two, im's constant and three
+    for k, row in enumerate(table):
+        for _, out, c in row:
+            part, germ = units[out]
+            for (i, j), x in germ.items():
+                key = k, part, i, j
+                closed[key] = closed.get(key, 0) + c * x
+
+    theta, hb, (_, th, hh), n, _, _ = _kept(g, _theta_h_products)
+    t2, ht, oden, cube, m = _kept(g, _omega_products)
+    f, wden = oden // n, hb._den
+    points, pden, _ = _kept(g, _point_constants)
+    rden = lcm(2 * oden * pden, wden * pden, 6 * m)
+    cube = {(3 - j, j): c for j, c in enumerate(cube) if c}
+    ring = {(0, 1, i, j): -c * (rden // (6 * m)) for (i, j), c in cube.items()}
+    for part, scale, powers in (  # the monomial rows of w^2 over oden and of w over wden, as classes
+            (0, rden // (2 * oden * pden), {(2, 0): t2, (1, 1): [x * f + y for x, y in zip(th, ht)],
+                                            (0, 2): [x * f for x in hh]}),
+            (1, rden // (wden * pden), {(1, 0): [x * wden for x in theta._nums], (0, 1): hb._nums})):
+        for (i, j), left in powers.items():  # composed with the point-class constants, left factor first
+            for a, prow in zip(left, points):
+                if a:
+                    for k, _, c in prow:
+                        key = k, part, i, j
+                        ring[key] = ring.get(key, 0) + scale * a * c
+    return (_nonzero(closed), tden * gden), (_nonzero(ring), rden), (cube, m)
+
+
+def _nonzero(matrix: dict) -> dict:
+    """A monomial row or matrix with its zero entries dropped."""
+    return {key: n for key, n in matrix.items() if n}
+
+
+def _applied(matrix: dict, nums) -> list:
+    """An integer matrix of ``_symbol_rows`` applied to a class's
+    numerators: the monomial rows (re, im), zeros dropped."""
+    parts: list = [{}, {}]
+    for (k, part, i, j), n in matrix.items():
+        x = nums[k]
+        if x:
+            row = parts[part]
+            row[i, j] = row.get((i, j), 0) + x * n
+    return [_nonzero(row) for row in parts]
+
+
+def _symbol_parts(g: BaseGeometry, v: ChernVector) -> tuple:
+    """The reduced closed form of a rational class v at the symbols
+    (u, vpar), as monomial rows (re, im) over one den: the closed matrix of
+    ``_symbol_rows`` applied to v's numerators, after checking it against
+    the ring matrix applied to them, as ``_checked_reduced_parts`` does at
+    a point; a mismatch raises, since it can only be a coding fault."""
+    (closed, cden), (ring, rden), _ = _kept(g, _symbol_rows)
+    parts = _applied(closed, v._nums)
+    if [{key: n * rden for key, n in row.items()} for row in parts] != _applied(ring, [x * cden for x in v._nums]):
+        raise ComputationFault("reduced charge closed form disagrees with ring evaluation")
+    return parts, cden * v._den
 
 
 def full_charge(g: BaseGeometry, v: ChernVector, omega: DivisorX, B: DivisorX) -> ChargeValue:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .errors import ConfigurationError, CurveDomainError
 from .poly import (
@@ -43,23 +43,20 @@ from .poly import (
     RootInterval,
     _cauchy_bound,
     _grid,
+    _isolates_one_root,
     _positive,
     _refined,
-    count_roots,
     reduce_mod_u,
     vanish_at_root,
 )
 from .ring import (
     BaseGeometry,
     ChernVector,
-    DivisorX,
-    _degree_numerator,
-    _divided,
+    _contract,
     _kept,
     _over_common_denominator,
+    _point_constants,
     _q,
-    degree,
-    divisor_vector,
     mul,
 )
 from .series import LaurentSeries
@@ -325,7 +322,7 @@ def _fixed_cycles(g: BaseGeometry, c: TiltCurve) -> tuple[ChernVector, ChernVect
     theta, obar^2 and the degree of theta obar^2, each summed on numerators
     as a^2, 2ab and b^2 times the products of Theta and pull(H) that
     ``_theta_h_products`` keeps on g."""
-    theta, (t2, th, hh), n, (e1, e2, e3), m = _kept(g, _theta_h_products)
+    theta, _, (t2, th, hh), n, (e1, e2, e3), m = _kept(g, _theta_h_products)
     (an, ad), (bn, bd) = (c.a.numerator, c.a.denominator), (c.b.numerator, c.b.denominator)
     ca, cab, cb, den = an * an * bd * bd, 2 * an * bn * ad * bd, bn * bn * ad * ad, ad * ad * bd * bd
     left = [ca * x + cab * y for x, y in zip(t2, th)]
@@ -335,14 +332,27 @@ def _fixed_cycles(g: BaseGeometry, c: TiltCurve) -> tuple[ChernVector, ChernVect
 
 
 def _theta_h_products(g: BaseGeometry) -> tuple:
-    """Theta, the numerators of Theta^2, Theta pull(H) and pull(H)^2 over
-    one denominator n, and of their degrees against Theta over m."""
-    theta = divisor_vector(g, DivisorX(1, g.zero_divisor()))
-    hb = divisor_vector(g, DivisorX(0, g.hb_divisor))
+    """Theta (the basis class, over 1) and pull(H) as vectors, the
+    numerators of Theta^2, Theta pull(H) and pull(H)^2 over one denominator
+    n, and of their degrees against Theta over m."""
+    hn, hd = _over_common_denominator(g.hb)
+    theta = ChernVector._ints([0, 1, *[0] * (2 * g.rank + 2)], 1)  # the basis class Theta
+    hb = ChernVector._ints([0, 0, *hn, *[0] * (g.rank + 2)], hd)  # pull(H)
     products = [mul(g, theta, theta), mul(g, theta, hb), mul(g, hb, hb)]
     n = lcm(*(v._den for v in products))
-    degrees, m = _over_common_denominator([degree(g, theta, v) for v in products])
-    return theta, [[t * (n // v._den) for t in v._nums] for v in products], n, degrees, m
+    rows = [[t * (n // v._den) for t in v._nums] for v in products]
+    return theta, hb, rows, n, *_pairings(g, [(theta._nums, row) for row in rows], n)
+
+
+def _pairings(g: BaseGeometry, pairs: list, den: int) -> tuple[list, int]:
+    """deg(x y) for the pairs (x, y) of numerators over one common den, x on
+    the left as ``ring._degree_numerator`` pairs them: integers over their
+    least common denominator, as ``ring._over_common_denominator`` gives."""
+    points = _kept(g, _point_constants)
+    totals = [_contract(points, (x, 1), (y, 1))[0][0] for x, y in pairs]
+    den *= points[1]
+    content = gcd(den, *totals)
+    return [t // content for t in totals], den // content
 
 
 def _omega_products(g: BaseGeometry) -> tuple:
@@ -352,17 +362,20 @@ def _omega_products(g: BaseGeometry) -> tuple:
     summed from the products of Theta and pull(H) (``_theta_h_products``
     and pull(H) Theta) in the ring path's argument order, so exact for any
     structure constants."""
-    theta, (t2, th, hh), n, _, _ = _kept(g, _theta_h_products)
-    hb = divisor_vector(g, DivisorX(0, g.hb_divisor))
+    theta, hb, (t2, th, hh), n, _, _ = _kept(g, _theta_h_products)
     h_theta = mul(g, hb, theta)
-    squares = (ChernVector._ints(t2, n), ChernVector._ints(th, n), h_theta, ChernVector._ints(hh, n))
-    cube = [Fraction(0)] * 4  # square q is X_a X_b for (a, b) = divmod(q, 2), X_0 = Theta, X_1 = pull(H)
-    for q, square in enumerate(squares):
-        for c, x in enumerate((theta, hb)):
-            cube[sum(divmod(q, 2)) + c] += _divided(*_degree_numerator(g, square, x))
-    cube, m = _over_common_denominator(cube)
     den = lcm(n, h_theta._den)
-    return [x * (den // n) for x in t2], [x * (den // h_theta._den) for x in h_theta._nums], den, cube, m
+    squares = [[x * (den // n) for x in t2], [x * (den // n) for x in th],
+               [x * (den // h_theta._den) for x in h_theta._nums], [x * (den // n) for x in hh]]
+    xs = [[t * hb._den for t in theta._nums], hb._nums]  # Theta (over 1) and pull(H) over hb's den
+    # square q is X_a X_b for (a, b) = divmod(q, 2), X_0 = Theta, X_1 = pull(H)
+    degrees, m = _pairings(g, [(square, x) for square in squares for x in xs], den * hb._den)
+    cube = [0] * 4
+    for i, d in enumerate(degrees):
+        q, c = divmod(i, 2)
+        cube[sum(divmod(q, 2)) + c] += d
+    content = gcd(m, *cube)
+    return squares[0], squares[2], den, [x // content for x in cube], m // content
 
 
 def _cycle_numerators(g: BaseGeometry, c: TiltCurve) -> tuple:
@@ -394,8 +407,10 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
     ``_cycle_numerators`` cross-multiplied, so the result is True precisely
     on zeros of the constraint polynomial p.  A bracketed algebraic u must
     isolate one root of p at vpar, with neither end a root, or
-    ``CurveDomainError`` is raised; then ``poly.vanish_at_root`` decides
-    whether every component of the difference vanishes at that root: the
+    ``CurveDomainError`` is raised (``poly._isolates_one_root``: one
+    squarefree Sturm chain, its head read at both ends); then
+    ``poly.vanish_at_root`` decides whether every component of the
+    difference vanishes at that root: the
     components' remainders mod p fold into one gcd with p, and one Sturm
     count of that gcd on the bracket, when it is neither constant nor p,
     answers.
@@ -404,7 +419,7 @@ def chow_identity_check(g: BaseGeometry, c: TiltCurve, u, vpar) -> bool:
         raise ConfigurationError("curve and geometry disagree on h")
     if isinstance(u, RootInterval) and not u.exact:
         p = _curve_row(c, _q(vpar))
-        if p(u.lo) == 0 or p(u.hi) == 0 or count_roots(p, u.lo, u.hi) != 1:
+        if not _isolates_one_root(p, u.lo, u.hi):
             raise CurveDomainError("bracket does not isolate a single root of the curve")
         return vanish_at_root((part.eval_v(vpar) for part in _symbolic_difference_parts(g, c)), p, u)
     if isinstance(u, RootInterval):

@@ -228,6 +228,23 @@ def count_roots(p: Poly1, lo: Fraction, hi: Fraction, chain=None) -> int:
             - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
+def _isolates_one_root(p: Poly1, lo: Fraction, hi: Fraction) -> bool:
+    """Whether (lo, hi] holds exactly one root of p and neither end is a
+    root, on one squarefree chain: its head, which has p's roots, is read
+    at each end first, and a zero there is a root at that end."""
+    chain = _squarefree_chain(p)
+    if not chain:
+        return False  # p = 0: every point is a root
+    variations = []
+    for x in (lo, hi):
+        n, d = x.numerator, x.denominator
+        head = _horner(chain[0], n, d)
+        if not head:
+            return False
+        variations.append(_variations_after(head, chain, n, d))
+    return variations[0] - variations[1] == 1
+
+
 def sign_at_root(q: Poly1, p: Poly1, bracket: RootInterval) -> int:
     """Exact sign of q at the one root of p in a bracket: lo itself when the
     bracket is exact, else the one root inside ends that are not roots of p.
@@ -634,12 +651,7 @@ class Poly2(_IntegerForm):
 
     def __mul__(self, other):
         if isinstance(other, Poly2):
-            out: dict = {}
-            for (i1, j1), a in self._nums.items():
-                for (i2, j2), b in other._nums.items():
-                    key = (i1 + i2, j1 + j2)
-                    out[key] = out[key] + a * b if key in out else a * b
-            return Poly2._ints(out, self._den * other._den)
+            return Poly2._ints(_monomial_product(self._nums, other._nums), self._den * other._den)
         if isinstance(other, _RATIONAL):
             return self._times(other.numerator, other.denominator)
         return NotImplemented
@@ -667,6 +679,17 @@ class Poly2(_IntegerForm):
         return max((i for (i, _) in self._nums), default=-1)
 
 
+def _monomial_product(a: dict, b: dict) -> dict:
+    """The product of two integer monomial rows {(i, j): n} (n u^i v^j),
+    by convolution; a term that cancels stays, as a zero."""
+    out: dict = {}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out[key] + x * y if key in out else x * y
+    return out
+
+
 def reduce_mod_u(dividend: Poly2, divisor: Poly2) -> Poly2:
     """Remainder of dividend modulo divisor, eliminating the variable u.
 
@@ -675,19 +698,24 @@ def reduce_mod_u(dividend: Poly2, divisor: Poly2) -> Poly2:
     elimination step to divide exactly in Q[v]; raises if it cannot (which
     never happens for the identities this package reduces).
     """
-    p = _urows(divisor)
+    return _reduced_mod_u(dividend._nums, dividend._den, divisor)
+
+
+def _reduced_mod_u(nums: dict, den: int, divisor: Poly2) -> Poly2:
+    """``reduce_mod_u`` of the dividend held as integers, its nonzero
+    numerators nums over den: one ``Poly2``, the remainder."""
+    p = _urows(divisor._nums)
     if not p:
         raise ZeroDivisionError("reduction modulo the zero polynomial")
-    rows, scale = _reduced_rows(_urows(dividend), p)
-    return Poly2._ints({(i, j): n for i, row in enumerate(rows) for j, n in enumerate(row) if n},
-                       dividend._den * scale)
+    rows, scale = _reduced_rows(_urows(nums), p)
+    return Poly2._ints({(i, j): n for i, row in enumerate(rows) for j, n in enumerate(row) if n}, den * scale)
 
 
-def _urows(p: Poly2) -> list[list[int]]:
-    """The numerators of p by u-row: rows[i][j] at u^i v^j, each row
-    ascending in v and free of trailing zeros, the top row nonzero."""
-    rows: list[list[int]] = [[] for _ in range(p.udegree() + 1)]
-    for (i, j), n in p._nums.items():
+def _urows(nums: dict) -> list[list[int]]:
+    """Nonzero numerators {(i, j): n} by u-row: rows[i][j] at u^i v^j, each
+    row ascending in v and free of trailing zeros, the top row nonzero."""
+    rows: list[list[int]] = [[] for _ in range(max((i for i, _ in nums), default=-1) + 1)]
+    for (i, j), n in nums.items():
         row = rows[i]
         if len(row) <= j:
             row.extend([0] * (j + 1 - len(row)))
@@ -764,7 +792,7 @@ def norm_mod_u(x: Poly2, p: Poly2) -> Poly1:
     Q(v).  All of it runs on integer u-rows (``_reduced_rows``), each
     reduction and the d x d determinant up to a positive factor.
     """
-    prows = _urows(p)
+    prows = _urows(p._nums)
     d = len(prows) - 1
     if d < 1:
         raise ZeroDivisionError("norm modulo a polynomial free of u")
@@ -777,7 +805,7 @@ def norm_mod_u(x: Poly2, p: Poly2) -> Poly1:
                 rows = [_convolve(row, unit) for row in rows]
         return _reduced_rows(rows, prows)[0]
 
-    y = reduced(_urows(x))
+    y = reduced(_urows(x._nums))
     matrix = [y]
     for _ in range(d - 1):
         y = reduced([[]] + y)

@@ -268,8 +268,12 @@ class BaseGeometry:
     (``_half_canonical_bfield``, ``_half_canonical_exp``), the classes that
     slopes pair with (``slopes._FIXED``) and the parameterless kinds' pairs
     of them, the products of ``curves._fixed_cycles`` and of the cycle
-    identity's omega side (``_theta_h_products``, ``_omega_products``), each
-    charge kind's products of its germs at symbols
+    identity's omega side (``_theta_h_products``, ``_omega_products``), the
+    reduced charge's germs at the symbols (u, v) as integer monomial rows,
+    read once at ``Poly2`` symbols (``charges._germ_rows``, flat or not),
+    the closed form's and the ring's integer matrices at the symbols on
+    each basis class (``charges._symbol_rows``), each charge kind's
+    products of its germs by integer convolution of those rows
     (``asymptotics._cross_products``) and the mark of
     ``charges.prove_closed_form`` once it has run on g.
     """

@@ -18,12 +18,13 @@ from functools import lru_cache
 from math import lcm
 
 from .asymptotics import ChargeKind, _check_rational, _cross_coefficients, _germ_verdict
-from .charges import _checked_reduced_parts, _point
+from .charges import _checked_reduced_parts, _germ_rows, _point, _symbol_parts, _symbol_rows
 from .curves import OneDimCurve, TiltCurve, _fixed_cycles, constraint_poly
 from .errors import ComputationFault, DimensionError, DomainError
 from .fmt import _a3_table, phi
-from .poly import Poly2, reduce_mod_u
+from .poly import Poly2, _reduced_mod_u
 from .ring import (
+    _RATIONAL,
     BaseGeometry,
     ChernVector,
     DivisorB,
@@ -45,36 +46,64 @@ def _im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -
     """The two sides of the imaginary-part identity, both scaled by
     Theta.Obar^2: the left through the transform and the ring-checked
     reduced charge, the right from the twisted degree-one pairing against
-    the fixed polarization Obar = a Theta + b pull(H).  The point's germ
-    numerators and the powers of w are built once per point, Obar^2 and
-    Theta.Obar^2 once per curve.  Every term is an integer contraction on
-    numerators: the reduced charge (``charges._checked_reduced_parts``),
-    Obar^2 . ch1^B (``ring._degree_numerator`` on the class twisted by the
-    half-canonical field) and a3(e) (the kept row ``fmt._a3_table``); a
-    value is built only for each side."""
-    if g.h != c.h:
-        raise DomainError("curve and geometry disagree on h")
-    point = _polarization_powers(g, u, vpar)
+    the fixed polarization Obar = a Theta + b pull(H).  At a rational point
+    the germ numerators and the powers of w are built once per point, Obar^2
+    and Theta.Obar^2 once per curve, and every term is an integer
+    contraction on numerators: the reduced charge
+    (``charges._checked_reduced_parts``) and ``_fixed_terms``.  At
+    the symbols (u, vpar) the sides are integer combinations of the
+    monomial rows kept per geometry (``_symbolic_sides``), one ``Poly2``
+    each.  A value is built only for each side."""
+    if type(u) is Poly2 and (u, vpar) == _kept(g, _germ_rows)[0]:
+        return tuple(Poly2._ints(*side) for side in _symbolic_sides(g, e, c))
+    tn, td, ch1b, ch1b_den, a3, a3_den = _fixed_terms(g, e, c)
+    rational = isinstance(u, _RATIONAL) and isinstance(vpar, _RATIONAL)
+    point = _polarization_powers(g, u, vpar) if rational else _point(g, u, vpar)
     _, (im, im_den) = _checked_reduced_parts(g, phi(g, e), point)
     om, _, (om3, om3_den) = point[1]
     un, ud = om._nums[1], om._den  # u, the Theta coordinate of w
-
-    _, _, obar2, theta_obar2 = _fixed_cycles(g, c)
-    tn, td = theta_obar2.numerator, theta_obar2.denominator
-    tw = mul(g, _kept(g, _half_canonical_exp), e)  # the twist by the half-canonical field
-    ch1b, ch1b_den = _degree_numerator(g, obar2, tw)
-    (a3,), a3_den = _contract(_kept(g, _a3_table), (e._nums, e._den), ((1,), 1))
     lhs = _divided(-im * tn, im_den * td)
     rhs = _divided(om3 * (ch1b * ud * a3_den * td) - un * (6 * om3_den * ch1b_den * a3 * tn),
                    6 * om3_den * ch1b_den * ud * a3_den * td)
     return lhs, rhs
 
 
-@lru_cache(maxsize=None, typed=True)
+def _fixed_terms(g: BaseGeometry, e: ChernVector, c: TiltCurve) -> tuple:
+    """What the identity reads of e and the curve apart from the point, as
+    integers: Theta.Obar^2 (tn / td), Obar^2 . ch1^B (``ring._degree_numerator``
+    on e twisted by the half-canonical field) and a3(e) (the kept row
+    ``fmt._a3_table``), each as numerator and den.  A curve of another h
+    raises ``DomainError``."""
+    if g.h != c.h:
+        raise DomainError("curve and geometry disagree on h")
+    _, _, obar2, theta_obar2 = _fixed_cycles(g, c)
+    tw = mul(g, _kept(g, _half_canonical_exp), e)  # the twist by the half-canonical field
+    ch1b, ch1b_den = _degree_numerator(g, obar2, tw)
+    (a3,), a3_den = _contract(_kept(g, _a3_table), (e._nums, e._den), ((1,), 1))
+    return theta_obar2.numerator, theta_obar2.denominator, ch1b, ch1b_den, a3, a3_den
+
+
+def _symbolic_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve) -> tuple:
+    """The two sides at the symbols (u, vpar) for a rational e, each as
+    (monomial row, den): the left is -Theta.Obar^2 times the reduced
+    charge's im of the transform, its ring guard included
+    (``charges._symbol_parts``), the right deg(w^3) / 6 (the kept rows of
+    ``charges._symbol_rows``) times Obar^2 . ch1^B, minus u a3(e)
+    Theta.Obar^2.  A class that is not rational raises ``DomainError``."""
+    tn, td, ch1b, ch1b_den, a3, a3_den = _fixed_terms(g, e, c)
+    _check_rational(e)
+    (_, im), den = _symbol_parts(g, phi(g, e))
+    cube, m = _kept(g, _symbol_rows)[2]
+    rhs = {key: x * ch1b * a3_den * td for key, x in cube.items() if ch1b}
+    if a3:
+        rhs[1, 0] = -6 * m * ch1b_den * a3 * tn  # u, a monomial that deg(w^3) has not
+    return ({key: -x * tn for key, x in im.items()}, den * td), (rhs, 6 * m * ch1b_den * a3_den * td)
+
+
+@lru_cache(maxsize=None)
 def _polarization_powers(g: BaseGeometry, u, vpar) -> tuple:
-    """``charges._point`` at (u, vpar): the germ numerators and the
-    ``ring.divisor_powers`` of w = u Theta + vpar pull(H); typed, so that a
-    constant ``Poly2`` point keeps its scalar type."""
+    """``charges._point`` at a rational (u, vpar): the germ numerators and
+    the ``ring.divisor_powers`` of w = u Theta + vpar pull(H)."""
     return _point(g, u, vpar)
 
 
@@ -98,11 +127,17 @@ def im_identity_symbolic_remainders(g: BaseGeometry, e: ChernVector, c: TiltCurv
 
     The difference, cleared of its constant denominator, is a polynomial
     multiple of the constraint polynomial; the returned remainders are zero
-    exactly when the identity holds on the whole curve.  A curve of another
-    h raises ``DomainError``.
+    exactly when the identity holds on the whole curve.  The sides are the
+    integer rows of ``_symbolic_sides``, and their difference is reduced
+    on integer u-rows (``poly._reduced_mod_u``), one ``Poly2`` built.  A
+    curve of another h raises ``DomainError``, a class that is not rational
+    ``DomainError``.
     """
-    lhs, rhs = _im_identity_sides(g, e, c, Poly2.u(), Poly2.v())
-    return [reduce_mod_u(lhs - rhs, constraint_poly(c))]
+    (lhs, lden), (rhs, rden) = _symbolic_sides(g, e, c)
+    diff = {key: n * rden for key, n in lhs.items()}
+    for key, n in rhs.items():
+        diff[key] = diff.get(key, 0) - n * lden
+    return [_reduced_mod_u({key: n for key, n in diff.items() if n}, lden * rden, constraint_poly(c))]
 
 
 def threshold_equiv_check(

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -1508,6 +1509,51 @@ def _reference_cross_poly(g, m, n, kind=ChargeKind.REDUCED, d=None):
     return zm[0] * zn[1] - zm[1] * zn[0]
 
 
+def _reference_cross_products(g: BaseGeometry, kind: ChargeKind) -> tuple:
+    """``asymptotics._cross_products`` as written before the germ rows were
+    kept on the geometry, kept verbatim as its reference: the germs'
+    products taken at ``Poly2`` symbols."""
+    re, im = charges._reduced_germs(g.h, Poly2.u(), Poly2.v(), kind is ChargeKind.FULL)
+    values = [Poly2._ints({(0, 0): 1}, 1), *im]
+    for x in re:
+        values += [x, *(x * y if x and y else 0 for y in im)]
+    live = {k for k, x in enumerate(values) if x}
+    den = lcm(*(values[k]._den for k in live))
+    terms = sorted(((b - a, a, k, n * (den // values[k]._den)) for k in live
+                    for (a, b), n in values[k]._nums.items()), reverse=True)
+    minors = [[(3 + j, 4 * i + j, 1) for j in range(4) if 4 * i + j in live] for i in range(3)]
+    minors += [[(i, 4 * i + j, -1) for i in range(3) if 4 * i + j in live] for j in range(4)]
+    spans = [[b - a for a, b in x._nums] if k in live else None for k, x in enumerate(values)]
+    by_parity = ([t for t in terms if t[0] % 2 == 0], [t for t in terms if t[0] % 2])
+    return by_parity, (minors, 1, len(values)), [(max(x), min(x)) if x else None for x in spans], den
+
+
+class TestCrossProducts:
+    def test_equal_the_poly2_products(self):
+        """The products by integer convolution of the kept germ rows are
+        the reference's, tuple for tuple, for both kinds on every lattice
+        the table writers are pinned on."""
+        for g in table_geometries():
+            for kind in (ChargeKind.REDUCED, ChargeKind.FULL):
+                assert asymptotics._cross_products(g, kind) == _reference_cross_products(g, kind), (g, kind)
+
+    def test_a_cold_build_makes_one_germ_read(self, monkeypatch):
+        """A fresh geometry reads each kind's germs once, at the symbols
+        (counted at ``charges._reduced_germs``), and builds no ``Poly2``
+        after that read (counted at ``Poly2._store``)."""
+        germs, built = [], []
+        read, store = charges._reduced_germs, Poly2._store
+        monkeypatch.setattr(charges, "_reduced_germs", lambda *a: germs.append(a[-1]) or read(*a))
+        monkeypatch.setattr(Poly2, "_store", lambda self, *form: built.append(1) or store(self, *form))
+        for g in fresh_geometries():
+            for kind in (ChargeKind.REDUCED, ChargeKind.FULL):
+                ring._kept(g, charges._germ_rows, kind is ChargeKind.FULL)
+                built.clear()
+                asymptotics._cross_products(g, kind)
+                assert built == []
+        assert germs == [False, True] * len(fresh_geometries())
+
+
 class TestCrossPolynomial:
     """Scans and signs through the cross polynomial equal evaluation of the
     charges point by point."""
@@ -1580,26 +1626,25 @@ class TestCrossPolynomial:
         assert walls >= 4
 
     def test_guard_is_proved_once_per_geometry(self, monkeypatch):
-        """The first cross polynomial on a geometry runs the ring path on
-        the 2r + 4 basis classes; later ones make no ring product at
-        symbolic scalars."""
-        ring_parts = []
-        original_parts = charges._ring_parts
-        monkeypatch.setattr(charges, "_ring_parts",
-                            lambda *a: ring_parts.append(1) or original_parts(*a))
+        """The first cross polynomial on a geometry runs the proof of the
+        closed form (``charges._proved_closed_form``, one comparison of
+        integer matrices) and later ones do not; none makes a ring product
+        at symbolic scalars."""
+        proofs = []
+        original = charges._proved_closed_form
+        monkeypatch.setattr(charges, "_proved_closed_form", lambda g: proofs.append(1) or original(g))
         products = count_symbolic_products(monkeypatch)
         rng = random.Random(41)
         for rank, gram, hb in ((1, [[1]], [1]), (2, [[2, 3], [3, -1]], [1, 2])):
             g = BaseGeometry(rank, gram, hb, Fraction(-1, 2), 0, 1)
             m, n, dd = _rand_vector(rng, rank), _rand_vector(rng, rank), _rand_divisor(rng, rank)
             asymptotics._cross_poly(g, m, n, ChargeKind.REDUCED, None)
-            assert len(ring_parts) == 2 * rank + 4
-            ring_parts.clear()
-            products.clear()
+            assert len(proofs) == 1
+            proofs.clear()
             for kind in (ChargeKind.REDUCED, ChargeKind.FULL):
                 asymptotics._cross_poly(g, n, m, kind, dd)
                 asymptotics._cross_poly(g, m, m.scale(2), kind, None)
-            assert ring_parts == [] and products == []
+            assert proofs == [] and products == []
 
     def test_a_warm_reduced_cross_polynomial_builds_no_germ(self, monkeypatch):
         self._builds_no_warm_germ(ChargeKind.REDUCED, monkeypatch)

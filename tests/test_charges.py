@@ -93,19 +93,101 @@ class TestReducedCharge:
                     assert (re.eval(u, vp), im.eval(u, vp)) == (full.re, full.im)
 
 
+def _reference_proved_closed_form(g: BaseGeometry) -> bool:
+    """``charges._proved_closed_form`` as written before the integer record,
+    kept verbatim as its reference: the ring path on the 2r + 4 basis
+    classes at ``Poly2`` symbols."""
+    u, v = Poly2.u(), Poly2.v()
+    point = _germ_numerators(g.h, u, v), divisor_powers(g, DivisorX(u, g.hb_divisor.scale(v)))
+    dim = 2 * g.rank + 4
+    for k in range(dim):
+        _checked_reduced_parts(g, ChernVector._ints([int(i == k) for i in range(dim)], 1), point)
+    return True
+
+
+def _bumped_constant(i: int, n: int):
+    """The structure constant writer with entry n of row i one larger."""
+    original = ring._structure_constants
+
+    def mutant(g):
+        rows, den, width = original(g)
+        rows = [list(row) for row in rows]
+        j, k, c = rows[i][n]
+        rows[i][n] = (j, k, c + den)
+        return rows, den, width
+
+    return mutant
+
+
+def _faults(check, g) -> bool:
+    try:
+        check(g)
+    except ComputationFault:
+        return True
+    return False
+
+
 class TestProveClosedForm:
-    def test_builds_each_polarization_power_once(self, monkeypatch):
-        """On a fresh geometry the proof makes 2 + 2(2r + 4) products at
-        Poly2 scalars (w^2 and w^3 once, then two per basis class), and a
-        second call makes none."""
+    def test_a_cold_proof_makes_no_poly2_product(self, monkeypatch):
+        """On a fresh geometry the proof applies no table at Poly2 scalars
+        (``ring._contract``, which ``mul`` and ``degree`` run): it compares
+        two integer matrices, and only the germs are read at the symbols."""
         calls = count_symbolic_products(monkeypatch)
-        for rank, gram, hb, want in ((1, [[1]], [1], 14), (2, [[2, 3], [3, -1]], [1, 2], 18)):
+        for rank, gram, hb in ((1, [[1]], [1]), (2, [[2, 3], [3, -1]], [1, 2])):
             g = BaseGeometry(rank, gram, hb, Fraction(-1, 2), 0, 1)
-            calls.clear()
             prove_closed_form(g)
-            assert len(calls) == want
             prove_closed_form(g)
-            assert len(calls) == want
+            assert calls == []
+
+    def test_agrees_with_the_reference(self):
+        """Both proofs pass on every lattice the table writers are pinned
+        on, and the record's two matrices are the closed form and the ring
+        path at the symbols, basis class by basis class."""
+        usym, vsym = Poly2.u(), Poly2.v()
+        for g in table_geometries():
+            assert _reference_proved_closed_form(g)
+            prove_closed_form(g)
+            (closed, cden), (ring_side, rden), (cube, m) = ring._kept(g, charges._symbol_rows)
+            powers = divisor_powers(g, DivisorX(usym, g.hb_divisor.scale(vsym)))
+            assert Poly2._ints(cube, m) == ring._divided(*powers[2])
+            dim = 2 * g.rank + 4
+            for k in range(dim):
+                e = ChernVector._ints([int(i == k) for i in range(dim)], 1)
+                want = _reduced_numerators(g, e, _germ_numerators(g.h, usym, vsym))
+                ring_want = _ring_parts(g, e, powers)
+                for (matrix, den), parts in (((closed, cden), want), ((ring_side, rden), ring_want)):
+                    for part in (0, 1):
+                        got = {(i, j): n for (kk, p, i, j), n in matrix.items() if (kk, p) == (k, part)}
+                        assert Poly2._ints(got, den) == ring._divided(*parts[part])
+
+    def test_a_bumped_structure_constant_faults_where_the_reference_does(self, monkeypatch):
+        """Each of the 59 structure constants at h = -1, rank 1 and at
+        h = 1/2, rank 2, one larger on a fresh geometry, makes the integer
+        proof raise exactly where the reference raises: on 23 of them (the
+        products with the rank coordinate n, which w, ch1 and ch2 never
+        carry as a factor, and at rank 2 those along the second basis
+        vector, off hb = (1, 0), escape both)."""
+        caught = []
+        for lattice in ((1, [[1]], [1], Fraction(-1)), (2, [[2, 1], [1, 3]], [1, 0], Fraction(1, 2))):
+            rows = ring._structure_constants(BaseGeometry(*lattice))[0]
+            for i, row in enumerate(rows):
+                for n in range(len(row)):
+                    monkeypatch.setattr(ring, "_structure_constants", _bumped_constant(i, n))
+                    want = _faults(_reference_proved_closed_form, BaseGeometry(*lattice))
+                    assert _faults(prove_closed_form, BaseGeometry(*lattice)) == want, (lattice, i, row[n])
+                    monkeypatch.undo()
+                    caught.append(want)
+        assert (len(caught), sum(caught)) == (59, 23)
+
+    def test_a_mismatch_raises_on_every_call(self, monkeypatch):
+        """A wrong reduced table entry (im's coefficient on u, a, read as
+        a + s) makes the proof raise on every call, as the reference does."""
+        monkeypatch.setattr(charges, "_reduced_table", _with_entry(charges._reduced_table, -1, 5))
+        g = BaseGeometry(1, [[1]], [1], Fraction(-1), 0, 1)
+        for _ in range(2):
+            with pytest.raises(ComputationFault):
+                prove_closed_form(g)
+        assert _faults(_reference_proved_closed_form, BaseGeometry(1, [[1]], [1], Fraction(-1), 0, 1))
 
 
 class TestFullCharge:

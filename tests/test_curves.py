@@ -723,6 +723,37 @@ class TestChowIdentity:
             chow_identity_check(geometry_for(0, rank2), TiltCurve(0, 1, 2), bracket, 4)
 
 
+class TestAlgebraicBracket:
+    """The algebraic cycle check refuses a bracket that does not isolate
+    one root of the curve polynomial with neither end a root, on one
+    squarefree Sturm chain (``poly._isolates_one_root``)."""
+
+    @pytest.mark.parametrize("rank2", [False, True])
+    def test_an_end_at_a_root(self, rank2):
+        c = TiltCurve(Fraction(1, 2), 1, 2)
+        root = solve_u(c, 1, Fraction(1, 2**16))
+        p = curves._curve_row(c, Fraction(1))
+        lo = Fraction(1, 3)  # p is a positive multiple of 3u^3 + 18u^2 - 14u - 100 at v = 1
+        assert p(lo) != 0 and count_roots(p, lo, root.hi) == 1
+        g = geometry_for(Fraction(1, 2), rank2)
+        assert chow_identity_check(g, c, RootInterval(lo, root.hi), 1)
+        line = TiltCurve(0, 1, 2)  # u = 1/2 at v = 4
+        for bracket in (RootInterval(Fraction(1, 2), Fraction(1)), RootInterval(Fraction(1, 4), Fraction(1, 2))):
+            with pytest.raises(CurveDomainError):
+                chow_identity_check(geometry_for(0, rank2), line, bracket, 4)
+
+    @pytest.mark.parametrize("rank2", [False, True])
+    def test_two_roots_or_none(self, rank2):
+        c = TiltCurve(Fraction(1, 2), 1, 2)
+        p = curves._curve_row(c, Fraction(1))
+        g = geometry_for(Fraction(1, 2), rank2)
+        two, none = RootInterval(Fraction(-3), Fraction(3)), RootInterval(Fraction(3), Fraction(4))
+        assert count_roots(p, two.lo, two.hi) == 2 and count_roots(p, none.lo, none.hi) == 0
+        for bracket in (two, none):
+            with pytest.raises(CurveDomainError):
+                chow_identity_check(g, c, bracket, 1)
+
+
 def _reference_algebraic_chow(parts, c, u: RootInterval, vpar) -> bool:
     """The algebraic verdict as first computed: each part at v reduced mod
     the curve polynomial by long division over Fraction, and the sum of

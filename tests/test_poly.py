@@ -1044,6 +1044,40 @@ class TestStrippedIsolation:
         assert len(chains) == 2 and got
 
 
+def _reference_isolates_one_root(p, lo, hi) -> bool:
+    """The bracket check of the algebraic cycle identity as first written:
+    p at both ends by Fraction evaluation, then a Sturm count of (lo, hi]."""
+    return p(lo) != 0 and p(hi) != 0 and count_roots(p, lo, hi) == 1
+
+
+class TestIsolatesOneRoot:
+    """``_isolates_one_root``, one squarefree chain read at both ends,
+    against two evaluations of p and a Sturm count."""
+
+    def test_matches_the_reference(self):
+        rng = random.Random(95)
+        verdicts = []
+        for _ in range(200):
+            p = _random_poly(rng) if rng.random() < 0.95 else Poly1([])
+            points = [Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 8])) for _ in range(4)]
+            for b in isolate_positive_roots(p, Fraction(1, 2 ** rng.choice([1, 4, 16]))) if p else []:
+                points += [b.lo, b.hi, -b.hi]
+            for lo, hi in combinations(sorted(set(points)), 2):
+                got = poly._isolates_one_root(p, lo, hi)
+                assert got == _reference_isolates_one_root(p, lo, hi), (p._nums, lo, hi)
+                verdicts.append(got)
+        assert verdicts.count(True) >= 200 and verdicts.count(False) >= 200, (verdicts.count(True), len(verdicts))
+
+    def test_ends_at_roots_and_root_counts(self):
+        p = _product([Fraction(1, 3), 2, -1])
+        cases = {(Fraction(1, 3), 1): False, (0, Fraction(1, 3)): False, (0, 1): True,
+                 (Fraction(-3, 2), 1): False, (Fraction(1, 2), Fraction(3, 2)): False, (Fraction(3, 2), 3): True}
+        for (lo, hi), want in cases.items():
+            assert poly._isolates_one_root(p, Fraction(lo), Fraction(hi)) == want, (lo, hi)
+        assert not poly._isolates_one_root(Poly1([]), Fraction(0), Fraction(1))
+        assert not poly._isolates_one_root(Poly1([3]), Fraction(0), Fraction(1))
+
+
 class TestVanishAtRoot:
     """``vanish_at_root``, one gcd and one Sturm count, against one
     ``sign_at_root`` per polynomial."""

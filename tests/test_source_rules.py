@@ -458,6 +458,42 @@ def test_the_cross_route_rules_see_names_bindings_and_scopes():
     assert sorted(set(_named(tree, _RETIRED_CROSS_ROUTE))) == [2, 3, 13]
 
 
+def _builds_the_symbols_outside_the_reader(tree):
+    """Line numbers of a ``Poly2.u()`` or ``Poly2.v()`` call (``Poly2`` by
+    name or as a module attribute) outside the module-level
+    ``_germ_rows``."""
+    allowed = _inside(tree, lambda name, owner: owner is None and name == "_germ_rows")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("u", "v")
+                and getattr(node.func.value, "id", getattr(node.func.value, "attr", None)) == "Poly2"
+                and id(node) not in allowed):
+            yield node.lineno
+
+
+def test_the_symbols_are_built_by_one_kept_reader():
+    """``charges``, ``verify`` and ``asymptotics`` build the symbols (u, v)
+    only in ``charges._germ_rows``, which reads the germs there once per
+    geometry as integer rows: the closed-form proof, the symbolic
+    im-identity and the cross products are integer combinations of them."""
+    names = {"charges.py", "verify.py", "asymptotics.py"}
+    assert _sites(_builds_the_symbols_outside_the_reader, names) == []
+    assert _sites(lambda tree: _named(tree, {"_germ_rows"}), {"charges.py"})
+
+
+def test_the_symbol_rule_sees_both_forms_and_its_scope():
+    tree = ast.parse("def _germ_rows(g, flat=False):\n"
+                     "    u, v = Poly2.u(), Poly2.v()\n"
+                     "def _proved_closed_form(g):\n"
+                     "    u = Poly2.u()\n"
+                     "    return poly.Poly2.v()\n"
+                     "x = Poly2.v()\n"
+                     "class C:\n"
+                     "    def _germ_rows(self):\n"
+                     "        return Poly2.u()\n"
+                     "y = Poly2.const(1) + series.u() + Poly2.u\n")
+    assert sorted(_builds_the_symbols_outside_the_reader(tree)) == [4, 5, 6, 9]
+
+
 _SENTINEL_HELPERS = {"_sum_products", "_or_zero"}
 _HAND_REMAINDERS = {"_negated_remainder", "_primitive"}
 
@@ -620,7 +656,8 @@ _MEMOS = {
     # takes 71-86 us with it and 98-122 us without it (rank 1 and 2, h = -1
     # and 1/2; building the parts costs 18-23 us of that)
     ("curves.py", "_symbolic_difference_parts"),
-    # 208/56 on ring-identities
+    # 160/44 on ring-identities, rational points only (a symbolic case
+    # reads the rows kept by ``charges._symbol_rows``)
     ("verify.py", "_polarization_powers"),
     # 557/43 on germ-verdicts, 6/8 on curve-queries
     ("suites.py", "_geometry"),

@@ -27,7 +27,7 @@ from ellstab.verify import (
 
 from conftest import count_symbolic_products, cv, d
 from test_asymptotics import _reference_cross_series
-from test_charges import _reference_checked_reduced_parts, _reference_powers
+from test_charges import _reference_checked_reduced_parts, _reference_powers, _with_entry
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ellstab"
 
@@ -75,26 +75,53 @@ class TestImIdentity:
                 e = ChernVector(e.n, -abs(e.x) - 1, e.S, e.eta, e.a, e.s)
             assert im_identity_check(g, e, c, u, vpar)
 
-    def test_symbolic_case_reuses_the_polarization_powers(self, monkeypatch):
-        """The first symbolic case on a geometry makes 4 table applications
-        at Poly2 scalars: w^2 and w^3, kept with the germ numerators by
-        ``_polarization_powers``, then the ring side's two pairings w^2 ch1
-        and w ch2 (``ring._degree_numerator``) of the transform.  Later
-        cases reuse the point and make only the last 2; the reduced table,
-        the twist, Obar^2 ch1^B and the a3 row apply to integers."""
+    def test_a_symbolic_case_makes_no_poly2_product(self, monkeypatch):
+        """A symbolic case applies no table at Poly2 scalars, cold or warm:
+        its sides are integer combinations of the rows kept per geometry
+        (``charges._symbol_rows``).  A warm case builds one ``Poly2`` (the
+        remainder; counted at ``Poly2._store``), and warm sides two."""
         calls = count_symbolic_products(monkeypatch)
-        verify._polarization_powers.cache_clear()
+        built = []
+        original = Poly2._store
+        monkeypatch.setattr(Poly2, "_store", lambda self, *form: built.append(1) or original(self, *form))
         rng = random.Random(23)
         for h in (Fraction(-1), Fraction(1, 2)):
-            g = BaseGeometry(1, [[1]], [1], h, 0, 1)
-            c = _rand_tilt(rng, h)
-            counts = []
-            for _ in range(3):
-                calls.clear()
-                rems = im_identity_symbolic_remainders(g, _rand_vector(rng, 1), c)
-                assert all(r.is_zero() for r in rems)
-                counts.append(len(calls))
-            assert counts == [4, 2, 2]
+            for rank in (1, 2):
+                g = BaseGeometry(rank, [[1]] if rank == 1 else [[2, 1], [1, 3]], [1] * rank, h, 0, 1)
+                c = _rand_tilt(rng, h)
+                counts = []
+                for _ in range(3):
+                    built.clear()
+                    rems = im_identity_symbolic_remainders(g, _rand_vector(rng, rank), c)
+                    assert all(r.is_zero() for r in rems)
+                    counts.append(len(built))
+                assert counts[1:] == [1, 1]
+                built.clear()
+                usym, vsym = ring._kept(g, charges._germ_rows)[0]
+                verify._im_identity_sides(g, _rand_vector(rng, rank), c, usym, vsym)
+                assert len(built) == 2
+        assert calls == []
+
+    def test_symbolic_sides_refuse_a_class_that_is_not_rational(self, g1):
+        c = TiltCurve(-1, 1, 2)
+        e = ChernVector(Poly2.u(), 0, d(0), d(0), 0, 1)
+        with pytest.raises(DomainError):
+            im_identity_symbolic_remainders(g1, e, c)
+
+    def test_the_symbolic_guard_raises_on_a_wrong_table_entry(self, monkeypatch):
+        """A wrong coefficient in the reduced table (im's coefficient on u,
+        a, read as a + s) disagrees with the ring rows at the symbols, as it
+        does with the ring path at a point."""
+        monkeypatch.setattr(charges, "_reduced_table", _with_entry(charges._reduced_table, -1, 5))
+        g = BaseGeometry(1, [[1]], [1], Fraction(-1), 0, 1)
+        c = TiltCurve(-1, 1, 2)
+        e = cv(1, 1, d(0), d(0), 0, 1)  # phi(e) has a nonzero s
+        usym, vsym = ring._kept(g, charges._germ_rows)[0]
+        for sides in (lambda: im_identity_symbolic_remainders(g, e, c),
+                      lambda: verify._im_identity_sides(g, e, c, usym, vsym),
+                      lambda: verify._im_identity_sides(g, e, c, Fraction(1, 2), 3)):
+            with pytest.raises(ComputationFault):
+                sides()
 
     def test_suite_builds_the_point_products_once(self, monkeypatch):
         """Obar^2 and Theta.Obar^2 are built once per curve and the powers
