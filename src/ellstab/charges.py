@@ -23,14 +23,15 @@ geometry as integer monomial rows (``_germ_rows``, the one place the
 ``Poly2`` symbols are built); ``asymptotics`` multiplies them pairwise by
 integer convolution, and its cross tables and cross polynomials sum the
 products with the integer minors of two classes' coefficients.
-``full_charge`` goes through ring products for any class and B-field.  The
-reduced charge also evaluates that path, on numerators, and insists it
-agrees with the closed form (``_checked_reduced_parts``), which guards the
-transcription of every intersection number used.  At the symbols both
-sides are integer matrices on the basis classes, kept per geometry
-(``_symbol_rows``): ``prove_closed_form`` compares them once, for every
-class, and a symbolic class combines them with its numerators
-(``_symbol_parts``), guarded as at a point.
+``full_charge`` goes through ring products for any class and B-field
+(``_ring_parts``).  The reduced closed form has one ring guard, which
+guards the transcription of every intersection number used: at the
+symbols both it and the ring path are integer matrices on the basis
+classes, kept per geometry (``_symbol_rows``), and ``prove_closed_form``
+compares them once, so that they agree for every class at every point.
+``reduced_charge`` and a symbolic class's rows (``_symbol_parts``, the
+closed matrix on the class's numerators) read the closed form only after
+that proof.
 """
 
 from __future__ import annotations
@@ -224,9 +225,9 @@ def _full_parts(g: BaseGeometry, v: ChernVector, d: DivisorB, germs: tuple) -> t
 def _ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:
     """(w^2 ch1 / 2, w ch2 - w^3 ch0 / 6) through ring products, each as
     (numerator, den), from the ``ring.divisor_powers`` (w, w^2, w^3) of the
-    polarization w.  The pairings are ``ring._degree_numerator``, the
-    ring's point-class structure constants applied to the numerators of w^2
-    and w against v's, at any scalar."""
+    polarization w: ``full_charge``'s independent path.  The pairings are
+    ``ring._degree_numerator``, the ring's point-class structure constants
+    applied to the numerators of w^2 and w against v's, at any scalar."""
     om, om2, (w3, w3_den) = powers
     re, re_den = _degree_numerator(g, om2, v)
     im, im_den = _degree_numerator(g, om, v)
@@ -234,38 +235,21 @@ def _ring_parts(g: BaseGeometry, v: ChernVector, powers: tuple) -> tuple:
     return (re, 2 * re_den), (im * n_den - w3 * (v._nums[0] * im_den), n_den * im_den)
 
 
-def _point(g: BaseGeometry, u, vpar) -> tuple:
-    """What the reduced charge reads of the point (u, vpar) alone: its germ
-    numerators (``_germ_numerators``) and the ``ring.divisor_powers`` of
-    w = u*Theta + vpar*pull(H).  Rational u and vpar must be positive."""
-    _require_positive("u", u)
-    _require_positive("vpar", vpar)
-    return _germ_numerators(g.h, u, vpar), divisor_powers(g, DivisorX(u, g.hb_divisor.scale(vpar)))
-
-
-def _checked_reduced_parts(g: BaseGeometry, v: ChernVector, point: tuple) -> tuple:
-    """The reduced closed form of v at a point (``_point``), re and im each
-    as (numerator, den) (``_reduced_numerators``), after checking it
-    against the ring products at the powers of w (``_ring_parts``); a
-    mismatch raises, since it can only be a coding fault."""
-    germs, powers = point
-    parts = _reduced_numerators(g, v, germs)
-    for (n1, d1), (n2, d2) in zip(parts, _ring_parts(g, v, powers)):
-        if n1 * d2 != n2 * d1:
-            raise ComputationFault("reduced charge closed form disagrees with ring evaluation")
-    return parts
-
-
 def reduced_charge(g: BaseGeometry, v: ChernVector, u, vpar) -> ChargeValue:
     """Reduced charge (1/2) w^2 ch1 + i (w ch2 - (w^3/6) ch0) at
-    w = u*Theta + vpar*pull(H).
+    w = u*Theta + vpar*pull(H), at any scalar.
 
-    Computed through the closed form in (u, vpar) and independently through
-    ring products (``ring._degree_numerator``, from the structure constants
-    that the ring writes from its relations); a mismatch raises
-    ``ComputationFault``.
+    Computed through the closed form in (u, vpar) (``_reduced_numerators``),
+    after ``prove_closed_form`` has checked it against ring products for
+    every class, once per geometry; a mismatch raises ``ComputationFault``.
+    Rational u and vpar must be positive, and v must have g's rank.
     """
-    return ChargeValue(*(_divided(*part) for part in _checked_reduced_parts(g, v, _point(g, u, vpar))))
+    _require_positive("u", u)
+    _require_positive("vpar", vpar)
+    if v.rank_lattice != g.rank:
+        raise DimensionError("vector rank does not match geometry rank")
+    prove_closed_form(g)
+    return ChargeValue(*(_divided(*part) for part in _reduced_numerators(g, v, _germ_numerators(g.h, u, vpar))))
 
 
 def prove_closed_form(g: BaseGeometry) -> None:
@@ -372,14 +356,11 @@ def _applied(matrix: dict, nums) -> list:
 def _symbol_parts(g: BaseGeometry, v: ChernVector) -> tuple:
     """The reduced closed form of a rational class v at the symbols
     (u, vpar), as monomial rows (re, im) over one den: the closed matrix of
-    ``_symbol_rows`` applied to v's numerators, after checking it against
-    the ring matrix applied to them, as ``_checked_reduced_parts`` does at
-    a point; a mismatch raises, since it can only be a coding fault."""
-    (closed, cden), (ring, rden), _ = _kept(g, _symbol_rows)
-    parts = _applied(closed, v._nums)
-    if [{key: n * rden for key, n in row.items()} for row in parts] != _applied(ring, [x * cden for x in v._nums]):
-        raise ComputationFault("reduced charge closed form disagrees with ring evaluation")
-    return parts, cden * v._den
+    ``_symbol_rows`` applied to v's numerators, once ``prove_closed_form``
+    has checked it against the ring matrix for every class."""
+    prove_closed_form(g)
+    (closed, cden), _, _ = _kept(g, _symbol_rows)
+    return _applied(closed, v._nums), cden * v._den
 
 
 def full_charge(g: BaseGeometry, v: ChernVector, omega: DivisorX, B: DivisorX) -> ChargeValue:

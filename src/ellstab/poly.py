@@ -579,7 +579,8 @@ def _sign(x) -> int:
 class Poly2(_IntegerForm):
     """Bivariate polynomial in (u, v) with rational coefficients: its
     numerators by monomial (i, j), for u^i v^j (zero is ({}, 1)).
-    ``eval_v`` hands an integer row to ``Poly1._ints``;
+    ``eval`` sums them at a rational point in integers (``_evaluated``),
+    and ``eval_v`` hands an integer row to ``Poly1._ints``;
     ``terms``, the {(i, j): Fraction} view, is built on first use and
     cached.  ``__init__`` builds a polynomial from such a view.
 
@@ -662,7 +663,7 @@ class Poly2(_IntegerForm):
         return Poly2._ints({key: n * p for key, n in self._nums.items()}, self._den * q)
 
     def eval(self, u, v) -> Fraction:
-        return self.eval_v(v)(_q(u))
+        return _evaluated(self._nums, self._den, _q(u), _q(v))
 
     def eval_v(self, v) -> Poly1:
         """Substitute a rational v, leaving a univariate polynomial in u."""
@@ -677,6 +678,23 @@ class Poly2(_IntegerForm):
 
     def udegree(self) -> int:
         return max((i for (i, _) in self._nums), default=-1)
+
+
+def _evaluated(nums: dict, den: int, u, v) -> Fraction:
+    """The value of the integer monomial row nums over den, sum n u^i v^j
+    / den, at rational u = p/q and v = r/s: the sum cleared to integers
+    over q^I s^J, for I and J the top powers of u and v, one Fraction."""
+    (p, q), (r, s) = (u.numerator, u.denominator), (v.numerator, v.denominator)
+    top_i = top_j = 0
+    for i, j in nums:
+        if i > top_i:
+            top_i = i
+        if j > top_j:
+            top_j = j
+    total = 0
+    for (i, j), n in nums.items():
+        total += n * p**i * q ** (top_i - i) * r**j * s ** (top_j - j)
+    return Fraction(total, den * q**top_i * s**top_j)
 
 
 def _monomial_product(a: dict, b: dict) -> dict:

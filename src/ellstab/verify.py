@@ -14,15 +14,14 @@ checked.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import lcm
 
 from .asymptotics import ChargeKind, _check_rational, _cross_coefficients, _germ_verdict
-from .charges import _checked_reduced_parts, _germ_rows, _point, _symbol_parts, _symbol_rows
+from .charges import _germ_rows, _require_positive, _symbol_parts, _symbol_rows
 from .curves import OneDimCurve, TiltCurve, _fixed_cycles, constraint_poly
 from .errors import ComputationFault, DimensionError, DomainError
 from .fmt import _a3_table, phi
-from .poly import Poly2, _reduced_mod_u
+from .poly import Poly2, _evaluated, _reduced_mod_u
 from .ring import (
     _RATIONAL,
     BaseGeometry,
@@ -31,7 +30,6 @@ from .ring import (
     DivisorX,
     _contract,
     _degree_numerator,
-    _divided,
     _half_canonical_exp,
     _kept,
     degree,
@@ -44,28 +42,22 @@ from .slopes import SlopeKind, slope
 
 def _im_identity_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -> tuple:
     """The two sides of the imaginary-part identity, both scaled by
-    Theta.Obar^2: the left through the transform and the ring-checked
-    reduced charge, the right from the twisted degree-one pairing against
-    the fixed polarization Obar = a Theta + b pull(H).  At a rational point
-    the germ numerators and the powers of w are built once per point, Obar^2
-    and Theta.Obar^2 once per curve, and every term is an integer
-    contraction on numerators: the reduced charge
-    (``charges._checked_reduced_parts``) and ``_fixed_terms``.  At
-    the symbols (u, vpar) the sides are integer combinations of the
-    monomial rows kept per geometry (``_symbolic_sides``), one ``Poly2``
-    each.  A value is built only for each side."""
-    if type(u) is Poly2 and (u, vpar) == _kept(g, _germ_rows)[0]:
-        return tuple(Poly2._ints(*side) for side in _symbolic_sides(g, e, c))
-    tn, td, ch1b, ch1b_den, a3, a3_den = _fixed_terms(g, e, c)
-    rational = isinstance(u, _RATIONAL) and isinstance(vpar, _RATIONAL)
-    point = _polarization_powers(g, u, vpar) if rational else _point(g, u, vpar)
-    _, (im, im_den) = _checked_reduced_parts(g, phi(g, e), point)
-    om, _, (om3, om3_den) = point[1]
-    un, ud = om._nums[1], om._den  # u, the Theta coordinate of w
-    lhs = _divided(-im * tn, im_den * td)
-    rhs = _divided(om3 * (ch1b * ud * a3_den * td) - un * (6 * om3_den * ch1b_den * a3 * tn),
-                   6 * om3_den * ch1b_den * ud * a3_den * td)
-    return lhs, rhs
+    Theta.Obar^2: the left through the transform and the proved reduced
+    closed form, the right from the twisted degree-one pairing against the
+    fixed polarization Obar = a Theta + b pull(H).  Both are the integer
+    monomial rows of ``_symbolic_sides``, read at every point: at a
+    rational (u, vpar), both positive, each side is one ``Fraction``
+    (``poly._evaluated``); at the symbols (u, vpar) one ``Poly2``.  Any
+    other point raises ``DomainError``, as does a class that is not
+    rational."""
+    sides = _symbolic_sides(g, e, c)
+    if isinstance(u, _RATIONAL) and isinstance(vpar, _RATIONAL):
+        _require_positive("u", u)
+        _require_positive("vpar", vpar)
+        return tuple(_evaluated(row, den, u, vpar) for row, den in sides)
+    if type(u) is not Poly2 or (u, vpar) != _kept(g, _germ_rows)[0]:
+        raise DomainError("the im identity is read at a rational point or at the symbols (u, vpar)")
+    return tuple(Poly2._ints(*side) for side in sides)
 
 
 def _fixed_terms(g: BaseGeometry, e: ChernVector, c: TiltCurve) -> tuple:
@@ -84,9 +76,9 @@ def _fixed_terms(g: BaseGeometry, e: ChernVector, c: TiltCurve) -> tuple:
 
 
 def _symbolic_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve) -> tuple:
-    """The two sides at the symbols (u, vpar) for a rational e, each as
+    """The two sides as polynomials in (u, vpar) for a rational e, each as
     (monomial row, den): the left is -Theta.Obar^2 times the reduced
-    charge's im of the transform, its ring guard included
+    charge's im of the transform, read after the closed form's proof
     (``charges._symbol_parts``), the right deg(w^3) / 6 (the kept rows of
     ``charges._symbol_rows``) times Obar^2 . ch1^B, minus u a3(e)
     Theta.Obar^2.  A class that is not rational raises ``DomainError``."""
@@ -100,23 +92,19 @@ def _symbolic_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve) -> tuple:
     return ({key: -x * tn for key, x in im.items()}, den * td), (rhs, 6 * m * ch1b_den * a3_den * td)
 
 
-@lru_cache(maxsize=None)
-def _polarization_powers(g: BaseGeometry, u, vpar) -> tuple:
-    """``charges._point`` at a rational (u, vpar): the germ numerators and
-    the ``ring.divisor_powers`` of w = u Theta + vpar pull(H)."""
-    return _point(g, u, vpar)
-
-
 def im_identity_check(g: BaseGeometry, e: ChernVector, c: TiltCurve, u, vpar) -> bool:
     """Exact identity for the imaginary part of the reduced charge of the
     shifted transform along the tilt curve.
 
     Both sides are evaluated independently: the left through the transform
-    and the ring-path charge, the right from the twisted degree-one pairing
-    against the fixed polarization.  Off the curve the two sides differ for
-    generic input, so the return value is the pointwise truth of the
-    identity.  Holds for every input on the curve, including x = 0.  A
-    curve of another h raises ``DomainError``.
+    and the reduced closed form, which ``charges.prove_closed_form`` checks
+    against ring products once per geometry, the right from the twisted
+    degree-one pairing against the fixed polarization.  Off the curve the
+    two sides differ for generic input, so the return value is the
+    pointwise truth of the identity.  Holds for every input on the curve,
+    including x = 0.  The point is rational, with u and vpar positive, or
+    the symbols (u, vpar); the class is rational.  Anything else raises
+    ``DomainError``, as does a curve of another h.
     """
     lhs, rhs = _im_identity_sides(g, e, c, u, vpar)
     return lhs == rhs

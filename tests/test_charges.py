@@ -8,7 +8,6 @@ import pytest
 from ellstab import asymptotics, charges, ring, suites
 from ellstab.charges import (
     ChargeKind,
-    _checked_reduced_parts,
     _full_parts,
     _germ_numerators,
     _reduced_germs,
@@ -66,6 +65,14 @@ class TestReducedCharge:
         with pytest.raises(DomainError):
             reduced_charge(g1, ChernVector.unit(1), 0, 1)
 
+    def test_a_class_of_another_rank_raises(self, g1, g2):
+        """A shorter or a longer class than the geometry's raises
+        ``DimensionError``, at a rational point and at the symbols."""
+        for g, v in ((g1, ChernVector.unit(2)), (g2, ChernVector.unit(1)), (g2, ChernVector.unit(3))):
+            for u, vpar in ((Fraction(1, 2), 3), (Poly2.u(), Poly2.v())):
+                with pytest.raises(DimensionError, match="rank"):
+                    reduced_charge(g, v, u, vpar)
+
     def test_dual_paths_on_random_vectors(self):
         # the operation itself asserts agreement; drive it over a spread.
         # The closed forms taken at symbols (u, v) must give the pointwise
@@ -95,13 +102,19 @@ class TestReducedCharge:
 
 def _reference_proved_closed_form(g: BaseGeometry) -> bool:
     """``charges._proved_closed_form`` as written before the integer record,
-    kept verbatim as its reference: the ring path on the 2r + 4 basis
-    classes at ``Poly2`` symbols."""
+    kept as its reference: the ring path on the 2r + 4 basis classes at
+    ``Poly2`` symbols, with the bodies of the per-point guard it ran
+    (``charges._point`` and ``_checked_reduced_parts``, since deleted)
+    written in."""
     u, v = Poly2.u(), Poly2.v()
-    point = _germ_numerators(g.h, u, v), divisor_powers(g, DivisorX(u, g.hb_divisor.scale(v)))
+    germs, powers = _germ_numerators(g.h, u, v), divisor_powers(g, DivisorX(u, g.hb_divisor.scale(v)))
     dim = 2 * g.rank + 4
     for k in range(dim):
-        _checked_reduced_parts(g, ChernVector._ints([int(i == k) for i in range(dim)], 1), point)
+        e = ChernVector._ints([int(i == k) for i in range(dim)], 1)
+        parts = _reduced_numerators(g, e, germs)
+        for (n1, d1), (n2, d2) in zip(parts, _ring_parts(g, e, powers)):
+            if n1 * d2 != n2 * d1:
+                raise ComputationFault("reduced charge closed form disagrees with ring evaluation")
     return True
 
 
@@ -434,8 +447,10 @@ def _typed(values) -> list:
 
 class TestReducedTable:
     """The reduced closed form through the kept table on numerators, and
-    its ring guard on numerators, equal the Fraction-field forms in value
-    and type, at Fraction points and at Poly2 symbols."""
+    ``reduced_charge`` after the per-geometry proof, equal the
+    Fraction-field forms (the reference checked against the ring path at
+    each point) in value and type, at Fraction points and at Poly2
+    symbols; the ring side on numerators equals its reference too."""
 
     def _cases(self, rng):
         for g in fresh_geometries():
@@ -454,8 +469,8 @@ class TestReducedTable:
             want = _typed(_reference_reduced_parts(g, v, u, vpar))
             parts = _reduced_numerators(g, v, _germ_numerators(g.h, u, vpar))
             assert _typed(ring._divided(*part) for part in parts) == want
-            checked = _checked_reduced_parts(g, v, charges._point(g, u, vpar))
-            assert _typed(ring._divided(*part) for part in checked) == want
+            out = reduced_charge(g, v, u, vpar)
+            assert _typed((out.re, out.im)) == want
             assert want == _typed(_reference_checked_reduced_parts(g, v, u, vpar, _reference_powers(g, u, vpar)))
             symbolic += isinstance(u, Poly2)
         assert symbolic == 11 * 9
@@ -468,8 +483,9 @@ class TestReducedTable:
 
     def test_the_guard_raises_on_a_wrong_table_entry(self, monkeypatch):
         """A wrong coefficient, written into the kept table (im's
-        coefficient on u, a, read as a + s), disagrees with the ring side at
-        a Fraction point."""
+        coefficient on u, a, read as a + s), disagrees with the ring side,
+        so the reduced charge at a Fraction point raises: the per-geometry
+        proof runs before the closed form is read."""
         monkeypatch.setattr(charges, "_reduced_table", _with_entry(charges._reduced_table, -1, 5))
         g = BaseGeometry(1, [[1]], [1], Fraction(-1), 0, 1)
         with pytest.raises(ComputationFault):

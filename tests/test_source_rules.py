@@ -574,13 +574,13 @@ def test_the_twist_rule_sees_imports_calls_and_attributes():
     assert sorted(set(_named(tree, {"twist"}))) == [3, 5, 7]
 
 
-def _twists_outside(tree, function=None):
-    """Line numbers of a ``twist(...)`` call, bare or through a module,
-    outside the module-level function named ``function`` (anywhere, for
-    None)."""
+def _calls_outside(tree, called, function=None):
+    """Line numbers of a call made by the name ``called`` (``f(...)`` or
+    ``m.f(...)``) outside the module-level function named ``function``
+    (anywhere, for None)."""
     allowed = _inside(tree, lambda name, owner: owner is None and name == function)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _called(node) == "twist" and id(node) not in allowed:
+        if isinstance(node, ast.Call) and _called(node) == called and id(node) not in allowed:
             yield node.lineno
 
 
@@ -588,8 +588,8 @@ def test_the_full_kind_twists_no_class():
     """The full kind's coefficients are its table on exp(-pull(d)), so
     ``charges`` twists a class only in ``full_charge``, its independent
     ring path, and ``asymptotics`` never does."""
-    assert _sites(lambda tree: _twists_outside(tree, "full_charge"), {"charges.py"}) == []
-    assert _sites(_twists_outside, {"asymptotics.py"}) == []
+    assert _sites(lambda tree: _calls_outside(tree, "twist", "full_charge"), {"charges.py"}) == []
+    assert _sites(lambda tree: _calls_outside(tree, "twist"), {"asymptotics.py"}) == []
 
 
 def test_the_twist_call_rule_sees_both_forms_and_its_scope():
@@ -604,8 +604,8 @@ def test_the_twist_call_rule_sees_both_forms_and_its_scope():
                      "tw = ring.twist(g, v, B)\n"
                      "e = _exp_minus(g, B)\n"
                      "f = twist\n")
-    assert sorted(_twists_outside(tree, "full_charge")) == [5, 8, 9]
-    assert sorted(_twists_outside(tree)) == [2, 3, 5, 8, 9]
+    assert sorted(_calls_outside(tree, "twist", "full_charge")) == [5, 8, 9]
+    assert sorted(_calls_outside(tree, "twist")) == [2, 3, 5, 8, 9]
 
 
 def _twists_by_the_half_canonical_field(tree):
@@ -636,6 +636,62 @@ def test_the_half_canonical_rule_sees_calls_and_attributes():
     assert sorted(_twists_by_the_half_canonical_field(tree)) == [1, 2, 6]
 
 
+_GUARD_FAULT = "reduced charge closed form disagrees with ring evaluation"
+
+
+def _raises_the_guard_fault(tree):
+    """(line, owner) of each ``raise ComputationFault(...)``, bare or through
+    a module, with the reduced closed form's ring-guard message, the owner
+    being the module-level function or class it sits in (None outside
+    one)."""
+    owners = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owners.update((id(n), node.name) for n in ast.walk(node))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and _called(node.exc) == "ComputationFault"
+                and any(isinstance(a, ast.Constant) and a.value == _GUARD_FAULT for a in node.exc.args)):
+            yield node.lineno, owners.get(id(node))
+
+
+def test_one_ring_guard_for_the_reduced_closed_form():
+    """The reduced closed form is checked against ring products only by the
+    per-geometry proof: its fault is raised in ``_proved_closed_form`` alone,
+    no point or class is checked again, and in ``charges`` and ``verify``
+    the powers of a polarization (``divisor_powers``) are built only for
+    ``full_charge``, the full kind's independent ring path.  ``verify``
+    keeps no memo of a point."""
+    assert [(name, owner) for name, (_, owner) in _sites(_raises_the_guard_fault)] == [
+        ("charges.py", "_proved_closed_form")]
+    names = {"charges.py", "verify.py"}
+    assert _sites(lambda tree: _calls_outside(tree, "divisor_powers", "full_charge"), names) == []
+    assert _sites(lambda tree: _calls(tree, {"divisor_powers"}), {"charges.py"})
+    assert _sites(lambda tree: _named(tree, {"functools", "lru_cache"}), {"verify.py"}) == []
+
+
+def test_the_guard_rules_see_raises_scopes_and_calls():
+    tree = ast.parse("def _proved_closed_form(g):\n"
+                     f"    raise ComputationFault('{_GUARD_FAULT}')\n"
+                     "def _checked_reduced_parts(g, v, point):\n"
+                     "    if point:\n"
+                     f"        raise errors.ComputationFault('{_GUARD_FAULT}')\n"
+                     "    raise ComputationFault('another fault')\n"
+                     f"raise ComputationFault('{_GUARD_FAULT}')\n"
+                     "class C:\n"
+                     "    def check(self):\n"
+                     f"        raise ComputationFault('{_GUARD_FAULT}')\n"
+                     f"fault = ComputationFault('{_GUARD_FAULT}')\n"
+                     "def full_charge(g, v, omega, B):\n"
+                     "    return divisor_powers(g, omega)\n"
+                     "def _point(g, u, vpar):\n"
+                     "    return ring.divisor_powers(g, w)\n"
+                     "powers = divisor_powers(g, w)\n")
+    assert set(_raises_the_guard_fault(tree)) == {
+        (2, "_proved_closed_form"), (5, "_checked_reduced_parts"), (7, None), (10, "C")}
+    assert sorted(_calls_outside(tree, "divisor_powers", "full_charge")) == [15, 16]
+
+
 # Every module-level functools memo in src, with the reuse it serves.  Hit/miss
 # counts are from perfbench's three workloads at seed 1, one run of each
 # workload's passes, read before each ``fresh_unit`` clear.
@@ -656,9 +712,6 @@ _MEMOS = {
     # takes 71-86 us with it and 98-122 us without it (rank 1 and 2, h = -1
     # and 1/2; building the parts costs 18-23 us of that)
     ("curves.py", "_symbolic_difference_parts"),
-    # 160/44 on ring-identities, rational points only (a symbolic case
-    # reads the rows kept by ``charges._symbol_rows``)
-    ("verify.py", "_polarization_powers"),
     # 557/43 on germ-verdicts, 6/8 on curve-queries
     ("suites.py", "_geometry"),
     # no hit in any workload (below the germ cache, and ``_kept`` keeps the

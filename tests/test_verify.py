@@ -124,13 +124,13 @@ class TestImIdentity:
                 sides()
 
     def test_suite_builds_the_point_products_once(self, monkeypatch):
-        """Obar^2 and Theta.Obar^2 are built once per curve and the powers
-        of w once per point, so suite_im_identity(50, 7) makes 316 ring
-        products and point pairings (``mul`` and ``ring._degree_numerator``,
-        which ``degree`` runs): 4 per case (the ring side's two pairings,
-        the twist and Obar^2 ch1^B) over 66 cases, 2 per point (w^2, w^3)
-        over 14 points and 6 per geometry (``curves._theta_h_products``)
-        over 4 geometries."""
+        """Obar^2 and Theta.Obar^2 are built once per curve, and a point
+        reads the closed form's monomial rows kept per geometry, so on fresh
+        geometries suite_im_identity(50, 7) makes 148 ring products and
+        point pairings (``mul`` and ``ring._degree_numerator``, which
+        ``degree`` runs): 2 per case (the twist and Obar^2 ch1^B) over 66
+        cases and 4 per geometry (``curves._theta_h_products`` and
+        ``_omega_products``) over 4 geometries.  No point makes one."""
         calls = []
 
         def counted(original):
@@ -141,11 +141,11 @@ class TestImIdentity:
             for module in (ring, verify, charges, curves):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, product)
-        verify._polarization_powers.cache_clear()
+        suites._geometry.cache_clear()
         curves._fixed_cycles.cache_clear()
         report = suites.suite_im_identity(50, 7)
         assert report.passed and report.cases == 66
-        assert len(calls) <= 316
+        assert len(calls) == 148
 
     def test_sides_match_the_reference_at_rational_points(self):
         """On and off the curve, with x = 0 and x < 0, at ranks 1 and 2:
@@ -229,6 +229,75 @@ class TestImIdentity:
                 e = _rand_vector(rng, 1)
                 rems = im_identity_symbolic_remainders(g, e, c)
                 assert all(r.is_zero() for r in rems)
+
+    def test_a_point_neither_rational_nor_the_symbols_is_refused(self, g1):
+        c = TiltCurve(-1, 1, 2)
+        e = cv(1, 1, d(0), d(0), 0, 1)
+        u, v = Poly2.u(), Poly2.v()
+        for point in ((u + 1, v), (u, Fraction(3)), (Fraction(1, 2), v), (v, u)):
+            with pytest.raises(DomainError, match="rational point or at the symbols"):
+                im_identity_check(g1, e, c, *point)
+
+    def test_a_class_that_is_not_rational_is_refused_at_a_rational_point(self, g1):
+        c = TiltCurve(-1, 1, 2)
+        e = ChernVector(Poly2.u(), 0, d(0), d(0), 0, 1)
+        with pytest.raises(DomainError, match="rational class"):
+            im_identity_check(g1, e, c, Fraction(1, 2), 4)
+
+    def test_a_rational_point_needs_positive_parameters(self, g1):
+        c = TiltCurve(-1, 1, 2)
+        e = cv(1, 1, d(0), d(0), 0, 1)
+        for point, name in (((0, 4), "u"), ((Fraction(1, 2), Fraction(-1)), "vpar")):
+            with pytest.raises(DomainError, match=f"^{name} must be positive"):
+                im_identity_check(g1, e, c, *point)
+
+
+class TestOneRingGuard:
+    """The reduced closed form has one ring guard, the per-geometry proof
+    (``charges._proved_closed_form``): every reader of the closed form runs
+    it first, and none checks a point or a class again."""
+
+    def _readers(self, g, rng):
+        """Each reader of the closed form on g, as a call with no argument:
+        the reduced charge at 20 rational points, the im identity at
+        rational points and at the symbols, its symbolic remainders and the
+        cross polynomial."""
+        c = _rand_tilt(rng, g.h)
+        u, v = Poly2.u(), Poly2.v()
+        e, m, n = (_rand_vector(rng, g.rank) for _ in range(3))
+        readers = []
+        for _ in range(20):
+            point = Fraction(rng.randint(1, 9), rng.randint(1, 4)), Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            readers.append(lambda point=point: charges.reduced_charge(g, e, *point))
+        readers += [lambda: im_identity_check(g, e, c, Fraction(1, 2), 4),
+                    lambda: im_identity_check(g, m, c, Fraction(3), Fraction(5, 7)),
+                    lambda: im_identity_check(g, e, c, u, v),
+                    lambda: im_identity_symbolic_remainders(g, n, c),
+                    lambda: asymptotics._cross_poly(g, m, n, asymptotics.ChargeKind.REDUCED, None)]
+        return readers
+
+    def test_every_reader_runs_the_proof_once_per_geometry(self, monkeypatch):
+        proofs = []
+        original = charges._proved_closed_form
+        monkeypatch.setattr(charges, "_proved_closed_form", lambda g: proofs.append(1) or original(g))
+        rng = random.Random(27)
+        for rank in (1, 2):
+            g = BaseGeometry(rank, [[1]] if rank == 1 else [[2, 1], [1, 3]], [1] * rank, Fraction(-1), 0, 1)
+            for reader in self._readers(g, rng):
+                reader()
+            assert len(proofs) == 1
+            proofs.clear()
+
+    def test_a_wrong_table_entry_faults_every_reader_on_every_call(self, monkeypatch):
+        """A wrong coefficient in the reduced table (im's coefficient on u,
+        a, read as a + s) makes each reader raise ``ComputationFault``,
+        every time it is called."""
+        monkeypatch.setattr(charges, "_reduced_table", _with_entry(charges._reduced_table, -1, 5))
+        g = BaseGeometry(1, [[1]], [1], Fraction(-1), 0, 1)
+        for reader in self._readers(g, random.Random(28)):
+            for _ in range(2):
+                with pytest.raises(ComputationFault, match="closed form disagrees"):
+                    reader()
 
 
 class TestThreshold:
