@@ -5,7 +5,7 @@ The reduced charge has one closed form, written once over any scalar with
 times class coefficients, so that re and im are each a constant plus a sum
 of coefficient times germ.  The coefficients are linear in the class and
 kept as one integer table per geometry and kind (``_charge_table``, kept
-by ``ring._kept``), written from the lattice's integers, seven outputs
+by ``ring._kept``), written from the geometry's integer fields, seven outputs
 for every class: the reduced table (``_reduced_table``) from H^2/2,
 H.S/2, H.eta, a and -H^2/6; the full one with B = pull(d)
 (``_full_table``) composed from it and the product by exp(-pull(d)) read
@@ -29,9 +29,9 @@ guards the transcription of every intersection number used: at the
 symbols both it and the ring path are integer matrices on the basis
 classes, kept per geometry (``_symbol_rows``), and ``prove_closed_form``
 compares them once, so that they agree for every class at every point.
-``reduced_charge`` and a symbolic class's rows (``_symbol_parts``, the
-closed matrix on the class's numerators) read the closed form only after
-that proof.
+``reduced_charge`` and a symbolic class's im row (``_symbol_im``, the
+closed matrix's im entries on the class's numerators) read the closed form
+only after that proof.
 """
 
 from __future__ import annotations
@@ -114,13 +114,15 @@ def _charge_table(g: BaseGeometry, kind: ChargeKind) -> tuple[list, int, int]:
 
 def _reduced_table(g: BaseGeometry) -> tuple[list, int, int]:
     """The reduced charge's coefficients on its ``_reduced_germs``, written
-    from g's lattice data, seven outputs with the unit as right factor:
+    from g's integer fields, seven outputs with the unit as right factor:
     re (0, H^2 x / 2, H.S / 2) and im (0, H.eta, a, -H^2 n / 6)."""
     n, x, S, eta, a, s = _slots(g.rank)
+    (row, rd), (q, qd) = g.hb_row_nums, g.hb2_nums
+    one = 6 * rd * qd
     return _written([
-        (x, 0, 1, g.hb2 / 2), *((S[p], 0, 2, c / 2) for p, c in enumerate(g.hb_row)),
-        *((eta[p], 0, 4, c) for p, c in enumerate(g.hb_row)), (a, 0, 5, 1), (n, 0, 6, -g.hb2 / 6),
-    ], s + 1, 7)
+        (x, 0, 1, 3 * rd * q), *((S[p], 0, 2, 3 * qd * c) for p, c in enumerate(row)),
+        *((eta[p], 0, 4, 6 * qd * c) for p, c in enumerate(row)), (a, 0, 5, one), (n, 0, 6, -rd * q),
+    ], s + 1, 7, one)
 
 
 def _full_table(g: BaseGeometry) -> tuple[list, int, int]:
@@ -341,26 +343,27 @@ def _nonzero(matrix: dict) -> dict:
     return {key: n for key, n in matrix.items() if n}
 
 
-def _applied(matrix: dict, nums) -> list:
-    """An integer matrix of ``_symbol_rows`` applied to a class's
-    numerators: the monomial rows (re, im), zeros dropped."""
-    parts: list = [{}, {}]
+def _applied_im(matrix: dict, nums) -> dict:
+    """The im entries of an integer matrix of ``_symbol_rows`` applied to a
+    class's numerators: its im monomial row, zeros dropped."""
+    row: dict = {}
     for (k, part, i, j), n in matrix.items():
-        x = nums[k]
-        if x:
-            row = parts[part]
-            row[i, j] = row.get((i, j), 0) + x * n
-    return [_nonzero(row) for row in parts]
+        if part:
+            x = nums[k]
+            if x:
+                row[i, j] = row.get((i, j), 0) + x * n
+    return _nonzero(row)
 
 
-def _symbol_parts(g: BaseGeometry, v: ChernVector) -> tuple:
-    """The reduced closed form of a rational class v at the symbols
-    (u, vpar), as monomial rows (re, im) over one den: the closed matrix of
-    ``_symbol_rows`` applied to v's numerators, once ``prove_closed_form``
-    has checked it against the ring matrix for every class."""
+def _symbol_im(g: BaseGeometry, v: ChernVector) -> tuple:
+    """The im of the reduced closed form of a rational class v at the
+    symbols (u, vpar), as a monomial row over one den: the im entries of
+    the closed matrix of ``_symbol_rows`` applied to v's numerators, once
+    ``prove_closed_form`` has checked it against the ring matrix for every
+    class."""
     prove_closed_form(g)
     (closed, cden), _, _ = _kept(g, _symbol_rows)
-    return _applied(closed, v._nums), cden * v._den
+    return _applied_im(closed, v._nums), cden * v._den
 
 
 def full_charge(g: BaseGeometry, v: ChernVector, omega: DivisorX, B: DivisorX) -> ChargeValue:

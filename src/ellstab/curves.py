@@ -54,7 +54,6 @@ from .ring import (
     ChernVector,
     _contract,
     _kept,
-    _over_common_denominator,
     _point_constants,
     _q,
     mul,
@@ -334,8 +333,9 @@ def _fixed_cycles(g: BaseGeometry, c: TiltCurve) -> tuple[ChernVector, ChernVect
 def _theta_h_products(g: BaseGeometry) -> tuple:
     """Theta (the basis class, over 1) and pull(H) as vectors, the
     numerators of Theta^2, Theta pull(H) and pull(H)^2 over one denominator
-    n, and of their degrees against Theta over m."""
-    hn, hd = _over_common_denominator(g.hb)
+    n, and of their degrees against Theta over m; pull(H) from g's integer
+    field ``hb_nums``."""
+    hn, hd = g.hb_nums
     theta = ChernVector._ints([0, 1, *[0] * (2 * g.rank + 2)], 1)  # the basis class Theta
     hb = ChernVector._ints([0, 0, *hn, *[0] * (g.rank + 2)], hd)  # pull(H)
     products = [mul(g, theta, theta), mul(g, theta, hb), mul(g, hb, hb)]

@@ -11,8 +11,9 @@ matrix notation and negating the second row.
 
 Both maps are linear in the flat coordinates (n, x, S, eta, a, s), so each
 is an integer table in the layout of ``ring._contract`` (right factor the
-unit), written from the lattice's integers (h, hb, the row hb * gram and
-H^2) by ``_phi_table`` and ``_phi_hat_table``, each from its own sign
+unit), written from the geometry's integer fields (h, hb, the row
+hb * gram and H^2, each over its own den, ``ring.BaseGeometry``) by
+``_phi_table`` and ``_phi_hat_table``, each from its own sign
 pattern, kept on the geometry by ``ring._kept`` and applied to a vector's
 numerators at every scalar by ``ring._contract``.  On rational vectors the
 result is fraction-free with one gcd.  On any other vector the value is
@@ -53,56 +54,61 @@ def _slots(r: int) -> tuple:
     return 0, 1, range(2, 2 + r), range(2 + r, 2 + 2 * r), 2 * r + 2, 2 * r + 3
 
 
+def _half_h_terms(g: BaseGeometry) -> tuple:
+    """(h/2) hb, (h/2) hb * gram and h^2 H^2 / 12 as integer numerators over
+    one den, from g's integer fields: (shift, pairing, hh2, den)."""
+    (hn, hd), (hb, bd), (row, rd), (q, qd) = g.h_nums, g.hb_nums, g.hb_row_nums, g.hb2_nums
+    den = 12 * hd * hd * qd * bd * rd
+    half = 6 * hn * hd * qd  # h/2 times den / (bd rd)
+    return [half * rd * c for c in hb], [half * bd * c for c in row], hn * hn * q * bd * rd, den
+
+
 def _phi_table(g: BaseGeometry) -> tuple[list, int, int]:
-    """The forward transform's table, written from g's lattice data:
+    """The forward transform's table, written from g's integer fields
+    (``_half_h_terms``):
 
         n' = x,   x' = -n,   S' = eta + (h/2) x H,   eta' = -S - (h/2) n H,
         a' = s + (h/2) H.eta + (1/12) x h^2 H^2,
         s' = -a - (h/2) H.S - (1/6) n h^2 H^2.
     """
     n, x, S, eta, a, s = _slots(g.rank)
-    h, hh2 = g.h, g.h * g.h * g.hb2
-    shift = [h * c / 2 for c in g.hb]
-    pairing = [h * c / 2 for c in g.hb_row]
+    shift, pairing, hh2, one = _half_h_terms(g)
     return _written([
-        (x, 0, n, 1), (n, 0, x, -1),
-        *((eta[p], 0, S[p], 1) for p in range(g.rank)), *((x, 0, S[p], c) for p, c in enumerate(shift)),
-        *((S[p], 0, eta[p], -1) for p in range(g.rank)), *((n, 0, eta[p], -c) for p, c in enumerate(shift)),
-        (s, 0, a, 1), *((eta[p], 0, a, c) for p, c in enumerate(pairing)), (x, 0, a, hh2 / 12),
-        (a, 0, s, -1), *((S[p], 0, s, -c) for p, c in enumerate(pairing)), (n, 0, s, -hh2 / 6),
-    ], s + 1, s + 1)
+        (x, 0, n, one), (n, 0, x, -one),
+        *((eta[p], 0, S[p], one) for p in range(g.rank)), *((x, 0, S[p], c) for p, c in enumerate(shift)),
+        *((S[p], 0, eta[p], -one) for p in range(g.rank)), *((n, 0, eta[p], -c) for p, c in enumerate(shift)),
+        (s, 0, a, one), *((eta[p], 0, a, c) for p, c in enumerate(pairing)), (x, 0, a, hh2),
+        (a, 0, s, -one), *((S[p], 0, s, -c) for p, c in enumerate(pairing)), (n, 0, s, -2 * hh2),
+    ], s + 1, s + 1, one)
 
 
 def _phi_hat_table(g: BaseGeometry) -> tuple[list, int, int]:
-    """The inverse-direction transform's table, written from g's lattice
-    data, independently of ``_phi_table``:
+    """The inverse-direction transform's table, written from g's integer
+    fields, independently of ``_phi_table``:
 
         n' = x,   x' = -n,   S' = eta - (h/2) x H,   eta' = -S + (h/2) n H,
         a' = s - (h/2) H.eta + (1/12) x h^2 H^2,
         s' = -a + (h/2) H.S - (1/6) n h^2 H^2.
     """
     n, x, S, eta, a, s = _slots(g.rank)
-    h, hh2 = g.h, g.h * g.h * g.hb2
-    shift = [h * c / 2 for c in g.hb]
-    pairing = [h * c / 2 for c in g.hb_row]
+    shift, pairing, hh2, one = _half_h_terms(g)
     return _written([
-        (x, 0, n, 1), (n, 0, x, -1),
-        *((eta[p], 0, S[p], 1) for p in range(g.rank)), *((x, 0, S[p], -c) for p, c in enumerate(shift)),
-        *((S[p], 0, eta[p], -1) for p in range(g.rank)), *((n, 0, eta[p], c) for p, c in enumerate(shift)),
-        (s, 0, a, 1), *((eta[p], 0, a, -c) for p, c in enumerate(pairing)), (x, 0, a, hh2 / 12),
-        (a, 0, s, -1), *((S[p], 0, s, c) for p, c in enumerate(pairing)), (n, 0, s, -hh2 / 6),
-    ], s + 1, s + 1)
+        (x, 0, n, one), (n, 0, x, -one),
+        *((eta[p], 0, S[p], one) for p in range(g.rank)), *((x, 0, S[p], -c) for p, c in enumerate(shift)),
+        *((S[p], 0, eta[p], -one) for p in range(g.rank)), *((n, 0, eta[p], c) for p, c in enumerate(shift)),
+        (s, 0, a, one), *((eta[p], 0, a, -c) for p, c in enumerate(pairing)), (x, 0, a, hh2),
+        (a, 0, s, -one), *((S[p], 0, s, c) for p, c in enumerate(pairing)), (n, 0, s, -2 * hh2),
+    ], s + 1, s + 1, one)
 
 
 def _a3_table(g: BaseGeometry) -> tuple[list, int, int]:
     """``ChernVector.a3``, the fiber coefficient that the transform carries
     to degree two, as a one-output table on the class, written from g's
-    lattice data: s + (h/2) H.eta + (1/12) x h^2 H^2."""
+    integer fields: s + (h/2) H.eta + (1/12) x h^2 H^2."""
     _, x, _, eta, _, s = _slots(g.rank)
-    return _written([
-        (s, 0, 0, 1), *((eta[p], 0, 0, g.h * c / 2) for p, c in enumerate(g.hb_row)),
-        (x, 0, 0, g.h * g.h * g.hb2 / 12),
-    ], s + 1, 1)
+    _, pairing, hh2, one = _half_h_terms(g)
+    return _written([(s, 0, 0, one), *((eta[p], 0, 0, c) for p, c in enumerate(pairing)), (x, 0, 0, hh2)],
+                    s + 1, 1, one)
 
 
 def fiber_swap_rule(g: BaseGeometry, tw: ChernVector) -> ChernVector:

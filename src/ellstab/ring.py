@@ -35,12 +35,16 @@ one positive denominator.  A vector of rationals holds integers,
 content-reduced, so it is fraction-free from construction, as ``Poly2``
 is; any other holds its coordinates over 1.  Each vector operation is one
 formula over the numerators, and each field is built on its first read.
-Every (bi)linear closed form is an integer table applied by ``_contract``
-alone: the product's structure constants, written once from the relations
-(``_structure_constants``) and applied by ``mul`` and ``degree`` at every
-scalar, and the linear maps of ``fmt`` and ``charges`` (right factor the
-unit 1, or (1, d) for the full charge), each written from the lattice's
-integers (h, hb, the row hb * gram, H^2) by ``_written``.
+The lattice is cleared to integers once, when a ``BaseGeometry`` is built,
+and held on it beside its public Fractions as (numerators, den) pairs:
+``gram_nums``, ``hb_nums``, ``h_nums``, ``hb_row_nums`` (the row
+hb * gram) and ``hb2_nums`` (H^2).  Every (bi)linear closed form is an
+integer table written from those integers alone, with no ``Fraction``
+arithmetic, and applied by ``_contract``: the product's structure
+constants, written once from the relations (``_structure_constants``) and
+applied by ``mul`` and ``degree`` at every scalar, and the linear maps of
+``fmt`` and ``charges`` (right factor the unit 1, or (1, d) for the full
+charge), each handed to ``_written`` as integer numerators over one den.
 ``_kept`` keeps every value that depends on the geometry alone on it.
 ``pair`` and ``pair_h`` skip exact-zero factors as ``_contract`` does.
 ``_IntegerForm`` states that storage rule, with the operators it implies,
@@ -87,6 +91,13 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
     den = lcm(*(c.denominator for c in values))
     return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _reduced(nums: list, den: int) -> tuple[list, int]:
+    """Integer numerators over den > 0 with their content divided out, so
+    over their least common denominator."""
+    c = gcd(den, *nums)
+    return ([t // c for t in nums], den // c) if c != 1 else (nums, den)
 
 
 def _numerators(coords) -> tuple[list, int]:
@@ -251,18 +262,23 @@ class BaseGeometry:
     the base, ``hb`` holds the coordinates of the ample class H, ``h`` is
     the constant with K_base numerically equivalent to h*H, ``vprime`` an
     ampleness bound below which Theta + v*pull(H) need not be ample, and
-    ``m0`` a seed constant with m0 > vprime and h + 2*m0 > 0.  The H data
-    derived from them (``hb2`` = H.H, ``hb_divisor`` and the row ``hb_row``
-    of hb * gram used by ``pair_h``, Fractions with the zero where the row
-    vanishes) is computed once, at construction; the hash once, on first
-    use, since most geometries are never hashed.
+    ``m0`` a seed constant with m0 > vprime and h + 2*m0 > 0.  The lattice
+    is cleared to integers once, at construction, and held beside the
+    public values as (numerators, den) pairs, each over its least common
+    denominator: ``gram_nums`` (the rows of gram), ``hb_nums``, ``h_nums``,
+    ``hb_row_nums`` (the row hb * gram) and ``hb2_nums`` (H.H, one
+    numerator).  The H data (``hb2``, ``hb_divisor`` and the row
+    ``hb_row`` used by ``pair_h``, Fractions with the zero where the row
+    vanishes) is computed there on those integers, one Fraction per value;
+    the hash once, on first use, since most geometries are never hashed.
+    Every table writer reads the integer fields, none the Fractions.
     ``matrices`` starts empty; ``_kept`` alone reads and writes it, keyed by
     (builder, argument tuple), each built on its first use and none here:
     the product's structure constants and their point-class slice
     (``_point_constants``), the transform tables and the row of
     ``ChernVector.a3`` (``fmt._phi_table``, ``fmt._phi_hat_table``,
     ``fmt._a3_table``) and the charge tables (``charges._charge_table``),
-    all written from the lattice's integers (no ``Poly2`` evaluation), the
+    all written from the integer fields (no ``Poly2`` evaluation), the
     lattice data of ``pair`` and exp(-B) as integers (``_gram_ints``,
     ``_theta_ints``), the half-canonical field and its exp(-B)
     (``_half_canonical_bfield``, ``_half_canonical_exp``), the classes that
@@ -287,12 +303,19 @@ class BaseGeometry:
     hb2: Fraction = field(init=False, compare=False, repr=False)
     hb_divisor: DivisorB = field(init=False, compare=False, repr=False)
     hb_row: tuple = field(init=False, compare=False, repr=False)
+    gram_nums: tuple = field(init=False, compare=False, repr=False)
+    hb_nums: tuple = field(init=False, compare=False, repr=False)
+    h_nums: tuple = field(init=False, compare=False, repr=False)
+    hb_row_nums: tuple = field(init=False, compare=False, repr=False)
+    hb2_nums: tuple = field(init=False, compare=False, repr=False)
     matrices: dict = field(init=False, compare=False, repr=False)
 
     def __init__(self, rank, gram, hb, h, vprime=0, m0=1):
-        if Fraction(rank).denominator != 1:
-            raise ConfigurationError(f"geometry.rank: must be a whole number, not {rank!r}")
-        rank = int(Fraction(rank))
+        if type(rank) is not int:
+            whole = Fraction(_q(rank))  # _q refuses a float
+            if whole.denominator != 1:
+                raise ConfigurationError(f"geometry.rank: must be a whole number, not {rank!r}")
+            rank = int(whole)
         gram = tuple(_qtuple(row) for row in gram)
         hb = _qtuple(hb)
         h = _q(h)
@@ -302,30 +325,27 @@ class BaseGeometry:
             raise ConfigurationError("geometry.rank: must be positive")
         if len(gram) != rank or any(len(row) != rank for row in gram):
             raise ConfigurationError("geometry.gram: must be a rank x rank matrix")
-        for i in range(rank):
-            for j in range(rank):
-                if gram[i][j] != gram[j][i]:
-                    raise ConfigurationError("geometry.gram: must be symmetric")
+        flat, gd = _over_common_denominator([c for row in gram for c in row])
+        rows = tuple(tuple(flat[i * rank : (i + 1) * rank]) for i in range(rank))
+        if any(rows[i][j] != rows[j][i] for i in range(rank) for j in range(i)):
+            raise ConfigurationError("geometry.gram: must be symmetric")
         if len(hb) != rank:
             raise ConfigurationError("geometry.hb: length must equal rank")
-        hb2 = sum(hb[i] * gram[i][j] * hb[j] for i in range(rank) for j in range(rank))
-        if hb2 <= 0:
+        b, bd = _over_common_denominator(hb)
+        row, rd = _reduced([sum(c * r[j] for c, r in zip(b, rows)) for j in range(rank)], bd * gd)
+        q, qd = _reduced([sum(c * r for c, r in zip(b, row))], bd * rd)
+        if q[0] <= 0:
             raise ConfigurationError("geometry.hb: self-intersection must be positive")
-        if h + 2 * m0 <= 0:
+        hn, hd, mn, md = h.numerator, h.denominator, m0.numerator, m0.denominator
+        if hn * md + 2 * mn * hd <= 0:
             raise ConfigurationError("geometry.m0: requires h + 2*m0 > 0")
         if m0 <= vprime:
             raise ConfigurationError("geometry.m0: requires m0 > vprime")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "hb", hb)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "vprime", vprime)
-        object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "hb2", hb2)
-        object.__setattr__(self, "hb_divisor", DivisorB(hb))
-        object.__setattr__(self, "hb_row", tuple(sum(c * row[j] for c, row in zip(hb, gram)) for j in range(rank)))
-        object.__setattr__(self, "matrices", {})
-        object.__setattr__(self, "_hash", None)
+        self.__dict__.update(
+            rank=rank, gram=gram, hb=hb, h=h, vprime=vprime, m0=m0, hb2=Fraction(q[0], qd),
+            hb_divisor=DivisorB._raw(hb), hb_row=tuple(_divided(c, rd) for c in row), gram_nums=(rows, gd),
+            hb_nums=(tuple(b), bd), h_nums=(hn, hd), hb_row_nums=(tuple(row), rd), hb2_nums=(q[0], qd),
+            matrices={}, _hash=None)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -581,19 +601,16 @@ def _contract(table: tuple, left: tuple, right: tuple) -> tuple[list, int]:
     return totals, den * lden * rden
 
 
-def _written(entries, size: int, width: int, den: int = 1) -> tuple[list, int, int]:
+def _written(entries, size: int, width: int, den: int) -> tuple[list, int, int]:
     """The ``_contract`` table of the terms (i, j, k, c), c / den a_i b_j on
-    output k, for rational c and left size ``size``: the nonzero c over their
-    least common denominator, content-reduced, so that den is the least
+    output k, for integer c and left size ``size``: the nonzero c with the
+    content they share with den divided out, so that den is the least
     denominator of the entries; ``rows[i]`` lists its (j, k, c) in the order
     given."""
     entries = [entry for entry in entries if entry[3]]
-    common = lcm(*(c.denominator for *_, c in entries))
-    nums = [c.numerator * (common // c.denominator) for *_, c in entries]
-    den *= common
-    content = gcd(den, *nums)
+    content = gcd(den, *(c for *_, c in entries))
     rows = [[] for _ in range(size)]
-    for (i, j, k, _), c in zip(entries, nums):
+    for i, j, k, c in entries:
         rows[i].append((j, k, c // content))
     return rows, den // content, width
 
@@ -618,35 +635,39 @@ def _divided(t, den: int):
 
 def _structure_constants(g: BaseGeometry) -> tuple[list, int, int]:
     """The structure constants of the product on g, from the relations in
-    the module docstring, as a ``_contract`` table.  Basis class i times
-    basis class j is the sum of c_kij / den times basis class k, over one
-    positive denominator den; ``rows[i]`` lists the (j, k, c_kij) with
-    c_kij nonzero, by j and then k."""
-    r, h = g.rank, g.h
+    the module docstring, as a ``_contract`` table written from g's
+    integer fields.  Basis class i times basis class j is the sum of
+    c_kij / den times basis class k, over the least positive denominator
+    den; ``rows[i]`` lists the (j, k, c_kij) with c_kij nonzero, by j and
+    then k."""
+    r = g.rank
+    (hn, hd), (hb, bd), (row, rd), (gram, gd) = g.h_nums, g.hb_nums, g.hb_row_nums, g.gram_nums
     dim = 2 * r + 4
     x, S, eta, a, s = 1, range(2, 2 + r), range(2 + r, 2 + 2 * r), dim - 2, dim - 1
+    one = hd * bd * gd  # h hb, h hb_row (rd divides bd gd) and gram are integers over it
     entries: dict = {}
 
     def meet(i, j, k, c):
-        """Class i times class j, and j times i, is c times class k."""
+        """Class i times class j, and j times i, is c / one times class k."""
         if c:
             entries[i, j, k] = entries[j, i, k] = c
 
     for k in range(dim):
-        meet(0, k, k, 1)  # the unit
-    meet(x, a, s, 1)  # Theta * f = pt
+        meet(0, k, k, one)  # the unit
+    meet(x, a, s, one)  # Theta * f = pt
     for p in range(r):
-        meet(x, x, eta[p], h * g.hb[p])  # Theta^2 = h Theta pull(H)
-        meet(x, S[p], eta[p], 1)  # Theta * pull(A) = Theta pull(A)
-        meet(x, eta[p], s, h * g.hb_row[p])  # Theta * Theta pull(A) = h (H.A) pt
+        meet(x, x, eta[p], hn * gd * hb[p])  # Theta^2 = h Theta pull(H)
+        meet(x, S[p], eta[p], one)  # Theta * pull(A) = Theta pull(A)
+        meet(x, eta[p], s, hn * (bd * gd // rd) * row[p])  # Theta * Theta pull(A) = h (H.A) pt
         for q in range(r):
-            meet(S[p], S[q], a, g.gram[p][q])  # pull(A) * pull(B) = (A.B) f
-            meet(S[p], eta[q], s, g.gram[p][q])  # pull(A) * Theta pull(B) = (A.B) pt
-    den = lcm(*(c.denominator for c in entries.values()))
+            c = hd * bd * gram[p][q]
+            meet(S[p], S[q], a, c)  # pull(A) * pull(B) = (A.B) f
+            meet(S[p], eta[q], s, c)  # pull(A) * Theta pull(B) = (A.B) pt
+    content = gcd(one, *entries.values())
     rows = [[] for _ in range(dim)]
     for (i, j, k), c in sorted(entries.items()):
-        rows[i].append((j, k, c.numerator * (den // c.denominator)))
-    return rows, den, dim
+        rows[i].append((j, k, c // content))
+    return rows, one // content, dim
 
 
 def _point_constants(g: BaseGeometry) -> tuple[list, int, int]:
@@ -677,7 +698,9 @@ def twist(g: BaseGeometry, v: ChernVector, B: DivisorX) -> ChernVector:
 
 
 def _half_canonical_bfield(g: BaseGeometry) -> DivisorX:
-    return DivisorX(0, g.hb_divisor.scale(-g.h / 2))
+    """-(h/2) pull(H), its coordinates from g's integer fields."""
+    (hn, hd), (hb, bd) = g.h_nums, g.hb_nums
+    return DivisorX(_ZERO, DivisorB._raw(tuple(_divided(-hn * c, 2 * hd * bd) for c in hb)))
 
 
 def _half_canonical_exp(g: BaseGeometry) -> ChernVector:
@@ -727,15 +750,17 @@ def _gram_ints(g: BaseGeometry) -> tuple[list, int]:
 
 
 def _theta_ints(g: BaseGeometry) -> tuple:
-    """The integers that exp(-B) reads only for t != 0: the row hb * gram
-    over rd, as a one-row ``_form`` table; w over wd, with w_i / wd =
-    h hb_i / 2, the t^2 coefficient of eta; and c3, c2, c1 with
-    6 s = -t (t^2 h^2 H^2 + 3 t h (H.D) + 3 (D.D)) read on numerators:
-    c3 / m = h^2 H^2, c2 / m = 3 h / rd and c1 / m = 3 / gd, over sd = 6 m."""
-    row, rd = _over_common_denominator(g.hb_row)
-    w, wd = _over_common_denominator([g.h * c / 2 for c in g.hb])
+    """The integers that exp(-B) reads only for t != 0, from g's integer
+    fields: the row hb * gram over rd, as a one-row ``_form`` table; w over
+    wd, with w_i / wd = h hb_i / 2, the t^2 coefficient of eta; and c3, c2,
+    c1 with 6 s = -t (t^2 h^2 H^2 + 3 t h (H.D) + 3 (D.D)) read on
+    numerators: c3 / m = h^2 H^2, c2 / m = 3 h / rd and c1 / m = 3 / gd,
+    over sd = 6 m."""
+    (hn, hd), (hb, bd), (row, rd), (q, qd) = g.h_nums, g.hb_nums, g.hb_row_nums, g.hb2_nums
+    w, wd = _reduced([hn * c for c in hb], 2 * hd * bd)
     gd = _kept(g, _gram_ints)[1]
-    (c3, c2, c1), m = _over_common_denominator([g.h * g.h * g.hb2, 3 * g.h / rd, Fraction(3, gd)])
+    (c3, c2, c1), m = _reduced([hn * hn * q * rd * gd, 3 * hn * hd * qd * gd, 3 * hd * hd * qd * rd],
+                               hd * hd * qd * rd * gd)
     return [[(j, c) for j, c in enumerate(row) if c]], w, wd, c3, c2, c1, 6 * m
 
 

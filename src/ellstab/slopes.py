@@ -33,7 +33,6 @@ from .ring import (
     _exp_minus,
     _half_canonical_exp,
     _kept,
-    _numerators,
     _point_constants,
     compute_m,
     divisor_powers,
@@ -133,11 +132,24 @@ class SlopeValue:
         return "inf" if self.finite is None else str(self.finite)
 
 
-def _vector(g: BaseGeometry, n=0, x=0, S=None, eta=None, a=0, s=0) -> ChernVector:
-    """The class (n, x, S, eta, a, s), S and eta given by coordinates (zero
-    if None), from its numerators."""
+def _vector(g: BaseGeometry, den: int = 1, n=0, x=0, S=None, eta=None, a=0, s=0) -> ChernVector:
+    """The class (n, x, S, eta, a, s) / den from integer numerators, S and
+    eta given by theirs (zero if None)."""
     zeros = [0] * g.rank
-    return ChernVector._ints(*_numerators([n, x, *(S or zeros), *(eta or zeros), a, s]))
+    return ChernVector._ints([n, x, *(S or zeros), *(eta or zeros), a, s], den)
+
+
+def _theta_phb_m(g: BaseGeometry) -> ChernVector:
+    """Theta pull(H) + m f, from g's integer field ``hb_nums`` and m
+    (``compute_m``)."""
+    (hb, bd), m = g.hb_nums, compute_m(g)
+    return _vector(g, m.denominator * bd, eta=[m.denominator * c for c in hb], a=m.numerator * bd)
+
+
+def _theta_m(g: BaseGeometry) -> ChernVector:
+    """Theta + m pull(H), from g's integer field ``hb_nums`` and m."""
+    (hb, bd), m = g.hb_nums, compute_m(g)
+    return _vector(g, m.denominator * bd, x=m.denominator * bd, S=[m.numerator * c for c in hb])
 
 
 # The classes a slope pairs or multiplies that depend on g alone, by name.
@@ -145,10 +157,10 @@ _FIXED = {
     "unit": lambda g: _vector(g, n=1),
     "point": lambda g: _vector(g, s=1),
     "fiber": lambda g: _vector(g, a=1),
-    "phb": lambda g: _vector(g, S=g.hb),
-    "theta_phb": lambda g: _vector(g, eta=g.hb),
-    "theta_phb_m": lambda g: _vector(g, eta=g.hb, a=compute_m(g)),
-    "theta_m": lambda g: _vector(g, x=1, S=[compute_m(g) * c for c in g.hb]),
+    "phb": lambda g: _vector(g, g.hb_nums[1], S=g.hb_nums[0]),
+    "theta_phb": lambda g: _vector(g, g.hb_nums[1], eta=g.hb_nums[0]),
+    "theta_phb_m": _theta_phb_m,
+    "theta_m": _theta_m,
 }
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import lcm
 
 from .asymptotics import ChargeKind, _check_rational, _cross_coefficients, _germ_verdict
-from .charges import _germ_rows, _require_positive, _symbol_parts, _symbol_rows
+from .charges import _germ_rows, _require_positive, _symbol_im, _symbol_rows
 from .curves import OneDimCurve, TiltCurve, _fixed_cycles, constraint_poly
 from .errors import ComputationFault, DimensionError, DomainError
 from .fmt import _a3_table, phi
@@ -79,12 +79,12 @@ def _symbolic_sides(g: BaseGeometry, e: ChernVector, c: TiltCurve) -> tuple:
     """The two sides as polynomials in (u, vpar) for a rational e, each as
     (monomial row, den): the left is -Theta.Obar^2 times the reduced
     charge's im of the transform, read after the closed form's proof
-    (``charges._symbol_parts``), the right deg(w^3) / 6 (the kept rows of
+    (``charges._symbol_im``), the right deg(w^3) / 6 (the kept rows of
     ``charges._symbol_rows``) times Obar^2 . ch1^B, minus u a3(e)
     Theta.Obar^2.  A class that is not rational raises ``DomainError``."""
     tn, td, ch1b, ch1b_den, a3, a3_den = _fixed_terms(g, e, c)
     _check_rational(e)
-    (_, im), den = _symbol_parts(g, phi(g, e))
+    im, den = _symbol_im(g, phi(g, e))
     cube, m = _kept(g, _symbol_rows)[2]
     rhs = {key: x * ch1b * a3_den * td for key, x in cube.items() if ch1b}
     if a3:

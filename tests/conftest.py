@@ -1,11 +1,11 @@
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
-from ellstab import ring
+from ellstab import curves, fmt, ring
 from ellstab.poly import Poly2
 from ellstab.ring import BaseGeometry, ChernVector, DivisorB, DivisorX
 from ellstab.series import LaurentSeries
@@ -238,3 +238,139 @@ def _reference_full_coefficients(g: BaseGeometry, v: ChernVector, d: DivisorB) -
     (const, re), im = _reference_reduced_coefficients(g, tw)
     return (const - tw.s, re), im
 
+
+
+# The table writers as they were written in ``Fraction`` arithmetic on a
+# geometry's public values (h, hb, hb_row, hb2, gram), before they read its
+# integer fields, kept verbatim as references; ``_reference_fraction_written``
+# is ``ring._written`` as it took rational entries.  Each rewritten writer's
+# table is pinned against its reference in rows (order included), den and
+# width.
+
+
+def _reference_fraction_lattice(g: BaseGeometry) -> tuple:
+    """H.H and the row hb * gram as ``BaseGeometry.__init__`` computed them."""
+    r, hb, gram = g.rank, g.hb, g.gram
+    hb2 = sum(hb[i] * gram[i][j] * hb[j] for i in range(r) for j in range(r))
+    return hb2, tuple(sum(c * row[j] for c, row in zip(hb, gram)) for j in range(r))
+
+
+def _reference_fraction_written(entries, size: int, width: int, den: int = 1) -> tuple[list, int, int]:
+    entries = [entry for entry in entries if entry[3]]
+    common = lcm(*(c.denominator for *_, c in entries))
+    nums = [c.numerator * (common // c.denominator) for *_, c in entries]
+    den *= common
+    content = gcd(den, *nums)
+    rows = [[] for _ in range(size)]
+    for (i, j, k, _), c in zip(entries, nums):
+        rows[i].append((j, k, c // content))
+    return rows, den // content, width
+
+
+def _reference_fraction_structure_constants(g: BaseGeometry) -> tuple[list, int, int]:
+    r, h = g.rank, g.h
+    dim = 2 * r + 4
+    x, S, eta, a, s = 1, range(2, 2 + r), range(2 + r, 2 + 2 * r), dim - 2, dim - 1
+    entries: dict = {}
+
+    def meet(i, j, k, c):
+        if c:
+            entries[i, j, k] = entries[j, i, k] = c
+
+    for k in range(dim):
+        meet(0, k, k, 1)
+    meet(x, a, s, 1)
+    for p in range(r):
+        meet(x, x, eta[p], h * g.hb[p])
+        meet(x, S[p], eta[p], 1)
+        meet(x, eta[p], s, h * g.hb_row[p])
+        for q in range(r):
+            meet(S[p], S[q], a, g.gram[p][q])
+            meet(S[p], eta[q], s, g.gram[p][q])
+    den = lcm(*(c.denominator for c in entries.values()))
+    rows = [[] for _ in range(dim)]
+    for (i, j, k), c in sorted(entries.items()):
+        rows[i].append((j, k, c.numerator * (den // c.denominator)))
+    return rows, den, dim
+
+
+def _reference_fraction_half_canonical_bfield(g: BaseGeometry) -> DivisorX:
+    return DivisorX(0, g.hb_divisor.scale(-g.h / 2))
+
+
+def _reference_fraction_theta_ints(g: BaseGeometry) -> tuple:
+    row, rd = ring._over_common_denominator(g.hb_row)
+    w, wd = ring._over_common_denominator([g.h * c / 2 for c in g.hb])
+    gd = ring._kept(g, ring._gram_ints)[1]
+    (c3, c2, c1), m = ring._over_common_denominator([g.h * g.h * g.hb2, 3 * g.h / rd, Fraction(3, gd)])
+    return [[(j, c) for j, c in enumerate(row) if c]], w, wd, c3, c2, c1, 6 * m
+
+
+def _reference_fraction_phi_table(g: BaseGeometry) -> tuple[list, int, int]:
+    n, x, S, eta, a, s = fmt._slots(g.rank)
+    h, hh2 = g.h, g.h * g.h * g.hb2
+    shift = [h * c / 2 for c in g.hb]
+    pairing = [h * c / 2 for c in g.hb_row]
+    return _reference_fraction_written([
+        (x, 0, n, 1), (n, 0, x, -1),
+        *((eta[p], 0, S[p], 1) for p in range(g.rank)), *((x, 0, S[p], c) for p, c in enumerate(shift)),
+        *((S[p], 0, eta[p], -1) for p in range(g.rank)), *((n, 0, eta[p], -c) for p, c in enumerate(shift)),
+        (s, 0, a, 1), *((eta[p], 0, a, c) for p, c in enumerate(pairing)), (x, 0, a, hh2 / 12),
+        (a, 0, s, -1), *((S[p], 0, s, -c) for p, c in enumerate(pairing)), (n, 0, s, -hh2 / 6),
+    ], s + 1, s + 1)
+
+
+def _reference_fraction_phi_hat_table(g: BaseGeometry) -> tuple[list, int, int]:
+    n, x, S, eta, a, s = fmt._slots(g.rank)
+    h, hh2 = g.h, g.h * g.h * g.hb2
+    shift = [h * c / 2 for c in g.hb]
+    pairing = [h * c / 2 for c in g.hb_row]
+    return _reference_fraction_written([
+        (x, 0, n, 1), (n, 0, x, -1),
+        *((eta[p], 0, S[p], 1) for p in range(g.rank)), *((x, 0, S[p], -c) for p, c in enumerate(shift)),
+        *((S[p], 0, eta[p], -1) for p in range(g.rank)), *((n, 0, eta[p], c) for p, c in enumerate(shift)),
+        (s, 0, a, 1), *((eta[p], 0, a, -c) for p, c in enumerate(pairing)), (x, 0, a, hh2 / 12),
+        (a, 0, s, -1), *((S[p], 0, s, c) for p, c in enumerate(pairing)), (n, 0, s, -hh2 / 6),
+    ], s + 1, s + 1)
+
+
+def _reference_fraction_a3_table(g: BaseGeometry) -> tuple[list, int, int]:
+    _, x, _, eta, _, s = fmt._slots(g.rank)
+    return _reference_fraction_written([
+        (s, 0, 0, 1), *((eta[p], 0, 0, g.h * c / 2) for p, c in enumerate(g.hb_row)),
+        (x, 0, 0, g.h * g.h * g.hb2 / 12),
+    ], s + 1, 1)
+
+
+def _reference_fraction_reduced_table(g: BaseGeometry) -> tuple[list, int, int]:
+    n, x, S, eta, a, s = fmt._slots(g.rank)
+    return _reference_fraction_written([
+        (x, 0, 1, g.hb2 / 2), *((S[p], 0, 2, c / 2) for p, c in enumerate(g.hb_row)),
+        *((eta[p], 0, 4, c) for p, c in enumerate(g.hb_row)), (a, 0, 5, 1), (n, 0, 6, -g.hb2 / 6),
+    ], s + 1, 7)
+
+
+def _reference_fraction_theta_h_products(g: BaseGeometry) -> tuple:
+    hn, hd = ring._over_common_denominator(g.hb)
+    theta = ChernVector._ints([0, 1, *[0] * (2 * g.rank + 2)], 1)
+    hb = ChernVector._ints([0, 0, *hn, *[0] * (g.rank + 2)], hd)
+    products = [ring.mul(g, theta, theta), ring.mul(g, theta, hb), ring.mul(g, hb, hb)]
+    n = lcm(*(v._den for v in products))
+    rows = [[t * (n // v._den) for t in v._nums] for v in products]
+    return theta, hb, rows, n, *curves._pairings(g, [(theta._nums, row) for row in rows], n)
+
+
+def _reference_fraction_vector(g: BaseGeometry, n=0, x=0, S=None, eta=None, a=0, s=0) -> ChernVector:
+    zeros = [0] * g.rank
+    return ChernVector._ints(*ring._numerators([n, x, *(S or zeros), *(eta or zeros), a, s]))
+
+
+_REFERENCE_FRACTION_FIXED = {
+    "unit": lambda g: _reference_fraction_vector(g, n=1),
+    "point": lambda g: _reference_fraction_vector(g, s=1),
+    "fiber": lambda g: _reference_fraction_vector(g, a=1),
+    "phb": lambda g: _reference_fraction_vector(g, S=g.hb),
+    "theta_phb": lambda g: _reference_fraction_vector(g, eta=g.hb),
+    "theta_phb_m": lambda g: _reference_fraction_vector(g, eta=g.hb, a=ring.compute_m(g)),
+    "theta_m": lambda g: _reference_fraction_vector(g, x=1, S=[ring.compute_m(g) * c for c in g.hb]),
+}

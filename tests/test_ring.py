@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellstab import fmt, ring
+from ellstab import charges, curves, fmt, ring, slopes
 from ellstab.config import format_vector, parse_vector_literal
 from ellstab.curves import TiltCurve, chow_identity_symbolic_remainder
 from ellstab.errors import ConfigurationError, DimensionError
@@ -29,6 +29,16 @@ from ellstab.series import LaurentSeries
 from ellstab.suites import H_SET_INVOLUTION, _rand_divisor, _rand_q, _rand_vector, geometry_for
 
 from conftest import (
+    _REFERENCE_FRACTION_FIXED,
+    _reference_fraction_a3_table,
+    _reference_fraction_half_canonical_bfield,
+    _reference_fraction_lattice,
+    _reference_fraction_phi_hat_table,
+    _reference_fraction_phi_table,
+    _reference_fraction_reduced_table,
+    _reference_fraction_structure_constants,
+    _reference_fraction_theta_h_products,
+    _reference_fraction_theta_ints,
     _reference_monomial_coefficients,
     _reference_phi,
     _reference_phi_hat,
@@ -97,14 +107,14 @@ class TestGeometryInvariants:
             BaseGeometry(1, [[1]], [1], 0, 2, 1)
 
     def test_non_integral_rank_rejected(self):
-        with pytest.raises(ConfigurationError, match="geometry.rank"):
-            BaseGeometry(Fraction(17, 10), [[1]], [1], 0)
-        for rank in (1.7, "1.7"):
+        """A float rank, whole or not, is refused as a float
+        (``TestFloatsAreRefused``)."""
+        for rank in (Fraction(17, 10), "1.7"):
             with pytest.raises(ConfigurationError, match="geometry.rank"):
                 BaseGeometry(rank, [[1]], [1], 0)
 
     def test_integral_rank_accepted(self):
-        for rank in (2, Fraction(4, 2), 2.0, "2", "2.0"):
+        for rank in (2, Fraction(4, 2), "2", "2.0"):
             g = BaseGeometry(rank, [[2, 1], [1, 3]], [1, 0], 0)
             assert g.rank == 2 and type(g.rank) is int
 
@@ -155,6 +165,11 @@ class TestFloatsAreRefused:
     def test_fibration_constants(self):
         with pytest.raises(TypeError, match="float"):
             BaseGeometry(1, [[1]], [1], -1, 0.0, 1.5)
+
+    def test_rank(self):
+        for rank in (1.0, 2.0, 1.7):
+            with pytest.raises(TypeError, match="float"):
+                BaseGeometry(rank, [[1]], [1], -1)
 
     def test_vector_coordinate(self):
         with pytest.raises(TypeError, match="float"):
@@ -1417,6 +1432,112 @@ def test_rational_twist_builds_no_fraction(monkeypatch):
             monkeypatch.undo()
             assert len(built) == (1 if value else 0)
             built.clear()
+
+
+# The writers that read a geometry's integer fields, with their Fraction
+# references (``conftest``), the half-canonical field and the fixed slope
+# classes apart.
+INTEGER_WRITERS = (
+    (ring._structure_constants, _reference_fraction_structure_constants),
+    (ring._theta_ints, _reference_fraction_theta_ints),
+    (fmt._phi_table, _reference_fraction_phi_table),
+    (fmt._phi_hat_table, _reference_fraction_phi_hat_table),
+    (fmt._a3_table, _reference_fraction_a3_table),
+    (charges._reduced_table, _reference_fraction_reduced_table),
+)
+
+
+def integer_field_geometries():
+    """``table_geometries`` and a rank-2 lattice with fractional h and hb."""
+    return table_geometries() + [BaseGeometry(2, [[2, 1], [1, 3]], [Fraction(3, 2), Fraction(1, 3)], Fraction(-2, 3))]
+
+
+def _as_given(g):
+    """g's constructor arguments as a config gives them: whole values as
+    ints, so the constructor builds their Fractions."""
+    def given(c):
+        return c.numerator if c.denominator == 1 else c
+    return g.rank, [[given(c) for c in row] for row in g.gram], [given(c) for c in g.hb], *map(given, (g.h, g.vprime, g.m0))
+
+
+class TestIntegerFields:
+    """Each geometry clears its lattice to integers once, at construction,
+    and every table writer reads those: its table is the Fraction writer's,
+    bit for bit, and the public values are unchanged."""
+
+    def test_integer_fields_are_the_least_common_denominator_clearing(self):
+        for g in integer_field_geometries():
+            flat, gd = ring._over_common_denominator([c for row in g.gram for c in row])
+            assert g.gram_nums == (tuple(tuple(flat[i * g.rank : (i + 1) * g.rank]) for i in range(g.rank)), gd)
+            for (nums, den), values in ((g.hb_nums, g.hb), (g.hb_row_nums, g.hb_row)):
+                assert (list(nums), den) == ring._over_common_denominator(values)
+            assert g.h_nums == (g.h.numerator, g.h.denominator)
+            assert g.hb2_nums == (g.hb2.numerator, g.hb2.denominator)
+
+    def test_public_values_hash_and_equality_are_unchanged(self):
+        for g in integer_field_geometries():
+            hb2, hb_row = _reference_fraction_lattice(g)
+            assert (type(g.hb2), g.hb2) == (Fraction, hb2)
+            assert [(type(c), c) for c in g.hb_row] == [(Fraction, c) for c in hb_row]
+            assert hash(g) == hash((g.rank, g.gram, g.hb, g.h, g.vprime, g.m0))
+            twin = BaseGeometry(*_as_given(g))
+            assert twin == g and hash(twin) == hash(g)
+            assert (twin.gram, twin.hb, twin.h) == (g.gram, g.hb, g.h)
+
+    def test_tables_are_the_fraction_writers_bit_for_bit(self):
+        """Rows in order, den and width, on a fresh geometry for each."""
+        for g in integer_field_geometries():
+            for writer, reference in INTEGER_WRITERS:
+                assert writer(BaseGeometry(*_as_given(g))) == reference(g), (writer.__name__, g)
+            fresh = BaseGeometry(*_as_given(g))
+            got, want = ring._half_canonical_bfield(fresh), _reference_fraction_half_canonical_bfield(g)
+            assert got == want and hash(got) == hash(want)
+            assert [type(c) for c in (got.theta, *got.base.coords)] == [Fraction] * (g.rank + 1)
+            fresh = BaseGeometry(*_as_given(g))
+            got, want = curves._theta_h_products(fresh), _reference_fraction_theta_h_products(g)
+            assert [(v._nums, v._den) for v in got[:2]] == [(v._nums, v._den) for v in want[:2]]
+            assert got[2:] == want[2:]
+            fresh = BaseGeometry(*_as_given(g))
+            for name, build in slopes._FIXED.items():
+                got, want = build(fresh), _REFERENCE_FRACTION_FIXED[name](g)
+                assert (got._nums, got._den) == (want._nums, want._den), name
+
+
+def test_cold_builds_construct_no_fraction(monkeypatch):
+    """On a new geometry, each table written from its integer fields
+    constructs no Fraction (``Fraction.__new__`` counted, so Fraction
+    arithmetic counts too), the fixed slope classes included once m
+    (``compute_m``, Fraction arithmetic on the public values) is known; the
+    half-canonical field builds only its coordinates, and ``BaseGeometry``
+    no more Fractions than its public fields hold."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    writers = [writer for writer, _ in INTEGER_WRITERS] + [curves._theta_h_products, *slopes._FIXED.values()]
+    for g in fresh_geometries() + fractional_geometries():
+        r, given = g.rank, _as_given(g)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        BaseGeometry(*given)
+        monkeypatch.undo()
+        assert 0 < len(built) <= r * r + 2 * r + 4  # gram, hb, h, vprime, m0, hb2 and hb_row
+        built.clear()
+        for writer in writers:
+            fresh = BaseGeometry(*given)
+            compute_m(fresh)
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+            writer(fresh)
+            monkeypatch.undo()
+            assert built == [], writer
+        fresh = BaseGeometry(*given)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        ring._half_canonical_bfield(fresh)
+        monkeypatch.undo()
+        assert len(built) <= r  # its coordinates
+        built.clear()
 
 
 def test_rational_hot_path_builds_no_fraction(monkeypatch):

@@ -879,3 +879,65 @@ def test_the_kept_builder_rule_sees_calls_and_scopes():
                      "x = _degree_numerator(g, a, b)\n"
                      "y = multiply(g, a, b)\n")
     assert sorted(_ring_products_outside_the_kept_builders(tree)) == [6, 7, 7, 10, 11]
+
+
+_PUBLIC_LATTICE_VALUES = {"h", "hb", "hb_row", "hb2", "gram", "hb_divisor"}
+# The writers that read a geometry's integer fields (``gram_nums``,
+# ``hb_nums``, ``h_nums``, ``hb_row_nums``, ``hb2_nums``), with their helpers.
+_INTEGER_WRITERS = {
+    "ring.py": {"_structure_constants", "_theta_ints", "_half_canonical_bfield"},
+    "fmt.py": {"_half_h_terms", "_phi_table", "_phi_hat_table", "_a3_table"},
+    "charges.py": {"_reduced_table"},
+    "curves.py": {"_theta_h_products"},
+    "slopes.py": {"_FIXED", "_vector", "_theta_phb_m", "_theta_m"},
+}
+
+
+def _definitions(tree, names):
+    """The module-level functions and assignments named one of ``names``,
+    by name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            found[node.name] = node
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        found.update((t.id, node) for t in targets if isinstance(t, ast.Name) and t.id in names)
+    return found
+
+
+def _reads_public_lattice_values(tree, names):
+    """Line numbers of a read of ``.h``, ``.hb``, ``.hb_row``, ``.hb2``,
+    ``.gram`` or ``.hb_divisor`` inside the module-level functions and
+    assignments named one of ``names``."""
+    for node in _definitions(tree, names).values():
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and sub.attr in _PUBLIC_LATTICE_VALUES:
+                yield sub.lineno
+
+
+def test_the_table_writers_read_the_integer_fields():
+    """The lattice is cleared to integers once, in ``BaseGeometry.__init__``:
+    the writers of the kept tables, the half-canonical field and the fixed
+    slope classes read those integer fields, never the public Fractions."""
+    for name, writers in _INTEGER_WRITERS.items():
+        tree = ast.parse((SRC / name).read_text())
+        assert set(_definitions(tree, writers)) == writers, name
+        assert list(_reads_public_lattice_values(tree, writers)) == [], name
+
+
+def test_the_lattice_rule_sees_functions_assignments_and_scopes():
+    tree = ast.parse("def _phi_table(g):\n"
+                     "    h, hb = g.h, g.hb\n"
+                     "    hn, hd = g.h_nums\n"
+                     "_FIXED = {'phb': lambda g: _vector(g, S=g.hb_row)}\n"
+                     "def other(g):\n"
+                     "    return g.hb2\n"
+                     "class C:\n"
+                     "    def _phi_table(self, g):\n"
+                     "        return g.gram\n"
+                     "def _a3_table(g):\n"
+                     "    return geometry.hb2 * gram + g.hb_divisor.scale(2)\n"
+                     "_OTHER = g.hb\n")
+    names = {"_phi_table", "_FIXED", "_a3_table", "_reduced_table"}
+    assert set(_definitions(tree, names)) == {"_phi_table", "_FIXED", "_a3_table"}
+    assert sorted(_reads_public_lattice_values(tree, names)) == [2, 2, 4, 11, 11]
