@@ -349,6 +349,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ellstab",
@@ -361,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     # explicit flag from an omitted one.
     parser.add_argument("--precision", type=_positive_int, default=None, help="precision in bits")
     parser.add_argument("--order", type=_positive_int, default=None, help="series truncation order")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=_nonnegative_int, default=None)
     parser.add_argument("--cases", type=_positive_int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 

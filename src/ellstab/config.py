@@ -55,8 +55,9 @@ _RUN_PARAMETERS = (
     ("cases", "cases"),
     ("seed", "seed"),
 )
-# the run parameters that must be positive (the CLI flags check the same)
-_POSITIVE_RUN_PARAMETERS = ("precision", "order", "cases")
+# the least value of each run parameter (the CLI flags check the same); a
+# seed is non-negative because ``random.Random(-s)`` seeds with |s|
+_RUN_PARAMETER_LEAST = {"precision": 1, "order": 1, "cases": 1, "seed": 0}
 
 
 # each curve kind's class and its parameter keys, in constructor order
@@ -78,11 +79,13 @@ def _parse_fraction(text: str, line: int) -> Fraction:
         raise ConfigParseError(line, f"expected a rational, got {text!r}")
 
 
-def _parse_int(text: str, line: int, path: str, positive: bool = False) -> int:
+_INTEGER_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+
+def _parse_int(text: str, line: int, path: str, least: int | None = None) -> int:
     value = _parse_fraction(text, line)
-    if value.denominator != 1 or (positive and value <= 0):
-        want = "a positive integer" if positive else "an integer"
-        raise ConfigValidationError(path, f"expected {want}, got {value} (line {line})")
+    if value.denominator != 1 or (least is not None and value < least):
+        raise ConfigValidationError(path, f"expected {_INTEGER_KINDS[least]}, got {value} (line {line})")
     return int(value)
 
 
@@ -221,8 +224,8 @@ def parse_config(text: str) -> Config:
             for key, attr in _RUN_PARAMETERS:
                 if key in entries:
                     value, line = entries.pop(key)
-                    positive = key in _POSITIVE_RUN_PARAMETERS
-                    setattr(defaults, attr, _parse_int(value, line, f"defaults.{key}", positive))
+                    least = _RUN_PARAMETER_LEAST[key]
+                    setattr(defaults, attr, _parse_int(value, line, f"defaults.{key}", least))
             _reject_extras(entries, "defaults")
             continue
 

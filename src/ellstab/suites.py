@@ -5,6 +5,13 @@ check per case, and reports the first counterexample on failure.  The
 suites back both the command-line ``verify`` command and the acceptance
 tests; comparator suites record their verdicts so reruns at a higher
 series order can be diffed against the original run.
+
+A case stream is defined by ``random.Random(seed).getrandbits`` alone:
+every draw goes through ``_randint``, which is CPython's ``randint``
+algorithm written out (``_rand_nums`` writes in its two fixed ranges), so
+a seed gives the same cases, and leaves the same generator state, as the
+same ``randint`` calls would.  Seeds are non-negative, since
+``random.Random(-s)`` seeds with |s|.
 """
 
 from __future__ import annotations
@@ -66,8 +73,20 @@ def _geometry(h: Fraction, rank2: bool) -> BaseGeometry:
     return BaseGeometry(1, [[1]], [1], h, 0, m0)
 
 
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``, value and generator state alike: CPython's
+    ``randint`` -> ``randrange`` -> ``_randbelow_with_getrandbits`` written
+    out, k-bit draws redrawn until one falls below n = hi - lo + 1."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def _rand_q(rng: random.Random, lo: int = -9, hi: int = 9, den: int = 6) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+    return Fraction(_randint(rng, lo, hi), _randint(rng, 1, den))
 
 
 def _rand_divisor(rng: random.Random, rank: int, lo: int = -9, hi: int = 9) -> DivisorB:
@@ -75,11 +94,23 @@ def _rand_divisor(rng: random.Random, rank: int, lo: int = -9, hi: int = 9) -> D
 
 
 def _rand_nums(rng: random.Random, count: int) -> tuple[list[int], int]:
-    """``count`` draws of ``_rand_q`` at its defaults, the same calls in the
-    same order, as integer numerators over their least common denominator."""
-    draws = [(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(count)]
-    den = lcm(*(q for _, q in draws))
-    return [p * (den // q) for p, q in draws], den
+    """``count`` draws of ``_rand_q`` at its defaults, the same draws in the
+    same order, as integer numerators over their least common denominator.
+    ``_randint``'s two ranges are written in: [-9, 9] has n = 19 < 2^5 and
+    [1, 6] has n = 6 < 2^3."""
+    bits = rng.getrandbits
+    nums, dens = [], []
+    for _ in range(count):
+        p = bits(5)
+        while p >= 19:
+            p = bits(5)
+        q = bits(3)
+        while q >= 6:
+            q = bits(3)
+        nums.append(p - 9)
+        dens.append(q + 1)
+    den = lcm(*dens)
+    return [p * (den // q) for p, q in zip(nums, dens)], den
 
 
 def _rand_vector(rng: random.Random, rank: int) -> ChernVector:
@@ -123,8 +154,8 @@ def suite_swap(cases: int = 10000, seed: int = 1) -> SuiteReport:
 def _rand_tilt(rng: random.Random, h) -> TiltCurve:
     """A tilt curve at h with random a, b > 0, redrawn until the curve is valid."""
     while True:
-        a = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        b = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        a = Fraction(_randint(rng, 1, 8), _randint(rng, 1, 4))
+        b = Fraction(_randint(rng, 1, 8), _randint(rng, 1, 4))
         try:
             return TiltCurve(h, a, b)
         except ConfigurationError:
@@ -152,7 +183,7 @@ def suite_chow(cases: int = 100, seed: int = 2) -> SuiteReport:
     g0 = geometry_for(0)
     for i in range(20):
         c = _rand_tilt(rng, Fraction(0))
-        vpar = Fraction(rng.randint(2, 40))
+        vpar = Fraction(_randint(rng, 2, 40))
         u = (c.b / c.a) / vpar
         on = curves.chow_identity_check(g0, c, u, vpar)
         off = curves.chow_identity_check(g0, c, u, vpar + 1)
@@ -161,7 +192,7 @@ def suite_chow(cases: int = 100, seed: int = 2) -> SuiteReport:
     for i, h in enumerate([Fraction(-1), Fraction(1, 2)]):
         g = geometry_for(h)
         c = _rand_tilt(rng, h)
-        vpar = Fraction(rng.randint(5, 30))
+        vpar = Fraction(_randint(rng, 5, 30))
         root = solve_u(c, vpar, Fraction(1, 2**128))
         ok = curves.chow_identity_check(g, c, root, vpar)
         report.check(ok, _Label("algebraic case {} h={} c={} vpar={}", i, h, c, vpar))
@@ -173,7 +204,7 @@ def _rational_tilt_points(rng: random.Random, count: int):
     out = []
     for _ in range(count):
         c = _rand_tilt(rng, Fraction(0))
-        vpar = Fraction(rng.randint(2, 50), rng.randint(1, 3))
+        vpar = Fraction(_randint(rng, 2, 50), _randint(rng, 1, 3))
         out.append((c, (c.b / c.a) / vpar, vpar))
     return out
 
@@ -221,9 +252,9 @@ def suite_threshold(cases: int = 1000, seed: int = 4, order: int = 8) -> SuiteRe
         h = H_SET_THRESHOLD[i % len(H_SET_THRESHOLD)]
         g = geometry_for(h)
         c = _rand_tilt(rng, h)
-        eta = DivisorB([Fraction(rng.randint(1, 6), rng.randint(1, 3))])
+        eta = DivisorB([Fraction(_randint(rng, 1, 6), _randint(rng, 1, 3))])
         t = ChernVector(0, 0, DivisorB.zero(1), eta, _rand_q(rng), _rand_q(rng))
-        n = rng.randint(1, 5)
+        n = _randint(rng, 1, 5)
         nums, den = _rand_nums(rng, 5)
         e = ChernVector._ints([n * den, *nums], den)
         ok = verify.threshold_equiv_check(g, t, e, c, order)
@@ -243,7 +274,7 @@ def _rand_onedim_class(rng: random.Random, g: BaseGeometry, y, z) -> ChernVector
     r = g.rank
     weights = verify._twisted_degree_weights(g, y, z)
     while True:
-        eta = [rng.randint(0, 5) for _ in range(r)]
+        eta = [_randint(rng, 0, 5) for _ in range(r)]
         (a, s), den = _rand_nums(rng, 2)
         if sum(w * t for w, t in zip(weights, eta)) * den + weights[-1] * a > 0:
             return ChernVector._ints([0] * (2 + r) + [t * den for t in eta] + [a, s], den)
@@ -256,11 +287,13 @@ def suite_correspondence(cases: int = 1000, seed: int = 5, order: int = 8) -> Su
     for i in range(cases):
         h = H_SET_CORRESPONDENCE[i % len(H_SET_CORRESPONDENCE)]
         g = geometry_for(h)
+        # h + z/y > 0, decided on the drawn integers (y > 0)
         while True:
-            y = Fraction(rng.randint(1, 5))
-            z = Fraction(rng.randint(1, 5))
-            if h + z / y > 0:
+            y = _randint(rng, 1, 5)
+            z = _randint(rng, 1, 5)
+            if h.numerator * y + z * h.denominator > 0:
                 break
+        y, z = Fraction(y), Fraction(z)
         dbar = _rand_divisor(rng, 1, -4, 4)
         m = _rand_onedim_class(rng, g, y, z)
         n = _rand_onedim_class(rng, g, y, z) if i % 7 else m
@@ -290,8 +323,8 @@ def suite_h0(cases: int = 500, seed: int = 6, order: int = 8) -> SuiteReport:
                 return v if in_full_half_plane(z) else -v
 
     for i in range(cases):
-        y = Fraction(rng.randint(1, 5))
-        z = Fraction(rng.randint(1, 5))
+        y = Fraction(_randint(rng, 1, 5))
+        z = Fraction(_randint(rng, 1, 5))
         d = _rand_divisor(rng, 1, -4, 4)
         curve = OneDimCurve(0, y, z)
         m = flat_class(curve, d)
@@ -376,11 +409,14 @@ SUITE_NAMES = tuple(_RUNNERS)
 
 def run_suite(name: str, cases: int | None = None, seed: int = 0, order: int = 8) -> SuiteReport:
     """Run one suite by name; ``cases=None`` keeps the suite's own default
-    size, any other size must be at least 1, and ``order`` reaches exactly
+    size, any other size must be at least 1, the seed must be non-negative
+    (``random.Random(-s)`` seeds with |s|), and ``order`` reaches exactly
     the suites that take a series order."""
     runner = _RUNNERS[name]
     if cases is not None and cases < 1:
         raise DomainError(f"suite {name}: cases must be at least 1, got {cases}")
+    if seed < 0:
+        raise DomainError(f"suite {name}: seed must be non-negative, got {seed}")
     kwargs = {"seed": seed, "order": order}
     if cases is not None:
         kwargs["cases"] = cases

@@ -1,5 +1,6 @@
 """Configuration parsing, validation diagnostics, CLI dispatch."""
 
+import hashlib
 import io
 import os
 import re
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ellstab
+from ellstab import suites
 from ellstab.cli import main
 from ellstab.config import (
     ConfigParseError,
@@ -21,6 +23,7 @@ from ellstab.config import (
     parse_config,
     parse_vector_literal,
 )
+from ellstab.errors import DomainError
 from ellstab.ring import ChernVector, DivisorB, DivisorX
 from ellstab.slopes import SlopeKind, SlopeTag, slope
 
@@ -313,6 +316,28 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 2
+
+    # sha256 of ``verify --suite all`` records at --cases 200, as the suites
+    # ran when they drew through ``random.Random.randint``: as they run, and
+    # with every check failing, so that each suite prints its first label
+    VERIFY_ALL_DIGESTS = {
+        "7": ("e9d13ab60b24b378907c3ce1d9fc266a36c3f244d073825afc3b62a16c5e0d2c",
+              "38a9936307b5fe105f4a1ac5eba8e9819bdfcfc866cb93fa63b0688e97ab6c42"),
+        "11": ("e9d13ab60b24b378907c3ce1d9fc266a36c3f244d073825afc3b62a16c5e0d2c",
+               "11e088b15716acd58cf7c32f607a79dd5478e509a3fe0923484cc8efef230735"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(VERIFY_ALL_DIGESTS))
+    def test_verify_all_records_are_pinned(self, seed, monkeypatch):
+        args = ("--format", "records", "--seed", seed, "--cases", "200", "verify", "--suite", "all")
+        passing, failing = self.VERIFY_ALL_DIGESTS[seed]
+        code, out = run_cli(*args)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == passing
+        original = suites.SuiteReport.check
+        monkeypatch.setattr(suites.SuiteReport, "check",
+                            lambda report, ok, label: original(report, False, label))
+        code, out = run_cli(*args)
+        assert code == 1 and hashlib.sha256(out.encode()).hexdigest() == failing
 
     def test_record_determinism(self, cfg_path):
         args = ("--config", cfg_path, "--format", "records", "--seed", "7", "--cases", "60",
@@ -612,6 +637,27 @@ class TestRunParameters:
         assert exc.value.code == 2
         assert "--cases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-3", "-1"])
+    def test_negative_seed_flag(self, capsys, value):
+        """``random.Random(-s)`` seeds with |s|, so a negative seed would
+        silently rerun the positive one; it is refused as ``--cases 0`` is."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--seed", value, "verify", "--suite", "swap")
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_zero_seed_flag_runs(self):
+        code, out = run_cli("--format", "records", "--seed", "0", "--cases", "2", "verify", "--suite", "swap")
+        assert code == 0 and out == "suite\tcases\tstatus\nswap\t2\tpass\n"
+
+    def test_zero_seed_key(self):
+        assert parse_config(re.sub(r"(?m)^seed = .*$", "seed = 0", SAMPLE)).defaults.seed == 0
+
+    @pytest.mark.parametrize("name", suites.SUITE_NAMES)
+    def test_run_suite_refuses_a_negative_seed(self, name):
+        with pytest.raises(DomainError, match=f"suite {name}: seed must be non-negative, got -3"):
+            suites.run_suite(name, 1, -3)
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("command", [
         ["curve", "expand", "--curve", "flat1"],
@@ -632,6 +678,7 @@ class TestRunParameters:
         ("defaults", "order", "0"),
         ("defaults", "order", "17/2"),
         ("defaults", "seed", "1/3"),
+        ("defaults", "seed", "-3"),
         ("geometry", "rank", "3/2"),
     ])
     def test_bad_integer_key(self, tmp_path, capsys, section, key, value):

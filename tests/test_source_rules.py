@@ -215,6 +215,38 @@ def test_the_one_dimensional_draw_builds_no_fraction():
     assert list(_calls_by_name(tree, "Fraction", "_rand_onedim_class")) == []
 
 
+_RANDOM_METHODS = {"randint", "randrange", "choice", "choices", "sample", "shuffle", "uniform"}
+
+
+def _draws_past_getrandbits(tree):
+    """Line numbers of an attribute call ``x.m(...)`` for a ``random.Random``
+    method ``m`` that draws through ``randrange`` or floats."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _RANDOM_METHODS):
+            yield node.lineno
+
+
+def test_the_suites_draw_through_getrandbits_alone():
+    """Every suite draw is ``_randint`` or ``rng.getrandbits``, so a case
+    stream is defined by ``getrandbits`` alone."""
+    assert _sites(_draws_past_getrandbits, {"suites.py"}) == []
+
+
+def test_the_draw_rule_sees_every_method_and_no_plain_call():
+    tree = ast.parse("a = rng.randint(1, 5)\n"
+                     "b = self.rng.randrange(7)\n"
+                     "c = random.choice(xs)\n"
+                     "d = rng.choices(xs, k=2)\n"
+                     "e = rng.sample(xs, 2)\n"
+                     "rng.shuffle(xs)\n"
+                     "g = rng.uniform(0, 1)\n"
+                     "h = _randint(rng, 1, 5)\n"
+                     "i = rng.getrandbits(5)\n"
+                     "j = randint(1, 5)\n")
+    assert list(_draws_past_getrandbits(tree)) == [1, 2, 3, 4, 5, 6, 7]
+
+
 def test_the_call_rule_sees_both_forms_and_its_scope():
     tree = ast.parse("a = ChernVector(0, 0, S, eta, 1, 0)\n"
                      "b = ring.ChernVector(0, 0, S, eta, 1, 0)\n"

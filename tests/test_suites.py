@@ -2,9 +2,12 @@
 one-dimensional classes) that equal the Fraction-built ones, and labels
 formatted only when a check fails."""
 
+import ast
 import hashlib
+import inspect
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,19 +15,64 @@ from ellstab import suites
 from ellstab.ring import ChernVector, DivisorB, pair_h
 from ellstab.suites import (
     SuiteReport,
-    _rand_divisor,
     _rand_onedim_class,
     _rand_q,
     _rand_vector,
+    _randint,
     geometry_for,
 )
 
 
+def _randint_ranges():
+    """The (lo, hi) of every ``_randint`` call in ``suites.py`` with a
+    literal range, read from its syntax tree, and the module-level functions
+    that make the other calls."""
+    literal, other = set(), set()
+    for function in ast.parse(Path(suites.__file__).read_text()).body:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_randint":
+                try:
+                    literal.add(tuple(ast.literal_eval(arg) for arg in node.args[1:]))
+                except ValueError:
+                    other.add(function.name)
+    return literal, other
+
+
+_LO, _HI, _DEN = (p.default for p in list(inspect.signature(_rand_q).parameters.values())[1:])
+RANDINT_RANGES = sorted(_randint_ranges()[0] | {
+    (_LO, _HI), (1, _DEN),  # _rand_q's defaults, which _rand_nums writes in
+    (-4, 4),  # _rand_divisor(rng, 1, -4, 4) and perfbench's _rand_q(rng, -4, 4, 3)
+    (1, 3),
+    (3, 3), (0, 3), (1, 8), (0, 10**30),  # n = 1, powers of two, a wide range
+})
+
+
+def test_only_rand_q_draws_a_range_that_is_not_literal():
+    """``_rand_q``'s callers pass it the ranges that ``RANDINT_RANGES`` lists;
+    every other range is read from the source."""
+    literal, other = _randint_ranges()
+    assert literal and other == {"_rand_q"}
+
+
+@pytest.mark.parametrize("lo, hi", RANDINT_RANGES)
+def test_randint_draws_as_random_randint(lo, hi):
+    for seed in range(100):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(8):
+            assert _randint(rng, lo, hi) == ref.randint(lo, hi)
+            assert rng.getstate() == ref.getstate()
+
+
+def _reference_rand_q(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
 def _reference_rand_vector(rng: random.Random, rank: int) -> ChernVector:
-    """The generator the integer draws replace: Fractions through the
-    coercing constructor."""
-    return ChernVector(_rand_q(rng), _rand_q(rng), _rand_divisor(rng, rank), _rand_divisor(rng, rank),
-                       _rand_q(rng), _rand_q(rng))
+    """The generator the integer draws replace: ``randint`` Fractions
+    through the coercing constructor."""
+    q = _reference_rand_q
+    return ChernVector(q(rng), q(rng), DivisorB([q(rng) for _ in range(rank)]),
+                       DivisorB([q(rng) for _ in range(rank)]), q(rng), q(rng))
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -43,8 +91,8 @@ def _reference_rand_onedim_class(rng: random.Random, g, y, z) -> ChernVector:
     zd = DivisorB.zero(g.rank)
     while True:
         eta = DivisorB([Fraction(rng.randint(0, 5)) for _ in range(g.rank)])
-        a = _rand_q(rng)
-        s = _rand_q(rng)
+        a = _reference_rand_q(rng)
+        s = _reference_rand_q(rng)
         den = (g.h * y + z) * pair_h(g, eta) + y * a
         if den > 0:
             return ChernVector(0, 0, zd, eta, a, s)
